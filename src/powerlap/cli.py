@@ -17,6 +17,7 @@ from .pgroup import decompose, tree_json_dict, tree_string
 from .spectra import spectrum
 from .verify import (
     CLAIM_IDS,
+    CYCLIC_CHECKS,
     TSV_HEADER,
     run_cyclic_suite,
     run_dicyclic_suite,
@@ -164,12 +165,10 @@ def _cmd_info(args, parser) -> int:
 def _cmd_verify(args, parser) -> int:
     theorem = args.theorem
     reports = []
-    if theorem in (None, "cyclic-algcon", "cyclic-radius-mult", "cyclic-kappa-vs-algcon"):
-        all_cyclic = run_cyclic_suite(args.cyclic_max)
-        if theorem:
-            reports += [r for r in all_cyclic if r.claim_id == theorem]
-        else:
-            reports += all_cyclic
+    if theorem is None:
+        reports += run_cyclic_suite(args.cyclic_max)
+    elif theorem in CYCLIC_CHECKS:
+        reports += run_cyclic_suite(args.cyclic_max, [theorem])
     if theorem in (None, "dicyclic-bundle"):
         reports += run_dicyclic_suite(args.dicyclic_max)
     if theorem in (None, "pgroup-bundle"):

@@ -15,7 +15,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .groups import FiniteGroup, cyclic_group
+from .groups import FiniteGroup, _bits, cyclic_group
 
 __all__ = [
     "Graph",
@@ -110,13 +110,7 @@ class Graph:
     def edges(self) -> list[tuple[int, int]]:
         out = []
         for v in range(self.n):
-            m = self.rows[v] >> (v + 1)
-            u = v + 1
-            while m:
-                if m & 1:
-                    out.append((v, u))
-                m >>= 1
-                u += 1
+            out.extend((v, v + 1 + u) for u in _bits(self.rows[v] >> (v + 1)))
         return out
 
     def label_of(self, v: int) -> str:
@@ -137,15 +131,6 @@ class Graph:
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True)
-
-
-def _bits(mask: int) -> list[int]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
 
 
 @dataclass(frozen=True)
@@ -210,11 +195,7 @@ def components(g: Graph) -> list[list[int]]:
         while frontier:
             comp |= frontier
             nxt = 0
-            m = frontier
-            while m:
-                low = m & -m
-                u = low.bit_length() - 1
-                m ^= low
+            for u in _bits(frontier):
                 nxt |= g.rows[u]
             frontier = nxt & ~comp
         seen |= comp
@@ -238,11 +219,7 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
     rows = []
     for v in verts:
         row = 0
-        m = g.rows[v]
-        while m:
-            low = m & -m
-            u = low.bit_length() - 1
-            m ^= low
+        for u in _bits(g.rows[v]):
             if u in pos:
                 row |= 1 << pos[u]
         rows.append(row)

@@ -21,6 +21,7 @@ __all__ = [
     "FiniteGroup",
     "ElementInfo",
     "GroupValidationError",
+    "MAX_ORDER",
     "euler_phi",
     "factorize",
     "is_prime",
@@ -41,6 +42,20 @@ __all__ = [
 
 class GroupValidationError(ValueError):
     """Raised when a multiplication table fails the group axioms."""
+
+
+# Largest order the built-in constructors tabulate.  A table holds order**2
+# entries, 67M of them at order 8192; larger orders fail fast instead of
+# exhausting memory.
+MAX_ORDER = 8192
+
+
+def _check_order(name: str, order: int) -> None:
+    if order > MAX_ORDER:
+        raise ValueError(
+            f"{name} would tabulate a group of order {order}, "
+            f"above the limit MAX_ORDER = {MAX_ORDER}"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -306,6 +321,7 @@ def cyclic_group(n: int) -> FiniteGroup:
     """Additive group of integers modulo n; identity 0."""
     if n < 1:
         raise ValueError(f"cyclic_group requires n >= 1, got {n}")
+    _check_order("cyclic_group", n)
     base = tuple(range(n)) * 2
     table = tuple(base[i : i + n] for i in range(n))
     names = tuple(str(i) for i in range(n))
@@ -319,6 +335,7 @@ def dicyclic_group(n: int) -> FiniteGroup:
     """
     if n < 2:
         raise ValueError(f"dicyclic_group requires n >= 2, got {n}")
+    _check_order("dicyclic_group", 4 * n)
     two_n = 2 * n
     size = 4 * n
 
@@ -350,6 +367,7 @@ def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
     """Direct product with lexicographic element indexing: (x, y) -> x*|H| + y."""
     n, m = g.order, h.order
     size = n * m
+    _check_order("direct_product", size)
     gt, ht = g.table, h.table
     table = []
     for x in range(n):
@@ -384,11 +402,14 @@ def element_info(g: FiniteGroup, x: int) -> ElementInfo:
     )
 
 
-def _bits(mask: int):
+def _bits(mask: int) -> list[int]:
+    """Indices of the set bits of mask, ascending."""
+    out = []
     while mask:
         low = mask & -mask
-        yield low.bit_length() - 1
+        out.append(low.bit_length() - 1)
         mask ^= low
+    return out
 
 
 def up_set(g: FiniteGroup, x: int) -> frozenset[int]:

@@ -6,6 +6,14 @@ union of the subgraphs for the primitive classes above g.  This module
 builds that decomposition tree, materializes it, evaluates its factored
 characteristic polynomial through the join/union calculus, and
 classifies every Laplacian eigenvalue into its structural form.
+
+Every non-identity class [h] has exactly one parent class, [h^p], so the
+tree is built in one ascending pass over the elements and holds each
+~-class exactly once, represented by its smallest element.  A node's
+``upset_size`` is |U(x)|, its number of children is the primitive-class
+count of x, and |U-hat(x)| is ``upset_size`` minus the apex size.  The
+eigenvalue classification and the divisibility checks read these values
+off the tree, one node per class, instead of scanning elements.
 """
 
 from __future__ import annotations
@@ -15,15 +23,7 @@ from dataclasses import dataclass
 from typing import Union
 
 from .graphs import Graph
-from .groups import (
-    FiniteGroup,
-    euler_phi,
-    factorize,
-    hat_up_set,
-    is_p_group,
-    primitive_classes,
-    up_set,
-)
+from .groups import FiniteGroup, euler_phi, factorize, is_p_group
 from .spectra import (
     FactoredCharPoly,
     Spectrum,
@@ -82,27 +82,58 @@ def decompose(g: FiniteGroup) -> DecompTree:
     p = is_p_group(g)
     if p is None:
         raise ValueError(f"{g.label} is not a p-group")
-    return _subtree(g, g.identity)
+    masks = g.subgroup_masks()
+    # a class is keyed by the mask of the cyclic subgroup its members generate
+    smallest: dict[int, int] = {}
+    children: dict[int, list[int]] = {}
+    for x in range(g.order):
+        key = masks[x]
+        if key in smallest:
+            continue
+        smallest[key] = x
+        if x != g.identity:
+            # [x^p] depends only on [x]: <x^p> is the index-p subgroup of <x>
+            xp = x
+            for _ in range(p - 1):
+                xp = g.table[xp][x]
+            children.setdefault(masks[xp], []).append(key)
+    return _build(g, masks[g.identity], smallest, children)
 
 
-def _subtree(g: FiniteGroup, x: int) -> DecompTree:
+def _build(g: FiniteGroup, key: int, smallest: dict[int, int],
+           children: dict[int, list[int]]) -> DecompTree:
+    x = smallest[key]
     order = g.order_of(x)
     apex = euler_phi(order)
-    upset = len(up_set(g, x))
-    reps = primitive_classes(g, x)
-    if not reps:
-        return CliqueLeaf(size=apex, element=x, element_order=order, upset_size=upset)
-    children = tuple(_subtree(g, h) for h in reps)
-    children = tuple(
-        sorted(children, key=lambda t: (-tree_vertex_count(t), t.element))
+    subtrees = sorted(
+        (_build(g, k, smallest, children) for k in children.get(key, ())),
+        key=lambda t: (-t.upset_size, t.element),
     )
+    upset = apex + sum(t.upset_size for t in subtrees)
+    if not subtrees:
+        return CliqueLeaf(size=apex, element=x, element_order=order, upset_size=upset)
     return JoinNode(
         apex_size=apex,
-        children=children,
+        children=tuple(subtrees),
         element=x,
         element_order=order,
         upset_size=upset,
     )
+
+
+def _apex_size(t: DecompTree) -> int:
+    return t.size if isinstance(t, CliqueLeaf) else t.apex_size
+
+
+def _classes(t: DecompTree) -> list[DecompTree]:
+    """Every node of the tree, one per ~-class, by ascending element."""
+    out = [t]
+    i = 0
+    while i < len(out):
+        if isinstance(out[i], JoinNode):
+            out.extend(out[i].children)
+        i += 1
+    return sorted(out, key=lambda node: node.element)
 
 
 def tree_vertex_count(t: DecompTree) -> int:
@@ -207,28 +238,28 @@ class EigenvalueForm:
 def classify_eigenvalues(g: FiniteGroup, s: Spectrum) -> list[EigenvalueForm]:
     """Assign every distinct eigenvalue its structural form with a witness.
 
-    An unclassifiable eigenvalue would falsify the structural theory and
-    raises immediately.
+    The witness is the smallest element of that form.  An unclassifiable
+    eigenvalue would falsify the structural theory and raises immediately.
     """
-    if is_p_group(g) is None:
-        raise ValueError(f"{g.label} is not a p-group")
+    classes = _classes(decompose(g))
     if not s.is_exact:
         raise ValueError("classification requires an exact spectrum")
-    orders = g.orders()
     forms: list[EigenvalueForm] = []
     for value, _ in s.exact.factors:
         if value == 0:
             forms.append(EigenvalueForm(0, "zero", None))
             continue
-        witness = next((x for x in range(g.order) if orders[x] == value), None)
+        witness = next(
+            (t.element for t in classes if t.element_order == value), None
+        )
         if witness is not None:
             forms.append(EigenvalueForm(value, "order_of", witness))
             continue
         witness = next(
             (
-                x
-                for x in range(g.order)
-                if len(hat_up_set(g, x)) + orders[x] == value
+                t.element
+                for t in classes
+                if t.upset_size - _apex_size(t) + t.element_order == value
             ),
             None,
         )
@@ -256,7 +287,9 @@ def check_multiple_property(g: FiniteGroup, s: Spectrum) -> MultiplePropertyRepo
     Every nonzero eigenvalue must be 1 or divisible by p; for every
     element x, |U-hat(x)| + o(x) must be a multiple of o(x); and whenever
     that quantity is a prime power, the primitive-class count of x must
-    be 0 or congruent to 1 mod p.
+    be 0 or congruent to 1 mod p.  Both element facts depend only on the
+    ~-class of x, so a violation is reported once per class, naming its
+    smallest element.
     """
     p = is_p_group(g)
     if p is None:
@@ -267,15 +300,15 @@ def check_multiple_property(g: FiniteGroup, s: Spectrum) -> MultiplePropertyRepo
     for value, _ in s.exact.factors:
         if value not in (0, 1) and value % p != 0:
             violations.append(f"eigenvalue {value} is neither 1 nor a multiple of {p}")
-    orders = g.orders()
-    for x in range(g.order):
-        combined = len(hat_up_set(g, x)) + orders[x]
-        if combined % orders[x] != 0:
+    for t in _classes(decompose(g)):
+        x, order = t.element, t.element_order
+        combined = t.upset_size - _apex_size(t) + order
+        if combined % order != 0:
             violations.append(
-                f"element {x}: |U-hat|+order = {combined} not a multiple of {orders[x]}"
+                f"element {x}: |U-hat|+order = {combined} not a multiple of {order}"
             )
         if _is_prime_power(combined):
-            pi = len(primitive_classes(g, x))
+            pi = len(t.children) if isinstance(t, JoinNode) else 0
             if pi != 0 and pi % p != 1:
                 violations.append(
                     f"element {x}: prime-power value {combined} but {pi} primitive classes"

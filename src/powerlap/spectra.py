@@ -18,7 +18,6 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -454,17 +453,6 @@ def _mergeable(counts: list[list[int]], i: int, j: int) -> bool:
     return True
 
 
-@lru_cache(maxsize=256)
-def _collapse_cached(g: Graph) -> _CollapsedGraph:
-    return _collapse(g)
-
-
-@lru_cache(maxsize=256)
-def _core_charpoly(g: Graph) -> tuple[int, ...]:
-    core = _collapse_cached(g)
-    return tuple(charpoly_exact(core.quotient_rows()))
-
-
 # ---------------------------------------------------------------------------
 # spectrum computation
 
@@ -477,7 +465,7 @@ def integer_eigenvalue_multiplicity(g: Graph, lam: int) -> int:
     """
     if not 0 <= lam <= g.n:
         raise ValueError(f"eigenvalue candidate {lam} outside 0..{g.n}")
-    core = _collapse_cached(g)
+    core = _collapse(g)
     from_extracted = dict(core.extracted).get(lam, 0)
     rows = [
         [Fraction(x - lam) if i == j else Fraction(x) for j, x in enumerate(row)]
@@ -494,10 +482,12 @@ def spectrum(g: Graph) -> Spectrum:
     the residual eigenvalues come from the Jacobi eigensolver and the
     result is Mixed.
     """
-    core = _collapse_cached(g)
+    core = _collapse(g)
     counts: Counter = Counter(dict(core.extracted))
-    coeffs = list(_core_charpoly(g))
-    for root, mult in integer_root_multiplicities(coeffs, 0, g.n).items():
+    roots = integer_root_multiplicities(
+        charpoly_exact(core.quotient_rows()), 0, g.n
+    )
+    for root, mult in roots.items():
         counts[root] += mult
     exact = FactoredCharPoly.from_counts(counts)
     certified = exact.degree
@@ -507,7 +497,7 @@ def spectrum(g: Graph) -> Spectrum:
         return Spectrum(n=g.n, exact=exact)
 
     numeric = jacobi_eigenvalues(core.symmetrized())
-    residual = _absorb_integer_roots(list(numeric), core, coeffs, g.n)
+    residual = _absorb_integer_roots(list(numeric), roots)
     if len(residual) != g.n - certified:
         raise AssertionError("numeric residual does not match certified deficit")
     return Spectrum(
@@ -517,10 +507,9 @@ def spectrum(g: Graph) -> Spectrum:
     )
 
 
-def _absorb_integer_roots(values: list[float], core: _CollapsedGraph,
-                          coeffs: list[int], n: int) -> list[float]:
+def _absorb_integer_roots(values: list[float], roots: dict[int, int]) -> list[float]:
     """Remove the quotient's certified integer roots from its numeric spectrum."""
-    for root, mult in integer_root_multiplicities(coeffs, 0, n).items():
+    for root, mult in roots.items():
         for _ in range(mult):
             idx = min(range(len(values)), key=lambda i: abs(values[i] - root))
             if abs(values[idx] - root) > ABSORB_TOL:

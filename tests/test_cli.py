@@ -1,5 +1,9 @@
 import json
+import tracemalloc
 
+import pytest
+
+import powerlap.verify
 from powerlap.cli import main
 
 
@@ -96,6 +100,42 @@ def test_verify_single_theorem(capsys):
     code, out, _ = run(capsys, "verify", "--theorem", "cyclic-algcon", "--cyclic-max", "12")
     assert code == 0
     assert out.strip() == "cyclic-algcon: 11/11 pass"
+
+
+def test_verify_single_cyclic_claim_runs_only_that_claim(capsys, monkeypatch):
+    ranges = ("--cyclic-max", "24", "--dicyclic-max", "2", "--pgroup-max", "2")
+    _, full_text, _ = run(capsys, "verify", *ranges)
+    _, full_json, _ = run(capsys, "verify", *ranges, "--format", "json")
+
+    def no_kappa(graph):
+        raise AssertionError("cyclic-algcon must not compute vertex connectivity")
+
+    powerlap.verify._cyclic_kappa.cache_clear()
+    monkeypatch.setattr(powerlap.verify, "vertex_connectivity", no_kappa)
+    args = ("verify", "--theorem", "cyclic-algcon", *ranges)
+    code, out, _ = run(capsys, *args)
+    assert code == 0
+    assert out.splitlines() == [
+        line for line in full_text.splitlines() if line.startswith("cyclic-algcon:")
+    ]
+    code, out, _ = run(capsys, *args, "--format", "json")
+    assert code == 0
+    docs = [d for d in json.loads(full_json) if d["claim"] == "cyclic-algcon"]
+    assert out == json.dumps(docs, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("spec", ["zn:100000", "qn:100000", "prod:zn:1000xzn:1000"])
+def test_groups_too_large_to_tabulate_fail_fast(capsys, spec):
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "spectrum", spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 1 and out == ""
+    assert "MAX_ORDER = 8192" in err
+    # the two Z_1000 factors are built; the million-element product is not
+    assert peak < 64 * 2**20
 
 
 def test_verify_json_stable(capsys):

@@ -4,8 +4,11 @@ from powerlap.graphs import components, power_graph, proper_power_graph
 from powerlap.groups import (
     cyclic_group,
     direct_product,
+    element_info,
     euler_phi,
     generalized_quaternion,
+    hat_up_set,
+    primitive_classes,
     up_set,
 )
 from powerlap.pgroup import (
@@ -20,7 +23,8 @@ from powerlap.pgroup import (
     tree_string,
     tree_vertex_count,
 )
-from powerlap.spectra import FactoredCharPoly, spectrum
+from powerlap.spectra import FactoredCharPoly, Spectrum, spectrum
+from powerlap.verify import check_pgroup_bundle
 
 
 def poly(counts):
@@ -54,10 +58,27 @@ def test_tree_annotations(small_pgroups):
             for c in t.children:
                 walk(g, c)
 
+    def nodes(t):
+        yield t
+        if isinstance(t, JoinNode):
+            for c in t.children:
+                yield from nodes(c)
+
     for g in small_pgroups:
         t = decompose(g)
         assert tree_vertex_count(t) == g.order
         walk(g, t)
+        # each ~-class appears once, keyed by the subgroup its members generate
+        masks = g.subgroup_masks()
+        by_class = {masks[node.element]: node for node in nodes(t)}
+        assert len(by_class) == len(set(masks)) == len(list(nodes(t)))
+        for x in range(g.order):
+            node = by_class[masks[x]]
+            apex = node.apex_size if isinstance(node, JoinNode) else node.size
+            assert node.upset_size - apex == len(hat_up_set(g, x)), (g.label, x)
+            kids = len(node.children) if isinstance(node, JoinNode) else 0
+            assert kids == len(primitive_classes(g, x)), (g.label, x)
+            assert node.element == min(element_info(g, x).eq_class), (g.label, x)
 
 
 def test_tree_graph():
@@ -129,6 +150,19 @@ def test_classify_eigenvalues():
 
 
 def test_classification_covers_catalog(small_pgroups):
+    def brute_force(g, value):
+        # the per-element search: smallest element of the first form that fits
+        if value == 0:
+            return "zero", None
+        orders = g.orders()
+        for x in range(g.order):
+            if orders[x] == value:
+                return "order_of", x
+        for x in range(g.order):
+            if len(hat_up_set(g, x)) + orders[x] == value:
+                return "uhat_plus_order", x
+        return None, None
+
     for g in small_pgroups:
         s = spectrum(power_graph(g))
         forms = classify_eigenvalues(g, s)
@@ -138,6 +172,7 @@ def test_classification_covers_catalog(small_pgroups):
                 assert f.value == 0
             elif f.form == "order_of":
                 assert g.order_of(f.witness) == f.value
+            assert (f.form, f.witness) == brute_force(g, f.value), (g.label, f)
 
 
 def test_multiple_property(small_pgroups):
@@ -148,6 +183,21 @@ def test_multiple_property(small_pgroups):
         p = report.prime
         for value, _ in s.exact.factors:
             assert value in (0, 1) or value % p == 0
+
+
+def test_multiple_property_reports_a_doctored_eigenvalue():
+    g = cyclic_group(4)
+    s = spectrum(power_graph(g))
+    assert s.exact == poly({0: 1, 4: 3})
+    doctored = Spectrum(n=4, exact=poly({0: 1, 4: 2, 5: 1}))
+    report = check_multiple_property(g, doctored)
+    assert not report.ok and report.prime == 2
+    assert report.violations == ("eigenvalue 5 is neither 1 nor a multiple of 2",)
+
+
+def test_pgroup_bundle_on_a_large_prime_order():
+    report = check_pgroup_bundle(cyclic_group(509))
+    assert report.verdict == "pass", report.witness
 
 
 def test_multiple_property_hand_example():
