@@ -1,20 +1,26 @@
 """Exact and numeric matrix engines behind the spectral code.
 
-Exact routines work over the rationals (``fractions.Fraction``) so every
-integrality decision downstream is a genuine certification, never a
-rounding.  The numeric side is a self-contained cyclic Jacobi eigensolver
-for dense symmetric matrices.
+Exact routines never round, so every integrality decision downstream is
+a genuine certification.  The characteristic polynomial of an integer
+matrix is computed modulo word-size primes and recombined by the Chinese
+remainder theorem past a proven bound on its coefficients; the nullity
+of an integer matrix comes from fraction-free (Bareiss) elimination, and
+``rational_nullity`` eliminates over ``fractions.Fraction`` for rational
+matrices.  The numeric side is a self-contained cyclic Jacobi
+eigensolver for dense symmetric matrices.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 import numpy as np
 
 __all__ = [
     "rational_nullity",
+    "integer_nullity",
     "charpoly_exact",
     "integer_root_multiplicities",
     "eval_poly_at_int",
@@ -53,71 +59,166 @@ def rational_nullity(rows: Sequence[Sequence[Fraction]]) -> int:
     return n - rank
 
 
+def integer_nullity(rows: Sequence[Sequence[int]]) -> int:
+    """Nullity of a square integer matrix by fraction-free elimination.
+
+    Bareiss elimination (Math. Comp. 1968): after each pivot step every
+    remaining entry is a minor of the input, so dividing by the previous
+    pivot is exact and all arithmetic stays in the integers.
+    """
+    m = [list(row) for row in rows]
+    n = len(m)
+    if any(len(row) != n for row in m):
+        raise ValueError("matrix must be square")
+    rank = 0
+    prev = 1
+    for col in range(n):
+        pivot = next((r for r in range(rank, n) if m[r][col]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        prow = m[rank]
+        pval = prow[col]
+        for row in m[rank + 1:]:
+            a = row[col]
+            row[col:] = [0] + [
+                (pval * x - a * y) // prev for x, y in zip(row[col + 1:], prow[col + 1:])
+            ]
+        prev = pval
+        rank += 1
+    return n - rank
+
+
+# Miller-Rabin with the first twelve prime bases is deterministic below
+# 3.18e23 (Sorenson & Webster, Math. Comp. 2017), far above 2**62.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic primality for n < 3.18e23."""
+    if n < 2:
+        return False
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+# The descending primes below 2**62, extended on demand.  Every modular
+# charpoly walks a prefix of the same sequence, so each prime is proved
+# once per process.
+_PRIMES: list[int] = []
+
+
+def _prime(i: int) -> int:
+    """The i-th prime, counting from 0, of the descending primes below 2**62."""
+    while len(_PRIMES) <= i:
+        candidate = (_PRIMES[-1] if _PRIMES else 2**62 + 1) - 2
+        while not _is_prime(candidate):
+            candidate -= 2
+        _PRIMES.append(candidate)
+    return _PRIMES[i]
+
+
 def charpoly_exact(matrix: Sequence[Sequence[int]]) -> list[int]:
     """Coefficients of det(xI - M) for an integer matrix, ascending by power.
 
-    Reduces to upper Hessenberg form by exact similarity transforms, then
-    expands the characteristic polynomial with the standard Hessenberg
-    recurrence.  The result of an integer matrix is integral; this is
-    asserted before returning.
+    The polynomial is computed modulo a fixed descending sequence of
+    primes below 2**62 and recombined by the Chinese remainder theorem
+    into the symmetric range.  Every eigenvalue satisfies |lambda| <= B,
+    the largest absolute row sum, so the coefficient of x^k is at most
+    C(m, k) * B^(m-k) in absolute value, and the coefficients of an m x m
+    matrix are determined once the modulus exceeds 2 * (B + 1)^m.  Primes
+    are added until then, never fewer, so the result is exact.
+    """
+    m = len(matrix)
+    if any(len(row) != m for row in matrix):
+        raise ValueError("matrix must be square")
+    if m == 0:
+        return [1]
+    bound = 2 * (max(sum(abs(x) for x in row) for row in matrix) + 1) ** m
+    modulus = _prime(0)
+    coeffs = _charpoly_mod(matrix, modulus)
+    i = 1
+    while modulus <= bound:
+        p = _prime(i)
+        i += 1
+        inv = pow(modulus % p, -1, p)
+        coeffs = [
+            c + modulus * ((r - c) * inv % p)
+            for c, r in zip(coeffs, _charpoly_mod(matrix, p))
+        ]
+        modulus *= p
+    half = modulus // 2
+    return [c - modulus if c > half else c for c in coeffs]
+
+
+def _charpoly_mod(matrix: Sequence[Sequence[int]], p: int) -> list[int]:
+    """Coefficients of det(xI - M) mod the prime p, ascending, in [0, p).
+
+    Reduces to upper Hessenberg form by similarity transforms over the
+    field of p elements, then expands the characteristic polynomial with
+    the standard Hessenberg recurrence.
     """
     n = len(matrix)
-    if n == 0:
-        return [1]
-    h = [[Fraction(x) for x in row] for row in matrix]
-    if any(len(row) != n for row in h):
-        raise ValueError("matrix must be square")
+    h = [[x % p for x in row] for row in matrix]
 
     for col in range(n - 2):
-        pivot = None
-        for r in range(col + 1, n):
-            if h[r][col]:
-                pivot = r
-                break
+        nxt = col + 1
+        pivot = next((r for r in range(nxt, n) if h[r][col]), None)
         if pivot is None:
             continue
-        if pivot != col + 1:
-            h[col + 1], h[pivot] = h[pivot], h[col + 1]
+        if pivot != nxt:
+            h[nxt], h[pivot] = h[pivot], h[nxt]
             for row in h:
-                row[col + 1], row[pivot] = row[pivot], row[col + 1]
-        pval = h[col + 1][col]
-        for r in range(col + 2, n):
-            factor = h[r][col] / pval
-            if factor:
-                hr = h[r]
-                hp = h[col + 1]
-                for c in range(col, n):
-                    hr[c] -= factor * hp[c]
-                for row in h:
-                    row[col + 1] += factor * row[r]
+                row[nxt], row[pivot] = row[pivot], row[nxt]
+        hp = h[nxt]
+        tail = hp[col:]
+        inv = pow(hp[col], -1, p)
+        # eliminate below the subdiagonal with row ops, then apply their
+        # inverse as one column op: the row ops commute with each other
+        factors = [h[r][col] * inv % p for r in range(col + 2, n)]
+        for hr, f in zip(h[col + 2:], factors):
+            if f:
+                hr[col:] = [(a - f * b) % p for a, b in zip(hr[col:], tail)]
+        if any(factors):
+            for row in h:
+                row[nxt] = (row[nxt] + sum(map(mul, factors, row[col + 2:]))) % p
 
     # d[k] = charpoly of the leading k x k block, coefficients ascending
-    d: list[list[Fraction]] = [[Fraction(1)]]
+    d: list[list[int]] = [[1]]
     for k in range(1, n + 1):
-        # (x - h[k-1][k-1]) * d[k-1]
+        # (x - h[k-1][k-1]) * d[k-1], reduced once at the end
         prev = d[k - 1]
-        poly = [Fraction(0)] * (k + 1)
+        diag = h[k - 1][k - 1]
+        poly = [0] + prev
         for i, c in enumerate(prev):
-            poly[i + 1] += c
-            poly[i] -= h[k - 1][k - 1] * c
-        beta = Fraction(1)
+            poly[i] -= diag * c
+        beta = 1
         for j in range(k - 1, 0, -1):
-            beta *= h[j][j - 1]
+            beta = beta * h[j][j - 1] % p
             if not beta:
                 break
-            coeff = beta * h[j - 1][k - 1]
+            coeff = beta * h[j - 1][k - 1] % p
             if coeff:
                 for i, c in enumerate(d[j - 1]):
                     poly[i] -= coeff * c
-        d.append(poly)
-
-    coeffs = d[n]
-    out = []
-    for c in coeffs:
-        if c.denominator != 1:
-            raise AssertionError("integer matrix produced a non-integer charpoly")
-        out.append(c.numerator)
-    return out
+        d.append([c % p for c in poly])
+    return d[n]
 
 
 def eval_poly_at_int(coeffs: Sequence[int], x: int) -> int:
@@ -129,10 +230,26 @@ def eval_poly_at_int(coeffs: Sequence[int], x: int) -> int:
 
 
 def integer_root_multiplicities(coeffs: Sequence[int], lo: int, hi: int) -> dict[int, int]:
-    """Multiplicity of every integer root in [lo, hi] of an integer polynomial."""
+    """Multiplicity of every integer root in [lo, hi] of an integer polynomial.
+
+    Write the polynomial as x^t * q with q(0) != 0.  The root 0 has
+    multiplicity t, and every other integer root of q divides q(0), so
+    only those candidates are evaluated and divided out.
+    """
+    t = next((i for i, c in enumerate(coeffs) if c), None)
+    if t is None:
+        # the zero polynomial: every candidate divides it to the constant 0
+        return {r: len(coeffs) - 1 for r in range(lo, hi + 1)} if len(coeffs) > 1 else {}
+    q = coeffs[t:]
     result: dict[int, int] = {}
     for r in range(lo, hi + 1):
-        work = list(coeffs)
+        if r == 0:
+            if t:
+                result[0] = t
+            continue
+        if q[0] % r:
+            continue
+        work = q
         mult = 0
         while len(work) > 1 and eval_poly_at_int(work, r) == 0:
             work = _synthetic_divide(work, r)

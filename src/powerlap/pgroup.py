@@ -235,13 +235,15 @@ class EigenvalueForm:
     witness: int | None
 
 
-def classify_eigenvalues(g: FiniteGroup, s: Spectrum) -> list[EigenvalueForm]:
+def classify_eigenvalues(g: FiniteGroup, s: Spectrum,
+                         tree: DecompTree | None = None) -> list[EigenvalueForm]:
     """Assign every distinct eigenvalue its structural form with a witness.
 
     The witness is the smallest element of that form.  An unclassifiable
     eigenvalue would falsify the structural theory and raises immediately.
+    ``tree`` is ``decompose(g)`` when the caller has already built it.
     """
-    classes = _classes(decompose(g))
+    classes = _classes(decompose(g) if tree is None else tree)
     if not s.is_exact:
         raise ValueError("classification requires an exact spectrum")
     forms: list[EigenvalueForm] = []
@@ -281,7 +283,8 @@ class MultiplePropertyReport:
     violations: tuple[str, ...]
 
 
-def check_multiple_property(g: FiniteGroup, s: Spectrum) -> MultiplePropertyReport:
+def check_multiple_property(g: FiniteGroup, s: Spectrum,
+                            tree: DecompTree | None = None) -> MultiplePropertyReport:
     """Verify the divisibility properties of an exact p-group spectrum.
 
     Every nonzero eigenvalue must be 1 or divisible by p; for every
@@ -289,7 +292,8 @@ def check_multiple_property(g: FiniteGroup, s: Spectrum) -> MultiplePropertyRepo
     that quantity is a prime power, the primitive-class count of x must
     be 0 or congruent to 1 mod p.  Both element facts depend only on the
     ~-class of x, so a violation is reported once per class, naming its
-    smallest element.
+    smallest element.  ``tree`` is ``decompose(g)`` when the caller has
+    already built it.
     """
     p = is_p_group(g)
     if p is None:
@@ -300,7 +304,7 @@ def check_multiple_property(g: FiniteGroup, s: Spectrum) -> MultiplePropertyRepo
     for value, _ in s.exact.factors:
         if value not in (0, 1) and value % p != 0:
             violations.append(f"eigenvalue {value} is neither 1 nor a multiple of {p}")
-    for t in _classes(decompose(g)):
+    for t in _classes(decompose(g) if tree is None else tree):
         x, order = t.element, t.element_order
         combined = t.upset_size - _apex_size(t) + order
         if combined % order != 0:

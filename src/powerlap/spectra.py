@@ -6,10 +6,11 @@ collapse step splits off eigenvalues carried by difference vectors
 inside a class, all of them integers read off class degrees, and leaves
 the spectrum of a small integer quotient matrix.  Integer eigenvalue
 multiplicities then come from the quotient's exact characteristic
-polynomial (or exact elimination), so an "Exact" spectrum is a proof,
-not an approximation.  When the certified multiplicities do not exhaust
-the vertex count, the residual eigenvalues are computed numerically and
-reported as a "Mixed" spectrum.
+polynomial (modular images recombined past a proven coefficient bound)
+or from fraction-free integer elimination, so an "Exact" spectrum is a
+proof, not an approximation.  When the certified multiplicities do not
+exhaust the vertex count, the residual eigenvalues are computed
+numerically and reported as a "Mixed" spectrum.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import numpy as np
 from .graphs import Graph, twin_partition
 from .linalg import (
     charpoly_exact,
+    integer_nullity,
     integer_root_multiplicities,
     jacobi_eigenvalues,
     rational_nullity,
@@ -460,18 +462,18 @@ def _mergeable(counts: list[list[int]], i: int, j: int) -> bool:
 def integer_eigenvalue_multiplicity(g: Graph, lam: int) -> int:
     """Exact algebraic multiplicity of the integer lam in the Laplacian spectrum.
 
-    Computed as the exact rational nullity of (quotient - lam*I) on the
-    collapsed graph plus the multiplicities split off by the collapse.
+    Computed as the integer nullity of (quotient - lam*I) on the collapsed
+    graph, by fraction-free elimination, plus the multiplicities split off
+    by the collapse.
     """
     if not 0 <= lam <= g.n:
         raise ValueError(f"eigenvalue candidate {lam} outside 0..{g.n}")
     core = _collapse(g)
     from_extracted = dict(core.extracted).get(lam, 0)
-    rows = [
-        [Fraction(x - lam) if i == j else Fraction(x) for j, x in enumerate(row)]
-        for i, row in enumerate(core.quotient_rows())
-    ]
-    return from_extracted + rational_nullity(rows)
+    rows = core.quotient_rows()
+    for i, row in enumerate(rows):
+        row[i] -= lam
+    return from_extracted + integer_nullity(rows)
 
 
 def spectrum(g: Graph) -> Spectrum:

@@ -121,7 +121,9 @@ def _report(claim_id, params, ok, witness, evidence, started) -> ClaimReport:
 # shared cyclic-group machinery
 
 
-@lru_cache(maxsize=None)
+# One graph: the suites and the scan visit n in order, and the spectrum
+# and kappa caches below keep no graph.
+@lru_cache(maxsize=1)
 def _cyclic_graph(n: int) -> Graph:
     return power_graph(cyclic_group(n))
 
@@ -459,6 +461,7 @@ def check_pgroup_bundle(g: FiniteGroup) -> ClaimReport:
             evidence={"reason": "not a p-group"},
             elapsed=time.perf_counter() - started,
         )
+    tree = decompose(g)
     pg = power_graph(g)
     s = spectrum(pg)
     cut = vertex_connectivity(pg)
@@ -489,10 +492,10 @@ def check_pgroup_bundle(g: FiniteGroup) -> ClaimReport:
         failures.append("spectrum is not certified integral")
     else:
         try:
-            classify_eigenvalues(g, s)
+            classify_eigenvalues(g, s, tree)
         except AssertionError as exc:
             failures.append(str(exc))
-        prop = check_multiple_property(g, s)
+        prop = check_multiple_property(g, s, tree)
         if not prop.ok:
             failures.extend(prop.violations)
 
@@ -510,7 +513,7 @@ def check_pgroup_bundle(g: FiniteGroup) -> ClaimReport:
             )
 
     # (e) recursive characteristic polynomial equals the direct spectrum
-    recursive = tree_charpoly(decompose(g))
+    recursive = tree_charpoly(tree)
     if not (s.is_exact and recursive == s.exact):
         failures.append(
             f"recursion gives {recursive.text()}, direct gives {s.exact.text()}"

@@ -1,0 +1,222 @@
+"""Exact linear algebra against oracles that share none of its arithmetic.
+
+`fraction_charpoly` is Hessenberg reduction over the rationals, so it
+checks the modular characteristic polynomial and its prime bound without
+any modular arithmetic; sympy's `Matrix.charpoly` is a second oracle.
+`scan_integer_roots` evaluates every candidate, and `rational_nullity`
+eliminates over `Fraction`.
+"""
+
+import math
+import random
+from fractions import Fraction
+
+import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from powerlap.graphs import power_graph
+from powerlap.groups import dicyclic_group
+from powerlap.linalg import (
+    _is_prime,
+    _prime,
+    _synthetic_divide,
+    charpoly_exact,
+    eval_poly_at_int,
+    integer_nullity,
+    integer_root_multiplicities,
+    rational_nullity,
+)
+from powerlap.spectra import _collapse
+from powerlap.verify import pgroup_catalog
+
+ORACLE_MAX_DIM = 40
+
+
+def fraction_charpoly(matrix):
+    """det(xI - M), ascending, by Hessenberg reduction over Fraction."""
+    n = len(matrix)
+    if n == 0:
+        return [1]
+    h = [[Fraction(x) for x in row] for row in matrix]
+    for col in range(n - 2):
+        pivot = next((r for r in range(col + 1, n) if h[r][col]), None)
+        if pivot is None:
+            continue
+        if pivot != col + 1:
+            h[col + 1], h[pivot] = h[pivot], h[col + 1]
+            for row in h:
+                row[col + 1], row[pivot] = row[pivot], row[col + 1]
+        pval = h[col + 1][col]
+        for r in range(col + 2, n):
+            factor = h[r][col] / pval
+            if factor:
+                hr = h[r]
+                hp = h[col + 1]
+                for c in range(col, n):
+                    hr[c] -= factor * hp[c]
+                for row in h:
+                    row[col + 1] += factor * row[r]
+    d = [[Fraction(1)]]
+    for k in range(1, n + 1):
+        prev = d[k - 1]
+        poly = [Fraction(0)] * (k + 1)
+        for i, c in enumerate(prev):
+            poly[i + 1] += c
+            poly[i] -= h[k - 1][k - 1] * c
+        beta = Fraction(1)
+        for j in range(k - 1, 0, -1):
+            beta *= h[j][j - 1]
+            if not beta:
+                break
+            coeff = beta * h[j - 1][k - 1]
+            if coeff:
+                for i, c in enumerate(d[j - 1]):
+                    poly[i] -= coeff * c
+        d.append(poly)
+    assert all(c.denominator == 1 for c in d[n])
+    return [c.numerator for c in d[n]]
+
+
+def sympy_charpoly(matrix):
+    x = sympy.Symbol("x")
+    return [int(c) for c in reversed(sympy.Matrix(matrix).charpoly(x).all_coeffs())]
+
+
+def scan_integer_roots(coeffs, lo, hi):
+    """Evaluate and divide out every candidate in [lo, hi]."""
+    result = {}
+    for r in range(lo, hi + 1):
+        work = list(coeffs)
+        mult = 0
+        while len(work) > 1 and eval_poly_at_int(work, r) == 0:
+            work = _synthetic_divide(work, r)
+            mult += 1
+        if mult:
+            result[r] = mult
+    return result
+
+
+# ---------------------------------------------------------------------------
+# characteristic polynomial
+
+
+def quotient_cores(groups):
+    cores = (_collapse(power_graph(g)).quotient_rows() for g in groups)
+    return [q for q in cores if len(q) <= ORACLE_MAX_DIM]
+
+
+def test_charpoly_matches_fraction_oracle_on_quotient_cores(small_groups, small_pgroups):
+    groups = small_groups + small_pgroups + pgroup_catalog(256)
+    groups += [dicyclic_group(n) for n in (6, 15, 21)]
+    cores = quotient_cores(groups)
+    assert max(len(q) for q in cores) >= 30
+    for q in cores:
+        assert charpoly_exact(q) == fraction_charpoly(q)
+
+
+int_entries = st.one_of(st.integers(-3, 3), st.integers(-10**6, 10**6))
+
+
+@st.composite
+def int_matrices(draw, max_dim=7):
+    """Signed, generally non-symmetric integer matrices, some rows zero."""
+    m = draw(st.integers(1, max_dim))
+    row = st.lists(int_entries, min_size=m, max_size=m)
+    rows = draw(st.lists(row, min_size=m, max_size=m))
+    zero = draw(st.sets(st.integers(0, m - 1), max_size=m))
+    return [[0] * m if i in zero else r for i, r in enumerate(rows)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(int_matrices())
+def test_charpoly_matches_oracles_on_integer_matrices(matrix):
+    coeffs = charpoly_exact(matrix)
+    assert coeffs == fraction_charpoly(matrix)
+    assert coeffs == sympy_charpoly(matrix)
+
+
+def test_charpoly_at_the_coefficient_bound():
+    # det(xI + B*I) = (x + B)^m: the constant B^m sits just under half the
+    # modulus the row-sum bound 2 * (B + 1)^m asks for
+    m, b = 40, 10**6
+    matrix = [[-b if i == j else 0 for j in range(m)] for i in range(m)]
+    assert charpoly_exact(matrix) == [math.comb(m, k) * b ** (m - k) for k in range(m + 1)]
+    assert charpoly_exact([]) == [1]
+    with pytest.raises(ValueError):
+        charpoly_exact([[1, 2]])
+
+
+def test_primes_descend_from_the_largest_below_2_to_62():
+    primes = [_prime(i) for i in range(12)]
+    assert primes[0] == sympy.prevprime(2**62)
+    for p, q in zip(primes, primes[1:]):
+        assert sympy.prevprime(p) == q
+
+
+def test_miller_rabin_matches_sympy():
+    rng = random.Random(3)
+    # strong pseudoprimes to the bases 2..7 and 2..23, and a Carmichael number
+    hard = [3215031751, 3825123056546413051, 561, 2**61 - 1, 2**62 - 57]
+    numbers = list(range(-2, 2000)) + hard
+    numbers += [rng.randrange(2**61, 2**62) for _ in range(300)]
+    for n in numbers:
+        assert _is_prime(n) == sympy.isprime(n), n
+
+
+# ---------------------------------------------------------------------------
+# integer roots
+
+
+@st.composite
+def polys_with_integer_roots(draw):
+    roots = draw(st.lists(st.integers(-6, 12), max_size=8))
+    rest = draw(st.lists(st.integers(-20, 20), max_size=4))
+    coeffs = rest or [0]
+    for r in roots:
+        coeffs = [a - r * b for a, b in zip([0] + coeffs, coeffs + [0])]
+    return coeffs + [0] * draw(st.integers(0, 2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(polys_with_integer_roots(), st.integers(-8, 0), st.integers(0, 14))
+def test_integer_roots_match_scan(coeffs, lo, hi):
+    got = integer_root_multiplicities(coeffs, lo, hi)
+    want = scan_integer_roots(coeffs, lo, hi)
+    assert list(got.items()) == list(want.items())
+
+
+# ---------------------------------------------------------------------------
+# nullity
+
+
+@st.composite
+def low_rank_matrices(draw, max_dim=7):
+    """Integer matrices of chosen rank, plus a diagonal shift."""
+    m = draw(st.integers(1, max_dim))
+    r = draw(st.integers(0, m))
+    entries = st.integers(-9, 9)
+    left = draw(st.lists(st.lists(entries, min_size=r, max_size=r), min_size=m, max_size=m))
+    right = draw(st.lists(st.lists(entries, min_size=m, max_size=m), min_size=r, max_size=r))
+    shift = draw(st.sampled_from([0, 0, 1, -2]))
+    return [
+        [sum(left[i][k] * right[k][j] for k in range(r)) + (shift if i == j else 0)
+         for j in range(m)]
+        for i in range(m)
+    ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(low_rank_matrices())
+def test_integer_nullity_matches_rational_elimination(matrix):
+    assert integer_nullity(matrix) == rational_nullity(matrix)
+
+
+def test_integer_nullity_edge_cases():
+    assert integer_nullity([]) == 0
+    assert integer_nullity([[0]]) == 1
+    assert integer_nullity([[0, 0], [0, 0]]) == 2
+    assert integer_nullity([[0, 1], [0, 0]]) == 1
+    with pytest.raises(ValueError):
+        integer_nullity([[1, 2]])

@@ -98,6 +98,33 @@ def test_pgroup_bundle():
     assert r.verdict == "inapplicable"
 
 
+def test_pgroup_bundle_builds_one_decomposition_tree(monkeypatch):
+    import powerlap.pgroup
+    import powerlap.verify
+
+    built = []
+    original = powerlap.pgroup.decompose
+
+    def counting(g):
+        built.append(g.label)
+        return original(g)
+
+    monkeypatch.setattr(powerlap.pgroup, "decompose", counting)
+    monkeypatch.setattr(powerlap.verify, "decompose", counting)
+    g = direct_product(cyclic_group(9), cyclic_group(3))
+    assert check_pgroup_bundle(g).passed
+    assert built == [g.label]
+
+
+def test_cyclic_graph_cache_holds_one_graph():
+    import powerlap.verify
+
+    scan_conjecture(30)
+    run_cyclic_suite(20)
+    info = powerlap.verify._cyclic_graph.cache_info()
+    assert info.maxsize == 1 and info.currsize == 1
+
+
 def test_is_generalized_quaternion():
     assert is_generalized_quaternion(generalized_quaternion(2))
     assert is_generalized_quaternion(generalized_quaternion(3))
