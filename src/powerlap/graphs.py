@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 import math
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -258,9 +257,6 @@ class TwinPartition:
     def class_size(self, i: int) -> int:
         return len(self.classes[i])
 
-    def adjacent(self, i: int, j: int) -> bool:
-        return i != j and self.counts[i][j] > 0
-
 
 def twin_partition(g: Graph) -> TwinPartition:
     """Group vertices with identical closed or open neighborhoods."""
@@ -313,7 +309,8 @@ def vertex_connectivity(g: Graph) -> CutCertificate:
     value is the Menger minimum over non-adjacent vertex pairs, computed
     as a vertex-capacitated max-flow on the twin quotient (twins can be
     collapsed because a minimum cut never needs part of a twin class
-    whose other members survive).
+    whose other members survive).  The split network of the quotient is
+    built once per graph; each class pair only resets its capacities.
     """
     if g.n <= 1:
         return CutCertificate(0, ())
@@ -340,14 +337,16 @@ def vertex_connectivity(g: Graph) -> CutCertificate:
     # Menger over non-adjacent class pairs.  Any set of kappa+1 classes
     # must contain one that avoids some minimum cut, so scanning sources
     # until the index exceeds the best value seen is exhaustive.
+    network = _SplitNetwork(tp)
     order = sorted(range(m), key=lambda i: tp.degrees[i])
     for si, src in enumerate(order):
         if best is not None and si > best:
             break
+        row = tp.counts[src]
         for dst in range(m):
-            if dst == src or tp.adjacent(src, dst):
+            if dst == src or row[dst]:
                 continue
-            value, cut_classes = _quotient_min_cut(tp, src, dst, best)
+            value, cut_classes = network.min_cut(src, dst, best)
             if value is not None and (best is None or value < best):
                 best = value
                 witness: list[int] = []
@@ -358,81 +357,86 @@ def vertex_connectivity(g: Graph) -> CutCertificate:
     return CutCertificate(best, best_witness)
 
 
-def _quotient_min_cut(tp: TwinPartition, src: int, dst: int,
-                      cap_limit: Optional[int]):
-    """Min vertex-capacitated cut separating class src from class dst.
+_INF = 1 << 40
 
-    Max-flow on the split network (class i becomes i_in -> i_out with
-    capacity |class i|; source and sink are uncapacitated).  Aborts and
-    returns (None, ()) once the flow reaches cap_limit, since it can no
-    longer improve on the best cut already known.
+
+class _SplitNetwork:
+    """Vertex-split flow network of a twin quotient, built once.
+
+    Class i becomes the in-node 2i and the out-node 2i+1, joined by arc
+    2i of capacity |class i|; each adjacent class pair (i, j) gives an
+    uncapacitated arc from out(i) to in(j).  Arcs are stored flat, and
+    arc a ^ 1 is the reverse of arc a, with zero capacity.
     """
-    m = tp.size
-    # node ids: in(i) = 2i, out(i) = 2i+1
-    cap: dict[tuple[int, int], int] = {}
-    inf = 1 << 40
-    for i in range(m):
-        cap[(2 * i, 2 * i + 1)] = inf if i in (src, dst) else tp.class_size(i)
-        for j in range(m):
-            if j != i and tp.adjacent(i, j):
-                cap[(2 * i + 1, 2 * j)] = inf
-    flow: dict[tuple[int, int], int] = {}
-    adj: dict[int, list[int]] = {}
-    for a, b in cap:
-        adj.setdefault(a, []).append(b)
-        adj.setdefault(b, []).append(a)
-    s, t = 2 * src + 1, 2 * dst
-    total = 0
-    while True:
-        if cap_limit is not None and total >= cap_limit:
-            return None, ()
-        parent = {s: s}
-        queue = deque([s])
-        while queue and t not in parent:
-            x = queue.popleft()
-            for y in adj.get(x, ()):
-                if y in parent:
-                    continue
-                residual = cap.get((x, y), 0) - flow.get((x, y), 0) + flow.get((y, x), 0)
-                if residual > 0:
-                    parent[y] = x
-                    queue.append(y)
-        if t not in parent:
-            break
-        # bottleneck along the path
-        path = []
-        y = t
-        while y != s:
-            x = parent[y]
-            path.append((x, y))
-            y = x
-        bottleneck = min(
-            cap.get(e, 0) - flow.get(e, 0) + flow.get((e[1], e[0]), 0) for e in path
-        )
-        for x, y in path:
-            back = flow.get((y, x), 0)
-            if back >= bottleneck:
-                flow[(y, x)] = back - bottleneck
+
+    def __init__(self, tp: TwinPartition):
+        m = tp.size
+        self.m = m
+        self.head: list[int] = []
+        self.cap: list[int] = []
+        self.arcs: list[list[int]] = [[] for _ in range(2 * m)]
+        for i in range(m):
+            self._add(2 * i, 2 * i + 1, tp.class_size(i))
+        for i, row in enumerate(tp.counts):
+            for j in range(m):
+                if j != i and row[j]:
+                    self._add(2 * i + 1, 2 * j, _INF)
+
+    def _add(self, x: int, y: int, cap: int) -> None:
+        a = len(self.head)
+        self.head += (y, x)
+        self.cap += (cap, 0)
+        self.arcs[x].append(a)
+        self.arcs[y].append(a + 1)
+
+    def min_cut(self, src: int, dst: int, cap_limit: Optional[int]):
+        """Min vertex-capacitated cut separating class src from class dst.
+
+        Edmonds-Karp from out(src) to in(dst), with the split arcs of src
+        and dst made uncapacitated.  Aborts and returns (None, ()) once
+        the flow reaches cap_limit, since it can no longer improve on the
+        best cut already known.  The cut is the classes whose in-node is
+        reachable in the final residual network and whose out-node is not.
+        """
+        head, arcs = self.head, self.arcs
+        cap = self.cap.copy()
+        cap[2 * src] = cap[2 * dst] = _INF
+        s, t = 2 * src + 1, 2 * dst
+        nodes = 2 * self.m
+        total = 0
+        while True:
+            if cap_limit is not None and total >= cap_limit:
+                return None, ()
+            # via[y]: the arc that first reached y; -1 unreached, -2 for s
+            via = [-1] * nodes
+            via[s] = -2
+            queue = [s]
+            for x in queue:
+                for a in arcs[x]:
+                    y = head[a]
+                    if via[y] == -1 and cap[a] > 0:
+                        via[y] = a
+                        queue.append(y)
+                if via[t] != -1:
+                    break
             else:
-                flow[(y, x)] = 0
-                flow[(x, y)] = flow.get((x, y), 0) + bottleneck - back
-        total += bottleneck
-    # cut: classes whose in-node is reachable but out-node is not
-    reach = {s}
-    queue = deque([s])
-    while queue:
-        x = queue.popleft()
-        for y in adj.get(x, ()):
-            if y in reach:
-                continue
-            residual = cap.get((x, y), 0) - flow.get((x, y), 0) + flow.get((y, x), 0)
-            if residual > 0:
-                reach.add(y)
-                queue.append(y)
-    cut = tuple(
-        i for i in range(m) if 2 * i in reach and 2 * i + 1 not in reach
-    )
-    return total, cut
+                # t unreachable: via now marks the residual-reachable set
+                cut = tuple(
+                    i for i in range(self.m)
+                    if via[2 * i] != -1 and via[2 * i + 1] == -1
+                )
+                return total, cut
+            path = []
+            y = t
+            while y != s:
+                a = via[y]
+                path.append(a)
+                y = head[a ^ 1]
+            bottleneck = min(cap[a] for a in path)
+            for a in path:
+                cap[a] -= bottleneck
+                cap[a ^ 1] += bottleneck
+            total += bottleneck
 
 
 def vertex_connectivity_exhaustive(g: Graph) -> CutCertificate:

@@ -121,19 +121,19 @@ def _report(claim_id, params, ok, witness, evidence, started) -> ClaimReport:
 # shared cyclic-group machinery
 
 
-# One graph: the suites and the scan visit n in order, and the spectrum
-# and kappa caches below keep no graph.
+# One entry each: the suites and the scan visit n in order, so every
+# claim about n finds its graph, spectrum and kappa in these caches.
 @lru_cache(maxsize=1)
 def _cyclic_graph(n: int) -> Graph:
     return power_graph(cyclic_group(n))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def _cyclic_spectrum(n: int) -> Spectrum:
     return spectrum(_cyclic_graph(n))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def _cyclic_kappa(n: int) -> int:
     return vertex_connectivity(_cyclic_graph(n)).size
 
@@ -362,27 +362,27 @@ def check_dicyclic_bundle(n: int) -> ClaimReport:
         if not (s.is_exact and s.exact == expected):
             failures.append(f"spectrum {s.exact.text()} != closed form {expected.text()}")
 
+    sep = {0, n}  # identity and the involution a^n
+    rest = induced_subgraph(g, [v for v in range(order) if v not in sep])
+    separated = len(components(rest)) >= 2
+
     # (f) join decomposition whenever the connectivities agree
     if s1:
         if kappa != 2:
             failures.append(f"kappa={kappa}, expected 2 for the join decomposition")
-        sep = {0, n}  # identity and the involution a^n
         join_side = all(
             g.adjacent(v, 0) and g.adjacent(v, n)
             for v in range(order)
             if v not in sep
         )
-        rest = induced_subgraph(g, [v for v in range(order) if v not in sep])
-        disconnected = len(components(rest)) >= 2
         if not join_side:
             failures.append("some vertex misses the {e, a^n} join")
-        if not disconnected:
+        if not separated:
             failures.append("removing {e, a^n} leaves the graph connected")
 
     if kappa != 2:
         failures.append(f"vertex connectivity {kappa} != 2")
-    sep_check = induced_subgraph(g, [v for v in range(order) if v not in (0, n)])
-    if len(components(sep_check)) < 2:
+    if not separated:
         failures.append("{e, a^n} does not separate the graph")
 
     ok = not failures
@@ -471,11 +471,12 @@ def check_pgroup_bundle(g: FiniteGroup) -> ClaimReport:
     failures: list[str] = []
 
     mu = algebraic_connectivity(s) if g.order >= 2 else 0
+    mult = spectral_radius_multiplicity(s)
 
     # (a) three-way equivalence, stated for order >= 3
     if g.order >= 3:
         a1 = _exact_equals_int(mu, 1)
-        a2 = spectral_radius_multiplicity(s) == 1
+        a2 = mult == 1
         a3 = not cyclic and not genq
         if len({a1, a2, a3}) != 1:
             failures.append(
@@ -528,7 +529,7 @@ def check_pgroup_bundle(g: FiniteGroup) -> ClaimReport:
         {
             "kappa": kappa,
             "algebraic_connectivity": mu,
-            "radius_multiplicity": spectral_radius_multiplicity(s),
+            "radius_multiplicity": mult,
             "cyclic": cyclic,
             "generalized_quaternion": genq,
             "laplacian_integral": s.is_exact,

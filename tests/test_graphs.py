@@ -1,7 +1,10 @@
 import json
 import random
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_graph
 from powerlap.graphs import (
@@ -17,7 +20,22 @@ from powerlap.graphs import (
     vertex_connectivity,
     vertex_connectivity_exhaustive,
 )
-from powerlap.groups import cyclic_group, dicyclic_group, direct_product
+from powerlap.groups import (
+    cyclic_group,
+    dicyclic_group,
+    direct_product,
+    generalized_quaternion,
+    parse_group_spec,
+)
+
+
+def assert_certifies(g, cut):
+    """The witness has cut.size vertices and its removal leaves a
+    disconnected graph, or a single vertex (complete and trivial graphs)."""
+    gone = set(cut.separating_set)
+    assert len(gone) == len(cut.separating_set) == cut.size
+    rest = induced_subgraph(g, [v for v in range(g.n) if v not in gone])
+    assert rest.n <= 1 or len(components(rest)) > 1
 
 
 def test_graph_validation():
@@ -159,13 +177,7 @@ def test_vertex_connectivity_examples():
 def test_witness_is_separating(small_groups):
     for g in small_groups:
         pg = power_graph(g)
-        cut = vertex_connectivity(pg)
-        assert len(cut.separating_set) == cut.size
-        if cut.size and cut.size < pg.n - 1:
-            rest = induced_subgraph(
-                pg, [v for v in range(pg.n) if v not in cut.separating_set]
-            )
-            assert len(components(rest)) > 1
+        assert_certifies(pg, vertex_connectivity(pg))
 
 
 def test_vertex_connectivity_matches_exhaustive():
@@ -183,6 +195,66 @@ def test_vertex_connectivity_matches_exhaustive():
         flow = vertex_connectivity(g)
         brute = vertex_connectivity_exhaustive(g)
         assert flow.size == brute.size, g
+        assert_certifies(g, flow)
+
+
+def nx_connectivity(g: Graph) -> int:
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges())
+    return nx.node_connectivity(h)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(2, 30), st.floats(0.05, 0.95), st.integers(0, 2**32 - 1))
+def test_vertex_connectivity_matches_networkx_on_random_graphs(n, p, seed):
+    g = random_graph(random.Random(seed), n, p)
+    cut = vertex_connectivity(g)
+    assert cut.size == nx_connectivity(g)
+    assert_certifies(g, cut)
+
+
+random_small_groups = st.one_of(
+    st.builds(cyclic_group, st.integers(1, 60)),
+    st.builds(dicyclic_group, st.integers(2, 12)),
+    st.builds(generalized_quaternion, st.integers(2, 4)),
+    st.builds(
+        direct_product,
+        st.builds(cyclic_group, st.integers(2, 8)),
+        st.builds(cyclic_group, st.integers(2, 6)),
+    ),
+    st.builds(
+        direct_product,
+        st.builds(cyclic_group, st.integers(2, 4)),
+        st.builds(direct_product, st.builds(cyclic_group, st.integers(2, 4)),
+                  st.builds(cyclic_group, st.integers(2, 3))),
+    ),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(random_small_groups, st.booleans())
+def test_vertex_connectivity_matches_networkx_on_power_graphs(group, proper):
+    # twin-rich inputs: whole ~-classes collapse into one quotient node
+    g = proper_power_graph(group) if proper and group.order >= 2 else power_graph(group)
+    cut = vertex_connectivity(g)
+    assert cut.size == nx_connectivity(g)
+    assert_certifies(g, cut)
+
+
+@pytest.mark.parametrize("spec, kappa", [
+    ("qn:105", 2),
+    ("qn:250", 2),
+    ("prod:zn:4xzn:4xzn:4xzn:4xzn:2", 1),
+    ("prod:zn:8xzn:8xzn:8", 1),
+])
+def test_vertex_connectivity_on_large_quotients(spec, kappa):
+    # 121-262 twin classes with kappa 1 or 2: every source meets many
+    # non-adjacent classes before the scan can stop
+    g = power_graph(parse_group_spec(spec))
+    cut = vertex_connectivity(g)
+    assert cut.size == kappa
+    assert_certifies(g, cut)
 
 
 def test_proper_connected_iff_cyclic_or_quaternion(small_pgroups):

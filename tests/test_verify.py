@@ -121,8 +121,10 @@ def test_cyclic_graph_cache_holds_one_graph():
 
     scan_conjecture(30)
     run_cyclic_suite(20)
-    info = powerlap.verify._cyclic_graph.cache_info()
-    assert info.maxsize == 1 and info.currsize == 1
+    for cache in (powerlap.verify._cyclic_graph, powerlap.verify._cyclic_spectrum,
+                  powerlap.verify._cyclic_kappa):
+        info = cache.cache_info()
+        assert info.maxsize == 1 and info.currsize == 1
 
 
 def test_is_generalized_quaternion():
