@@ -214,14 +214,8 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
     for v in verts:
         if not 0 <= v < g.n:
             raise ValueError(f"unknown vertex {v}")
-    pos = {v: i for i, v in enumerate(verts)}
-    rows = []
-    for v in verts:
-        row = 0
-        for u in _bits(g.rows[v]):
-            if u in pos:
-                row |= 1 << pos[u]
-        rows.append(row)
+    mat = _rows_to_bitmatrix(g.rows, g.n)
+    rows = _bitmatrix_to_rows(mat[np.ix_(verts, verts)])
     labels = tuple(g.label_of(v) for v in verts) if g.labels is not None else None
     return Graph(len(verts), tuple(rows), labels)
 

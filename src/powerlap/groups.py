@@ -368,20 +368,18 @@ def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
     n, m = g.order, h.order
     size = n * m
     _check_order("direct_product", size)
-    gt, ht = g.table, h.table
-    table = []
-    for x in range(n):
-        gx = gt[x]
-        for y in range(m):
-            hy = ht[y]
-            table.append(tuple(gx[u] * m + hy[v] for u in range(n) for v in range(m)))
+    gt = np.array(g.table, dtype=np.int64)
+    ht = np.array(h.table, dtype=np.int64)
+    # entry [x, y, u, v] is (x*u, y*v) = (x*u)*m + y*v, flattened row-major
+    prod = (gt[:, None, :, None] * m + ht[None, :, None, :]).reshape(size, size)
+    table = tuple(map(tuple, prod.tolist()))
     names = tuple(
         f"({g.element_names[x]},{h.element_names[y]})"
         for x in range(n)
         for y in range(m)
     )
     identity = g.identity * m + h.identity
-    return FiniteGroup(size, tuple(table), identity, f"{g.label}x{h.label}", names)
+    return FiniteGroup(size, table, identity, f"{g.label}x{h.label}", names)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Exact and numeric matrix engines behind the spectral code.
+"""Exact matrix and polynomial engines behind the spectral code.
 
 Exact routines never round, so every integrality decision downstream is
 a genuine certification.  The characteristic polynomial of an integer
@@ -6,8 +6,9 @@ matrix is computed modulo word-size primes and recombined by the Chinese
 remainder theorem past a proven bound on its coefficients; the nullity
 of an integer matrix comes from fraction-free (Bareiss) elimination, and
 ``rational_nullity`` eliminates over ``fractions.Fraction`` for rational
-matrices.  The numeric side is a self-contained cyclic Jacobi
-eigensolver for dense symmetric matrices.
+matrices.  Integer roots are divided out by synthetic division, and the
+roots of a real-rooted integer polynomial above an integer are counted
+exactly by Descartes' rule of signs after one integer Taylor shift.
 """
 
 from __future__ import annotations
@@ -24,6 +25,8 @@ __all__ = [
     "charpoly_exact",
     "integer_root_multiplicities",
     "eval_poly_at_int",
+    "taylor_shift",
+    "roots_above",
     "jacobi_eigenvalues",
 ]
 
@@ -270,6 +273,40 @@ def _synthetic_divide(coeffs: Sequence[int], r: int) -> list[int]:
     return out
 
 
+def taylor_shift(coeffs: Sequence[int], k: int) -> list[int]:
+    """Coefficients of p(x + k), ascending, for p given ascending."""
+    a = list(coeffs)
+    if not k:
+        return a
+    d = len(a) - 1
+    # d rounds of synthetic division by (x - k); round i fixes the coefficient of x^i
+    for i in range(d):
+        for j in range(d - 1, i - 1, -1):
+            a[j] += k * a[j + 1]
+    return a
+
+
+def roots_above(coeffs: Sequence[int], k: int) -> int:
+    """Number of roots greater than k, with multiplicity, of a real-rooted polynomial.
+
+    Descartes' rule of signs bounds the positive roots of p(x + k) by the
+    sign variations of its coefficients, with equality when every root
+    is real (Basu, Pollack & Roy, Algorithms in Real Algebraic Geometry,
+    2006, ch. 2); a root at k itself is not counted.  The caller
+    guarantees real roots: a characteristic polynomial of a matrix
+    similar to a symmetric one, or a factor of it.
+    """
+    variations = 0
+    last = 0
+    for c in taylor_shift(coeffs, k):
+        if c:
+            if last and (c < 0) != (last < 0):
+                variations += 1
+            last = c
+    return variations
+
+
+# No caller in this package: benchmark/spans.py looks it up by name to trace it.
 def jacobi_eigenvalues(matrix: np.ndarray, off_norm_scale: float = 1e-12,
                        max_sweeps: int = 60) -> np.ndarray:
     """Eigenvalues of a dense symmetric matrix by cyclic Jacobi rotations.

@@ -1,4 +1,4 @@
-"""Laplacian spectra: exact integer certification and a numeric fallback.
+"""Laplacian spectra: exact integer certification and exact ordering.
 
 The exact engine never rounds.  A graph is first collapsed along classes
 of vertices with matching neighborhoods (iterated, weighted): each
@@ -8,9 +8,16 @@ the spectrum of a small integer quotient matrix.  Integer eigenvalue
 multiplicities then come from the quotient's exact characteristic
 polynomial (modular images recombined past a proven coefficient bound)
 or from fraction-free integer elimination, so an "Exact" spectrum is a
-proof, not an approximation.  When the certified multiplicities do not
-exhaust the vertex count, the residual eigenvalues are computed
-numerically and reported as a "Mixed" spectrum.
+proof, not an approximation.
+
+When the certified multiplicities do not exhaust the vertex count, the
+spectrum is "Mixed": dividing the certified roots out of the quotient's
+characteristic polynomial leaves the integer residual polynomial, whose
+roots are exactly the non-integer eigenvalues.  The quotient is similar
+to a symmetric matrix, so the residual is real-rooted and Descartes'
+rule counts its roots above any integer exactly; every comparison of an
+eigenvalue with an integer is decided by such counts.  Floats from a
+dense symmetric eigensolver serve only for display.
 """
 
 from __future__ import annotations
@@ -25,11 +32,13 @@ import numpy as np
 
 from .graphs import Graph, twin_partition
 from .linalg import (
+    _synthetic_divide,
     charpoly_exact,
+    eval_poly_at_int,
     integer_nullity,
     integer_root_multiplicities,
-    jacobi_eigenvalues,
     rational_nullity,
+    roots_above,
 )
 
 __all__ = [
@@ -51,9 +60,6 @@ __all__ = [
     "dense_nullity",
     "dense_numeric_eigenvalues",
 ]
-
-ABSORB_TOL = 1e-6
-
 
 class CharPolyContradiction(ValueError):
     """A factored-polynomial identity required a root that is absent."""
@@ -244,30 +250,31 @@ def join_charpoly(p1: FactoredCharPoly, n1: int, p2: FactoredCharPoly, n2: int) 
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Certified integer eigenvalues plus (possibly) numeric residuals.
+    """Certified integer eigenvalues plus (possibly) non-integer residuals.
 
     ``exact`` holds every integer eigenvalue with its exact multiplicity.
-    For an exact spectrum the multiplicities sum to n and ``numeric`` is
-    empty; otherwise ``numeric`` lists the remaining, certified
-    non-integer eigenvalues as floats, sorted descending.
+    ``residual`` is the monic integer polynomial (coefficients ascending)
+    whose roots are the remaining eigenvalues, all real and non-integer;
+    ``numeric`` lists those roots as display floats, sorted descending.
+    For an exact spectrum the multiplicities sum to n, the residual is 1
+    and ``numeric`` is empty.
     """
 
     n: int
     exact: FactoredCharPoly
     numeric: tuple[float, ...] = ()
-    tolerance: float = ABSORB_TOL
+    residual: tuple[int, ...] = (1,)
 
     def __post_init__(self):
         if self.exact.degree + len(self.numeric) != self.n:
             raise ValueError("multiplicities plus numeric count must equal n")
-        if any(v < -1e-8 for v in self.numeric):
-            raise ValueError("numeric eigenvalue below zero beyond tolerance")
-        certified = [r for r, _ in self.exact.factors]
-        for v in self.numeric:
-            if any(abs(v - r) < self.tolerance for r in certified):
-                raise ValueError(
-                    f"numeric eigenvalue {v} within tolerance of a certified integer"
-                )
+        if len(self.residual) != len(self.numeric) + 1 or self.residual[-1] != 1:
+            raise ValueError("residual must be monic of degree equal to the numeric count")
+        if roots_above(self.residual, 0) != len(self.numeric):
+            raise ValueError("residual has a root at or below zero")
+        for r, _ in self.exact.factors:
+            if eval_poly_at_int(self.residual, r) == 0:
+                raise ValueError(f"residual vanishes at the certified eigenvalue {r}")
 
     @property
     def is_exact(self) -> bool:
@@ -277,10 +284,26 @@ class Spectrum:
     def kind(self) -> str:
         return "exact" if self.is_exact else "mixed"
 
+    def count_at_most(self, k: int) -> int:
+        """Number of eigenvalues <= the integer k, with multiplicity, exactly."""
+        certified = sum(m for r, m in self.exact.factors if r <= k)
+        return certified + len(self.numeric) - roots_above(self.residual, k)
+
     def eigenvalues_ascending(self) -> list[int | float]:
-        vals: list[int | float] = self.exact.eigenvalues_ascending()
-        vals.extend(self.numeric)
-        return sorted(vals, key=float)
+        """Every eigenvalue ascending; certified integers placed by exact counts."""
+        floats = sorted(self.numeric)
+        vals: list[int | float] = []
+        placed = 0  # floats already in vals
+        certified = 0  # certified eigenvalues below r
+        for r, m in self.exact.factors:
+            # the residual roots below r are the eigenvalues <= r not certified
+            below = self.count_at_most(r) - certified - m
+            vals.extend(floats[placed:below])
+            vals.extend([r] * m)
+            placed = below
+            certified += m
+        vals.extend(floats[placed:])
+        return vals
 
     def eigenvalues_descending(self) -> list[int | float]:
         return list(reversed(self.eigenvalues_ascending()))
@@ -480,17 +503,20 @@ def spectrum(g: Graph) -> Spectrum:
     """Full Laplacian spectrum with exact integer certification.
 
     Every integer 0..n is certified through the exact engine; when the
-    certified multiplicities sum to n the spectrum is Exact, otherwise
-    the residual eigenvalues come from the Jacobi eigensolver and the
-    result is Mixed.
+    certified multiplicities sum to n the spectrum is Exact.  Otherwise
+    the certified roots are divided out of the quotient's characteristic
+    polynomial, leaving the residual, and the result is Mixed.  Its
+    display floats are the eigenvalues of the symmetrized quotient with
+    the certified roots removed at the positions the exact counts give.
     """
     core = _collapse(g)
     counts: Counter = Counter(dict(core.extracted))
-    roots = integer_root_multiplicities(
-        charpoly_exact(core.quotient_rows()), 0, g.n
-    )
+    residual = charpoly_exact(core.quotient_rows())
+    roots = integer_root_multiplicities(residual, 0, g.n)
     for root, mult in roots.items():
         counts[root] += mult
+        for _ in range(mult):
+            residual = _synthetic_divide(residual, root)
     exact = FactoredCharPoly.from_counts(counts)
     certified = exact.degree
     if certified > g.n:
@@ -498,28 +524,22 @@ def spectrum(g: Graph) -> Spectrum:
     if certified == g.n:
         return Spectrum(n=g.n, exact=exact)
 
-    numeric = jacobi_eigenvalues(core.symmetrized())
-    residual = _absorb_integer_roots(list(numeric), roots)
-    if len(residual) != g.n - certified:
-        raise AssertionError("numeric residual does not match certified deficit")
+    # eigvalsh is ascending: the root r with multiplicity m sits after the
+    # core's smaller certified roots and the residual roots below r
+    values = np.linalg.eigvalsh(core.symmetrized())
+    keep = np.ones(len(values), dtype=bool)
+    degree = len(residual) - 1
+    smaller = 0
+    for root, mult in sorted(roots.items()):
+        start = smaller + degree - roots_above(residual, root)
+        keep[start:start + mult] = False
+        smaller += mult
     return Spectrum(
         n=g.n,
         exact=exact,
-        numeric=tuple(sorted((float(v) for v in residual), reverse=True)),
+        numeric=tuple(float(v) for v in values[keep][::-1]),
+        residual=tuple(residual),
     )
-
-
-def _absorb_integer_roots(values: list[float], roots: dict[int, int]) -> list[float]:
-    """Remove the quotient's certified integer roots from its numeric spectrum."""
-    for root, mult in roots.items():
-        for _ in range(mult):
-            idx = min(range(len(values)), key=lambda i: abs(values[i] - root))
-            if abs(values[idx] - root) > ABSORB_TOL:
-                raise AssertionError(
-                    f"certified root {root} not matched by the numeric solver"
-                )
-            values.pop(idx)
-    return values
 
 
 # ---------------------------------------------------------------------------
@@ -540,13 +560,19 @@ def spectral_radius(s: Spectrum) -> int | float:
 
 
 def spectral_radius_multiplicity(s: Spectrum) -> int:
-    """Multiplicity of the largest Laplacian eigenvalue."""
+    """Multiplicity of the largest Laplacian eigenvalue, when it is an integer.
+
+    Power graphs always qualify: the identity is a universal vertex, so
+    the largest eigenvalue is the vertex count.
+    """
     if s.n < 1:
         raise ValueError("spectral radius requires a nonempty graph")
     top = s.eigenvalues_descending()[0]
-    if isinstance(top, int):
-        return s.exact.multiplicity(top)
-    return sum(1 for v in s.numeric if abs(v - top) <= s.tolerance)
+    if not isinstance(top, int):
+        raise ValueError(
+            "the largest eigenvalue is not a certified integer; its multiplicity is not certified"
+        )
+    return s.exact.multiplicity(top)
 
 
 def complement_spectrum(s: Spectrum) -> Spectrum:
@@ -590,10 +616,10 @@ def dense_nullity(g: Graph, lam: int) -> int:
 
 
 def dense_numeric_eigenvalues(g: Graph) -> np.ndarray:
-    """All Laplacian eigenvalues by Jacobi iteration on the full matrix."""
+    """All Laplacian eigenvalues of the full matrix by LAPACK, ascending."""
     a = np.zeros((g.n, g.n))
     for v in range(g.n):
         a[v, v] = g.degree(v)
         for u in g.neighbors(v):
             a[v, u] = -1.0
-    return jacobi_eigenvalues(a)
+    return np.linalg.eigvalsh(a)

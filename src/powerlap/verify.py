@@ -3,8 +3,10 @@
 Every checker returns a ClaimReport with a pass/fail verdict, a concrete
 witness on failure, and the computed evidence backing the verdict.  All
 integrality decisions are taken from the exact certification engine,
-never from floating-point rounding; numerics only order certified
-non-integer eigenvalues against integers, with wide guard bands.
+never from floating-point rounding, and every comparison of a
+non-integer eigenvalue with an integer is an exact count of residual
+roots (Descartes' rule on a real-rooted integer polynomial).  Floats
+appear only as reported evidence.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from .groups import (
     generalized_quaternion,
     is_p_group,
 )
+from .linalg import taylor_shift
 from .pgroup import (
     check_multiple_property,
     classify_eigenvalues,
@@ -66,8 +69,6 @@ __all__ = [
     "CLAIM_IDS",
     "CYCLIC_CHECKS",
 ]
-
-NUMERIC_GUARD = 1e-8
 
 CLAIM_IDS = (
     "cyclic-algcon",
@@ -138,35 +139,15 @@ def _cyclic_kappa(n: int) -> int:
     return vertex_connectivity(_cyclic_graph(n)).size
 
 
-def _exact_equals_int(value: int | float, target: int) -> bool:
-    """Whether an eigenvalue equals an integer target, decided exactly.
+def _algcon_equals(s: Spectrum, target: int) -> bool:
+    """Whether the algebraic connectivity equals the integer target, exactly.
 
-    Certified integers compare exactly; numeric values are certified
-    non-integers, so they can never equal the target.  A numeric value
-    inside the guard band around the target would signal an absorption
-    failure upstream and raises instead of guessing.
+    It does iff at least two eigenvalues are <= target and fewer than two
+    lie below it; both are exact counts, and no residual root is an
+    integer, so the eigenvalues equal to target are the certified ones.
     """
-    if isinstance(value, int):
-        return value == target
-    if abs(value - target) < NUMERIC_GUARD:
-        raise AssertionError(
-            f"numeric eigenvalue {value} too close to integer {target} to order"
-        )
-    return False
-
-
-def _multisets_match(a: Iterable[int | float], b: Iterable[int | float],
-                     tol: float = NUMERIC_GUARD) -> bool:
-    """Exact equality on certified integers, tolerance pairing on numerics."""
-    ints_a = sorted(v for v in a if isinstance(v, int))
-    ints_b = sorted(v for v in b if isinstance(v, int))
-    if ints_a != ints_b:
-        return False
-    flo_a = sorted(float(v) for v in a if not isinstance(v, int))
-    flo_b = sorted(float(v) for v in b if not isinstance(v, int))
-    if len(flo_a) != len(flo_b):
-        return False
-    return all(abs(x - y) <= tol for x, y in zip(flo_a, flo_b))
+    at_most = s.count_at_most(target)
+    return at_most >= 2 > at_most - s.exact.multiplicity(target)
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +165,7 @@ def check_cyclic_algcon(n: int) -> ClaimReport:
     target = euler_phi(n) + 1
     f = factorize(n)
     predicate = f.is_prime or f.is_product_of_two_distinct_primes
-    attains = _exact_equals_int(mu, target)
+    attains = _algcon_equals(s, target)
     ok = attains == predicate
     return _report(
         "cyclic-algcon",
@@ -231,11 +212,14 @@ def check_cyclic_radius_mult(n: int) -> ClaimReport:
         block_ok = all(isinstance(v, int) and v == n for v in top)
         window = vals[phi1 : n - 1]
         reduced = spectrum(reduced_cyclic_graph(n))
-        shifted = [
-            (v + phi1) if isinstance(v, int) else float(v) + phi1
-            for v in reduced.eigenvalues_descending()[:-1]
-        ]
-        block_ok = block_ok and _multisets_match(window, shifted)
+        shifted = [v + phi1 for v in reduced.eigenvalues_descending()[:-1] if isinstance(v, int)]
+        # certified integers compare as multisets; the non-integer parts
+        # agree iff the residual polynomials agree after the shift
+        block_ok = (
+            block_ok
+            and sorted(v for v in window if isinstance(v, int)) == sorted(shifted)
+            and s.residual == tuple(taylor_shift(reduced.residual, -phi1))
+        )
         evidence["block_structure"] = block_ok
     ok = ok and block_ok
     return _report(
@@ -259,7 +243,7 @@ def check_cyclic_kappa_eq_mu(n: int) -> ClaimReport:
     mu = algebraic_connectivity(s)
     kappa = _cyclic_kappa(n)
     predicate = factorize(n).is_product_of_two_distinct_primes
-    equal = _exact_equals_int(mu, kappa)
+    equal = _algcon_equals(s, kappa)
     ok = equal == predicate
     return _report(
         "cyclic-kappa-vs-algcon",
@@ -320,12 +304,11 @@ def check_dicyclic_bundle(n: int) -> ClaimReport:
     pow2 = _is_power_of_two(n)
     failures: list[str] = []
 
-    # (a) 1 < algcon <= 2, with the eigenvalue 2 certified exactly
-    mu_f = float(mu)
+    # (a) 1 < algcon <= 2, by exact counts, with the eigenvalue 2 certified
     two_present = s.exact.multiplicity(2) >= 1
-    if not (mu_f > 1.0 + NUMERIC_GUARD):
+    if s.count_at_most(1) >= 2:
         failures.append(f"algcon {mu} not above 1")
-    if not (mu_f <= 2.0 + NUMERIC_GUARD):
+    if s.count_at_most(2) < 2:
         failures.append(f"algcon {mu} above 2")
     if not two_present:
         failures.append("2 is not a certified eigenvalue")
@@ -339,8 +322,8 @@ def check_dicyclic_bundle(n: int) -> ClaimReport:
         failures.append(f"radius multiplicity {mult}, expected {2 if pow2 else 1}")
 
     # (c) five-way equivalence
-    s1 = _exact_equals_int(mu, kappa)
-    s2 = _exact_equals_int(mu, 2)
+    s1 = _algcon_equals(s, kappa)
+    s2 = _algcon_equals(s, 2)
     s3 = isinstance(mu, int)
     s4 = s.is_exact
     s5 = pow2
@@ -475,7 +458,7 @@ def check_pgroup_bundle(g: FiniteGroup) -> ClaimReport:
 
     # (a) three-way equivalence, stated for order >= 3
     if g.order >= 3:
-        a1 = _exact_equals_int(mu, 1)
+        a1 = _algcon_equals(s, 1)
         a2 = mult == 1
         a3 = not cyclic and not genq
         if len({a1, a2, a3}) != 1:
@@ -484,7 +467,7 @@ def check_pgroup_bundle(g: FiniteGroup) -> ClaimReport:
             )
 
     # (b) kappa equals algcon exactly when not cyclic
-    b1 = _exact_equals_int(mu, kappa) if g.order >= 2 else True
+    b1 = _algcon_equals(s, kappa) if g.order >= 2 else True
     if g.order >= 2 and b1 != (not cyclic):
         failures.append(f"kappa={kappa}, algcon={mu}, cyclic={cyclic}")
 

@@ -1,5 +1,8 @@
 import json
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -179,3 +182,14 @@ def test_usage_errors(capsys):
     assert code == 1
     code, _, err = run(capsys, "scan", "--max", "1")
     assert code == 1
+
+
+def test_python_dash_m_runs_the_cli():
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "powerlap", "verify", "--theorem", "cyclic-algcon",
+         "--cyclic-max", "30"],
+        cwd=src, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "cyclic-algcon: 29/29 pass"

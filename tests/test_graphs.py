@@ -136,6 +136,28 @@ def test_induced_subgraph():
     assert sub == reduced_cyclic_graph(6)
     with pytest.raises(ValueError, match="unknown vertex"):
         induced_subgraph(z6, [7])
+    with pytest.raises(ValueError, match="unknown vertex"):
+        induced_subgraph(z6, [-1])
+    assert induced_subgraph(z6, []) == Graph(0, (), ())
+    assert induced_subgraph(Graph(0, ()), []) == Graph(0, ())
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 40), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1), st.data())
+def test_induced_subgraph_matches_networkx(n, p, seed, data):
+    g = random_graph(random.Random(seed), n, p)
+    g = Graph(g.n, g.rows, tuple(f"v{v}" for v in range(n)))
+    verts = data.draw(st.lists(st.integers(0, n - 1), max_size=n) if n else st.just([]))
+    sub = induced_subgraph(g, verts)
+    keep = sorted(set(verts))
+    h = nx.Graph()
+    h.add_nodes_from(range(n))
+    h.add_edges_from(g.edges())
+    pos = {v: i for i, v in enumerate(keep)}
+    want = {(pos[u], pos[v]) for u, v in h.subgraph(keep).edges()}
+    assert sub.n == len(keep)
+    assert {tuple(sorted(e)) for e in sub.edges()} == {tuple(sorted(e)) for e in want}
+    assert sub.labels == tuple(f"v{v}" for v in keep)
 
 
 def test_twin_partition_equitable():

@@ -106,6 +106,22 @@ def test_direct_product():
     assert sorted(z3z3.orders()) == [1] + [3] * 8
 
 
+def test_direct_product_table_is_componentwise():
+    # a non-abelian factor on each side, against the defining rule
+    for g, h in ((dicyclic_group(3), cyclic_group(4)), (cyclic_group(2), dicyclic_group(2)),
+                 (cyclic_group(1), cyclic_group(5))):
+        gh = direct_product(g, h)
+        m = h.order
+        for x in range(gh.order):
+            for y in range(gh.order):
+                assert gh.mul(x, y) == g.mul(x // m, y // m) * m + h.mul(x % m, y % m)
+        assert all(type(v) is int for row in gh.table for v in row)
+        assert gh.identity == 0 and gh.label == f"{g.label}x{h.label}"
+        assert gh.element_names == tuple(
+            f"({a},{b})" for a in g.element_names for b in h.element_names
+        )
+
+
 def test_direct_product_order_is_lcm(small_groups):
     g = direct_product(cyclic_group(6), cyclic_group(4))
     for x in range(6):

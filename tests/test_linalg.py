@@ -4,7 +4,8 @@
 checks the modular characteristic polynomial and its prime bound without
 any modular arithmetic; sympy's `Matrix.charpoly` is a second oracle.
 `scan_integer_roots` evaluates every candidate, and `rational_nullity`
-eliminates over `Fraction`.
+eliminates over `Fraction`.  Root counts by Descartes' rule are checked
+against sympy's Sturm-sequence `Poly.count_roots`.
 """
 
 import math
@@ -27,6 +28,8 @@ from powerlap.linalg import (
     integer_nullity,
     integer_root_multiplicities,
     rational_nullity,
+    roots_above,
+    taylor_shift,
 )
 from powerlap.spectra import _collapse
 from powerlap.verify import pgroup_catalog
@@ -220,3 +223,75 @@ def test_integer_nullity_edge_cases():
     assert integer_nullity([[0, 1], [0, 0]]) == 1
     with pytest.raises(ValueError):
         integer_nullity([[1, 2]])
+
+
+# ---------------------------------------------------------------------------
+# root counts by Descartes' rule
+
+
+@st.composite
+def symmetric_int_matrices(draw, max_block=3):
+    """Symmetric integer matrices with repeated and integer eigenvalues.
+
+    A random symmetric block, optionally repeated (every eigenvalue
+    doubled), next to an integer diagonal, scrambled by a signed
+    permutation similarity.
+    """
+    m = draw(st.integers(1, max_block))
+    entries = draw(st.lists(st.integers(-3, 3), min_size=m * m, max_size=m * m))
+    block = [[entries[min(i, j) * m + max(i, j)] for j in range(m)] for i in range(m)]
+    blocks = [block] * draw(st.integers(1, 2))
+    diag = draw(st.lists(st.integers(-3, 3), max_size=3))
+    blocks += [[[d]] for d in diag]
+    size = sum(len(b) for b in blocks)
+    mat = [[0] * size for _ in range(size)]
+    at = 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            mat[at + i][at:at + len(b)] = row
+        at += len(b)
+    perm = draw(st.permutations(range(size)))
+    signs = draw(st.lists(st.sampled_from([1, -1]), min_size=size, max_size=size))
+    return [[signs[i] * signs[j] * mat[perm[i]][perm[j]] for j in range(size)]
+            for i in range(size)]
+
+
+def sympy_roots_above(coeffs, k):
+    """Roots greater than k with multiplicity, from Sturm counts per square-free factor."""
+    x = sympy.Symbol("x")
+    _, factors = sympy.Poly(list(reversed(coeffs)), x).sqf_list()
+    return sum(e * (f.count_roots(k, None) - (f.eval(k) == 0)) for f, e in factors)
+
+
+@settings(max_examples=120, deadline=None)
+@given(symmetric_int_matrices())
+def test_descartes_count_matches_sturm_on_symmetric_matrices(matrix):
+    coeffs = charpoly_exact(matrix)
+    bound = max(sum(abs(v) for v in row) for row in matrix)
+    residual = coeffs
+    for root, mult in integer_root_multiplicities(coeffs, -bound, bound).items():
+        for _ in range(mult):
+            residual = _synthetic_divide(residual, root)
+    for k in range(-1, bound + 2):
+        assert roots_above(residual, k) == sympy_roots_above(residual, k), k
+        # with the integer roots left in, a root at k itself is not counted
+        assert roots_above(coeffs, k) == sympy_roots_above(coeffs, k), k
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(-50, 50), min_size=1, max_size=9), st.integers(-20, 20))
+def test_taylor_shift_matches_sympy(coeffs, k):
+    x = sympy.Symbol("x")
+    shifted = sympy.Poly(sympy.Poly(list(reversed(coeffs)), x).as_expr().subs(x, x + k), x)
+    want = [int(c) for c in reversed(shifted.all_coeffs())]
+    got = taylor_shift(coeffs, k)
+    # sympy drops leading zeros
+    assert got[:len(want)] == want and not any(got[len(want):])
+
+
+def test_roots_above_edge_cases():
+    assert roots_above([1], 0) == 0
+    assert roots_above([-3, 1], 2) == 1 and roots_above([-3, 1], 3) == 0
+    # (x - 1)^2 (x^2 - 2): irrational roots on both sides of 0
+    coeffs = [-2, 4, -1, -2, 1]
+    assert [roots_above(coeffs, k) for k in (-2, -1, 0, 1, 2)] == [4, 3, 3, 1, 0]

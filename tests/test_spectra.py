@@ -335,9 +335,9 @@ def test_connectivity_iff_positive_algcon(small_groups):
         assert (float(mu) > 1e-9) == (len(components(g)) == 1)
 
 
-def test_full_spectrum_matches_dense_jacobi():
-    # collapse engine + quotient charpoly + residual absorption against a
-    # dense Laplacian eigensolve, eigenvalue by eigenvalue
+def test_full_spectrum_matches_dense_eigvalsh():
+    # collapse engine + quotient charpoly + exact placement of the residual
+    # against a dense Laplacian eigensolve, eigenvalue by eigenvalue
     rng = random.Random(2024)
     for trial in range(120):
         n = rng.randint(1, 14)
@@ -374,7 +374,72 @@ def test_factored_charpoly_validation():
 def test_spectrum_invariant_enforcement():
     with pytest.raises(ValueError, match="equal n"):
         Spectrum(n=3, exact=poly({0: 1}), numeric=(1.5,))
-    with pytest.raises(ValueError, match="within tolerance"):
-        Spectrum(n=3, exact=poly({0: 1, 2: 1}), numeric=(2.0000001,))
-    with pytest.raises(ValueError, match="below zero"):
-        Spectrum(n=2, exact=poly({0: 1}), numeric=(-0.5,))
+    with pytest.raises(ValueError, match="monic of degree"):
+        Spectrum(n=2, exact=poly({0: 1}), numeric=(1.5,))
+    with pytest.raises(ValueError, match="monic of degree"):
+        Spectrum(n=2, exact=poly({0: 1}), numeric=(1.5,), residual=(-3, 2))
+    # the residual decides, not the float: x - 2 vanishes at the certified 2
+    with pytest.raises(ValueError, match="vanishes at the certified eigenvalue 2"):
+        Spectrum(n=3, exact=poly({0: 1, 2: 1}), numeric=(2.5,), residual=(-2, 1))
+    # x^2 + x - 1 has the root -1.618...
+    with pytest.raises(ValueError, match="at or below zero"):
+        Spectrum(n=3, exact=poly({0: 1}), numeric=(0.618, -1.618), residual=(-1, 1, 1))
+    # x^2 - 3x has the root 0, which Descartes' rule does not count as positive
+    with pytest.raises(ValueError, match="at or below zero"):
+        Spectrum(n=3, exact=poly({0: 1}), numeric=(3.0, 0.0), residual=(0, -3, 1))
+
+
+def test_exact_ordering_ignores_display_floats():
+    # x^2 - 5x + 5 has the roots (5 -+ sqrt 5)/2 = 1.38..., 3.61...; floats
+    # placed on the wrong side of the certified 2 still order exactly
+    honest = Spectrum(n=4, exact=poly({0: 1, 2: 1}), numeric=(3.618, 1.382), residual=(5, -5, 1))
+    skewed = Spectrum(n=4, exact=poly({0: 1, 2: 1}), numeric=(2.001, 1.999), residual=(5, -5, 1))
+    assert [honest.count_at_most(k) for k in range(-1, 5)] == [0, 1, 1, 3, 3, 4]
+    assert [skewed.count_at_most(k) for k in range(-1, 5)] == [0, 1, 1, 3, 3, 4]
+    assert honest.eigenvalues_ascending() == [0, 1.382, 2, 3.618]
+    assert skewed.eigenvalues_ascending() == [0, 1.999, 2, 2.001]
+    assert algebraic_connectivity(skewed) == 1.999
+
+
+def test_count_at_most_matches_dense_eigenvalues():
+    rng = random.Random(808)
+    graphs = [random_graph(rng, rng.randint(1, 14), rng.choice([0.2, 0.5, 0.8]))
+              for _ in range(40)]
+    graphs += [power_graph(cyclic_group(n)) for n in (12, 30, 36)]
+    graphs += [power_graph(dicyclic_group(n)) for n in (3, 6)]
+    for g in graphs:
+        s = spectrum(g)
+        dense = dense_numeric_eigenvalues(g)
+        for k in range(-1, g.n + 2):
+            # no eigenvalue lies within 1e-6 of an integer it is not equal to
+            assert s.count_at_most(k) == int(np.sum(dense < k + 1e-6))
+
+
+def test_spectrum_never_calls_jacobi(monkeypatch):
+    import powerlap.linalg
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("jacobi_eigenvalues called")
+
+    monkeypatch.setattr(powerlap.linalg, "jacobi_eigenvalues", forbidden)
+    rng = random.Random(50)
+    graphs = [power_graph(cyclic_group(720))]
+    graphs += [power_graph(dicyclic_group(n)) for n in range(2, 13)]
+    graphs += [random_graph(rng, rng.randint(1, 14), rng.random()) for _ in range(50)]
+    mixed = 0
+    for g in graphs:
+        s = spectrum(g)
+        mixed += not s.is_exact
+        s.eigenvalues_descending()
+        if g.n >= 2:
+            algebraic_connectivity(s)
+    assert mixed >= 20
+
+
+def test_radius_multiplicity_needs_a_certified_top():
+    # the path on 4 vertices has spectrum 0, 2 - sqrt 2, 2, 2 + sqrt 2
+    p4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+    s = spectrum(p4)
+    assert s.exact == poly({0: 1, 2: 1}) and s.residual == (2, -4, 1)
+    with pytest.raises(ValueError, match="not a certified integer"):
+        spectral_radius_multiplicity(s)

@@ -42,6 +42,50 @@ def test_cyclic_radius_examples():
     assert r.evidence["block_structure"] is True
 
 
+def test_radius_block_rejects_a_doctored_residual(monkeypatch):
+    # roots of the reduced graph's residual moved up by one, display floats
+    # untouched: only the exact polynomial identity can tell
+    import dataclasses
+
+    import powerlap.verify
+    from powerlap.linalg import taylor_shift
+
+    true_spectrum = powerlap.verify.spectrum
+
+    def doctored(g):
+        s = true_spectrum(g)
+        if g.n == 12:
+            return s
+        assert not s.is_exact
+        return dataclasses.replace(s, residual=tuple(taylor_shift(s.residual, -1)))
+
+    powerlap.verify._cyclic_spectrum.cache_clear()
+    monkeypatch.setattr(powerlap.verify, "spectrum", doctored)
+    r = check_cyclic_radius_mult(12)
+    assert r.verdict == "fail" and r.evidence["block_structure"] is False
+    assert "block=False" in r.witness
+    powerlap.verify._cyclic_spectrum.cache_clear()
+
+
+def test_dicyclic_window_reads_the_residual(monkeypatch):
+    # the smallest residual root of Q3 (1.5567...) moved below 1, display
+    # floats untouched: the window check counts the residual's roots
+    import dataclasses
+
+    import powerlap.verify
+    from powerlap.linalg import taylor_shift
+
+    true_spectrum = powerlap.verify.spectrum
+
+    def doctored(g):
+        s = true_spectrum(g)
+        return dataclasses.replace(s, residual=tuple(taylor_shift(s.residual, 1)))
+
+    monkeypatch.setattr(powerlap.verify, "spectrum", doctored)
+    r = check_dicyclic_bundle(3)
+    assert r.verdict == "fail" and "not above 1" in r.witness
+
+
 def test_cyclic_kappa_examples():
     r = check_cyclic_kappa_eq_mu(6)
     assert r.passed and r.evidence["kappa"] == 3 and r.evidence["equal"]
