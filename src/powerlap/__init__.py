@@ -38,19 +38,16 @@ from .graphs import (
     proper_power_graph,
     reduced_cyclic_graph,
     vertex_connectivity,
-    vertex_connectivity_exhaustive,
 )
 from .spectra import (
     CharPolyContradiction,
     FactoredCharPoly,
-    RationalMatrix,
     Spectrum,
     algebraic_connectivity,
     clique_charpoly,
     complement_spectrum,
     integer_eigenvalue_multiplicity,
     join_charpoly,
-    laplacian,
     max_component_radius,
     spectral_radius,
     spectral_radius_multiplicity,

@@ -28,7 +28,6 @@ __all__ = [
     "induced_subgraph",
     "is_complete",
     "vertex_connectivity",
-    "vertex_connectivity_exhaustive",
     "twin_partition",
 ]
 
@@ -431,24 +430,3 @@ class _SplitNetwork:
                 cap[a] -= bottleneck
                 cap[a ^ 1] += bottleneck
             total += bottleneck
-
-
-def vertex_connectivity_exhaustive(g: Graph) -> CutCertificate:
-    """Brute-force minimum separating set, for cross-checking small graphs."""
-    if g.n > 20:
-        raise ValueError("exhaustive search is limited to 20 vertices")
-    if g.n <= 1:
-        return CutCertificate(0, ())
-    if len(components(g)) > 1:
-        return CutCertificate(0, ())
-    if is_complete(g):
-        return CutCertificate(g.n - 1, tuple(range(g.n - 1)))
-    from itertools import combinations
-
-    for k in range(1, g.n - 1):
-        for subset in combinations(range(g.n), k):
-            rest = [v for v in range(g.n) if v not in subset]
-            h = induced_subgraph(g, rest)
-            if len(components(h)) > 1:
-                return CutCertificate(k, subset)
-    return CutCertificate(g.n - 1, tuple(range(g.n - 1)))

@@ -425,31 +425,17 @@ def hat_up_set(g: FiniteGroup, x: int) -> frozenset[int]:
 
 
 def is_p_group(g: FiniteGroup) -> Optional[int]:
-    """The prime p if every non-identity element order is a power of p, else None.
+    """The prime p if g is a p-group, else None.
 
-    Requires order at least two; the trivial group is not a p-group here.
+    Every element order is a power of p exactly when the group order
+    is: element orders divide the group order (Lagrange), and every
+    prime dividing the group order is the order of some element
+    (Cauchy).  Requires order at least two; the trivial group is not a
+    p-group here.
     """
     if g.order < 2:
         return None
-    p = None
-    for x in range(g.order):
-        if x == g.identity:
-            continue
-        o = g.order_of(x)
-        q = _sole_prime_divisor(o)
-        if q is None:
-            return None
-        if p is None:
-            p = q
-        elif p != q:
-            return None
-    return p
-
-
-def _sole_prime_divisor(n: int) -> Optional[int]:
-    if n < 2:
-        return None
-    f = factorize(n)
+    f = factorize(g.order)
     return f.prime_powers[0][0] if f.is_prime_power else None
 
 

@@ -2,25 +2,25 @@
 
 Exact routines never round, so every integrality decision downstream is
 a genuine certification.  The characteristic polynomial of an integer
-matrix is computed modulo word-size primes and recombined by the Chinese
-remainder theorem past a proven bound on its coefficients; the nullity
-of an integer matrix comes from fraction-free (Bareiss) elimination, and
-``rational_nullity`` eliminates over ``fractions.Fraction`` for rational
-matrices.  Integer roots are divided out by synthetic division, and the
-roots of a real-rooted integer polynomial above an integer are counted
-exactly by Descartes' rule of signs after one integer Taylor shift.
+matrix is computed modulo enough descending primes below 2**31 to pass
+a proven bound on its coefficients, all of them at once: the residues
+sit in one (primes, m, m) int64 array, where a product of two residues
+stays below 2**62, and each prime takes its own Hessenberg pivots.  The
+Chinese remainder theorem recombines the results.  The nullity of an
+integer matrix comes from fraction-free (Bareiss) elimination.  Integer
+roots are divided out by synthetic division, and the roots of a
+real-rooted integer polynomial above an integer are counted exactly by
+Descartes' rule of signs after one integer Taylor shift.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from operator import mul
 from typing import Sequence
 
 import numpy as np
 
 __all__ = [
-    "rational_nullity",
     "integer_nullity",
     "charpoly_exact",
     "integer_root_multiplicities",
@@ -29,37 +29,6 @@ __all__ = [
     "roots_above",
     "jacobi_eigenvalues",
 ]
-
-
-def rational_nullity(rows: Sequence[Sequence[Fraction]]) -> int:
-    """Nullity of a square rational matrix by exact Gaussian elimination."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    n = len(m)
-    if any(len(row) != n for row in m):
-        raise ValueError("matrix must be square")
-    rank = 0
-    col = 0
-    while rank < n and col < n:
-        pivot = None
-        for r in range(rank, n):
-            if m[r][col]:
-                pivot = r
-                break
-        if pivot is None:
-            col += 1
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        prow = m[rank]
-        pval = prow[col]
-        for r in range(rank + 1, n):
-            factor = m[r][col] / pval
-            if factor:
-                row = m[r]
-                for c in range(col, n):
-                    row[c] -= factor * prow[c]
-        rank += 1
-        col += 1
-    return n - rank
 
 
 def integer_nullity(rows: Sequence[Sequence[int]]) -> int:
@@ -93,7 +62,7 @@ def integer_nullity(rows: Sequence[Sequence[int]]) -> int:
 
 
 # Miller-Rabin with the first twelve prime bases is deterministic below
-# 3.18e23 (Sorenson & Webster, Math. Comp. 2017), far above 2**62.
+# 3.18e23 (Sorenson & Webster, Math. Comp. 2017), far above 2**31.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
@@ -121,16 +90,16 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-# The descending primes below 2**62, extended on demand.  Every modular
+# The descending primes below 2**31, extended on demand.  Every modular
 # charpoly walks a prefix of the same sequence, so each prime is proved
 # once per process.
 _PRIMES: list[int] = []
 
 
 def _prime(i: int) -> int:
-    """The i-th prime, counting from 0, of the descending primes below 2**62."""
+    """The i-th prime, counting from 0, of the descending primes below 2**31."""
     while len(_PRIMES) <= i:
-        candidate = (_PRIMES[-1] if _PRIMES else 2**62 + 1) - 2
+        candidate = (_PRIMES[-1] if _PRIMES else 2**31 + 1) - 2
         while not _is_prime(candidate):
             candidate -= 2
         _PRIMES.append(candidate)
@@ -140,13 +109,15 @@ def _prime(i: int) -> int:
 def charpoly_exact(matrix: Sequence[Sequence[int]]) -> list[int]:
     """Coefficients of det(xI - M) for an integer matrix, ascending by power.
 
-    The polynomial is computed modulo a fixed descending sequence of
-    primes below 2**62 and recombined by the Chinese remainder theorem
-    into the symmetric range.  Every eigenvalue satisfies |lambda| <= B,
-    the largest absolute row sum, so the coefficient of x^k is at most
-    C(m, k) * B^(m-k) in absolute value, and the coefficients of an m x m
-    matrix are determined once the modulus exceeds 2 * (B + 1)^m.  Primes
-    are added until then, never fewer, so the result is exact.
+    Every eigenvalue satisfies |lambda| <= B, the largest absolute row
+    sum, so the coefficient of x^k is at most C(m, k) * B^(m-k) in
+    absolute value, and the coefficients of an m x m matrix are
+    determined once the modulus exceeds 2 * (B + 1)^m.  Enough primes
+    for that are taken up front from a fixed descending sequence below
+    2**31, the polynomial is computed modulo all of them at once
+    (`_charpoly_mod_primes`), and the residues are recombined by the
+    Chinese remainder theorem into the symmetric range, so the result
+    is exact.
     """
     m = len(matrix)
     if any(len(row) != m for row in matrix):
@@ -154,74 +125,97 @@ def charpoly_exact(matrix: Sequence[Sequence[int]]) -> list[int]:
     if m == 0:
         return [1]
     bound = 2 * (max(sum(abs(x) for x in row) for row in matrix) + 1) ** m
-    modulus = _prime(0)
-    coeffs = _charpoly_mod(matrix, modulus)
-    i = 1
+    primes: list[int] = []
+    modulus = 1
     while modulus <= bound:
-        p = _prime(i)
-        i += 1
-        inv = pow(modulus % p, -1, p)
-        coeffs = [
-            c + modulus * ((r - c) * inv % p)
-            for c, r in zip(coeffs, _charpoly_mod(matrix, p))
-        ]
-        modulus *= p
+        primes.append(_prime(len(primes)))
+        modulus *= primes[-1]
+    try:
+        entries = np.array(matrix, dtype=np.int64)
+    except OverflowError:
+        # entries beyond int64 are reduced as Python ints before numpy sees them
+        entries = np.array(matrix, dtype=object)
+    reduced = entries % np.array(primes, dtype=entries.dtype)[:, None, None]
+    residues = _charpoly_mod_primes(reduced.astype(np.int64), primes)
+    # CRT: c = sum of r_i * (M/p_i) * ((M/p_i)^-1 mod p_i), reduced mod M
+    basis = []
+    for p in primes:
+        cofactor = modulus // p
+        basis.append(cofactor * pow(cofactor % p, -1, p))
     half = modulus // 2
-    return [c - modulus if c > half else c for c in coeffs]
+    coeffs = []
+    for column in residues.T.tolist():
+        c = sum(map(mul, column, basis)) % modulus
+        coeffs.append(c - modulus if c > half else c)
+    return coeffs
 
 
-def _charpoly_mod(matrix: Sequence[Sequence[int]], p: int) -> list[int]:
-    """Coefficients of det(xI - M) mod the prime p, ascending, in [0, p).
+def _charpoly_mod_primes(h: np.ndarray, primes: list[int]) -> np.ndarray:
+    """Coefficients of det(xI - H_i) mod p_i for a (P, m, m) stack, ascending.
 
-    Reduces to upper Hessenberg form by similarity transforms over the
-    field of p elements, then expands the characteristic polynomial with
-    the standard Hessenberg recurrence.
+    `h[i]` holds the matrix reduced into [0, p_i); it is overwritten.
+    Every p_i < 2**31, so a product of two residues stays below 2**62,
+    and each product is reduced before any sum: no int64 overflows.  Each
+    slice is brought to upper Hessenberg form by similarity transforms
+    over its own field, with its own pivots, and the characteristic
+    polynomial is expanded by the Hessenberg recurrence (Cohen, A Course
+    in Computational Algebraic Number Theory, 1993, section 2.2).
+    Returns a (P, m + 1) array in [0, p_i).
     """
-    n = len(matrix)
-    h = [[x % p for x in row] for row in matrix]
-
+    count, n, _ = h.shape
+    p1 = np.array(primes, dtype=np.int64)[:, None]
+    p2 = p1[:, :, None]
     for col in range(n - 2):
         nxt = col + 1
-        pivot = next((r for r in range(nxt, n) if h[r][col]), None)
-        if pivot is None:
-            continue
-        if pivot != nxt:
-            h[nxt], h[pivot] = h[pivot], h[nxt]
-            for row in h:
-                row[nxt], row[pivot] = row[pivot], row[nxt]
-        hp = h[nxt]
-        tail = hp[col:]
-        inv = pow(hp[col], -1, p)
+        below = h[:, nxt:, col].tolist()
+        if not any(any(r[1:]) for r in below):
+            continue  # already Hessenberg in this column modulo every prime
+        # each prime pivots on its first nonzero entry at or below the
+        # subdiagonal; a prime whose column is zero keeps offset 0
+        offsets = [next((i for i, v in enumerate(r) if v), 0) for r in below]
+        if any(offsets):
+            every = np.arange(count)
+            pivot = np.array(offsets) + nxt
+            rows = h[every, pivot]
+            h[every, pivot] = h[every, nxt]
+            h[every, nxt] = rows
+            cols = h[every, :, pivot]
+            h[every, :, pivot] = h[every, :, nxt]
+            h[every, :, nxt] = cols
+        inv = [pow(r[i] or 1, -1, p) for r, i, p in zip(below, offsets, primes)]
         # eliminate below the subdiagonal with row ops, then apply their
         # inverse as one column op: the row ops commute with each other
-        factors = [h[r][col] * inv % p for r in range(col + 2, n)]
-        for hr, f in zip(h[col + 2:], factors):
-            if f:
-                hr[col:] = [(a - f * b) % p for a, b in zip(hr[col:], tail)]
-        if any(factors):
-            for row in h:
-                row[nxt] = (row[nxt] + sum(map(mul, factors, row[col + 2:]))) % p
+        factors = h[:, nxt + 1:, col] * np.array(inv, dtype=np.int64)[:, None]
+        factors %= p1
+        block = h[:, nxt + 1:, col:]
+        block -= factors[:, :, None] * h[:, None, nxt, col:]
+        block %= p2
+        terms = h[:, :, nxt + 1:] * factors[:, None, :]
+        terms %= p2
+        target = h[:, :, nxt]
+        target += terms.sum(axis=2)
+        target %= p1
 
-    # d[k] = charpoly of the leading k x k block, coefficients ascending
-    d: list[list[int]] = [[1]]
-    for k in range(1, n + 1):
-        # (x - h[k-1][k-1]) * d[k-1], reduced once at the end
-        prev = d[k - 1]
-        diag = h[k - 1][k - 1]
-        poly = [0] + prev
-        for i, c in enumerate(prev):
-            poly[i] -= diag * c
-        beta = 1
-        for j in range(k - 1, 0, -1):
-            beta = beta * h[j][j - 1] % p
-            if not beta:
-                break
-            coeff = beta * h[j - 1][k - 1] % p
-            if coeff:
-                for i, c in enumerate(d[j - 1]):
-                    poly[i] -= coeff * c
-        d.append([c % p for c in poly])
-    return d[n]
+    # d[:, k] = charpoly of the leading k x k block, coefficients ascending:
+    # d_k = x d_{k-1} - sum_{j=1..k} beta_j h[j-1][k-1] d_{j-1}, where beta_j
+    # is the product of the subdiagonal entries h[j][j-1] .. h[k-1][k-2]
+    d = np.zeros((count, n + 1, n + 1), dtype=np.int64)
+    d[:, 0, 0] = d[:, 1, 1] = 1
+    d[:, 1, 0] = -h[:, 0, 0] % p1[:, 0]
+    beta = np.ones((count, n), dtype=np.int64)
+    for k in range(2, n + 1):
+        running = beta[:, :k - 1]
+        running *= h[:, k - 1, k - 2, None]
+        running %= p1
+        coeff = beta[:, :k] * h[:, :k, k - 1]
+        coeff %= p1
+        terms = coeff[:, :, None] * d[:, :k, :k]
+        terms %= p2
+        poly = d[:, k, :k + 1]
+        poly[:, 1:] = d[:, k - 1, :k]
+        poly[:, :k] -= terms.sum(axis=1)
+        poly %= p1
+    return d[:, n]
 
 
 def eval_poly_at_int(coeffs: Sequence[int], x: int) -> int:

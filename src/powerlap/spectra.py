@@ -25,7 +25,6 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -37,16 +36,13 @@ from .linalg import (
     eval_poly_at_int,
     integer_nullity,
     integer_root_multiplicities,
-    rational_nullity,
     roots_above,
 )
 
 __all__ = [
-    "RationalMatrix",
     "FactoredCharPoly",
     "Spectrum",
     "CharPolyContradiction",
-    "laplacian",
     "integer_eigenvalue_multiplicity",
     "spectrum",
     "algebraic_connectivity",
@@ -57,57 +53,10 @@ __all__ = [
     "join_charpoly",
     "complement_spectrum",
     "max_component_radius",
-    "dense_nullity",
-    "dense_numeric_eigenvalues",
 ]
 
 class CharPolyContradiction(ValueError):
     """A factored-polynomial identity required a root that is absent."""
-
-
-# ---------------------------------------------------------------------------
-# exact matrices
-
-
-@dataclass(frozen=True)
-class RationalMatrix:
-    """Dense square matrix over the rationals; exact arithmetic only."""
-
-    entries: tuple[tuple[Fraction, ...], ...]
-
-    def __post_init__(self):
-        n = len(self.entries)
-        if any(len(row) != n for row in self.entries):
-            raise ValueError("matrix must be square")
-
-    @property
-    def dimension(self) -> int:
-        return len(self.entries)
-
-    def minus_scaled_identity(self, lam: int | Fraction) -> "RationalMatrix":
-        lam = Fraction(lam)
-        return RationalMatrix(
-            tuple(
-                tuple(x - lam if i == j else x for j, x in enumerate(row))
-                for i, row in enumerate(self.entries)
-            )
-        )
-
-    def nullity(self) -> int:
-        return rational_nullity(self.entries)
-
-
-def laplacian(g: Graph) -> RationalMatrix:
-    """Laplacian L = D - A as an exact rational matrix."""
-    rows = []
-    for v in range(g.n):
-        deg = Fraction(g.degree(v))
-        row = tuple(
-            deg if u == v else Fraction(-1 if g.adjacent(u, v) else 0)
-            for u in range(g.n)
-        )
-        rows.append(row)
-    return RationalMatrix(tuple(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -603,23 +552,3 @@ def max_component_radius(parts: Sequence[Spectrum]) -> int | float:
     if not parts:
         raise ValueError("max_component_radius requires at least one component")
     return max((spectral_radius(p) for p in parts), key=float)
-
-
-# ---------------------------------------------------------------------------
-# dense oracles (independent of the collapse engine)
-
-
-def dense_nullity(g: Graph, lam: int) -> int:
-    """Nullity of L - lam*I by exact elimination on the full matrix."""
-    mat = laplacian(g).minus_scaled_identity(lam)
-    return mat.nullity()
-
-
-def dense_numeric_eigenvalues(g: Graph) -> np.ndarray:
-    """All Laplacian eigenvalues of the full matrix by LAPACK, ascending."""
-    a = np.zeros((g.n, g.n))
-    for v in range(g.n):
-        a[v, v] = g.degree(v)
-        for u in g.neighbors(v):
-            a[v, u] = -1.0
-    return np.linalg.eigvalsh(a)

@@ -12,6 +12,7 @@ appear only as reported evidence.
 from __future__ import annotations
 
 import json
+import math
 import time
 from collections import Counter
 from dataclasses import dataclass, field
@@ -23,7 +24,6 @@ from .graphs import (
     components,
     induced_subgraph,
     power_graph,
-    reduced_cyclic_graph,
     vertex_connectivity,
 )
 from .groups import (
@@ -129,6 +129,11 @@ def _cyclic_graph(n: int) -> Graph:
     return power_graph(cyclic_group(n))
 
 
+def _reduced_cyclic_graph(n: int) -> Graph:
+    """`reduced_cyclic_graph(n)`, cut from the cached power graph of Z_n."""
+    return induced_subgraph(_cyclic_graph(n), [v for v in range(1, n) if math.gcd(v, n) != 1])
+
+
 @lru_cache(maxsize=1)
 def _cyclic_spectrum(n: int) -> Spectrum:
     return spectrum(_cyclic_graph(n))
@@ -211,7 +216,7 @@ def check_cyclic_radius_mult(n: int) -> ClaimReport:
         top = vals[:phi1]
         block_ok = all(isinstance(v, int) and v == n for v in top)
         window = vals[phi1 : n - 1]
-        reduced = spectrum(reduced_cyclic_graph(n))
+        reduced = spectrum(_reduced_cyclic_graph(n))
         shifted = [v + phi1 for v in reduced.eigenvalues_descending()[:-1] if isinstance(v, int)]
         # certified integers compare as multisets; the non-integer parts
         # agree iff the residual polynomials agree after the shift

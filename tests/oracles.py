@@ -1,0 +1,225 @@
+"""Reference implementations the tests compare the package against.
+
+Each one computes its answer the slow, direct way and shares no fast
+path with `src/`: dense rational elimination on the full Laplacian, a
+LAPACK eigensolve, an exhaustive cut search, a per-element p-group scan
+and a scalar modular Hessenberg reduction recombined by the Chinese
+remainder theorem.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+from itertools import combinations
+from operator import mul
+from typing import Optional, Sequence
+
+import numpy as np
+import sympy
+
+from powerlap.graphs import CutCertificate, Graph, components, induced_subgraph, is_complete
+from powerlap.groups import FiniteGroup, factorize
+
+
+# ---------------------------------------------------------------------------
+# dense rational Laplacian
+
+
+def rational_nullity(rows: Sequence[Sequence[Fraction]]) -> int:
+    """Nullity of a square rational matrix by exact Gaussian elimination."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    n = len(m)
+    if any(len(row) != n for row in m):
+        raise ValueError("matrix must be square")
+    rank = 0
+    col = 0
+    while rank < n and col < n:
+        pivot = None
+        for r in range(rank, n):
+            if m[r][col]:
+                pivot = r
+                break
+        if pivot is None:
+            col += 1
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        prow = m[rank]
+        pval = prow[col]
+        for r in range(rank + 1, n):
+            factor = m[r][col] / pval
+            if factor:
+                row = m[r]
+                for c in range(col, n):
+                    row[c] -= factor * prow[c]
+        rank += 1
+        col += 1
+    return n - rank
+
+
+@dataclass(frozen=True)
+class RationalMatrix:
+    """Dense square matrix over the rationals; exact arithmetic only."""
+
+    entries: tuple[tuple[Fraction, ...], ...]
+
+    def __post_init__(self):
+        n = len(self.entries)
+        if any(len(row) != n for row in self.entries):
+            raise ValueError("matrix must be square")
+
+    def minus_scaled_identity(self, lam: int | Fraction) -> "RationalMatrix":
+        lam = Fraction(lam)
+        return RationalMatrix(
+            tuple(
+                tuple(x - lam if i == j else x for j, x in enumerate(row))
+                for i, row in enumerate(self.entries)
+            )
+        )
+
+    def nullity(self) -> int:
+        return rational_nullity(self.entries)
+
+
+def laplacian(g: Graph) -> RationalMatrix:
+    """Laplacian L = D - A as an exact rational matrix."""
+    rows = []
+    for v in range(g.n):
+        deg = Fraction(g.degree(v))
+        row = tuple(
+            deg if u == v else Fraction(-1 if g.adjacent(u, v) else 0)
+            for u in range(g.n)
+        )
+        rows.append(row)
+    return RationalMatrix(tuple(rows))
+
+
+def dense_nullity(g: Graph, lam: int) -> int:
+    """Nullity of L - lam*I by exact elimination on the full matrix."""
+    return laplacian(g).minus_scaled_identity(lam).nullity()
+
+
+def dense_numeric_eigenvalues(g: Graph) -> np.ndarray:
+    """All Laplacian eigenvalues of the full matrix by LAPACK, ascending."""
+    a = np.zeros((g.n, g.n))
+    for v in range(g.n):
+        a[v, v] = g.degree(v)
+        for u in g.neighbors(v):
+            a[v, u] = -1.0
+    return np.linalg.eigvalsh(a)
+
+
+# ---------------------------------------------------------------------------
+# connectivity and group structure
+
+
+def vertex_connectivity_exhaustive(g: Graph) -> CutCertificate:
+    """Brute-force minimum separating set, for cross-checking small graphs."""
+    if g.n > 20:
+        raise ValueError("exhaustive search is limited to 20 vertices")
+    if g.n <= 1:
+        return CutCertificate(0, ())
+    if len(components(g)) > 1:
+        return CutCertificate(0, ())
+    if is_complete(g):
+        return CutCertificate(g.n - 1, tuple(range(g.n - 1)))
+    for k in range(1, g.n - 1):
+        for subset in combinations(range(g.n), k):
+            rest = [v for v in range(g.n) if v not in subset]
+            h = induced_subgraph(g, rest)
+            if len(components(h)) > 1:
+                return CutCertificate(k, subset)
+    return CutCertificate(g.n - 1, tuple(range(g.n - 1)))
+
+
+def is_p_group_by_elements(g: FiniteGroup) -> Optional[int]:
+    """The prime p if every non-identity element order is a power of p, else None."""
+    if g.order < 2:
+        return None
+    p = None
+    for x in range(g.order):
+        if x == g.identity:
+            continue
+        f = factorize(g.order_of(x))
+        if not f.is_prime_power:
+            return None
+        q = f.prime_powers[0][0]
+        if p is None:
+            p = q
+        elif p != q:
+            return None
+    return p
+
+
+# ---------------------------------------------------------------------------
+# scalar modular characteristic polynomial
+
+
+def charpoly_mod(matrix: Sequence[Sequence[int]], p: int) -> list[int]:
+    """Coefficients of det(xI - M) mod the prime p, ascending, in [0, p).
+
+    Hessenberg reduction over the field of p elements one entry at a
+    time, then the Hessenberg recurrence.
+    """
+    n = len(matrix)
+    h = [[x % p for x in row] for row in matrix]
+    for col in range(n - 2):
+        nxt = col + 1
+        pivot = next((r for r in range(nxt, n) if h[r][col]), None)
+        if pivot is None:
+            continue
+        if pivot != nxt:
+            h[nxt], h[pivot] = h[pivot], h[nxt]
+            for row in h:
+                row[nxt], row[pivot] = row[pivot], row[nxt]
+        hp = h[nxt]
+        tail = hp[col:]
+        inv = pow(hp[col], -1, p)
+        factors = [h[r][col] * inv % p for r in range(col + 2, n)]
+        for hr, f in zip(h[col + 2:], factors):
+            if f:
+                hr[col:] = [(a - f * b) % p for a, b in zip(hr[col:], tail)]
+        if any(factors):
+            for row in h:
+                row[nxt] = (row[nxt] + sum(map(mul, factors, row[col + 2:]))) % p
+    d: list[list[int]] = [[1]]
+    for k in range(1, n + 1):
+        prev = d[k - 1]
+        diag = h[k - 1][k - 1]
+        poly = [0] + prev
+        for i, c in enumerate(prev):
+            poly[i] -= diag * c
+        beta = 1
+        for j in range(k - 1, 0, -1):
+            beta = beta * h[j][j - 1] % p
+            if not beta:
+                break
+            coeff = beta * h[j - 1][k - 1] % p
+            if coeff:
+                for i, c in enumerate(d[j - 1]):
+                    poly[i] -= coeff * c
+        d.append([c % p for c in poly])
+    return d[n]
+
+
+def charpoly_scalar_crt(matrix: Sequence[Sequence[int]]) -> list[int]:
+    """det(xI - M), ascending: `charpoly_mod` one prime at a time, by CRT.
+
+    Takes the descending primes below 2**62 from sympy, so it shares
+    neither the primes nor the batched arithmetic of `charpoly_exact`,
+    and stops past the same coefficient bound 2 * (B + 1)^m.
+    """
+    m = len(matrix)
+    if m == 0:
+        return [1]
+    bound = 2 * (max(sum(abs(x) for x in row) for row in matrix) + 1) ** m
+    p = sympy.prevprime(2**62)
+    coeffs = charpoly_mod(matrix, p)
+    modulus = p
+    while modulus <= bound:
+        p = sympy.prevprime(p)
+        inv = pow(modulus % p, -1, p)
+        coeffs = [c + modulus * ((r - c) * inv % p) for c, r in zip(coeffs, charpoly_mod(matrix, p))]
+        modulus *= p
+    half = modulus // 2
+    return [c - modulus if c > half else c for c in coeffs]

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_graph
+from oracles import vertex_connectivity_exhaustive
 from powerlap.graphs import (
     Graph,
     complement,
@@ -18,7 +19,6 @@ from powerlap.graphs import (
     reduced_cyclic_graph,
     twin_partition,
     vertex_connectivity,
-    vertex_connectivity_exhaustive,
 )
 from powerlap.groups import (
     cyclic_group,

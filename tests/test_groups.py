@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from oracles import is_p_group_by_elements
 from powerlap.groups import (
     GroupValidationError,
     cyclic_group,
@@ -192,6 +193,18 @@ def test_is_p_group():
     assert is_p_group(direct_product(cyclic_group(9), cyclic_group(3))) == 3
     assert is_p_group(cyclic_group(1)) is None
     assert is_p_group(dicyclic_group(3)) is None
+
+
+def test_is_p_group_matches_the_element_scan(small_groups, small_pgroups):
+    from powerlap.verify import pgroup_catalog
+
+    catalog = pgroup_catalog(256)
+    assert len(catalog) == 153
+    groups = catalog + small_groups + small_pgroups
+    groups += [cyclic_group(n) for n in range(1, 301)]
+    groups += [dicyclic_group(n) for n in range(2, 33)]
+    for g in groups:
+        assert is_p_group(g) == is_p_group_by_elements(g), g.label
 
 
 def test_primitive_classes():

@@ -2,7 +2,9 @@
 
 `fraction_charpoly` is Hessenberg reduction over the rationals, so it
 checks the modular characteristic polynomial and its prime bound without
-any modular arithmetic; sympy's `Matrix.charpoly` is a second oracle.
+any modular arithmetic; sympy's `Matrix.charpoly` is a second oracle,
+and `oracles.charpoly_scalar_crt`, a scalar modular Hessenberg over
+other primes, checks cores too large for the first two.
 `scan_integer_roots` evaluates every candidate, and `rational_nullity`
 eliminates over `Fraction`.  Root counts by Descartes' rule are checked
 against sympy's Sturm-sequence `Poly.count_roots`.
@@ -17,8 +19,9 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import charpoly_scalar_crt, rational_nullity
 from powerlap.graphs import power_graph
-from powerlap.groups import dicyclic_group
+from powerlap.groups import cyclic_group, dicyclic_group
 from powerlap.linalg import (
     _is_prime,
     _prime,
@@ -27,7 +30,6 @@ from powerlap.linalg import (
     eval_poly_at_int,
     integer_nullity,
     integer_root_multiplicities,
-    rational_nullity,
     roots_above,
     taylor_shift,
 )
@@ -35,6 +37,8 @@ from powerlap.spectra import _collapse
 from powerlap.verify import pgroup_catalog
 
 ORACLE_MAX_DIM = 40
+# the first two primes of the modular sequence, checked against sympy below
+P0, P1 = 2**31 - 1, 2**31 - 19
 
 
 def fraction_charpoly(matrix):
@@ -140,6 +144,46 @@ def test_charpoly_matches_oracles_on_integer_matrices(matrix):
     assert coeffs == sympy_charpoly(matrix)
 
 
+def test_charpoly_with_pivots_that_differ_across_primes():
+    # column 0 below the diagonal: modulo P0 the subdiagonal entry vanishes,
+    # so P0 pivots on row 2 and every other prime on row 1
+    swap = [[1, 2, 3], [P0, 0, 1], [5, 1, 0]]
+    # modulo P0 the whole column vanishes and P0 skips it; modulo P1 only
+    # the subdiagonal entry does
+    skip = [[1, 2, 3, 4], [P0 * P1, 0, 1, 2], [2 * P0, 1, 0, 7], [3 * P0, 5, 1, 1]]
+    for matrix in (swap, skip):
+        assert charpoly_exact(matrix) == fraction_charpoly(matrix) == sympy_charpoly(matrix)
+
+
+@st.composite
+def matrices_divisible_by_the_first_primes(draw, max_dim=6):
+    """Matrices whose entries vanish modulo P0, P1 or both, and not others."""
+    m = draw(st.integers(2, max_dim))
+    entry = st.sampled_from([0, 1, -1, 3, P0, -P0, 2 * P1, P0 * P1])
+    return draw(st.lists(st.lists(entry, min_size=m, max_size=m), min_size=m, max_size=m))
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrices_divisible_by_the_first_primes())
+def test_charpoly_on_entries_divisible_by_the_first_primes(matrix):
+    # zero pivots and zero columns modulo some primes and not others
+    assert charpoly_exact(matrix) == fraction_charpoly(matrix)
+
+
+def test_charpoly_with_entries_beyond_int64():
+    rng = random.Random(7)
+    for m in (1, 2, 5, 8):
+        matrix = [[rng.choice([-1, 1]) * rng.randrange(10**29, 10**30) if rng.random() < 0.7 else 0
+                   for _ in range(m)] for _ in range(m)]
+        assert charpoly_exact(matrix) == fraction_charpoly(matrix)
+
+
+def test_charpoly_matches_scalar_oracle_on_the_z5040_core():
+    core = _collapse(power_graph(cyclic_group(5040))).quotient_rows()
+    assert len(core) == 59
+    assert charpoly_exact(core) == charpoly_scalar_crt(core)
+
+
 def test_charpoly_at_the_coefficient_bound():
     # det(xI + B*I) = (x + B)^m: the constant B^m sits just under half the
     # modulus the row-sum bound 2 * (B + 1)^m asks for
@@ -151,9 +195,9 @@ def test_charpoly_at_the_coefficient_bound():
         charpoly_exact([[1, 2]])
 
 
-def test_primes_descend_from_the_largest_below_2_to_62():
+def test_primes_descend_from_the_largest_below_2_to_31():
     primes = [_prime(i) for i in range(12)]
-    assert primes[0] == sympy.prevprime(2**62)
+    assert primes[0] == sympy.prevprime(2**31) == P0 and primes[1] == P1
     for p, q in zip(primes, primes[1:]):
         assert sympy.prevprime(p) == q
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import random_graph
+from oracles import dense_nullity, dense_numeric_eigenvalues, laplacian
 from powerlap.graphs import Graph, complement, components, power_graph
 from powerlap.groups import cyclic_group, dicyclic_group, direct_product
 from powerlap.linalg import charpoly_exact, eval_poly_at_int, jacobi_eigenvalues
@@ -15,11 +16,8 @@ from powerlap.spectra import (
     algebraic_connectivity,
     clique_charpoly,
     complement_spectrum,
-    dense_nullity,
-    dense_numeric_eigenvalues,
     integer_eigenvalue_multiplicity,
     join_charpoly,
-    laplacian,
     max_component_radius,
     spectral_radius_multiplicity,
     spectrum,

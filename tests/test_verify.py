@@ -8,8 +8,10 @@ from powerlap.groups import (
     direct_product,
     generalized_quaternion,
 )
+from powerlap.graphs import reduced_cyclic_graph
 from powerlap.spectra import FactoredCharPoly
 from powerlap.verify import (
+    _reduced_cyclic_graph,
     check_cyclic_algcon,
     check_cyclic_kappa_eq_mu,
     check_cyclic_radius_mult,
@@ -30,6 +32,11 @@ def test_cyclic_algcon_examples():
     assert r.passed and r.evidence["attains_bound"] is False
     r = check_cyclic_algcon(7)
     assert r.passed and r.evidence["algebraic_connectivity"] == 7
+
+
+def test_reduced_cyclic_graph_from_the_cached_power_graph():
+    for n in range(2, 121):
+        assert _reduced_cyclic_graph(n) == reduced_cyclic_graph(n), n
 
 
 def test_cyclic_radius_examples():
