@@ -24,7 +24,6 @@ __all__ = [
     "MAX_ORDER",
     "euler_phi",
     "factorize",
-    "is_prime",
     "cyclic_group",
     "dicyclic_group",
     "generalized_quaternion",
@@ -60,22 +59,6 @@ def _check_order(name: str, order: int) -> None:
 
 # ---------------------------------------------------------------------------
 # number theory helpers
-
-
-def is_prime(n: int) -> bool:
-    """Deterministic trial-division primality test, adequate at desk scale."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
 
 
 @dataclass(frozen=True)

@@ -6,11 +6,11 @@ matrix is computed modulo enough descending primes below 2**31 to pass
 a proven bound on its coefficients, all of them at once: the residues
 sit in one (primes, m, m) int64 array, where a product of two residues
 stays below 2**62, and each prime takes its own Hessenberg pivots.  The
-Chinese remainder theorem recombines the results.  The nullity of an
-integer matrix comes from fraction-free (Bareiss) elimination.  Integer
-roots are divided out by synthetic division, and the roots of a
-real-rooted integer polynomial above an integer are counted exactly by
-Descartes' rule of signs after one integer Taylor shift.
+Chinese remainder theorem recombines the results.  Integer roots and
+their multiplicities are read off that polynomial and divided out by
+synthetic division, and the roots of a real-rooted integer polynomial
+above an integer are counted exactly by Descartes' rule of signs after
+one integer Taylor shift.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from typing import Sequence
 import numpy as np
 
 __all__ = [
-    "integer_nullity",
     "charpoly_exact",
     "integer_root_multiplicities",
     "eval_poly_at_int",
@@ -29,36 +28,6 @@ __all__ = [
     "roots_above",
     "jacobi_eigenvalues",
 ]
-
-
-def integer_nullity(rows: Sequence[Sequence[int]]) -> int:
-    """Nullity of a square integer matrix by fraction-free elimination.
-
-    Bareiss elimination (Math. Comp. 1968): after each pivot step every
-    remaining entry is a minor of the input, so dividing by the previous
-    pivot is exact and all arithmetic stays in the integers.
-    """
-    m = [list(row) for row in rows]
-    n = len(m)
-    if any(len(row) != n for row in m):
-        raise ValueError("matrix must be square")
-    rank = 0
-    prev = 1
-    for col in range(n):
-        pivot = next((r for r in range(rank, n) if m[r][col]), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        prow = m[rank]
-        pval = prow[col]
-        for row in m[rank + 1:]:
-            a = row[col]
-            row[col:] = [0] + [
-                (pval * x - a * y) // prev for x, y in zip(row[col + 1:], prow[col + 1:])
-            ]
-        prev = pval
-        rank += 1
-    return n - rank
 
 
 # Miller-Rabin with the first twelve prime bases is deterministic below

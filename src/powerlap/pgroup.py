@@ -18,7 +18,6 @@ off the tree, one node per class, instead of scanning elements.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Union
 
@@ -39,7 +38,6 @@ __all__ = [
     "EigenvalueForm",
     "MultiplePropertyReport",
     "decompose",
-    "tree_vertex_count",
     "tree_graph",
     "tree_charpoly",
     "tree_string",
@@ -136,12 +134,6 @@ def _classes(t: DecompTree) -> list[DecompTree]:
     return sorted(out, key=lambda node: node.element)
 
 
-def tree_vertex_count(t: DecompTree) -> int:
-    if isinstance(t, CliqueLeaf):
-        return t.size
-    return t.apex_size + sum(tree_vertex_count(c) for c in t.children)
-
-
 def tree_graph(t: DecompTree) -> Graph:
     """Materialize the join/union expression as an explicit graph."""
     if isinstance(t, CliqueLeaf):
@@ -169,9 +161,9 @@ def tree_charpoly(t: DecompTree) -> FactoredCharPoly:
         return clique_charpoly(t.size)
     child_polys = [tree_charpoly(c) for c in t.children]
     union_poly = union_charpoly(child_polys)
-    union_size = sum(tree_vertex_count(c) for c in t.children)
     return join_charpoly(
-        clique_charpoly(t.apex_size), t.apex_size, union_poly, union_size
+        clique_charpoly(t.apex_size), t.apex_size,
+        union_poly, t.upset_size - t.apex_size,
     )
 
 
@@ -212,10 +204,6 @@ def tree_json_dict(t: DecompTree) -> dict:
         },
         **base,
     }
-
-
-def tree_json(t: DecompTree) -> str:
-    return json.dumps(tree_json_dict(t), sort_keys=True)
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,15 @@
 """Laplacian spectra: exact integer certification and exact ordering.
 
-The exact engine never rounds.  A graph is first collapsed along classes
-of vertices with matching neighborhoods (iterated, weighted): each
-collapse step splits off eigenvalues carried by difference vectors
-inside a class, all of them integers read off class degrees, and leaves
-the spectrum of a small integer quotient matrix.  Integer eigenvalue
-multiplicities then come from the quotient's exact characteristic
-polynomial (modular images recombined past a proven coefficient bound)
-or from fraction-free integer elimination, so an "Exact" spectrum is a
-proof, not an approximation.
+The exact engine never rounds.  A graph is first collapsed to a small
+integer quotient matrix.  Twin classes (vertices with equal open or
+closed neighborhoods) come first; then classes that are weighted twins
+in the quotient, found by hashing their count rows, merge pass by pass
+until none are left.  Each step splits off eigenvalues carried by
+difference vectors inside a class, all of them integers read off class
+counts.  Every integer eigenvalue multiplicity then comes from the
+quotient's exact characteristic polynomial (modular images recombined
+past a proven coefficient bound), so an "Exact" spectrum is a proof,
+not an approximation.
 
 When the certified multiplicities do not exhaust the vertex count, the
 spectrum is "Mixed": dividing the certified roots out of the quotient's
@@ -34,7 +35,6 @@ from .linalg import (
     _synthetic_divide,
     charpoly_exact,
     eval_poly_at_int,
-    integer_nullity,
     integer_root_multiplicities,
     roots_above,
 )
@@ -119,12 +119,6 @@ class FactoredCharPoly:
             )
         counts[root] -= 1
         return FactoredCharPoly.from_counts(counts)
-
-    def eigenvalues_ascending(self) -> list[int]:
-        out: list[int] = []
-        for r, m in self.factors:
-            out.extend([r] * m)
-        return out
 
     def text(self) -> str:
         """Factored form like ``x^1 (x-8)^7``, nonzero roots descending."""
@@ -292,13 +286,12 @@ class _CollapsedGraph:
 
     ``extracted`` are eigenvalues split off with their multiplicities;
     the rest of the spectrum is exactly the spectrum of the quotient
-    matrix diag(degrees) - counts.
+    matrix diag(row sums of counts) - counts.
     """
 
     n: int
     sizes: tuple[int, ...]
     counts: tuple[tuple[int, ...], ...]
-    degrees: tuple[int, ...]
     extracted: tuple[tuple[int, int], ...]  # (eigenvalue, multiplicity)
 
     @property
@@ -306,14 +299,10 @@ class _CollapsedGraph:
         return len(self.sizes)
 
     def quotient_rows(self) -> list[list[int]]:
-        m = self.core_size
-        return [
-            [
-                (self.degrees[i] if i == j else 0) - self.counts[i][j]
-                for j in range(m)
-            ]
-            for i in range(m)
-        ]
+        rows = [[-c for c in row] for row in self.counts]
+        for i, row in enumerate(self.counts):
+            rows[i][i] += sum(row)
+        return rows
 
     def symmetrized(self) -> np.ndarray:
         """Symmetric matrix similar to the quotient (same eigenvalues)."""
@@ -330,100 +319,75 @@ class _CollapsedGraph:
 def _collapse(g: Graph) -> _CollapsedGraph:
     tp = twin_partition(g)
     extracted: Counter = Counter()
-    sizes = [len(c) for c in tp.classes]
-    counts = [list(row) for row in tp.counts]
-    degrees = list(tp.degrees)
     for i, c in enumerate(tp.classes):
         if len(c) >= 2:
-            lam = degrees[i] + (1 if tp.is_clique[i] else 0)
+            lam = tp.degrees[i] + (1 if tp.is_clique[i] else 0)
             extracted[lam] += len(c) - 1
-
-    while True:
-        merged = _merge_pass(sizes, counts, degrees, extracted)
-        if not merged:
-            break
-
+    sizes = [len(c) for c in tp.classes]
+    counts = [list(row) for row in tp.counts]
+    while _merge_weighted_twins(sizes, counts, extracted):
+        pass
     return _CollapsedGraph(
         n=g.n,
         sizes=tuple(sizes),
         counts=tuple(tuple(row) for row in counts),
-        degrees=tuple(degrees),
         extracted=tuple(sorted(extracted.items())),
     )
 
 
-def _merge_pass(sizes: list[int], counts: list[list[int]], degrees: list[int],
-                extracted: Counter) -> bool:
-    """One pass of weighted twin merging; returns True if anything merged.
+def _merge_weighted_twins(sizes: list[int], counts: list[list[int]],
+                          extracted: Counter) -> bool:
+    """Merge every bucket of weighted twins once; True if any merged.
 
-    Classes i, j of equal size merge when their count rows agree outside
-    positions i, j and the within/cross counts match; the difference of
-    their indicator vectors is then a Laplacian eigenvector with
-    eigenvalue degree - within + cross.
+    Classes i and j of equal size s and equal within count w are weighted
+    twins with cross count c when their count rows agree once each
+    diagonal entry is replaced by c.  The difference of their indicator
+    vectors is then a Laplacian eigenvector with eigenvalue
+    degree - w + c.  Equal sizes make the counts symmetric, so a class
+    has one cross count with all its twins and lies in at most one bucket
+    of two or more: hashing the rows with each candidate c on the
+    diagonal finds every twin class in one pass.  A bucket of k classes
+    keeps its first member's row and adds up its columns, which leaves
+    size k*s and within count w + (k-1)c.
     """
     m = len(sizes)
-    by_key: dict[tuple[int, int, int], list[int]] = {}
-    for i in range(m):
-        by_key.setdefault((sizes[i], counts[i][i], degrees[i]), []).append(i)
-
-    chunks: list[list[int]] = []
-    for group in by_key.values():
+    shared: dict[tuple[int, int, int], list[int]] = {}
+    for i, row in enumerate(counts):
+        shared.setdefault((sizes[i], row[i], sum(row)), []).append(i)
+    buckets: dict[tuple, list[int]] = {}
+    for group in shared.values():
         if len(group) < 2:
             continue
-        remaining = list(group)
-        while remaining:
-            seed = remaining.pop(0)
-            cand = [j for j in remaining if _mergeable(counts, seed, j)]
-            if not cand:
-                continue
-            # classes mergeable with the seed split by their cross count;
-            # only classes with equal cross counts merge with each other
-            by_cross: dict[int, list[int]] = {}
-            for j in cand:
-                by_cross.setdefault(counts[seed][j], []).append(j)
-            low = min(by_cross)
-            chunks.append([seed] + by_cross.pop(low))
-            for grp in by_cross.values():
-                if len(grp) >= 2:
-                    chunks.append(grp)
-            remaining = [j for j in remaining if j not in cand]
-    if not chunks:
+        for i in group:
+            key = list(counts[i])
+            for c in set(key):
+                key[i] = c
+                buckets.setdefault((sizes[i], counts[i][i], tuple(key)), []).append(i)
+    merging = [b for b in buckets.values() if len(b) >= 2]
+    if not merging:
         return False
 
-    drop: set[int] = set()
-    for chunk in chunks:
-        i = chunk[0]
-        cross = counts[i][chunk[1]]
-        lam = degrees[i] - counts[i][i] + cross
-        extracted[lam] += len(chunk) - 1
-        # fold the chunk into its first member
-        for j in chunk[1:]:
-            drop.add(j)
-        for l in range(len(sizes)):
-            if l in drop or l == i:
-                continue
-            counts[l][i] = sum(counts[l][j] for j in chunk)
-        counts[i][i] = counts[i][i] + (len(chunk) - 1) * cross
-        sizes[i] *= len(chunk)
+    members = [i for bucket in merging for i in bucket]
+    assert len(members) == len(set(members)), "a class lies in two twin buckets"
 
-    keep = [i for i in range(len(sizes)) if i not in drop]
-    new_counts = [[counts[i][j] for j in keep] for i in keep]
+    owner = list(range(m))
+    for bucket in merging:
+        i = bucket[0]
+        row = counts[i]
+        extracted[sum(row) - row[i] + row[bucket[1]]] += len(bucket) - 1
+        sizes[i] *= len(bucket)
+        for j in bucket[1:]:
+            owner[j] = i
+    keep = [i for i in range(m) if owner[i] == i]
+    column = {i: p for p, i in enumerate(keep)}
+    merged = []
+    for i in keep:
+        out = [0] * len(keep)
+        for j, x in enumerate(counts[i]):
+            out[column[owner[j]]] += x
+        merged.append(out)
     sizes[:] = [sizes[i] for i in keep]
-    degrees[:] = [degrees[i] for i in keep]
-    counts[:] = new_counts
-    return True
-
-
-def _mergeable(counts: list[list[int]], i: int, j: int) -> bool:
-    if counts[i][j] != counts[j][i]:
-        return False
-    row_i = counts[i]
-    row_j = counts[j]
-    for l in range(len(row_i)):
-        if l == i or l == j:
-            continue
-        if row_i[l] != row_j[l]:
-            return False
+    counts[:] = merged
     return True
 
 
@@ -434,18 +398,13 @@ def _mergeable(counts: list[list[int]], i: int, j: int) -> bool:
 def integer_eigenvalue_multiplicity(g: Graph, lam: int) -> int:
     """Exact algebraic multiplicity of the integer lam in the Laplacian spectrum.
 
-    Computed as the integer nullity of (quotient - lam*I) on the collapsed
-    graph, by fraction-free elimination, plus the multiplicities split off
-    by the collapse.
+    Read from the certified part of `spectrum`: the multiplicities split
+    off by the collapse plus the multiplicity of lam as a root of the
+    quotient's exact characteristic polynomial.
     """
     if not 0 <= lam <= g.n:
         raise ValueError(f"eigenvalue candidate {lam} outside 0..{g.n}")
-    core = _collapse(g)
-    from_extracted = dict(core.extracted).get(lam, 0)
-    rows = core.quotient_rows()
-    for i, row in enumerate(rows):
-        row[i] -= lam
-    return from_extracted + integer_nullity(rows)
+    return spectrum(g).exact.multiplicity(lam)
 
 
 def spectrum(g: Graph) -> Spectrum:

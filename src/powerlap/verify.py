@@ -211,19 +211,15 @@ def check_cyclic_radius_mult(n: int) -> ClaimReport:
 
     block_ok = True
     if not f.is_prime:
-        vals = s.eigenvalues_descending()
-        phi1 = target
-        top = vals[:phi1]
-        block_ok = all(isinstance(v, int) and v == n for v in top)
-        window = vals[phi1 : n - 1]
+        # the spectrum is 0, n with multiplicity phi(n)+1, and the reduced
+        # graph's spectrum without one 0 shifted up by phi(n)+1: the
+        # certified parts agree as factored polynomials, the non-integer
+        # parts as residual polynomials
         reduced = spectrum(_reduced_cyclic_graph(n))
-        shifted = [v + phi1 for v in reduced.eigenvalues_descending()[:-1] if isinstance(v, int)]
-        # certified integers compare as multisets; the non-integer parts
-        # agree iff the residual polynomials agree after the shift
+        top = FactoredCharPoly.from_counts({0: 1, n: target})
         block_ok = (
-            block_ok
-            and sorted(v for v in window if isinstance(v, int)) == sorted(shifted)
-            and s.residual == tuple(taylor_shift(reduced.residual, -phi1))
+            s.exact == top * reduced.exact.remove_root(0).shifted(target)
+            and s.residual == tuple(taylor_shift(reduced.residual, -target))
         )
         evidence["block_structure"] = block_ok
     ok = ok and block_ok

@@ -1,10 +1,10 @@
 """Reference implementations the tests compare the package against.
 
 Each one computes its answer the slow, direct way and shares no fast
-path with `src/`: dense rational elimination on the full Laplacian, a
-LAPACK eigensolve, an exhaustive cut search, a per-element p-group scan
-and a scalar modular Hessenberg reduction recombined by the Chinese
-remainder theorem.
+path with `src/`: dense rational elimination and a Hessenberg reduction
+over the rationals on the full Laplacian, a LAPACK eigensolve, an
+exhaustive cut search, a per-element p-group scan and a scalar modular
+Hessenberg reduction recombined by the Chinese remainder theorem.
 """
 
 from __future__ import annotations
@@ -92,6 +92,51 @@ def laplacian(g: Graph) -> RationalMatrix:
         )
         rows.append(row)
     return RationalMatrix(tuple(rows))
+
+
+def fraction_charpoly(matrix):
+    """det(xI - M), ascending, by Hessenberg reduction over Fraction."""
+    n = len(matrix)
+    if n == 0:
+        return [1]
+    h = [[Fraction(x) for x in row] for row in matrix]
+    for col in range(n - 2):
+        pivot = next((r for r in range(col + 1, n) if h[r][col]), None)
+        if pivot is None:
+            continue
+        if pivot != col + 1:
+            h[col + 1], h[pivot] = h[pivot], h[col + 1]
+            for row in h:
+                row[col + 1], row[pivot] = row[pivot], row[col + 1]
+        pval = h[col + 1][col]
+        for r in range(col + 2, n):
+            factor = h[r][col] / pval
+            if factor:
+                hr = h[r]
+                hp = h[col + 1]
+                for c in range(col, n):
+                    hr[c] -= factor * hp[c]
+                for row in h:
+                    row[col + 1] += factor * row[r]
+    d = [[Fraction(1)]]
+    for k in range(1, n + 1):
+        prev = d[k - 1]
+        poly = [Fraction(0)] * (k + 1)
+        for i, c in enumerate(prev):
+            poly[i + 1] += c
+            poly[i] -= h[k - 1][k - 1] * c
+        beta = Fraction(1)
+        for j in range(k - 1, 0, -1):
+            beta *= h[j][j - 1]
+            if not beta:
+                break
+            coeff = beta * h[j - 1][k - 1]
+            if coeff:
+                for i, c in enumerate(d[j - 1]):
+                    poly[i] -= coeff * c
+        d.append(poly)
+    assert all(c.denominator == 1 for c in d[n])
+    return [c.numerator for c in d[n]]
 
 
 def dense_nullity(g: Graph, lam: int) -> int:

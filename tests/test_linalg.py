@@ -5,21 +5,20 @@ checks the modular characteristic polynomial and its prime bound without
 any modular arithmetic; sympy's `Matrix.charpoly` is a second oracle,
 and `oracles.charpoly_scalar_crt`, a scalar modular Hessenberg over
 other primes, checks cores too large for the first two.
-`scan_integer_roots` evaluates every candidate, and `rational_nullity`
-eliminates over `Fraction`.  Root counts by Descartes' rule are checked
-against sympy's Sturm-sequence `Poly.count_roots`.
+`scan_integer_roots` evaluates every candidate.  Root counts by
+Descartes' rule are checked against sympy's Sturm-sequence
+`Poly.count_roots`.
 """
 
 import math
 import random
-from fractions import Fraction
 
 import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import charpoly_scalar_crt, rational_nullity
+from oracles import charpoly_scalar_crt, fraction_charpoly
 from powerlap.graphs import power_graph
 from powerlap.groups import cyclic_group, dicyclic_group
 from powerlap.linalg import (
@@ -28,7 +27,6 @@ from powerlap.linalg import (
     _synthetic_divide,
     charpoly_exact,
     eval_poly_at_int,
-    integer_nullity,
     integer_root_multiplicities,
     roots_above,
     taylor_shift,
@@ -39,51 +37,6 @@ from powerlap.verify import pgroup_catalog
 ORACLE_MAX_DIM = 40
 # the first two primes of the modular sequence, checked against sympy below
 P0, P1 = 2**31 - 1, 2**31 - 19
-
-
-def fraction_charpoly(matrix):
-    """det(xI - M), ascending, by Hessenberg reduction over Fraction."""
-    n = len(matrix)
-    if n == 0:
-        return [1]
-    h = [[Fraction(x) for x in row] for row in matrix]
-    for col in range(n - 2):
-        pivot = next((r for r in range(col + 1, n) if h[r][col]), None)
-        if pivot is None:
-            continue
-        if pivot != col + 1:
-            h[col + 1], h[pivot] = h[pivot], h[col + 1]
-            for row in h:
-                row[col + 1], row[pivot] = row[pivot], row[col + 1]
-        pval = h[col + 1][col]
-        for r in range(col + 2, n):
-            factor = h[r][col] / pval
-            if factor:
-                hr = h[r]
-                hp = h[col + 1]
-                for c in range(col, n):
-                    hr[c] -= factor * hp[c]
-                for row in h:
-                    row[col + 1] += factor * row[r]
-    d = [[Fraction(1)]]
-    for k in range(1, n + 1):
-        prev = d[k - 1]
-        poly = [Fraction(0)] * (k + 1)
-        for i, c in enumerate(prev):
-            poly[i + 1] += c
-            poly[i] -= h[k - 1][k - 1] * c
-        beta = Fraction(1)
-        for j in range(k - 1, 0, -1):
-            beta *= h[j][j - 1]
-            if not beta:
-                break
-            coeff = beta * h[j - 1][k - 1]
-            if coeff:
-                for i, c in enumerate(d[j - 1]):
-                    poly[i] -= coeff * c
-        d.append(poly)
-    assert all(c.denominator == 1 for c in d[n])
-    return [c.numerator for c in d[n]]
 
 
 def sympy_charpoly(matrix):
@@ -232,41 +185,6 @@ def test_integer_roots_match_scan(coeffs, lo, hi):
     got = integer_root_multiplicities(coeffs, lo, hi)
     want = scan_integer_roots(coeffs, lo, hi)
     assert list(got.items()) == list(want.items())
-
-
-# ---------------------------------------------------------------------------
-# nullity
-
-
-@st.composite
-def low_rank_matrices(draw, max_dim=7):
-    """Integer matrices of chosen rank, plus a diagonal shift."""
-    m = draw(st.integers(1, max_dim))
-    r = draw(st.integers(0, m))
-    entries = st.integers(-9, 9)
-    left = draw(st.lists(st.lists(entries, min_size=r, max_size=r), min_size=m, max_size=m))
-    right = draw(st.lists(st.lists(entries, min_size=m, max_size=m), min_size=r, max_size=r))
-    shift = draw(st.sampled_from([0, 0, 1, -2]))
-    return [
-        [sum(left[i][k] * right[k][j] for k in range(r)) + (shift if i == j else 0)
-         for j in range(m)]
-        for i in range(m)
-    ]
-
-
-@settings(max_examples=200, deadline=None)
-@given(low_rank_matrices())
-def test_integer_nullity_matches_rational_elimination(matrix):
-    assert integer_nullity(matrix) == rational_nullity(matrix)
-
-
-def test_integer_nullity_edge_cases():
-    assert integer_nullity([]) == 0
-    assert integer_nullity([[0]]) == 1
-    assert integer_nullity([[0, 0], [0, 0]]) == 2
-    assert integer_nullity([[0, 1], [0, 0]]) == 1
-    with pytest.raises(ValueError):
-        integer_nullity([[1, 2]])
 
 
 # ---------------------------------------------------------------------------

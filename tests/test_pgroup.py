@@ -21,7 +21,6 @@ from powerlap.pgroup import (
     tree_graph,
     tree_json_dict,
     tree_string,
-    tree_vertex_count,
 )
 from powerlap.spectra import FactoredCharPoly, Spectrum, spectrum
 from powerlap.verify import check_pgroup_bundle
@@ -51,7 +50,7 @@ def test_decompose_rejects_non_pgroups():
 def test_tree_annotations(small_pgroups):
     def walk(g, t):
         assert t.apex_size if isinstance(t, JoinNode) else t.size
-        assert tree_vertex_count(t) == t.upset_size == len(up_set(g, t.element))
+        assert tree_graph(t).n == t.upset_size == len(up_set(g, t.element))
         apex = t.apex_size if isinstance(t, JoinNode) else t.size
         assert apex == euler_phi(t.element_order)
         if isinstance(t, JoinNode):
@@ -66,7 +65,7 @@ def test_tree_annotations(small_pgroups):
 
     for g in small_pgroups:
         t = decompose(g)
-        assert tree_vertex_count(t) == g.order
+        assert t.upset_size == g.order
         walk(g, t)
         # each ~-class appears once, keyed by the subgroup its members generate
         masks = g.subgroup_masks()
@@ -111,7 +110,7 @@ def test_tree_charpoly_examples():
     assert tree_charpoly(t) == poly({0: 1, 1: 3, 3: 5, 9: 15, 21: 2, 27: 1})
     # the large child is the induced subgraph over U((3, 0))
     big = t.children[0]
-    assert tree_vertex_count(big) == 20
+    assert big.upset_size == 20
     assert tree_charpoly(big) == poly({0: 1, 2: 2, 8: 15, 20: 2})
     z33 = direct_product(cyclic_group(3), cyclic_group(3))
     assert tree_charpoly(decompose(z33)) == poly({0: 1, 1: 3, 3: 4, 9: 1})

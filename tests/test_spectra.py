@@ -4,11 +4,18 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import powerlap.spectra
 from conftest import random_graph
-from oracles import dense_nullity, dense_numeric_eigenvalues, laplacian
+from oracles import (
+    dense_nullity,
+    dense_numeric_eigenvalues,
+    fraction_charpoly,
+    laplacian,
+)
 from powerlap.graphs import Graph, complement, components, power_graph
 from powerlap.groups import cyclic_group, dicyclic_group, direct_product
 from powerlap.linalg import charpoly_exact, eval_poly_at_int, jacobi_eigenvalues
+from powerlap.pgroup import decompose, tree_graph
 from powerlap.spectra import (
     CharPolyContradiction,
     FactoredCharPoly,
@@ -23,6 +30,7 @@ from powerlap.spectra import (
     spectrum,
     union_charpoly,
 )
+from powerlap.verify import pgroup_catalog
 
 
 def poly(counts):
@@ -136,6 +144,102 @@ def test_certified_integers_in_numeric_spectrum(small_groups):
         for root, mult in s.exact.factors:
             window = np.sum(np.abs(numeric - root) < 1e-8)
             assert window == mult, (g.label, root)
+
+
+# ---------------------------------------------------------------------------
+# the collapse
+
+
+@pytest.fixture
+def collapse(monkeypatch):
+    """`_collapse` returning (core, number of passes that merged)."""
+    merge = powerlap.spectra._merge_weighted_twins
+    merged = []
+
+    def counting(sizes, counts, extracted):
+        merged.append(merge(sizes, counts, extracted))
+        return merged[-1]
+
+    monkeypatch.setattr(powerlap.spectra, "_merge_weighted_twins", counting)
+
+    def run(g):
+        merged.clear()
+        return powerlap.spectra._collapse(g), sum(merged)
+
+    return run
+
+
+def collapsed_charpoly(core):
+    """Extracted factors times the quotient's charpoly, coefficients ascending."""
+    coeffs = charpoly_exact(core.quotient_rows())
+    for lam, mult in core.extracted:
+        for _ in range(mult):
+            coeffs = [a - lam * b for a, b in zip([0] + coeffs, coeffs + [0])]
+    return coeffs
+
+
+def dense_charpoly(g):
+    return fraction_charpoly(laplacian(g).entries)
+
+
+def assert_collapse_of(g, core, charpoly=None):
+    """Every vertex is extracted or in the core, the core's counts are
+    neighbor counts (they add up to the degree sum of the graph), and the
+    extracted factors times the quotient's charpoly are the graph's."""
+    assert sum(core.sizes) == g.n
+    assert core.core_size + sum(m for _, m in core.extracted) == g.n
+    edge_ends = sum(s * sum(row) for s, row in zip(core.sizes, core.counts))
+    assert edge_ends == 2 * g.edge_count()
+    assert collapsed_charpoly(core) == (charpoly or dense_charpoly(g))
+
+
+def test_collapse_merges_a_join_of_matchings_in_two_passes(collapse):
+    # 2K2 v 2K2: the four K2s are closed twin classes; each side's two
+    # merge (cross count 0), then the two sides merge (cross count 4)
+    join = [(a, b) for a in range(4) for b in range(4, 8)]
+    g = Graph.from_edges(8, [(0, 1), (2, 3), (4, 5), (6, 7)] + join)
+    core, passes = collapse(g)
+    assert passes == 2
+    assert core.sizes == (8,) and core.counts == ((5,),)
+    assert core.extracted == ((4, 2), (6, 4), (8, 1))
+    assert_collapse_of(g, core)
+
+
+def test_collapse_merges_only_classes_with_equal_within_counts(collapse):
+    # z is adjacent to two K2s (A1, A2) and to a pair B of open twins; y to
+    # another pair B'.  A1, A2 and B share size and outside neighbors, but
+    # only A1 and A2 have within count 1: B stays a class of its own
+    z, y = 0, 7
+    edges = [(1, 2), (3, 4)] + [(z, v) for v in range(1, 7)] + [(y, 8), (y, 9)]
+    g = Graph.from_edges(10, edges)
+    core, passes = collapse(g)
+    assert passes == 1
+    assert sorted(core.sizes) == [1, 1, 2, 2, 4]
+    assert core.extracted == ((1, 3), (3, 2))
+    assert_collapse_of(g, core)
+
+
+def test_collapse_matches_dense_charpoly_on_groups(collapse):
+    for n in range(2, 13):
+        g = power_graph(dicyclic_group(n))
+        core, passes = collapse(g)
+        assert passes == 1, n
+        assert_collapse_of(g, core)
+    for grp in pgroup_catalog(64):
+        g = power_graph(grp)
+        want = dense_charpoly(g)
+        for graph in (g, tree_graph(decompose(grp))):
+            core, passes = collapse(graph)
+            assert passes <= 1, grp.label
+            assert_collapse_of(graph, core, want)
+
+
+def test_collapse_matches_dense_charpoly_on_random_graphs(collapse):
+    rng = random.Random(14)
+    for trial in range(100):
+        g = random_graph(rng, rng.randint(1, 14), rng.random())
+        core, _ = collapse(g)
+        assert_collapse_of(g, core)
 
 
 # ---------------------------------------------------------------------------

@@ -74,6 +74,33 @@ def test_radius_block_rejects_a_doctored_residual(monkeypatch):
     powerlap.verify._cyclic_spectrum.cache_clear()
 
 
+def test_radius_block_rejects_a_doctored_exact_part(monkeypatch):
+    # one copy of the reduced graph's largest certified eigenvalue moved
+    # down by one, residual untouched: only the factored identity can tell
+    import dataclasses
+
+    import powerlap.verify
+
+    true_spectrum = powerlap.verify.spectrum
+
+    def doctored(g):
+        s = true_spectrum(g)
+        if g.n == 12:
+            return s
+        counts = s.exact.as_counter()
+        top = max(counts)
+        counts[top] -= 1
+        counts[top - 1] += 1
+        return dataclasses.replace(s, exact=FactoredCharPoly.from_counts(counts))
+
+    powerlap.verify._cyclic_spectrum.cache_clear()
+    monkeypatch.setattr(powerlap.verify, "spectrum", doctored)
+    r = check_cyclic_radius_mult(12)
+    assert r.verdict == "fail" and r.evidence["block_structure"] is False
+    assert r.evidence["radius_multiplicity"] == 5
+    powerlap.verify._cyclic_spectrum.cache_clear()
+
+
 def test_dicyclic_window_reads_the_residual(monkeypatch):
     # the smallest residual root of Q3 (1.5567...) moved below 1, display
     # floats untouched: the window check counts the residual's roots
