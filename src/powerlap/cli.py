@@ -11,8 +11,20 @@ import json
 import sys
 from typing import Optional, Sequence
 
-from .graphs import components, is_complete, power_graph, vertex_connectivity
-from .groups import FiniteGroup, is_p_group, load_table_file, parse_group_spec
+from .graphs import (
+    components,
+    cyclic_twin_partition,
+    is_complete,
+    power_graph,
+    vertex_connectivity,
+)
+from .groups import (
+    FiniteGroup,
+    is_p_group,
+    load_table_file,
+    parse_cyclic_spec,
+    parse_group_spec,
+)
 from .pgroup import decompose, tree_json_dict, tree_string
 from .spectra import spectrum
 from .verify import (
@@ -75,25 +87,47 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _resolve_group(args, parser: _Parser) -> FiniteGroup:
+def _group_source(args, parser: _Parser) -> str:
     sources = [s for s in (args.group_spec, args.group_opt, args.table_opt) if s]
     if len(sources) != 1:
         parser.error("provide exactly one of: positional spec, --group, --table")
+    return sources[0]
+
+
+def _resolve_group(args, parser: _Parser) -> FiniteGroup:
+    source = _group_source(args, parser)
     try:
         if args.table_opt:
-            return load_table_file(args.table_opt)
-        return parse_group_spec(sources[0])
+            return load_table_file(source)
+        return parse_group_spec(source)
     except (ValueError, OSError) as exc:
         parser.error(str(exc))
     raise AssertionError("unreachable")
 
 
+def _cyclic_order(args, parser: _Parser) -> Optional[int]:
+    """n when the group is given as ``zn:<n>``, else None."""
+    source = _group_source(args, parser)
+    if args.table_opt:
+        return None
+    try:
+        return parse_cyclic_spec(source)
+    except ValueError as exc:
+        parser.error(str(exc))
+    raise AssertionError("unreachable")
+
+
 def _cmd_spectrum(args, parser) -> int:
-    g = _resolve_group(args, parser)
-    s = spectrum(power_graph(g))
+    # Z_n's twin partition comes from the divisors of n: no table, no graph
+    n = _cyclic_order(args, parser)
+    if n is None:
+        g = _resolve_group(args, parser)
+        s, label = spectrum(power_graph(g)), g.label
+    else:
+        s, label = spectrum(cyclic_twin_partition(n)), f"Z{n}"
     if args.format == "json":
         doc = s.to_json_dict()
-        doc["group"] = g.label
+        doc["group"] = label
         doc["charpoly"] = s.exact.text() if s.is_exact else None
         print(json.dumps(doc, sort_keys=True))
     elif args.format == "tsv":

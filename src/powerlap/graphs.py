@@ -29,6 +29,7 @@ __all__ = [
     "is_complete",
     "vertex_connectivity",
     "twin_partition",
+    "cyclic_twin_partition",
 ]
 
 
@@ -247,6 +248,11 @@ class TwinPartition:
     def size(self) -> int:
         return len(self.classes)
 
+    @property
+    def n(self) -> int:
+        """Vertex count of the partitioned graph."""
+        return sum(len(c) for c in self.classes)
+
     def class_size(self, i: int) -> int:
         return len(self.classes[i])
 
@@ -290,13 +296,59 @@ def twin_partition(g: Graph) -> TwinPartition:
     )
 
 
+def cyclic_twin_partition(n: int, *, reduced: bool = False) -> TwinPartition:
+    """`twin_partition` of the power graph of Z_n, built from the divisors of n.
+
+    With ``reduced`` it is the partition of `reduced_cyclic_graph(n)`.
+    No group table and no graph is built.  The elements of order d, the
+    k*(n/d) with gcd(k, d) = 1, form a clique of phi(d) vertices, and two
+    such classes are joined exactly when one order divides the other.
+    Orders with equal sets of comparable orders are closed twins and
+    share a class: 1 and n when n is not a prime power, the whole chain
+    when it is.  The reduced graph drops orders 1 and n and numbers the
+    kept elements in sorted order, as `induced_subgraph` does.
+    """
+    if n < (2 if reduced else 1):
+        raise ValueError(f"cyclic_twin_partition requires n >= {2 if reduced else 1}, got {n}")
+    by_order: dict[int, list[int]] = {}
+    vertex = 0
+    for x in range(n):
+        d = n // math.gcd(x, n)
+        if reduced and d in (1, n):
+            continue
+        by_order.setdefault(d, []).append(vertex)
+        vertex += 1
+
+    by_comparable: dict[frozenset[int], list[int]] = {}
+    for d in by_order:
+        comparable = frozenset(e for e in by_order if d % e == 0 or e % d == 0)
+        by_comparable.setdefault(comparable, []).append(d)
+    classes = sorted(
+        ((sorted(v for d in orders for v in by_order[d]), orders[0])
+         for orders in by_comparable.values()),
+        key=lambda c: c[0][0],
+    )
+    counts = []
+    for members, d in classes:
+        row = [len(other) if d % e == 0 or e % d == 0 else 0 for other, e in classes]
+        row[len(counts)] -= 1
+        counts.append(tuple(row))
+    return TwinPartition(
+        classes=tuple(tuple(members) for members, _ in classes),
+        is_clique=(True,) * len(classes),
+        counts=tuple(counts),
+        degrees=tuple(sum(row) for row in counts),
+    )
+
+
 # ---------------------------------------------------------------------------
 # vertex connectivity
 
 
-def vertex_connectivity(g: Graph) -> CutCertificate:
+def vertex_connectivity(g: Graph | TwinPartition) -> CutCertificate:
     """Exact vertex connectivity with a witnessing minimum separating set.
 
+    Takes a graph or its twin partition; only the partition is read.
     Complete graphs get n-1 by convention (removal down to the trivial
     graph); disconnected, trivial and empty graphs get 0.  Otherwise the
     value is the Menger minimum over non-adjacent vertex pairs, computed
@@ -305,16 +357,28 @@ def vertex_connectivity(g: Graph) -> CutCertificate:
     whose other members survive).  The split network of the quotient is
     built once per graph; each class pair only resets its capacities.
     """
-    if g.n <= 1:
+    tp = g if isinstance(g, TwinPartition) else twin_partition(g)
+    n = tp.n
+    if n <= 1:
         return CutCertificate(0, ())
-    comps = components(g)
-    if len(comps) > 1:
-        return CutCertificate(0, ())
-    if is_complete(g):
-        return CutCertificate(g.n - 1, tuple(range(g.n - 1)))
-
-    tp = twin_partition(g)
     m = tp.size
+    # one class is a clique (complete graph) or an independent set (no
+    # edges); with more classes every vertex is joined to all of each
+    # class adjacent to its own, so the graph is connected iff the quotient is
+    if m == 1:
+        if tp.is_clique[0]:
+            return CutCertificate(n - 1, tuple(range(n - 1)))
+        return CutCertificate(0, ())
+    seen = [True] + [False] * (m - 1)
+    reached = [0]
+    for i in reached:
+        for j, c in enumerate(tp.counts[i]):
+            if c and not seen[j]:
+                seen[j] = True
+                reached.append(j)
+    if len(reached) < m:
+        return CutCertificate(0, ())
+
     best: Optional[int] = None
     best_witness: tuple[int, ...] = ()
 
@@ -323,9 +387,10 @@ def vertex_connectivity(g: Graph) -> CutCertificate:
     for i in range(m):
         if not tp.is_clique[i] and tp.class_size(i) >= 2:
             if best is None or tp.degrees[i] < best:
-                u = tp.classes[i][0]
                 best = tp.degrees[i]
-                best_witness = tuple(g.neighbors(u))
+                best_witness = tuple(sorted(
+                    v for j, c in enumerate(tp.counts[i]) if c for v in tp.classes[j]
+                ))
 
     # Menger over non-adjacent class pairs.  Any set of kappa+1 classes
     # must contain one that avoids some minimum cut, so scanning sources

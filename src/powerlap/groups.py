@@ -35,6 +35,7 @@ __all__ = [
     "is_p_group",
     "primitive_classes",
     "parse_group_spec",
+    "parse_cyclic_spec",
     "load_table_file",
 ]
 
@@ -300,11 +301,15 @@ def from_table(
     return FiniteGroup(order, rows, identity, label, names)
 
 
-def cyclic_group(n: int) -> FiniteGroup:
-    """Additive group of integers modulo n; identity 0."""
+def _check_cyclic_order(n: int) -> None:
     if n < 1:
         raise ValueError(f"cyclic_group requires n >= 1, got {n}")
     _check_order("cyclic_group", n)
+
+
+def cyclic_group(n: int) -> FiniteGroup:
+    """Additive group of integers modulo n; identity 0."""
+    _check_cyclic_order(n)
     base = tuple(range(n)) * 2
     table = tuple(base[i : i + n] for i in range(n))
     names = tuple(str(i) for i in range(n))
@@ -478,8 +483,9 @@ def load_table_file(path: str | Path, label: Optional[str] = None) -> FiniteGrou
 def parse_group_spec(spec: str) -> FiniteGroup:
     """Parse a CLI group spec: zn:<n>, qn:<n>, gq:<alpha>, prod:zn:<a>xzn:<b>[x...], table:<path>."""
     spec = spec.strip()
-    if spec.startswith("zn:"):
-        return cyclic_group(_parse_int(spec[3:], spec))
+    n = parse_cyclic_spec(spec)
+    if n is not None:
+        return cyclic_group(n)
     if spec.startswith("qn:"):
         return dicyclic_group(_parse_int(spec[3:], spec))
     if spec.startswith("gq:"):
@@ -501,6 +507,20 @@ def parse_group_spec(spec: str) -> FiniteGroup:
     if spec.startswith("table:"):
         return load_table_file(spec[len("table:") :])
     raise ValueError(f"unrecognized group spec {spec!r}")
+
+
+def parse_cyclic_spec(spec: str) -> Optional[int]:
+    """The n of a ``zn:<n>`` group spec, or None for any other spec.
+
+    n is checked as `cyclic_group` checks it, with the same messages, so
+    a caller can work from the divisors of n without tabulating Z_n.
+    """
+    spec = spec.strip()
+    if not spec.startswith("zn:"):
+        return None
+    n = _parse_int(spec[3:], spec)
+    _check_cyclic_order(n)
+    return n
 
 
 def _parse_int(text: str, spec: str) -> int:

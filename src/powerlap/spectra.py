@@ -30,7 +30,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .graphs import Graph, twin_partition
+from .graphs import Graph, TwinPartition, twin_partition
 from .linalg import (
     _synthetic_divide,
     charpoly_exact,
@@ -316,8 +316,8 @@ class _CollapsedGraph:
         return (s + s.T) / 2.0
 
 
-def _collapse(g: Graph) -> _CollapsedGraph:
-    tp = twin_partition(g)
+def _collapse(g: Graph | TwinPartition) -> _CollapsedGraph:
+    tp = g if isinstance(g, TwinPartition) else twin_partition(g)
     extracted: Counter = Counter()
     for i, c in enumerate(tp.classes):
         if len(c) >= 2:
@@ -328,7 +328,7 @@ def _collapse(g: Graph) -> _CollapsedGraph:
     while _merge_weighted_twins(sizes, counts, extracted):
         pass
     return _CollapsedGraph(
-        n=g.n,
+        n=tp.n,
         sizes=tuple(sizes),
         counts=tuple(tuple(row) for row in counts),
         extracted=tuple(sorted(extracted.items())),
@@ -407,9 +407,10 @@ def integer_eigenvalue_multiplicity(g: Graph, lam: int) -> int:
     return spectrum(g).exact.multiplicity(lam)
 
 
-def spectrum(g: Graph) -> Spectrum:
+def spectrum(g: Graph | TwinPartition) -> Spectrum:
     """Full Laplacian spectrum with exact integer certification.
 
+    Takes a graph or its twin partition, such as `cyclic_twin_partition`.
     Every integer 0..n is certified through the exact engine; when the
     certified multiplicities sum to n the spectrum is Exact.  Otherwise
     the certified roots are divided out of the quotient's characteristic
@@ -418,19 +419,20 @@ def spectrum(g: Graph) -> Spectrum:
     the certified roots removed at the positions the exact counts give.
     """
     core = _collapse(g)
+    n = core.n
     counts: Counter = Counter(dict(core.extracted))
     residual = charpoly_exact(core.quotient_rows())
-    roots = integer_root_multiplicities(residual, 0, g.n)
+    roots = integer_root_multiplicities(residual, 0, n)
     for root, mult in roots.items():
         counts[root] += mult
         for _ in range(mult):
             residual = _synthetic_divide(residual, root)
     exact = FactoredCharPoly.from_counts(counts)
     certified = exact.degree
-    if certified > g.n:
+    if certified > n:
         raise AssertionError("certified multiplicities exceed vertex count")
-    if certified == g.n:
-        return Spectrum(n=g.n, exact=exact)
+    if certified == n:
+        return Spectrum(n=n, exact=exact)
 
     # eigvalsh is ascending: the root r with multiplicity m sits after the
     # core's smaller certified roots and the residual roots below r
@@ -443,7 +445,7 @@ def spectrum(g: Graph) -> Spectrum:
         keep[start:start + mult] = False
         smaller += mult
     return Spectrum(
-        n=g.n,
+        n=n,
         exact=exact,
         numeric=tuple(float(v) for v in values[keep][::-1]),
         residual=tuple(residual),

@@ -12,7 +12,6 @@ appear only as reported evidence.
 from __future__ import annotations
 
 import json
-import math
 import time
 from collections import Counter
 from dataclasses import dataclass, field
@@ -20,8 +19,9 @@ from functools import lru_cache
 from typing import Iterable, Optional
 
 from .graphs import (
-    Graph,
+    TwinPartition,
     components,
+    cyclic_twin_partition,
     induced_subgraph,
     power_graph,
     vertex_connectivity,
@@ -123,25 +123,20 @@ def _report(claim_id, params, ok, witness, evidence, started) -> ClaimReport:
 
 
 # One entry each: the suites and the scan visit n in order, so every
-# claim about n finds its graph, spectrum and kappa in these caches.
+# claim about n finds its twin partition, spectrum and kappa in these caches.
 @lru_cache(maxsize=1)
-def _cyclic_graph(n: int) -> Graph:
-    return power_graph(cyclic_group(n))
-
-
-def _reduced_cyclic_graph(n: int) -> Graph:
-    """`reduced_cyclic_graph(n)`, cut from the cached power graph of Z_n."""
-    return induced_subgraph(_cyclic_graph(n), [v for v in range(1, n) if math.gcd(v, n) != 1])
+def _cyclic_partition(n: int) -> TwinPartition:
+    return cyclic_twin_partition(n)
 
 
 @lru_cache(maxsize=1)
 def _cyclic_spectrum(n: int) -> Spectrum:
-    return spectrum(_cyclic_graph(n))
+    return spectrum(_cyclic_partition(n))
 
 
 @lru_cache(maxsize=1)
 def _cyclic_kappa(n: int) -> int:
-    return vertex_connectivity(_cyclic_graph(n)).size
+    return vertex_connectivity(_cyclic_partition(n)).size
 
 
 def _algcon_equals(s: Spectrum, target: int) -> bool:
@@ -215,7 +210,7 @@ def check_cyclic_radius_mult(n: int) -> ClaimReport:
         # graph's spectrum without one 0 shifted up by phi(n)+1: the
         # certified parts agree as factored polynomials, the non-integer
         # parts as residual polynomials
-        reduced = spectrum(_reduced_cyclic_graph(n))
+        reduced = spectrum(cyclic_twin_partition(n, reduced=True))
         top = FactoredCharPoly.from_counts({0: 1, n: target})
         block_ok = (
             s.exact == top * reduced.exact.remove_root(0).shifted(target)

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+import powerlap.graphs
+import powerlap.groups
 import powerlap.verify
 from powerlap.cli import main
 
@@ -139,6 +141,45 @@ def test_groups_too_large_to_tabulate_fail_fast(capsys, spec):
     assert "MAX_ORDER = 8192" in err
     # the two Z_1000 factors are built; the million-element product is not
     assert peak < 64 * 2**20
+
+
+@pytest.mark.parametrize("spec", ["zn:0", "zn:-4", "zn:abc", "zn:", "zn:100000"])
+def test_cyclic_spec_errors_match_the_table_path(capsys, spec):
+    # `spectrum` reads zn:<n> itself; `info` still tabulates through cyclic_group
+    expected = run(capsys, "info", spec)
+    assert expected[0] == 1 and expected[1] == ""
+    assert run(capsys, "spectrum", spec) == expected
+    assert run(capsys, "spectrum", "--group", spec) == expected
+
+
+def test_cyclic_spec_with_two_sources_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "spectrum", "zn:12", "--group", "zn:12")
+    assert code == 1 and out == ""
+    assert "provide exactly one of" in err
+
+
+def test_cyclic_commands_tabulate_no_group(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a cyclic path tabulated a group or built a graph")
+
+    originals = [powerlap.groups.cyclic_group, powerlap.graphs.power_graph,
+                 powerlap.graphs.twin_partition]
+    for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "powerlap"]:
+        for name, value in list(vars(module).items()):
+            if any(value is f for f in originals):
+                monkeypatch.setattr(module, name, refuse)
+    for cache in (powerlap.verify._cyclic_partition, powerlap.verify._cyclic_spectrum,
+                  powerlap.verify._cyclic_kappa):
+        cache.cache_clear()
+    with pytest.raises(AssertionError):
+        main(["spectrum", "qn:3"])  # the guard is live on the graph path
+    for argv in (
+        ["spectrum", "zn:2310"],
+        ["spectrum", "--group", "zn:12", "--format", "json"],
+        ["verify", "--theorem", "cyclic-kappa-vs-algcon", "--cyclic-max", "30"],
+        ["scan", "--max", "60"],
+    ):
+        assert run(capsys, *argv)[0] == 0, argv
 
 
 def test_verify_json_stable(capsys):

@@ -21,8 +21,10 @@ GOLDEN = Path(__file__).parent / "golden"
 TEXT_CASES = [
     (("verify",), "verify.txt"),
     (("scan", "--max", "300"), "scan_300.tsv"),
+    (("scan", "--max", "600"), "scan_600.tsv"),
     (("spectrum", "zn:720"), "spectrum_zn_720.txt"),
     (("spectrum", "zn:2310"), "spectrum_zn_2310.txt"),
+    (("spectrum", "zn:5040"), "spectrum_zn_5040.txt"),
     (("spectrum", "qn:105"), "spectrum_qn_105.txt"),
     (("decompose", "prod:zn:9xzn:3"), "decompose_prod_zn9xzn3.txt"),
 ]

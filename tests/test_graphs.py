@@ -12,6 +12,7 @@ from powerlap.graphs import (
     Graph,
     complement,
     components,
+    cyclic_twin_partition,
     induced_subgraph,
     is_complete,
     power_graph,
@@ -27,6 +28,7 @@ from powerlap.groups import (
     generalized_quaternion,
     parse_group_spec,
 )
+from powerlap.spectra import spectrum
 
 
 def assert_certifies(g, cut):
@@ -173,6 +175,54 @@ def test_twin_partition_equitable():
                     expected = tp.counts[i][j]
                     actual = sum(1 for v in other if (row >> v) & 1)
                     assert actual == expected
+
+
+# every order to 300, and two divisor-rich ones with 30 and 36 divisors
+CYCLIC_ORACLE_ORDERS = list(range(1, 301)) + [720, 1260]
+
+
+def test_cyclic_twin_partition_matches_the_power_graph():
+    for n in CYCLIC_ORACLE_ORDERS:
+        g = power_graph(cyclic_group(n))
+        tp = cyclic_twin_partition(n)
+        assert tp == twin_partition(g), n
+        assert tp.n == n
+        assert spectrum(tp) == spectrum(g), n
+        assert vertex_connectivity(tp) == vertex_connectivity(g), n
+
+
+def test_reduced_cyclic_twin_partition_matches_the_graph():
+    for n in CYCLIC_ORACLE_ORDERS[1:]:
+        g = reduced_cyclic_graph(n)
+        tp = cyclic_twin_partition(n, reduced=True)
+        assert tp == twin_partition(g), n
+        assert spectrum(tp) == spectrum(g), n
+        assert vertex_connectivity(tp) == vertex_connectivity(g), n
+    with pytest.raises(ValueError):
+        cyclic_twin_partition(1, reduced=True)
+    with pytest.raises(ValueError):
+        cyclic_twin_partition(0)
+
+
+def test_vertex_connectivity_reads_only_the_twin_partition():
+    rng = random.Random(8)
+    cases = [
+        Graph(0, ()),
+        Graph(1, (0,)),
+        Graph(4, (0, 0, 0, 0)),  # one independent class, no edges
+        Graph.complete(5),  # one clique class
+        Graph.from_edges(5, [(0, 1), (2, 3), (3, 4)]),  # disconnected
+        Graph.from_edges(5, [(u, v) for u in (0, 1) for v in (2, 3, 4)]),  # K_{2,3}
+    ]
+    for _ in range(500):
+        p = rng.choice([0.0, 0.15, 0.3, 0.5, 0.8, 1.0])
+        cases.append(random_graph(rng, rng.randint(0, 14), p))
+    for g in cases:
+        cut = vertex_connectivity(twin_partition(g))
+        assert cut == vertex_connectivity(g)
+        if g.n:
+            assert cut.size == nx_connectivity(g)
+            assert_certifies(g, cut)
 
 
 def test_vertex_connectivity_examples():

@@ -19,8 +19,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import charpoly_scalar_crt, fraction_charpoly
-from powerlap.graphs import power_graph
-from powerlap.groups import cyclic_group, dicyclic_group
+from powerlap.graphs import cyclic_twin_partition, power_graph
+from powerlap.groups import dicyclic_group
 from powerlap.linalg import (
     _is_prime,
     _prime,
@@ -132,7 +132,7 @@ def test_charpoly_with_entries_beyond_int64():
 
 
 def test_charpoly_matches_scalar_oracle_on_the_z5040_core():
-    core = _collapse(power_graph(cyclic_group(5040))).quotient_rows()
+    core = _collapse(cyclic_twin_partition(5040)).quotient_rows()
     assert len(core) == 59
     assert charpoly_exact(core) == charpoly_scalar_crt(core)
 

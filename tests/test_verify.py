@@ -8,10 +8,8 @@ from powerlap.groups import (
     direct_product,
     generalized_quaternion,
 )
-from powerlap.graphs import reduced_cyclic_graph
 from powerlap.spectra import FactoredCharPoly
 from powerlap.verify import (
-    _reduced_cyclic_graph,
     check_cyclic_algcon,
     check_cyclic_kappa_eq_mu,
     check_cyclic_radius_mult,
@@ -32,11 +30,6 @@ def test_cyclic_algcon_examples():
     assert r.passed and r.evidence["attains_bound"] is False
     r = check_cyclic_algcon(7)
     assert r.passed and r.evidence["algebraic_connectivity"] == 7
-
-
-def test_reduced_cyclic_graph_from_the_cached_power_graph():
-    for n in range(2, 121):
-        assert _reduced_cyclic_graph(n) == reduced_cyclic_graph(n), n
 
 
 def test_cyclic_radius_examples():
@@ -199,7 +192,7 @@ def test_cyclic_graph_cache_holds_one_graph():
 
     scan_conjecture(30)
     run_cyclic_suite(20)
-    for cache in (powerlap.verify._cyclic_graph, powerlap.verify._cyclic_spectrum,
+    for cache in (powerlap.verify._cyclic_partition, powerlap.verify._cyclic_spectrum,
                   powerlap.verify._cyclic_kappa):
         info = cache.cache_info()
         assert info.maxsize == 1 and info.currsize == 1
