@@ -55,10 +55,8 @@ from .spectra import (
     union_charpoly,
 )
 from .pgroup import (
-    CliqueLeaf,
     DecompTree,
     EigenvalueForm,
-    JoinNode,
     check_multiple_property,
     classify_eigenvalues,
     decompose,

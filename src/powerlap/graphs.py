@@ -7,7 +7,6 @@ membership tests O(1) and whole-row operations cheap at desk scale
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
@@ -61,7 +60,6 @@ class Graph:
 
     n: int
     rows: tuple[int, ...]
-    labels: Optional[tuple[str, ...]] = None
 
     def __post_init__(self):
         if self.n < 0 or len(self.rows) != self.n:
@@ -75,19 +73,16 @@ class Graph:
         if not np.array_equal(mat, mat.T):
             v, u = np.argwhere(mat != mat.T)[0]
             raise ValueError(f"adjacency not symmetric at ({int(v)}, {int(u)})")
-        if self.labels is not None and len(self.labels) != self.n:
-            raise ValueError("labels length must equal vertex count")
 
     @staticmethod
-    def from_edges(n: int, edges: Iterable[tuple[int, int]],
-                   labels: Optional[Sequence[str]] = None) -> "Graph":
+    def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         rows = [0] * n
         for u, v in edges:
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
             rows[u] |= 1 << v
             rows[v] |= 1 << u
-        return Graph(n, tuple(rows), tuple(labels) if labels is not None else None)
+        return Graph(n, tuple(rows))
 
     @staticmethod
     def complete(n: int) -> "Graph":
@@ -112,25 +107,6 @@ class Graph:
             out.extend((v, v + 1 + u) for u in _bits(self.rows[v] >> (v + 1)))
         return out
 
-    def label_of(self, v: int) -> str:
-        return self.labels[v] if self.labels is not None else str(v)
-
-    # export ----------------------------------------------------------
-
-    def to_edge_list_text(self) -> str:
-        lines = [f"{self.n} {self.edge_count()}"]
-        lines += [f"{u} {v}" for u, v in self.edges()]
-        return "\n".join(lines) + "\n"
-
-    def to_json_dict(self) -> dict:
-        doc = {"n": self.n, "edges": [list(e) for e in self.edges()]}
-        if self.labels is not None:
-            doc["labels"] = list(self.labels)
-        return doc
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
 
 @dataclass(frozen=True)
 class CutCertificate:
@@ -152,7 +128,7 @@ def power_graph(g: FiniteGroup) -> Graph:
     both = mat | mat.T
     transposed = _bitmatrix_to_rows(both)
     rows = tuple(transposed[v] & ~(1 << v) for v in range(n))
-    return Graph(n, rows, tuple(g.element_names))
+    return Graph(n, rows)
 
 
 def proper_power_graph(g: FiniteGroup) -> Graph:
@@ -205,7 +181,7 @@ def components(g: Graph) -> list[list[int]]:
 def complement(g: Graph) -> Graph:
     full = (1 << g.n) - 1
     rows = tuple((full ^ g.rows[v]) & ~(1 << v) for v in range(g.n))
-    return Graph(g.n, rows, g.labels)
+    return Graph(g.n, rows)
 
 
 def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
@@ -216,8 +192,7 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
             raise ValueError(f"unknown vertex {v}")
     mat = _rows_to_bitmatrix(g.rows, g.n)
     rows = _bitmatrix_to_rows(mat[np.ix_(verts, verts)])
-    labels = tuple(g.label_of(v) for v in verts) if g.labels is not None else None
-    return Graph(len(verts), tuple(rows), labels)
+    return Graph(len(verts), tuple(rows))
 
 
 def is_complete(g: Graph) -> bool:
@@ -237,12 +212,12 @@ class TwinPartition:
     Cross-class adjacency is all-or-nothing, so the quotient carries the
     full structure: ``counts[i][j]`` is how many neighbors a vertex of
     class i has inside class j (within-class count on the diagonal).
+    A degree is a row sum, and a class of two or more vertices is a
+    clique iff its within count is nonzero.
     """
 
     classes: tuple[tuple[int, ...], ...]
-    is_clique: tuple[bool, ...]
     counts: tuple[tuple[int, ...], ...]
-    degrees: tuple[int, ...]
 
     @property
     def size(self) -> int:
@@ -263,36 +238,28 @@ def twin_partition(g: Graph) -> TwinPartition:
     for v in range(g.n):
         by_closed.setdefault(g.rows[v] | (1 << v), []).append(v)
 
-    classes: list[tuple[list[int], bool]] = []
+    classes: list[list[int]] = []
     leftovers: list[int] = []
     for members in by_closed.values():
         if len(members) > 1:
-            classes.append((members, True))
+            classes.append(members)
         else:
             leftovers.append(members[0])
     by_open: dict[int, list[int]] = {}
     for v in leftovers:
         by_open.setdefault(g.rows[v], []).append(v)
-    for members in by_open.values():
-        classes.append((members, len(members) == 1))
+    classes.extend(by_open.values())
 
     # deterministic order: by smallest member
-    classes.sort(key=lambda c: c[0][0])
-    masks = [sum(1 << v for v in members) for members, _ in classes]
+    classes.sort(key=lambda c: c[0])
+    masks = [sum(1 << v for v in members) for members in classes]
     counts = []
-    degrees = []
-    for members, _ in classes:
-        u = members[0]
-        row = g.rows[u]
+    for members in classes:
+        row = g.rows[members[0]]
         counts.append(tuple((row & m).bit_count() for m in masks))
-        degrees.append(row.bit_count())
-    # singleton classes are vacuously cliques
-    is_clique = tuple(flag or len(m) == 1 for m, flag in classes)
     return TwinPartition(
-        classes=tuple(tuple(sorted(m)) for m, _ in classes),
-        is_clique=is_clique,
+        classes=tuple(tuple(sorted(m)) for m in classes),
         counts=tuple(counts),
-        degrees=tuple(degrees),
     )
 
 
@@ -335,9 +302,7 @@ def cyclic_twin_partition(n: int, *, reduced: bool = False) -> TwinPartition:
         counts.append(tuple(row))
     return TwinPartition(
         classes=tuple(tuple(members) for members, _ in classes),
-        is_clique=(True,) * len(classes),
         counts=tuple(counts),
-        degrees=tuple(sum(row) for row in counts),
     )
 
 
@@ -366,7 +331,7 @@ def vertex_connectivity(g: Graph | TwinPartition) -> CutCertificate:
     # edges); with more classes every vertex is joined to all of each
     # class adjacent to its own, so the graph is connected iff the quotient is
     if m == 1:
-        if tp.is_clique[0]:
+        if tp.counts[0][0]:
             return CutCertificate(n - 1, tuple(range(n - 1)))
         return CutCertificate(0, ())
     seen = [True] + [False] * (m - 1)
@@ -381,13 +346,14 @@ def vertex_connectivity(g: Graph | TwinPartition) -> CutCertificate:
 
     best: Optional[int] = None
     best_witness: tuple[int, ...] = ()
+    degrees = [sum(row) for row in tp.counts]
 
     # non-adjacent pair inside one independent-set class: the shared
     # open neighborhood is the unique minimum cut for that pair
     for i in range(m):
-        if not tp.is_clique[i] and tp.class_size(i) >= 2:
-            if best is None or tp.degrees[i] < best:
-                best = tp.degrees[i]
+        if tp.class_size(i) >= 2 and not tp.counts[i][i]:
+            if best is None or degrees[i] < best:
+                best = degrees[i]
                 best_witness = tuple(sorted(
                     v for j, c in enumerate(tp.counts[i]) if c for v in tp.classes[j]
                 ))
@@ -396,7 +362,7 @@ def vertex_connectivity(g: Graph | TwinPartition) -> CutCertificate:
     # must contain one that avoids some minimum cut, so scanning sources
     # until the index exceeds the best value seen is exhaustive.
     network = _SplitNetwork(tp)
-    order = sorted(range(m), key=lambda i: tp.degrees[i])
+    order = sorted(range(m), key=lambda i: degrees[i])
     for si, src in enumerate(order):
         if best is not None and si > best:
             break

@@ -283,14 +283,10 @@ def from_table(
     table: Sequence[Sequence[int]],
     label: str = "table-group",
     element_names: Optional[Sequence[str]] = None,
-    validate: bool = True,
 ) -> FiniteGroup:
     """Build a group from an explicit multiplication table, validating the axioms."""
     rows = tuple(tuple(int(x) for x in row) for row in table)
-    if validate:
-        identity = _validate_table(order, rows)
-    else:
-        identity = 0
+    identity = _validate_table(order, rows)
     names = (
         tuple(element_names)
         if element_names is not None

@@ -19,7 +19,6 @@ off the tree, one node per class, instead of scanning elements.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
 
 from .graphs import Graph
 from .groups import FiniteGroup, euler_phi, factorize, is_p_group
@@ -32,8 +31,6 @@ from .spectra import (
 )
 
 __all__ = [
-    "CliqueLeaf",
-    "JoinNode",
     "DecompTree",
     "EigenvalueForm",
     "MultiplePropertyReport",
@@ -48,27 +45,17 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class CliqueLeaf:
-    """A ~-class with no primitive classes above it: a complete subgraph."""
+class DecompTree:
+    """An apex clique (one ~-class) joined to the subtrees above it.
 
-    size: int
-    element: int
-    element_order: int
-    upset_size: int
-
-
-@dataclass(frozen=True)
-class JoinNode:
-    """An apex clique (one ~-class) joined to the subtrees above it."""
+    A leaf is a node with no children: its subgraph is the apex clique.
+    """
 
     apex_size: int
-    children: tuple["DecompTree", ...]
     element: int
     element_order: int
     upset_size: int
-
-
-DecompTree = Union[CliqueLeaf, JoinNode]
+    children: tuple["DecompTree", ...] = ()
 
 
 def decompose(g: FiniteGroup) -> DecompTree:
@@ -108,19 +95,7 @@ def _build(g: FiniteGroup, key: int, smallest: dict[int, int],
         key=lambda t: (-t.upset_size, t.element),
     )
     upset = apex + sum(t.upset_size for t in subtrees)
-    if not subtrees:
-        return CliqueLeaf(size=apex, element=x, element_order=order, upset_size=upset)
-    return JoinNode(
-        apex_size=apex,
-        children=tuple(subtrees),
-        element=x,
-        element_order=order,
-        upset_size=upset,
-    )
-
-
-def _apex_size(t: DecompTree) -> int:
-    return t.size if isinstance(t, CliqueLeaf) else t.apex_size
+    return DecompTree(apex, x, order, upset, tuple(subtrees))
 
 
 def _classes(t: DecompTree) -> list[DecompTree]:
@@ -128,16 +103,13 @@ def _classes(t: DecompTree) -> list[DecompTree]:
     out = [t]
     i = 0
     while i < len(out):
-        if isinstance(out[i], JoinNode):
-            out.extend(out[i].children)
+        out.extend(out[i].children)
         i += 1
     return sorted(out, key=lambda node: node.element)
 
 
 def tree_graph(t: DecompTree) -> Graph:
     """Materialize the join/union expression as an explicit graph."""
-    if isinstance(t, CliqueLeaf):
-        return Graph.complete(t.size)
     blocks = [tree_graph(c) for c in t.children]
     apex = t.apex_size
     total = apex + sum(b.n for b in blocks)
@@ -157,8 +129,8 @@ def tree_graph(t: DecompTree) -> Graph:
 
 def tree_charpoly(t: DecompTree) -> FactoredCharPoly:
     """Factored characteristic polynomial, bottom-up through the calculus."""
-    if isinstance(t, CliqueLeaf):
-        return clique_charpoly(t.size)
+    if not t.children:
+        return clique_charpoly(t.apex_size)
     child_polys = [tree_charpoly(c) for c in t.children]
     union_poly = union_charpoly(child_polys)
     return join_charpoly(
@@ -169,13 +141,13 @@ def tree_charpoly(t: DecompTree) -> FactoredCharPoly:
 
 def tree_string(t: DecompTree) -> str:
     """Canonical text form, e.g. ``K1 v ((K2 v 3*K6) + 3*K2)``."""
-    if isinstance(t, CliqueLeaf):
-        return f"K{t.size}"
+    if not t.children:
+        return f"K{t.apex_size}"
     terms: list[str] = []
     counts: list[int] = []
     for c in t.children:
         s = tree_string(c)
-        if isinstance(c, JoinNode):
+        if c.children:
             s = f"({s})"
         if terms and terms[-1] == s:
             counts[-1] += 1
@@ -195,8 +167,8 @@ def tree_json_dict(t: DecompTree) -> dict:
         "order": t.element_order,
         "u_size": t.upset_size,
     }
-    if isinstance(t, CliqueLeaf):
-        return {"clique": t.size, **base}
+    if not t.children:
+        return {"clique": t.apex_size, **base}
     return {
         "join": {
             "apex": t.apex_size,
@@ -224,14 +196,14 @@ class EigenvalueForm:
 
 
 def classify_eigenvalues(g: FiniteGroup, s: Spectrum,
-                         tree: DecompTree | None = None) -> list[EigenvalueForm]:
+                         tree: DecompTree) -> list[EigenvalueForm]:
     """Assign every distinct eigenvalue its structural form with a witness.
 
     The witness is the smallest element of that form.  An unclassifiable
     eigenvalue would falsify the structural theory and raises immediately.
-    ``tree`` is ``decompose(g)`` when the caller has already built it.
+    ``tree`` is ``decompose(g)``.
     """
-    classes = _classes(decompose(g) if tree is None else tree)
+    classes = _classes(tree)
     if not s.is_exact:
         raise ValueError("classification requires an exact spectrum")
     forms: list[EigenvalueForm] = []
@@ -249,7 +221,7 @@ def classify_eigenvalues(g: FiniteGroup, s: Spectrum,
             (
                 t.element
                 for t in classes
-                if t.upset_size - _apex_size(t) + t.element_order == value
+                if t.upset_size - t.apex_size + t.element_order == value
             ),
             None,
         )
@@ -272,7 +244,7 @@ class MultiplePropertyReport:
 
 
 def check_multiple_property(g: FiniteGroup, s: Spectrum,
-                            tree: DecompTree | None = None) -> MultiplePropertyReport:
+                            tree: DecompTree) -> MultiplePropertyReport:
     """Verify the divisibility properties of an exact p-group spectrum.
 
     Every nonzero eigenvalue must be 1 or divisible by p; for every
@@ -280,8 +252,7 @@ def check_multiple_property(g: FiniteGroup, s: Spectrum,
     that quantity is a prime power, the primitive-class count of x must
     be 0 or congruent to 1 mod p.  Both element facts depend only on the
     ~-class of x, so a violation is reported once per class, naming its
-    smallest element.  ``tree`` is ``decompose(g)`` when the caller has
-    already built it.
+    smallest element.  ``tree`` is ``decompose(g)``.
     """
     p = is_p_group(g)
     if p is None:
@@ -292,15 +263,15 @@ def check_multiple_property(g: FiniteGroup, s: Spectrum,
     for value, _ in s.exact.factors:
         if value not in (0, 1) and value % p != 0:
             violations.append(f"eigenvalue {value} is neither 1 nor a multiple of {p}")
-    for t in _classes(decompose(g) if tree is None else tree):
+    for t in _classes(tree):
         x, order = t.element, t.element_order
-        combined = t.upset_size - _apex_size(t) + order
+        combined = t.upset_size - t.apex_size + order
         if combined % order != 0:
             violations.append(
                 f"element {x}: |U-hat|+order = {combined} not a multiple of {order}"
             )
         if _is_prime_power(combined):
-            pi = len(t.children) if isinstance(t, JoinNode) else 0
+            pi = len(t.children)
             if pi != 0 and pi % p != 1:
                 violations.append(
                     f"element {x}: prime-power value {combined} but {pi} primitive classes"

@@ -319,9 +319,10 @@ class _CollapsedGraph:
 def _collapse(g: Graph | TwinPartition) -> _CollapsedGraph:
     tp = g if isinstance(g, TwinPartition) else twin_partition(g)
     extracted: Counter = Counter()
-    for i, c in enumerate(tp.classes):
+    for i, (c, row) in enumerate(zip(tp.classes, tp.counts)):
         if len(c) >= 2:
-            lam = tp.degrees[i] + (1 if tp.is_clique[i] else 0)
+            # a clique class (nonzero within count) gives degree + 1
+            lam = sum(row) + (1 if row[i] else 0)
             extracted[lam] += len(c) - 1
     sizes = [len(c) for c in tp.classes]
     counts = [list(row) for row in tp.counts]

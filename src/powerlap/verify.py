@@ -24,6 +24,7 @@ from .graphs import (
     cyclic_twin_partition,
     induced_subgraph,
     power_graph,
+    twin_partition,
     vertex_connectivity,
 )
 from .groups import (
@@ -292,10 +293,11 @@ def check_dicyclic_bundle(n: int) -> ClaimReport:
     if n < 2:
         raise ValueError("requires n >= 2")
     g = power_graph(dicyclic_group(n))
+    tp = twin_partition(g)
     order = 4 * n
-    s = spectrum(g)
+    s = spectrum(tp)
     mu = algebraic_connectivity(s)
-    cut = vertex_connectivity(g)
+    cut = vertex_connectivity(tp)
     kappa = cut.size
     pow2 = _is_power_of_two(n)
     failures: list[str] = []
@@ -392,31 +394,19 @@ def is_cyclic(g: FiniteGroup) -> bool:
 
 
 def is_generalized_quaternion(g: FiniteGroup) -> bool:
-    """Whether the group satisfies the generalized quaternion presentation."""
+    """Whether the group is generalized quaternion.
+
+    A group of order 2^k >= 8 is generalized quaternion iff it is not
+    cyclic and has exactly one involution (Burnside; Gorenstein, *Finite
+    Groups*, Thm 5.4.10).
+    """
     order = g.order
-    if order < 8 or not _is_power_of_two(order):
-        return False
-    m = order // 4  # presentation parameter: a has order 2m, b*b = a^m
-    masks = g.subgroup_masks()
-    orders = g.orders()
-    for a in range(order):
-        if orders[a] != 2 * m:
-            continue
-        amask = masks[a]
-        am = a
-        for _ in range(m - 1):
-            am = g.mul(am, a)
-        a_inv = g.inverse(a)
-        for b in range(order):
-            if (amask >> b) & 1:
-                continue
-            if g.mul(b, b) != am:
-                continue
-            # b a b^-1 == a^-1
-            if g.mul(g.mul(b, a), g.inverse(b)) == a_inv:
-                return True
-        return False  # one maximal cyclic subgroup candidate suffices
-    return False
+    return (
+        order >= 8
+        and _is_power_of_two(order)
+        and not is_cyclic(g)
+        and g.orders().count(2) == 1
+    )
 
 
 def check_pgroup_bundle(g: FiniteGroup) -> ClaimReport:
@@ -441,9 +431,9 @@ def check_pgroup_bundle(g: FiniteGroup) -> ClaimReport:
             elapsed=time.perf_counter() - started,
         )
     tree = decompose(g)
-    pg = power_graph(g)
-    s = spectrum(pg)
-    cut = vertex_connectivity(pg)
+    tp = twin_partition(power_graph(g))
+    s = spectrum(tp)
+    cut = vertex_connectivity(tp)
     kappa = cut.size
     cyclic = is_cyclic(g)
     genq = is_generalized_quaternion(g)

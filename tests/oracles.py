@@ -268,3 +268,39 @@ def charpoly_scalar_crt(matrix: Sequence[Sequence[int]]) -> list[int]:
         modulus *= p
     half = modulus // 2
     return [c - modulus if c > half else c for c in coeffs]
+
+
+# ---------------------------------------------------------------------------
+# generalized quaternion groups by their presentation
+
+
+def is_generalized_quaternion_by_presentation(g: FiniteGroup) -> bool:
+    """Whether the group satisfies <a, b | a^(2m) = e, b^2 = a^m, b a b^-1 = a^-1>.
+
+    Searches for a of order 2m = |G|/2 and b outside <a> with b*b = a^m
+    that inverts a by conjugation, O(|G|^2) table lookups.
+    """
+    order = g.order
+    if order < 8 or order & (order - 1):
+        return False
+    m = order // 4  # presentation parameter: a has order 2m, b*b = a^m
+    masks = g.subgroup_masks()
+    orders = g.orders()
+    for a in range(order):
+        if orders[a] != 2 * m:
+            continue
+        amask = masks[a]
+        am = a
+        for _ in range(m - 1):
+            am = g.mul(am, a)
+        a_inv = g.inverse(a)
+        for b in range(order):
+            if (amask >> b) & 1:
+                continue
+            if g.mul(b, b) != am:
+                continue
+            # b a b^-1 == a^-1
+            if g.mul(g.mul(b, a), g.inverse(b)) == a_inv:
+                return True
+        return False  # one maximal cyclic subgroup candidate suffices
+    return False

@@ -27,11 +27,17 @@ TEXT_CASES = [
     (("spectrum", "zn:5040"), "spectrum_zn_5040.txt"),
     (("spectrum", "qn:105"), "spectrum_qn_105.txt"),
     (("decompose", "prod:zn:9xzn:3"), "decompose_prod_zn9xzn3.txt"),
+    (("decompose", "gq:3"), "decompose_gq_3.txt"),
+    (("info", "qn:8"), "info_qn_8.txt"),
 ]
 
 JSON_CASES = [
     (("verify", "--format", "json"), "verify.json"),
     (("spectrum", "zn:720", "--format", "json"), "spectrum_zn_720.json"),
+    (("decompose", "prod:zn:9xzn:3", "--format", "json"), "decompose_prod_zn9xzn3.json"),
+    (("decompose", "gq:3", "--format", "json"), "decompose_gq_3.json"),
+    (("info", "prod:zn:4xzn:4xzn:4xzn:4xzn:2", "--format", "json"),
+     "info_prod_zn4xzn4xzn4xzn4xzn2.json"),
 ]
 
 FLOAT_TOL = 1e-9

@@ -12,8 +12,7 @@ from powerlap.groups import (
     up_set,
 )
 from powerlap.pgroup import (
-    CliqueLeaf,
-    JoinNode,
+    DecompTree,
     check_multiple_property,
     classify_eigenvalues,
     decompose,
@@ -49,19 +48,16 @@ def test_decompose_rejects_non_pgroups():
 
 def test_tree_annotations(small_pgroups):
     def walk(g, t):
-        assert t.apex_size if isinstance(t, JoinNode) else t.size
+        assert t.apex_size
         assert tree_graph(t).n == t.upset_size == len(up_set(g, t.element))
-        apex = t.apex_size if isinstance(t, JoinNode) else t.size
-        assert apex == euler_phi(t.element_order)
-        if isinstance(t, JoinNode):
-            for c in t.children:
-                walk(g, c)
+        assert t.apex_size == euler_phi(t.element_order)
+        for c in t.children:
+            walk(g, c)
 
     def nodes(t):
         yield t
-        if isinstance(t, JoinNode):
-            for c in t.children:
-                yield from nodes(c)
+        for c in t.children:
+            yield from nodes(c)
 
     for g in small_pgroups:
         t = decompose(g)
@@ -73,18 +69,16 @@ def test_tree_annotations(small_pgroups):
         assert len(by_class) == len(set(masks)) == len(list(nodes(t)))
         for x in range(g.order):
             node = by_class[masks[x]]
-            apex = node.apex_size if isinstance(node, JoinNode) else node.size
-            assert node.upset_size - apex == len(hat_up_set(g, x)), (g.label, x)
-            kids = len(node.children) if isinstance(node, JoinNode) else 0
-            assert kids == len(primitive_classes(g, x)), (g.label, x)
+            assert node.upset_size - node.apex_size == len(hat_up_set(g, x)), (g.label, x)
+            assert len(node.children) == len(primitive_classes(g, x)), (g.label, x)
             assert node.element == min(element_info(g, x).eq_class), (g.label, x)
 
 
 def test_tree_graph():
-    k4 = tree_graph(CliqueLeaf(4, 0, 1, 4))
+    k4 = tree_graph(DecompTree(4, 0, 1, 4))
     assert k4.n == 4 and k4.edge_count() == 6
     star = tree_graph(
-        JoinNode(1, (CliqueLeaf(2, 0, 1, 2), CliqueLeaf(2, 0, 1, 2)), 0, 1, 5)
+        DecompTree(1, 0, 1, 5, (DecompTree(2, 0, 1, 2), DecompTree(2, 0, 1, 2)))
     )
     assert star.n == 5
     assert star.degree(0) == 4
@@ -134,7 +128,7 @@ def test_tree_json_shape():
 def test_classify_eigenvalues():
     g = z9z3()
     s = spectrum(power_graph(g))
-    forms = {f.value: f for f in classify_eigenvalues(g, s)}
+    forms = {f.value: f for f in classify_eigenvalues(g, s, decompose(g))}
     assert forms[0].form == "zero"
     assert forms[9].form == "order_of"
     assert g.order_of(forms[9].witness) == 9
@@ -144,8 +138,10 @@ def test_classify_eigenvalues():
     from powerlap.groups import hat_up_set
 
     assert len(hat_up_set(g, w)) + g.order_of(w) == 21
-    with pytest.raises(ValueError):
-        classify_eigenvalues(cyclic_group(6), spectrum(power_graph(cyclic_group(6))))
+    mixed = spectrum(power_graph(cyclic_group(12)))
+    assert not mixed.is_exact
+    with pytest.raises(ValueError, match="exact spectrum"):
+        classify_eigenvalues(g, mixed, decompose(g))
 
 
 def test_classification_covers_catalog(small_pgroups):
@@ -164,7 +160,7 @@ def test_classification_covers_catalog(small_pgroups):
 
     for g in small_pgroups:
         s = spectrum(power_graph(g))
-        forms = classify_eigenvalues(g, s)
+        forms = classify_eigenvalues(g, s, decompose(g))
         assert len(forms) == len(s.exact.factors)
         for f in forms:
             if f.form == "zero":
@@ -177,7 +173,7 @@ def test_classification_covers_catalog(small_pgroups):
 def test_multiple_property(small_pgroups):
     for g in small_pgroups:
         s = spectrum(power_graph(g))
-        report = check_multiple_property(g, s)
+        report = check_multiple_property(g, s, decompose(g))
         assert report.ok, (g.label, report.violations)
         p = report.prime
         for value, _ in s.exact.factors:
@@ -189,7 +185,7 @@ def test_multiple_property_reports_a_doctored_eigenvalue():
     s = spectrum(power_graph(g))
     assert s.exact == poly({0: 1, 4: 3})
     doctored = Spectrum(n=4, exact=poly({0: 1, 4: 2, 5: 1}))
-    report = check_multiple_property(g, doctored)
+    report = check_multiple_property(g, doctored, decompose(g))
     assert not report.ok and report.prime == 2
     assert report.violations == ("eigenvalue 5 is neither 1 nor a multiple of 2",)
 

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from oracles import is_generalized_quaternion_by_presentation
 from powerlap.groups import (
     cyclic_group,
     dicyclic_group,
@@ -206,6 +207,22 @@ def test_is_generalized_quaternion():
     assert not is_generalized_quaternion(direct_product(cyclic_group(4), cyclic_group(2)))
     assert not is_generalized_quaternion(dicyclic_group(3))
     assert not is_generalized_quaternion(cyclic_group(6))
+
+
+def test_is_generalized_quaternion_matches_the_presentation_search():
+    q8 = generalized_quaternion(2)
+    groups = pgroup_catalog(512)
+    groups += [dicyclic_group(n) for n in range(2, 65)]
+    groups += [cyclic_group(n) for n in range(1, 130)]
+    groups += [
+        direct_product(q8, cyclic_group(2)),
+        direct_product(q8, q8),
+        direct_product(generalized_quaternion(3), cyclic_group(3)),
+    ]
+    quaternion = [g for g in groups if is_generalized_quaternion_by_presentation(g)]
+    assert len(quaternion) == 13  # GQ8..GQ512, and dicyclic n = 2, 4, ..., 64
+    for g in groups:
+        assert is_generalized_quaternion(g) == is_generalized_quaternion_by_presentation(g), g.label
 
 
 def test_scan_conjecture():
