@@ -7,6 +7,7 @@ claim check fails, so the suites can gate CI directly.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Optional, Sequence
@@ -47,6 +48,9 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+# Built once per process: parse_args leaves the parser unchanged, and
+# every default is None, False, an int or a string, never a shared list.
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="powerlap", description=__doc__)
     parser.add_argument(

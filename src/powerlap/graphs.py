@@ -316,34 +316,64 @@ def vertex_connectivity(g: Graph | TwinPartition) -> CutCertificate:
     Takes a graph or its twin partition; only the partition is read.
     Complete graphs get n-1 by convention (removal down to the trivial
     graph); disconnected, trivial and empty graphs get 0.  Otherwise the
-    value is the Menger minimum over non-adjacent vertex pairs, computed
-    as a vertex-capacitated max-flow on the twin quotient (twins can be
-    collapsed because a minimum cut never needs part of a twin class
-    whose other members survive).  The split network of the quotient is
-    built once per graph; each class pair only resets its capacities.
+    universal vertices U are peeled first: each lies in every separating
+    set, so kappa(G) = |U| + kappa(G - U) and the witness is U plus one
+    of G - U, and when G - U is disconnected U itself is the minimum
+    cut and no flow runs.  That is every non-cyclic p-group, where U is
+    the identity, or the identity and the involution in a generalized
+    quaternion group.  The rest is `_separate` on the twin quotient of
+    G - U.
     """
     tp = g if isinstance(g, TwinPartition) else twin_partition(g)
     n = tp.n
     if n <= 1:
         return CutCertificate(0, ())
-    m = tp.size
-    # one class is a clique (complete graph) or an independent set (no
-    # edges); with more classes every vertex is joined to all of each
-    # class adjacent to its own, so the graph is connected iff the quotient is
-    if m == 1:
-        if tp.counts[0][0]:
-            return CutCertificate(n - 1, tuple(range(n - 1)))
-        return CutCertificate(0, ())
-    seen = [True] + [False] * (m - 1)
-    reached = [0]
+    degrees = [sum(row) for row in tp.counts]
+    peeled = tuple(sorted(v for c, d in zip(tp.classes, degrees) if d == n - 1 for v in c))
+    if len(peeled) == n:
+        return CutCertificate(n - 1, tuple(range(n - 1)))
+    rest = [i for i, d in enumerate(degrees) if d < n - 1]
+    # one class left is an independent set, since a clique class would be
+    # universal; with more, every vertex is joined to all of each class
+    # adjacent to its own, so G - U is connected iff its quotient is
+    reached = [rest[0]]
+    seen = {rest[0]}
     for i in reached:
-        for j, c in enumerate(tp.counts[i]):
-            if c and not seen[j]:
-                seen[j] = True
+        for j in rest:
+            if tp.counts[i][j] and j not in seen:
+                seen.add(j)
                 reached.append(j)
-    if len(reached) < m:
-        return CutCertificate(0, ())
+    if len(rest) == 1 or len(reached) < len(rest):
+        return CutCertificate(len(peeled), peeled)
+    if peeled:
+        # G - U keeps its vertex numbers and its counts between classes
+        tp = TwinPartition(
+            classes=tuple(tp.classes[i] for i in rest),
+            counts=tuple(tuple(tp.counts[i][j] for j in rest) for i in rest),
+        )
+    cut = _separate(tp)
+    return CutCertificate(len(peeled) + cut.size, tuple(sorted(peeled + cut.separating_set)))
 
+
+def _separate(tp: TwinPartition) -> CutCertificate:
+    """Minimum separating set of a connected graph with two or more twin
+    classes and no universal vertex, from its twin partition.
+
+    The value is the Menger minimum over non-adjacent vertex pairs,
+    computed as a vertex-capacitated max-flow on the twin quotient; the
+    split network of the quotient is built once, and each class pair
+    only resets its capacities.  Classes can stand in for their vertices
+    because every minimum separating set S is a union of whole twin
+    classes: if S held x but not its twin y, then x, put back, would
+    join only y's component of G - S (x and y share their neighbours
+    outside S), so S - x would separate too.  Hence once the source
+    classes scanned so far hold more than `best` >= kappa vertices, one
+    of them avoids some minimum cut S; its flow to a class beyond S, or
+    the independent-set step when S holds its whole neighbourhood, has
+    already found kappa, and the scan stops.  A minimum cut between two
+    classes is symmetric, so each unordered pair is flowed once.
+    """
+    m = tp.size
     best: Optional[int] = None
     best_witness: tuple[int, ...] = ()
     degrees = [sum(row) for row in tp.counts]
@@ -358,17 +388,16 @@ def vertex_connectivity(g: Graph | TwinPartition) -> CutCertificate:
                     v for j, c in enumerate(tp.counts[i]) if c for v in tp.classes[j]
                 ))
 
-    # Menger over non-adjacent class pairs.  Any set of kappa+1 classes
-    # must contain one that avoids some minimum cut, so scanning sources
-    # until the index exceeds the best value seen is exhaustive.
     network = _SplitNetwork(tp)
     order = sorted(range(m), key=lambda i: degrees[i])
-    for si, src in enumerate(order):
-        if best is not None and si > best:
+    done = [False] * m
+    scanned = 0
+    for src in order:
+        if best is not None and scanned > best:
             break
         row = tp.counts[src]
         for dst in range(m):
-            if dst == src or row[dst]:
+            if dst == src or done[dst] or row[dst]:
                 continue
             value, cut_classes = network.min_cut(src, dst, best)
             if value is not None and (best is None or value < best):
@@ -377,6 +406,8 @@ def vertex_connectivity(g: Graph | TwinPartition) -> CutCertificate:
                 for c in cut_classes:
                     witness.extend(tp.classes[c])
                 best_witness = tuple(sorted(witness))
+        done[src] = True
+        scanned += tp.class_size(src)
     assert best is not None  # non-complete connected graph has a cut
     return CutCertificate(best, best_witness)
 

@@ -316,27 +316,27 @@ def dicyclic_group(n: int) -> FiniteGroup:
     """Dicyclic group of order 4n: a^(2n)=e, a^n=b^2, ab=ba^(-1).
 
     Indices 0..2n-1 are the powers a^i; indices 2n..4n-1 are a^(i-2n)*b.
+    Each row is two slices of doubled tuples, as in `cyclic_group`:
+    a^i times a^j is a^(i+j) and times a^j b is a^(i+j) b, a rotation of
+    the powers and of the b coset; a^i b times a^j is a^(i-j) b and
+    times a^j b is a^(i-j+n), a rotation of their reverses.
     """
     if n < 2:
         raise ValueError(f"dicyclic_group requires n >= 2, got {n}")
     _check_order("dicyclic_group", 4 * n)
     two_n = 2 * n
-    size = 4 * n
-
-    def mul(x: int, y: int) -> int:
-        if x < two_n and y < two_n:
-            return (x + y) % two_n
-        if x < two_n:  # a^x * a^j b = a^(x+j) b
-            return two_n + (x + (y - two_n)) % two_n
-        if y < two_n:  # a^i b * a^y = a^(i-y) b
-            return two_n + ((x - two_n) - y) % two_n
-        # a^i b * a^j b = a^(i-j+n)
-        return ((x - two_n) - (y - two_n) + n) % two_n
-
-    table = tuple(tuple(mul(i, j) for j in range(size)) for i in range(size))
+    powers = tuple(range(two_n)) * 2
+    coset = tuple(range(two_n, 2 * two_n)) * 2
+    # entry k of a reversed doubled tuple is entry -1-k mod 2n of the original
+    powers_rev, coset_rev = powers[::-1], coset[::-1]
+    table = [powers[i:i + two_n] + coset[i:i + two_n] for i in range(two_n)]
+    for i in range(two_n):
+        # a^(i-j) b sits at k = j-i-1 mod 2n, a^(i-j+n) at k = j-i-n-1 mod 2n
+        s, t = two_n - 1 - i, (-i - n - 1) % two_n
+        table.append(coset_rev[s:s + two_n] + powers_rev[t:t + two_n])
     names = ["e"] + [f"a^{i}" for i in range(1, two_n)]
     names += ["b"] + [f"a^{i}b" for i in range(1, two_n)]
-    return FiniteGroup(size, table, 0, f"Q{n}", tuple(names))
+    return FiniteGroup(4 * n, tuple(table), 0, f"Q{n}", tuple(names))
 
 
 def generalized_quaternion(alpha: int) -> FiniteGroup:

@@ -15,6 +15,7 @@ one integer Taylor shift.
 
 from __future__ import annotations
 
+import math
 from operator import mul
 from typing import Sequence
 
@@ -75,25 +76,26 @@ def _prime(i: int) -> int:
     return _PRIMES[i]
 
 
-def charpoly_exact(matrix: Sequence[Sequence[int]]) -> list[int]:
+def charpoly_exact(matrix: Sequence[Sequence[int]], *,
+                   nonnegative_eigenvalues: bool = False) -> list[int]:
     """Coefficients of det(xI - M) for an integer matrix, ascending by power.
 
-    Every eigenvalue satisfies |lambda| <= B, the largest absolute row
-    sum, so the coefficient of x^k is at most C(m, k) * B^(m-k) in
-    absolute value, and the coefficients of an m x m matrix are
-    determined once the modulus exceeds 2 * (B + 1)^m.  Enough primes
-    for that are taken up front from a fixed descending sequence below
-    2**31, the polynomial is computed modulo all of them at once
+    The coefficients are determined once the modulus exceeds twice a
+    bound on their absolute values (`_coefficient_bound`).  Enough
+    primes for that are taken up front from a fixed descending sequence
+    below 2**31, the polynomial is computed modulo all of them at once
     (`_charpoly_mod_primes`), and the residues are recombined by the
     Chinese remainder theorem into the symmetric range, so the result
-    is exact.
+    is exact.  Pass ``nonnegative_eigenvalues`` only for a matrix whose
+    eigenvalues are all real and nonnegative, such as one similar to a
+    positive semidefinite matrix: it selects the tighter bound.
     """
     m = len(matrix)
     if any(len(row) != m for row in matrix):
         raise ValueError("matrix must be square")
     if m == 0:
         return [1]
-    bound = 2 * (max(sum(abs(x) for x in row) for row in matrix) + 1) ** m
+    bound = 2 * _coefficient_bound(matrix, nonnegative_eigenvalues)
     primes: list[int] = []
     modulus = 1
     while modulus <= bound:
@@ -117,6 +119,29 @@ def charpoly_exact(matrix: Sequence[Sequence[int]]) -> list[int]:
         c = sum(map(mul, column, basis)) % modulus
         coeffs.append(c - modulus if c > half else c)
     return coeffs
+
+
+def _coefficient_bound(matrix: Sequence[Sequence[int]], nonnegative_eigenvalues: bool) -> int:
+    """A bound on the absolute value of every coefficient of det(xI - M).
+
+    The coefficient of x^(m-k) is (-1)^k e_k, the k-th elementary
+    symmetric function of the eigenvalues.  In general every eigenvalue
+    satisfies |lambda| <= B, the largest absolute row sum, so
+    |e_k| <= C(m, k) * B^k, and all of these are at most (B + 1)^m.
+    When every eigenvalue is real and nonnegative, Maclaurin's
+    inequality (Hardy, Littlewood & Polya, Inequalities, 1934)
+    gives (e_k / C(m, k))^(1/k) <= e_1 / m, where e_1 is the trace t,
+    so e_k <= C(m, k) * t^k / m^k; the bound is the largest ceiling of
+    these, computed in integers.  A negative trace contradicts the
+    premise and raises ValueError.
+    """
+    m = len(matrix)
+    if not nonnegative_eigenvalues:
+        return (max(sum(abs(x) for x in row) for row in matrix) + 1) ** m
+    trace = sum(matrix[i][i] for i in range(m))
+    if trace < 0:
+        raise ValueError(f"trace {trace} is negative, so some eigenvalue is not nonnegative real")
+    return max(-(-math.comb(m, k) * trace ** k // m ** k) for k in range(m + 1))
 
 
 def _charpoly_mod_primes(h: np.ndarray, primes: list[int]) -> np.ndarray:

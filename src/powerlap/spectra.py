@@ -422,7 +422,8 @@ def spectrum(g: Graph | TwinPartition) -> Spectrum:
     core = _collapse(g)
     n = core.n
     counts: Counter = Counter(dict(core.extracted))
-    residual = charpoly_exact(core.quotient_rows())
+    # an equitable quotient of a Laplacian is similar to a symmetric PSD matrix
+    residual = charpoly_exact(core.quotient_rows(), nonnegative_eigenvalues=True)
     roots = integer_root_multiplicities(residual, 0, n)
     for root, mult in roots.items():
         counts[root] += mult

@@ -3,8 +3,11 @@
 Each one computes its answer the slow, direct way and shares no fast
 path with `src/`: dense rational elimination and a Hessenberg reduction
 over the rationals on the full Laplacian, a LAPACK eigensolve, an
-exhaustive cut search, a per-element p-group scan and a scalar modular
-Hessenberg reduction recombined by the Chinese remainder theorem.
+exhaustive cut search, a per-element p-group scan, a scalar modular
+Hessenberg reduction recombined by the Chinese remainder theorem, and
+the dicyclic table filled entry by entry from its relations.  One
+oracle is there for parity instead: the unpruned class-pair scan, which
+shares the flow network of `vertex_connectivity` but none of its pruning.
 """
 
 from __future__ import annotations
@@ -18,7 +21,15 @@ from typing import Optional, Sequence
 import numpy as np
 import sympy
 
-from powerlap.graphs import CutCertificate, Graph, components, induced_subgraph, is_complete
+from powerlap.graphs import (
+    CutCertificate,
+    Graph,
+    TwinPartition,
+    _SplitNetwork,
+    components,
+    induced_subgraph,
+    is_complete,
+)
 from powerlap.groups import FiniteGroup, factorize
 
 
@@ -177,6 +188,52 @@ def vertex_connectivity_exhaustive(g: Graph) -> CutCertificate:
     return CutCertificate(g.n - 1, tuple(range(g.n - 1)))
 
 
+def vertex_connectivity_every_class_pair(tp: TwinPartition) -> CutCertificate:
+    """Minimum separating set by Menger over every ordered pair of classes.
+
+    The scan `vertex_connectivity` prunes, with the same flow network and
+    the same source order: no universal vertices are peeled, each
+    ordered pair runs its own flow, and the scan stops only once the
+    index of the source class exceeds the best cut.  Its witness is the
+    first minimum cut met in that order, which the pruned scan must
+    reproduce.
+    """
+    n = tp.n
+    if n <= 1:
+        return CutCertificate(0, ())
+    m = tp.size
+    if m == 1:
+        if tp.counts[0][0]:
+            return CutCertificate(n - 1, tuple(range(n - 1)))
+        return CutCertificate(0, ())
+    if len(components(Graph(m, tuple(
+        sum(1 << j for j, c in enumerate(row) if c and j != i) for i, row in enumerate(tp.counts)
+    )))) > 1:
+        return CutCertificate(0, ())
+    best: Optional[int] = None
+    witness: tuple[int, ...] = ()
+    degrees = [sum(row) for row in tp.counts]
+    for i in range(m):
+        if tp.class_size(i) >= 2 and not tp.counts[i][i] and (best is None or degrees[i] < best):
+            best = degrees[i]
+            witness = tuple(sorted(
+                v for j, c in enumerate(tp.counts[i]) if c for v in tp.classes[j]
+            ))
+    network = _SplitNetwork(tp)
+    for si, src in enumerate(sorted(range(m), key=lambda i: degrees[i])):
+        if best is not None and si > best:
+            break
+        for dst in range(m):
+            if dst == src or tp.counts[src][dst]:
+                continue
+            value, cut = network.min_cut(src, dst, best)
+            if value is not None and (best is None or value < best):
+                best = value
+                witness = tuple(sorted(v for c in cut for v in tp.classes[c]))
+    assert best is not None
+    return CutCertificate(best, witness)
+
+
 def is_p_group_by_elements(g: FiniteGroup) -> Optional[int]:
     """The prime p if every non-identity element order is a power of p, else None."""
     if g.order < 2:
@@ -304,3 +361,28 @@ def is_generalized_quaternion_by_presentation(g: FiniteGroup) -> bool:
                 return True
         return False  # one maximal cyclic subgroup candidate suffices
     return False
+
+
+# ---------------------------------------------------------------------------
+# dicyclic multiplication, one entry at a time
+
+
+def dicyclic_table_by_mul(n: int) -> tuple[tuple[int, ...], ...]:
+    """Multiplication table of Q_n from the relations, entry by entry.
+
+    Indices as in `dicyclic_group`: a^i is i and a^i b is 2n + i, with
+    a^(2n) = e, b^2 = a^n and b a = a^(-1) b.
+    """
+    two_n = 2 * n
+
+    def mul(x: int, y: int) -> int:
+        if x < two_n and y < two_n:
+            return (x + y) % two_n
+        if x < two_n:  # a^x * a^j b = a^(x+j) b
+            return two_n + (x + (y - two_n)) % two_n
+        if y < two_n:  # a^i b * a^y = a^(i-y) b
+            return two_n + ((x - two_n) - y) % two_n
+        # a^i b * a^j b = a^(i-j+n)
+        return ((x - two_n) - (y - two_n) + n) % two_n
+
+    return tuple(tuple(mul(x, y) for y in range(2 * two_n)) for x in range(2 * two_n))

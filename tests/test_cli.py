@@ -9,7 +9,7 @@ import pytest
 import powerlap.graphs
 import powerlap.groups
 import powerlap.verify
-from powerlap.cli import main
+from powerlap.cli import _build_parser, main
 
 
 def run(capsys, *argv):
@@ -223,6 +223,17 @@ def test_usage_errors(capsys):
     assert code == 1
     code, _, err = run(capsys, "scan", "--max", "1")
     assert code == 1
+
+
+def test_parser_is_built_once_and_reused(capsys):
+    assert _build_parser() is _build_parser()
+    # a usage error and an option on one call leave the next call unchanged
+    for argv in (["spectrum", "--format", "xml", "zn:4"], ["verify", "--theorem", "nope"],
+                 ["spectrum", "zn:4"], ["scan", "--max", "1"]):
+        assert run(capsys, *argv) == run(capsys, *argv)
+    _build_parser().parse_args(["verify", "--cyclic-max", "5", "--all"])
+    args = _build_parser().parse_args(["verify"])
+    assert (args.cyclic_max, args.all, args.theorem) == (300, False, None)
 
 
 def test_python_dash_m_runs_the_cli():

@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_graph
-from oracles import vertex_connectivity_exhaustive
+from oracles import vertex_connectivity_every_class_pair, vertex_connectivity_exhaustive
 from powerlap.graphs import (
     Graph,
+    _SplitNetwork,
     complement,
     components,
     cyclic_twin_partition,
@@ -28,6 +29,7 @@ from powerlap.groups import (
     parse_group_spec,
 )
 from powerlap.spectra import spectrum
+from powerlap.verify import is_cyclic, is_generalized_quaternion, pgroup_catalog
 
 
 def assert_certifies(g, cut):
@@ -332,9 +334,79 @@ def test_vertex_connectivity_on_large_quotients(spec, kappa):
     assert_certifies(g, cut)
 
 
-def test_proper_connected_iff_cyclic_or_quaternion(small_pgroups):
-    from powerlap.verify import is_cyclic, is_generalized_quaternion
+@st.composite
+def twin_rich_graphs(draw):
+    """Blow-ups of a small random graph: each vertex becomes a clique or an
+    independent set of up to four twins, each edge joins two such classes
+    completely, and up to two universal vertices are added."""
+    k = draw(st.integers(1, 6))
+    joined = {(i, j) for i in range(k) for j in range(i + 1, k) if draw(st.booleans())}
+    sizes = draw(st.lists(st.integers(1, 4), min_size=k, max_size=k))
+    clique = draw(st.lists(st.booleans(), min_size=k, max_size=k))
+    owner = [i for i in range(k) for _ in range(sizes[i])] + [None] * draw(st.integers(0, 2))
+    owner = draw(st.permutations(owner))
 
+    def adjacent(a, b):
+        if a is None or b is None:
+            return True
+        return clique[a] if a == b else (min(a, b), max(a, b)) in joined
+
+    n = len(owner)
+    return Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                                if adjacent(owner[u], owner[v])])
+
+
+@settings(max_examples=200, deadline=None)
+@given(twin_rich_graphs())
+def test_vertex_connectivity_on_twin_rich_graphs(g):
+    cut = vertex_connectivity(g)
+    assert cut.size == nx_connectivity(g)
+    assert_certifies(g, cut)
+    # peeling, one flow per pair and the vertex-count stop keep the witness
+    assert cut == vertex_connectivity_every_class_pair(twin_partition(g))
+
+
+def test_vertex_connectivity_matches_the_unpruned_scan_on_the_claim_suites():
+    # the partitions the default verify run asks kappa of: 299 cyclic,
+    # 31 dicyclic and 153 p-groups, then three with many classes
+    partitions = [cyclic_twin_partition(n) for n in range(2, 301)]
+    partitions += [twin_partition(power_graph(dicyclic_group(n))) for n in range(2, 33)]
+    partitions += [twin_partition(power_graph(g)) for g in pgroup_catalog(256)]
+    assert len(partitions) == 483
+    partitions.append(cyclic_twin_partition(5040))
+    partitions += [twin_partition(power_graph(dicyclic_group(n))) for n in (105, 250)]
+    for tp in partitions:
+        assert vertex_connectivity(tp) == vertex_connectivity_every_class_pair(tp)
+
+
+# max-flows the unpruned scan runs on Z_5040, which every source class
+# flows to every non-adjacent class in both directions
+UNPRUNED_Z5040_FLOWS = 2040
+
+
+def test_vertex_connectivity_runs_few_flows(monkeypatch):
+    flows = 0
+    min_cut = _SplitNetwork.min_cut
+
+    def counted(self, *args):
+        nonlocal flows
+        flows += 1
+        return min_cut(self, *args)
+
+    monkeypatch.setattr(_SplitNetwork, "min_cut", counted)
+    # removing the identity disconnects a non-cyclic p-group's power graph,
+    # except for generalized quaternion groups, where removing the identity
+    # and the involution does: the peel alone finds the cut (the unpruned
+    # scan runs 629 flows over these groups)
+    for g in pgroup_catalog(64):
+        if not is_cyclic(g):
+            assert vertex_connectivity(power_graph(g)).size == 1 + is_generalized_quaternion(g)
+    assert flows == 0
+    vertex_connectivity(cyclic_twin_partition(5040))
+    assert 0 < flows <= UNPRUNED_Z5040_FLOWS // 2
+
+
+def test_proper_connected_iff_cyclic_or_quaternion(small_pgroups):
     for g in small_pgroups:
         connected = len(components(proper_power_graph(g))) == 1
         assert connected == (is_cyclic(g) or is_generalized_quaternion(g)), g.label

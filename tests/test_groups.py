@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from oracles import is_p_group_by_elements
+from oracles import dicyclic_table_by_mul, is_p_group_by_elements
 from powerlap.groups import (
     GroupValidationError,
     cyclic_group,
@@ -86,6 +86,11 @@ def test_dicyclic_group_presentation():
     assert q2.order_of(4) == 4
     with pytest.raises(ValueError):
         dicyclic_group(1)
+
+
+def test_dicyclic_table_matches_the_relations():
+    for n in range(2, 65):
+        assert dicyclic_group(n).table == dicyclic_table_by_mul(n), n
 
 
 def test_generalized_quaternion():

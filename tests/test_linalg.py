@@ -19,8 +19,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import charpoly_scalar_crt, fraction_charpoly
-from powerlap.graphs import cyclic_twin_partition, power_graph
-from powerlap.groups import dicyclic_group
+from powerlap import linalg
+from powerlap.graphs import cyclic_twin_partition, power_graph, twin_partition
+from powerlap.groups import dicyclic_group, parse_group_spec
 from powerlap.linalg import (
     _is_prime,
     _prime,
@@ -146,6 +147,71 @@ def test_charpoly_at_the_coefficient_bound():
     assert charpoly_exact([]) == [1]
     with pytest.raises(ValueError):
         charpoly_exact([[1, 2]])
+
+
+def test_maclaurin_bound_is_sharp_on_a_scalar_matrix():
+    # det(xI - b*I) = (x - b)^m: every eigenvalue equals the mean, where
+    # Maclaurin's inequality is an equality, so the bound is attained
+    m, b = 40, 10**6
+    matrix = [[b if i == j else 0 for j in range(m)] for i in range(m)]
+    expected = [math.comb(m, k) * (-b) ** (m - k) for k in range(m + 1)]
+    assert charpoly_exact(matrix, nonnegative_eigenvalues=True) == expected
+    assert charpoly_exact([[0]], nonnegative_eigenvalues=True) == [0, 1]
+    assert charpoly_exact([], nonnegative_eigenvalues=True) == [1]
+
+
+def test_maclaurin_bound_refuses_a_negative_trace():
+    with pytest.raises(ValueError, match="negative"):
+        charpoly_exact([[1, 0], [0, -2]], nonnegative_eigenvalues=True)
+
+
+@st.composite
+def positive_semidefinite_matrices(draw, max_dim=7):
+    """B^T B for a signed integer B, and a similar non-symmetric D B^T B D^-1
+    scaled by the product of D's entries to keep it integral."""
+    m = draw(st.integers(1, max_dim))
+    entry = st.integers(-20, 20)
+    b = draw(st.lists(st.lists(entry, min_size=m, max_size=m), min_size=m, max_size=m))
+    gram = [[sum(b[k][i] * b[k][j] for k in range(m)) for j in range(m)] for i in range(m)]
+    if draw(st.booleans()):
+        return gram
+    d = draw(st.lists(st.integers(1, 3), min_size=m, max_size=m))
+    scale = math.prod(d)
+    return [[gram[i][j] * d[i] * scale // d[j] for j in range(m)] for i in range(m)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(positive_semidefinite_matrices())
+def test_maclaurin_bound_on_positive_semidefinite_matrices(matrix):
+    assert charpoly_exact(matrix, nonnegative_eigenvalues=True) == fraction_charpoly(matrix)
+
+
+def test_maclaurin_and_row_sum_bounds_agree_on_every_claim_core():
+    # the quotient cores the default verify run and the divisor-rich
+    # spectrum queries take the charpoly of, and three larger ones
+    partitions = [cyclic_twin_partition(n, reduced=reduced)
+                  for n in range(2, 301) for reduced in (False, True)]
+    partitions += [cyclic_twin_partition(n) for n in (720, 840, 1260, 1680, 2310, 5040)]
+    groups = [dicyclic_group(n) for n in (*range(2, 33), 105, 250)] + pgroup_catalog(256)
+    partitions += [twin_partition(power_graph(g)) for g in groups]
+    for tp in partitions:
+        core = _collapse(tp).quotient_rows()
+        assert charpoly_exact(core, nonnegative_eigenvalues=True) == charpoly_exact(core)
+
+
+def test_maclaurin_bound_takes_fewer_primes_on_the_z4_4_core(monkeypatch):
+    core = _collapse(power_graph(parse_group_spec("prod:zn:4xzn:4xzn:4xzn:4"))).quotient_rows()
+    used = []
+    mod_primes = linalg._charpoly_mod_primes
+
+    def counted(h, primes):
+        used.append(len(primes))
+        return mod_primes(h, primes)
+
+    monkeypatch.setattr(linalg, "_charpoly_mod_primes", counted)
+    assert charpoly_exact(core, nonnegative_eigenvalues=True) == charpoly_exact(core)
+    # 31 rows with trace 540: a 130-bit modulus against a 280-bit one
+    assert len(core) == 31 and used == [5, 10]
 
 
 def test_primes_descend_from_the_largest_below_2_to_31():
