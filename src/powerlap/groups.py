@@ -1,10 +1,13 @@
-"""Finite groups on index sets 0..n-1 with explicit multiplication tables.
+"""Finite groups on index sets 0..n-1, each given by a multiplication rule.
 
 Groups are the substrate for every power-graph construction in this
 package.  Elements are always plain integer indices; the identity is
-index 0 for every built-in constructor.  Tables are materialized eagerly
-(desk-scale orders only), and per-element data (orders, generated cyclic
-subgroups) is cached lazily on the group object.
+index 0 for every built-in constructor.  A group stores no table: the
+built-in groups multiply by their presentations (addition mod n, the
+dicyclic relations, products componentwise) and a `from_table` group
+looks its products up in the validated rows.  Per-element data (orders,
+generated cyclic subgroups) is found by power walks with that rule and
+cached lazily on the group object.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -44,18 +47,23 @@ class GroupValidationError(ValueError):
     """Raised when a multiplication table fails the group axioms."""
 
 
-# Largest order the built-in constructors tabulate.  A table holds order**2
-# entries, 67M of them at order 8192; larger orders fail fast instead of
+# Largest group order the constructors accept.  A group keeps one n-bit
+# subgroup mask per element, and its power graph n bit rows of n bits:
+# n**2 bits, 8 MB at order 8192.  Larger orders fail fast instead of
 # exhausting memory.
 MAX_ORDER = 8192
 
 
+def _order_error(name: str, order: str) -> ValueError:
+    return ValueError(
+        f"{name} would build a group of order {order}, above the limit "
+        f"MAX_ORDER = {MAX_ORDER} on its n-bit subgroup masks and n^2-bit power graph"
+    )
+
+
 def _check_order(name: str, order: int) -> None:
     if order > MAX_ORDER:
-        raise ValueError(
-            f"{name} would tabulate a group of order {order}, "
-            f"above the limit MAX_ORDER = {MAX_ORDER}"
-        )
+        raise _order_error(name, str(order))
 
 
 # ---------------------------------------------------------------------------
@@ -132,30 +140,17 @@ def euler_phi(n: int) -> int:
 class FiniteGroup:
     """A finite group of order n on the index set 0..n-1.
 
-    ``table[i][j]`` is the product of elements i and j.  Instances are
-    immutable; derived data (element orders, cyclic subgroups as
-    bitmasks, the ~-class partition) is computed on first use and cached.
+    ``mul(i, j)`` is the product of elements i and j, computed by the
+    group's rule on demand.  Instances are immutable; derived data
+    (element orders, cyclic subgroups as bitmasks, the ~-class
+    partition) is computed on first use and cached.
     """
 
     order: int
-    table: tuple[tuple[int, ...], ...]
     identity: int
     label: str
-    element_names: tuple[str, ...]
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
-
-    def mul(self, i: int, j: int) -> int:
-        return self.table[i][j]
-
-    def inverse(self, g: int) -> int:
-        row = self.table[g]
-        for h in range(self.order):
-            if row[h] == self.identity:
-                return h
-        raise GroupValidationError(f"element {g} has no inverse")
-
-    def element_name(self, g: int) -> str:
-        return self.element_names[g]
+    mul: Callable[[int, int], int]
+    _cache: dict = field(default_factory=dict, repr=False)
 
     # cached per-element structure -----------------------------------
 
@@ -168,7 +163,7 @@ class FiniteGroup:
         masks = self._cache.get("masks")
         if masks is None:
             e = self.identity
-            table = self.table
+            mul = self.mul
             masks = [0] * self.order
             for g in range(self.order):
                 if masks[g]:
@@ -179,7 +174,7 @@ class FiniteGroup:
                     seq.append(cur)
                     if cur == e:
                         break
-                    cur = table[cur][g]
+                    cur = mul(cur, g)
                 o = len(seq)
                 mask = 0
                 for v in seq:
@@ -212,14 +207,6 @@ class FiniteGroup:
             classes = [by_subgroup[m] for m in masks]
             self._cache["eq_classes"] = classes
         return classes
-
-    def __hash__(self) -> int:
-        return hash((self.order, self.table))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, FiniteGroup):
-            return NotImplemented
-        return self.order == other.order and self.table == other.table
 
     def __repr__(self) -> str:
         return f"FiniteGroup({self.label!r}, order={self.order})"
@@ -282,19 +269,11 @@ def from_table(
     order: int,
     table: Sequence[Sequence[int]],
     label: str = "table-group",
-    element_names: Optional[Sequence[str]] = None,
 ) -> FiniteGroup:
     """Build a group from an explicit multiplication table, validating the axioms."""
     rows = tuple(tuple(int(x) for x in row) for row in table)
     identity = _validate_table(order, rows)
-    names = (
-        tuple(element_names)
-        if element_names is not None
-        else tuple(str(i) for i in range(order))
-    )
-    if len(names) != order:
-        raise GroupValidationError("element_names length must equal order")
-    return FiniteGroup(order, rows, identity, label, names)
+    return FiniteGroup(order, identity, label, lambda x, y: rows[x][y])
 
 
 def _check_cyclic_order(n: int) -> None:
@@ -306,64 +285,54 @@ def _check_cyclic_order(n: int) -> None:
 def cyclic_group(n: int) -> FiniteGroup:
     """Additive group of integers modulo n; identity 0."""
     _check_cyclic_order(n)
-    base = tuple(range(n)) * 2
-    table = tuple(base[i : i + n] for i in range(n))
-    names = tuple(str(i) for i in range(n))
-    return FiniteGroup(n, table, 0, f"Z{n}", names)
+    return FiniteGroup(n, 0, f"Z{n}", lambda x, y: (x + y) % n)
 
 
 def dicyclic_group(n: int) -> FiniteGroup:
     """Dicyclic group of order 4n: a^(2n)=e, a^n=b^2, ab=ba^(-1).
 
     Indices 0..2n-1 are the powers a^i; indices 2n..4n-1 are a^(i-2n)*b.
-    Each row is two slices of doubled tuples, as in `cyclic_group`:
-    a^i times a^j is a^(i+j) and times a^j b is a^(i+j) b, a rotation of
-    the powers and of the b coset; a^i b times a^j is a^(i-j) b and
-    times a^j b is a^(i-j+n), a rotation of their reverses.
     """
     if n < 2:
         raise ValueError(f"dicyclic_group requires n >= 2, got {n}")
     _check_order("dicyclic_group", 4 * n)
     two_n = 2 * n
-    powers = tuple(range(two_n)) * 2
-    coset = tuple(range(two_n, 2 * two_n)) * 2
-    # entry k of a reversed doubled tuple is entry -1-k mod 2n of the original
-    powers_rev, coset_rev = powers[::-1], coset[::-1]
-    table = [powers[i:i + two_n] + coset[i:i + two_n] for i in range(two_n)]
-    for i in range(two_n):
-        # a^(i-j) b sits at k = j-i-1 mod 2n, a^(i-j+n) at k = j-i-n-1 mod 2n
-        s, t = two_n - 1 - i, (-i - n - 1) % two_n
-        table.append(coset_rev[s:s + two_n] + powers_rev[t:t + two_n])
-    names = ["e"] + [f"a^{i}" for i in range(1, two_n)]
-    names += ["b"] + [f"a^{i}b" for i in range(1, two_n)]
-    return FiniteGroup(4 * n, tuple(table), 0, f"Q{n}", tuple(names))
+
+    def mul(x: int, y: int) -> int:
+        if x < two_n:
+            if y < two_n:  # a^x a^y = a^(x+y)
+                return (x + y) % two_n
+            return two_n + (x + y) % two_n  # a^x a^j b = a^(x+j) b
+        if y < two_n:  # a^i b a^y = a^(i-y) b
+            return two_n + (x - y) % two_n
+        return (x - y + n) % two_n  # a^i b a^j b = a^(i-j+n)
+
+    return FiniteGroup(4 * n, 0, f"Q{n}", mul)
 
 
 def generalized_quaternion(alpha: int) -> FiniteGroup:
     """Generalized quaternion group of order 2^(alpha+1), alpha >= 2."""
     if alpha < 2:
         raise ValueError(f"generalized_quaternion requires alpha >= 2, got {alpha}")
-    g = dicyclic_group(2 ** (alpha - 1))
-    return FiniteGroup(g.order, g.table, g.identity, f"GQ{2 ** (alpha + 1)}", g.element_names)
+    # checked on the exponent, so a huge alpha is never raised to a power
+    if alpha + 1 > MAX_ORDER.bit_length() - 1:
+        raise _order_error("generalized_quaternion", f"2^{alpha + 1}")
+    q = dicyclic_group(2 ** (alpha - 1))
+    return FiniteGroup(q.order, q.identity, f"GQ{q.order}", q.mul)
 
 
 def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
     """Direct product with lexicographic element indexing: (x, y) -> x*|H| + y."""
-    n, m = g.order, h.order
-    size = n * m
+    m = h.order
+    size = g.order * m
     _check_order("direct_product", size)
-    gt = np.array(g.table, dtype=np.int64)
-    ht = np.array(h.table, dtype=np.int64)
-    # entry [x, y, u, v] is (x*u, y*v) = (x*u)*m + y*v, flattened row-major
-    prod = (gt[:, None, :, None] * m + ht[None, :, None, :]).reshape(size, size)
-    table = tuple(map(tuple, prod.tolist()))
-    names = tuple(
-        f"({g.element_names[x]},{h.element_names[y]})"
-        for x in range(n)
-        for y in range(m)
-    )
+    gmul, hmul = g.mul, h.mul
+
+    def mul(x: int, y: int) -> int:
+        return gmul(x // m, y // m) * m + hmul(x % m, y % m)
+
     identity = g.identity * m + h.identity
-    return FiniteGroup(size, table, identity, f"{g.label}x{h.label}", names)
+    return FiniteGroup(size, identity, f"{g.label}x{h.label}", mul)
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +411,7 @@ def primitive_classes(g: FiniteGroup, x: int) -> list[int]:
             continue
         hp = h
         for _ in range(p - 1):
-            hp = g.table[hp][h]
+            hp = g.mul(hp, h)
         if masks[hp] == target:
             key = masks[h]
             if key not in reps or h < reps[key]:
@@ -509,7 +478,7 @@ def parse_cyclic_spec(spec: str) -> Optional[int]:
     """The n of a ``zn:<n>`` group spec, or None for any other spec.
 
     n is checked as `cyclic_group` checks it, with the same messages, so
-    a caller can work from the divisors of n without tabulating Z_n.
+    a caller can work from the divisors of n without building Z_n.
     """
     spec = spec.strip()
     if not spec.startswith("zn:"):

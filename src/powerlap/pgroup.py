@@ -80,7 +80,7 @@ def decompose(g: FiniteGroup) -> DecompTree:
             # [x^p] depends only on [x]: <x^p> is the index-p subgroup of <x>
             xp = x
             for _ in range(p - 1):
-                xp = g.table[xp][x]
+                xp = g.mul(xp, x)
             children.setdefault(masks[xp], []).append(key)
     return _build(g, masks[g.identity], smallest, children)
 

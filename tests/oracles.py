@@ -4,10 +4,12 @@ Each one computes its answer the slow, direct way and shares no fast
 path with `src/`: dense rational elimination and a Hessenberg reduction
 over the rationals on the full Laplacian, a LAPACK eigensolve, an
 exhaustive cut search, a per-element p-group scan, a scalar modular
-Hessenberg reduction recombined by the Chinese remainder theorem, and
-the dicyclic table filled entry by entry from its relations.  One
-oracle is there for parity instead: the unpruned class-pair scan, which
-shares the flow network of `vertex_connectivity` but none of its pruning.
+Hessenberg reduction recombined by the Chinese remainder theorem, the
+dicyclic table filled entry by entry from its relations, and whole
+multiplication tables built by slicing and broadcasting, with the power
+walk over them.  One oracle is there for parity instead: the unpruned
+class-pair scan, which shares the flow network of `vertex_connectivity`
+but none of its pruning.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 from operator import mul
 from typing import Optional, Sequence
 
@@ -331,6 +334,14 @@ def charpoly_scalar_crt(matrix: Sequence[Sequence[int]]) -> list[int]:
 # generalized quaternion groups by their presentation
 
 
+def inverse(g: FiniteGroup, x: int) -> int:
+    """The h with x*h = e, by a scan of the products of x."""
+    for h in range(g.order):
+        if g.mul(x, h) == g.identity:
+            return h
+    raise ValueError(f"element {x} has no inverse")
+
+
 def is_generalized_quaternion_by_presentation(g: FiniteGroup) -> bool:
     """Whether the group satisfies <a, b | a^(2m) = e, b^2 = a^m, b a b^-1 = a^-1>.
 
@@ -350,14 +361,14 @@ def is_generalized_quaternion_by_presentation(g: FiniteGroup) -> bool:
         am = a
         for _ in range(m - 1):
             am = g.mul(am, a)
-        a_inv = g.inverse(a)
+        a_inv = inverse(g, a)
         for b in range(order):
             if (amask >> b) & 1:
                 continue
             if g.mul(b, b) != am:
                 continue
             # b a b^-1 == a^-1
-            if g.mul(g.mul(b, a), g.inverse(b)) == a_inv:
+            if g.mul(g.mul(b, a), inverse(g, b)) == a_inv:
                 return True
         return False  # one maximal cyclic subgroup candidate suffices
     return False
@@ -386,3 +397,87 @@ def dicyclic_table_by_mul(n: int) -> tuple[tuple[int, ...], ...]:
         return ((x - two_n) - (y - two_n) + n) % two_n
 
     return tuple(tuple(mul(x, y) for y in range(2 * two_n)) for x in range(2 * two_n))
+
+
+# ---------------------------------------------------------------------------
+# multiplication tables, tabulated whole
+
+
+Table = tuple[tuple[int, ...], ...]
+
+
+def table_of(g: FiniteGroup) -> Table:
+    """Every product of g, row x holding x*y for y = 0..n-1."""
+    return tuple(tuple(g.mul(x, y) for y in range(g.order)) for x in range(g.order))
+
+
+def cyclic_table(n: int) -> Table:
+    """Addition mod n: each row is a slice of a doubled tuple."""
+    base = tuple(range(n)) * 2
+    return tuple(base[i : i + n] for i in range(n))
+
+
+def dicyclic_table(n: int) -> Table:
+    """Q_n with the indices of `dicyclic_group`, each row two slices.
+
+    a^i times a^j is a^(i+j) and times a^j b is a^(i+j) b, a rotation of
+    the powers and of the b coset; a^i b times a^j is a^(i-j) b and
+    times a^j b is a^(i-j+n), a rotation of their reverses.
+    """
+    two_n = 2 * n
+    powers = tuple(range(two_n)) * 2
+    coset = tuple(range(two_n, 2 * two_n)) * 2
+    # entry k of a reversed doubled tuple is entry -1-k mod 2n of the original
+    powers_rev, coset_rev = powers[::-1], coset[::-1]
+    table = [powers[i : i + two_n] + coset[i : i + two_n] for i in range(two_n)]
+    for i in range(two_n):
+        # a^(i-j) b sits at k = j-i-1 mod 2n, a^(i-j+n) at k = j-i-n-1 mod 2n
+        s, t = two_n - 1 - i, (-i - n - 1) % two_n
+        table.append(coset_rev[s : s + two_n] + powers_rev[t : t + two_n])
+    return tuple(table)
+
+
+def direct_product_table(gt: Table, ht: Table) -> Table:
+    """G x H with (x, y) at x*|H| + y, by one numpy broadcast."""
+    n, m = len(gt), len(ht)
+    g, h = np.array(gt, dtype=np.int64), np.array(ht, dtype=np.int64)
+    # entry [x, y, u, v] is (x*u, y*v) = (x*u)*m + y*v, flattened row-major
+    prod = (g[:, None, :, None] * m + h[None, :, None, :]).reshape(n * m, n * m)
+    return tuple(map(tuple, prod.tolist()))
+
+
+def table_by_label(label: str) -> Table:
+    """The table of a built-in group from its label, e.g. ``Z4xZ2`` or ``GQ16``.
+
+    Products are folded from the left; lexicographic indexing makes
+    that agree with any nesting.
+    """
+    tables = []
+    for part in label.split("x"):
+        if part.startswith("GQ"):
+            tables.append(dicyclic_table(int(part[2:]) // 4))
+        elif part.startswith("Q"):
+            tables.append(dicyclic_table(int(part[1:])))
+        else:
+            tables.append(cyclic_table(int(part[1:])))
+    table = tables[0]
+    for t in tables[1:]:
+        table = direct_product_table(table, t)
+    return table
+
+
+def table_masks(table: Table, identity: int) -> list[int]:
+    """Bitmask of <g> for every g, by power walks over the table."""
+    masks = [0] * len(table)
+    for g in range(len(table)):
+        if masks[g]:
+            continue
+        seq = [g]
+        while seq[-1] != identity:
+            seq.append(table[seq[-1]][g])
+        mask = sum(1 << v for v in seq)
+        o = len(seq)
+        for k in range(1, o + 1):
+            if gcd(k, o) == 1:
+                masks[seq[k - 1]] = mask
+    return masks

@@ -129,7 +129,9 @@ def test_verify_single_cyclic_claim_runs_only_that_claim(capsys, monkeypatch):
     assert out == json.dumps(docs, sort_keys=True) + "\n"
 
 
-@pytest.mark.parametrize("spec", ["zn:100000", "qn:100000", "prod:zn:1000xzn:1000"])
+@pytest.mark.parametrize(
+    "spec", ["zn:100000", "qn:100000", "prod:zn:1000xzn:1000", "gq:100000000"]
+)
 def test_groups_too_large_to_tabulate_fail_fast(capsys, spec):
     tracemalloc.start()
     try:
@@ -145,7 +147,7 @@ def test_groups_too_large_to_tabulate_fail_fast(capsys, spec):
 
 @pytest.mark.parametrize("spec", ["zn:0", "zn:-4", "zn:abc", "zn:", "zn:100000"])
 def test_cyclic_spec_errors_match_the_table_path(capsys, spec):
-    # `spectrum` reads zn:<n> itself; `info` still tabulates through cyclic_group
+    # `spectrum` reads zn:<n> itself; `info` still builds Z_n through cyclic_group
     expected = run(capsys, "info", spec)
     assert expected[0] == 1 and expected[1] == ""
     assert run(capsys, "spectrum", spec) == expected

@@ -17,6 +17,8 @@ import powerlap.cli as cli
 from powerlap.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
+# Q_3 as a table file (identity 0): the non-abelian `table:` path
+Q3_TABLE = f"table:{Path(__file__).parent / 'data' / 'q3.txt'}"
 
 TEXT_CASES = [
     (("verify",), "verify.txt"),
@@ -29,6 +31,11 @@ TEXT_CASES = [
     (("decompose", "prod:zn:9xzn:3"), "decompose_prod_zn9xzn3.txt"),
     (("decompose", "gq:3"), "decompose_gq_3.txt"),
     (("info", "qn:8"), "info_qn_8.txt"),
+    (("info", "zn:360"), "info_zn_360.txt"),
+    (("spectrum", "gq:4"), "spectrum_gq_4.txt"),
+    (("spectrum", "prod:zn:4xzn:2xzn:2"), "spectrum_prod_zn4xzn2xzn2.txt"),
+    (("info", Q3_TABLE), "info_table_q3.txt"),
+    (("spectrum", Q3_TABLE), "spectrum_table_q3.txt"),
 ]
 
 JSON_CASES = [
@@ -38,6 +45,10 @@ JSON_CASES = [
     (("decompose", "gq:3", "--format", "json"), "decompose_gq_3.json"),
     (("info", "prod:zn:4xzn:4xzn:4xzn:4xzn:2", "--format", "json"),
      "info_prod_zn4xzn4xzn4xzn4xzn2.json"),
+    (("info", "zn:360", "--format", "json"), "info_zn_360.json"),
+    (("spectrum", "gq:4", "--format", "json"), "spectrum_gq_4.json"),
+    (("info", Q3_TABLE, "--format", "json"), "info_table_q3.json"),
+    (("spectrum", Q3_TABLE, "--format", "json"), "spectrum_table_q3.json"),
 ]
 
 FLOAT_TOL = 1e-9

@@ -1,8 +1,17 @@
 import math
+import tracemalloc
 
 import pytest
 
-from oracles import dicyclic_table_by_mul, is_p_group_by_elements
+from oracles import (
+    cyclic_table,
+    dicyclic_table,
+    dicyclic_table_by_mul,
+    is_p_group_by_elements,
+    table_by_label,
+    table_masks,
+    table_of,
+)
 from powerlap.groups import (
     GroupValidationError,
     cyclic_group,
@@ -90,7 +99,53 @@ def test_dicyclic_group_presentation():
 
 def test_dicyclic_table_matches_the_relations():
     for n in range(2, 65):
-        assert dicyclic_group(n).table == dicyclic_table_by_mul(n), n
+        assert table_of(dicyclic_group(n)) == dicyclic_table_by_mul(n), n
+
+
+def test_rules_match_the_tabulated_groups():
+    from powerlap.verify import pgroup_catalog
+
+    for n in range(1, 301):
+        assert table_of(cyclic_group(n)) == cyclic_table(n), n
+    for n in range(2, 65):
+        assert table_of(dicyclic_group(n)) == dicyclic_table(n), n
+    for g in pgroup_catalog(64):
+        assert table_of(g) == table_by_label(g.label), g.label
+
+
+def test_subgroup_masks_match_the_table_walk():
+    from powerlap.verify import pgroup_catalog
+
+    groups = pgroup_catalog(256) + [dicyclic_group(n) for n in range(2, 33)]
+    for g in groups:
+        assert g.subgroup_masks() == table_masks(table_by_label(g.label), g.identity), g.label
+
+
+def test_rule_groups_pass_the_axiom_check():
+    from powerlap.verify import pgroup_catalog
+
+    groups = pgroup_catalog(64) + [cyclic_group(n) for n in range(1, 65)]
+    groups += [dicyclic_group(n) for n in range(2, 17)]
+    groups += [direct_product(dicyclic_group(3), cyclic_group(4)),
+               direct_product(cyclic_group(2), dicyclic_group(2)),
+               direct_product(generalized_quaternion(2), dicyclic_group(2))]
+    for g in groups:
+        checked = from_table(g.order, table_of(g))
+        assert checked.identity == g.identity, g.label
+        assert checked.subgroup_masks() == g.subgroup_masks(), g.label
+
+
+def test_groups_keep_no_quadratic_state():
+    # the masks of both groups peak at 2.4 MB; a table of order 8192 would
+    # hold 67M entries, 515 MB for the dicyclic group alone
+    tracemalloc.start()
+    try:
+        for g in (dicyclic_group(2048), cyclic_group(8192)):
+            g.subgroup_masks()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_generalized_quaternion():
@@ -121,11 +176,8 @@ def test_direct_product_table_is_componentwise():
         for x in range(gh.order):
             for y in range(gh.order):
                 assert gh.mul(x, y) == g.mul(x // m, y // m) * m + h.mul(x % m, y % m)
-        assert all(type(v) is int for row in gh.table for v in row)
+        assert all(type(v) is int for row in table_of(gh) for v in row)
         assert gh.identity == 0 and gh.label == f"{g.label}x{h.label}"
-        assert gh.element_names == tuple(
-            f"({a},{b})" for a in g.element_names for b in h.element_names
-        )
 
 
 def test_direct_product_order_is_lcm(small_groups):
@@ -140,7 +192,7 @@ def test_direct_product_order_is_lcm(small_groups):
 def test_from_table():
     assert from_table(1, [[0]]).order == 1
     z3 = from_table(3, [[0, 1, 2], [1, 2, 0], [2, 0, 1]])
-    assert z3.table == cyclic_group(3).table
+    assert table_of(z3) == cyclic_table(3)
     with pytest.raises(GroupValidationError, match="no inverse"):
         from_table(2, [[0, 1], [1, 1]])
     broken = [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 0, 1, 2]]
@@ -255,10 +307,10 @@ def test_up_set_partition_for_pgroups(small_pgroups):
 def test_table_file_roundtrip(tmp_path):
     z3 = cyclic_group(3)
     path = tmp_path / "z3.txt"
-    lines = ["3"] + [" ".join(str(x) for x in row) for row in z3.table]
+    lines = ["3"] + [" ".join(str(x) for x in row) for row in table_of(z3)]
     path.write_text("\n".join(lines) + "\n")
     loaded = load_table_file(path)
-    assert loaded.table == z3.table
+    assert table_of(loaded) == table_of(z3)
     bad = tmp_path / "bad.txt"
     bad.write_text("2\n0 1\n1\n")
     with pytest.raises(GroupValidationError, match="expected"):
