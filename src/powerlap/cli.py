@@ -16,10 +16,11 @@ from .graphs import (
     components,
     cyclic_twin_partition,
     is_complete,
-    power_graph,
+    twin_partition,
     vertex_connectivity,
 )
 from .groups import (
+    MAX_ORDER,
     FiniteGroup,
     is_p_group,
     load_table_file,
@@ -122,11 +123,11 @@ def _cyclic_order(args, parser: _Parser) -> Optional[int]:
 
 
 def _cmd_spectrum(args, parser) -> int:
-    # Z_n's twin partition comes from the divisors of n: no table, no graph
+    # twin partitions build no graph; Z_n's comes from the divisors of n
     n = _cyclic_order(args, parser)
     if n is None:
         g = _resolve_group(args, parser)
-        s, label = spectrum(power_graph(g)), g.label
+        s, label = spectrum(twin_partition(g)), g.label
     else:
         s, label = spectrum(cyclic_twin_partition(n)), f"Z{n}"
     if args.format == "json":
@@ -163,6 +164,7 @@ def _cmd_decompose(args, parser) -> int:
 
 
 def _cmd_info(args, parser) -> int:
+    from .graphs import power_graph  # the one command that builds the graph
     g = _resolve_group(args, parser)
     pg = power_graph(g)
     orders = g.orders()
@@ -201,6 +203,9 @@ def _cmd_info(args, parser) -> int:
 
 
 def _cmd_verify(args, parser) -> int:
+    if args.dicyclic_max > MAX_ORDER // 4 or args.pgroup_max > MAX_ORDER:
+        parser.error(f"--dicyclic-max must be at most {MAX_ORDER // 4} (Q_n has order 4n) "
+                     f"and --pgroup-max at most MAX_ORDER = {MAX_ORDER}")
     theorem = args.theorem
     reports = []
     if theorem is None:

@@ -1,8 +1,9 @@
-"""Undirected simple graphs, power-graph constructions and connectivity.
+"""Undirected simple graphs, power graphs, twin partitions and connectivity.
 
 Adjacency is stored as one Python-int bitmask per vertex, which keeps
 membership tests O(1) and whole-row operations cheap at desk scale
-(a few thousand vertices).
+(a few thousand vertices).  A power graph's twin partition comes from
+its group's cyclic subgroups, with no graph built.
 """
 
 from __future__ import annotations
@@ -232,35 +233,65 @@ class TwinPartition:
         return len(self.classes[i])
 
 
-def twin_partition(g: Graph) -> TwinPartition:
-    """Group vertices with identical closed or open neighborhoods."""
+def _twin_quotient(members: Sequence[Sequence[int]], closed: Sequence[int]) -> TwinPartition:
+    """Twin partition from atoms: ``members[a]``, ascending, are closed twins,
+    and ``closed[a]`` is the bitmask of the atoms joined to a, a included.
+    Atoms sharing a closed key form a class; a lone one-vertex atom is
+    grouped by open key instead.  Classes are ordered by smallest member,
+    and row i is read off the closed bits of one atom of class i."""
     by_closed: dict[int, list[int]] = {}
-    for v in range(g.n):
-        by_closed.setdefault(g.rows[v] | (1 << v), []).append(v)
-
-    classes: list[list[int]] = []
-    leftovers: list[int] = []
-    for members in by_closed.values():
-        if len(members) > 1:
-            classes.append(members)
-        else:
-            leftovers.append(members[0])
+    for a, key in enumerate(closed):
+        by_closed.setdefault(key, []).append(a)
+    groups: list[list[int]] = []
     by_open: dict[int, list[int]] = {}
-    for v in leftovers:
-        by_open.setdefault(g.rows[v], []).append(v)
-    classes.extend(by_open.values())
-
-    # deterministic order: by smallest member
-    classes.sort(key=lambda c: c[0])
-    masks = [sum(1 << v for v in members) for members in classes]
+    for a, *more in by_closed.values():
+        if more or len(members[a]) > 1:
+            groups.append([a, *more])
+        else:
+            by_open.setdefault(closed[a] ^ (1 << a), []).append(a)
+    groups.extend(by_open.values())
+    groups.sort(key=lambda atoms: min(members[a][0] for a in atoms))
+    class_of = {a: i for i, atoms in enumerate(groups) for a in atoms}
     counts = []
-    for members in classes:
-        row = g.rows[members[0]]
-        counts.append(tuple((row & m).bit_count() for m in masks))
+    for i, atoms in enumerate(groups):
+        row = [0] * len(groups)
+        for b in _bits(closed[atoms[0]]):
+            row[class_of[b]] += len(members[b])
+        row[i] -= 1
+        counts.append(tuple(row))
     return TwinPartition(
-        classes=tuple(tuple(sorted(m)) for m in classes),
+        classes=tuple(tuple(sorted(v for a in atoms for v in members[a])) for atoms in groups),
         counts=tuple(counts),
     )
+
+
+def twin_partition(g: Graph | FiniteGroup) -> TwinPartition:
+    """Group vertices with identical closed or open neighborhoods.  A group
+    gives its power graph's partition without the graph: each ~-class is a
+    clique of closed twins, joined to another class when either's cyclic
+    subgroup holds the other's smallest member."""
+    if isinstance(g, Graph):
+        return _twin_quotient([[v] for v in range(g.n)],
+                              [row | (1 << v) for v, row in enumerate(g.rows)])
+    masks = g.subgroup_masks()
+    by_mask: dict[int, list[int]] = {}
+    for x, mask in enumerate(masks):
+        by_mask.setdefault(mask, []).append(x)
+    members = list(by_mask.values())
+    by_order: dict[int, list[int]] = {}
+    for a, atom in enumerate(members):
+        by_order.setdefault(masks[atom[0]].bit_count(), []).append(a)
+    closed = [1 << a for a in range(len(members))]
+    for o, atoms in by_order.items():
+        # a subgroup of <x> has an order smaller than o(x) that divides it
+        below = [b for d, bs in by_order.items() if d < o and o % d == 0 for b in bs]
+        for a in atoms:
+            mask = masks[members[a][0]]
+            for b in below:
+                if (mask >> members[b][0]) & 1:
+                    closed[a] |= 1 << b
+                    closed[b] |= 1 << a
+    return _twin_quotient(members, closed)
 
 
 def cyclic_twin_partition(n: int, *, reduced: bool = False) -> TwinPartition:
@@ -270,10 +301,8 @@ def cyclic_twin_partition(n: int, *, reduced: bool = False) -> TwinPartition:
     No group table and no graph is built.  The elements of order d, the
     k*(n/d) with gcd(k, d) = 1, form a clique of phi(d) vertices, and two
     such classes are joined exactly when one order divides the other.
-    Orders with equal sets of comparable orders are closed twins and
-    share a class: 1 and n when n is not a prime power, the whole chain
-    when it is.  The reduced graph drops orders 1 and n and numbers the
-    kept elements in sorted order, as `induced_subgraph` does.
+    The reduced graph drops orders 1 and n and numbers the kept elements
+    in sorted order, as `induced_subgraph` does.
     """
     if n < (2 if reduced else 1):
         raise ValueError(f"cyclic_twin_partition requires n >= {2 if reduced else 1}, got {n}")
@@ -285,25 +314,10 @@ def cyclic_twin_partition(n: int, *, reduced: bool = False) -> TwinPartition:
             continue
         by_order.setdefault(d, []).append(vertex)
         vertex += 1
-
-    by_comparable: dict[frozenset[int], list[int]] = {}
-    for d in by_order:
-        comparable = frozenset(e for e in by_order if d % e == 0 or e % d == 0)
-        by_comparable.setdefault(comparable, []).append(d)
-    classes = sorted(
-        ((sorted(v for d in orders for v in by_order[d]), orders[0])
-         for orders in by_comparable.values()),
-        key=lambda c: c[0][0],
-    )
-    counts = []
-    for members, d in classes:
-        row = [len(other) if d % e == 0 or e % d == 0 else 0 for other, e in classes]
-        row[len(counts)] -= 1
-        counts.append(tuple(row))
-    return TwinPartition(
-        classes=tuple(tuple(members) for members, _ in classes),
-        counts=tuple(counts),
-    )
+    orders = list(by_order)
+    closed = [sum(1 << b for b, e in enumerate(orders) if d % e == 0 or e % d == 0)
+              for d in orders]
+    return _twin_quotient(list(by_order.values()), closed)
 
 
 # ---------------------------------------------------------------------------
@@ -333,17 +347,7 @@ def vertex_connectivity(g: Graph | TwinPartition) -> CutCertificate:
     if len(peeled) == n:
         return CutCertificate(n - 1, tuple(range(n - 1)))
     rest = [i for i, d in enumerate(degrees) if d < n - 1]
-    # one class left is an independent set, since a clique class would be
-    # universal; with more, every vertex is joined to all of each class
-    # adjacent to its own, so G - U is connected iff its quotient is
-    reached = [rest[0]]
-    seen = {rest[0]}
-    for i in reached:
-        for j in rest:
-            if tp.counts[i][j] and j not in seen:
-                seen.add(j)
-                reached.append(j)
-    if len(rest) == 1 or len(reached) < len(rest):
+    if not _classes_connected(tp, rest):
         return CutCertificate(len(peeled), peeled)
     if peeled:
         # G - U keeps its vertex numbers and its counts between classes
@@ -353,6 +357,23 @@ def vertex_connectivity(g: Graph | TwinPartition) -> CutCertificate:
         )
     cut = _separate(tp)
     return CutCertificate(len(peeled) + cut.size, tuple(sorted(peeled + cut.separating_set)))
+
+
+def _classes_connected(tp: TwinPartition, keep: Sequence[int]) -> bool:
+    """Whether the classes ``keep``, one or more, induce a connected graph.
+    One class does iff it is a clique or a single vertex; with more, every
+    vertex is joined to all of each class adjacent to its own, so the
+    induced graph is connected iff its quotient is."""
+    if len(keep) == 1:
+        return tp.class_size(keep[0]) == 1 or tp.counts[keep[0]][keep[0]] > 0
+    reached = [keep[0]]
+    seen = {keep[0]}
+    for i in reached:
+        for j in keep:
+            if tp.counts[i][j] and j not in seen:
+                seen.add(j)
+                reached.append(j)
+    return len(reached) == len(keep)
 
 
 def _separate(tp: TwinPartition) -> CutCertificate:

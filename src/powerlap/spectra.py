@@ -411,7 +411,8 @@ def integer_eigenvalue_multiplicity(g: Graph, lam: int) -> int:
 def spectrum(g: Graph | TwinPartition) -> Spectrum:
     """Full Laplacian spectrum with exact integer certification.
 
-    Takes a graph or its twin partition, such as `cyclic_twin_partition`.
+    Takes a graph or its twin partition; `twin_partition(group)` and
+    `cyclic_twin_partition(n)` give a power graph's without building it.
     Every integer 0..n is certified through the exact engine; when the
     certified multiplicities sum to n the spectrum is Exact.  Otherwise
     the certified roots are divided out of the quotient's characteristic

@@ -20,10 +20,8 @@ from typing import Iterable, Optional
 
 from .graphs import (
     TwinPartition,
-    components,
+    _classes_connected,
     cyclic_twin_partition,
-    induced_subgraph,
-    power_graph,
     twin_partition,
     vertex_connectivity,
 )
@@ -278,6 +276,18 @@ def quaternion_closed_form(alpha: int) -> FactoredCharPoly:
     return FactoredCharPoly.from_counts(counts)
 
 
+def _involution_facts(tp: TwinPartition, n: int) -> tuple[bool, bool, bool, tuple[int, ...]]:
+    """From Q_n's twin partition: whether a^n = n is universal, whether all
+    other vertices meet e = 0 and a^n (as e ~ a^n: both universal), whether
+    removing their classes disconnects, and the other vertices those
+    classes hold.  e's class comes first, holding the smallest vertex."""
+    sep = [i for i, c in enumerate(tp.classes) if 0 in c or n in c]
+    universal = [sum(tp.counts[i]) == 4 * n - 1 for i in sep]
+    separated = not _classes_connected(tp, [i for i in range(tp.size) if i not in sep])
+    others = tuple(v for i in sep for v in tp.classes[i] if v not in (0, n))
+    return universal[-1], all(universal), separated, others
+
+
 def check_dicyclic_bundle(n: int) -> ClaimReport:
     """All spectral claims about the order-4n dicyclic power graph at once.
 
@@ -292,8 +302,7 @@ def check_dicyclic_bundle(n: int) -> ClaimReport:
     started = time.perf_counter()
     if n < 2:
         raise ValueError("requires n >= 2")
-    g = power_graph(dicyclic_group(n))
-    tp = twin_partition(g)
+    tp = twin_partition(dicyclic_group(n))
     order = 4 * n
     s = spectrum(tp)
     mu = algebraic_connectivity(s)
@@ -332,7 +341,7 @@ def check_dicyclic_bundle(n: int) -> ClaimReport:
         failures.append(f"equivalence mismatch: {statements}")
 
     # (d) the involution a^n is universal exactly in the power-of-two case
-    universal = g.degree(n) == order - 1
+    universal, join_side, separated, others = _involution_facts(tp, n)
     if universal != pow2:
         failures.append(f"a^n universal={universal}, power-of-two={pow2}")
 
@@ -343,19 +352,10 @@ def check_dicyclic_bundle(n: int) -> ClaimReport:
         if not (s.is_exact and s.exact == expected):
             failures.append(f"spectrum {s.exact.text()} != closed form {expected.text()}")
 
-    sep = {0, n}  # identity and the involution a^n
-    rest = induced_subgraph(g, [v for v in range(order) if v not in sep])
-    separated = len(components(rest)) >= 2
-
     # (f) join decomposition whenever the connectivities agree
     if s1:
         if kappa != 2:
             failures.append(f"kappa={kappa}, expected 2 for the join decomposition")
-        join_side = all(
-            g.adjacent(v, 0) and g.adjacent(v, n)
-            for v in range(order)
-            if v not in sep
-        )
         if not join_side:
             failures.append("some vertex misses the {e, a^n} join")
         if not separated:
@@ -365,6 +365,8 @@ def check_dicyclic_bundle(n: int) -> ClaimReport:
         failures.append(f"vertex connectivity {kappa} != 2")
     if not separated:
         failures.append("{e, a^n} does not separate the graph")
+    if others:
+        failures.append(f"the classes of e and a^n also hold {list(others)}")
 
     ok = not failures
     return _report(
@@ -431,7 +433,7 @@ def check_pgroup_bundle(g: FiniteGroup) -> ClaimReport:
             elapsed=time.perf_counter() - started,
         )
     tree = decompose(g)
-    tp = twin_partition(power_graph(g))
+    tp = twin_partition(g)
     s = spectrum(tp)
     cut = vertex_connectivity(tp)
     kappa = cut.size

@@ -7,7 +7,9 @@ exhaustive cut search, a per-element p-group scan, a scalar modular
 Hessenberg reduction recombined by the Chinese remainder theorem, the
 dicyclic table filled entry by entry from its relations, and whole
 multiplication tables built by slicing and broadcasting, with the power
-walk over them.  One oracle is there for parity instead: the unpruned
+walk over them.  Twin partitions are hashed from the neighbourhood rows
+of every vertex, and the dicyclic facts about e and a^n are read off
+the power graph itself.  One oracle is there for parity instead: the unpruned
 class-pair scan, which shares the flow network of `vertex_connectivity`
 but none of its pruning.
 """
@@ -254,6 +256,50 @@ def is_p_group_by_elements(g: FiniteGroup) -> Optional[int]:
         elif p != q:
             return None
     return p
+
+
+# ---------------------------------------------------------------------------
+# twin partitions and the dicyclic involution, from the graph
+
+
+def twin_partition_by_rows(g: Graph) -> TwinPartition:
+    """Twin classes by hashing every vertex's closed, then open, row.
+
+    Vertices sharing a closed neighbourhood form a class; the vertices
+    left alone are grouped by their open neighbourhood.  Classes are
+    ordered by smallest member, and counts are popcounts of one row of
+    each class against every class.
+    """
+    by_closed: dict[int, list[int]] = {}
+    for v in range(g.n):
+        by_closed.setdefault(g.rows[v] | (1 << v), []).append(v)
+    classes: list[list[int]] = []
+    by_open: dict[int, list[int]] = {}
+    for members in by_closed.values():
+        if len(members) > 1:
+            classes.append(members)
+        else:
+            by_open.setdefault(g.rows[members[0]], []).append(members[0])
+    classes.extend(by_open.values())
+    classes.sort(key=lambda c: c[0])
+    masks = [sum(1 << v for v in members) for members in classes]
+    return TwinPartition(
+        classes=tuple(tuple(sorted(m)) for m in classes),
+        counts=tuple(tuple((g.rows[c[0]] & m).bit_count() for m in masks) for c in classes),
+    )
+
+
+def involution_facts_by_graph(g: Graph, n: int) -> tuple[bool, bool, bool, tuple[int, ...]]:
+    """What `verify._involution_facts` reads from classes, from the power
+    graph of Q_n: whether a^n has degree 4n - 1, whether every other
+    vertex is adjacent to e and a^n, and whether removing the two leaves
+    two or more components.  The two vertices alone are removed, so no
+    other vertex is reported."""
+    sep = {0, n}
+    universal = g.degree(n) == 4 * n - 1
+    join_side = all(g.adjacent(v, 0) and g.adjacent(v, n) for v in range(g.n) if v not in sep)
+    rest = induced_subgraph(g, [v for v in range(g.n) if v not in sep])
+    return universal, join_side, len(components(rest)) >= 2, ()
 
 
 # ---------------------------------------------------------------------------

@@ -160,21 +160,26 @@ def test_cyclic_spec_with_two_sources_is_a_usage_error(capsys):
     assert "provide exactly one of" in err
 
 
-def test_cyclic_commands_tabulate_no_group(capsys, monkeypatch):
+def refuse_everywhere(monkeypatch, originals, message):
+    """Make every powerlap module binding one of `originals` raise instead."""
     def refuse(*args, **kwargs):
-        raise AssertionError("a cyclic path tabulated a group or built a graph")
+        raise AssertionError(message)
 
-    originals = [powerlap.groups.cyclic_group, powerlap.graphs.power_graph,
-                 powerlap.graphs.twin_partition]
     for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "powerlap"]:
         for name, value in list(vars(module).items()):
             if any(value is f for f in originals):
                 monkeypatch.setattr(module, name, refuse)
+
+
+def test_cyclic_commands_tabulate_no_group(capsys, monkeypatch):
+    refuse_everywhere(monkeypatch, [powerlap.groups.cyclic_group, powerlap.graphs.power_graph,
+                                    powerlap.graphs.twin_partition],
+                      "a cyclic path tabulated a group or built a graph")
     for cache in (powerlap.verify._cyclic_partition, powerlap.verify._cyclic_spectrum,
                   powerlap.verify._cyclic_kappa):
         cache.cache_clear()
     with pytest.raises(AssertionError):
-        main(["spectrum", "qn:3"])  # the guard is live on the graph path
+        main(["spectrum", "qn:3"])  # the guard is live: Q_3 is partitioned as a group
     for argv in (
         ["spectrum", "zn:2310"],
         ["spectrum", "--group", "zn:12", "--format", "json"],
@@ -182,6 +187,34 @@ def test_cyclic_commands_tabulate_no_group(capsys, monkeypatch):
         ["scan", "--max", "60"],
     ):
         assert run(capsys, *argv)[0] == 0, argv
+
+
+def test_claims_and_group_spectra_build_no_power_graph(capsys, monkeypatch):
+    refuse_everywhere(monkeypatch, [powerlap.graphs.power_graph], "a power graph was built")
+    with pytest.raises(AssertionError):
+        main(["info", "qn:3"])  # the guard is live: info still builds the graph
+    q3 = Path(__file__).parent / "data" / "q3.txt"
+    for argv in (
+        ["spectrum", "qn:3"],
+        ["spectrum", "gq:3"],
+        ["spectrum", "prod:zn:4xzn:2"],
+        ["spectrum", f"table:{q3}"],
+        ["verify", "--cyclic-max", "12", "--dicyclic-max", "8", "--pgroup-max", "32"],
+    ):
+        assert run(capsys, *argv)[0] == 0, argv
+
+
+@pytest.mark.parametrize("ranges", [
+    ("--theorem", "pgroup-bundle", "--pgroup-max", "20000"),
+    ("--theorem", "dicyclic-bundle", "--dicyclic-max", "2049"),
+])
+def test_verify_ranges_above_max_order_fail_before_any_claim(capsys, monkeypatch, ranges):
+    refuse_everywhere(monkeypatch, [powerlap.verify.run_cyclic_suite,
+                                    powerlap.verify.run_dicyclic_suite,
+                                    powerlap.verify.run_pgroup_suite], "a claim ran")
+    code, out, err = run(capsys, "verify", *ranges)
+    assert code == 1 and out == ""
+    assert "MAX_ORDER = 8192" in err and "Traceback" not in err
 
 
 def test_verify_json_stable(capsys):

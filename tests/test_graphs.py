@@ -1,12 +1,18 @@
 import random
+import tracemalloc
+from pathlib import Path
 
 import networkx as nx
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_graph
-from oracles import vertex_connectivity_every_class_pair, vertex_connectivity_exhaustive
+from oracles import (
+    twin_partition_by_rows,
+    vertex_connectivity_every_class_pair,
+    vertex_connectivity_exhaustive,
+)
 from powerlap.graphs import (
     Graph,
     _SplitNetwork,
@@ -26,6 +32,7 @@ from powerlap.groups import (
     dicyclic_group,
     direct_product,
     generalized_quaternion,
+    load_table_file,
     parse_group_spec,
 )
 from powerlap.spectra import spectrum
@@ -366,15 +373,64 @@ def test_vertex_connectivity_on_twin_rich_graphs(g):
     assert cut == vertex_connectivity_every_class_pair(twin_partition(g))
 
 
+@st.composite
+def small_graphs(draw):
+    """Any graph on at most 14 vertices, one coin per vertex pair."""
+    n = draw(st.integers(0, 14))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    joined = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Graph.from_edges(n, [e for e, j in zip(pairs, joined) if j])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(small_graphs(), twin_rich_graphs()))
+@example(Graph(0, ()))
+@example(Graph(6, (0,) * 6))
+@example(Graph.complete(7))
+def test_twin_partition_matches_the_row_hash(g):
+    assert twin_partition(g) == twin_partition_by_rows(g)
+
+
+def test_twin_partition_of_a_group_matches_its_power_graph():
+    groups = [cyclic_group(n) for n in range(1, 301)]
+    groups += [dicyclic_group(n) for n in range(2, 65)]
+    groups += pgroup_catalog(256)
+    groups.append(load_table_file(Path(__file__).parent / "data" / "q3.txt"))
+    groups += [
+        direct_product(dicyclic_group(3), cyclic_group(4)),
+        direct_product(cyclic_group(6), dicyclic_group(5)),
+        direct_product(dicyclic_group(2), dicyclic_group(2)),
+        direct_product(cyclic_group(15), cyclic_group(10)),
+    ]
+    for g in groups:
+        # classes, their order and the counts, with no graph built
+        pg = power_graph(g)
+        assert twin_partition(g) == twin_partition(pg) == twin_partition_by_rows(pg), g.label
+
+
+def test_twin_partition_of_a_group_stays_small():
+    # the graph route peaks at about 268 MB here: n^2-byte matrices at n = 8192
+    g = dicyclic_group(2048)
+    g.subgroup_masks()
+    tracemalloc.start()
+    try:
+        tp = twin_partition(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert tp.n == 8192
+    assert peak < 64 * 2**20
+
+
 def test_vertex_connectivity_matches_the_unpruned_scan_on_the_claim_suites():
     # the partitions the default verify run asks kappa of: 299 cyclic,
     # 31 dicyclic and 153 p-groups, then three with many classes
     partitions = [cyclic_twin_partition(n) for n in range(2, 301)]
-    partitions += [twin_partition(power_graph(dicyclic_group(n))) for n in range(2, 33)]
-    partitions += [twin_partition(power_graph(g)) for g in pgroup_catalog(256)]
+    partitions += [twin_partition(dicyclic_group(n)) for n in range(2, 33)]
+    partitions += [twin_partition(g) for g in pgroup_catalog(256)]
     assert len(partitions) == 483
     partitions.append(cyclic_twin_partition(5040))
-    partitions += [twin_partition(power_graph(dicyclic_group(n))) for n in (105, 250)]
+    partitions += [twin_partition(dicyclic_group(n)) for n in (105, 250)]
     for tp in partitions:
         assert vertex_connectivity(tp) == vertex_connectivity_every_class_pair(tp)
 

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from oracles import is_generalized_quaternion_by_presentation
+from oracles import involution_facts_by_graph, is_generalized_quaternion_by_presentation
+from powerlap.graphs import Graph, power_graph, twin_partition
 from powerlap.groups import (
     cyclic_group,
     dicyclic_group,
@@ -11,6 +12,7 @@ from powerlap.groups import (
 )
 from powerlap.spectra import FactoredCharPoly
 from powerlap.verify import (
+    _involution_facts,
     check_cyclic_algcon,
     check_cyclic_kappa_eq_mu,
     check_cyclic_radius_mult,
@@ -141,6 +143,29 @@ def test_dicyclic_bundle():
     assert r.evidence["radius_multiplicity"] == 2
     r = check_dicyclic_bundle(3)
     assert r.evidence["radius_multiplicity"] == 1
+
+
+def test_dicyclic_involution_facts_match_the_graph():
+    # (d), the join side of (f) and the separation, read from classes
+    for n in range(2, 65):
+        g = dicyclic_group(n)
+        facts = _involution_facts(twin_partition(g), n)
+        assert facts == involution_facts_by_graph(power_graph(g), n), n
+        pow2 = n & (n - 1) == 0
+        assert facts == (pow2, pow2, True, ())
+
+
+def test_dicyclic_bundle_fails_when_the_involution_classes_hold_more(monkeypatch):
+    # vertices 0, 1 and 2 are universal, so 1 is a closed twin of e and a^2
+    import powerlap.verify
+
+    g = Graph.from_edges(8, [(u, v) for u in (0, 1, 2) for v in range(8) if v != u])
+    tp = twin_partition(g)
+    assert _involution_facts(tp, 2) == (True, True, True, (1,))
+    monkeypatch.setattr(powerlap.verify, "twin_partition", lambda group: tp)
+    r = check_dicyclic_bundle(2)
+    assert r.verdict == "fail"
+    assert "the classes of e and a^n also hold [1]" in r.witness
 
 
 def test_quaternion_closed_form_merges_alpha_two():
