@@ -237,8 +237,13 @@ def _twin_quotient(members: Sequence[Sequence[int]], closed: Sequence[int]) -> T
     """Twin partition from atoms: ``members[a]``, ascending, are closed twins,
     and ``closed[a]`` is the bitmask of the atoms joined to a, a included.
     Atoms sharing a closed key form a class; a lone one-vertex atom is
-    grouped by open key instead.  Classes are ordered by smallest member,
-    and row i is read off the closed bits of one atom of class i."""
+    grouped by open key instead.  Classes are ordered by smallest member.
+    Row i is read from the closed bits of one atom a of class i, one class
+    at a time: a class j != i is joined to all of a or to none of it, so
+    the lowest bit left names the next class joined to a, whose whole
+    mask is then cleared.  The diagonal is the weight of class i inside
+    a's closed bits, less a itself: the whole class for closed twins, a
+    alone for open ones."""
     by_closed: dict[int, list[int]] = {}
     for a, key in enumerate(closed):
         by_closed.setdefault(key, []).append(a)
@@ -251,13 +256,27 @@ def _twin_quotient(members: Sequence[Sequence[int]], closed: Sequence[int]) -> T
             by_open.setdefault(closed[a] ^ (1 << a), []).append(a)
     groups.extend(by_open.values())
     groups.sort(key=lambda atoms: min(members[a][0] for a in atoms))
-    class_of = {a: i for i, atoms in enumerate(groups) for a in atoms}
+    class_of: dict[int, int] = {}
+    masks: list[int] = []
+    sizes: list[int] = []
+    for i, atoms in enumerate(groups):
+        mask = size = 0
+        for a in atoms:
+            class_of[a] = i
+            mask |= 1 << a
+            size += len(members[a])
+        masks.append(mask)
+        sizes.append(size)
     counts = []
     for i, atoms in enumerate(groups):
+        a = atoms[0]
         row = [0] * len(groups)
-        for b in _bits(closed[atoms[0]]):
-            row[class_of[b]] += len(members[b])
-        row[i] -= 1
+        rest = closed[a]
+        while rest:
+            j = class_of[(rest & -rest).bit_length() - 1]
+            row[j] = sizes[j]
+            rest ^= rest & masks[j]
+        row[i] = (sizes[i] if (closed[a] & masks[i]) != 1 << a else len(members[a])) - 1
         counts.append(tuple(row))
     return TwinPartition(
         classes=tuple(tuple(sorted(v for a in atoms for v in members[a])) for atoms in groups),
@@ -366,14 +385,29 @@ def _classes_connected(tp: TwinPartition, keep: Sequence[int]) -> bool:
     induced graph is connected iff its quotient is."""
     if len(keep) == 1:
         return tp.class_size(keep[0]) == 1 or tp.counts[keep[0]][keep[0]] > 0
-    reached = [keep[0]]
-    seen = {keep[0]}
-    for i in reached:
-        for j in keep:
-            if tp.counts[i][j] and j not in seen:
-                seen.add(j)
-                reached.append(j)
-    return len(reached) == len(keep)
+    return len(_quotient_components(tp.counts, keep)) == 1
+
+
+def _quotient_components(counts: Sequence[Sequence[int]], keep: Sequence[int]) -> list[list[int]]:
+    """Components of the quotient on the classes ``keep``, where classes i
+    and j are joined when ``counts[i][j]`` is nonzero.  Each component
+    lists its classes ascending; components come in order of their first
+    class in ``keep``."""
+    seen = set()
+    out = []
+    for start in keep:
+        if start in seen:
+            continue
+        seen.add(start)
+        reached = [start]
+        for i in reached:
+            row = counts[i]
+            for j in keep:
+                if row[j] and j not in seen:
+                    seen.add(j)
+                    reached.append(j)
+        out.append(sorted(reached))
+    return out
 
 
 def _separate(tp: TwinPartition) -> CutCertificate:

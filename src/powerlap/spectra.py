@@ -7,9 +7,16 @@ in the quotient, found by hashing their count rows, merge pass by pass
 until none are left.  Each step splits off eigenvalues carried by
 difference vectors inside a class, all of them integers read off class
 counts.  Every integer eigenvalue multiplicity then comes from the
-quotient's exact characteristic polynomial (modular images recombined
-past a proven coefficient bound), so an "Exact" spectrum is a proof,
-not an approximation.
+quotient's exact characteristic polynomial, so an "Exact" spectrum is a
+proof, not an approximation.  That polynomial is split before any of it
+is computed: a set of classes with universal classes is their join with
+the rest, and a disconnected set is the union of its components, whose
+polynomials follow from the rest's and the components' (the Laplacian
+calculus of joins and unions).  Only the pieces that cannot be split,
+connected with two or more classes and no universal class, reach the
+exact charpoly (modular images recombined past a proven coefficient
+bound).  A power graph's identity is universal, so a non-cyclic
+p-group's quotient splits all the way down and needs no charpoly.
 
 When the certified multiplicities do not exhaust the vertex count, the
 spectrum is "Mixed": dividing the certified roots out of the quotient's
@@ -26,17 +33,19 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .graphs import Graph, TwinPartition, twin_partition
+from .graphs import Graph, TwinPartition, _quotient_components, twin_partition
 from .linalg import (
     _synthetic_divide,
     charpoly_exact,
     eval_poly_at_int,
     integer_root_multiplicities,
     roots_above,
+    taylor_shift,
 )
 
 __all__ = [
@@ -392,6 +401,87 @@ def _merge_weighted_twins(sizes: list[int], counts: list[list[int]],
     return True
 
 
+def _split_charpoly(sizes: Sequence[int],
+                    counts: Sequence[Sequence[int]]) -> tuple[Counter, list[int]]:
+    """Characteristic polynomial of the quotient diag(row sums) - counts,
+    as its integer roots with multiplicities and the monic residual left
+    when they are divided out, found by splitting the classes.
+
+    A set S of classes with n_S vertices has the quotient Q_S of the
+    subgraph its classes induce (counts restricted to S).  Its
+    characteristic polynomial chi_S is split three ways:
+
+    - Join.  Let U be the universal classes of S, whose row sum inside S
+      is n_S - 1, holding n_U vertices, and R the rest.  Then
+      chi_S(x) = x (x - n_S)^|U| chi_R(x - n_U) / (x - n_U); an empty R
+      has chi_R = 1 and n_U = n_S, which leaves the clique's
+      x (x - n_S)^(|U| - 1).  Proof for a nonempty R by block-constant
+      eigenvectors of Q_S: a vertex of U sees every other vertex of S,
+      and one of R sees all of U besides its own counts in R.  The
+      constant vector gives 0.  The vector n_R on U and -n_U on R
+      gives n_S.  Vectors on U, zero on R, whose class-size-weighted sum
+      is zero give n_S, |U| - 1 more times.  Q_R is similar to a
+      symmetric matrix, so it has an eigenbasis of its constant vector
+      and |R| - 1 vectors of weighted sum zero; each of those, put on R
+      and zero on U, turns its eigenvalue lambda into lambda + n_U.
+      These |S| independent eigenvectors give all of chi_S.
+    - Union.  A disconnected S gives a block-diagonal Q_S: chi_S is the
+      product over its components.
+    - Leaf.  A connected S of two or more classes and no universal class
+      goes to `charpoly_exact`; its integer roots lie in 0..n_S.  One
+      class gives x, and no class gives 1.
+
+    The integer roots are carried in a Counter, shifted as joins
+    shift them; the shifted 0 of R that a join removes is counted out
+    when R is queued.  Each leaf's residual is Taylor-shifted once by
+    its total shift, and the product of those is the residual.
+    """
+    roots: Counter = Counter()
+    residual = [1]
+    work = [(list(range(len(sizes))), 0)]
+    while work:
+        part, shift = work.pop()
+        if len(part) <= 1:
+            roots[shift] += len(part)
+            continue
+        total = sum(sizes[i] for i in part)
+        inside = itemgetter(*part)
+        degrees = [sum(inside(counts[i])) for i in part]
+        universal = {i for i, d in zip(part, degrees) if d == total - 1}
+        if universal:
+            joined = sum(sizes[i] for i in universal)
+            roots[shift] += 1
+            roots[shift + total] += len(universal)
+            roots[shift + joined] -= 1
+            work.append(([i for i in part if i not in universal], shift + joined))
+            continue
+        pieces = _quotient_components(counts, part)
+        if len(pieces) > 1:
+            work.extend((piece, shift) for piece in pieces)
+            continue
+        rows = [[-c for c in inside(counts[i])] for i in part]
+        for a, d in enumerate(degrees):
+            rows[a][a] += d
+        # an equitable quotient of a Laplacian is similar to a symmetric PSD matrix
+        poly = charpoly_exact(rows, nonnegative_eigenvalues=True)
+        for root, mult in integer_root_multiplicities(poly, 0, total).items():
+            roots[shift + root] += mult
+            for _ in range(mult):
+                poly = _synthetic_divide(poly, root)
+        residual = _poly_mul(residual, taylor_shift(poly, -shift))
+    assert min(roots.values(), default=0) >= 0, "a join removed a root it did not have"
+    return +roots, residual
+
+
+def _poly_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Product of two polynomials, coefficients ascending."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
 # ---------------------------------------------------------------------------
 # spectrum computation
 
@@ -416,21 +506,16 @@ def spectrum(g: Graph | TwinPartition) -> Spectrum:
     Every integer 0..n is certified through the exact engine; when the
     certified multiplicities sum to n the spectrum is Exact.  Otherwise
     the certified roots are divided out of the quotient's characteristic
-    polynomial, leaving the residual, and the result is Mixed.  Its
-    display floats are the eigenvalues of the symmetrized quotient with
-    the certified roots removed at the positions the exact counts give.
+    polynomial (`_split_charpoly`, which computes only the pieces that
+    joins and unions cannot split), leaving the residual, and the result
+    is Mixed.  Its display floats are the eigenvalues of the symmetrized
+    quotient with the certified roots removed at the positions the exact
+    counts give.
     """
     core = _collapse(g)
     n = core.n
-    counts: Counter = Counter(dict(core.extracted))
-    # an equitable quotient of a Laplacian is similar to a symmetric PSD matrix
-    residual = charpoly_exact(core.quotient_rows(), nonnegative_eigenvalues=True)
-    roots = integer_root_multiplicities(residual, 0, n)
-    for root, mult in roots.items():
-        counts[root] += mult
-        for _ in range(mult):
-            residual = _synthetic_divide(residual, root)
-    exact = FactoredCharPoly.from_counts(counts)
+    roots, residual = _split_charpoly(core.sizes, core.counts)
+    exact = FactoredCharPoly.from_counts(Counter(dict(core.extracted)) + roots)
     certified = exact.degree
     if certified > n:
         raise AssertionError("certified multiplicities exceed vertex count")

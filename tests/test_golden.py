@@ -28,6 +28,7 @@ TEXT_CASES = [
     (("spectrum", "zn:2310"), "spectrum_zn_2310.txt"),
     (("spectrum", "zn:5040"), "spectrum_zn_5040.txt"),
     (("spectrum", "qn:105"), "spectrum_qn_105.txt"),
+    (("spectrum", "qn:250"), "spectrum_qn_250.txt"),
     (("decompose", "prod:zn:9xzn:3"), "decompose_prod_zn9xzn3.txt"),
     (("decompose", "gq:3"), "decompose_gq_3.txt"),
     (("info", "qn:8"), "info_qn_8.txt"),
@@ -47,6 +48,7 @@ JSON_CASES = [
      "info_prod_zn4xzn4xzn4xzn4xzn2.json"),
     (("info", "zn:360", "--format", "json"), "info_zn_360.json"),
     (("spectrum", "gq:4", "--format", "json"), "spectrum_gq_4.json"),
+    (("spectrum", "prod:zn:8xzn:8xzn:4", "--format", "json"), "spectrum_prod_zn8xzn8xzn4.json"),
     (("info", Q3_TABLE, "--format", "json"), "info_table_q3.json"),
     (("spectrum", Q3_TABLE, "--format", "json"), "spectrum_table_q3.json"),
 ]

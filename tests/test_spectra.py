@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import powerlap.spectra
 from conftest import random_graph
@@ -12,9 +14,21 @@ from oracles import (
     fraction_charpoly,
     laplacian,
 )
-from powerlap.graphs import Graph, complement, components, power_graph
+from powerlap.graphs import (
+    Graph,
+    complement,
+    components,
+    cyclic_twin_partition,
+    power_graph,
+    twin_partition,
+)
 from powerlap.groups import cyclic_group, dicyclic_group, direct_product
-from powerlap.linalg import charpoly_exact, eval_poly_at_int, jacobi_eigenvalues
+from powerlap.linalg import (
+    charpoly_exact,
+    eval_poly_at_int,
+    integer_root_multiplicities,
+    jacobi_eigenvalues,
+)
 from powerlap.pgroup import decompose, tree_graph
 from powerlap.spectra import (
     CharPolyContradiction,
@@ -30,7 +44,7 @@ from powerlap.spectra import (
     spectrum,
     union_charpoly,
 )
-from powerlap.verify import pgroup_catalog
+from powerlap.verify import is_cyclic, pgroup_catalog
 
 
 def poly(counts):
@@ -240,6 +254,128 @@ def test_collapse_matches_dense_charpoly_on_random_graphs(collapse):
         g = random_graph(rng, rng.randint(1, 14), rng.random())
         core, _ = collapse(g)
         assert_collapse_of(g, core)
+
+
+# ---------------------------------------------------------------------------
+# the split charpoly of the collapsed quotient
+
+
+def assert_split_matches_full(sizes, counts):
+    """`_split_charpoly` gives the integer roots of the whole quotient's
+    charpoly, in 0..n as `spectrum` certified them from it, and a
+    residual with no integer root; together they are that charpoly."""
+    n = sum(sizes)
+    rows = [[-c for c in row] for row in counts]
+    for i, row in enumerate(counts):
+        rows[i][i] += sum(row)
+    full = charpoly_exact(rows, nonnegative_eigenvalues=True)
+    roots, residual = powerlap.spectra._split_charpoly(sizes, counts)
+    assert roots == integer_root_multiplicities(full, 0, n)
+    assert integer_root_multiplicities(residual, 0, n) == {}
+    product = list(residual)
+    for root, mult in roots.items():
+        for _ in range(mult):
+            product = [a - root * b for a, b in zip([0] + product, product + [0])]
+    assert product == full
+
+
+def claim_suite_partitions():
+    """Every twin partition whose spectrum the default claim suites take:
+    Z_n and its reduced graph for n <= 300, Q_n for n <= 32, and the
+    p-group catalog up to order 256."""
+    for n in range(2, 301):
+        yield cyclic_twin_partition(n)
+        yield cyclic_twin_partition(n, reduced=True)
+    for n in range(2, 33):
+        yield twin_partition(dicyclic_group(n))
+    for g in pgroup_catalog(256):
+        yield twin_partition(g)
+
+
+def test_split_charpoly_matches_full_core_on_claim_suites():
+    for tp in claim_suite_partitions():
+        core = powerlap.spectra._collapse(tp)
+        assert_split_matches_full(core.sizes, core.counts)
+
+
+@pytest.mark.parametrize("n", [720, 1680, 2310, 5040])
+def test_split_charpoly_matches_full_core_on_divisor_rich_zn(n):
+    core = powerlap.spectra._collapse(cyclic_twin_partition(n))
+    assert_split_matches_full(core.sizes, core.counts)
+
+
+def _union(g, h):
+    return Graph(g.n + h.n, g.rows + tuple(r << g.n for r in h.rows))
+
+
+def _join(g, h):
+    to_h = ((1 << h.n) - 1) << g.n
+    to_g = (1 << g.n) - 1
+    return Graph(g.n + h.n, tuple(r | to_h for r in g.rows)
+                 + tuple((r << g.n) | to_g for r in h.rows))
+
+
+def _complete_bipartite(a, b):
+    return _join(Graph(a, (0,) * a), Graph(b, (0,) * b))
+
+
+_P4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+
+# joins and unions of small random graphs, so that every split is taken
+split_graphs = st.recursive(
+    st.builds(lambda n, p, seed: random_graph(random.Random(seed), n, p),
+              st.integers(0, 6), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1)),
+    lambda inner: st.one_of(st.builds(_union, inner, inner), st.builds(_join, inner, inner)),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(split_graphs)
+@example(Graph(0, ()))
+@example(Graph(1, (0,)))
+@example(Graph(5, (0,) * 5))
+@example(Graph.complete(6))
+@example(_union(_union(Graph.complete(3), _P4), Graph(2, (0, 0))))
+@example(_complete_bipartite(3, 4))
+@example(_join(Graph.complete(2), _union(_P4, _complete_bipartite(2, 3))))
+@example(_join(_union(_P4, _P4), _join(Graph(1, (0,)), _union(_P4, Graph.complete(2)))))
+def test_split_charpoly_matches_full_core_on_random_graphs(g):
+    tp = twin_partition(g)
+    assert_split_matches_full(tuple(len(c) for c in tp.classes), tp.counts)
+    core = powerlap.spectra._collapse(tp)
+    assert_split_matches_full(core.sizes, core.counts)
+
+
+def test_split_charpoly_by_hand():
+    split = powerlap.spectra._split_charpoly
+    assert split((), ()) == ({}, [1])
+    assert split((3,), ((0,),)) == ({0: 1}, [1])
+    # K_3 as three one-vertex classes, each universal: x (x-3)^2
+    assert split((1, 1, 1), ((0, 1, 1), (1, 0, 1), (1, 1, 0))) == ({0: 1, 3: 2}, [1])
+    # K_2 v 3K_1: a universal clique class joined to an independent class
+    # gives the quotient eigenvalues 0 and 5 with no charpoly
+    assert split((2, 3), ((1, 3), (2, 0))) == ({0: 1, 5: 1}, [1])
+    # the path on 4 vertices cannot be split: 0, 2 and the roots of x^2 - 4x + 2
+    assert split((1,) * 4, ((0, 1, 0, 0), (1, 0, 1, 0), (0, 1, 0, 1), (0, 0, 1, 0))) \
+        == ({0: 1, 2: 1}, [2, -4, 1])
+
+
+def test_non_cyclic_p_groups_need_no_charpoly(monkeypatch):
+    calls = []
+
+    def counting(matrix, **kwargs):
+        calls.append(len(matrix))
+        return charpoly_exact(matrix, **kwargs)
+
+    monkeypatch.setattr(powerlap.spectra, "charpoly_exact", counting)
+    groups = [g for g in pgroup_catalog(256) if not is_cyclic(g)]
+    assert len(groups) == 83
+    for g in groups:
+        spectrum(twin_partition(g))
+    assert calls == []
+    spectrum(cyclic_twin_partition(12))
+    assert calls
 
 
 # ---------------------------------------------------------------------------
