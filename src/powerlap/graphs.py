@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress
+from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -393,6 +395,9 @@ def _quotient_components(counts: Sequence[Sequence[int]], keep: Sequence[int]) -
     and j are joined when ``counts[i][j]`` is nonzero.  Each component
     lists its classes ascending; components come in order of their first
     class in ``keep``."""
+    if len(keep) < 2:
+        return [[i] for i in keep]
+    inside = itemgetter(*keep)
     seen = set()
     out = []
     for start in keep:
@@ -401,9 +406,8 @@ def _quotient_components(counts: Sequence[Sequence[int]], keep: Sequence[int]) -
         seen.add(start)
         reached = [start]
         for i in reached:
-            row = counts[i]
-            for j in keep:
-                if row[j] and j not in seen:
+            for j in compress(keep, inside(counts[i])):
+                if j not in seen:
                     seen.add(j)
                     reached.append(j)
         out.append(sorted(reached))

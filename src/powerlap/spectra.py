@@ -1,31 +1,32 @@
 """Laplacian spectra: exact integer certification and exact ordering.
 
-The exact engine never rounds.  A graph is first collapsed to a small
-integer quotient matrix.  Twin classes (vertices with equal open or
-closed neighborhoods) come first; then classes that are weighted twins
-in the quotient, found by hashing their count rows, merge pass by pass
-until none are left.  Each step splits off eigenvalues carried by
-difference vectors inside a class, all of them integers read off class
-counts.  Every integer eigenvalue multiplicity then comes from the
-quotient's exact characteristic polynomial, so an "Exact" spectrum is a
-proof, not an approximation.  That polynomial is split before any of it
-is computed: a set of classes with universal classes is their join with
-the rest, and a disconnected set is the union of its components, whose
-polynomials follow from the rest's and the components' (the Laplacian
-calculus of joins and unions).  Only the pieces that cannot be split,
-connected with two or more classes and no universal class, reach the
-exact charpoly (modular images recombined past a proven coefficient
-bound).  A power graph's identity is universal, so a non-cyclic
-p-group's quotient splits all the way down and needs no charpoly.
+The exact engine never rounds.  A graph's twin classes (vertices with
+equal open or closed neighborhoods) split off their integer eigenvalues,
+read off class counts, and leave the twin quotient, a small integer
+matrix.  One routine then takes the quotient apart piece by piece, each
+piece a set of classes: a piece with universal classes is their join
+with the rest, a disconnected piece is the union of its components
+(the Laplacian calculus of joins and unions), and a piece whose classes
+include weighted twins, found by hashing their count rows, splits off
+the integer eigenvalues of their difference vectors and is merged.
+Each rule's polynomial follows from its parts', so only the pieces no
+rule fits, connected with two or more classes, no universal class and
+no weighted twins, reach the exact charpoly (modular images recombined
+past a proven coefficient bound).  Every integer eigenvalue multiplicity
+comes from these rules and polynomials, so an "Exact" spectrum is a
+proof, not an approximation.  A power graph's identity is universal, so
+a non-cyclic p-group's quotient splits all the way down and needs no
+charpoly.
 
 When the certified multiplicities do not exhaust the vertex count, the
-spectrum is "Mixed": dividing the certified roots out of the quotient's
-characteristic polynomial leaves the integer residual polynomial, whose
-roots are exactly the non-integer eigenvalues.  The quotient is similar
-to a symmetric matrix, so the residual is real-rooted and Descartes'
-rule counts its roots above any integer exactly; every comparison of an
-eigenvalue with an integer is decided by such counts.  Floats from a
-dense symmetric eigensolver serve only for display.
+spectrum is "Mixed": dividing each leaf's integer roots out of its
+characteristic polynomial leaves an integer residual, and their product,
+shifted as the joins shift it, has exactly the non-integer eigenvalues
+as roots.  Each quotient is similar to a symmetric matrix, so the
+residual is real-rooted and Descartes' rule counts its roots above any
+integer exactly; every comparison of an eigenvalue with an integer is
+decided by such counts.  Floats from a dense symmetric eigensolver on
+each leaf serve only for display.
 """
 
 from __future__ import annotations
@@ -286,68 +287,121 @@ class Spectrum:
 
 
 # ---------------------------------------------------------------------------
-# the collapse engine
+# the quotient engine
 
 
-@dataclass(frozen=True)
-class _CollapsedGraph:
-    """Result of the iterated neighborhood collapse of a graph.
+def _quotient_spectrum(sizes: Sequence[int], counts: Sequence[Sequence[int]]
+                       ) -> tuple[Counter, list[int], list[float]]:
+    """Spectrum of the quotient diag(row sums) - counts of a twin partition:
+    its integer roots with multiplicities, the monic residual left when
+    they are divided out of its characteristic polynomial, and the
+    residual's roots as display floats.
 
-    ``extracted`` are eigenvalues split off with their multiplicities;
-    the rest of the spectrum is exactly the spectrum of the quotient
-    matrix diag(row sums of counts) - counts.
+    A set S of classes with n_S vertices has the quotient Q_S of the
+    subgraph its classes induce (counts restricted to S).  Each set taken
+    from the work list gets the first rule that fits:
+
+    - Join.  Let U be the universal classes of S, whose row sum inside S
+      is n_S - 1, holding n_U vertices, and R the rest.  Then
+      chi_S(x) = x (x - n_S)^|U| chi_R(x - n_U) / (x - n_U); an empty R
+      has chi_R = 1 and n_U = n_S, which leaves the clique's
+      x (x - n_S)^(|U| - 1).  Proof for a nonempty R by block-constant
+      eigenvectors of Q_S: a vertex of U sees every other vertex of S,
+      and one of R sees all of U besides its own counts in R.  The
+      constant vector gives 0.  The vector n_R on U and -n_U on R
+      gives n_S.  Vectors on U, zero on R, whose class-size-weighted sum
+      is zero give n_S, |U| - 1 more times.  Q_R is similar to a
+      symmetric matrix, so it has an eigenbasis of its constant vector
+      and |R| - 1 vectors of weighted sum zero; each of those, put on R
+      and zero on U, turns its eigenvalue lambda into lambda + n_U.
+      These |S| independent eigenvectors give all of chi_S.
+    - Union.  A disconnected S gives a block-diagonal Q_S: chi_S is the
+      product over its components.
+    - Merge.  Weighted twins in Q_S (`_merge_weighted_twins`) carry
+      integer eigenvalues of difference vectors, which are split off;
+      the merged quotient, the only matrix built for a piece, holds the
+      rest of chi_S and is queued again.
+    - Leaf.  Otherwise S goes to `charpoly_exact`; its integer roots lie
+      in 0..n_S.  One class gives x, and no class gives 1.
+
+    The integer roots are carried in a Counter, shifted as joins shift
+    them; the shifted 0 of R that a join removes is counted out when R
+    is queued.  Each leaf's residual is Taylor-shifted once by its total
+    shift, and the product of those is the residual.  A leaf's floats
+    are the eigenvalues of its symmetrized quotient with its integer
+    roots removed at the positions the exact counts give, shifted the
+    same way.
     """
+    roots: Counter = Counter()
+    residual = [1]
+    numeric: list[float] = []
+    # a work item is a piece: its classes and their degrees inside it
+    work = [(sizes, counts, range(len(sizes)), [sum(row) for row in counts], 0)]
+    while work:
+        sizes, counts, part, degrees, shift = work.pop()
+        if len(part) <= 1:
+            roots[shift] += len(part)
+            continue
+        total = sum(sizes[i] for i in part)
+        universal = {i for i, d in zip(part, degrees) if d == total - 1}
+        if universal:
+            joined = sum(sizes[i] for i in universal)
+            roots[shift] += 1
+            roots[shift + total] += len(universal)
+            roots[shift + joined] -= 1
+            # every vertex of R sees all n_U vertices of U
+            rest = [(i, d - joined) for i, d in zip(part, degrees) if i not in universal]
+            work.append((sizes, counts, [i for i, _ in rest], [d for _, d in rest], shift + joined))
+            continue
+        pieces = _quotient_components(counts, part)
+        if len(pieces) > 1:
+            degree = dict(zip(part, degrees))
+            work.extend((sizes, counts, piece, [degree[i] for i in piece], shift) for piece in pieces)
+            continue
+        inside = itemgetter(*part)
+        sizes = [sizes[i] for i in part]
+        counts = [inside(counts[i]) for i in part]
+        merged = _merge_weighted_twins(sizes, counts)
+        if merged:
+            sizes, counts, found = merged
+            for lam, mult in found.items():
+                roots[shift + lam] += mult
+            work.append((sizes, counts, range(len(sizes)), [sum(row) for row in counts], shift))
+            continue
+        rows = [[-c for c in row] for row in counts]
+        for a, d in enumerate(degrees):
+            rows[a][a] += d
+        # an equitable quotient of a Laplacian is similar to a symmetric PSD matrix
+        poly = charpoly_exact(rows, nonnegative_eigenvalues=True)
+        found = sorted(integer_root_multiplicities(poly, 0, total).items())
+        for root, mult in found:
+            roots[shift + root] += mult
+            for _ in range(mult):
+                poly = _synthetic_divide(poly, root)
+        degree = len(poly) - 1
+        if degree:
+            # eigvalsh is ascending: the root r with multiplicity m sits after
+            # the leaf's smaller integer roots and the residual roots below r
+            scale = np.sqrt(np.array(sizes, dtype=float))
+            s = np.array(rows, dtype=float) * scale[:, None] / scale[None, :]
+            values = np.linalg.eigvalsh((s + s.T) / 2.0)
+            keep = np.ones(len(values), dtype=bool)
+            smaller = 0
+            for root, mult in found:
+                start = smaller + degree - roots_above(poly, root)
+                keep[start:start + mult] = False
+                smaller += mult
+            numeric.extend(float(v) + shift for v in values[keep])
+            residual = _poly_mul(residual, taylor_shift(poly, -shift))
+    assert min(roots.values(), default=0) >= 0, "a join removed a root it did not have"
+    return +roots, residual, numeric
 
-    n: int
-    sizes: tuple[int, ...]
-    counts: tuple[tuple[int, ...], ...]
-    extracted: tuple[tuple[int, int], ...]  # (eigenvalue, multiplicity)
 
-    @property
-    def core_size(self) -> int:
-        return len(self.sizes)
-
-    def quotient_rows(self) -> list[list[int]]:
-        rows = [[-c for c in row] for row in self.counts]
-        for i, row in enumerate(self.counts):
-            rows[i][i] += sum(row)
-        return rows
-
-    def symmetrized(self) -> np.ndarray:
-        """Symmetric matrix similar to the quotient (same eigenvalues)."""
-        m = self.core_size
-        if m == 0:
-            return np.zeros((0, 0))
-        k = np.array(self.sizes, dtype=float)
-        q = np.array(self.quotient_rows(), dtype=float)
-        scale = np.sqrt(k)
-        s = q * scale[:, None] / scale[None, :]
-        return (s + s.T) / 2.0
-
-
-def _collapse(g: Graph | TwinPartition) -> _CollapsedGraph:
-    tp = g if isinstance(g, TwinPartition) else twin_partition(g)
-    extracted: Counter = Counter()
-    for i, (c, row) in enumerate(zip(tp.classes, tp.counts)):
-        if len(c) >= 2:
-            # a clique class (nonzero within count) gives degree + 1
-            lam = sum(row) + (1 if row[i] else 0)
-            extracted[lam] += len(c) - 1
-    sizes = [len(c) for c in tp.classes]
-    counts = [list(row) for row in tp.counts]
-    while _merge_weighted_twins(sizes, counts, extracted):
-        pass
-    return _CollapsedGraph(
-        n=tp.n,
-        sizes=tuple(sizes),
-        counts=tuple(tuple(row) for row in counts),
-        extracted=tuple(sorted(extracted.items())),
-    )
-
-
-def _merge_weighted_twins(sizes: list[int], counts: list[list[int]],
-                          extracted: Counter) -> bool:
-    """Merge every bucket of weighted twins once; True if any merged.
+def _merge_weighted_twins(sizes: Sequence[int], counts: Sequence[Sequence[int]]
+                          ) -> tuple[list[int], list[list[int]], Counter] | None:
+    """Merge every bucket of weighted twins of the quotient once: the
+    merged sizes and counts and the eigenvalues split off, or None when
+    no two classes are weighted twins.
 
     Classes i and j of equal size s and equal within count w are weighted
     twins with cross count c when their count rows agree once each
@@ -375,17 +429,19 @@ def _merge_weighted_twins(sizes: list[int], counts: list[list[int]],
                 buckets.setdefault((sizes[i], counts[i][i], tuple(key)), []).append(i)
     merging = [b for b in buckets.values() if len(b) >= 2]
     if not merging:
-        return False
+        return None
 
     members = [i for bucket in merging for i in bucket]
     assert len(members) == len(set(members)), "a class lies in two twin buckets"
 
+    extracted: Counter = Counter()
+    merged_sizes = list(sizes)
     owner = list(range(m))
     for bucket in merging:
         i = bucket[0]
         row = counts[i]
         extracted[sum(row) - row[i] + row[bucket[1]]] += len(bucket) - 1
-        sizes[i] *= len(bucket)
+        merged_sizes[i] *= len(bucket)
         for j in bucket[1:]:
             owner[j] = i
     keep = [i for i in range(m) if owner[i] == i]
@@ -396,81 +452,7 @@ def _merge_weighted_twins(sizes: list[int], counts: list[list[int]],
         for j, x in enumerate(counts[i]):
             out[column[owner[j]]] += x
         merged.append(out)
-    sizes[:] = [sizes[i] for i in keep]
-    counts[:] = merged
-    return True
-
-
-def _split_charpoly(sizes: Sequence[int],
-                    counts: Sequence[Sequence[int]]) -> tuple[Counter, list[int]]:
-    """Characteristic polynomial of the quotient diag(row sums) - counts,
-    as its integer roots with multiplicities and the monic residual left
-    when they are divided out, found by splitting the classes.
-
-    A set S of classes with n_S vertices has the quotient Q_S of the
-    subgraph its classes induce (counts restricted to S).  Its
-    characteristic polynomial chi_S is split three ways:
-
-    - Join.  Let U be the universal classes of S, whose row sum inside S
-      is n_S - 1, holding n_U vertices, and R the rest.  Then
-      chi_S(x) = x (x - n_S)^|U| chi_R(x - n_U) / (x - n_U); an empty R
-      has chi_R = 1 and n_U = n_S, which leaves the clique's
-      x (x - n_S)^(|U| - 1).  Proof for a nonempty R by block-constant
-      eigenvectors of Q_S: a vertex of U sees every other vertex of S,
-      and one of R sees all of U besides its own counts in R.  The
-      constant vector gives 0.  The vector n_R on U and -n_U on R
-      gives n_S.  Vectors on U, zero on R, whose class-size-weighted sum
-      is zero give n_S, |U| - 1 more times.  Q_R is similar to a
-      symmetric matrix, so it has an eigenbasis of its constant vector
-      and |R| - 1 vectors of weighted sum zero; each of those, put on R
-      and zero on U, turns its eigenvalue lambda into lambda + n_U.
-      These |S| independent eigenvectors give all of chi_S.
-    - Union.  A disconnected S gives a block-diagonal Q_S: chi_S is the
-      product over its components.
-    - Leaf.  A connected S of two or more classes and no universal class
-      goes to `charpoly_exact`; its integer roots lie in 0..n_S.  One
-      class gives x, and no class gives 1.
-
-    The integer roots are carried in a Counter, shifted as joins
-    shift them; the shifted 0 of R that a join removes is counted out
-    when R is queued.  Each leaf's residual is Taylor-shifted once by
-    its total shift, and the product of those is the residual.
-    """
-    roots: Counter = Counter()
-    residual = [1]
-    work = [(list(range(len(sizes))), 0)]
-    while work:
-        part, shift = work.pop()
-        if len(part) <= 1:
-            roots[shift] += len(part)
-            continue
-        total = sum(sizes[i] for i in part)
-        inside = itemgetter(*part)
-        degrees = [sum(inside(counts[i])) for i in part]
-        universal = {i for i, d in zip(part, degrees) if d == total - 1}
-        if universal:
-            joined = sum(sizes[i] for i in universal)
-            roots[shift] += 1
-            roots[shift + total] += len(universal)
-            roots[shift + joined] -= 1
-            work.append(([i for i in part if i not in universal], shift + joined))
-            continue
-        pieces = _quotient_components(counts, part)
-        if len(pieces) > 1:
-            work.extend((piece, shift) for piece in pieces)
-            continue
-        rows = [[-c for c in inside(counts[i])] for i in part]
-        for a, d in enumerate(degrees):
-            rows[a][a] += d
-        # an equitable quotient of a Laplacian is similar to a symmetric PSD matrix
-        poly = charpoly_exact(rows, nonnegative_eigenvalues=True)
-        for root, mult in integer_root_multiplicities(poly, 0, total).items():
-            roots[shift + root] += mult
-            for _ in range(mult):
-                poly = _synthetic_divide(poly, root)
-        residual = _poly_mul(residual, taylor_shift(poly, -shift))
-    assert min(roots.values(), default=0) >= 0, "a join removed a root it did not have"
-    return +roots, residual
+    return [merged_sizes[i] for i in keep], merged, extracted
 
 
 def _poly_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
@@ -490,8 +472,9 @@ def integer_eigenvalue_multiplicity(g: Graph, lam: int) -> int:
     """Exact algebraic multiplicity of the integer lam in the Laplacian spectrum.
 
     Read from the certified part of `spectrum`: the multiplicities split
-    off by the collapse plus the multiplicity of lam as a root of the
-    quotient's exact characteristic polynomial.
+    off at twin classes plus those the quotient routine certifies, at
+    joins, at weighted-twin merges and as roots of the exact
+    characteristic polynomial of each leaf.
     """
     if not 0 <= lam <= g.n:
         raise ValueError(f"eigenvalue candidate {lam} outside 0..{g.n}")
@@ -503,39 +486,24 @@ def spectrum(g: Graph | TwinPartition) -> Spectrum:
 
     Takes a graph or its twin partition; `twin_partition(group)` and
     `cyclic_twin_partition(n)` give a power graph's without building it.
-    Every integer 0..n is certified through the exact engine; when the
-    certified multiplicities sum to n the spectrum is Exact.  Otherwise
-    the certified roots are divided out of the quotient's characteristic
-    polynomial (`_split_charpoly`, which computes only the pieces that
-    joins and unions cannot split), leaving the residual, and the result
-    is Mixed.  Its display floats are the eigenvalues of the symmetrized
-    quotient with the certified roots removed at the positions the exact
-    counts give.
+    A twin class of k vertices splits off its degree (plus one for a
+    clique class) k - 1 times; the rest of the spectrum is the twin
+    quotient's, which `_quotient_spectrum` certifies: every integer
+    eigenvalue with its exact multiplicity, and the residual polynomial
+    of the others with their display floats.  When the certified
+    multiplicities sum to n the spectrum is Exact, otherwise Mixed.
     """
-    core = _collapse(g)
-    n = core.n
-    roots, residual = _split_charpoly(core.sizes, core.counts)
-    exact = FactoredCharPoly.from_counts(Counter(dict(core.extracted)) + roots)
-    certified = exact.degree
-    if certified > n:
-        raise AssertionError("certified multiplicities exceed vertex count")
-    if certified == n:
-        return Spectrum(n=n, exact=exact)
-
-    # eigvalsh is ascending: the root r with multiplicity m sits after the
-    # core's smaller certified roots and the residual roots below r
-    values = np.linalg.eigvalsh(core.symmetrized())
-    keep = np.ones(len(values), dtype=bool)
-    degree = len(residual) - 1
-    smaller = 0
-    for root, mult in sorted(roots.items()):
-        start = smaller + degree - roots_above(residual, root)
-        keep[start:start + mult] = False
-        smaller += mult
+    tp = g if isinstance(g, TwinPartition) else twin_partition(g)
+    exact: Counter = Counter()
+    for i, (c, row) in enumerate(zip(tp.classes, tp.counts)):
+        if len(c) >= 2:
+            # a clique class (nonzero within count) gives degree + 1
+            exact[sum(row) + (1 if row[i] else 0)] += len(c) - 1
+    roots, residual, numeric = _quotient_spectrum([len(c) for c in tp.classes], tp.counts)
     return Spectrum(
-        n=n,
-        exact=exact,
-        numeric=tuple(float(v) for v in values[keep][::-1]),
+        n=tp.n,
+        exact=FactoredCharPoly.from_counts(exact + roots),
+        numeric=tuple(sorted(numeric, reverse=True)),
         residual=tuple(residual),
     )
 

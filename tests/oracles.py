@@ -9,13 +9,16 @@ dicyclic table filled entry by entry from its relations, and whole
 multiplication tables built by slicing and broadcasting, with the power
 walk over them.  Twin partitions are hashed from the neighbourhood rows
 of every vertex, and the dicyclic facts about e and a^n are read off
-the power graph itself.  One oracle is there for parity instead: the unpruned
+the power graph itself.  Two oracles are there for parity instead: the unpruned
 class-pair scan, which shares the flow network of `vertex_connectivity`
-but none of its pruning.
+but none of its pruning, and the collapse of a whole twin quotient,
+which runs `spectra._merge_weighted_twins` over every class at once
+where `spectrum` runs it only on the pieces joins and unions leave.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -34,8 +37,10 @@ from powerlap.graphs import (
     components,
     induced_subgraph,
     is_complete,
+    twin_partition,
 )
 from powerlap.groups import FiniteGroup, factorize
+from powerlap.spectra import _merge_weighted_twins
 
 
 # ---------------------------------------------------------------------------
@@ -286,6 +291,51 @@ def twin_partition_by_rows(g: Graph) -> TwinPartition:
     return TwinPartition(
         classes=tuple(tuple(sorted(m)) for m in classes),
         counts=tuple(tuple((g.rows[c[0]] & m).bit_count() for m in masks) for c in classes),
+    )
+
+
+@dataclass(frozen=True)
+class Collapsed:
+    """A twin quotient merged to a fixpoint.  ``extracted`` are the
+    eigenvalues split off with their multiplicities; the rest of the
+    spectrum is that of diag(row sums of counts) - counts.  ``passes``
+    counts the merge passes that merged."""
+
+    sizes: tuple[int, ...]
+    counts: tuple[tuple[int, ...], ...]
+    extracted: tuple[tuple[int, int], ...]  # (eigenvalue, multiplicity)
+    passes: int
+
+    @property
+    def core_size(self) -> int:
+        return len(self.sizes)
+
+    def quotient_rows(self) -> list[list[int]]:
+        rows = [[-c for c in row] for row in self.counts]
+        for i, row in enumerate(self.counts):
+            rows[i][i] += sum(row)
+        return rows
+
+
+def collapse_to_fixpoint(g: Graph | TwinPartition) -> Collapsed:
+    """Twin classes split off, then weighted twins merged over the whole
+    quotient until a pass merges nothing."""
+    tp = g if isinstance(g, TwinPartition) else twin_partition(g)
+    extracted: Counter = Counter()
+    for i, (c, row) in enumerate(zip(tp.classes, tp.counts)):
+        if len(c) >= 2:
+            extracted[sum(row) + (1 if row[i] else 0)] += len(c) - 1
+    sizes, counts = [len(c) for c in tp.classes], tp.counts
+    passes = 0
+    while merged := _merge_weighted_twins(sizes, counts):
+        sizes, counts, found = merged
+        extracted += found
+        passes += 1
+    return Collapsed(
+        sizes=tuple(sizes),
+        counts=tuple(tuple(row) for row in counts),
+        extracted=tuple(sorted(extracted.items())),
+        passes=passes,
     )
 
 

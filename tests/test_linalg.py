@@ -18,7 +18,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import charpoly_scalar_crt, fraction_charpoly
+from oracles import charpoly_scalar_crt, collapse_to_fixpoint, fraction_charpoly
 from powerlap import linalg
 from powerlap.graphs import cyclic_twin_partition, power_graph, twin_partition
 from powerlap.groups import dicyclic_group, parse_group_spec
@@ -32,7 +32,6 @@ from powerlap.linalg import (
     roots_above,
     taylor_shift,
 )
-from powerlap.spectra import _collapse
 from powerlap.verify import pgroup_catalog
 
 ORACLE_MAX_DIM = 40
@@ -64,7 +63,7 @@ def scan_integer_roots(coeffs, lo, hi):
 
 
 def quotient_cores(groups):
-    cores = (_collapse(power_graph(g)).quotient_rows() for g in groups)
+    cores = (collapse_to_fixpoint(power_graph(g)).quotient_rows() for g in groups)
     return [q for q in cores if len(q) <= ORACLE_MAX_DIM]
 
 
@@ -133,7 +132,7 @@ def test_charpoly_with_entries_beyond_int64():
 
 
 def test_charpoly_matches_scalar_oracle_on_the_z5040_core():
-    core = _collapse(cyclic_twin_partition(5040)).quotient_rows()
+    core = collapse_to_fixpoint(cyclic_twin_partition(5040)).quotient_rows()
     assert len(core) == 59
     assert charpoly_exact(core) == charpoly_scalar_crt(core)
 
@@ -195,12 +194,12 @@ def test_maclaurin_and_row_sum_bounds_agree_on_every_claim_core():
     groups = [dicyclic_group(n) for n in (*range(2, 33), 105, 250)] + pgroup_catalog(256)
     partitions += [twin_partition(power_graph(g)) for g in groups]
     for tp in partitions:
-        core = _collapse(tp).quotient_rows()
+        core = collapse_to_fixpoint(tp).quotient_rows()
         assert charpoly_exact(core, nonnegative_eigenvalues=True) == charpoly_exact(core)
 
 
 def test_maclaurin_bound_takes_fewer_primes_on_the_z4_4_core(monkeypatch):
-    core = _collapse(power_graph(parse_group_spec("prod:zn:4xzn:4xzn:4xzn:4"))).quotient_rows()
+    core = collapse_to_fixpoint(power_graph(parse_group_spec("prod:zn:4xzn:4xzn:4xzn:4"))).quotient_rows()
     used = []
     mod_primes = linalg._charpoly_mod_primes
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import powerlap.spectra
 from conftest import random_graph
 from oracles import (
+    collapse_to_fixpoint,
     dense_nullity,
     dense_numeric_eigenvalues,
     fraction_charpoly,
@@ -22,7 +23,7 @@ from powerlap.graphs import (
     power_graph,
     twin_partition,
 )
-from powerlap.groups import cyclic_group, dicyclic_group, direct_product
+from powerlap.groups import cyclic_group, dicyclic_group, direct_product, parse_group_spec
 from powerlap.linalg import (
     charpoly_exact,
     eval_poly_at_int,
@@ -161,35 +162,26 @@ def test_certified_integers_in_numeric_spectrum(small_groups):
 
 
 # ---------------------------------------------------------------------------
-# the collapse
+# weighted twins, merged over the whole twin quotient
 
 
-@pytest.fixture
-def collapse(monkeypatch):
-    """`_collapse` returning (core, number of passes that merged)."""
-    merge = powerlap.spectra._merge_weighted_twins
-    merged = []
-
-    def counting(sizes, counts, extracted):
-        merged.append(merge(sizes, counts, extracted))
-        return merged[-1]
-
-    monkeypatch.setattr(powerlap.spectra, "_merge_weighted_twins", counting)
-
-    def run(g):
-        merged.clear()
-        return powerlap.spectra._collapse(g), sum(merged)
-
-    return run
+def times_factors(coeffs, factors):
+    """coeffs (ascending) times (x - lam)^mult for each (lam, mult)."""
+    coeffs = list(coeffs)
+    for lam, mult in factors:
+        for _ in range(mult):
+            coeffs = [a - lam * b for a, b in zip([0] + coeffs, coeffs + [0])]
+    return coeffs
 
 
 def collapsed_charpoly(core):
     """Extracted factors times the quotient's charpoly, coefficients ascending."""
-    coeffs = charpoly_exact(core.quotient_rows())
-    for lam, mult in core.extracted:
-        for _ in range(mult):
-            coeffs = [a - lam * b for a, b in zip([0] + coeffs, coeffs + [0])]
-    return coeffs
+    return times_factors(charpoly_exact(core.quotient_rows()), core.extracted)
+
+
+def spectrum_charpoly(s):
+    """Certified factors times the residual, coefficients ascending."""
+    return times_factors(s.residual, s.exact.factors)
 
 
 def dense_charpoly(g):
@@ -199,84 +191,91 @@ def dense_charpoly(g):
 def assert_collapse_of(g, core, charpoly=None):
     """Every vertex is extracted or in the core, the core's counts are
     neighbor counts (they add up to the degree sum of the graph), and the
-    extracted factors times the quotient's charpoly are the graph's."""
+    extracted factors times the quotient's charpoly are the graph's; so
+    are the factors and residual `spectrum` certifies piece by piece."""
+    want = charpoly or dense_charpoly(g)
     assert sum(core.sizes) == g.n
     assert core.core_size + sum(m for _, m in core.extracted) == g.n
     edge_ends = sum(s * sum(row) for s, row in zip(core.sizes, core.counts))
     assert edge_ends == 2 * g.edge_count()
-    assert collapsed_charpoly(core) == (charpoly or dense_charpoly(g))
+    assert collapsed_charpoly(core) == want
+    assert spectrum_charpoly(spectrum(g)) == want
 
 
-def test_collapse_merges_a_join_of_matchings_in_two_passes(collapse):
+def test_collapse_merges_a_join_of_matchings_in_two_passes():
     # 2K2 v 2K2: the four K2s are closed twin classes; each side's two
     # merge (cross count 0), then the two sides merge (cross count 4)
     join = [(a, b) for a in range(4) for b in range(4, 8)]
     g = Graph.from_edges(8, [(0, 1), (2, 3), (4, 5), (6, 7)] + join)
-    core, passes = collapse(g)
-    assert passes == 2
+    core = collapse_to_fixpoint(g)
+    assert core.passes == 2
     assert core.sizes == (8,) and core.counts == ((5,),)
     assert core.extracted == ((4, 2), (6, 4), (8, 1))
     assert_collapse_of(g, core)
 
 
-def test_collapse_merges_only_classes_with_equal_within_counts(collapse):
+def test_collapse_merges_only_classes_with_equal_within_counts():
     # z is adjacent to two K2s (A1, A2) and to a pair B of open twins; y to
     # another pair B'.  A1, A2 and B share size and outside neighbors, but
     # only A1 and A2 have within count 1: B stays a class of its own
     z, y = 0, 7
     edges = [(1, 2), (3, 4)] + [(z, v) for v in range(1, 7)] + [(y, 8), (y, 9)]
     g = Graph.from_edges(10, edges)
-    core, passes = collapse(g)
-    assert passes == 1
+    core = collapse_to_fixpoint(g)
+    assert core.passes == 1
     assert sorted(core.sizes) == [1, 1, 2, 2, 4]
     assert core.extracted == ((1, 3), (3, 2))
     assert_collapse_of(g, core)
 
 
-def test_collapse_matches_dense_charpoly_on_groups(collapse):
+def test_collapse_matches_dense_charpoly_on_groups():
     for n in range(2, 13):
         g = power_graph(dicyclic_group(n))
-        core, passes = collapse(g)
-        assert passes == 1, n
+        core = collapse_to_fixpoint(g)
+        assert core.passes == 1, n
         assert_collapse_of(g, core)
     for grp in pgroup_catalog(64):
         g = power_graph(grp)
         want = dense_charpoly(g)
         for graph in (g, tree_graph(decompose(grp))):
-            core, passes = collapse(graph)
-            assert passes <= 1, grp.label
+            core = collapse_to_fixpoint(graph)
+            assert core.passes <= 1, grp.label
             assert_collapse_of(graph, core, want)
 
 
-def test_collapse_matches_dense_charpoly_on_random_graphs(collapse):
+def test_collapse_matches_dense_charpoly_on_random_graphs():
     rng = random.Random(14)
     for trial in range(100):
         g = random_graph(rng, rng.randint(1, 14), rng.random())
-        core, _ = collapse(g)
-        assert_collapse_of(g, core)
+        assert_collapse_of(g, collapse_to_fixpoint(g))
 
 
 # ---------------------------------------------------------------------------
-# the split charpoly of the collapsed quotient
+# the quotient routine: joins, unions, merges and leaves
 
 
 def assert_split_matches_full(sizes, counts):
-    """`_split_charpoly` gives the integer roots of the whole quotient's
+    """`_quotient_spectrum` gives the integer roots of the whole quotient's
     charpoly, in 0..n as `spectrum` certified them from it, and a
-    residual with no integer root; together they are that charpoly."""
+    residual with no integer root; together they are that charpoly.  Its
+    floats are the quotient's dense eigenvalues less those roots."""
     n = sum(sizes)
     rows = [[-c for c in row] for row in counts]
     for i, row in enumerate(counts):
         rows[i][i] += sum(row)
     full = charpoly_exact(rows, nonnegative_eigenvalues=True)
-    roots, residual = powerlap.spectra._split_charpoly(sizes, counts)
+    roots, residual, numeric = powerlap.spectra._quotient_spectrum(sizes, counts)
     assert roots == integer_root_multiplicities(full, 0, n)
     assert integer_root_multiplicities(residual, 0, n) == {}
-    product = list(residual)
+    assert times_factors(residual, roots.items()) == full
+    scale = np.sqrt(np.array(sizes, dtype=float))
+    m = len(sizes)
+    dense = list(np.linalg.eigvalsh(np.array(rows, dtype=float).reshape(m, m)
+                                    * scale[:, None] / scale[None, :]))
     for root, mult in roots.items():
         for _ in range(mult):
-            product = [a - root * b for a, b in zip([0] + product, product + [0])]
-    assert product == full
+            dense.remove(min(dense, key=lambda v: abs(v - root)))
+    assert np.allclose(sorted(numeric), sorted(dense), rtol=0, atol=1e-9)
 
 
 def claim_suite_partitions():
@@ -292,16 +291,40 @@ def claim_suite_partitions():
         yield twin_partition(g)
 
 
+def quotient_of(tp):
+    return tuple(len(c) for c in tp.classes), tp.counts
+
+
 def test_split_charpoly_matches_full_core_on_claim_suites():
     for tp in claim_suite_partitions():
-        core = powerlap.spectra._collapse(tp)
-        assert_split_matches_full(core.sizes, core.counts)
+        assert_split_matches_full(*quotient_of(tp))
 
 
 @pytest.mark.parametrize("n", [720, 1680, 2310, 5040])
 def test_split_charpoly_matches_full_core_on_divisor_rich_zn(n):
-    core = powerlap.spectra._collapse(cyclic_twin_partition(n))
-    assert_split_matches_full(core.sizes, core.counts)
+    assert_split_matches_full(*quotient_of(cyclic_twin_partition(n)))
+
+
+@pytest.mark.parametrize("spec", [
+    "prod:zn:2xzn:2xzn:2xzn:2xzn:15",
+    "prod:zn:6xzn:6",
+    "prod:zn:2xzn:6xzn:6",
+    "prod:zn:3xzn:3xzn:6",
+    "qn:105",
+    "qn:250",
+])
+def test_quotient_spectrum_merges_after_a_join(spec, monkeypatch):
+    merge = powerlap.spectra._merge_weighted_twins
+    calls = []
+
+    def counting(sizes, counts):
+        calls.append(len(sizes))
+        return merge(sizes, counts)
+
+    monkeypatch.setattr(powerlap.spectra, "_merge_weighted_twins", counting)
+    assert_split_matches_full(*quotient_of(twin_partition(parse_group_spec(spec))))
+    # the identity is universal, so every piece the merge sees comes after a join
+    assert calls
 
 
 def _union(g, h):
@@ -342,40 +365,55 @@ split_graphs = st.recursive(
 @example(_join(_union(_P4, _P4), _join(Graph(1, (0,)), _union(_P4, Graph.complete(2)))))
 def test_split_charpoly_matches_full_core_on_random_graphs(g):
     tp = twin_partition(g)
-    assert_split_matches_full(tuple(len(c) for c in tp.classes), tp.counts)
-    core = powerlap.spectra._collapse(tp)
+    assert_split_matches_full(*quotient_of(tp))
+    core = collapse_to_fixpoint(tp)
     assert_split_matches_full(core.sizes, core.counts)
 
 
 def test_split_charpoly_by_hand():
-    split = powerlap.spectra._split_charpoly
-    assert split((), ()) == ({}, [1])
-    assert split((3,), ((0,),)) == ({0: 1}, [1])
+    def split(sizes, counts):
+        roots, residual, numeric = powerlap.spectra._quotient_spectrum(sizes, counts)
+        return roots, residual, sorted(numeric)
+
+    assert split((), ()) == ({}, [1], [])
+    assert split((3,), ((0,),)) == ({0: 1}, [1], [])
     # K_3 as three one-vertex classes, each universal: x (x-3)^2
-    assert split((1, 1, 1), ((0, 1, 1), (1, 0, 1), (1, 1, 0))) == ({0: 1, 3: 2}, [1])
+    assert split((1, 1, 1), ((0, 1, 1), (1, 0, 1), (1, 1, 0))) == ({0: 1, 3: 2}, [1], [])
     # K_2 v 3K_1: a universal clique class joined to an independent class
     # gives the quotient eigenvalues 0 and 5 with no charpoly
-    assert split((2, 3), ((1, 3), (2, 0))) == ({0: 1, 5: 1}, [1])
+    assert split((2, 3), ((1, 3), (2, 0))) == ({0: 1, 5: 1}, [1], [])
     # the path on 4 vertices cannot be split: 0, 2 and the roots of x^2 - 4x + 2
-    assert split((1,) * 4, ((0, 1, 0, 0), (1, 0, 1, 0), (0, 1, 0, 1), (0, 0, 1, 0))) \
-        == ({0: 1, 2: 1}, [2, -4, 1])
+    roots, residual, numeric = split((1,) * 4, ((0, 1, 0, 0), (1, 0, 1, 0), (0, 1, 0, 1), (0, 0, 1, 0)))
+    assert (roots, residual) == ({0: 1, 2: 1}, [2, -4, 1])
+    assert np.allclose(numeric, [2 - 2 ** 0.5, 2 + 2 ** 0.5], rtol=0, atol=1e-12)
 
 
 def test_non_cyclic_p_groups_need_no_charpoly(monkeypatch):
     calls = []
+    merges = []
+    merge = powerlap.spectra._merge_weighted_twins
 
     def counting(matrix, **kwargs):
         calls.append(len(matrix))
         return charpoly_exact(matrix, **kwargs)
 
+    def merge_counting(sizes, counts):
+        merges.append(len(sizes))
+        return merge(sizes, counts)
+
     monkeypatch.setattr(powerlap.spectra, "charpoly_exact", counting)
+    monkeypatch.setattr(powerlap.spectra, "_merge_weighted_twins", merge_counting)
     groups = [g for g in pgroup_catalog(256) if not is_cyclic(g)]
     assert len(groups) == 83
     for g in groups:
         spectrum(twin_partition(g))
-    assert calls == []
+    # Q_2048: joins at {e, a^n} and unions leave single classes
+    spectrum(twin_partition(dicyclic_group(2048)))
+    assert calls == [] and merges == []
     spectrum(cyclic_twin_partition(12))
     assert calls
+    spectrum(twin_partition(dicyclic_group(3)))
+    assert merges
 
 
 # ---------------------------------------------------------------------------
