@@ -387,7 +387,18 @@ def _classes_connected(tp: TwinPartition, keep: Sequence[int]) -> bool:
     induced graph is connected iff its quotient is."""
     if len(keep) == 1:
         return tp.class_size(keep[0]) == 1 or tp.counts[keep[0]][keep[0]] > 0
-    return len(_quotient_components(tp.counts, keep)) == 1
+    # one search from the first class, stopped once it has reached them all
+    inside = itemgetter(*keep)
+    seen = {keep[0]}
+    reached = [keep[0]]
+    for i in reached:
+        for j in compress(keep, inside(tp.counts[i])):
+            if j not in seen:
+                seen.add(j)
+                reached.append(j)
+                if len(seen) == len(keep):
+                    return True
+    return False
 
 
 def _quotient_components(counts: Sequence[Sequence[int]], keep: Sequence[int]) -> list[list[int]]:

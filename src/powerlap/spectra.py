@@ -12,7 +12,11 @@ the integer eigenvalues of their difference vectors and is merged.
 Each rule's polynomial follows from its parts', so only the pieces no
 rule fits, connected with two or more classes, no universal class and
 no weighted twins, reach the exact charpoly (modular images recombined
-past a proven coefficient bound).  Every integer eigenvalue multiplicity
+past a proven coefficient bound), with the zero eigenvalue every
+Laplacian quotient has deflated first.  A leaf's result depends only
+on its sizes and counts and is memoized for the last 64 leaves, so a
+leaf met again, such as the one a Z_n quotient shares with its reduced
+graph's, costs no second charpoly.  Every integer eigenvalue multiplicity
 comes from these rules and polynomials, so an "Exact" spectrum is a
 proof, not an approximation.  A power graph's identity is universal, so
 a non-cyclic p-group's quotient splits all the way down and needs no
@@ -34,6 +38,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from operator import itemgetter
 from typing import Iterable, Sequence
 
@@ -242,24 +247,35 @@ class Spectrum:
         certified = sum(m for r, m in self.exact.factors if r <= k)
         return certified + len(self.numeric) - roots_above(self.residual, k)
 
-    def eigenvalues_ascending(self) -> list[int | float]:
-        """Every eigenvalue ascending; certified integers placed by exact counts."""
+    @cached_property
+    def _ascending(self) -> tuple[int | float, ...]:
         floats = sorted(self.numeric)
         vals: list[int | float] = []
         placed = 0  # floats already in vals
-        certified = 0  # certified eigenvalues below r
         for r, m in self.exact.factors:
-            # the residual roots below r are the eigenvalues <= r not certified
-            below = self.count_at_most(r) - certified - m
+            # the residual has no root at r, so those not above it lie below
+            below = len(floats) - roots_above(self.residual, r)
             vals.extend(floats[placed:below])
             vals.extend([r] * m)
             placed = below
-            certified += m
         vals.extend(floats[placed:])
-        return vals
+        return tuple(vals)
+
+    def eigenvalues_ascending(self) -> list[int | float]:
+        """Every eigenvalue ascending; certified integers placed by exact counts.
+
+        The order (one Descartes count per distinct certified eigenvalue)
+        is computed on the first call and kept, so algebraic
+        connectivity, the spectral radius and its multiplicity share
+        it; each call returns a fresh list.  The integer eigenvalues it
+        places come from leaf charpolys run with each leaf's zero
+        eigenvalue deflated.  A leaf met again among the last 64 reuses
+        its memoized roots, so the order equals a fresh computation's.
+        """
+        return list(self._ascending)
 
     def eigenvalues_descending(self) -> list[int | float]:
-        return list(reversed(self.eigenvalues_ascending()))
+        return list(reversed(self._ascending))
 
     def to_json_dict(self) -> dict:
         return {
@@ -321,8 +337,9 @@ def _quotient_spectrum(sizes: Sequence[int], counts: Sequence[Sequence[int]]
       integer eigenvalues of difference vectors, which are split off;
       the merged quotient, the only matrix built for a piece, holds the
       rest of chi_S and is queued again.
-    - Leaf.  Otherwise S goes to `charpoly_exact`; its integer roots lie
-      in 0..n_S.  One class gives x, and no class gives 1.
+    - Leaf.  Otherwise S goes to `_leaf_spectrum` and its one
+      `charpoly_exact`; its integer roots lie in 0..n_S.  One class
+      gives x, and no class gives 1.
 
     The integer roots are carried in a Counter, shifted as joins shift
     them; the shifted 0 of R that a join removes is counted out when R
@@ -359,8 +376,8 @@ def _quotient_spectrum(sizes: Sequence[int], counts: Sequence[Sequence[int]]
             work.extend((sizes, counts, piece, [degree[i] for i in piece], shift) for piece in pieces)
             continue
         inside = itemgetter(*part)
-        sizes = [sizes[i] for i in part]
-        counts = [inside(counts[i]) for i in part]
+        sizes = tuple(sizes[i] for i in part)
+        counts = tuple(inside(counts[i]) for i in part)
         merged = _merge_weighted_twins(sizes, counts)
         if merged:
             sizes, counts, found = merged
@@ -368,33 +385,58 @@ def _quotient_spectrum(sizes: Sequence[int], counts: Sequence[Sequence[int]]
                 roots[shift + lam] += mult
             work.append((sizes, counts, range(len(sizes)), [sum(row) for row in counts], shift))
             continue
-        rows = [[-c for c in row] for row in counts]
-        for a, d in enumerate(degrees):
-            rows[a][a] += d
-        # an equitable quotient of a Laplacian is similar to a symmetric PSD matrix
-        poly = charpoly_exact(rows, nonnegative_eigenvalues=True)
-        found = sorted(integer_root_multiplicities(poly, 0, total).items())
+        found, poly, values = _leaf_spectrum(sizes, counts)
         for root, mult in found:
             roots[shift + root] += mult
-            for _ in range(mult):
-                poly = _synthetic_divide(poly, root)
-        degree = len(poly) - 1
-        if degree:
-            # eigvalsh is ascending: the root r with multiplicity m sits after
-            # the leaf's smaller integer roots and the residual roots below r
-            scale = np.sqrt(np.array(sizes, dtype=float))
-            s = np.array(rows, dtype=float) * scale[:, None] / scale[None, :]
-            values = np.linalg.eigvalsh((s + s.T) / 2.0)
-            keep = np.ones(len(values), dtype=bool)
-            smaller = 0
-            for root, mult in found:
-                start = smaller + degree - roots_above(poly, root)
-                keep[start:start + mult] = False
-                smaller += mult
-            numeric.extend(float(v) + shift for v in values[keep])
+        if values:
+            numeric.extend(v + shift for v in values)
             residual = _poly_mul(residual, taylor_shift(poly, -shift))
     assert min(roots.values(), default=0) >= 0, "a join removed a root it did not have"
     return +roots, residual, numeric
+
+
+@lru_cache(maxsize=64)
+def _leaf_spectrum(sizes: tuple[int, ...], counts: tuple[tuple[int, ...], ...]
+                   ) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...], tuple[float, ...]]:
+    """Unshifted spectrum of one leaf Q = diag(row sums) - counts: its
+    integer roots with multiplicities (ascending), the monic residual
+    left when they are divided out of chi_Q, and the residual's roots as
+    display floats (ascending).
+
+    Q has zero row sums, so in the unimodular basis (1, e_2, ..., e_m)
+    its first column vanishes and chi_Q(x) = x chi_Q'(x), where
+    Q'_ij = Q_ij - Q_1j for i, j >= 2: the charpoly runs on one row
+    fewer.  Q' keeps Q's other eigenvalues, real and nonnegative, so the
+    Maclaurin bound still holds.  The result depends only on the
+    arguments, so the last 64 leaves are memoized: a Z_n quotient and
+    its reduced graph's, for one, end in the same leaf.
+    """
+    rows = [[-c for c in row] for row in counts]
+    for a, row in enumerate(counts):
+        rows[a][a] += sum(row)
+    first = rows[0][1:]
+    deflated = [[x - y for x, y in zip(row[1:], first)] for row in rows[1:]]
+    # an equitable quotient of a Laplacian is similar to a symmetric PSD matrix
+    poly = [0] + charpoly_exact(deflated, nonnegative_eigenvalues=True)
+    found = tuple(sorted(integer_root_multiplicities(poly, 0, sum(sizes)).items()))
+    for root, mult in found:
+        for _ in range(mult):
+            poly = _synthetic_divide(poly, root)
+    degree = len(poly) - 1
+    if not degree:
+        return found, (1,), ()
+    # eigvalsh is ascending: the root r with multiplicity m sits after
+    # the leaf's smaller integer roots and the residual roots below r
+    scale = np.sqrt(np.array(sizes, dtype=float))
+    s = np.array(rows, dtype=float) * scale[:, None] / scale[None, :]
+    values = np.linalg.eigvalsh((s + s.T) / 2.0)
+    keep = np.ones(len(values), dtype=bool)
+    smaller = 0
+    for root, mult in found:
+        start = smaller + degree - roots_above(poly, root)
+        keep[start:start + mult] = False
+        smaller += mult
+    return found, tuple(poly), tuple(float(v) for v in values[keep])
 
 
 def _merge_weighted_twins(sizes: Sequence[int], counts: Sequence[Sequence[int]]
@@ -516,13 +558,13 @@ def algebraic_connectivity(s: Spectrum) -> int | float:
     """Second-smallest Laplacian eigenvalue; an int when certified exactly."""
     if s.n < 2:
         raise ValueError("algebraic connectivity requires at least 2 vertices")
-    return s.eigenvalues_ascending()[1]
+    return s._ascending[1]
 
 
 def spectral_radius(s: Spectrum) -> int | float:
     if s.n < 1:
         raise ValueError("spectral radius requires a nonempty graph")
-    return s.eigenvalues_descending()[0]
+    return s._ascending[-1]
 
 
 def spectral_radius_multiplicity(s: Spectrum) -> int:
@@ -533,7 +575,7 @@ def spectral_radius_multiplicity(s: Spectrum) -> int:
     """
     if s.n < 1:
         raise ValueError("spectral radius requires a nonempty graph")
-    top = s.eigenvalues_descending()[0]
+    top = s._ascending[-1]
     if not isinstance(top, int):
         raise ValueError(
             "the largest eigenvalue is not a certified integer; its multiplicity is not certified"

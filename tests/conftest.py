@@ -9,6 +9,14 @@ from powerlap.groups import (
     direct_product,
     generalized_quaternion,
 )
+from powerlap.spectra import _leaf_spectrum
+
+
+@pytest.fixture(autouse=True)
+def cold_leaf_memo():
+    """Every test starts with an empty leaf memo, so a test that counts
+    charpoly calls sees none saved by leaves an earlier test computed."""
+    _leaf_spectrum.cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -16,6 +16,8 @@ from oracles import (
 from powerlap.graphs import (
     Graph,
     _SplitNetwork,
+    _classes_connected,
+    _quotient_components,
     complement,
     components,
     cyclic_twin_partition,
@@ -389,6 +391,17 @@ def small_graphs(draw):
 @example(Graph.complete(7))
 def test_twin_partition_matches_the_row_hash(g):
     assert twin_partition(g) == twin_partition_by_rows(g)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(small_graphs(), twin_rich_graphs()), st.data())
+def test_classes_connected_matches_the_component_count(g, data):
+    tp = twin_partition(g)
+    if tp.size < 2:
+        return
+    keep = data.draw(st.lists(st.sampled_from(range(tp.size)), min_size=2, unique=True))
+    # the single search agrees with listing every component, in any class order
+    assert _classes_connected(tp, keep) == (len(_quotient_components(tp.counts, keep)) == 1)
 
 
 def test_twin_partition_of_a_group_matches_its_power_graph():

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import powerlap.spectra
+import powerlap.verify
 from conftest import random_graph
 from oracles import (
     collapse_to_fixpoint,
@@ -45,7 +46,7 @@ from powerlap.spectra import (
     spectrum,
     union_charpoly,
 )
-from powerlap.verify import is_cyclic, pgroup_catalog
+from powerlap.verify import is_cyclic, pgroup_catalog, run_cyclic_suite, scan_conjecture
 
 
 def poly(counts):
@@ -254,15 +255,21 @@ def test_collapse_matches_dense_charpoly_on_random_graphs():
 # the quotient routine: joins, unions, merges and leaves
 
 
+def quotient_matrix(counts):
+    """diag(row sums) - counts."""
+    rows = [[-c for c in row] for row in counts]
+    for i, row in enumerate(counts):
+        rows[i][i] += sum(row)
+    return rows
+
+
 def assert_split_matches_full(sizes, counts):
     """`_quotient_spectrum` gives the integer roots of the whole quotient's
     charpoly, in 0..n as `spectrum` certified them from it, and a
     residual with no integer root; together they are that charpoly.  Its
     floats are the quotient's dense eigenvalues less those roots."""
     n = sum(sizes)
-    rows = [[-c for c in row] for row in counts]
-    for i, row in enumerate(counts):
-        rows[i][i] += sum(row)
+    rows = quotient_matrix(counts)
     full = charpoly_exact(rows, nonnegative_eigenvalues=True)
     roots, residual, numeric = powerlap.spectra._quotient_spectrum(sizes, counts)
     assert roots == integer_root_multiplicities(full, 0, n)
@@ -414,6 +421,78 @@ def test_non_cyclic_p_groups_need_no_charpoly(monkeypatch):
     assert calls
     spectrum(twin_partition(dicyclic_group(3)))
     assert merges
+
+
+def test_leaf_charpoly_deflates_the_zero_eigenvalue(monkeypatch):
+    """Each leaf's charpoly runs on Q' with one row fewer, and x chi_Q'(x)
+    is chi_Q(x), on every leaf of the default suites and of the
+    divisor-rich Z_n."""
+    leaves = []
+    passed = []
+    leaf = powerlap.spectra._leaf_spectrum
+
+    def recording(sizes, counts):
+        leaves.append((sizes, counts))
+        return leaf.__wrapped__(sizes, counts)
+
+    def spying(matrix, **kwargs):
+        passed.append(matrix)
+        return charpoly_exact(matrix, **kwargs)
+
+    monkeypatch.setattr(powerlap.spectra, "_leaf_spectrum", recording)
+    monkeypatch.setattr(powerlap.spectra, "charpoly_exact", spying)
+    partitions = list(claim_suite_partitions())
+    partitions += [cyclic_twin_partition(n) for n in (720, 840, 1260, 1680, 2310, 5040)]
+    for tp in partitions:
+        powerlap.spectra._quotient_spectrum(*quotient_of(tp))
+    assert len(passed) == len(leaves) > 0
+    checked = set()
+    for (sizes, counts), deflated in zip(leaves, passed):
+        if (sizes, counts) in checked:
+            continue
+        checked.add((sizes, counts))
+        full = quotient_matrix(counts)
+        assert len(deflated) == len(full) - 1
+        assert [0] + charpoly_exact(deflated) == charpoly_exact(full)
+    assert max(map(len, passed)) == 57  # Z_5040 ends in a leaf of 58 classes
+
+
+def test_cyclic_suite_takes_one_charpoly_per_distinct_leaf(monkeypatch):
+    calls = []
+
+    def counting(matrix, **kwargs):
+        calls.append(tuple(map(tuple, matrix)))
+        return charpoly_exact(matrix, **kwargs)
+
+    def run():
+        powerlap.verify._cyclic_partition.cache_clear()
+        powerlap.verify._cyclic_spectrum.cache_clear()
+        calls.clear()
+        reports = [r.to_json_dict() for r in run_cyclic_suite(60)]
+        return reports, list(calls)
+
+    monkeypatch.setattr(powerlap.spectra, "charpoly_exact", counting)
+    warm, warm_calls = run()
+    assert warm_calls and len(warm_calls) == len(set(warm_calls))
+
+    spectrum_of = powerlap.verify.spectrum
+
+    def cold(tp):
+        powerlap.spectra._leaf_spectrum.cache_clear()
+        return spectrum_of(tp)
+
+    monkeypatch.setattr(powerlap.verify, "spectrum", cold)
+    cold_reports, cold_calls = run()
+    assert cold_reports == warm
+    # the reduced Z_n of the radius claim ends in its full quotient's leaf
+    assert set(cold_calls) == set(warm_calls) and len(cold_calls) > len(warm_calls)
+
+
+def test_leaf_memo_stays_bounded():
+    scan_conjecture(600)
+    info = powerlap.spectra._leaf_spectrum.cache_info()
+    assert info.maxsize == 64
+    assert 0 < info.currsize <= info.maxsize
 
 
 # ---------------------------------------------------------------------------
@@ -663,6 +742,19 @@ def test_spectrum_invariant_enforcement():
     # x^2 - 3x has the root 0, which Descartes' rule does not count as positive
     with pytest.raises(ValueError, match="at or below zero"):
         Spectrum(n=3, exact=poly({0: 1}), numeric=(3.0, 0.0), residual=(0, -3, 1))
+
+
+def test_eigenvalue_ordering_is_kept_but_never_shared():
+    s = spectrum(cyclic_twin_partition(12))
+    first = s.eigenvalues_ascending()
+    assert s.eigenvalues_ascending() == first
+    first.append(-1.0)
+    first[0] = 99
+    again = s.eigenvalues_ascending()
+    assert len(again) == s.n and again[0] == 0
+    assert s.eigenvalues_descending() == again[::-1]
+    s.eigenvalues_descending().clear()
+    assert s.eigenvalues_ascending() == again
 
 
 def test_exact_ordering_ignores_display_floats():
