@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from itertools import compress
 from operator import itemgetter
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -387,30 +387,19 @@ def _classes_connected(tp: TwinPartition, keep: Sequence[int]) -> bool:
     induced graph is connected iff its quotient is."""
     if len(keep) == 1:
         return tp.class_size(keep[0]) == 1 or tp.counts[keep[0]][keep[0]] > 0
-    # one search from the first class, stopped once it has reached them all
-    inside = itemgetter(*keep)
-    seen = {keep[0]}
-    reached = [keep[0]]
-    for i in reached:
-        for j in compress(keep, inside(tp.counts[i])):
-            if j not in seen:
-                seen.add(j)
-                reached.append(j)
-                if len(seen) == len(keep):
-                    return True
-    return False
+    return len(next(_quotient_components(tp.counts, keep))) == len(keep)
 
 
-def _quotient_components(counts: Sequence[Sequence[int]], keep: Sequence[int]) -> list[list[int]]:
+def _quotient_components(counts: Sequence[Sequence[int]], keep: Sequence[int]) -> Iterator[list[int]]:
     """Components of the quotient on the classes ``keep``, where classes i
-    and j are joined when ``counts[i][j]`` is nonzero.  Each component
-    lists its classes ascending; components come in order of their first
-    class in ``keep``."""
+    and j are joined when ``counts[i][j]`` is nonzero, found one at a time.
+    Each component lists its classes ascending; components come in order
+    of their first class in ``keep``."""
     if len(keep) < 2:
-        return [[i] for i in keep]
+        yield from ([i] for i in keep)
+        return
     inside = itemgetter(*keep)
     seen = set()
-    out = []
     for start in keep:
         if start in seen:
             continue
@@ -421,8 +410,7 @@ def _quotient_components(counts: Sequence[Sequence[int]], keep: Sequence[int]) -
                 if j not in seen:
                     seen.add(j)
                     reached.append(j)
-        out.append(sorted(reached))
-    return out
+        yield sorted(reached)
 
 
 def _separate(tp: TwinPartition) -> CutCertificate:

@@ -370,7 +370,7 @@ def _quotient_spectrum(sizes: Sequence[int], counts: Sequence[Sequence[int]]
             rest = [(i, d - joined) for i, d in zip(part, degrees) if i not in universal]
             work.append((sizes, counts, [i for i, _ in rest], [d for _, d in rest], shift + joined))
             continue
-        pieces = _quotient_components(counts, part)
+        pieces = list(_quotient_components(counts, part))
         if len(pieces) > 1:
             degree = dict(zip(part, degrees))
             work.extend((sizes, counts, piece, [degree[i] for i in piece], shift) for piece in pieces)
@@ -558,13 +558,13 @@ def algebraic_connectivity(s: Spectrum) -> int | float:
     """Second-smallest Laplacian eigenvalue; an int when certified exactly."""
     if s.n < 2:
         raise ValueError("algebraic connectivity requires at least 2 vertices")
-    return s._ascending[1]
+    return s.eigenvalues_ascending()[1]
 
 
 def spectral_radius(s: Spectrum) -> int | float:
     if s.n < 1:
         raise ValueError("spectral radius requires a nonempty graph")
-    return s._ascending[-1]
+    return s.eigenvalues_ascending()[-1]
 
 
 def spectral_radius_multiplicity(s: Spectrum) -> int:
@@ -575,7 +575,7 @@ def spectral_radius_multiplicity(s: Spectrum) -> int:
     """
     if s.n < 1:
         raise ValueError("spectral radius requires a nonempty graph")
-    top = s._ascending[-1]
+    top = s.eigenvalues_ascending()[-1]
     if not isinstance(top, int):
         raise ValueError(
             "the largest eigenvalue is not a certified integer; its multiplicity is not certified"
