@@ -8,14 +8,12 @@ spectral radius multiplicity and Laplacian integrality together.
 """
 
 from .groups import (
-    ElementInfo,
     Factorization,
     FiniteGroup,
     GroupValidationError,
     cyclic_group,
     dicyclic_group,
     direct_product,
-    element_info,
     euler_phi,
     factorize,
     from_table,
@@ -33,7 +31,6 @@ from .graphs import (
     complement,
     components,
     induced_subgraph,
-    is_complete,
     power_graph,
     proper_power_graph,
     reduced_cyclic_graph,
@@ -45,10 +42,7 @@ from .spectra import (
     Spectrum,
     algebraic_connectivity,
     clique_charpoly,
-    complement_spectrum,
-    integer_eigenvalue_multiplicity,
     join_charpoly,
-    max_component_radius,
     spectral_radius,
     spectral_radius_multiplicity,
     spectrum,
@@ -61,7 +55,6 @@ from .pgroup import (
     classify_eigenvalues,
     decompose,
     tree_charpoly,
-    tree_graph,
     tree_string,
 )
 from .verify import (

@@ -13,9 +13,8 @@ import sys
 from typing import Optional, Sequence
 
 from .graphs import (
-    components,
+    _quotient_components,
     cyclic_twin_partition,
-    is_complete,
     twin_partition,
     vertex_connectivity,
 )
@@ -164,14 +163,21 @@ def _cmd_decompose(args, parser) -> int:
 
 
 def _cmd_info(args, parser) -> int:
-    from .graphs import power_graph  # the one command that builds the graph
     g = _resolve_group(args, parser)
-    pg = power_graph(g)
+    # the power graph's figures are read from its twin partition: a degree
+    # is a row sum, and a component of the quotient is one of the graph
+    # unless it is a lone independent class, whose vertices are each one
+    tp = twin_partition(g)
+    n = tp.n
+    degrees = [sum(row) for row in tp.counts]
+    components = sum(
+        tp.class_size(c[0]) if len(c) == 1 and not tp.counts[c[0]][c[0]] else 1
+        for c in _quotient_components(tp.counts, range(tp.size))
+    )
     orders = g.orders()
     histogram: dict[int, int] = {}
     for o in orders:
         histogram[o] = histogram.get(o, 0) + 1
-    kappa = vertex_connectivity(pg)
     doc = {
         "group": g.label,
         "order": g.order,
@@ -179,11 +185,11 @@ def _cmd_info(args, parser) -> int:
         "p_group_prime": is_p_group(g),
         "element_order_histogram": {str(k): v for k, v in sorted(histogram.items())},
         "power_graph": {
-            "vertices": pg.n,
-            "edges": pg.edge_count(),
-            "complete": is_complete(pg),
-            "components": len(components(pg)),
-            "vertex_connectivity": kappa.size,
+            "vertices": n,
+            "edges": sum(tp.class_size(i) * d for i, d in enumerate(degrees)) // 2,
+            "complete": all(d == n - 1 for d in degrees),
+            "components": components,
+            "vertex_connectivity": vertex_connectivity(tp).size,
         },
     }
     if args.format == "json":

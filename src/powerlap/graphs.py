@@ -3,14 +3,16 @@
 Adjacency is stored as one Python-int bitmask per vertex, which keeps
 membership tests O(1) and whole-row operations cheap at desk scale
 (a few thousand vertices).  A power graph's twin partition comes from
-its group's cyclic subgroups, with no graph built.
+its group's cyclic subgroups, with no graph built, and no command builds
+one: `Graph` and its builders remain as test oracles and for the
+benchmark's tracer, which binds them by name.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import compress
+from itertools import compress, filterfalse
 from operator import itemgetter
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -28,7 +30,6 @@ __all__ = [
     "components",
     "complement",
     "induced_subgraph",
-    "is_complete",
     "vertex_connectivity",
     "twin_partition",
     "cyclic_twin_partition",
@@ -198,10 +199,6 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
     return Graph(len(verts), tuple(rows))
 
 
-def is_complete(g: Graph) -> bool:
-    return g.edge_count() == g.n * (g.n - 1) // 2
-
-
 # ---------------------------------------------------------------------------
 # twin classes (identical neighborhoods)
 
@@ -233,6 +230,27 @@ class TwinPartition:
 
     def class_size(self, i: int) -> int:
         return len(self.classes[i])
+
+    def without(self, vertices: Iterable[int]) -> "TwinPartition":
+        """Twin partition of the graph with ``vertices`` removed.
+
+        Every class keeps its other vertices, their numbers and its place
+        in the order; a class left empty is dropped.  A class that loses
+        vertices is still a clique or an independent set, joined to the
+        same classes as before, so each count becomes the new size of the
+        class it counts, less one on the diagonal of a clique.  Two
+        classes can become twins of each other, so the result need not
+        be the coarsest partition; it is when only universal vertices are
+        removed, because every vertex left was joined to all of them.
+        """
+        gone = set(vertices)
+        kept = [tuple(filterfalse(gone.__contains__, c)) for c in self.classes]
+        live = [i for i, c in enumerate(kept) if c]
+        return TwinPartition(
+            classes=tuple(kept[i] for i in live),
+            counts=tuple(tuple(len(kept[j]) - (i == j) if self.counts[i][j] else 0 for j in live)
+                         for i in live),
+        )
 
 
 def _twin_quotient(members: Sequence[Sequence[int]], closed: Sequence[int]) -> TwinPartition:
@@ -315,26 +333,19 @@ def twin_partition(g: Graph | FiniteGroup) -> TwinPartition:
     return _twin_quotient(members, closed)
 
 
-def cyclic_twin_partition(n: int, *, reduced: bool = False) -> TwinPartition:
+def cyclic_twin_partition(n: int) -> TwinPartition:
     """`twin_partition` of the power graph of Z_n, built from the divisors of n.
 
-    With ``reduced`` it is the partition of `reduced_cyclic_graph(n)`.
-    No group table and no graph is built.  The elements of order d, the
-    k*(n/d) with gcd(k, d) = 1, form a clique of phi(d) vertices, and two
-    such classes are joined exactly when one order divides the other.
-    The reduced graph drops orders 1 and n and numbers the kept elements
-    in sorted order, as `induced_subgraph` does.
+    No group table and no graph is built; vertex x is the residue x.  The
+    elements of order d, the k*(n/d) with gcd(k, d) = 1, form a clique of
+    phi(d) vertices, and two such classes are joined exactly when one
+    order divides the other.
     """
-    if n < (2 if reduced else 1):
-        raise ValueError(f"cyclic_twin_partition requires n >= {2 if reduced else 1}, got {n}")
+    if n < 1:
+        raise ValueError(f"cyclic_twin_partition requires n >= 1, got {n}")
     by_order: dict[int, list[int]] = {}
-    vertex = 0
     for x in range(n):
-        d = n // math.gcd(x, n)
-        if reduced and d in (1, n):
-            continue
-        by_order.setdefault(d, []).append(vertex)
-        vertex += 1
+        by_order.setdefault(n // math.gcd(x, n), []).append(x)
     orders = list(by_order)
     closed = [sum(1 << b for b, e in enumerate(orders) if d % e == 0 or e % d == 0)
               for d in orders]
@@ -350,14 +361,15 @@ def vertex_connectivity(g: Graph | TwinPartition) -> CutCertificate:
 
     Takes a graph or its twin partition; only the partition is read.
     Complete graphs get n-1 by convention (removal down to the trivial
-    graph); disconnected, trivial and empty graphs get 0.  Otherwise the
-    universal vertices U are peeled first: each lies in every separating
-    set, so kappa(G) = |U| + kappa(G - U) and the witness is U plus one
-    of G - U, and when G - U is disconnected U itself is the minimum
-    cut and no flow runs.  That is every non-cyclic p-group, where U is
-    the identity, or the identity and the involution in a generalized
-    quaternion group.  The rest is `_separate` on the twin quotient of
-    G - U.
+    graph: every vertex but the largest); disconnected, trivial and
+    empty graphs get 0.  Otherwise the universal vertices U are peeled
+    first: each lies in every separating set, so kappa(G) = |U| +
+    kappa(G - U) and the witness is U plus one of G - U, and when G - U
+    is disconnected U itself is the minimum cut and no flow runs.  That
+    is every non-cyclic p-group, where U is the identity, or the
+    identity and the involution in a generalized quaternion group.  The
+    rest is `_separate` on the twin quotient of G - U, which
+    `TwinPartition.without` gives with no vertex renumbered.
     """
     tp = g if isinstance(g, TwinPartition) else twin_partition(g)
     n = tp.n
@@ -366,16 +378,12 @@ def vertex_connectivity(g: Graph | TwinPartition) -> CutCertificate:
     degrees = [sum(row) for row in tp.counts]
     peeled = tuple(sorted(v for c, d in zip(tp.classes, degrees) if d == n - 1 for v in c))
     if len(peeled) == n:
-        return CutCertificate(n - 1, tuple(range(n - 1)))
+        return CutCertificate(n - 1, peeled[:-1])
     rest = [i for i, d in enumerate(degrees) if d < n - 1]
     if not _classes_connected(tp, rest):
         return CutCertificate(len(peeled), peeled)
     if peeled:
-        # G - U keeps its vertex numbers and its counts between classes
-        tp = TwinPartition(
-            classes=tuple(tp.classes[i] for i in rest),
-            counts=tuple(tuple(tp.counts[i][j] for j in rest) for i in rest),
-        )
+        tp = tp.without(peeled)
     cut = _separate(tp)
     return CutCertificate(len(peeled) + cut.size, tuple(sorted(peeled + cut.separating_set)))
 

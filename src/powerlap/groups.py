@@ -22,7 +22,6 @@ import numpy as np
 __all__ = [
     "Factorization",
     "FiniteGroup",
-    "ElementInfo",
     "GroupValidationError",
     "MAX_ORDER",
     "euler_phi",
@@ -32,7 +31,6 @@ __all__ = [
     "generalized_quaternion",
     "direct_product",
     "from_table",
-    "element_info",
     "up_set",
     "hat_up_set",
     "is_p_group",
@@ -48,16 +46,15 @@ class GroupValidationError(ValueError):
 
 
 # Largest group order the constructors accept.  A group keeps one n-bit
-# subgroup mask per element, and its power graph n bit rows of n bits:
-# n**2 bits, 8 MB at order 8192.  Larger orders fail fast instead of
-# exhausting memory.
+# subgroup mask per element: n**2 bits, 8 MB at order 8192.  Larger
+# orders fail fast instead of exhausting memory.
 MAX_ORDER = 8192
 
 
 def _order_error(name: str, order: str) -> ValueError:
     return ValueError(
         f"{name} would build a group of order {order}, above the limit "
-        f"MAX_ORDER = {MAX_ORDER} on its n-bit subgroup masks and n^2-bit power graph"
+        f"MAX_ORDER = {MAX_ORDER} on its n-bit subgroup masks"
     )
 
 
@@ -212,16 +209,6 @@ class FiniteGroup:
         return f"FiniteGroup({self.label!r}, order={self.order})"
 
 
-@dataclass(frozen=True)
-class ElementInfo:
-    """Order, generated cyclic subgroup and ~-class of one element."""
-
-    element: int
-    order: int
-    cyclic_subgroup: frozenset[int]
-    eq_class: frozenset[int]
-
-
 # ---------------------------------------------------------------------------
 # constructors
 
@@ -337,20 +324,6 @@ def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
 
 # ---------------------------------------------------------------------------
 # element machinery
-
-
-def element_info(g: FiniteGroup, x: int) -> ElementInfo:
-    """Order, cyclic subgroup and ~-class of element x."""
-    if not 0 <= x < g.order:
-        raise ValueError(f"element index {x} out of range for order {g.order}")
-    mask = g.subgroup_masks()[x]
-    cls = g.eq_class_masks()[x]
-    return ElementInfo(
-        element=x,
-        order=g.order_of(x),
-        cyclic_subgroup=frozenset(_bits(mask)),
-        eq_class=frozenset(_bits(cls)),
-    )
 
 
 def _bits(mask: int) -> list[int]:

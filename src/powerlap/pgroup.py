@@ -3,9 +3,9 @@
 For a p-group, the power graph decomposes recursively: the subgraph
 induced by U(g) is a clique on the ~-class of g joined to the disjoint
 union of the subgraphs for the primitive classes above g.  This module
-builds that decomposition tree, materializes it, evaluates its factored
-characteristic polynomial through the join/union calculus, and
-classifies every Laplacian eigenvalue into its structural form.
+builds that decomposition tree, evaluates its factored characteristic
+polynomial through the join/union calculus, and classifies every
+Laplacian eigenvalue into its structural form.
 
 Every non-identity class [h] has exactly one parent class, [h^p], so the
 tree is built in one ascending pass over the elements and holds each
@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph
 from .groups import FiniteGroup, euler_phi, factorize, is_p_group
 from .spectra import (
     FactoredCharPoly,
@@ -35,7 +34,6 @@ __all__ = [
     "EigenvalueForm",
     "MultiplePropertyReport",
     "decompose",
-    "tree_graph",
     "tree_charpoly",
     "tree_string",
     "tree_json_dict",
@@ -106,25 +104,6 @@ def _classes(t: DecompTree) -> list[DecompTree]:
         out.extend(out[i].children)
         i += 1
     return sorted(out, key=lambda node: node.element)
-
-
-def tree_graph(t: DecompTree) -> Graph:
-    """Materialize the join/union expression as an explicit graph."""
-    blocks = [tree_graph(c) for c in t.children]
-    apex = t.apex_size
-    total = apex + sum(b.n for b in blocks)
-    rows = [0] * total
-    # apex vertices form a clique and are adjacent to every block vertex
-    full = (1 << total) - 1
-    for v in range(apex):
-        rows[v] = full ^ (1 << v)
-    offset = apex
-    apex_mask = (1 << apex) - 1
-    for b in blocks:
-        for v in range(b.n):
-            rows[offset + v] = (b.rows[v] << offset) | apex_mask
-        offset += b.n
-    return Graph(total, tuple(rows))
 
 
 def tree_charpoly(t: DecompTree) -> FactoredCharPoly:

@@ -58,7 +58,6 @@ __all__ = [
     "FactoredCharPoly",
     "Spectrum",
     "CharPolyContradiction",
-    "integer_eigenvalue_multiplicity",
     "spectrum",
     "algebraic_connectivity",
     "spectral_radius",
@@ -66,8 +65,6 @@ __all__ = [
     "clique_charpoly",
     "union_charpoly",
     "join_charpoly",
-    "complement_spectrum",
-    "max_component_radius",
 ]
 
 class CharPolyContradiction(ValueError):
@@ -510,19 +507,6 @@ def _poly_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
 # spectrum computation
 
 
-def integer_eigenvalue_multiplicity(g: Graph, lam: int) -> int:
-    """Exact algebraic multiplicity of the integer lam in the Laplacian spectrum.
-
-    Read from the certified part of `spectrum`: the multiplicities split
-    off at twin classes plus those the quotient routine certifies, at
-    joins, at weighted-twin merges and as roots of the exact
-    characteristic polynomial of each leaf.
-    """
-    if not 0 <= lam <= g.n:
-        raise ValueError(f"eigenvalue candidate {lam} outside 0..{g.n}")
-    return spectrum(g).exact.multiplicity(lam)
-
-
 def spectrum(g: Graph | TwinPartition) -> Spectrum:
     """Full Laplacian spectrum with exact integer certification.
 
@@ -581,33 +565,3 @@ def spectral_radius_multiplicity(s: Spectrum) -> int:
             "the largest eigenvalue is not a certified integer; its multiplicity is not certified"
         )
     return s.exact.multiplicity(top)
-
-
-def complement_spectrum(s: Spectrum) -> Spectrum:
-    """Spectrum of the complement graph, from an exact spectrum.
-
-    One zero eigenvalue stays; every other eigenvalue maps to n - value.
-    """
-    if not s.is_exact:
-        raise ValueError("complement mapping requires an exact spectrum")
-    if s.n == 0:
-        return s
-    counts = s.exact.as_counter()
-    if counts[0] < 1:
-        raise ValueError("an exact Laplacian spectrum must contain 0")
-    counts[0] -= 1
-    mapped: Counter = Counter()
-    for r, m in counts.items():
-        if m:
-            if r > s.n:
-                raise ValueError(f"eigenvalue {r} above vertex count {s.n}")
-            mapped[s.n - r] += m
-    mapped[0] += 1
-    return Spectrum(n=s.n, exact=FactoredCharPoly.from_counts(mapped))
-
-
-def max_component_radius(parts: Sequence[Spectrum]) -> int | float:
-    """Largest spectral radius across component spectra."""
-    if not parts:
-        raise ValueError("max_component_radius requires at least one component")
-    return max((spectral_radius(p) for p in parts), key=float)

@@ -12,6 +12,7 @@ appear only as reported evidence.
 from __future__ import annotations
 
 import json
+import math
 import time
 from collections import Counter
 from dataclasses import dataclass, field
@@ -208,8 +209,10 @@ def check_cyclic_radius_mult(n: int) -> ClaimReport:
         # the spectrum is 0, n with multiplicity phi(n)+1, and the reduced
         # graph's spectrum without one 0 shifted up by phi(n)+1: the
         # certified parts agree as factored polynomials, the non-integer
-        # parts as residual polynomials
-        reduced = spectrum(cyclic_twin_partition(n, reduced=True))
+        # parts as residual polynomials.  The reduced graph drops the
+        # elements of orders 1 and n, the residues x with gcd(x, n) = n or 1
+        ends = (x for x in range(n) if math.gcd(x, n) in (1, n))
+        reduced = spectrum(_cyclic_partition(n).without(ends))
         top = FactoredCharPoly.from_counts({0: 1, n: target})
         block_ok = (
             s.exact == top * reduced.exact.remove_root(0).shifted(target)

@@ -1,8 +1,9 @@
+import math
 import random
 
 import pytest
 
-from powerlap.graphs import Graph
+from powerlap.graphs import Graph, TwinPartition, cyclic_twin_partition
 from powerlap.groups import (
     cyclic_group,
     dicyclic_group,
@@ -61,3 +62,9 @@ def random_graph(rng: random.Random, n: int, p: float) -> Graph:
         if rng.random() < p
     ]
     return Graph.from_edges(n, edges)
+
+
+def reduced_cyclic_partition(n: int) -> TwinPartition:
+    """Twin partition of the reduced graph of Z_n: the power graph's without
+    the elements of orders 1 and n, the residues x with gcd(x, n) = n or 1."""
+    return cyclic_twin_partition(n).without(x for x in range(n) if math.gcd(x, n) in (1, n))

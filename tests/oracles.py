@@ -14,6 +14,10 @@ class-pair scan, which shares the flow network of `vertex_connectivity`
 but none of its pruning, and the collapse of a whole twin quotient,
 which runs `spectra._merge_weighted_twins` over every class at once
 where `spectrum` runs it only on the pieces joins and unions leave.
+The last section holds references the package no longer needs itself:
+completeness by edge count, the complement spectrum, a p-group
+decomposition tree materialized as a graph, and one element's order,
+cyclic subgroup and ~-class.
 """
 
 from __future__ import annotations
@@ -36,11 +40,11 @@ from powerlap.graphs import (
     _SplitNetwork,
     components,
     induced_subgraph,
-    is_complete,
     twin_partition,
 )
-from powerlap.groups import FiniteGroup, factorize
-from powerlap.spectra import _merge_weighted_twins
+from powerlap.groups import FiniteGroup, _bits, factorize
+from powerlap.pgroup import DecompTree
+from powerlap.spectra import FactoredCharPoly, Spectrum, _merge_weighted_twins
 
 
 # ---------------------------------------------------------------------------
@@ -577,3 +581,75 @@ def table_masks(table: Table, identity: int) -> list[int]:
             if gcd(k, o) == 1:
                 masks[seq[k - 1]] = mask
     return masks
+
+
+# ---------------------------------------------------------------------------
+# references with no caller in the package
+
+
+def is_complete(g: Graph) -> bool:
+    return g.edge_count() == g.n * (g.n - 1) // 2
+
+
+def complement_spectrum(s: Spectrum) -> Spectrum:
+    """Spectrum of the complement graph, from an exact spectrum.
+
+    One zero eigenvalue stays; every other eigenvalue maps to n - value.
+    """
+    if not s.is_exact:
+        raise ValueError("complement mapping requires an exact spectrum")
+    if s.n == 0:
+        return s
+    counts = s.exact.as_counter()
+    if counts[0] < 1:
+        raise ValueError("an exact Laplacian spectrum must contain 0")
+    counts[0] -= 1
+    mapped: Counter = Counter()
+    for r, m in counts.items():
+        if m:
+            if r > s.n:
+                raise ValueError(f"eigenvalue {r} above vertex count {s.n}")
+            mapped[s.n - r] += m
+    mapped[0] += 1
+    return Spectrum(n=s.n, exact=FactoredCharPoly.from_counts(mapped))
+
+
+def tree_graph(t: DecompTree) -> Graph:
+    """Materialize the join/union expression of a decomposition tree as a graph."""
+    blocks = [tree_graph(c) for c in t.children]
+    apex = t.apex_size
+    total = apex + sum(b.n for b in blocks)
+    rows = [0] * total
+    # apex vertices form a clique and are adjacent to every block vertex
+    full = (1 << total) - 1
+    for v in range(apex):
+        rows[v] = full ^ (1 << v)
+    offset = apex
+    apex_mask = (1 << apex) - 1
+    for b in blocks:
+        for v in range(b.n):
+            rows[offset + v] = (b.rows[v] << offset) | apex_mask
+        offset += b.n
+    return Graph(total, tuple(rows))
+
+
+@dataclass(frozen=True)
+class ElementInfo:
+    """Order, generated cyclic subgroup and ~-class of one element."""
+
+    element: int
+    order: int
+    cyclic_subgroup: frozenset[int]
+    eq_class: frozenset[int]
+
+
+def element_info(g: FiniteGroup, x: int) -> ElementInfo:
+    """Order, cyclic subgroup and ~-class of element x."""
+    if not 0 <= x < g.order:
+        raise ValueError(f"element index {x} out of range for order {g.order}")
+    return ElementInfo(
+        element=x,
+        order=g.order_of(x),
+        cyclic_subgroup=frozenset(_bits(g.subgroup_masks()[x])),
+        eq_class=frozenset(_bits(g.eq_class_masks()[x])),
+    )

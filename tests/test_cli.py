@@ -9,7 +9,12 @@ import pytest
 import powerlap.graphs
 import powerlap.groups
 import powerlap.verify
+from oracles import is_complete
 from powerlap.cli import _build_parser, main
+from powerlap.graphs import components, power_graph, vertex_connectivity
+from powerlap.groups import parse_group_spec
+
+Q3_TABLE = Path(__file__).parent / "data" / "q3.txt"
 
 
 def run(capsys, *argv):
@@ -67,6 +72,44 @@ def test_info(capsys):
     doc = json.loads(out)
     assert doc["order"] == 8 and doc["p_group_prime"] == 2
     assert doc["power_graph"]["vertex_connectivity"] == 2
+
+
+def spec_of(label):
+    """The CLI spec of a built-in group from its label, e.g. ``Z4xZ2``."""
+    if label.startswith("GQ"):
+        return f"gq:{int(label[2:]).bit_length() - 2}"  # order 2^(alpha+1)
+    parts = label.split("x")
+    if len(parts) > 1:
+        return "prod:" + "x".join(f"zn:{p[1:]}" for p in parts)
+    return f"{'zn' if label[0] == 'Z' else 'qn'}:{label[1:]}"
+
+
+def test_info_reads_the_power_graph_from_its_twin_partition(capsys, small_groups):
+    specs = [spec_of(g.label) for g in small_groups] + [f"table:{Q3_TABLE}", "gq:4"]
+    for spec in specs:
+        code, out, _ = run(capsys, "info", spec, "--format", "json")
+        assert code == 0, spec
+        pg = power_graph(parse_group_spec(spec))
+        assert json.loads(out)["power_graph"] == {
+            "vertices": pg.n,
+            "edges": pg.edge_count(),
+            "complete": is_complete(pg),
+            "components": len(components(pg)),
+            "vertex_connectivity": vertex_connectivity(pg).size,
+        }, spec
+
+
+def test_info_at_max_order_builds_no_n_squared_arrays(capsys):
+    tracemalloc.start()
+    try:
+        code, out, _ = run(capsys, "info", "zn:8192", "--format", "json")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert json.loads(out)["power_graph"]["vertex_connectivity"] == 8191
+    # the power graph's n x n byte matrices took 273 MB here
+    assert peak < 64 * 2**20
 
 
 def test_verify_exit_zero(capsys):
@@ -192,13 +235,16 @@ def test_cyclic_commands_tabulate_no_group(capsys, monkeypatch):
 def test_claims_and_group_spectra_build_no_power_graph(capsys, monkeypatch):
     refuse_everywhere(monkeypatch, [powerlap.graphs.power_graph], "a power graph was built")
     with pytest.raises(AssertionError):
-        main(["info", "qn:3"])  # the guard is live: info still builds the graph
-    q3 = Path(__file__).parent / "data" / "q3.txt"
+        powerlap.graphs.power_graph(powerlap.groups.cyclic_group(3))  # the guard is live
     for argv in (
         ["spectrum", "qn:3"],
         ["spectrum", "gq:3"],
         ["spectrum", "prod:zn:4xzn:2"],
-        ["spectrum", f"table:{q3}"],
+        ["spectrum", f"table:{Q3_TABLE}"],
+        ["info", "qn:3"],
+        ["info", "gq:3"],
+        ["info", f"table:{Q3_TABLE}"],
+        ["info", "prod:zn:4xzn:2"],
         ["verify", "--cyclic-max", "12", "--dicyclic-max", "8", "--pgroup-max", "32"],
     ):
         assert run(capsys, *argv)[0] == 0, argv

@@ -7,14 +7,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_graph
+from conftest import random_graph, reduced_cyclic_partition
 from oracles import (
+    is_complete,
     twin_partition_by_rows,
     vertex_connectivity_every_class_pair,
     vertex_connectivity_exhaustive,
 )
 from powerlap.graphs import (
     Graph,
+    TwinPartition,
     _SplitNetwork,
     _classes_connected,
     _quotient_components,
@@ -22,7 +24,6 @@ from powerlap.graphs import (
     components,
     cyclic_twin_partition,
     induced_subgraph,
-    is_complete,
     power_graph,
     proper_power_graph,
     reduced_cyclic_graph,
@@ -208,12 +209,14 @@ def test_cyclic_twin_partition_matches_the_power_graph():
 def test_reduced_cyclic_twin_partition_matches_the_graph():
     for n in CYCLIC_ORACLE_ORDERS[1:]:
         g = reduced_cyclic_graph(n)
-        tp = cyclic_twin_partition(n, reduced=True)
-        assert tp == twin_partition(g), n
+        tp = reduced_cyclic_partition(n)
+        # the partition keeps the residues as vertex numbers; the graph
+        # numbers the kept residues 0..k-1 in sorted order
+        rank = {v: i for i, v in enumerate(sorted(v for c in tp.classes for v in c))}
+        renumbered = TwinPartition(tuple(tuple(rank[v] for v in c) for c in tp.classes), tp.counts)
+        assert renumbered == twin_partition(g), n
         assert spectrum(tp) == spectrum(g), n
-        assert vertex_connectivity(tp) == vertex_connectivity(g), n
-    with pytest.raises(ValueError):
-        cyclic_twin_partition(1, reduced=True)
+        assert vertex_connectivity(renumbered) == vertex_connectivity(g), n
     with pytest.raises(ValueError):
         cyclic_twin_partition(0)
 
@@ -391,6 +394,24 @@ def small_graphs(draw):
 @example(Graph.complete(7))
 def test_twin_partition_matches_the_row_hash(g):
     assert twin_partition(g) == twin_partition_by_rows(g)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(small_graphs(), twin_rich_graphs()), st.data())
+def test_partition_without_vertices_matches_the_induced_subgraph(g, data):
+    gone = data.draw(st.sets(st.integers(0, g.n - 1)) if g.n else st.just(set()))
+    rest = [v for v in range(g.n) if v not in gone]
+    tp = twin_partition(g).without(gone)
+    want = twin_partition(induced_subgraph(g, rest))
+    assert sorted(v for c in tp.classes for v in c) == rest
+    s, t = spectrum(tp), spectrum(want)
+    assert (s.exact, s.residual) == (t.exact, t.residual)
+    cut = vertex_connectivity(tp)
+    assert cut.size == vertex_connectivity(want).size
+    # the witness is named in the vertex numbers of g, and separates g - gone
+    left = induced_subgraph(g, [v for v in rest if v not in cut.separating_set])
+    assert set(cut.separating_set) <= set(rest)
+    assert left.n <= 1 or len(components(left)) > 1
 
 
 @settings(max_examples=300, deadline=None)

@@ -7,6 +7,7 @@ from oracles import (
     cyclic_table,
     dicyclic_table,
     dicyclic_table_by_mul,
+    element_info,
     is_p_group_by_elements,
     table_by_label,
     table_masks,
@@ -17,7 +18,6 @@ from powerlap.groups import (
     cyclic_group,
     dicyclic_group,
     direct_product,
-    element_info,
     euler_phi,
     factorize,
     from_table,

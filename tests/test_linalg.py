@@ -18,6 +18,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import reduced_cyclic_partition
 from oracles import charpoly_scalar_crt, collapse_to_fixpoint, fraction_charpoly
 from powerlap import linalg
 from powerlap.graphs import cyclic_twin_partition, power_graph, twin_partition
@@ -188,8 +189,8 @@ def test_maclaurin_bound_on_positive_semidefinite_matrices(matrix):
 def test_maclaurin_and_row_sum_bounds_agree_on_every_claim_core():
     # the quotient cores the default verify run and the divisor-rich
     # spectrum queries take the charpoly of, and three larger ones
-    partitions = [cyclic_twin_partition(n, reduced=reduced)
-                  for n in range(2, 301) for reduced in (False, True)]
+    partitions = [p for n in range(2, 301)
+                  for p in (cyclic_twin_partition(n), reduced_cyclic_partition(n))]
     partitions += [cyclic_twin_partition(n) for n in (720, 840, 1260, 1680, 2310, 5040)]
     groups = [dicyclic_group(n) for n in (*range(2, 33), 105, 250)] + pgroup_catalog(256)
     partitions += [twin_partition(power_graph(g)) for g in groups]

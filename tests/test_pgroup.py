@@ -1,10 +1,10 @@
 import pytest
 
+from oracles import element_info, tree_graph
 from powerlap.graphs import components, power_graph, proper_power_graph
 from powerlap.groups import (
     cyclic_group,
     direct_product,
-    element_info,
     euler_phi,
     generalized_quaternion,
     hat_up_set,
@@ -17,7 +17,6 @@ from powerlap.pgroup import (
     classify_eigenvalues,
     decompose,
     tree_charpoly,
-    tree_graph,
     tree_json_dict,
     tree_string,
 )

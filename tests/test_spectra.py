@@ -8,13 +8,15 @@ from hypothesis import strategies as st
 
 import powerlap.spectra
 import powerlap.verify
-from conftest import random_graph
+from conftest import random_graph, reduced_cyclic_partition
 from oracles import (
     collapse_to_fixpoint,
+    complement_spectrum,
     dense_nullity,
     dense_numeric_eigenvalues,
     fraction_charpoly,
     laplacian,
+    tree_graph,
 )
 from powerlap.graphs import (
     Graph,
@@ -31,17 +33,15 @@ from powerlap.linalg import (
     integer_root_multiplicities,
     jacobi_eigenvalues,
 )
-from powerlap.pgroup import decompose, tree_graph
+from powerlap.pgroup import decompose
 from powerlap.spectra import (
     CharPolyContradiction,
     FactoredCharPoly,
     Spectrum,
     algebraic_connectivity,
     clique_charpoly,
-    complement_spectrum,
-    integer_eigenvalue_multiplicity,
     join_charpoly,
-    max_component_radius,
+    spectral_radius,
     spectral_radius_multiplicity,
     spectrum,
     union_charpoly,
@@ -118,13 +118,9 @@ def test_jacobi_matches_numpy():
 
 def test_integer_multiplicity_examples():
     k4 = Graph.complete(4)
-    assert integer_eigenvalue_multiplicity(k4, 4) == 3
+    assert spectrum(k4).exact.multiplicity(4) == 3
     q2 = power_graph(dicyclic_group(2))
-    assert integer_eigenvalue_multiplicity(q2, 8) == 2
-    with pytest.raises(ValueError):
-        integer_eigenvalue_multiplicity(k4, 5)
-    with pytest.raises(ValueError):
-        integer_eigenvalue_multiplicity(k4, -1)
+    assert spectrum(q2).exact.multiplicity(8) == 2
 
 
 def test_zero_multiplicity_counts_components():
@@ -132,7 +128,7 @@ def test_zero_multiplicity_counts_components():
     graphs = [random_graph(rng, rng.randint(0, 12), rng.random()) for _ in range(25)]
     graphs += [power_graph(cyclic_group(n)) for n in (2, 6, 12)]
     for g in graphs:
-        assert integer_eigenvalue_multiplicity(g, 0) == len(components(g))
+        assert spectrum(g).exact.multiplicity(0) == len(components(g))
 
 
 def test_quotient_multiplicity_matches_dense_elimination():
@@ -146,8 +142,9 @@ def test_quotient_multiplicity_matches_dense_elimination():
         power_graph(direct_product(cyclic_group(3), cyclic_group(3))),
     ]
     for g in graphs:
+        s = spectrum(g)
         for lam in range(g.n + 1):
-            assert integer_eigenvalue_multiplicity(g, lam) == dense_nullity(g, lam)
+            assert s.exact.multiplicity(lam) == dense_nullity(g, lam)
 
 
 def test_certified_integers_in_numeric_spectrum(small_groups):
@@ -291,7 +288,7 @@ def claim_suite_partitions():
     p-group catalog up to order 256."""
     for n in range(2, 301):
         yield cyclic_twin_partition(n)
-        yield cyclic_twin_partition(n, reduced=True)
+        yield reduced_cyclic_partition(n)
     for n in range(2, 33):
         yield twin_partition(dicyclic_group(n))
     for g in pgroup_catalog(256):
@@ -605,12 +602,10 @@ def test_max_component_radius():
     z33 = proper_power_graph(direct_product(cyclic_group(3), cyclic_group(3)))
     pieces = [spectrum(induced_subgraph(z33, c)) for c in components(z33)]
     assert len(pieces) == 4
-    assert max_component_radius(pieces) == 2
+    assert max(spectral_radius(p) for p in pieces) == 2
     r6 = reduced_cyclic_graph(6)
     comps = [spectrum(induced_subgraph(r6, c)) for c in components(r6)]
-    assert max_component_radius(comps) == 2
-    with pytest.raises(ValueError):
-        max_component_radius([])
+    assert max(spectral_radius(p) for p in comps) == 2
 
 
 def test_charpoly_text_forms():
