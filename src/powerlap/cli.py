@@ -12,18 +12,12 @@ import json
 import sys
 from typing import Optional, Sequence
 
-from .graphs import (
-    _quotient_components,
-    cyclic_twin_partition,
-    twin_partition,
-    vertex_connectivity,
-)
+from .graphs import twin_partition, vertex_connectivity
 from .groups import (
     MAX_ORDER,
     FiniteGroup,
     is_p_group,
     load_table_file,
-    parse_cyclic_spec,
     parse_group_spec,
 )
 from .pgroup import decompose, tree_json_dict, tree_string
@@ -109,29 +103,13 @@ def _resolve_group(args, parser: _Parser) -> FiniteGroup:
     raise AssertionError("unreachable")
 
 
-def _cyclic_order(args, parser: _Parser) -> Optional[int]:
-    """n when the group is given as ``zn:<n>``, else None."""
-    source = _group_source(args, parser)
-    if args.table_opt:
-        return None
-    try:
-        return parse_cyclic_spec(source)
-    except ValueError as exc:
-        parser.error(str(exc))
-    raise AssertionError("unreachable")
-
-
 def _cmd_spectrum(args, parser) -> int:
-    # twin partitions build no graph; Z_n's comes from the divisors of n
-    n = _cyclic_order(args, parser)
-    if n is None:
-        g = _resolve_group(args, parser)
-        s, label = spectrum(twin_partition(g)), g.label
-    else:
-        s, label = spectrum(cyclic_twin_partition(n)), f"Z{n}"
+    # the twin partition builds no graph; Z_n's comes from the divisors of n
+    g = _resolve_group(args, parser)
+    s = spectrum(twin_partition(g))
     if args.format == "json":
         doc = s.to_json_dict()
-        doc["group"] = label
+        doc["group"] = g.label
         doc["charpoly"] = s.exact.text() if s.is_exact else None
         print(json.dumps(doc, sort_keys=True))
     elif args.format == "tsv":
@@ -165,15 +143,10 @@ def _cmd_decompose(args, parser) -> int:
 def _cmd_info(args, parser) -> int:
     g = _resolve_group(args, parser)
     # the power graph's figures are read from its twin partition: a degree
-    # is a row sum, and a component of the quotient is one of the graph
-    # unless it is a lone independent class, whose vertices are each one
+    # is a row sum
     tp = twin_partition(g)
     n = tp.n
     degrees = [sum(row) for row in tp.counts]
-    components = sum(
-        tp.class_size(c[0]) if len(c) == 1 and not tp.counts[c[0]][c[0]] else 1
-        for c in _quotient_components(tp.counts, range(tp.size))
-    )
     orders = g.orders()
     histogram: dict[int, int] = {}
     for o in orders:
@@ -188,7 +161,9 @@ def _cmd_info(args, parser) -> int:
             "vertices": n,
             "edges": sum(tp.class_size(i) * d for i, d in enumerate(degrees)) // 2,
             "complete": all(d == n - 1 for d in degrees),
-            "components": components,
+            # the identity is a power of every element, so it is joined
+            # to every other vertex and the graph has one component
+            "components": 1,
             "vertex_connectivity": vertex_connectivity(tp).size,
         },
     }

@@ -3,9 +3,10 @@
 Adjacency is stored as one Python-int bitmask per vertex, which keeps
 membership tests O(1) and whole-row operations cheap at desk scale
 (a few thousand vertices).  A power graph's twin partition comes from
-its group's cyclic subgroups, with no graph built, and no command builds
-one: `Graph` and its builders remain as test oracles and for the
-benchmark's tracer, which binds them by name.
+its group's cyclic-subgroup lattice (Z_n's from the divisors of n), with
+no graph built, and no command builds one: `Graph` and its builders
+remain as test oracles and for the benchmark's tracer, which binds them
+by name.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ __all__ = [
     "induced_subgraph",
     "vertex_connectivity",
     "twin_partition",
-    "cyclic_twin_partition",
 ]
 
 
@@ -306,50 +306,18 @@ def _twin_quotient(members: Sequence[Sequence[int]], closed: Sequence[int]) -> T
 
 def twin_partition(g: Graph | FiniteGroup) -> TwinPartition:
     """Group vertices with identical closed or open neighborhoods.  A group
-    gives its power graph's partition without the graph: each ~-class is a
-    clique of closed twins, joined to another class when either's cyclic
-    subgroup holds the other's smallest member."""
+    gives its power graph's partition without the graph: the generators of
+    each cyclic subgroup are a clique of closed twins, joined to another
+    subgroup's when either subgroup contains the other."""
     if isinstance(g, Graph):
         return _twin_quotient([[v] for v in range(g.n)],
                               [row | (1 << v) for v, row in enumerate(g.rows)])
-    masks = g.subgroup_masks()
-    by_mask: dict[int, list[int]] = {}
-    for x, mask in enumerate(masks):
-        by_mask.setdefault(mask, []).append(x)
-    members = list(by_mask.values())
-    by_order: dict[int, list[int]] = {}
-    for a, atom in enumerate(members):
-        by_order.setdefault(masks[atom[0]].bit_count(), []).append(a)
-    closed = [1 << a for a in range(len(members))]
-    for o, atoms in by_order.items():
-        # a subgroup of <x> has an order smaller than o(x) that divides it
-        below = [b for d, bs in by_order.items() if d < o and o % d == 0 for b in bs]
-        for a in atoms:
-            mask = masks[members[a][0]]
-            for b in below:
-                if (mask >> members[b][0]) & 1:
-                    closed[a] |= 1 << b
-                    closed[b] |= 1 << a
+    members, below = g.cyclic_subgroups()
+    closed = list(below)
+    for a, mask in enumerate(below):
+        for b in _bits(mask):
+            closed[b] |= 1 << a
     return _twin_quotient(members, closed)
-
-
-def cyclic_twin_partition(n: int) -> TwinPartition:
-    """`twin_partition` of the power graph of Z_n, built from the divisors of n.
-
-    No group table and no graph is built; vertex x is the residue x.  The
-    elements of order d, the k*(n/d) with gcd(k, d) = 1, form a clique of
-    phi(d) vertices, and two such classes are joined exactly when one
-    order divides the other.
-    """
-    if n < 1:
-        raise ValueError(f"cyclic_twin_partition requires n >= 1, got {n}")
-    by_order: dict[int, list[int]] = {}
-    for x in range(n):
-        by_order.setdefault(n // math.gcd(x, n), []).append(x)
-    orders = list(by_order)
-    closed = [sum(1 << b for b, e in enumerate(orders) if d % e == 0 or e % d == 0)
-              for d in orders]
-    return _twin_quotient(list(by_order.values()), closed)
 
 
 # ---------------------------------------------------------------------------

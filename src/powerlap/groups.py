@@ -5,9 +5,10 @@ package.  Elements are always plain integer indices; the identity is
 index 0 for every built-in constructor.  A group stores no table: the
 built-in groups multiply by their presentations (addition mod n, the
 dicyclic relations, products componentwise) and a `from_table` group
-looks its products up in the validated rows.  Per-element data (orders,
-generated cyclic subgroups) is found by power walks with that rule and
-cached lazily on the group object.
+looks its products up in the validated rows.  Per-element data is read
+from the group's cyclic-subgroup lattice, cached lazily on the group
+object: Z_n's comes from the divisors of n, any other group's from one
+power walk per cyclic subgroup with its rule.
 """
 
 from __future__ import annotations
@@ -15,11 +16,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 __all__ = [
+    "CyclicSubgroups",
     "Factorization",
     "FiniteGroup",
     "GroupValidationError",
@@ -36,7 +38,6 @@ __all__ = [
     "is_p_group",
     "primitive_classes",
     "parse_group_spec",
-    "parse_cyclic_spec",
     "load_table_file",
 ]
 
@@ -45,8 +46,9 @@ class GroupValidationError(ValueError):
     """Raised when a multiplication table fails the group axioms."""
 
 
-# Largest group order the constructors accept.  A group keeps one n-bit
-# subgroup mask per element: n**2 bits, 8 MB at order 8192.  Larger
+# Largest group order the constructors accept.  A walked group (every
+# group but Z_n, whose lattice comes from the divisors of n) keeps one
+# n-bit subgroup mask per element: n**2 bits, 8 MB at order 8192.  Larger
 # orders fail fast instead of exhausting memory.
 MAX_ORDER = 8192
 
@@ -133,14 +135,27 @@ def euler_phi(n: int) -> int:
 # the group type
 
 
+class CyclicSubgroups(NamedTuple):
+    """Every cyclic subgroup of a group once, ordered by smallest generator.
+
+    ``members[a]`` lists the generators of subgroup a ascending: the
+    ~-class of elements that generate it.  Bit b of ``below[a]`` is set
+    when subgroup a contains subgroup b, a itself included.
+    """
+
+    members: tuple[tuple[int, ...], ...]
+    below: tuple[int, ...]
+
+
 @dataclass(frozen=True, eq=False)
 class FiniteGroup:
     """A finite group of order n on the index set 0..n-1.
 
     ``mul(i, j)`` is the product of elements i and j, computed by the
     group's rule on demand.  Instances are immutable; derived data
-    (element orders, cyclic subgroups as bitmasks, the ~-class
-    partition) is computed on first use and cached.
+    (the cyclic-subgroup lattice, element orders, per-element subgroup
+    masks) is computed on first use and cached.  ``_lattice_source``,
+    set only by `cyclic_group`, builds the lattice without a walk.
     """
 
     order: int
@@ -148,6 +163,7 @@ class FiniteGroup:
     label: str
     mul: Callable[[int, int], int]
     _cache: dict = field(default_factory=dict, repr=False)
+    _lattice_source: Optional[Callable[[], CyclicSubgroups]] = field(default=None, repr=False)
 
     # cached per-element structure -----------------------------------
 
@@ -182,28 +198,52 @@ class FiniteGroup:
             self._cache["masks"] = masks
         return masks
 
+    def cyclic_subgroups(self) -> CyclicSubgroups:
+        """The cyclic-subgroup lattice: from the lattice source if the
+        group has one, else from one walk of `subgroup_masks`, where the
+        elements sharing a mask generate one subgroup, and a subgroup
+        contains those that its own elements generate."""
+        lattice = self._cache.get("lattice")
+        if lattice is None:
+            if self._lattice_source is not None:
+                lattice = self._lattice_source()
+            else:
+                masks = self.subgroup_masks()
+                by_mask: dict[int, list[int]] = {}
+                for x, mask in enumerate(masks):
+                    by_mask.setdefault(mask, []).append(x)
+                members = tuple(map(tuple, by_mask.values()))
+                atom_of = [0] * self.order
+                for a, atom in enumerate(members):
+                    for x in atom:
+                        atom_of[x] = a
+                below = []
+                for mask in by_mask:
+                    # OR, not a sum: many elements of <x> share one atom
+                    bits = 0
+                    for x in _bits(mask):
+                        bits |= 1 << atom_of[x]
+                    below.append(bits)
+                lattice = CyclicSubgroups(members, tuple(below))
+            self._cache["lattice"] = lattice
+        return lattice
+
     def orders(self) -> list[int]:
-        """o(g) for every element g."""
+        """o(g) for every element g: |<g>| is the number of generators of
+        all the cyclic subgroups inside <g>."""
         orders = self._cache.get("orders")
         if orders is None:
-            orders = [m.bit_count() for m in self.subgroup_masks()]
+            members, below = self.cyclic_subgroups()
+            orders = [0] * self.order
+            for atom, mask in zip(members, below):
+                o = sum(len(members[b]) for b in _bits(mask))
+                for x in atom:
+                    orders[x] = o
             self._cache["orders"] = orders
         return orders
 
     def order_of(self, g: int) -> int:
         return self.orders()[g]
-
-    def eq_class_masks(self) -> list[int]:
-        """Bitmask of [g] = {h : <h> = <g>} for every g."""
-        classes = self._cache.get("eq_classes")
-        if classes is None:
-            masks = self.subgroup_masks()
-            by_subgroup: dict[int, int] = {}
-            for g, m in enumerate(masks):
-                by_subgroup[m] = by_subgroup.get(m, 0) | (1 << g)
-            classes = [by_subgroup[m] for m in masks]
-            self._cache["eq_classes"] = classes
-        return classes
 
     def __repr__(self) -> str:
         return f"FiniteGroup({self.label!r}, order={self.order})"
@@ -263,16 +303,27 @@ def from_table(
     return FiniteGroup(order, identity, label, lambda x, y: rows[x][y])
 
 
-def _check_cyclic_order(n: int) -> None:
+def cyclic_group(n: int) -> FiniteGroup:
+    """Additive group of integers modulo n; identity 0.
+
+    Its cyclic subgroups come from the divisors of n, with no power walk:
+    the residues of order d, the k*(n/d) with gcd(k, d) = 1, generate the
+    one subgroup of order d, which contains the one of order e exactly
+    when e divides d.
+    """
     if n < 1:
         raise ValueError(f"cyclic_group requires n >= 1, got {n}")
     _check_order("cyclic_group", n)
 
+    def lattice() -> CyclicSubgroups:
+        by_order: dict[int, list[int]] = {}
+        for x in range(n):
+            by_order.setdefault(n // math.gcd(x, n), []).append(x)
+        orders = list(by_order)
+        below = tuple(sum(1 << b for b, e in enumerate(orders) if d % e == 0) for d in orders)
+        return CyclicSubgroups(tuple(map(tuple, by_order.values())), below)
 
-def cyclic_group(n: int) -> FiniteGroup:
-    """Additive group of integers modulo n; identity 0."""
-    _check_cyclic_order(n)
-    return FiniteGroup(n, 0, f"Z{n}", lambda x, y: (x + y) % n)
+    return FiniteGroup(n, 0, f"Z{n}", lambda x, y: (x + y) % n, _lattice_source=lattice)
 
 
 def dicyclic_group(n: int) -> FiniteGroup:
@@ -345,9 +396,9 @@ def up_set(g: FiniteGroup, x: int) -> frozenset[int]:
 
 
 def hat_up_set(g: FiniteGroup, x: int) -> frozenset[int]:
-    """U(x) minus the ~-class of x."""
-    cls = g.eq_class_masks()[x]
-    return frozenset(h for h in up_set(g, x) if not (cls >> h) & 1)
+    """U(x) minus the ~-class of x, the elements generating <x>."""
+    masks = g.subgroup_masks()
+    return frozenset(h for h in up_set(g, x) if masks[h] != masks[x])
 
 
 def is_p_group(g: FiniteGroup) -> Optional[int]:
@@ -421,9 +472,8 @@ def load_table_file(path: str | Path, label: Optional[str] = None) -> FiniteGrou
 def parse_group_spec(spec: str) -> FiniteGroup:
     """Parse a CLI group spec: zn:<n>, qn:<n>, gq:<alpha>, prod:zn:<a>xzn:<b>[x...], table:<path>."""
     spec = spec.strip()
-    n = parse_cyclic_spec(spec)
-    if n is not None:
-        return cyclic_group(n)
+    if spec.startswith("zn:"):
+        return cyclic_group(_parse_int(spec[3:], spec))
     if spec.startswith("qn:"):
         return dicyclic_group(_parse_int(spec[3:], spec))
     if spec.startswith("gq:"):
@@ -445,20 +495,6 @@ def parse_group_spec(spec: str) -> FiniteGroup:
     if spec.startswith("table:"):
         return load_table_file(spec[len("table:") :])
     raise ValueError(f"unrecognized group spec {spec!r}")
-
-
-def parse_cyclic_spec(spec: str) -> Optional[int]:
-    """The n of a ``zn:<n>`` group spec, or None for any other spec.
-
-    n is checked as `cyclic_group` checks it, with the same messages, so
-    a caller can work from the divisors of n without building Z_n.
-    """
-    spec = spec.strip()
-    if not spec.startswith("zn:"):
-        return None
-    n = _parse_int(spec[3:], spec)
-    _check_cyclic_order(n)
-    return n
 
 
 def _parse_int(text: str, spec: str) -> int:

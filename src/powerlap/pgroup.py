@@ -7,11 +7,13 @@ builds that decomposition tree, evaluates its factored characteristic
 polynomial through the join/union calculus, and classifies every
 Laplacian eigenvalue into its structural form.
 
-Every non-identity class [h] has exactly one parent class, [h^p], so the
-tree is built in one ascending pass over the elements and holds each
-~-class exactly once, represented by its smallest element.  A node's
-``upset_size`` is |U(x)|, its number of children is the primitive-class
-count of x, and |U-hat(x)| is ``upset_size`` minus the apex size.  The
+The cyclic subgroups of a cyclic p-group form a chain, so every
+non-identity class [h] has exactly one parent class, [h^p], the
+generators of the largest proper subgroup of <h>.  The tree is read off
+the group's cyclic-subgroup lattice and holds each ~-class exactly once,
+represented by its smallest element.  A node's ``upset_size`` is |U(x)|,
+its number of children is the primitive-class count of x, and |U-hat(x)|
+is ``upset_size`` minus the apex size.  The
 eigenvalue classification and the divisibility checks read these values
 off the tree, one node per class, instead of scanning elements.
 """
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .groups import FiniteGroup, euler_phi, factorize, is_p_group
+from .groups import FiniteGroup, factorize, is_p_group
 from .spectra import (
     FactoredCharPoly,
     Spectrum,
@@ -62,38 +64,32 @@ def decompose(g: FiniteGroup) -> DecompTree:
     Children are sorted by descending vertex count, then by
     representative element index, so trees render canonically.
     """
-    p = is_p_group(g)
-    if p is None:
+    if is_p_group(g) is None:
         raise ValueError(f"{g.label} is not a p-group")
-    masks = g.subgroup_masks()
-    # a class is keyed by the mask of the cyclic subgroup its members generate
-    smallest: dict[int, int] = {}
-    children: dict[int, list[int]] = {}
-    for x in range(g.order):
-        key = masks[x]
-        if key in smallest:
-            continue
-        smallest[key] = x
-        if x != g.identity:
-            # [x^p] depends only on [x]: <x^p> is the index-p subgroup of <x>
-            xp = x
-            for _ in range(p - 1):
-                xp = g.mul(xp, x)
-            children.setdefault(masks[xp], []).append(key)
-    return _build(g, masks[g.identity], smallest, children)
+    members, below = g.cyclic_subgroups()
+    # the subgroups of <x> form a chain, so the largest proper one is the
+    # one holding all the others: its lattice bits are x's without x's own
+    by_below = {mask: a for a, mask in enumerate(below)}
+    children: list[list[int]] = [[] for _ in members]
+    root = 0
+    for a, mask in enumerate(below):
+        if mask == 1 << a:
+            root = a
+        else:
+            children[by_below[mask ^ (1 << a)]].append(a)
+    return _build(g, root, members, children)
 
 
-def _build(g: FiniteGroup, key: int, smallest: dict[int, int],
-           children: dict[int, list[int]]) -> DecompTree:
-    x = smallest[key]
-    order = g.order_of(x)
-    apex = euler_phi(order)
+def _build(g: FiniteGroup, a: int, members: tuple[tuple[int, ...], ...],
+           children: list[list[int]]) -> DecompTree:
+    x = members[a][0]
+    apex = len(members[a])
     subtrees = sorted(
-        (_build(g, k, smallest, children) for k in children.get(key, ())),
+        (_build(g, b, members, children) for b in children[a]),
         key=lambda t: (-t.upset_size, t.element),
     )
     upset = apex + sum(t.upset_size for t in subtrees)
-    return DecompTree(apex, x, order, upset, tuple(subtrees))
+    return DecompTree(apex, x, g.order_of(x), upset, tuple(subtrees))
 
 
 def _classes(t: DecompTree) -> list[DecompTree]:

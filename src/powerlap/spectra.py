@@ -510,8 +510,8 @@ def _poly_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
 def spectrum(g: Graph | TwinPartition) -> Spectrum:
     """Full Laplacian spectrum with exact integer certification.
 
-    Takes a graph or its twin partition; `twin_partition(group)` and
-    `cyclic_twin_partition(n)` give a power graph's without building it.
+    Takes a graph or its twin partition; `twin_partition(group)` gives a
+    power graph's from the group's cyclic subgroups without building it.
     A twin class of k vertices splits off its degree (plus one for a
     clique class) k - 1 times; the rest of the spectrum is the twin
     quotient's, which `_quotient_spectrum` certifies: every integer

@@ -22,7 +22,6 @@ from typing import Iterable, Optional
 from .graphs import (
     TwinPartition,
     _classes_connected,
-    cyclic_twin_partition,
     twin_partition,
     vertex_connectivity,
 )
@@ -126,7 +125,7 @@ def _report(claim_id, params, ok, witness, evidence, started) -> ClaimReport:
 # claim about n finds its twin partition, spectrum and kappa in these caches.
 @lru_cache(maxsize=1)
 def _cyclic_partition(n: int) -> TwinPartition:
-    return cyclic_twin_partition(n)
+    return twin_partition(cyclic_group(n))
 
 
 @lru_cache(maxsize=1)

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from powerlap.graphs import Graph, TwinPartition, cyclic_twin_partition
+from powerlap.graphs import Graph, TwinPartition, twin_partition
 from powerlap.groups import (
     cyclic_group,
     dicyclic_group,
@@ -67,4 +67,4 @@ def random_graph(rng: random.Random, n: int, p: float) -> Graph:
 def reduced_cyclic_partition(n: int) -> TwinPartition:
     """Twin partition of the reduced graph of Z_n: the power graph's without
     the elements of orders 1 and n, the residues x with gcd(x, n) = n or 1."""
-    return cyclic_twin_partition(n).without(x for x in range(n) if math.gcd(x, n) in (1, n))
+    return twin_partition(cyclic_group(n)).without(x for x in range(n) if math.gcd(x, n) in (1, n))

@@ -647,9 +647,10 @@ def element_info(g: FiniteGroup, x: int) -> ElementInfo:
     """Order, cyclic subgroup and ~-class of element x."""
     if not 0 <= x < g.order:
         raise ValueError(f"element index {x} out of range for order {g.order}")
+    masks = g.subgroup_masks()
     return ElementInfo(
         element=x,
         order=g.order_of(x),
-        cyclic_subgroup=frozenset(_bits(g.subgroup_masks()[x])),
-        eq_class=frozenset(_bits(g.eq_class_masks()[x])),
+        cyclic_subgroup=frozenset(_bits(masks[x])),
+        eq_class=frozenset(h for h, mask in enumerate(masks) if mask == masks[x]),
     )

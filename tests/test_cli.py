@@ -203,11 +203,16 @@ def test_cyclic_spec_with_two_sources_is_a_usage_error(capsys):
     assert "provide exactly one of" in err
 
 
-def refuse_everywhere(monkeypatch, originals, message):
-    """Make every powerlap module binding one of `originals` raise instead."""
+def refusal(message):
     def refuse(*args, **kwargs):
         raise AssertionError(message)
 
+    return refuse
+
+
+def refuse_everywhere(monkeypatch, originals, message):
+    """Make every powerlap module binding one of `originals` raise instead."""
+    refuse = refusal(message)
     for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "powerlap"]:
         for name, value in list(vars(module).items()):
             if any(value is f for f in originals):
@@ -215,17 +220,21 @@ def refuse_everywhere(monkeypatch, originals, message):
 
 
 def test_cyclic_commands_tabulate_no_group(capsys, monkeypatch):
-    refuse_everywhere(monkeypatch, [powerlap.groups.cyclic_group, powerlap.graphs.power_graph,
-                                    powerlap.graphs.twin_partition],
-                      "a cyclic path tabulated a group or built a graph")
+    # Z_n's cyclic subgroups come from the divisors of n: no per-element
+    # subgroup mask is walked and no graph is built
+    message = "a cyclic path walked the group's elements or built a graph"
+    refuse_everywhere(monkeypatch, [powerlap.graphs.power_graph], message)
+    monkeypatch.setattr(powerlap.groups.FiniteGroup, "subgroup_masks", refusal(message))
     for cache in (powerlap.verify._cyclic_partition, powerlap.verify._cyclic_spectrum,
                   powerlap.verify._cyclic_kappa):
         cache.cache_clear()
     with pytest.raises(AssertionError):
-        main(["spectrum", "qn:3"])  # the guard is live: Q_3 is partitioned as a group
+        main(["spectrum", "qn:3"])  # the guard is live: Q_3's lattice is walked
     for argv in (
         ["spectrum", "zn:2310"],
         ["spectrum", "--group", "zn:12", "--format", "json"],
+        ["info", "zn:2310"],
+        ["decompose", "zn:81"],
         ["verify", "--theorem", "cyclic-kappa-vs-algcon", "--cyclic-max", "30"],
         ["scan", "--max", "60"],
     ):

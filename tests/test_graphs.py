@@ -22,7 +22,6 @@ from powerlap.graphs import (
     _quotient_components,
     complement,
     components,
-    cyclic_twin_partition,
     induced_subgraph,
     power_graph,
     proper_power_graph,
@@ -199,7 +198,7 @@ CYCLIC_ORACLE_ORDERS = list(range(1, 301)) + [720, 1260]
 def test_cyclic_twin_partition_matches_the_power_graph():
     for n in CYCLIC_ORACLE_ORDERS:
         g = power_graph(cyclic_group(n))
-        tp = cyclic_twin_partition(n)
+        tp = twin_partition(cyclic_group(n))
         assert tp == twin_partition(g), n
         assert tp.n == n
         assert spectrum(tp) == spectrum(g), n
@@ -218,7 +217,7 @@ def test_reduced_cyclic_twin_partition_matches_the_graph():
         assert spectrum(tp) == spectrum(g), n
         assert vertex_connectivity(renumbered) == vertex_connectivity(g), n
     with pytest.raises(ValueError):
-        cyclic_twin_partition(0)
+        cyclic_group(0)
 
 
 def test_vertex_connectivity_reads_only_the_twin_partition():
@@ -459,11 +458,11 @@ def test_twin_partition_of_a_group_stays_small():
 def test_vertex_connectivity_matches_the_unpruned_scan_on_the_claim_suites():
     # the partitions the default verify run asks kappa of: 299 cyclic,
     # 31 dicyclic and 153 p-groups, then three with many classes
-    partitions = [cyclic_twin_partition(n) for n in range(2, 301)]
+    partitions = [twin_partition(cyclic_group(n)) for n in range(2, 301)]
     partitions += [twin_partition(dicyclic_group(n)) for n in range(2, 33)]
     partitions += [twin_partition(g) for g in pgroup_catalog(256)]
     assert len(partitions) == 483
-    partitions.append(cyclic_twin_partition(5040))
+    partitions.append(twin_partition(cyclic_group(5040)))
     partitions += [twin_partition(dicyclic_group(n)) for n in (105, 250)]
     for tp in partitions:
         assert vertex_connectivity(tp) == vertex_connectivity_every_class_pair(tp)
@@ -492,7 +491,7 @@ def test_vertex_connectivity_runs_few_flows(monkeypatch):
         if not is_cyclic(g):
             assert vertex_connectivity(power_graph(g)).size == 1 + is_generalized_quaternion(g)
     assert flows == 0
-    vertex_connectivity(cyclic_twin_partition(5040))
+    vertex_connectivity(twin_partition(cyclic_group(5040)))
     assert 0 < flows <= UNPRUNED_Z5040_FLOWS // 2
 
 

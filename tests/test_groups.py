@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +15,7 @@ from oracles import (
     table_of,
 )
 from powerlap.groups import (
+    FiniteGroup,
     GroupValidationError,
     cyclic_group,
     dicyclic_group,
@@ -133,6 +135,37 @@ def test_rule_groups_pass_the_axiom_check():
         checked = from_table(g.order, table_of(g))
         assert checked.identity == g.identity, g.label
         assert checked.subgroup_masks() == g.subgroup_masks(), g.label
+
+
+def test_cyclic_lattice_from_divisors_matches_the_walk():
+    for n in list(range(1, 301)) + [720, 840, 1260, 1680, 2310, 5040]:
+        z = cyclic_group(n)
+        walked = FiniteGroup(n, 0, "walked", z.mul)
+        assert z.cyclic_subgroups() == walked.cyclic_subgroups(), n
+        assert z.orders() == walked.orders(), n
+
+
+def assert_lattice_matches_the_masks(g):
+    masks = g.subgroup_masks()
+    members, below = g.cyclic_subgroups()
+    assert len(below) == len(members)
+    assert sorted(x for atom in members for x in atom) == list(range(g.order))
+    assert [atom[0] for atom in members] == sorted(atom[0] for atom in members)
+    for atom in members:
+        assert list(atom) == [h for h in range(g.order) if masks[h] == masks[atom[0]]]
+    for a, atom in enumerate(members):
+        contained = [b for b, other in enumerate(members) if masks[other[0]] & ~masks[atom[0]] == 0]
+        assert below[a] == sum(1 << b for b in contained), (g.label, a)
+    assert g.orders() == [mask.bit_count() for mask in masks]
+
+
+def test_cyclic_subgroups_are_the_mask_classes_ordered_by_containment(small_groups):
+    from powerlap.verify import pgroup_catalog
+
+    groups = small_groups + pgroup_catalog(256) + [dicyclic_group(n) for n in range(2, 33)]
+    groups.append(load_table_file(Path(__file__).parent / "data" / "q3.txt"))
+    for g in groups:
+        assert_lattice_matches_the_masks(g)
 
 
 def test_groups_keep_no_quadratic_state():

@@ -21,8 +21,8 @@ from hypothesis import strategies as st
 from conftest import reduced_cyclic_partition
 from oracles import charpoly_scalar_crt, collapse_to_fixpoint, fraction_charpoly
 from powerlap import linalg
-from powerlap.graphs import cyclic_twin_partition, power_graph, twin_partition
-from powerlap.groups import dicyclic_group, parse_group_spec
+from powerlap.graphs import power_graph, twin_partition
+from powerlap.groups import cyclic_group, dicyclic_group, parse_group_spec
 from powerlap.linalg import (
     _is_prime,
     _prime,
@@ -133,7 +133,7 @@ def test_charpoly_with_entries_beyond_int64():
 
 
 def test_charpoly_matches_scalar_oracle_on_the_z5040_core():
-    core = collapse_to_fixpoint(cyclic_twin_partition(5040)).quotient_rows()
+    core = collapse_to_fixpoint(twin_partition(cyclic_group(5040))).quotient_rows()
     assert len(core) == 59
     assert charpoly_exact(core) == charpoly_scalar_crt(core)
 
@@ -190,8 +190,8 @@ def test_maclaurin_and_row_sum_bounds_agree_on_every_claim_core():
     # the quotient cores the default verify run and the divisor-rich
     # spectrum queries take the charpoly of, and three larger ones
     partitions = [p for n in range(2, 301)
-                  for p in (cyclic_twin_partition(n), reduced_cyclic_partition(n))]
-    partitions += [cyclic_twin_partition(n) for n in (720, 840, 1260, 1680, 2310, 5040)]
+                  for p in (twin_partition(cyclic_group(n)), reduced_cyclic_partition(n))]
+    partitions += [twin_partition(cyclic_group(n)) for n in (720, 840, 1260, 1680, 2310, 5040)]
     groups = [dicyclic_group(n) for n in (*range(2, 33), 105, 250)] + pgroup_catalog(256)
     partitions += [twin_partition(power_graph(g)) for g in groups]
     for tp in partitions:

@@ -22,7 +22,6 @@ from powerlap.graphs import (
     Graph,
     complement,
     components,
-    cyclic_twin_partition,
     power_graph,
     twin_partition,
 )
@@ -287,7 +286,7 @@ def claim_suite_partitions():
     Z_n and its reduced graph for n <= 300, Q_n for n <= 32, and the
     p-group catalog up to order 256."""
     for n in range(2, 301):
-        yield cyclic_twin_partition(n)
+        yield twin_partition(cyclic_group(n))
         yield reduced_cyclic_partition(n)
     for n in range(2, 33):
         yield twin_partition(dicyclic_group(n))
@@ -306,7 +305,7 @@ def test_split_charpoly_matches_full_core_on_claim_suites():
 
 @pytest.mark.parametrize("n", [720, 1680, 2310, 5040])
 def test_split_charpoly_matches_full_core_on_divisor_rich_zn(n):
-    assert_split_matches_full(*quotient_of(cyclic_twin_partition(n)))
+    assert_split_matches_full(*quotient_of(twin_partition(cyclic_group(n))))
 
 
 @pytest.mark.parametrize("spec", [
@@ -414,7 +413,7 @@ def test_non_cyclic_p_groups_need_no_charpoly(monkeypatch):
     # Q_2048: joins at {e, a^n} and unions leave single classes
     spectrum(twin_partition(dicyclic_group(2048)))
     assert calls == [] and merges == []
-    spectrum(cyclic_twin_partition(12))
+    spectrum(twin_partition(cyclic_group(12)))
     assert calls
     spectrum(twin_partition(dicyclic_group(3)))
     assert merges
@@ -439,7 +438,7 @@ def test_leaf_charpoly_deflates_the_zero_eigenvalue(monkeypatch):
     monkeypatch.setattr(powerlap.spectra, "_leaf_spectrum", recording)
     monkeypatch.setattr(powerlap.spectra, "charpoly_exact", spying)
     partitions = list(claim_suite_partitions())
-    partitions += [cyclic_twin_partition(n) for n in (720, 840, 1260, 1680, 2310, 5040)]
+    partitions += [twin_partition(cyclic_group(n)) for n in (720, 840, 1260, 1680, 2310, 5040)]
     for tp in partitions:
         powerlap.spectra._quotient_spectrum(*quotient_of(tp))
     assert len(passed) == len(leaves) > 0
@@ -740,7 +739,7 @@ def test_spectrum_invariant_enforcement():
 
 
 def test_eigenvalue_ordering_is_kept_but_never_shared():
-    s = spectrum(cyclic_twin_partition(12))
+    s = spectrum(twin_partition(cyclic_group(12)))
     first = s.eigenvalues_ascending()
     assert s.eigenvalues_ascending() == first
     first.append(-1.0)

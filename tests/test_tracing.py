@@ -14,7 +14,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 TRACED_ROUND = """
-import contextlib, io, json, sys
+import collections, contextlib, io, json, sys
 sys.path[:0] = sys.argv[1:3]
 import spans
 from powerlap import cli, graphs, groups, linalg, pgroup, spectra, verify
@@ -25,7 +25,7 @@ with contextlib.redirect_stdout(io.StringIO()):
     cli.main(["spectrum", "zn:12", "--format", "json"])
 verify.check_dicyclic_bundle(3)
 verify.check_pgroup_bundle(groups.direct_product(groups.cyclic_group(4), groups.cyclic_group(2)))
-print(json.dumps(tracer.metrics(0)))
+print(json.dumps([tracer.metrics(0), collections.Counter(span[2] for span in tracer.spans)]))
 """
 
 
@@ -35,7 +35,10 @@ def test_tracer_installs_and_counts_every_layer():
         cwd=ROOT, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    metrics = json.loads(proc.stdout.strip().splitlines()[-1])
+    metrics, spans_by_name = json.loads(proc.stdout.strip().splitlines()[-1])
+    # Z12's partition goes through the traced twin_partition, as Q3's and
+    # Z4xZ2's do: one span each
+    assert spans_by_name["graphs.twin_partition"] == 3
     # Z12 and Q3 are mixed, Z4xZ2 exact; none of them calls the Jacobi solver.
     # The quotient of Z4xZ2 splits into joins and unions down to single
     # classes, so only Z12 and Q3 leave one piece each for the charpoly
