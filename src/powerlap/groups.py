@@ -21,7 +21,6 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 __all__ = [
-    "CyclicSubgroups",
     "Factorization",
     "FiniteGroup",
     "GroupValidationError",
@@ -154,8 +153,8 @@ class FiniteGroup:
     ``mul(i, j)`` is the product of elements i and j, computed by the
     group's rule on demand.  Instances are immutable; derived data
     (the cyclic-subgroup lattice, element orders, per-element subgroup
-    masks) is computed on first use and cached.  ``_lattice_source``,
-    set only by `cyclic_group`, builds the lattice without a walk.
+    masks) is computed on first use and cached; `cyclic_group` seeds
+    the lattice from the divisors of n instead.
     """
 
     order: int
@@ -163,7 +162,6 @@ class FiniteGroup:
     label: str
     mul: Callable[[int, int], int]
     _cache: dict = field(default_factory=dict, repr=False)
-    _lattice_source: Optional[Callable[[], CyclicSubgroups]] = field(default=None, repr=False)
 
     # cached per-element structure -----------------------------------
 
@@ -199,32 +197,29 @@ class FiniteGroup:
         return masks
 
     def cyclic_subgroups(self) -> CyclicSubgroups:
-        """The cyclic-subgroup lattice: from the lattice source if the
-        group has one, else from one walk of `subgroup_masks`, where the
-        elements sharing a mask generate one subgroup, and a subgroup
-        contains those that its own elements generate."""
+        """The cyclic-subgroup lattice, from one walk of `subgroup_masks`
+        unless `cyclic_group` seeded it: the elements sharing a mask
+        generate one subgroup, and a subgroup contains those that its own
+        elements generate."""
         lattice = self._cache.get("lattice")
         if lattice is None:
-            if self._lattice_source is not None:
-                lattice = self._lattice_source()
-            else:
-                masks = self.subgroup_masks()
-                by_mask: dict[int, list[int]] = {}
-                for x, mask in enumerate(masks):
-                    by_mask.setdefault(mask, []).append(x)
-                members = tuple(map(tuple, by_mask.values()))
-                atom_of = [0] * self.order
-                for a, atom in enumerate(members):
-                    for x in atom:
-                        atom_of[x] = a
-                below = []
-                for mask in by_mask:
-                    # OR, not a sum: many elements of <x> share one atom
-                    bits = 0
-                    for x in _bits(mask):
-                        bits |= 1 << atom_of[x]
-                    below.append(bits)
-                lattice = CyclicSubgroups(members, tuple(below))
+            masks = self.subgroup_masks()
+            by_mask: dict[int, list[int]] = {}
+            for x, mask in enumerate(masks):
+                by_mask.setdefault(mask, []).append(x)
+            members = tuple(map(tuple, by_mask.values()))
+            atom_of = [0] * self.order
+            for a, atom in enumerate(members):
+                for x in atom:
+                    atom_of[x] = a
+            below = []
+            for mask in by_mask:
+                # OR, not a sum: many elements of <x> share one atom
+                bits = 0
+                for x in _bits(mask):
+                    bits |= 1 << atom_of[x]
+                below.append(bits)
+            lattice = CyclicSubgroups(members, tuple(below))
             self._cache["lattice"] = lattice
         return lattice
 
@@ -303,27 +298,39 @@ def from_table(
     return FiniteGroup(order, identity, label, lambda x, y: rows[x][y])
 
 
+def _cyclic_lattice(n: int) -> CyclicSubgroups:
+    """Z_n's cyclic subgroups from the divisors of n, with no power walk:
+    the residues of order d, the k*(n/d) with gcd(k, d) = 1, generate the
+    one subgroup of order d, which contains the one of order e exactly
+    when e divides d."""
+    by_order: dict[int, list[int]] = {}
+    for x in range(n):
+        by_order.setdefault(n // math.gcd(x, n), []).append(x)
+    orders = list(by_order)
+    below = tuple(sum(1 << b for b, e in enumerate(orders) if d % e == 0) for d in orders)
+    return CyclicSubgroups(tuple(map(tuple, by_order.values())), below)
+
+
+def _unchecked_cyclic_group(n: int) -> FiniteGroup:
+    """Z_n for any n >= 1, its lattice seeded from the divisors of n.
+
+    No MAX_ORDER check: the lattice keeps no n-bit mask, so a caller that
+    reads only the lattice (the twin partition) may go past the limit.
+    """
+    return FiniteGroup(n, 0, f"Z{n}", lambda x, y: (x + y) % n,
+                       _cache={"lattice": _cyclic_lattice(n)})
+
+
 def cyclic_group(n: int) -> FiniteGroup:
     """Additive group of integers modulo n; identity 0.
 
-    Its cyclic subgroups come from the divisors of n, with no power walk:
-    the residues of order d, the k*(n/d) with gcd(k, d) = 1, generate the
-    one subgroup of order d, which contains the one of order e exactly
-    when e divides d.
+    Its cyclic-subgroup lattice comes from the divisors of n
+    (`_cyclic_lattice`), with no power walk.
     """
     if n < 1:
         raise ValueError(f"cyclic_group requires n >= 1, got {n}")
     _check_order("cyclic_group", n)
-
-    def lattice() -> CyclicSubgroups:
-        by_order: dict[int, list[int]] = {}
-        for x in range(n):
-            by_order.setdefault(n // math.gcd(x, n), []).append(x)
-        orders = list(by_order)
-        below = tuple(sum(1 << b for b, e in enumerate(orders) if d % e == 0) for d in orders)
-        return CyclicSubgroups(tuple(map(tuple, by_order.values())), below)
-
-    return FiniteGroup(n, 0, f"Z{n}", lambda x, y: (x + y) % n, _lattice_source=lattice)
+    return _unchecked_cyclic_group(n)
 
 
 def dicyclic_group(n: int) -> FiniteGroup:

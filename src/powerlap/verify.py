@@ -27,6 +27,7 @@ from .graphs import (
 )
 from .groups import (
     FiniteGroup,
+    _unchecked_cyclic_group,
     cyclic_group,
     dicyclic_group,
     direct_product,
@@ -123,9 +124,11 @@ def _report(claim_id, params, ok, witness, evidence, started) -> ClaimReport:
 
 # One entry each: the suites and the scan visit n in order, so every
 # claim about n finds its twin partition, spectrum and kappa in these caches.
+# Z_n's partition reads only its divisor lattice, which keeps no n-bit mask,
+# so the suites and the scan take n past MAX_ORDER.
 @lru_cache(maxsize=1)
 def _cyclic_partition(n: int) -> TwinPartition:
-    return twin_partition(cyclic_group(n))
+    return twin_partition(_unchecked_cyclic_group(n))
 
 
 @lru_cache(maxsize=1)

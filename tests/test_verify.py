@@ -5,6 +5,7 @@ import pytest
 from oracles import involution_facts_by_graph, is_generalized_quaternion_by_presentation
 from powerlap.graphs import Graph, power_graph, twin_partition
 from powerlap.groups import (
+    MAX_ORDER,
     cyclic_group,
     dicyclic_group,
     direct_product,
@@ -222,6 +223,18 @@ def test_cyclic_graph_cache_holds_one_graph():
                   powerlap.verify._cyclic_kappa):
         info = cache.cache_info()
         assert info.maxsize == 1 and info.currsize == 1
+
+
+def test_cyclic_claims_go_past_max_order():
+    # Z_n's twin partition reads only its divisor lattice, so the cyclic
+    # claims (and `scan --max`, `verify --cyclic-max`) are not held to the
+    # MAX_ORDER that guards the groups that keep per-element masks
+    n = MAX_ORDER + 1  # 3 * 2731
+    with pytest.raises(ValueError, match="MAX_ORDER"):
+        cyclic_group(n)
+    for check in (check_cyclic_algcon, check_cyclic_radius_mult, check_cyclic_kappa_eq_mu):
+        report = check(n)
+        assert report.passed, report.to_json()
 
 
 def test_is_generalized_quaternion():
