@@ -184,6 +184,8 @@ def _cmd_info(args, parser) -> int:
 
 
 def _cmd_verify(args, parser) -> int:
+    if min(args.cyclic_max, args.dicyclic_max, args.pgroup_max) < 2:
+        parser.error("--cyclic-max, --dicyclic-max and --pgroup-max must be at least 2")
     if args.dicyclic_max > MAX_ORDER // 4 or args.pgroup_max > MAX_ORDER:
         parser.error(f"--dicyclic-max must be at most {MAX_ORDER // 4} (Q_n has order 4n) "
                      f"and --pgroup-max at most MAX_ORDER = {MAX_ORDER}")

@@ -3,10 +3,12 @@
 Adjacency is stored as one Python-int bitmask per vertex, which keeps
 membership tests O(1) and whole-row operations cheap at desk scale
 (a few thousand vertices).  A power graph's twin partition comes from
-its group's cyclic-subgroup lattice (Z_n's from the divisors of n), with
-no graph built, and no command builds one: `Graph` and its builders
-remain as test oracles and for the benchmark's tracer, which binds them
-by name.
+its group's cyclic-subgroup lattice (Z_n's from the divisors of n, any
+other group's from one power walk), with no graph built, and no command
+builds one: `Graph` and its builders remain as test oracles and for the
+benchmark's tracer, which binds them by name.  `power_graph` reads the
+same lattice: two elements are joined when their cyclic subgroups are
+comparable.
 """
 
 from __future__ import annotations
@@ -125,14 +127,19 @@ class CutCertificate:
 
 
 def power_graph(g: FiniteGroup) -> Graph:
-    """Power graph: u ~ v iff u != v and one generates a subgroup containing the other."""
-    n = g.order
-    masks = g.subgroup_masks()
-    mat = _rows_to_bitmatrix(masks, n)
-    both = mat | mat.T
-    transposed = _bitmatrix_to_rows(both)
-    rows = tuple(transposed[v] & ~(1 << v) for v in range(n))
-    return Graph(n, rows)
+    """Power graph: u ~ v iff u != v and one generates a subgroup containing
+    the other.  A vertex is joined to the generators of every cyclic
+    subgroup comparable with its own, read from the lattice's closed keys."""
+    members, below = g.cyclic_subgroups()
+    spans = [sum(1 << x for x in atom) for atom in members]
+    rows = [0] * g.order
+    for atom, key in zip(members, _closed_keys(below)):
+        row = 0
+        for b in _bits(key):
+            row |= spans[b]
+        for x in atom:
+            rows[x] = row ^ (1 << x)
+    return Graph(g.order, tuple(rows))
 
 
 def proper_power_graph(g: FiniteGroup) -> Graph:
@@ -313,11 +320,17 @@ def twin_partition(g: Graph | FiniteGroup) -> TwinPartition:
         return _twin_quotient([[v] for v in range(g.n)],
                               [row | (1 << v) for v, row in enumerate(g.rows)])
     members, below = g.cyclic_subgroups()
+    return _twin_quotient(members, _closed_keys(below))
+
+
+def _closed_keys(below: Sequence[int]) -> list[int]:
+    """Each cyclic subgroup's closed key: the bitmask of the subgroups
+    below it or above it, itself included."""
     closed = list(below)
     for a, mask in enumerate(below):
         for b in _bits(mask):
             closed[b] |= 1 << a
-    return _twin_quotient(members, closed)
+    return closed
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,8 @@ dicyclic relations, products componentwise) and a `from_table` group
 looks its products up in the validated rows.  Per-element data is read
 from the group's cyclic-subgroup lattice, cached lazily on the group
 object: Z_n's comes from the divisors of n, any other group's from one
-power walk per cyclic subgroup with its rule.
+power walk per element not yet placed, with its rule; no per-element
+subgroup mask is kept.
 """
 
 from __future__ import annotations
@@ -45,17 +46,20 @@ class GroupValidationError(ValueError):
     """Raised when a multiplication table fails the group axioms."""
 
 
-# Largest group order the constructors accept.  A walked group (every
-# group but Z_n, whose lattice comes from the divisors of n) keeps one
-# n-bit subgroup mask per element: n**2 bits, 8 MB at order 8192.  Larger
-# orders fail fast instead of exhausting memory.
+# Largest group order the constructors accept.  It bounds a walked
+# group's twin quotient (every group but Z_n, whose lattice comes from the
+# divisors of n): its dense count table has m**2 entries for m classes,
+# about a quarter of the order for Q_n (2,050 classes and most of a 34 MB
+# peak at order 8192), and the closed keys that build it hold up to n**2
+# bits (an 11 MB peak for Z_2^13).  Larger orders fail fast instead of
+# exhausting memory.
 MAX_ORDER = 8192
 
 
 def _order_error(name: str, order: str) -> ValueError:
     return ValueError(
         f"{name} would build a group of order {order}, above the limit "
-        f"MAX_ORDER = {MAX_ORDER} on its n-bit subgroup masks"
+        f"MAX_ORDER = {MAX_ORDER} on a walked group's twin quotient"
     )
 
 
@@ -135,7 +139,7 @@ def euler_phi(n: int) -> int:
 
 
 class CyclicSubgroups(NamedTuple):
-    """Every cyclic subgroup of a group once, ordered by smallest generator.
+    """Every cyclic subgroup of a group once.
 
     ``members[a]`` lists the generators of subgroup a ascending: the
     ~-class of elements that generate it.  Bit b of ``below[a]`` is set
@@ -152,9 +156,9 @@ class FiniteGroup:
 
     ``mul(i, j)`` is the product of elements i and j, computed by the
     group's rule on demand.  Instances are immutable; derived data
-    (the cyclic-subgroup lattice, element orders, per-element subgroup
-    masks) is computed on first use and cached; `cyclic_group` seeds
-    the lattice from the divisors of n instead.
+    (the cyclic-subgroup lattice and element orders) is computed on
+    first use and cached; `cyclic_group` seeds the lattice from the
+    divisors of n instead.
     """
 
     order: int
@@ -163,63 +167,43 @@ class FiniteGroup:
     mul: Callable[[int, int], int]
     _cache: dict = field(default_factory=dict, repr=False)
 
-    # cached per-element structure -----------------------------------
-
-    def subgroup_masks(self) -> list[int]:
-        """Bitmask of <g> for every g; bit h set iff h is a power of g.
-
-        One power walk per distinct cyclic subgroup: the walk from g
-        assigns the subgroup's mask to every generator of <g> at once.
-        """
-        masks = self._cache.get("masks")
-        if masks is None:
-            e = self.identity
-            mul = self.mul
-            masks = [0] * self.order
-            for g in range(self.order):
-                if masks[g]:
-                    continue
-                seq = []
-                cur = g
-                while True:
-                    seq.append(cur)
-                    if cur == e:
-                        break
-                    cur = mul(cur, g)
-                o = len(seq)
-                mask = 0
-                for v in seq:
-                    mask |= 1 << v
-                for k in range(1, o + 1):
-                    if math.gcd(k, o) == 1:
-                        masks[seq[k - 1]] = mask
-            self._cache["masks"] = masks
-        return masks
+    # cached structure ----------------------------------------------
 
     def cyclic_subgroups(self) -> CyclicSubgroups:
-        """The cyclic-subgroup lattice, from one walk of `subgroup_masks`
-        unless `cyclic_group` seeded it: the elements sharing a mask
-        generate one subgroup, and a subgroup contains those that its own
-        elements generate."""
+        """The cyclic-subgroup lattice, unless `cyclic_group` seeded it.
+
+        One walk of the powers g^0..g^(o-1) of each element g not yet
+        placed, ascending: for every divisor d of o, the g^(d*j) with
+        gcd(j, o/d) = 1 generate <g^d>, which contains <g^f> exactly when
+        d divides f.  So the walk places every cyclic subgroup of <g> not
+        met before, and one met before already holds its own subgroups.
+        """
         lattice = self._cache.get("lattice")
         if lattice is None:
-            masks = self.subgroup_masks()
-            by_mask: dict[int, list[int]] = {}
-            for x, mask in enumerate(masks):
-                by_mask.setdefault(mask, []).append(x)
-            members = tuple(map(tuple, by_mask.values()))
-            atom_of = [0] * self.order
-            for a, atom in enumerate(members):
-                for x in atom:
-                    atom_of[x] = a
-            below = []
-            for mask in by_mask:
-                # OR, not a sum: many elements of <x> share one atom
-                bits = 0
-                for x in _bits(mask):
-                    bits |= 1 << atom_of[x]
-                below.append(bits)
-            lattice = CyclicSubgroups(members, tuple(below))
+            e, mul = self.identity, self.mul
+            atom_of = [-1] * self.order
+            members: list[tuple[int, ...]] = []
+            below: list[int] = []
+            for g in range(self.order):
+                if atom_of[g] >= 0:
+                    continue
+                powers = [e]
+                cur = g
+                while cur != e:
+                    powers.append(cur)
+                    cur = mul(cur, g)
+                o = len(powers)
+                divisors = [d for d in range(1, o + 1) if o % d == 0]
+                # largest d first: the subgroups inside <g^d> are placed before it
+                for d in reversed(divisors):
+                    if atom_of[powers[d % o]] < 0:
+                        k = o // d
+                        atom = sorted(powers[d * j % o] for j in range(1, k + 1) if math.gcd(j, k) == 1)
+                        for x in atom:
+                            atom_of[x] = len(members)
+                        members.append(tuple(atom))
+                        below.append(sum(1 << atom_of[powers[f % o]] for f in divisors if f % d == 0))
+            lattice = CyclicSubgroups(tuple(members), tuple(below))
             self._cache["lattice"] = lattice
         return lattice
 
@@ -302,20 +286,22 @@ def _cyclic_lattice(n: int) -> CyclicSubgroups:
     """Z_n's cyclic subgroups from the divisors of n, with no power walk:
     the residues of order d, the k*(n/d) with gcd(k, d) = 1, generate the
     one subgroup of order d, which contains the one of order e exactly
-    when e divides d."""
+    when e divides d.  Subgroups come by ascending order, as a walk of
+    Z_n's powers of 1 places them."""
     by_order: dict[int, list[int]] = {}
     for x in range(n):
         by_order.setdefault(n // math.gcd(x, n), []).append(x)
-    orders = list(by_order)
+    orders = sorted(by_order)
     below = tuple(sum(1 << b for b, e in enumerate(orders) if d % e == 0) for d in orders)
-    return CyclicSubgroups(tuple(map(tuple, by_order.values())), below)
+    return CyclicSubgroups(tuple(tuple(by_order[d]) for d in orders), below)
 
 
 def _unchecked_cyclic_group(n: int) -> FiniteGroup:
     """Z_n for any n >= 1, its lattice seeded from the divisors of n.
 
-    No MAX_ORDER check: the lattice keeps no n-bit mask, so a caller that
-    reads only the lattice (the twin partition) may go past the limit.
+    No MAX_ORDER check: the lattice needs no walk, and its twin quotient
+    has at most one class per divisor of n, so a caller that reads only
+    the lattice (the twin partition) may go past the limit.
     """
     return FiniteGroup(n, 0, f"Z{n}", lambda x, y: (x + y) % n,
                        _cache={"lattice": _cyclic_lattice(n)})
@@ -394,18 +380,24 @@ def _bits(mask: int) -> list[int]:
     return out
 
 
-def up_set(g: FiniteGroup, x: int) -> frozenset[int]:
-    """U(x): all h whose generated cyclic subgroup contains x."""
+def _atom_of(g: FiniteGroup, x: int) -> int:
+    """The index of <x> in g's cyclic-subgroup lattice."""
     if not 0 <= x < g.order:
         raise ValueError(f"element index {x} out of range for order {g.order}")
-    bit = 1 << x
-    return frozenset(h for h, m in enumerate(g.subgroup_masks()) if m & bit)
+    return next(a for a, atom in enumerate(g.cyclic_subgroups().members) if x in atom)
+
+
+def up_set(g: FiniteGroup, x: int) -> frozenset[int]:
+    """U(x): all h whose generated cyclic subgroup contains x, the
+    generators of every cyclic subgroup above <x>."""
+    members, below = g.cyclic_subgroups()
+    a = _atom_of(g, x)
+    return frozenset(h for atom, mask in zip(members, below) if mask >> a & 1 for h in atom)
 
 
 def hat_up_set(g: FiniteGroup, x: int) -> frozenset[int]:
     """U(x) minus the ~-class of x, the elements generating <x>."""
-    masks = g.subgroup_masks()
-    return frozenset(h for h in up_set(g, x) if masks[h] != masks[x])
+    return up_set(g, x).difference(g.cyclic_subgroups().members[_atom_of(g, x)])
 
 
 def is_p_group(g: FiniteGroup) -> Optional[int]:
@@ -427,27 +419,24 @@ def primitive_classes(g: FiniteGroup, x: int) -> list[int]:
     """Representatives of the ~-classes [h] with [h^p] = [x] and h != e.
 
     One representative per class, the smallest element index; sorted
-    ascending.  Only defined for p-groups.
+    ascending.  Only defined for p-groups.  [h^p] depends on [h] alone,
+    so one p-th power is walked per cyclic subgroup.
     """
     p = is_p_group(g)
     if p is None:
         raise ValueError(f"{g.label} is not a p-group")
-    if not 0 <= x < g.order:
-        raise ValueError(f"element index {x} out of range for order {g.order}")
-    target = g.subgroup_masks()[x]
-    masks = g.subgroup_masks()
-    reps: dict[int, int] = {}
-    for h in range(g.order):
+    members = g.cyclic_subgroups().members
+    target = members[_atom_of(g, x)]
+    reps = []
+    for h, *_ in members:
         if h == g.identity:
             continue
         hp = h
         for _ in range(p - 1):
             hp = g.mul(hp, h)
-        if masks[hp] == target:
-            key = masks[h]
-            if key not in reps or h < reps[key]:
-                reps[key] = h
-    return sorted(reps.values())
+        if hp in target:
+            reps.append(h)
+    return sorted(reps)
 
 
 # ---------------------------------------------------------------------------

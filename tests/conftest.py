@@ -1,5 +1,6 @@
 import math
 import random
+from pathlib import Path
 
 import pytest
 
@@ -9,8 +10,12 @@ from powerlap.groups import (
     dicyclic_group,
     direct_product,
     generalized_quaternion,
+    load_table_file,
 )
 from powerlap.spectra import _leaf_spectrum
+from powerlap.verify import pgroup_catalog
+
+Q3_TABLE = Path(__file__).parent / "data" / "q3.txt"
 
 
 @pytest.fixture(autouse=True)
@@ -34,6 +39,26 @@ def small_groups():
         generalized_quaternion(3),
     ]
     return groups
+
+
+@pytest.fixture(scope="session")
+def product_groups():
+    """Direct products with a non-abelian or a non-p-group factor."""
+    return [
+        direct_product(dicyclic_group(3), cyclic_group(4)),
+        direct_product(cyclic_group(6), dicyclic_group(5)),
+        direct_product(dicyclic_group(2), dicyclic_group(2)),
+        direct_product(cyclic_group(15), cyclic_group(10)),
+    ]
+
+
+@pytest.fixture(scope="session")
+def lattice_groups(small_groups, product_groups):
+    """Groups whose cyclic-subgroup lattice the tests compare with the
+    table walk: the small groups, every p-group of order at most 256 in
+    the catalog, Q_n for n <= 64, the Q3 table and the products."""
+    groups = small_groups + pgroup_catalog(256) + [dicyclic_group(n) for n in range(2, 65)]
+    return groups + [load_table_file(Q3_TABLE)] + product_groups
 
 
 @pytest.fixture(scope="session")

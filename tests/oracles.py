@@ -7,11 +7,13 @@ exhaustive cut search, a per-element p-group scan, a scalar modular
 Hessenberg reduction recombined by the Chinese remainder theorem, the
 dicyclic table filled entry by entry from its relations, and whole
 multiplication tables built by slicing and broadcasting, with the power
-walk over them.  Twin partitions are hashed from the neighbourhood rows
-of every vertex, and the dicyclic facts about e and a^n are read off
-the power graph itself.  Two oracles are there for parity instead: the unpruned
-class-pair scan, which shares the flow network of `vertex_connectivity`
-but none of its pruning, and the collapse of a whole twin quotient,
+walk over them, which gives each element's cyclic subgroup as a bitmask
+and from those the power graph, up-sets and primitive classes.  Twin
+partitions are hashed from the neighbourhood rows of every vertex, and
+the dicyclic facts about e and a^n are read off the power graph itself.
+Two oracles are there for parity instead: the unpruned class-pair scan,
+which shares the flow network of `vertex_connectivity` but none of its
+pruning, and the collapse of a whole twin quotient,
 which runs `spectra._merge_weighted_twins` over every class at once
 where `spectrum` runs it only on the pieces joins and unions leave.
 The last section holds references the package no longer needs itself:
@@ -22,9 +24,11 @@ cyclic subgroup and ~-class.
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import gcd
 from operator import mul
@@ -452,18 +456,17 @@ def is_generalized_quaternion_by_presentation(g: FiniteGroup) -> bool:
     if order < 8 or order & (order - 1):
         return False
     m = order // 4  # presentation parameter: a has order 2m, b*b = a^m
-    masks = g.subgroup_masks()
     orders = g.orders()
     for a in range(order):
         if orders[a] != 2 * m:
             continue
-        amask = masks[a]
-        am = a
-        for _ in range(m - 1):
-            am = g.mul(am, a)
+        powers = [a]
+        while powers[-1] != g.identity:
+            powers.append(g.mul(powers[-1], a))
+        am = powers[m - 1]
         a_inv = inverse(g, a)
         for b in range(order):
-            if (amask >> b) & 1:
+            if b in powers:
                 continue
             if g.mul(b, b) != am:
                 continue
@@ -566,6 +569,57 @@ def table_by_label(label: str) -> Table:
     return table
 
 
+_BUILT_IN_LABEL = re.compile(r"(Z|Q|GQ)[0-9]+(x(Z|Q|GQ)[0-9]+)*")
+
+
+@lru_cache(maxsize=4)
+def tabulated(g: FiniteGroup) -> Table:
+    """The multiplication table of g: a built-in group's from its label,
+    any other group's by tabulating its products."""
+    return table_by_label(g.label) if _BUILT_IN_LABEL.fullmatch(g.label) else table_of(g)
+
+
+@lru_cache(maxsize=16)
+def masks_of(g: FiniteGroup) -> tuple[int, ...]:
+    """Bitmask of <x> for every element x of g, walked over its table."""
+    return tuple(table_masks(tabulated(g), g.identity))
+
+
+def power_graph_by_masks(masks: Sequence[int]) -> Graph:
+    """u ~ v iff u != v and <u> holds v or <v> holds u."""
+    rows = list(masks)
+    for v, mask in enumerate(masks):
+        for u in _bits(mask):
+            rows[u] |= 1 << v
+    return Graph(len(rows), tuple(row & ~(1 << v) for v, row in enumerate(rows)))
+
+
+def up_set_by_masks(masks: Sequence[int], x: int) -> frozenset[int]:
+    """U(x): the h whose cyclic subgroup holds x."""
+    return frozenset(h for h, mask in enumerate(masks) if mask >> x & 1)
+
+
+def hat_up_set_by_masks(masks: Sequence[int], x: int) -> frozenset[int]:
+    """U(x) without the h that generate <x>."""
+    return frozenset(h for h in up_set_by_masks(masks, x) if masks[h] != masks[x])
+
+
+def primitive_classes_by_table(g: FiniteGroup) -> list[list[int]]:
+    """For every x of a p-group, the smallest members of the ~-classes
+    [h] != [e] with [h^p] = [x], by the p-th power of every element over
+    its table."""
+    table, masks = tabulated(g), masks_of(g)
+    p = factorize(g.order).prime_powers[0][0]
+    above: dict[int, dict[int, int]] = {}
+    for h in range(g.order):
+        hp = h
+        for _ in range(p - 1):
+            hp = table[hp][h]
+        if h != g.identity:
+            above.setdefault(masks[hp], {}).setdefault(masks[h], h)
+    return [sorted(above.get(mask, {}).values()) for mask in masks]
+
+
 def table_masks(table: Table, identity: int) -> list[int]:
     """Bitmask of <g> for every g, by power walks over the table."""
     masks = [0] * len(table)
@@ -647,10 +701,10 @@ def element_info(g: FiniteGroup, x: int) -> ElementInfo:
     """Order, cyclic subgroup and ~-class of element x."""
     if not 0 <= x < g.order:
         raise ValueError(f"element index {x} out of range for order {g.order}")
-    masks = g.subgroup_masks()
+    masks = masks_of(g)
     return ElementInfo(
         element=x,
-        order=g.order_of(x),
+        order=masks[x].bit_count(),
         cyclic_subgroup=frozenset(_bits(masks[x])),
         eq_class=frozenset(h for h, mask in enumerate(masks) if mask == masks[x]),
     )

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import subprocess
 import sys
@@ -158,7 +159,6 @@ def test_verify_single_cyclic_claim_runs_only_that_claim(capsys, monkeypatch):
     def no_kappa(graph):
         raise AssertionError("cyclic-algcon must not compute vertex connectivity")
 
-    powerlap.verify._cyclic_kappa.cache_clear()
     monkeypatch.setattr(powerlap.verify, "vertex_connectivity", no_kappa)
     args = ("verify", "--theorem", "cyclic-algcon", *ranges)
     code, out, _ = run(capsys, *args)
@@ -210,23 +210,31 @@ def refusal(message):
     return refuse
 
 
-def refuse_everywhere(monkeypatch, originals, message):
-    """Make every powerlap module binding one of `originals` raise instead."""
-    refuse = refusal(message)
+def rebind_everywhere(monkeypatch, original, replacement):
+    """Point every powerlap module binding `original` at `replacement`."""
     for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "powerlap"]:
         for name, value in list(vars(module).items()):
-            if any(value is f for f in originals):
-                monkeypatch.setattr(module, name, refuse)
+            if value is original:
+                monkeypatch.setattr(module, name, replacement)
+
+
+def refuse_everywhere(monkeypatch, originals, message):
+    """Make every powerlap module binding one of `originals` raise instead."""
+    for original in originals:
+        rebind_everywhere(monkeypatch, original, refusal(message))
 
 
 def test_cyclic_commands_tabulate_no_group(capsys, monkeypatch):
-    # Z_n's cyclic subgroups come from the divisors of n: no per-element
-    # subgroup mask is walked and no graph is built
-    message = "a cyclic path walked the group's elements or built a graph"
+    # Z_n's cyclic subgroups come from the divisors of n: no element of
+    # Z_n (or of Q_n, for the live check) is multiplied and no graph is built
+    message = "a cyclic path multiplied group elements or built a graph"
     refuse_everywhere(monkeypatch, [powerlap.graphs.power_graph], message)
-    monkeypatch.setattr(powerlap.groups.FiniteGroup, "subgroup_masks", refusal(message))
-    for cache in (powerlap.verify._cyclic_partition, powerlap.verify._cyclic_spectrum,
-                  powerlap.verify._cyclic_kappa):
+    for build in (powerlap.groups._unchecked_cyclic_group, powerlap.groups.dicyclic_group):
+        def unmultiplied(n, _build=build):
+            return dataclasses.replace(_build(n), mul=refusal(message))
+
+        rebind_everywhere(monkeypatch, build, unmultiplied)
+    for cache in (powerlap.verify._cyclic_partition, powerlap.verify._cyclic_spectrum):
         cache.cache_clear()
     with pytest.raises(AssertionError):
         main(["spectrum", "qn:3"])  # the guard is live: Q_3's lattice is walked
@@ -262,6 +270,12 @@ def test_claims_and_group_spectra_build_no_power_graph(capsys, monkeypatch):
 @pytest.mark.parametrize("ranges", [
     ("--theorem", "pgroup-bundle", "--pgroup-max", "20000"),
     ("--theorem", "dicyclic-bundle", "--dicyclic-max", "2049"),
+    # a suite bound below 2 would run an empty suite and pass
+    ("--theorem", "dicyclic-bundle", "--dicyclic-max", "1"),
+    ("--cyclic-max", "-5"),
+    ("--theorem", "cyclic-algcon", "--cyclic-max", "1"),
+    ("--pgroup-max", "1"),
+    ("--theorem", "pgroup-bundle", "--pgroup-max", "0"),
 ])
 def test_verify_ranges_above_max_order_fail_before_any_claim(capsys, monkeypatch, ranges):
     refuse_everywhere(monkeypatch, [powerlap.verify.run_cyclic_suite,
@@ -269,7 +283,8 @@ def test_verify_ranges_above_max_order_fail_before_any_claim(capsys, monkeypatch
                                     powerlap.verify.run_pgroup_suite], "a claim ran")
     code, out, err = run(capsys, "verify", *ranges)
     assert code == 1 and out == ""
-    assert "MAX_ORDER = 8192" in err and "Traceback" not in err
+    reason = "at least 2" if int(ranges[-1]) < 2 else "MAX_ORDER = 8192"
+    assert reason in err and "Traceback" not in err
 
 
 def test_verify_json_stable(capsys):

@@ -1,6 +1,5 @@
 import random
 import tracemalloc
-from pathlib import Path
 
 import networkx as nx
 import pytest
@@ -10,6 +9,8 @@ from hypothesis import strategies as st
 from conftest import random_graph, reduced_cyclic_partition
 from oracles import (
     is_complete,
+    masks_of,
+    power_graph_by_masks,
     twin_partition_by_rows,
     vertex_connectivity_every_class_pair,
     vertex_connectivity_exhaustive,
@@ -34,7 +35,6 @@ from powerlap.groups import (
     dicyclic_group,
     direct_product,
     generalized_quaternion,
-    load_table_file,
     parse_group_spec,
 )
 from powerlap.spectra import spectrum
@@ -424,27 +424,20 @@ def test_classes_connected_matches_the_component_count(g, data):
     assert _classes_connected(tp, keep) == (len(list(_quotient_components(tp.counts, keep))) == 1)
 
 
-def test_twin_partition_of_a_group_matches_its_power_graph():
-    groups = [cyclic_group(n) for n in range(1, 301)]
-    groups += [dicyclic_group(n) for n in range(2, 65)]
-    groups += pgroup_catalog(256)
-    groups.append(load_table_file(Path(__file__).parent / "data" / "q3.txt"))
-    groups += [
-        direct_product(dicyclic_group(3), cyclic_group(4)),
-        direct_product(cyclic_group(6), dicyclic_group(5)),
-        direct_product(dicyclic_group(2), dicyclic_group(2)),
-        direct_product(cyclic_group(15), cyclic_group(10)),
-    ]
+def test_twin_partition_of_a_group_matches_its_power_graph(lattice_groups):
+    groups = [cyclic_group(n) for n in range(1, 301)] + lattice_groups
     for g in groups:
+        # the power graph by the table walk, and the package's from the lattice
+        pg = power_graph_by_masks(masks_of(g))
+        assert power_graph(g) == pg, g.label
         # classes, their order and the counts, with no graph built
-        pg = power_graph(g)
         assert twin_partition(g) == twin_partition(pg) == twin_partition_by_rows(pg), g.label
 
 
 def test_twin_partition_of_a_group_stays_small():
     # the graph route peaks at about 268 MB here: n^2-byte matrices at n = 8192
     g = dicyclic_group(2048)
-    g.subgroup_masks()
+    g.cyclic_subgroups()
     tracemalloc.start()
     try:
         tp = twin_partition(g)

@@ -1,22 +1,30 @@
+import functools
 import math
 import tracemalloc
-from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (
     cyclic_table,
     dicyclic_table,
     dicyclic_table_by_mul,
     element_info,
+    hat_up_set_by_masks,
     is_p_group_by_elements,
+    masks_of,
+    power_graph_by_masks,
+    primitive_classes_by_table,
     table_by_label,
     table_masks,
     table_of,
+    up_set_by_masks,
 )
 from powerlap.groups import (
     FiniteGroup,
     GroupValidationError,
+    _bits,
     cyclic_group,
     dicyclic_group,
     direct_product,
@@ -31,6 +39,7 @@ from powerlap.groups import (
     primitive_classes,
     up_set,
 )
+from powerlap.graphs import power_graph
 
 
 def brute_phi(n):
@@ -115,12 +124,24 @@ def test_rules_match_the_tabulated_groups():
         assert table_of(g) == table_by_label(g.label), g.label
 
 
+def subgroup_masks(g):
+    """Bitmask of <x> for every x, read from the lattice: the generators of
+    every cyclic subgroup below x's."""
+    members, below = g.cyclic_subgroups()
+    masks = [0] * g.order
+    for atom, mask in zip(members, below):
+        inside = sum(1 << h for b in _bits(mask) for h in members[b])
+        for x in atom:
+            masks[x] = inside
+    return masks
+
+
 def test_subgroup_masks_match_the_table_walk():
     from powerlap.verify import pgroup_catalog
 
     groups = pgroup_catalog(256) + [dicyclic_group(n) for n in range(2, 33)]
     for g in groups:
-        assert g.subgroup_masks() == table_masks(table_by_label(g.label), g.identity), g.label
+        assert subgroup_masks(g) == table_masks(table_by_label(g.label), g.identity), g.label
 
 
 def test_rule_groups_pass_the_axiom_check():
@@ -134,7 +155,7 @@ def test_rule_groups_pass_the_axiom_check():
     for g in groups:
         checked = from_table(g.order, table_of(g))
         assert checked.identity == g.identity, g.label
-        assert checked.subgroup_masks() == g.subgroup_masks(), g.label
+        assert checked.cyclic_subgroups() == g.cyclic_subgroups(), g.label
 
 
 def test_cyclic_lattice_from_divisors_matches_the_walk():
@@ -146,12 +167,12 @@ def test_cyclic_lattice_from_divisors_matches_the_walk():
 
 
 def assert_lattice_matches_the_masks(g):
-    masks = g.subgroup_masks()
+    masks = masks_of(g)
     members, below = g.cyclic_subgroups()
     assert len(below) == len(members)
     assert sorted(x for atom in members for x in atom) == list(range(g.order))
-    assert [atom[0] for atom in members] == sorted(atom[0] for atom in members)
     for atom in members:
+        # the ~-class of its first generator, ascending
         assert list(atom) == [h for h in range(g.order) if masks[h] == masks[atom[0]]]
     for a, atom in enumerate(members):
         contained = [b for b, other in enumerate(members) if masks[other[0]] & ~masks[atom[0]] == 0]
@@ -159,22 +180,48 @@ def assert_lattice_matches_the_masks(g):
     assert g.orders() == [mask.bit_count() for mask in masks]
 
 
-def test_cyclic_subgroups_are_the_mask_classes_ordered_by_containment(small_groups):
-    from powerlap.verify import pgroup_catalog
-
-    groups = small_groups + pgroup_catalog(256) + [dicyclic_group(n) for n in range(2, 33)]
-    groups.append(load_table_file(Path(__file__).parent / "data" / "q3.txt"))
-    for g in groups:
+def test_cyclic_subgroups_are_the_mask_classes_ordered_by_containment(lattice_groups):
+    for g in lattice_groups:
         assert_lattice_matches_the_masks(g)
 
 
+def test_up_sets_and_primitive_classes_match_the_table_walk(lattice_groups):
+    for g in lattice_groups:
+        masks = masks_of(g)
+        for x in range(g.order):
+            assert up_set(g, x) == up_set_by_masks(masks, x), (g.label, x)
+            assert hat_up_set(g, x) == hat_up_set_by_masks(masks, x), (g.label, x)
+        if is_p_group(g):
+            want = primitive_classes_by_table(g)
+            # one element of each ~-class, its largest
+            for x in {mask: x for x, mask in enumerate(masks)}.values():
+                assert primitive_classes(g, x) == want[x], (g.label, x)
+
+
+FACTORS = st.one_of(st.builds(cyclic_group, st.integers(1, 12)),
+                    st.builds(dicyclic_group, st.integers(2, 6)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(FACTORS, min_size=1, max_size=3).filter(
+    lambda fs: math.prod(f.order for f in fs) <= 512))
+def test_walked_products_match_the_table_walk(factors):
+    g = functools.reduce(direct_product, factors)
+    masks = masks_of(g)
+    assert_lattice_matches_the_masks(g)
+    assert power_graph(g) == power_graph_by_masks(masks), g.label
+    for x in range(g.order):
+        assert up_set(g, x) == up_set_by_masks(masks, x), (g.label, x)
+        assert hat_up_set(g, x) == hat_up_set_by_masks(masks, x), (g.label, x)
+
+
 def test_groups_keep_no_quadratic_state():
-    # the masks of both groups peak at 2.4 MB; a table of order 8192 would
-    # hold 67M entries, 515 MB for the dicyclic group alone
+    # both lattices peak at about 1 MB; a table of order 8192 would hold
+    # 67M entries, 515 MB for the dicyclic group alone
     tracemalloc.start()
     try:
         for g in (dicyclic_group(2048), cyclic_group(8192)):
-            g.subgroup_masks()
+            g.cyclic_subgroups()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -1,13 +1,20 @@
 import pytest
 
-from oracles import element_info, tree_graph
+from oracles import (
+    element_info,
+    hat_up_set_by_masks,
+    masks_of,
+    power_graph_by_masks,
+    primitive_classes_by_table,
+    tree_graph,
+    up_set_by_masks,
+)
 from powerlap.graphs import components, power_graph, proper_power_graph
 from powerlap.groups import (
     cyclic_group,
     direct_product,
     euler_phi,
     generalized_quaternion,
-    hat_up_set,
     primitive_classes,
     up_set,
 )
@@ -48,7 +55,7 @@ def test_decompose_rejects_non_pgroups():
 def test_tree_annotations(small_pgroups):
     def walk(g, t):
         assert t.apex_size
-        assert tree_graph(t).n == t.upset_size == len(up_set(g, t.element))
+        assert tree_graph(t).n == t.upset_size == len(up_set_by_masks(masks_of(g), t.element))
         assert t.apex_size == euler_phi(t.element_order)
         for c in t.children:
             walk(g, c)
@@ -62,14 +69,16 @@ def test_tree_annotations(small_pgroups):
         t = decompose(g)
         assert t.upset_size == g.order
         walk(g, t)
-        # each ~-class appears once, keyed by the subgroup its members generate
-        masks = g.subgroup_masks()
+        # each ~-class appears once, keyed by the subgroup its members
+        # generate; U-hat and the primitive classes come from the table walk
+        masks = masks_of(g)
+        primitive = primitive_classes_by_table(g)
         by_class = {masks[node.element]: node for node in nodes(t)}
         assert len(by_class) == len(set(masks)) == len(list(nodes(t)))
         for x in range(g.order):
             node = by_class[masks[x]]
-            assert node.upset_size - node.apex_size == len(hat_up_set(g, x)), (g.label, x)
-            assert len(node.children) == len(primitive_classes(g, x)), (g.label, x)
+            assert node.upset_size - node.apex_size == len(hat_up_set_by_masks(masks, x)), (g.label, x)
+            assert sorted(c.element for c in node.children) == primitive[x], (g.label, x)
             assert node.element == min(element_info(g, x).eq_class), (g.label, x)
 
 
@@ -148,12 +157,13 @@ def test_classification_covers_catalog(small_pgroups):
         # the per-element search: smallest element of the first form that fits
         if value == 0:
             return "zero", None
-        orders = g.orders()
+        masks = masks_of(g)
+        orders = [mask.bit_count() for mask in masks]
         for x in range(g.order):
             if orders[x] == value:
                 return "order_of", x
         for x in range(g.order):
-            if len(hat_up_set(g, x)) + orders[x] == value:
+            if len(hat_up_set_by_masks(masks, x)) + orders[x] == value:
                 return "uhat_plus_order", x
         return None, None
 
@@ -221,16 +231,15 @@ def test_component_of_prime_order_element_is_upset(small_pgroups):
             if g.order_of(x) != p:
                 continue
             comp_elements = {v + 1 for v in by_vertex[x - 1]}
-            assert comp_elements == set(up_set(g, x)), (g.label, x)
+            assert comp_elements == up_set_by_masks(masks_of(g), x), (g.label, x)
 
 
 def test_primitive_subtrees_disjoint_and_nonadjacent(small_pgroups):
-    from powerlap.groups import primitive_classes
 
     for g in small_pgroups:
         if g.order > 81:
             continue
-        pg = power_graph(g)
+        pg = power_graph_by_masks(masks_of(g))
         for x in range(g.order):
             reps = primitive_classes(g, x)
             sets = [up_set(g, h) for h in reps]

@@ -2,8 +2,13 @@ import json
 
 import pytest
 
-from oracles import involution_facts_by_graph, is_generalized_quaternion_by_presentation
-from powerlap.graphs import Graph, power_graph, twin_partition
+from oracles import (
+    involution_facts_by_graph,
+    is_generalized_quaternion_by_presentation,
+    masks_of,
+    power_graph_by_masks,
+)
+from powerlap.graphs import Graph, twin_partition
 from powerlap.groups import (
     MAX_ORDER,
     cyclic_group,
@@ -151,7 +156,7 @@ def test_dicyclic_involution_facts_match_the_graph():
     for n in range(2, 65):
         g = dicyclic_group(n)
         facts = _involution_facts(twin_partition(g), n)
-        assert facts == involution_facts_by_graph(power_graph(g), n), n
+        assert facts == involution_facts_by_graph(power_graph_by_masks(masks_of(g)), n), n
         pow2 = n & (n - 1) == 0
         assert facts == (pow2, pow2, True, ())
 
@@ -167,6 +172,22 @@ def test_dicyclic_bundle_fails_when_the_involution_classes_hold_more(monkeypatch
     r = check_dicyclic_bundle(2)
     assert r.verdict == "fail"
     assert "the classes of e and a^n also hold [1]" in r.witness
+
+
+def test_dicyclic_bundle_names_a_failed_separation_once(monkeypatch):
+    # kappa equals algcon for n = 4, so the join check (f) runs as well as
+    # the separation check that holds for every n
+    import powerlap.verify
+
+    def unseparated(tp, n):
+        universal, join_side, _, others = _involution_facts(tp, n)
+        return universal, join_side, False, others
+
+    monkeypatch.setattr(powerlap.verify, "_involution_facts", unseparated)
+    r = check_dicyclic_bundle(4)
+    assert r.verdict == "fail"
+    assert r.evidence["statements"]["kappa_eq_algcon"]
+    assert r.witness == "n=4: {e, a^n} does not separate the graph"
 
 
 def test_quaternion_closed_form_merges_alpha_two():
@@ -219,8 +240,7 @@ def test_cyclic_graph_cache_holds_one_graph():
 
     scan_conjecture(30)
     run_cyclic_suite(20)
-    for cache in (powerlap.verify._cyclic_partition, powerlap.verify._cyclic_spectrum,
-                  powerlap.verify._cyclic_kappa):
+    for cache in (powerlap.verify._cyclic_partition, powerlap.verify._cyclic_spectrum):
         info = cache.cache_info()
         assert info.maxsize == 1 and info.currsize == 1
 
@@ -228,7 +248,7 @@ def test_cyclic_graph_cache_holds_one_graph():
 def test_cyclic_claims_go_past_max_order():
     # Z_n's twin partition reads only its divisor lattice, so the cyclic
     # claims (and `scan --max`, `verify --cyclic-max`) are not held to the
-    # MAX_ORDER that guards the groups that keep per-element masks
+    # MAX_ORDER that guards a walked group's twin quotient
     n = MAX_ORDER + 1  # 3 * 2731
     with pytest.raises(ValueError, match="MAX_ORDER"):
         cyclic_group(n)
