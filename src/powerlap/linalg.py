@@ -2,15 +2,16 @@
 
 Exact routines never round, so every integrality decision downstream is
 a genuine certification.  The characteristic polynomial of an integer
-matrix is computed modulo enough descending primes below 2**31 to pass
+matrix is computed modulo enough descending primes below 2**25 to pass
 a proven bound on its coefficients, all of them at once: the residues
 sit in one (primes, m, m) int64 array, where a product of two residues
-stays below 2**62, and each prime takes its own Hessenberg pivots.  The
-Chinese remainder theorem recombines the results.  Integer roots and
-their multiplicities are read off that polynomial and divided out by
-synthetic division, and the roots of a real-rooted integer polynomial
-above an integer are counted exactly by Descartes' rule of signs after
-one integer Taylor shift.
+stays below 2**50 and a sum of up to 8192 such products below 2**63, so
+each sum is one batched matmul reduced once, and each prime takes its
+own Hessenberg pivots.  The Chinese remainder theorem recombines the
+results.  Integer roots and their multiplicities are read off that
+polynomial and divided out by synthetic division, and the roots of a
+real-rooted integer polynomial above an integer are counted exactly by
+Descartes' rule of signs after one integer Taylor shift.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ __all__ = [
 
 
 # Miller-Rabin with the first twelve prime bases is deterministic below
-# 3.18e23 (Sorenson & Webster, Math. Comp. 2017), far above 2**31.
+# 3.18e23 (Sorenson & Webster, Math. Comp. 2017), far above 2**25.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
@@ -60,16 +61,24 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-# The descending primes below 2**31, extended on demand.  Every modular
+# The descending primes below 2**25, extended on demand.  Every modular
 # charpoly walks a prefix of the same sequence, so each prime is proved
 # once per process.
 _PRIMES: list[int] = []
+# A residue is below 2**25, so a product of two is below 2**50 and a sum
+# of 8192 products below 2**63.  Every sum the charpoly forms has at most
+# one term per row, so this bounds the rows.
+_MAX_ROWS = 8192
 
 
 def _prime(i: int) -> int:
-    """The i-th prime, counting from 0, of the descending primes below 2**31."""
+    """The i-th prime, counting from 0, of the descending primes below 2**25.
+
+    Below 2**25 a product of two residues is below 2**50, so up to 8192
+    of them add up in int64 before one reduction.
+    """
     while len(_PRIMES) <= i:
-        candidate = (_PRIMES[-1] if _PRIMES else 2**31 + 1) - 2
+        candidate = (_PRIMES[-1] if _PRIMES else 2**25 + 1) - 2
         while not _is_prime(candidate):
             candidate -= 2
         _PRIMES.append(candidate)
@@ -83,14 +92,21 @@ def charpoly_exact(matrix: Sequence[Sequence[int]], *,
     The coefficients are determined once the modulus exceeds twice a
     bound on their absolute values (`_coefficient_bound`).  Enough
     primes for that are taken up front from a fixed descending sequence
-    below 2**31, the polynomial is computed modulo all of them at once
+    below 2**25, the polynomial is computed modulo all of them at once
     (`_charpoly_mod_primes`), and the residues are recombined by the
     Chinese remainder theorem into the symmetric range, so the result
     is exact.  Pass ``nonnegative_eigenvalues`` only for a matrix whose
     eigenvalues are all real and nonnegative, such as one similar to a
     positive semidefinite matrix: it selects the tighter bound.
+
+    A matrix of more than 8192 rows (`_MAX_ROWS`) raises ValueError
+    before any array is built: past it a sum of residue products could
+    overflow int64.
     """
     m = len(matrix)
+    if m > _MAX_ROWS:
+        raise ValueError(f"{m} rows: an int64 sum of products of residues below 2**25 "
+                         f"holds at most {_MAX_ROWS} terms")
     if any(len(row) != m for row in matrix):
         raise ValueError("matrix must be square")
     if m == 0:
@@ -148,8 +164,10 @@ def _charpoly_mod_primes(h: np.ndarray, primes: list[int]) -> np.ndarray:
     """Coefficients of det(xI - H_i) mod p_i for a (P, m, m) stack, ascending.
 
     `h[i]` holds the matrix reduced into [0, p_i); it is overwritten.
-    Every p_i < 2**31, so a product of two residues stays below 2**62,
-    and each product is reduced before any sum: no int64 overflows.  Each
+    Every p_i < 2**25, so a product of two residues stays below 2**50
+    and a sum of up to m <= 8192 of them below 2**63: each sum of
+    products (the Hessenberg column op, the recurrence's sum over j) is
+    one batched matmul reduced once, and no int64 overflows.  Each
     slice is brought to upper Hessenberg form by similarity transforms
     over its own field, with its own pivots, and the characteristic
     polynomial is expanded by the Hessenberg recurrence (Cohen, A Course
@@ -184,18 +202,18 @@ def _charpoly_mod_primes(h: np.ndarray, primes: list[int]) -> np.ndarray:
         block = h[:, nxt + 1:, col:]
         block -= factors[:, :, None] * h[:, None, nxt, col:]
         block %= p2
-        terms = h[:, :, nxt + 1:] * factors[:, None, :]
-        terms %= p2
         target = h[:, :, nxt]
-        target += terms.sum(axis=2)
+        target += np.matmul(h[:, :, nxt + 1:], factors[:, :, None])[:, :, 0]
         target %= p1
 
-    # d[:, k] = charpoly of the leading k x k block, coefficients ascending:
-    # d_k = x d_{k-1} - sum_{j=1..k} beta_j h[j-1][k-1] d_{j-1}, where beta_j
-    # is the product of the subdiagonal entries h[j][j-1] .. h[k-1][k-2]
+    # d[:, :, k] = charpoly of the leading k x k block, coefficients ascending
+    # down the column: d_k = x d_{k-1} - sum_{j=1..k} beta_j h[j-1][k-1] d_{j-1},
+    # where beta_j is the product of the subdiagonal entries h[j][j-1] ..
+    # h[k-1][k-2]; with each polynomial a column, the sum over j is a matmul
+    # that reads d along its rows
     d = np.zeros((count, n + 1, n + 1), dtype=np.int64)
     d[:, 0, 0] = d[:, 1, 1] = 1
-    d[:, 1, 0] = -h[:, 0, 0] % p1[:, 0]
+    d[:, 0, 1] = -h[:, 0, 0] % p1[:, 0]
     beta = np.ones((count, n), dtype=np.int64)
     for k in range(2, n + 1):
         running = beta[:, :k - 1]
@@ -203,13 +221,11 @@ def _charpoly_mod_primes(h: np.ndarray, primes: list[int]) -> np.ndarray:
         running %= p1
         coeff = beta[:, :k] * h[:, :k, k - 1]
         coeff %= p1
-        terms = coeff[:, :, None] * d[:, :k, :k]
-        terms %= p2
-        poly = d[:, k, :k + 1]
-        poly[:, 1:] = d[:, k - 1, :k]
-        poly[:, :k] -= terms.sum(axis=1)
+        poly = d[:, :k + 1, k]
+        poly[:, 1:] = d[:, :k, k - 1]
+        poly[:, :k] -= np.matmul(d[:, :k, :k], coeff[:, :, None])[:, :, 0]
         poly %= p1
-    return d[:, n]
+    return d[:, :, n]
 
 
 def eval_poly_at_int(coeffs: Sequence[int], x: int) -> int:
@@ -225,20 +241,31 @@ def integer_root_multiplicities(coeffs: Sequence[int], lo: int, hi: int) -> dict
 
     Write the polynomial as x^t * q with q(0) != 0.  The root 0 has
     multiplicity t, and every other integer root of q divides q(0), so
-    only those candidates are evaluated and divided out.
+    only those candidates are tried.  A root r has q(r) = 0, hence
+    q(r) = 0 modulo the first prime of the charpoly sequence: all the
+    candidates are evaluated modulo that prime at once, and only those
+    that pass are evaluated and divided out exactly, which decides.
     """
     t = next((i for i, c in enumerate(coeffs) if c), None)
     if t is None:
         # the zero polynomial: every candidate divides it to the constant 0
         return {r: len(coeffs) - 1 for r in range(lo, hi + 1)} if len(coeffs) > 1 else {}
     q = coeffs[t:]
+    candidates = [r for r in range(lo, hi + 1) if not r or not q[0] % r]
+    p = _prime(0)
+    at = np.array([r % p for r in candidates], dtype=np.int64)
+    residues = np.zeros(len(candidates), dtype=np.int64)
+    for c in reversed(q):
+        residues *= at
+        residues += c % p
+        residues %= p
     result: dict[int, int] = {}
-    for r in range(lo, hi + 1):
+    for r, residue in zip(candidates, residues.tolist()):
         if r == 0:
             if t:
                 result[0] = t
             continue
-        if q[0] % r:
+        if residue:
             continue
         work = q
         mult = 0

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from conftest import reduced_cyclic_partition
 from oracles import charpoly_scalar_crt, collapse_to_fixpoint, fraction_charpoly
-from powerlap import linalg
+from powerlap import linalg, spectra
 from powerlap.graphs import power_graph, twin_partition
 from powerlap.groups import cyclic_group, dicyclic_group, parse_group_spec
 from powerlap.linalg import (
@@ -37,7 +37,7 @@ from powerlap.verify import pgroup_catalog
 
 ORACLE_MAX_DIM = 40
 # the first two primes of the modular sequence, checked against sympy below
-P0, P1 = 2**31 - 1, 2**31 - 19
+P0, P1 = 2**25 - 39, 2**25 - 49
 
 
 def sympy_charpoly(matrix):
@@ -81,10 +81,10 @@ int_entries = st.one_of(st.integers(-3, 3), st.integers(-10**6, 10**6))
 
 
 @st.composite
-def int_matrices(draw, max_dim=7):
+def int_matrices(draw, max_dim=7, entries=int_entries):
     """Signed, generally non-symmetric integer matrices, some rows zero."""
     m = draw(st.integers(1, max_dim))
-    row = st.lists(int_entries, min_size=m, max_size=m)
+    row = st.lists(entries, min_size=m, max_size=m)
     rows = draw(st.lists(row, min_size=m, max_size=m))
     zero = draw(st.sets(st.integers(0, m - 1), max_size=m))
     return [[0] * m if i in zero else r for i, r in enumerate(rows)]
@@ -136,6 +136,49 @@ def test_charpoly_matches_scalar_oracle_on_the_z5040_core():
     core = collapse_to_fixpoint(twin_partition(cyclic_group(5040))).quotient_rows()
     assert len(core) == 59
     assert charpoly_exact(core) == charpoly_scalar_crt(core)
+
+
+def test_charpoly_matches_scalar_oracle_on_the_divisor_rich_leaves(monkeypatch):
+    # the leaves that `spectrum` of Z_n takes the charpoly of, n = 720..2310
+    leaves = []
+    charpoly = spectra.charpoly_exact
+
+    def spy(matrix, **kwargs):
+        leaves.append(matrix)
+        return charpoly(matrix, **kwargs)
+
+    monkeypatch.setattr(spectra, "charpoly_exact", spy)
+    spectra._leaf_spectrum.cache_clear()
+    for n in (720, 840, 1260, 1680, 2310):
+        spectra.spectrum(twin_partition(cyclic_group(n)))
+    assert [len(leaf) for leaf in leaves] == [27, 29, 33, 37, 29]
+    for leaf in leaves:
+        assert charpoly(leaf, nonnegative_eigenvalues=True) == charpoly_scalar_crt(leaf)
+
+
+def test_charpoly_where_every_residue_is_p_minus_one():
+    # -1 reduces to p - 1, the largest residue, modulo every prime;
+    # det(xI + J) = x^63 (x + 64)
+    matrix = [[-1] * 64 for _ in range(64)]
+    expected = [0] * 63 + [64, 1]
+    assert charpoly_exact(matrix) == charpoly_scalar_crt(matrix) == expected
+
+
+near_2_to_40 = st.integers(2**40 - 2**20, 2**40 + 2**20)
+wide_entries = st.one_of(near_2_to_40, near_2_to_40.map(lambda x: -x), st.integers(-3, 3))
+
+
+@settings(max_examples=40, deadline=None)
+@given(int_matrices(max_dim=12, entries=wide_entries))
+def test_charpoly_matches_scalar_oracle_on_entries_near_2_to_40(matrix):
+    assert charpoly_exact(matrix) == charpoly_scalar_crt(matrix)
+
+
+def test_charpoly_refuses_more_rows_than_its_sums_allow():
+    # one shared row: nothing of size 8193^2 is built before the check
+    row = [0] * 8193
+    with pytest.raises(ValueError, match="8193 rows"):
+        charpoly_exact([row] * 8193)
 
 
 def test_charpoly_at_the_coefficient_bound():
@@ -211,12 +254,12 @@ def test_maclaurin_bound_takes_fewer_primes_on_the_z4_4_core(monkeypatch):
     monkeypatch.setattr(linalg, "_charpoly_mod_primes", counted)
     assert charpoly_exact(core, nonnegative_eigenvalues=True) == charpoly_exact(core)
     # 31 rows with trace 540: a 130-bit modulus against a 280-bit one
-    assert len(core) == 31 and used == [5, 10]
+    assert len(core) == 31 and used == [6, 12]
 
 
-def test_primes_descend_from_the_largest_below_2_to_31():
+def test_primes_descend_from_the_largest_below_2_to_25():
     primes = [_prime(i) for i in range(12)]
-    assert primes[0] == sympy.prevprime(2**31) == P0 and primes[1] == P1
+    assert primes[0] == sympy.prevprime(2**25) == P0 and primes[1] == P1
     for p, q in zip(primes, primes[1:]):
         assert sympy.prevprime(p) == q
 
@@ -251,6 +294,16 @@ def test_integer_roots_match_scan(coeffs, lo, hi):
     got = integer_root_multiplicities(coeffs, lo, hi)
     want = scan_integer_roots(coeffs, lo, hi)
     assert list(got.items()) == list(want.items())
+
+
+def test_integer_roots_refuse_a_root_modulo_the_prime_only():
+    # q = x^2 + 3p - 9: 3 divides q(0) and q(3) = 3p vanishes modulo p, but
+    # not over the integers, so the exact evaluation must refuse it
+    p = _prime(0)
+    q = [3 * p - 9, 0, 1]
+    assert eval_poly_at_int(q, 3) % p == 0
+    assert integer_root_multiplicities(q, -5, 5) == scan_integer_roots(q, -5, 5) == {}
+    assert integer_root_multiplicities([0, 0] + q, -5, 5) == {0: 2}
 
 
 # ---------------------------------------------------------------------------
