@@ -142,11 +142,10 @@ def _cmd_decompose(args, parser) -> int:
 
 def _cmd_info(args, parser) -> int:
     g = _resolve_group(args, parser)
-    # the power graph's figures are read from its twin partition: a degree
-    # is a row sum
+    # the power graph's figures are read from its twin partition
     tp = twin_partition(g)
     n = tp.n
-    degrees = [sum(row) for row in tp.counts]
+    degrees = tp.degrees()
     orders = g.orders()
     histogram: dict[int, int] = {}
     for o in orders:

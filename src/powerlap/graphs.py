@@ -15,9 +15,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import compress, filterfalse
-from operator import itemgetter
-from typing import Iterable, Iterator, Optional, Sequence
+from itertools import filterfalse
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -171,22 +170,26 @@ def reduced_cyclic_graph(n: int) -> Graph:
 
 def components(g: Graph) -> list[list[int]]:
     """Connected components as sorted vertex lists, ordered by smallest vertex."""
-    seen = 0
+    rest = (1 << g.n) - 1
     out = []
-    for v in range(g.n):
-        if (seen >> v) & 1:
-            continue
-        frontier = 1 << v
-        comp = 0
-        while frontier:
-            comp |= frontier
-            nxt = 0
-            for u in _bits(frontier):
-                nxt |= g.rows[u]
-            frontier = nxt & ~comp
-        seen |= comp
+    while rest:
+        comp = _reach(g.rows, (rest & -rest).bit_length() - 1, rest)
+        rest ^= comp
         out.append(_bits(comp))
     return out
+
+
+def _reach(rows: Sequence[int], start: int, inside: int) -> int:
+    """Bitmask of the vertices that ``start`` reaches through ``rows``
+    without leaving the bitmask ``inside``, which holds ``start``."""
+    reached = frontier = 1 << start
+    while frontier:
+        nxt = 0
+        for u in _bits(frontier):
+            nxt |= rows[u]
+        frontier = nxt & inside & ~reached
+        reached |= frontier
+    return reached
 
 
 def complement(g: Graph) -> Graph:
@@ -216,15 +219,19 @@ class TwinPartition:
 
     Each class is either a clique of vertices sharing a closed
     neighborhood or an independent set sharing an open neighborhood.
-    Cross-class adjacency is all-or-nothing, so the quotient carries the
-    full structure: ``counts[i][j]`` is how many neighbors a vertex of
-    class i has inside class j (within-class count on the diagonal).
-    A degree is a row sum, and a class of two or more vertices is a
-    clique iff its within count is nonzero.
+    Cross-class adjacency is all-or-nothing, so three fields carry the
+    whole graph: ``within[i]`` is how many neighbors a vertex of class i
+    has inside its own class (its size less one for a clique of two or
+    more, else 0), and ``adj[i]`` has bit j set exactly when class j != i
+    is joined to class i.  A vertex of class i thus has
+    ``class_size(j)`` neighbors in each such class j and none in any
+    other, and a class of two or more vertices is a clique iff its
+    within count is nonzero.
     """
 
     classes: tuple[tuple[int, ...], ...]
-    counts: tuple[tuple[int, ...], ...]
+    within: tuple[int, ...]
+    adj: tuple[int, ...]
 
     @property
     def size(self) -> int:
@@ -238,25 +245,36 @@ class TwinPartition:
     def class_size(self, i: int) -> int:
         return len(self.classes[i])
 
+    def degrees(self) -> list[int]:
+        """The degree of a vertex of each class: its within count plus the
+        sizes of the classes joined to its own."""
+        sizes = [len(c) for c in self.classes]
+        return [w + sum(sizes[j] for j in _bits(a)) for w, a in zip(self.within, self.adj)]
+
     def without(self, vertices: Iterable[int]) -> "TwinPartition":
         """Twin partition of the graph with ``vertices`` removed.
 
         Every class keeps its other vertices, their numbers and its place
-        in the order; a class left empty is dropped.  A class that loses
-        vertices is still a clique or an independent set, joined to the
-        same classes as before, so each count becomes the new size of the
-        class it counts, less one on the diagonal of a clique.  Two
-        classes can become twins of each other, so the result need not
-        be the coarsest partition; it is when only universal vertices are
-        removed, because every vertex left was joined to all of them.
+        in the order; a class left empty is dropped, and its bit with it.
+        A class that loses vertices is still a clique or an independent
+        set, joined to the same classes as before, so a clique's within
+        count becomes its new size less one.  Two classes can become
+        twins of each other, so the result need not be the coarsest
+        partition; it is when only universal vertices are removed,
+        because every vertex left was joined to all of them.
         """
         gone = set(vertices)
         kept = [tuple(filterfalse(gone.__contains__, c)) for c in self.classes]
         live = [i for i, c in enumerate(kept) if c]
+        adj = [self.adj[i] for i in live]
+        for d in reversed(range(self.size)):
+            if not kept[d]:
+                # bit d goes, and the bits above it move down one
+                adj = [(a >> (d + 1) << d) | (a & ((1 << d) - 1)) for a in adj]
         return TwinPartition(
             classes=tuple(kept[i] for i in live),
-            counts=tuple(tuple(len(kept[j]) - (i == j) if self.counts[i][j] else 0 for j in live)
-                         for i in live),
+            within=tuple(len(kept[i]) - 1 if self.within[i] else 0 for i in live),
+            adj=tuple(adj),
         )
 
 
@@ -265,12 +283,12 @@ def _twin_quotient(members: Sequence[Sequence[int]], closed: Sequence[int]) -> T
     and ``closed[a]`` is the bitmask of the atoms joined to a, a included.
     Atoms sharing a closed key form a class; a lone one-vertex atom is
     grouped by open key instead.  Classes are ordered by smallest member.
-    Row i is read from the closed bits of one atom a of class i, one class
-    at a time: a class j != i is joined to all of a or to none of it, so
-    the lowest bit left names the next class joined to a, whose whole
-    mask is then cleared.  The diagonal is the weight of class i inside
-    a's closed bits, less a itself: the whole class for closed twins, a
-    alone for open ones."""
+    Class i's adjacency is read from the closed bits of one atom a of
+    class i, one class at a time: a class j != i is joined to all of a or
+    to none of it, so the lowest bit left names the next class joined to
+    a, whose whole mask is then cleared.  The within count is the weight
+    of class i inside a's closed bits, less a itself: the whole class for
+    closed twins, a alone for open ones."""
     by_closed: dict[int, list[int]] = {}
     for a, key in enumerate(closed):
         by_closed.setdefault(key, []).append(a)
@@ -294,20 +312,22 @@ def _twin_quotient(members: Sequence[Sequence[int]], closed: Sequence[int]) -> T
             size += len(members[a])
         masks.append(mask)
         sizes.append(size)
-    counts = []
+    within = []
+    adj = []
     for i, atoms in enumerate(groups):
         a = atoms[0]
-        row = [0] * len(groups)
-        rest = closed[a]
+        joined = 0
+        rest = closed[a] & ~masks[i]
         while rest:
             j = class_of[(rest & -rest).bit_length() - 1]
-            row[j] = sizes[j]
-            rest ^= rest & masks[j]
-        row[i] = (sizes[i] if (closed[a] & masks[i]) != 1 << a else len(members[a])) - 1
-        counts.append(tuple(row))
+            joined |= 1 << j
+            rest &= ~masks[j]
+        within.append((sizes[i] if (closed[a] & masks[i]) != 1 << a else len(members[a])) - 1)
+        adj.append(joined)
     return TwinPartition(
         classes=tuple(tuple(sorted(v for a in atoms for v in members[a])) for atoms in groups),
-        counts=tuple(counts),
+        within=tuple(within),
+        adj=tuple(adj),
     )
 
 
@@ -356,7 +376,7 @@ def vertex_connectivity(g: Graph | TwinPartition) -> CutCertificate:
     n = tp.n
     if n <= 1:
         return CutCertificate(0, ())
-    degrees = [sum(row) for row in tp.counts]
+    degrees = tp.degrees()
     peeled = tuple(sorted(v for c, d in zip(tp.classes, degrees) if d == n - 1 for v in c))
     if len(peeled) == n:
         return CutCertificate(n - 1, peeled[:-1])
@@ -375,31 +395,9 @@ def _classes_connected(tp: TwinPartition, keep: Sequence[int]) -> bool:
     vertex is joined to all of each class adjacent to its own, so the
     induced graph is connected iff its quotient is."""
     if len(keep) == 1:
-        return tp.class_size(keep[0]) == 1 or tp.counts[keep[0]][keep[0]] > 0
-    return len(next(_quotient_components(tp.counts, keep))) == len(keep)
-
-
-def _quotient_components(counts: Sequence[Sequence[int]], keep: Sequence[int]) -> Iterator[list[int]]:
-    """Components of the quotient on the classes ``keep``, where classes i
-    and j are joined when ``counts[i][j]`` is nonzero, found one at a time.
-    Each component lists its classes ascending; components come in order
-    of their first class in ``keep``."""
-    if len(keep) < 2:
-        yield from ([i] for i in keep)
-        return
-    inside = itemgetter(*keep)
-    seen = set()
-    for start in keep:
-        if start in seen:
-            continue
-        seen.add(start)
-        reached = [start]
-        for i in reached:
-            for j in compress(keep, inside(counts[i])):
-                if j not in seen:
-                    seen.add(j)
-                    reached.append(j)
-        yield sorted(reached)
+        return tp.class_size(keep[0]) == 1 or tp.within[keep[0]] > 0
+    inside = sum(1 << i for i in keep)
+    return _reach(tp.adj, keep[0], inside) == inside
 
 
 def _separate(tp: TwinPartition) -> CutCertificate:
@@ -423,17 +421,15 @@ def _separate(tp: TwinPartition) -> CutCertificate:
     m = tp.size
     best: Optional[int] = None
     best_witness: tuple[int, ...] = ()
-    degrees = [sum(row) for row in tp.counts]
+    degrees = tp.degrees()
 
     # non-adjacent pair inside one independent-set class: the shared
     # open neighborhood is the unique minimum cut for that pair
     for i in range(m):
-        if tp.class_size(i) >= 2 and not tp.counts[i][i]:
+        if tp.class_size(i) >= 2 and not tp.within[i]:
             if best is None or degrees[i] < best:
                 best = degrees[i]
-                best_witness = tuple(sorted(
-                    v for j, c in enumerate(tp.counts[i]) if c for v in tp.classes[j]
-                ))
+                best_witness = tuple(sorted(v for j in _bits(tp.adj[i]) for v in tp.classes[j]))
 
     network = _SplitNetwork(tp)
     order = sorted(range(m), key=lambda i: degrees[i])
@@ -442,9 +438,9 @@ def _separate(tp: TwinPartition) -> CutCertificate:
     for src in order:
         if best is not None and scanned > best:
             break
-        row = tp.counts[src]
+        joined = tp.adj[src]
         for dst in range(m):
-            if dst == src or done[dst] or row[dst]:
+            if dst == src or done[dst] or joined >> dst & 1:
                 continue
             value, cut_classes = network.min_cut(src, dst, best)
             if value is not None and (best is None or value < best):
@@ -479,10 +475,9 @@ class _SplitNetwork:
         self.arcs: list[list[int]] = [[] for _ in range(2 * m)]
         for i in range(m):
             self._add(2 * i, 2 * i + 1, tp.class_size(i))
-        for i, row in enumerate(tp.counts):
-            for j in range(m):
-                if j != i and row[j]:
-                    self._add(2 * i + 1, 2 * j, _INF)
+        for i, joined in enumerate(tp.adj):
+            for j in _bits(joined):
+                self._add(2 * i + 1, 2 * j, _INF)
 
     def _add(self, x: int, y: int, cap: int) -> None:
         a = len(self.head)

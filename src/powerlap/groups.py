@@ -47,12 +47,10 @@ class GroupValidationError(ValueError):
 
 
 # Largest group order the constructors accept.  It bounds a walked
-# group's twin quotient (every group but Z_n, whose lattice comes from the
-# divisors of n): its dense count table has m**2 entries for m classes,
-# about a quarter of the order for Q_n (2,050 classes and most of a 34 MB
-# peak at order 8192), and the closed keys that build it hold up to n**2
-# bits (an 11 MB peak for Z_2^13).  Larger orders fail fast instead of
-# exhausting memory.
+# group's twin partition (every group but Z_n, whose lattice comes from
+# the divisors of n): the closed keys that build it hold one bitmask of
+# up to n bits per cyclic subgroup, so up to n**2 bits in all (an 11 MB
+# peak for Z_2^13).  Larger orders fail fast instead of exhausting memory.
 MAX_ORDER = 8192
 
 

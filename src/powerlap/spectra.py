@@ -2,13 +2,15 @@
 
 The exact engine never rounds.  A graph's twin classes (vertices with
 equal open or closed neighborhoods) split off their integer eigenvalues,
-read off class counts, and leave the twin quotient, a small integer
-matrix.  One routine then takes the quotient apart piece by piece, each
-piece a set of classes: a piece with universal classes is their join
-with the rest, a disconnected piece is the union of its components
-(the Laplacian calculus of joins and unions), and a piece whose classes
-include weighted twins, found by hashing their count rows, splits off
-the integer eigenvalues of their difference vectors and is merged.
+read off class sizes and degrees, and leave the twin quotient: each
+class's size, within count and bitmask of the classes joined to it.
+One routine then takes the quotient apart piece by piece, each piece a
+bitmask of classes: a piece with universal classes is their join with
+the rest, a disconnected piece is the union of its components (the
+Laplacian calculus of joins and unions), and a piece whose classes
+include weighted twins, found by hashing their adjacency bitmasks,
+splits off the integer eigenvalues of their difference vectors and is
+merged.
 Each rule's polynomial follows from its parts', so only the pieces no
 rule fits, connected with two or more classes, no universal class and
 no weighted twins, reach the exact charpoly (modular images recombined
@@ -39,12 +41,12 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from operator import itemgetter
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .graphs import Graph, TwinPartition, _quotient_components, twin_partition
+from .graphs import Graph, TwinPartition, _reach, twin_partition
+from .groups import _bits
 from .linalg import (
     _synthetic_divide,
     charpoly_exact,
@@ -303,38 +305,46 @@ class Spectrum:
 # the quotient engine
 
 
-def _quotient_spectrum(sizes: Sequence[int], counts: Sequence[Sequence[int]]
-                       ) -> tuple[Counter, list[int], list[float]]:
-    """Spectrum of the quotient diag(row sums) - counts of a twin partition:
-    its integer roots with multiplicities, the monic residual left when
-    they are divided out of its characteristic polynomial, and the
-    residual's roots as display floats.
+def _quotient_spectrum(sizes: Sequence[int], within: Sequence[int], adj: Sequence[int],
+                       degrees: Sequence[int]) -> tuple[Counter, list[int], list[float]]:
+    """Spectrum of the quotient Q = diag(degrees) - counts of a twin
+    partition, where class i has ``sizes[i]`` vertices, ``within[i]``
+    neighbors in its own class and ``sizes[j]`` in each class j whose bit
+    is set in ``adj[i]``: its integer roots with multiplicities, the
+    monic residual left when they are divided out of its characteristic
+    polynomial, and the residual's roots as display floats.
 
-    A set S of classes with n_S vertices has the quotient Q_S of the
-    subgraph its classes induce (counts restricted to S).  Each set taken
-    from the work list gets the first rule that fits:
+    A piece S is a bitmask of classes, with n_S vertices; it has the
+    quotient Q_S of the subgraph its classes induce.  Classes keep their
+    indices throughout, and each one lies in at most one piece, so the
+    sizes, within counts and degrees inside its piece are kept per class
+    and updated in place.  Each piece taken from the work list gets the
+    first rule that fits:
 
-    - Join.  Let U be the universal classes of S, whose row sum inside S
+    - Join.  Let U be the universal classes of S, whose degree inside S
       is n_S - 1, holding n_U vertices, and R the rest.  Then
       chi_S(x) = x (x - n_S)^|U| chi_R(x - n_U) / (x - n_U); an empty R
       has chi_R = 1 and n_U = n_S, which leaves the clique's
       x (x - n_S)^(|U| - 1).  Proof for a nonempty R by block-constant
       eigenvectors of Q_S: a vertex of U sees every other vertex of S,
-      and one of R sees all of U besides its own counts in R.  The
+      and one of R sees all of U besides its own neighbors in R.  The
       constant vector gives 0.  The vector n_R on U and -n_U on R
       gives n_S.  Vectors on U, zero on R, whose class-size-weighted sum
       is zero give n_S, |U| - 1 more times.  Q_R is similar to a
       symmetric matrix, so it has an eigenbasis of its constant vector
       and |R| - 1 vectors of weighted sum zero; each of those, put on R
       and zero on U, turns its eigenvalue lambda into lambda + n_U.
-      These |S| independent eigenvectors give all of chi_S.
+      These |S| independent eigenvectors give all of chi_S, and each
+      degree in R drops by n_U.
     - Union.  A disconnected S gives a block-diagonal Q_S: chi_S is the
-      product over its components.
-    - Merge.  Weighted twins in Q_S (`_merge_weighted_twins`) carry
-      integer eigenvalues of difference vectors, which are split off;
-      the merged quotient, the only matrix built for a piece, holds the
-      rest of chi_S and is queued again.
-    - Leaf.  Otherwise S goes to `_leaf_spectrum` and its one
+      product over its components, found by a bitmask search.
+    - Merge.  Weighted twins in Q_S (`_weighted_twins`) carry integer
+      eigenvalues of difference vectors, which are split off.  The
+      lowest class of each bucket takes the merged size and within
+      count, the others leave S, and S is queued again with the rest
+      of chi_S.  No degree changes.
+    - Leaf.  Otherwise S, its classes relabeled ascending, goes to
+      `_leaf_spectrum` as the only dense matrix built and its one
       `charpoly_exact`; its integer roots lie in 0..n_S.  One class
       gives x, and no class gives 1.
 
@@ -346,43 +356,55 @@ def _quotient_spectrum(sizes: Sequence[int], counts: Sequence[Sequence[int]]
     roots removed at the positions the exact counts give, shifted the
     same way.
     """
+    sizes, within, degrees = list(sizes), list(within), list(degrees)
     roots: Counter = Counter()
     residual = [1]
     numeric: list[float] = []
-    # a work item is a piece: its classes and their degrees inside it
-    work = [(sizes, counts, range(len(sizes)), [sum(row) for row in counts], 0)]
+    work = [((1 << len(sizes)) - 1, 0)]  # (piece, shift)
     while work:
-        sizes, counts, part, degrees, shift = work.pop()
+        piece, shift = work.pop()
+        part = _bits(piece)
         if len(part) <= 1:
             roots[shift] += len(part)
             continue
         total = sum(sizes[i] for i in part)
-        universal = {i for i, d in zip(part, degrees) if d == total - 1}
+        universal = [i for i in part if degrees[i] == total - 1]
         if universal:
             joined = sum(sizes[i] for i in universal)
             roots[shift] += 1
             roots[shift + total] += len(universal)
             roots[shift + joined] -= 1
+            rest = piece & ~sum(1 << i for i in universal)
             # every vertex of R sees all n_U vertices of U
-            rest = [(i, d - joined) for i, d in zip(part, degrees) if i not in universal]
-            work.append((sizes, counts, [i for i, _ in rest], [d for _, d in rest], shift + joined))
+            for i in _bits(rest):
+                degrees[i] -= joined
+            work.append((rest, shift + joined))
             continue
-        pieces = list(_quotient_components(counts, part))
+        pieces = []
+        rest = piece
+        while rest:
+            component = _reach(adj, (rest & -rest).bit_length() - 1, rest)
+            pieces.append(component)
+            rest ^= component
         if len(pieces) > 1:
-            degree = dict(zip(part, degrees))
-            work.extend((sizes, counts, piece, [degree[i] for i in piece], shift) for piece in pieces)
+            work.extend((component, shift) for component in pieces)
             continue
-        inside = itemgetter(*part)
-        sizes = tuple(sizes[i] for i in part)
-        counts = tuple(inside(counts[i]) for i in part)
-        merged = _merge_weighted_twins(sizes, counts)
-        if merged:
-            sizes, counts, found = merged
-            for lam, mult in found.items():
-                roots[shift + lam] += mult
-            work.append((sizes, counts, range(len(sizes)), [sum(row) for row in counts], shift))
+        buckets = _weighted_twins(piece, sizes, within, adj)
+        if buckets:
+            for i, *twins in buckets:
+                cross = sizes[i] if adj[i] >> twins[0] & 1 else 0
+                roots[shift + degrees[i] - within[i] + cross] += len(twins)
+                within[i] += len(twins) * cross
+                sizes[i] *= len(twins) + 1
+                for j in twins:
+                    piece ^= 1 << j
+            work.append((piece, shift))
             continue
-        found, poly, values = _leaf_spectrum(sizes, counts)
+        found, poly, values = _leaf_spectrum(
+            tuple(sizes[i] for i in part),
+            tuple(tuple(within[i] if j == i else sizes[j] if adj[i] >> j & 1 else 0 for j in part)
+                  for i in part),
+        )
         for root, mult in found:
             roots[shift + root] += mult
         if values:
@@ -390,6 +412,31 @@ def _quotient_spectrum(sizes: Sequence[int], counts: Sequence[Sequence[int]]
             residual = _poly_mul(residual, taylor_shift(poly, -shift))
     assert min(roots.values(), default=0) >= 0, "a join removed a root it did not have"
     return +roots, residual, numeric
+
+
+def _weighted_twins(piece: int, sizes: Sequence[int], within: Sequence[int],
+                    adj: Sequence[int]) -> list[list[int]]:
+    """Every bucket of two or more weighted twins among the classes of the
+    piece, each bucket ascending.
+
+    Classes i and j of equal size s and equal within count w are weighted
+    twins when they are joined to the same classes of the piece besides
+    each other: closed twins when they are joined to each other, with
+    cross count c = s, open twins when they are not, with c = 0.  The
+    difference of their indicator vectors is then a Laplacian eigenvector
+    with eigenvalue degree - w + c.  So a class is hashed by its closed
+    key, its adjacency in the piece with its own bit set, and by its open
+    key, without it; no closed key equals another class's open key, as
+    adjacency is symmetric.  A class has one cross count with all its
+    twins (an open twin and a closed twin of one class would disagree on
+    each other), so it lies in at most one bucket of two or more.
+    """
+    buckets: dict[tuple[int, int, int], list[int]] = {}
+    for i in _bits(piece):
+        joined = adj[i] & piece
+        buckets.setdefault((sizes[i], within[i], joined | 1 << i), []).append(i)
+        buckets.setdefault((sizes[i], within[i], joined), []).append(i)
+    return [bucket for bucket in buckets.values() if len(bucket) >= 2]
 
 
 @lru_cache(maxsize=64)
@@ -436,64 +483,6 @@ def _leaf_spectrum(sizes: tuple[int, ...], counts: tuple[tuple[int, ...], ...]
     return found, tuple(poly), tuple(float(v) for v in values[keep])
 
 
-def _merge_weighted_twins(sizes: Sequence[int], counts: Sequence[Sequence[int]]
-                          ) -> tuple[list[int], list[list[int]], Counter] | None:
-    """Merge every bucket of weighted twins of the quotient once: the
-    merged sizes and counts and the eigenvalues split off, or None when
-    no two classes are weighted twins.
-
-    Classes i and j of equal size s and equal within count w are weighted
-    twins with cross count c when their count rows agree once each
-    diagonal entry is replaced by c.  The difference of their indicator
-    vectors is then a Laplacian eigenvector with eigenvalue
-    degree - w + c.  Equal sizes make the counts symmetric, so a class
-    has one cross count with all its twins and lies in at most one bucket
-    of two or more: hashing the rows with each candidate c on the
-    diagonal finds every twin class in one pass.  A bucket of k classes
-    keeps its first member's row and adds up its columns, which leaves
-    size k*s and within count w + (k-1)c.
-    """
-    m = len(sizes)
-    shared: dict[tuple[int, int, int], list[int]] = {}
-    for i, row in enumerate(counts):
-        shared.setdefault((sizes[i], row[i], sum(row)), []).append(i)
-    buckets: dict[tuple, list[int]] = {}
-    for group in shared.values():
-        if len(group) < 2:
-            continue
-        for i in group:
-            key = list(counts[i])
-            for c in set(key):
-                key[i] = c
-                buckets.setdefault((sizes[i], counts[i][i], tuple(key)), []).append(i)
-    merging = [b for b in buckets.values() if len(b) >= 2]
-    if not merging:
-        return None
-
-    members = [i for bucket in merging for i in bucket]
-    assert len(members) == len(set(members)), "a class lies in two twin buckets"
-
-    extracted: Counter = Counter()
-    merged_sizes = list(sizes)
-    owner = list(range(m))
-    for bucket in merging:
-        i = bucket[0]
-        row = counts[i]
-        extracted[sum(row) - row[i] + row[bucket[1]]] += len(bucket) - 1
-        merged_sizes[i] *= len(bucket)
-        for j in bucket[1:]:
-            owner[j] = i
-    keep = [i for i in range(m) if owner[i] == i]
-    column = {i: p for p, i in enumerate(keep)}
-    merged = []
-    for i in keep:
-        out = [0] * len(keep)
-        for j, x in enumerate(counts[i]):
-            out[column[owner[j]]] += x
-        merged.append(out)
-    return [merged_sizes[i] for i in keep], merged, extracted
-
-
 def _poly_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
     """Product of two polynomials, coefficients ascending."""
     out = [0] * (len(a) + len(b) - 1)
@@ -520,12 +509,14 @@ def spectrum(g: Graph | TwinPartition) -> Spectrum:
     multiplicities sum to n the spectrum is Exact, otherwise Mixed.
     """
     tp = g if isinstance(g, TwinPartition) else twin_partition(g)
+    sizes = [len(c) for c in tp.classes]
+    degrees = tp.degrees()
     exact: Counter = Counter()
-    for i, (c, row) in enumerate(zip(tp.classes, tp.counts)):
-        if len(c) >= 2:
+    for size, within, degree in zip(sizes, tp.within, degrees):
+        if size >= 2:
             # a clique class (nonzero within count) gives degree + 1
-            exact[sum(row) + (1 if row[i] else 0)] += len(c) - 1
-    roots, residual, numeric = _quotient_spectrum([len(c) for c in tp.classes], tp.counts)
+            exact[degree + (1 if within else 0)] += size - 1
+    roots, residual, numeric = _quotient_spectrum(sizes, tp.within, tp.adj, degrees)
     return Spectrum(
         n=tp.n,
         exact=FactoredCharPoly.from_counts(exact + roots),

@@ -282,7 +282,8 @@ def _involution_facts(tp: TwinPartition, n: int) -> tuple[bool, bool, bool, tupl
     removing their classes disconnects, and the other vertices those
     classes hold.  e's class comes first, holding the smallest vertex."""
     sep = [i for i, c in enumerate(tp.classes) if 0 in c or n in c]
-    universal = [sum(tp.counts[i]) == 4 * n - 1 for i in sep]
+    degrees = tp.degrees()
+    universal = [degrees[i] == 4 * n - 1 for i in sep]
     separated = not _classes_connected(tp, [i for i in range(tp.size) if i not in sep])
     others = tuple(v for i in sep for v in tp.classes[i] if v not in (0, n))
     return universal[-1], all(universal), separated, others

@@ -11,11 +11,13 @@ walk over them, which gives each element's cyclic subgroup as a bitmask
 and from those the power graph, up-sets and primitive classes.  Twin
 partitions are hashed from the neighbourhood rows of every vertex, and
 the dicyclic facts about e and a^n are read off the power graph itself.
-Two oracles are there for parity instead: the unpruned class-pair scan,
-which shares the flow network of `vertex_connectivity` but none of its
-pruning, and the collapse of a whole twin quotient,
-which runs `spectra._merge_weighted_twins` over every class at once
-where `spectrum` runs it only on the pieces joins and unions leave.
+The twin quotient's dense count table, which `src/` never builds, is
+derived here from a partition's three fields.  Two oracles are there
+for parity instead: the unpruned class-pair scan, which shares the flow
+network of `vertex_connectivity` but none of its pruning, and the
+collapse of a whole twin quotient, which merges weighted twins found by
+hashing dense count rows over every class at once, where `spectrum`
+hashes adjacency bitmasks only on the pieces joins and unions leave.
 The last section holds references the package no longer needs itself:
 completeness by edge count, the complement spectrum, a p-group
 decomposition tree materialized as a graph, and one element's order,
@@ -48,7 +50,7 @@ from powerlap.graphs import (
 )
 from powerlap.groups import FiniteGroup, _bits, factorize
 from powerlap.pgroup import DecompTree
-from powerlap.spectra import FactoredCharPoly, Spectrum, _merge_weighted_twins
+from powerlap.spectra import FactoredCharPoly, Spectrum
 
 
 # ---------------------------------------------------------------------------
@@ -221,28 +223,26 @@ def vertex_connectivity_every_class_pair(tp: TwinPartition) -> CutCertificate:
         return CutCertificate(0, ())
     m = tp.size
     if m == 1:
-        if tp.counts[0][0]:
+        if tp.within[0]:
             return CutCertificate(n - 1, tuple(range(n - 1)))
         return CutCertificate(0, ())
-    if len(components(Graph(m, tuple(
-        sum(1 << j for j, c in enumerate(row) if c and j != i) for i, row in enumerate(tp.counts)
-    )))) > 1:
+    if len(components(Graph(m, tp.adj))) > 1:
         return CutCertificate(0, ())
     best: Optional[int] = None
     witness: tuple[int, ...] = ()
-    degrees = [sum(row) for row in tp.counts]
+    degrees = [sum(row) for row in counts_of(tp)]
     for i in range(m):
-        if tp.class_size(i) >= 2 and not tp.counts[i][i] and (best is None or degrees[i] < best):
+        if tp.class_size(i) >= 2 and not tp.within[i] and (best is None or degrees[i] < best):
             best = degrees[i]
             witness = tuple(sorted(
-                v for j, c in enumerate(tp.counts[i]) if c for v in tp.classes[j]
+                v for j in range(m) if tp.adj[i] >> j & 1 for v in tp.classes[j]
             ))
     network = _SplitNetwork(tp)
     for si, src in enumerate(sorted(range(m), key=lambda i: degrees[i])):
         if best is not None and si > best:
             break
         for dst in range(m):
-            if dst == src or tp.counts[src][dst]:
+            if dst == src or tp.adj[src] >> dst & 1:
                 continue
             value, cut = network.min_cut(src, dst, best)
             if value is not None and (best is None or value < best):
@@ -280,8 +280,9 @@ def twin_partition_by_rows(g: Graph) -> TwinPartition:
 
     Vertices sharing a closed neighbourhood form a class; the vertices
     left alone are grouped by their open neighbourhood.  Classes are
-    ordered by smallest member, and counts are popcounts of one row of
-    each class against every class.
+    ordered by smallest member.  One vertex of each class gives its
+    within count, the popcount of its row inside the class, and its
+    adjacency, the other classes its row meets.
     """
     by_closed: dict[int, list[int]] = {}
     for v in range(g.n):
@@ -296,10 +297,94 @@ def twin_partition_by_rows(g: Graph) -> TwinPartition:
     classes.extend(by_open.values())
     classes.sort(key=lambda c: c[0])
     masks = [sum(1 << v for v in members) for members in classes]
+    rows = [g.rows[c[0]] for c in classes]
     return TwinPartition(
         classes=tuple(tuple(sorted(m)) for m in classes),
-        counts=tuple(tuple((g.rows[c[0]] & m).bit_count() for m in masks) for c in classes),
+        within=tuple((row & mask).bit_count() for row, mask in zip(rows, masks)),
+        adj=tuple(sum(1 << j for j, mask in enumerate(masks) if j != i and row & mask)
+                  for i, row in enumerate(rows)),
     )
+
+
+def counts_of(tp: TwinPartition) -> tuple[tuple[int, ...], ...]:
+    """The dense count table of a twin partition: entry (i, j) is how many
+    neighbours a vertex of class i has inside class j, the within count
+    on the diagonal."""
+    return tuple(
+        tuple(w if j == i else len(c) if a >> j & 1 else 0 for j, c in enumerate(tp.classes))
+        for i, (w, a) in enumerate(zip(tp.within, tp.adj))
+    )
+
+
+def quotient_fields(sizes: Sequence[int], counts: Sequence[Sequence[int]]):
+    """The arguments `spectra._quotient_spectrum` takes for the quotient
+    of a dense count table: sizes, within counts, adjacency bitmasks and
+    degrees (row sums).  Every entry off the diagonal must be 0 or the
+    size of its column's class."""
+    for i, row in enumerate(counts):
+        for j, c in enumerate(row):
+            assert j == i or c in (0, sizes[j]), (i, j, c)
+    return (tuple(sizes), tuple(row[i] for i, row in enumerate(counts)),
+            tuple(sum(1 << j for j, c in enumerate(row) if c and j != i) for i, row in enumerate(counts)),
+            tuple(sum(row) for row in counts))
+
+
+def merge_weighted_twins(sizes: Sequence[int], counts: Sequence[Sequence[int]]
+                         ) -> tuple[list[int], list[list[int]], Counter] | None:
+    """Merge every bucket of weighted twins of a dense quotient once: the
+    merged sizes and counts and the eigenvalues split off, or None when
+    no two classes are weighted twins.
+
+    Classes i and j of equal size s and equal within count w are weighted
+    twins with cross count c when their count rows agree once each
+    diagonal entry is replaced by c.  The difference of their indicator
+    vectors is then a Laplacian eigenvector with eigenvalue
+    degree - w + c.  Equal sizes make the counts symmetric, so a class
+    has one cross count with all its twins and lies in at most one bucket
+    of two or more: hashing the rows with each candidate c on the
+    diagonal finds every twin class in one pass.  A bucket of k classes
+    keeps its first member's row and adds up its columns, which leaves
+    size k*s and within count w + (k-1)c.
+    """
+    m = len(sizes)
+    shared: dict[tuple[int, int, int], list[int]] = {}
+    for i, row in enumerate(counts):
+        shared.setdefault((sizes[i], row[i], sum(row)), []).append(i)
+    buckets: dict[tuple, list[int]] = {}
+    for group in shared.values():
+        if len(group) < 2:
+            continue
+        for i in group:
+            key = list(counts[i])
+            for c in set(key):
+                key[i] = c
+                buckets.setdefault((sizes[i], counts[i][i], tuple(key)), []).append(i)
+    merging = [b for b in buckets.values() if len(b) >= 2]
+    if not merging:
+        return None
+
+    members = [i for bucket in merging for i in bucket]
+    assert len(members) == len(set(members)), "a class lies in two twin buckets"
+
+    extracted: Counter = Counter()
+    merged_sizes = list(sizes)
+    owner = list(range(m))
+    for bucket in merging:
+        i = bucket[0]
+        row = counts[i]
+        extracted[sum(row) - row[i] + row[bucket[1]]] += len(bucket) - 1
+        merged_sizes[i] *= len(bucket)
+        for j in bucket[1:]:
+            owner[j] = i
+    keep = [i for i in range(m) if owner[i] == i]
+    column = {i: p for p, i in enumerate(keep)}
+    merged = []
+    for i in keep:
+        out = [0] * len(keep)
+        for j, x in enumerate(counts[i]):
+            out[column[owner[j]]] += x
+        merged.append(out)
+    return [merged_sizes[i] for i in keep], merged, extracted
 
 
 @dataclass(frozen=True)
@@ -327,15 +412,15 @@ class Collapsed:
 
 def collapse_to_fixpoint(g: Graph | TwinPartition) -> Collapsed:
     """Twin classes split off, then weighted twins merged over the whole
-    quotient until a pass merges nothing."""
+    dense quotient until a pass merges nothing."""
     tp = g if isinstance(g, TwinPartition) else twin_partition(g)
+    sizes, counts = [len(c) for c in tp.classes], counts_of(tp)
     extracted: Counter = Counter()
-    for i, (c, row) in enumerate(zip(tp.classes, tp.counts)):
-        if len(c) >= 2:
-            extracted[sum(row) + (1 if row[i] else 0)] += len(c) - 1
-    sizes, counts = [len(c) for c in tp.classes], tp.counts
+    for i, (size, row) in enumerate(zip(sizes, counts)):
+        if size >= 2:
+            extracted[sum(row) + (1 if row[i] else 0)] += size - 1
     passes = 0
-    while merged := _merge_weighted_twins(sizes, counts):
+    while merged := merge_weighted_twins(sizes, counts):
         sizes, counts, found = merged
         extracted += found
         passes += 1

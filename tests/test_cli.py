@@ -190,7 +190,7 @@ def test_groups_too_large_to_tabulate_fail_fast(capsys, spec):
 
 @pytest.mark.parametrize("spec", ["zn:0", "zn:-4", "zn:abc", "zn:", "zn:100000"])
 def test_cyclic_spec_errors_match_the_table_path(capsys, spec):
-    # `spectrum` reads zn:<n> itself; `info` still builds Z_n through cyclic_group
+    # `spectrum` and `info` both parse zn:<n> through parse_group_spec
     expected = run(capsys, "info", spec)
     assert expected[0] == 1 and expected[1] == ""
     assert run(capsys, "spectrum", spec) == expected

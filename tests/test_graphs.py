@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import random_graph, reduced_cyclic_partition
 from oracles import (
+    counts_of,
     is_complete,
     masks_of,
     power_graph_by_masks,
@@ -20,7 +21,6 @@ from powerlap.graphs import (
     TwinPartition,
     _SplitNetwork,
     _classes_connected,
-    _quotient_components,
     complement,
     components,
     induced_subgraph,
@@ -176,17 +176,18 @@ def test_twin_partition_equitable():
     for _ in range(30):
         g = random_graph(rng, rng.randint(1, 14), rng.random())
         tp = twin_partition(g)
+        counts = counts_of(tp)
         assert sorted(v for cls in tp.classes for v in cls) == list(range(g.n))
         for i, cls in enumerate(tp.classes):
             # the partition stores no flags: a class of two or more is a
             # clique iff its within count is nonzero, a degree is a row sum
             if len(cls) >= 2:
-                assert tp.counts[i][i] in (0, len(cls) - 1)
+                assert counts[i][i] in (0, len(cls) - 1)
             for u in cls:
                 row = g.rows[u]
-                assert g.degree(u) == sum(tp.counts[i])
+                assert g.degree(u) == sum(counts[i]) == tp.degrees()[i]
                 for j, other in enumerate(tp.classes):
-                    expected = tp.counts[i][j]
+                    expected = counts[i][j]
                     actual = sum(1 for v in other if (row >> v) & 1)
                     assert actual == expected
 
@@ -212,7 +213,8 @@ def test_reduced_cyclic_twin_partition_matches_the_graph():
         # the partition keeps the residues as vertex numbers; the graph
         # numbers the kept residues 0..k-1 in sorted order
         rank = {v: i for i, v in enumerate(sorted(v for c in tp.classes for v in c))}
-        renumbered = TwinPartition(tuple(tuple(rank[v] for v in c) for c in tp.classes), tp.counts)
+        renumbered = TwinPartition(tuple(tuple(rank[v] for v in c) for c in tp.classes),
+                                   tp.within, tp.adj)
         assert renumbered == twin_partition(g), n
         assert spectrum(tp) == spectrum(g), n
         assert vertex_connectivity(renumbered) == vertex_connectivity(g), n
@@ -420,8 +422,13 @@ def test_classes_connected_matches_the_component_count(g, data):
     if tp.size < 2:
         return
     keep = data.draw(st.lists(st.sampled_from(range(tp.size)), min_size=2, unique=True))
-    # the first component alone agrees with listing every component, in any class order
-    assert _classes_connected(tp, keep) == (len(list(_quotient_components(tp.counts, keep))) == 1)
+    # the quotient on the classes keep, in any class order, joins i and j
+    # when a vertex of class i has a neighbour in class j
+    counts = counts_of(tp)
+    quotient = nx.Graph()
+    quotient.add_nodes_from(keep)
+    quotient.add_edges_from((i, j) for i in keep for j in keep if i != j and counts[i][j])
+    assert _classes_connected(tp, keep) == nx.is_connected(quotient)
 
 
 def test_twin_partition_of_a_group_matches_its_power_graph(lattice_groups):

@@ -39,7 +39,8 @@ from powerlap.groups import (
     primitive_classes,
     up_set,
 )
-from powerlap.graphs import power_graph
+from powerlap.graphs import power_graph, twin_partition
+from powerlap.spectra import spectrum
 
 
 def brute_phi(n):
@@ -226,6 +227,21 @@ def test_groups_keep_no_quadratic_state():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+def test_dicyclic_partition_and_spectrum_keep_no_class_table():
+    # Q_2048 has 2,050 twin classes: a dense class-by-class count table
+    # alone would peak near 34 MB; its lattice, partition and spectrum
+    # peak near 2 MB
+    g = dicyclic_group(2048)
+    tracemalloc.start()
+    try:
+        s = spectrum(twin_partition(g))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert s.n == 8192 and s.is_exact
+    assert peak < 10 * 2**20
 
 
 def test_generalized_quaternion():

@@ -12,10 +12,12 @@ from conftest import random_graph, reduced_cyclic_partition
 from oracles import (
     collapse_to_fixpoint,
     complement_spectrum,
+    counts_of,
     dense_nullity,
     dense_numeric_eigenvalues,
     fraction_charpoly,
     laplacian,
+    quotient_fields,
     tree_graph,
 )
 from powerlap.graphs import (
@@ -259,6 +261,11 @@ def quotient_matrix(counts):
     return rows
 
 
+def quotient_spectrum(sizes, counts):
+    """`_quotient_spectrum` of the quotient of a dense count table."""
+    return powerlap.spectra._quotient_spectrum(*quotient_fields(sizes, counts))
+
+
 def assert_split_matches_full(sizes, counts):
     """`_quotient_spectrum` gives the integer roots of the whole quotient's
     charpoly, in 0..n as `spectrum` certified them from it, and a
@@ -267,7 +274,7 @@ def assert_split_matches_full(sizes, counts):
     n = sum(sizes)
     rows = quotient_matrix(counts)
     full = charpoly_exact(rows, nonnegative_eigenvalues=True)
-    roots, residual, numeric = powerlap.spectra._quotient_spectrum(sizes, counts)
+    roots, residual, numeric = quotient_spectrum(sizes, counts)
     assert roots == integer_root_multiplicities(full, 0, n)
     assert integer_root_multiplicities(residual, 0, n) == {}
     assert times_factors(residual, roots.items()) == full
@@ -295,7 +302,7 @@ def claim_suite_partitions():
 
 
 def quotient_of(tp):
-    return tuple(len(c) for c in tp.classes), tp.counts
+    return tuple(len(c) for c in tp.classes), counts_of(tp)
 
 
 def test_split_charpoly_matches_full_core_on_claim_suites():
@@ -317,14 +324,14 @@ def test_split_charpoly_matches_full_core_on_divisor_rich_zn(n):
     "qn:250",
 ])
 def test_quotient_spectrum_merges_after_a_join(spec, monkeypatch):
-    merge = powerlap.spectra._merge_weighted_twins
+    merge = powerlap.spectra._weighted_twins
     calls = []
 
-    def counting(sizes, counts):
-        calls.append(len(sizes))
-        return merge(sizes, counts)
+    def counting(piece, *fields):
+        calls.append(piece.bit_count())
+        return merge(piece, *fields)
 
-    monkeypatch.setattr(powerlap.spectra, "_merge_weighted_twins", counting)
+    monkeypatch.setattr(powerlap.spectra, "_weighted_twins", counting)
     assert_split_matches_full(*quotient_of(twin_partition(parse_group_spec(spec))))
     # the identity is universal, so every piece the merge sees comes after a join
     assert calls
@@ -375,7 +382,7 @@ def test_split_charpoly_matches_full_core_on_random_graphs(g):
 
 def test_split_charpoly_by_hand():
     def split(sizes, counts):
-        roots, residual, numeric = powerlap.spectra._quotient_spectrum(sizes, counts)
+        roots, residual, numeric = quotient_spectrum(sizes, counts)
         return roots, residual, sorted(numeric)
 
     assert split((), ()) == ({}, [1], [])
@@ -394,18 +401,18 @@ def test_split_charpoly_by_hand():
 def test_non_cyclic_p_groups_need_no_charpoly(monkeypatch):
     calls = []
     merges = []
-    merge = powerlap.spectra._merge_weighted_twins
+    merge = powerlap.spectra._weighted_twins
 
     def counting(matrix, **kwargs):
         calls.append(len(matrix))
         return charpoly_exact(matrix, **kwargs)
 
-    def merge_counting(sizes, counts):
-        merges.append(len(sizes))
-        return merge(sizes, counts)
+    def merge_counting(piece, *fields):
+        merges.append(piece.bit_count())
+        return merge(piece, *fields)
 
     monkeypatch.setattr(powerlap.spectra, "charpoly_exact", counting)
-    monkeypatch.setattr(powerlap.spectra, "_merge_weighted_twins", merge_counting)
+    monkeypatch.setattr(powerlap.spectra, "_weighted_twins", merge_counting)
     groups = [g for g in pgroup_catalog(256) if not is_cyclic(g)]
     assert len(groups) == 83
     for g in groups:
@@ -440,7 +447,7 @@ def test_leaf_charpoly_deflates_the_zero_eigenvalue(monkeypatch):
     partitions = list(claim_suite_partitions())
     partitions += [twin_partition(cyclic_group(n)) for n in (720, 840, 1260, 1680, 2310, 5040)]
     for tp in partitions:
-        powerlap.spectra._quotient_spectrum(*quotient_of(tp))
+        quotient_spectrum(*quotient_of(tp))
     assert len(passed) == len(leaves) > 0
     checked = set()
     for (sizes, counts), deflated in zip(leaves, passed):
