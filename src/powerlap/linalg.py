@@ -2,16 +2,16 @@
 
 Exact routines never round, so every integrality decision downstream is
 a genuine certification.  The characteristic polynomial of an integer
-matrix is computed modulo enough descending primes below 2**25 to pass
-a proven bound on its coefficients, all of them at once: the residues
-sit in one (primes, m, m) int64 array, where a product of two residues
-stays below 2**50 and a sum of up to 8192 such products below 2**63, so
-each sum is one batched matmul reduced once, and each prime takes its
-own Hessenberg pivots.  The Chinese remainder theorem recombines the
-results.  Integer roots and their multiplicities are read off that
-polynomial and divided out by synthetic division, and the roots of a
-real-rooted integer polynomial above an integer are counted exactly by
-Descartes' rule of signs after one integer Taylor shift.
+matrix is computed modulo enough descending primes below 2**25, sieved
+a window at a time, to pass a proven bound on its coefficients, all of
+them at once: the residues sit in one (primes, m, m) int64 array, each
+sum of products is one batched matmul reduced once (`_MAX_ROWS` bounds
+it), and each prime takes its own Hessenberg pivots.  The Chinese
+remainder theorem recombines the results.  Integer roots and their
+multiplicities are read off that polynomial and divided out by
+synthetic division, and the roots of a real-rooted integer polynomial
+above an integer are counted exactly by Descartes' rule of signs after
+one integer Taylor shift.
 """
 
 from __future__ import annotations
@@ -32,56 +32,36 @@ __all__ = [
 ]
 
 
-# Miller-Rabin with the first twelve prime bases is deterministic below
-# 3.18e23 (Sorenson & Webster, Math. Comp. 2017), far above 2**25.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-def _is_prime(n: int) -> bool:
-    """Deterministic primality for n < 3.18e23."""
-    if n < 2:
-        return False
-    for b in _MR_BASES:
-        if n % b == 0:
-            return n == b
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for b in _MR_BASES:
-        x = pow(b, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-# The descending primes below 2**25, extended on demand.  Every modular
-# charpoly walks a prefix of the same sequence, so each prime is proved
-# once per process.
-_PRIMES: list[int] = []
 # A residue is below 2**25, so a product of two is below 2**50 and a sum
 # of 8192 products below 2**63.  Every sum the charpoly forms has at most
 # one term per row, so this bounds the rows.
 _MAX_ROWS = 8192
+# The descending primes below 2**25, extended on demand by `_prime`.
+# Every modular charpoly walks a prefix of the same sequence, so each
+# window is sieved once per process.
+_PRIMES: list[int] = []
 
 
 def _prime(i: int) -> int:
     """The i-th prime, counting from 0, of the descending primes below 2**25.
 
-    Below 2**25 a product of two residues is below 2**50, so up to 8192
-    of them add up in int64 before one reduction.
+    A segmented sieve of Eratosthenes (Crandall & Pomerance, Prime
+    Numbers, 2005, section 3.2): the next window of 2**16 integers below
+    the smallest prime held loses the multiples of every prime d up to
+    sqrt(2**25), from d * d on, and its survivors are appended in
+    descending order.  Past the last prime, 2, it raises IndexError.
     """
-    while len(_PRIMES) <= i:
-        candidate = (_PRIMES[-1] if _PRIMES else 2**25 + 1) - 2
-        while not _is_prime(candidate):
-            candidate -= 2
-        _PRIMES.append(candidate)
+    while len(_PRIMES) <= i and _PRIMES[-1:] != [2]:
+        hi = _PRIMES[-1] if _PRIMES else 2**25
+        lo = max(hi - 2**16, 2)
+        root = math.isqrt(2**25)
+        small = np.ones(root + 1, dtype=bool)
+        for d in range(2, math.isqrt(root) + 1):
+            small[d * d::d] = False
+        alive = np.ones(hi - lo, dtype=bool)
+        for d in np.flatnonzero(small)[2:].tolist():
+            alive[max(d * d, -(-lo // d) * d) - lo::d] = False
+        _PRIMES.extend((np.flatnonzero(alive)[::-1] + lo).tolist())
     return _PRIMES[i]
 
 
@@ -99,9 +79,8 @@ def charpoly_exact(matrix: Sequence[Sequence[int]], *,
     eigenvalues are all real and nonnegative, such as one similar to a
     positive semidefinite matrix: it selects the tighter bound.
 
-    A matrix of more than 8192 rows (`_MAX_ROWS`) raises ValueError
-    before any array is built: past it a sum of residue products could
-    overflow int64.
+    A matrix of more than `_MAX_ROWS` rows raises ValueError before any
+    array is built.
     """
     m = len(matrix)
     if m > _MAX_ROWS:
@@ -164,15 +143,13 @@ def _charpoly_mod_primes(h: np.ndarray, primes: list[int]) -> np.ndarray:
     """Coefficients of det(xI - H_i) mod p_i for a (P, m, m) stack, ascending.
 
     `h[i]` holds the matrix reduced into [0, p_i); it is overwritten.
-    Every p_i < 2**25, so a product of two residues stays below 2**50
-    and a sum of up to m <= 8192 of them below 2**63: each sum of
-    products (the Hessenberg column op, the recurrence's sum over j) is
-    one batched matmul reduced once, and no int64 overflows.  Each
-    slice is brought to upper Hessenberg form by similarity transforms
-    over its own field, with its own pivots, and the characteristic
-    polynomial is expanded by the Hessenberg recurrence (Cohen, A Course
-    in Computational Algebraic Number Theory, 1993, section 2.2).
-    Returns a (P, m + 1) array in [0, p_i).
+    Each sum of products (the Hessenberg column op, the recurrence's sum
+    over j) is one batched matmul reduced once, which stays in int64 for
+    m <= `_MAX_ROWS`.  Each slice is brought to upper Hessenberg form by
+    similarity transforms over its own field, with its own pivots, and
+    the characteristic polynomial is expanded by the Hessenberg
+    recurrence (Cohen, A Course in Computational Algebraic Number
+    Theory, 1993, section 2.2).  Returns a (P, m + 1) array in [0, p_i).
     """
     count, n, _ = h.shape
     p1 = np.array(primes, dtype=np.int64)[:, None]

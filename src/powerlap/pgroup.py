@@ -245,7 +245,7 @@ def check_multiple_property(g: FiniteGroup, s: Spectrum,
             violations.append(
                 f"element {x}: |U-hat|+order = {combined} not a multiple of {order}"
             )
-        if _is_prime_power(combined):
+        if combined >= 2 and factorize(combined).is_prime_power:
             pi = len(t.children)
             if pi != 0 and pi % p != 1:
                 violations.append(
@@ -254,7 +254,3 @@ def check_multiple_property(g: FiniteGroup, s: Spectrum,
     return MultiplePropertyReport(
         ok=not violations, prime=p, violations=tuple(violations)
     )
-
-
-def _is_prime_power(n: int) -> bool:
-    return n >= 2 and factorize(n).is_prime_power

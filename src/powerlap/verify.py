@@ -15,7 +15,7 @@ import json
 import math
 import time
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, astuple, dataclass, field, fields
 from functools import lru_cache
 from typing import Iterable, Optional
 
@@ -439,7 +439,7 @@ def check_pgroup_bundle(g: FiniteGroup) -> ClaimReport:
     genq = is_generalized_quaternion(g)
     failures: list[str] = []
 
-    mu = algebraic_connectivity(s) if g.order >= 2 else 0
+    mu = algebraic_connectivity(s)
     mult = spectral_radius_multiplicity(s)
 
     # (a) three-way equivalence, stated for order >= 3
@@ -453,8 +453,8 @@ def check_pgroup_bundle(g: FiniteGroup) -> ClaimReport:
             )
 
     # (b) kappa equals algcon exactly when not cyclic
-    b1 = _algcon_equals(s, kappa) if g.order >= 2 else True
-    if g.order >= 2 and b1 != (not cyclic):
+    b1 = _algcon_equals(s, kappa)
+    if b1 == cyclic:
         failures.append(f"kappa={kappa}, algcon={mu}, cyclic={cyclic}")
 
     # (c) certified integral spectrum, full classification
@@ -522,28 +522,13 @@ class ConjectureRow:
     predicate_loose: bool  # prime power or product of two primes (p = q allowed)
 
     def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "algcon_integer": self.algcon_integer,
-            "laplacian_integral": self.laplacian_integral,
-            "predicate_strict": self.predicate_strict,
-            "predicate_loose": self.predicate_loose,
-        }
+        return asdict(self)
 
     def to_tsv(self) -> str:
-        return "\t".join(
-            str(x).lower() if isinstance(x, bool) else str(x)
-            for x in (
-                self.n,
-                self.algcon_integer,
-                self.laplacian_integral,
-                self.predicate_strict,
-                self.predicate_loose,
-            )
-        )
+        return "\t".join(str(x).lower() if isinstance(x, bool) else str(x) for x in astuple(self))
 
 
-TSV_HEADER = "n\talgcon_integer\tlaplacian_integral\tpredicate_strict\tpredicate_loose"
+TSV_HEADER = "\t".join(f.name for f in fields(ConjectureRow))
 
 
 def scan_conjecture(max_n: int) -> tuple[list[ConjectureRow], dict]:

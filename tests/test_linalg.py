@@ -12,6 +12,9 @@ Descartes' rule are checked against sympy's Sturm-sequence
 
 import math
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 import sympy
@@ -24,7 +27,6 @@ from powerlap import linalg, spectra
 from powerlap.graphs import power_graph, twin_partition
 from powerlap.groups import cyclic_group, dicyclic_group, parse_group_spec
 from powerlap.linalg import (
-    _is_prime,
     _prime,
     _synthetic_divide,
     charpoly_exact,
@@ -258,20 +260,35 @@ def test_maclaurin_bound_takes_fewer_primes_on_the_z4_4_core(monkeypatch):
 
 
 def test_primes_descend_from_the_largest_below_2_to_25():
-    primes = [_prime(i) for i in range(12)]
+    # 4,000 primes cross the first sieve window of 2**16 integers
+    primes = [_prime(i) for i in range(4000)]
     assert primes[0] == sympy.prevprime(2**25) == P0 and primes[1] == P1
+    assert primes[-1] < 2**25 - 2**16 < primes[0]
     for p, q in zip(primes, primes[1:]):
         assert sympy.prevprime(p) == q
 
 
-def test_miller_rabin_matches_sympy():
-    rng = random.Random(3)
-    # strong pseudoprimes to the bases 2..7 and 2..23, and a Carmichael number
-    hard = [3215031751, 3825123056546413051, 561, 2**61 - 1, 2**62 - 57]
-    numbers = list(range(-2, 2000)) + hard
-    numbers += [rng.randrange(2**61, 2**62) for _ in range(300)]
-    for n in numbers:
-        assert _is_prime(n) == sympy.isprime(n), n
+def test_primes_are_sieved_on_demand_down_to_2():
+    # in a fresh interpreter: import sieves nothing, the last of the n primes
+    # below 2**25 is 2, and past it _prime raises
+    code = """
+import sys
+import powerlap
+from powerlap.linalg import _PRIMES, _prime
+n = int(sys.argv[1])
+print(len(_PRIMES), _prime(n - 1))
+try:
+    _prime(n)
+except IndexError:
+    print("IndexError")
+"""
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(sympy.primepi(2**25))],
+        cwd=src, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "2", "IndexError"]
 
 
 # ---------------------------------------------------------------------------
