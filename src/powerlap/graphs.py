@@ -370,7 +370,8 @@ def vertex_connectivity(g: Graph | TwinPartition) -> CutCertificate:
     is every non-cyclic p-group, where U is the identity, or the
     identity and the involution in a generalized quaternion group.  The
     rest is `_separate` on the twin quotient of G - U, which
-    `TwinPartition.without` gives with no vertex renumbered.
+    `TwinPartition.without` gives with no vertex renumbered, with each
+    degree summed here less |U|: every vertex left was joined to all of U.
     """
     tp = g if isinstance(g, TwinPartition) else twin_partition(g)
     n = tp.n
@@ -385,7 +386,7 @@ def vertex_connectivity(g: Graph | TwinPartition) -> CutCertificate:
         return CutCertificate(len(peeled), peeled)
     if peeled:
         tp = tp.without(peeled)
-    cut = _separate(tp)
+    cut = _separate(tp, [degrees[i] - len(peeled) for i in rest])
     return CutCertificate(len(peeled) + cut.size, tuple(sorted(peeled + cut.separating_set)))
 
 
@@ -400,9 +401,9 @@ def _classes_connected(tp: TwinPartition, keep: Sequence[int]) -> bool:
     return _reach(tp.adj, keep[0], inside) == inside
 
 
-def _separate(tp: TwinPartition) -> CutCertificate:
+def _separate(tp: TwinPartition, degrees: Sequence[int]) -> CutCertificate:
     """Minimum separating set of a connected graph with two or more twin
-    classes and no universal vertex, from its twin partition.
+    classes and no universal vertex, from its twin partition and degrees.
 
     The value is the Menger minimum over non-adjacent vertex pairs,
     computed as a vertex-capacitated max-flow on the twin quotient; the
@@ -421,7 +422,6 @@ def _separate(tp: TwinPartition) -> CutCertificate:
     m = tp.size
     best: Optional[int] = None
     best_witness: tuple[int, ...] = ()
-    degrees = tp.degrees()
 
     # non-adjacent pair inside one independent-set class: the shared
     # open neighborhood is the unique minimum cut for that pair

@@ -141,7 +141,7 @@ class CyclicSubgroups(NamedTuple):
 
     ``members[a]`` lists the generators of subgroup a ascending: the
     ~-class of elements that generate it.  Bit b of ``below[a]`` is set
-    when subgroup a contains subgroup b, a itself included.
+    when subgroup a contains subgroup b, a itself included; then b <= a.
     """
 
     members: tuple[tuple[int, ...], ...]

@@ -213,21 +213,24 @@ def eval_poly_at_int(coeffs: Sequence[int], x: int) -> int:
     return acc
 
 
-def integer_root_multiplicities(coeffs: Sequence[int], lo: int, hi: int) -> dict[int, int]:
-    """Multiplicity of every integer root in [lo, hi] of an integer polynomial.
+def integer_root_multiplicities(coeffs: Sequence[int], lo: int, hi: int
+                                ) -> tuple[dict[int, int], list[int]]:
+    """Multiplicity of every integer root in [lo, hi] of an integer
+    polynomial, ascending, and the residual left when they are divided out.
 
     Write the polynomial as x^t * q with q(0) != 0.  The root 0 has
     multiplicity t, and every other integer root of q divides q(0), so
     only those candidates are tried.  A root r has q(r) = 0, hence
     q(r) = 0 modulo the first prime of the charpoly sequence: all the
     candidates are evaluated modulo that prime at once, and only those
-    that pass are evaluated and divided out exactly, which decides.
+    that pass are evaluated and divided out exactly, of one running
+    quotient, which decides.  The zero polynomial is its own residual.
     """
     t = next((i for i, c in enumerate(coeffs) if c), None)
     if t is None:
         # the zero polynomial: every candidate divides it to the constant 0
-        return {r: len(coeffs) - 1 for r in range(lo, hi + 1)} if len(coeffs) > 1 else {}
-    q = coeffs[t:]
+        return {r: len(coeffs) - 1 for r in range(lo, hi + 1) if len(coeffs) > 1}, list(coeffs)
+    q = list(coeffs[t:])
     candidates = [r for r in range(lo, hi + 1) if not r or not q[0] % r]
     p = _prime(0)
     at = np.array([r % p for r in candidates], dtype=np.int64)
@@ -244,14 +247,13 @@ def integer_root_multiplicities(coeffs: Sequence[int], lo: int, hi: int) -> dict
             continue
         if residue:
             continue
-        work = q
         mult = 0
-        while len(work) > 1 and eval_poly_at_int(work, r) == 0:
-            work = _synthetic_divide(work, r)
+        while len(q) > 1 and eval_poly_at_int(q, r) == 0:
+            q = _synthetic_divide(q, r)
             mult += 1
         if mult:
             result[r] = mult
-    return result
+    return result, [0] * (t - result.get(0, 0)) + q
 
 
 def _synthetic_divide(coeffs: Sequence[int], r: int) -> list[int]:

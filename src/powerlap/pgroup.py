@@ -9,13 +9,16 @@ Laplacian eigenvalue into its structural form.
 
 The cyclic subgroups of a cyclic p-group form a chain, so every
 non-identity class [h] has exactly one parent class, [h^p], the
-generators of the largest proper subgroup of <h>.  The tree is read off
-the group's cyclic-subgroup lattice and holds each ~-class exactly once,
-represented by its smallest element.  A node's ``upset_size`` is |U(x)|,
-its number of children is the primitive-class count of x, and |U-hat(x)|
-is ``upset_size`` minus the apex size.  The
-eigenvalue classification and the divisibility checks read these values
-off the tree, one node per class, instead of scanning elements.
+generators of the largest proper subgroup of <h>, and h has order p^k
+for a chain of k + 1 subgroups.  The tree is read off the group's
+cyclic-subgroup lattice in one bottom-up pass, since every subgroup
+comes before each one that holds it, and holds each ~-class exactly
+once, represented by its smallest element; no element order is looked
+up.  A node's ``upset_size`` is |U(x)|, its number of children is the
+primitive-class count of x, and |U-hat(x)| is ``upset_size`` minus the
+apex size.  The eigenvalue classification and the divisibility checks
+read these values off the tree, one node per class, instead of
+scanning elements.
 """
 
 from __future__ import annotations
@@ -64,32 +67,25 @@ def decompose(g: FiniteGroup) -> DecompTree:
     Children are sorted by descending vertex count, then by
     representative element index, so trees render canonically.
     """
-    if is_p_group(g) is None:
+    p = is_p_group(g)
+    if p is None:
         raise ValueError(f"{g.label} is not a p-group")
     members, below = g.cyclic_subgroups()
     # the subgroups of <x> form a chain, so the largest proper one is the
     # one holding all the others: its lattice bits are x's without x's own
     by_below = {mask: a for a, mask in enumerate(below)}
-    children: list[list[int]] = [[] for _ in members]
-    root = 0
-    for a, mask in enumerate(below):
-        if mask == 1 << a:
-            root = a
-        else:
-            children[by_below[mask ^ (1 << a)]].append(a)
-    return _build(g, root, members, children)
-
-
-def _build(g: FiniteGroup, a: int, members: tuple[tuple[int, ...], ...],
-           children: list[list[int]]) -> DecompTree:
-    x = members[a][0]
-    apex = len(members[a])
-    subtrees = sorted(
-        (_build(g, b, members, children) for b in children[a]),
-        key=lambda t: (-t.upset_size, t.element),
-    )
-    upset = apex + sum(t.upset_size for t in subtrees)
-    return DecompTree(apex, x, g.order_of(x), upset, tuple(subtrees))
+    children: list[list[DecompTree]] = [[] for _ in members]
+    # a subgroup's index exceeds those of the subgroups it holds: from the
+    # top down each node follows its children, and the root, the trivial
+    # subgroup 0, comes last; <x>'s chain of k + 1 subgroups gives o(x) = p^k
+    for a in reversed(range(len(members))):
+        kids = sorted(children[a], key=lambda t: (-t.upset_size, t.element))
+        apex = len(members[a])
+        node = DecompTree(apex, members[a][0], p ** (below[a].bit_count() - 1),
+                          apex + sum(t.upset_size for t in kids), tuple(kids))
+        if a:
+            children[by_below[below[a] ^ (1 << a)]].append(node)
+    return node
 
 
 def _classes(t: DecompTree) -> list[DecompTree]:

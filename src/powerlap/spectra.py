@@ -48,7 +48,6 @@ import numpy as np
 from .graphs import Graph, TwinPartition, _reach, twin_partition
 from .groups import _bits
 from .linalg import (
-    _synthetic_divide,
     charpoly_exact,
     eval_poly_at_int,
     integer_root_multiplicities,
@@ -288,7 +287,7 @@ class Spectrum:
         return json.dumps(self.to_json_dict(), sort_keys=True)
 
     def table_text(self) -> str:
-        """Two-row value/multiplicity table, values ascending."""
+        """Value/multiplicity rows: certified integers ascending, then non-integers ascending."""
         cols: list[tuple[str, str]] = [
             (str(r), str(m)) for r, m in self.exact.factors
         ]
@@ -462,10 +461,8 @@ def _leaf_spectrum(sizes: tuple[int, ...], counts: tuple[tuple[int, ...], ...]
     deflated = [[x - y for x, y in zip(row[1:], first)] for row in rows[1:]]
     # an equitable quotient of a Laplacian is similar to a symmetric PSD matrix
     poly = [0] + charpoly_exact(deflated, nonnegative_eigenvalues=True)
-    found = tuple(sorted(integer_root_multiplicities(poly, 0, sum(sizes)).items()))
-    for root, mult in found:
-        for _ in range(mult):
-            poly = _synthetic_divide(poly, root)
+    roots, poly = integer_root_multiplicities(poly, 0, sum(sizes))
+    found = tuple(roots.items())
     degree = len(poly) - 1
     if not degree:
         return found, (1,), ()

@@ -20,8 +20,9 @@ hashing dense count rows over every class at once, where `spectrum`
 hashes adjacency bitmasks only on the pieces joins and unions leave.
 The last section holds references the package no longer needs itself:
 completeness by edge count, the complement spectrum, a p-group
-decomposition tree materialized as a graph, and one element's order,
-cyclic subgroup and ~-class.
+decomposition tree built by recursion from its root and one
+materialized as a graph, and one element's order, cyclic subgroup and
+~-class.
 """
 
 from __future__ import annotations
@@ -751,6 +752,31 @@ def complement_spectrum(s: Spectrum) -> Spectrum:
             mapped[s.n - r] += m
     mapped[0] += 1
     return Spectrum(n=s.n, exact=FactoredCharPoly.from_counts(mapped))
+
+
+def decompose_by_recursion(g: FiniteGroup) -> DecompTree:
+    """`decompose` top-down: each class's children are found first, then
+    each node is built by recursion from the root, its order read from
+    `order_of`."""
+    members, below = g.cyclic_subgroups()
+    by_below = {mask: a for a, mask in enumerate(below)}
+    children: list[list[int]] = [[] for _ in members]
+    root = 0
+    for a, mask in enumerate(below):
+        if mask == 1 << a:
+            root = a
+        else:
+            children[by_below[mask ^ (1 << a)]].append(a)
+
+    def build(a: int) -> DecompTree:
+        x = members[a][0]
+        apex = len(members[a])
+        subtrees = sorted((build(b) for b in children[a]),
+                          key=lambda t: (-t.upset_size, t.element))
+        upset = apex + sum(t.upset_size for t in subtrees)
+        return DecompTree(apex, x, g.order_of(x), upset, tuple(subtrees))
+
+    return build(root)
 
 
 def tree_graph(t: DecompTree) -> Graph:

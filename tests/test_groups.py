@@ -178,6 +178,7 @@ def assert_lattice_matches_the_masks(g):
     for a, atom in enumerate(members):
         contained = [b for b, other in enumerate(members) if masks[other[0]] & ~masks[atom[0]] == 0]
         assert below[a] == sum(1 << b for b in contained), (g.label, a)
+        assert below[a] < 1 << (a + 1), (g.label, a)
     assert g.orders() == [mask.bit_count() for mask in masks]
 
 

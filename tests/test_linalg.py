@@ -308,9 +308,19 @@ def polys_with_integer_roots(draw):
 @settings(max_examples=300, deadline=None)
 @given(polys_with_integer_roots(), st.integers(-8, 0), st.integers(0, 14))
 def test_integer_roots_match_scan(coeffs, lo, hi):
-    got = integer_root_multiplicities(coeffs, lo, hi)
+    got, residual = integer_root_multiplicities(coeffs, lo, hi)
     want = scan_integer_roots(coeffs, lo, hi)
     assert list(got.items()) == list(want.items())
+    if not any(coeffs):
+        assert residual == coeffs
+        return
+    # the residual times prod (x - r)^m is the input, with no root left
+    rebuilt = residual
+    for r, m in got.items():
+        for _ in range(m):
+            rebuilt = [a - r * b for a, b in zip([0] + rebuilt, rebuilt + [0])]
+    assert rebuilt == coeffs
+    assert scan_integer_roots(residual, lo, hi) == {}
 
 
 def test_integer_roots_refuse_a_root_modulo_the_prime_only():
@@ -319,8 +329,8 @@ def test_integer_roots_refuse_a_root_modulo_the_prime_only():
     p = _prime(0)
     q = [3 * p - 9, 0, 1]
     assert eval_poly_at_int(q, 3) % p == 0
-    assert integer_root_multiplicities(q, -5, 5) == scan_integer_roots(q, -5, 5) == {}
-    assert integer_root_multiplicities([0, 0] + q, -5, 5) == {0: 2}
+    assert integer_root_multiplicities(q, -5, 5)[0] == scan_integer_roots(q, -5, 5) == {}
+    assert integer_root_multiplicities([0, 0] + q, -5, 5)[0] == {0: 2}
 
 
 # ---------------------------------------------------------------------------
@@ -366,10 +376,7 @@ def sympy_roots_above(coeffs, k):
 def test_descartes_count_matches_sturm_on_symmetric_matrices(matrix):
     coeffs = charpoly_exact(matrix)
     bound = max(sum(abs(v) for v in row) for row in matrix)
-    residual = coeffs
-    for root, mult in integer_root_multiplicities(coeffs, -bound, bound).items():
-        for _ in range(mult):
-            residual = _synthetic_divide(residual, root)
+    _, residual = integer_root_multiplicities(coeffs, -bound, bound)
     for k in range(-1, bound + 2):
         assert roots_above(residual, k) == sympy_roots_above(residual, k), k
         # with the integer roots left in, a root at k itself is not counted

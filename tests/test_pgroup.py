@@ -1,6 +1,7 @@
 import pytest
 
 from oracles import (
+    decompose_by_recursion,
     element_info,
     hat_up_set_by_masks,
     masks_of,
@@ -11,10 +12,12 @@ from oracles import (
 )
 from powerlap.graphs import components, power_graph, proper_power_graph
 from powerlap.groups import (
+    FiniteGroup,
     cyclic_group,
     direct_product,
     euler_phi,
     generalized_quaternion,
+    parse_group_spec,
     primitive_classes,
     up_set,
 )
@@ -28,7 +31,7 @@ from powerlap.pgroup import (
     tree_string,
 )
 from powerlap.spectra import FactoredCharPoly, Spectrum, spectrum
-from powerlap.verify import check_pgroup_bundle
+from powerlap.verify import check_pgroup_bundle, pgroup_catalog
 
 
 def poly(counts):
@@ -50,6 +53,28 @@ def test_decompose_strings():
 def test_decompose_rejects_non_pgroups():
     with pytest.raises(ValueError, match="not a p-group"):
         decompose(cyclic_group(6))
+
+
+def test_decompose_matches_the_recursive_build():
+    # generalized_quaternion(alpha) has order 2^(alpha + 1)
+    groups = pgroup_catalog(512) + [generalized_quaternion(a) for a in range(2, 11)]
+    for g in groups:
+        want = decompose_by_recursion(g)
+        got = decompose(g)
+        assert tree_json_dict(got) == tree_json_dict(want), g.label
+        assert tree_string(got) == tree_string(want), g.label
+
+
+def test_decompose_reads_no_element_orders(monkeypatch):
+    specs = ["gq:4", "prod:zn:4xzn:4xzn:2"]
+    want = [decompose_by_recursion(parse_group_spec(spec)) for spec in specs]
+
+    def refuse(self):
+        raise AssertionError("decompose read the element order table")
+
+    monkeypatch.setattr(FiniteGroup, "orders", refuse)
+    for spec, tree in zip(specs, want):
+        assert decompose(parse_group_spec(spec)) == tree, spec
 
 
 def test_tree_annotations(small_pgroups):
