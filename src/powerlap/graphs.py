@@ -15,12 +15,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import filterfalse
+from itertools import compress, filterfalse
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .groups import FiniteGroup, _bits, cyclic_group
+from .groups import FiniteGroup, cyclic_group
 
 __all__ = [
     "Graph",
@@ -37,13 +37,23 @@ __all__ = [
 ]
 
 
+def _bits(mask: int) -> list[int]:
+    """Indices of the set bits of mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 def _rows_to_bitmatrix(rows: Sequence[int], n: int) -> np.ndarray:
-    """Bitmask rows as an n x n boolean matrix (C-speed bulk conversion)."""
+    """Bitmask rows of n bits as a boolean matrix (C-speed bulk conversion)."""
     if n == 0:
         return np.zeros((0, 0), dtype=np.uint8)
     nbytes = (n + 7) // 8
     buf = b"".join(r.to_bytes(nbytes, "little") for r in rows)
-    arr = np.frombuffer(buf, dtype=np.uint8).reshape(n, nbytes)
+    arr = np.frombuffer(buf, dtype=np.uint8).reshape(len(rows), nbytes)
     return np.unpackbits(arr, axis=1, bitorder="little")[:, :n]
 
 
@@ -134,7 +144,7 @@ def power_graph(g: FiniteGroup) -> Graph:
     rows = [0] * g.order
     for atom, key in zip(members, _closed_keys(below)):
         row = 0
-        for b in _bits(key):
+        for b in key:
             row |= spans[b]
         for x in atom:
             rows[x] = row ^ (1 << x)
@@ -278,56 +288,37 @@ class TwinPartition:
         )
 
 
-def _twin_quotient(members: Sequence[Sequence[int]], closed: Sequence[int]) -> TwinPartition:
+def _twin_quotient(members: Sequence[Sequence[int]],
+                   closed: Sequence[tuple[int, ...]]) -> TwinPartition:
     """Twin partition from atoms: ``members[a]``, ascending, are closed twins,
-    and ``closed[a]`` is the bitmask of the atoms joined to a, a included.
-    Atoms sharing a closed key form a class; a lone one-vertex atom is
-    grouped by open key instead.  Classes are ordered by smallest member.
-    Class i's adjacency is read from the closed bits of one atom a of
-    class i, one class at a time: a class j != i is joined to all of a or
-    to none of it, so the lowest bit left names the next class joined to
-    a, whose whole mask is then cleared.  The within count is the weight
-    of class i inside a's closed bits, less a itself: the whole class for
-    closed twins, a alone for open ones."""
-    by_closed: dict[int, list[int]] = {}
+    and ``closed[a]`` is the ascending tuple of the atoms joined to a, a
+    included.  Atoms sharing a closed key form a class, a clique; a lone
+    one-vertex atom is grouped by open key, its closed key without a,
+    into an independent set instead.  Classes are ordered by smallest
+    member.  A class j != i is joined to all of class i or to none of it,
+    so class i's adjacency is the classes that one atom's closed key names."""
+    by_closed: dict[tuple[int, ...], list[int]] = {}
     for a, key in enumerate(closed):
         by_closed.setdefault(key, []).append(a)
-    groups: list[list[int]] = []
-    by_open: dict[int, list[int]] = {}
+    groups: list[tuple[list[int], bool]] = []
+    by_open: dict[tuple[int, ...], list[int]] = {}
     for a, *more in by_closed.values():
         if more or len(members[a]) > 1:
-            groups.append([a, *more])
+            groups.append(([a, *more], True))
         else:
-            by_open.setdefault(closed[a] ^ (1 << a), []).append(a)
-    groups.extend(by_open.values())
-    groups.sort(key=lambda atoms: min(members[a][0] for a in atoms))
-    class_of: dict[int, int] = {}
-    masks: list[int] = []
-    sizes: list[int] = []
-    for i, atoms in enumerate(groups):
-        mask = size = 0
+            by_open.setdefault(tuple(b for b in closed[a] if b != a), []).append(a)
+    groups.extend((atoms, False) for atoms in by_open.values())
+    groups.sort(key=lambda group: min(members[a][0] for a in group[0]))
+    class_of = [0] * len(closed)
+    for i, (atoms, _) in enumerate(groups):
         for a in atoms:
             class_of[a] = i
-            mask |= 1 << a
-            size += len(members[a])
-        masks.append(mask)
-        sizes.append(size)
-    within = []
-    adj = []
-    for i, atoms in enumerate(groups):
-        a = atoms[0]
-        joined = 0
-        rest = closed[a] & ~masks[i]
-        while rest:
-            j = class_of[(rest & -rest).bit_length() - 1]
-            joined |= 1 << j
-            rest &= ~masks[j]
-        within.append((sizes[i] if (closed[a] & masks[i]) != 1 << a else len(members[a])) - 1)
-        adj.append(joined)
+    classes = tuple(tuple(sorted(v for a in atoms for v in members[a])) for atoms, _ in groups)
+    joined = [{class_of[b] for b in closed[atoms[0]]} - {i} for i, (atoms, _) in enumerate(groups)]
     return TwinPartition(
-        classes=tuple(tuple(sorted(v for a in atoms for v in members[a])) for atoms in groups),
-        within=tuple(within),
-        adj=tuple(adj),
+        classes=classes,
+        within=tuple(len(c) - 1 if clique else 0 for c, (_, clique) in zip(classes, groups)),
+        adj=tuple(sum(1 << j for j in js) for js in joined),
     )
 
 
@@ -335,22 +326,30 @@ def twin_partition(g: Graph | FiniteGroup) -> TwinPartition:
     """Group vertices with identical closed or open neighborhoods.  A group
     gives its power graph's partition without the graph: the generators of
     each cyclic subgroup are a clique of closed twins, joined to another
-    subgroup's when either subgroup contains the other."""
+    subgroup's when either subgroup contains the other.  A graph's atoms
+    are its vertices grouped by closed row, and a row holds each atom it
+    meets whole, so one vertex of each atom tells which it meets."""
     if isinstance(g, Graph):
-        return _twin_quotient([[v] for v in range(g.n)],
-                              [row | (1 << v) for v, row in enumerate(g.rows)])
+        by_row: dict[int, list[int]] = {}
+        for v, row in enumerate(g.rows):
+            by_row.setdefault(row | (1 << v), []).append(v)
+        atoms = list(by_row.values())
+        met = _rows_to_bitmatrix(list(by_row), g.n)[:, [atom[0] for atom in atoms]].tolist()
+        return _twin_quotient(atoms, [tuple(compress(range(len(atoms)), r)) for r in met])
     members, below = g.cyclic_subgroups()
     return _twin_quotient(members, _closed_keys(below))
 
 
-def _closed_keys(below: Sequence[int]) -> list[int]:
-    """Each cyclic subgroup's closed key: the bitmask of the subgroups
-    below it or above it, itself included."""
-    closed = list(below)
-    for a, mask in enumerate(below):
-        for b in _bits(mask):
-            closed[b] |= 1 << a
-    return closed
+def _closed_keys(below: Sequence[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """Each cyclic subgroup's closed key: the ascending tuple of the
+    subgroups below it or above it, itself included.  One scan by
+    ascending index lists each subgroup's containers ascending, itself
+    first, since every subgroup it contains has a smaller index."""
+    above: list[list[int]] = [[] for _ in below]
+    for a, key in enumerate(below):
+        for b in key:
+            above[b].append(a)
+    return [key[:-1] + tuple(up) for key, up in zip(below, above)]
 
 
 # ---------------------------------------------------------------------------

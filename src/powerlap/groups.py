@@ -47,17 +47,18 @@ class GroupValidationError(ValueError):
 
 
 # Largest group order the constructors accept.  It bounds a walked
-# group's twin partition (every group but Z_n, whose lattice comes from
-# the divisors of n): the closed keys that build it hold one bitmask of
-# up to n bits per cyclic subgroup, so up to n**2 bits in all (an 11 MB
-# peak for Z_2^13).  Larger orders fail fast instead of exhausting memory.
+# group's lattice (every group but Z_n, whose lattice comes from the
+# divisors of n): the power walk multiplies through the cyclic subgroups
+# of each element not yet placed, and the lattice and the twin partition
+# built from it keep lists per element and per containment.  Larger
+# orders fail fast instead of running long.
 MAX_ORDER = 8192
 
 
 def _order_error(name: str, order: str) -> ValueError:
     return ValueError(
         f"{name} would build a group of order {order}, above the limit "
-        f"MAX_ORDER = {MAX_ORDER} on a walked group's twin quotient"
+        f"MAX_ORDER = {MAX_ORDER} on a walked group's power walk"
     )
 
 
@@ -140,12 +141,13 @@ class CyclicSubgroups(NamedTuple):
     """Every cyclic subgroup of a group once.
 
     ``members[a]`` lists the generators of subgroup a ascending: the
-    ~-class of elements that generate it.  Bit b of ``below[a]`` is set
-    when subgroup a contains subgroup b, a itself included; then b <= a.
+    ~-class of elements that generate it.  ``below[a]`` lists the
+    subgroups that a contains, ascending; each is placed before a, so a
+    itself comes last.
     """
 
     members: tuple[tuple[int, ...], ...]
-    below: tuple[int, ...]
+    below: tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,7 +183,7 @@ class FiniteGroup:
             e, mul = self.identity, self.mul
             atom_of = [-1] * self.order
             members: list[tuple[int, ...]] = []
-            below: list[int] = []
+            below: list[tuple[int, ...]] = []
             for g in range(self.order):
                 if atom_of[g] >= 0:
                     continue
@@ -200,7 +202,8 @@ class FiniteGroup:
                         for x in atom:
                             atom_of[x] = len(members)
                         members.append(tuple(atom))
-                        below.append(sum(1 << atom_of[powers[f % o]] for f in divisors if f % d == 0))
+                        # subgroups met in earlier walks interleave with new ones
+                        below.append(tuple(sorted(atom_of[powers[f % o]] for f in divisors if f % d == 0)))
             lattice = CyclicSubgroups(tuple(members), tuple(below))
             self._cache["lattice"] = lattice
         return lattice
@@ -212,8 +215,8 @@ class FiniteGroup:
         if orders is None:
             members, below = self.cyclic_subgroups()
             orders = [0] * self.order
-            for atom, mask in zip(members, below):
-                o = sum(len(members[b]) for b in _bits(mask))
+            for atom, key in zip(members, below):
+                o = sum(len(members[b]) for b in key)
                 for x in atom:
                     orders[x] = o
             self._cache["orders"] = orders
@@ -290,16 +293,16 @@ def _cyclic_lattice(n: int) -> CyclicSubgroups:
     for x in range(n):
         by_order.setdefault(n // math.gcd(x, n), []).append(x)
     orders = sorted(by_order)
-    below = tuple(sum(1 << b for b, e in enumerate(orders) if d % e == 0) for d in orders)
+    below = tuple(tuple(b for b, e in enumerate(orders) if d % e == 0) for d in orders)
     return CyclicSubgroups(tuple(tuple(by_order[d]) for d in orders), below)
 
 
 def _unchecked_cyclic_group(n: int) -> FiniteGroup:
     """Z_n for any n >= 1, its lattice seeded from the divisors of n.
 
-    No MAX_ORDER check: the lattice needs no walk, and its twin quotient
-    has at most one class per divisor of n, so a caller that reads only
-    the lattice (the twin partition) may go past the limit.
+    No MAX_ORDER check: the lattice needs no walk and has one subgroup
+    per divisor of n, so a caller that reads only the lattice (the twin
+    partition) may go past the limit.
     """
     return FiniteGroup(n, 0, f"Z{n}", lambda x, y: (x + y) % n,
                        _cache={"lattice": _cyclic_lattice(n)})
@@ -368,16 +371,6 @@ def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
 # element machinery
 
 
-def _bits(mask: int) -> list[int]:
-    """Indices of the set bits of mask, ascending."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
 def _atom_of(g: FiniteGroup, x: int) -> int:
     """The index of <x> in g's cyclic-subgroup lattice."""
     if not 0 <= x < g.order:
@@ -390,7 +383,7 @@ def up_set(g: FiniteGroup, x: int) -> frozenset[int]:
     generators of every cyclic subgroup above <x>."""
     members, below = g.cyclic_subgroups()
     a = _atom_of(g, x)
-    return frozenset(h for atom, mask in zip(members, below) if mask >> a & 1 for h in atom)
+    return frozenset(h for atom, key in zip(members, below) if a in key for h in atom)
 
 
 def hat_up_set(g: FiniteGroup, x: int) -> frozenset[int]:

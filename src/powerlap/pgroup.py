@@ -11,10 +11,11 @@ The cyclic subgroups of a cyclic p-group form a chain, so every
 non-identity class [h] has exactly one parent class, [h^p], the
 generators of the largest proper subgroup of <h>, and h has order p^k
 for a chain of k + 1 subgroups.  The tree is read off the group's
-cyclic-subgroup lattice in one bottom-up pass, since every subgroup
-comes before each one that holds it, and holds each ~-class exactly
-once, represented by its smallest element; no element order is looked
-up.  A node's ``upset_size`` is |U(x)|, its number of children is the
+cyclic-subgroup lattice in one pass from the last subgroup to the
+first, since a subgroup comes after every one it holds; a node's parent
+holds what the node holds but itself.  The tree holds each ~-class
+once, by its smallest element; no element order is looked up.  A
+node's ``upset_size`` is |U(x)|, its number of children is the
 primitive-class count of x, and |U-hat(x)| is ``upset_size`` minus the
 apex size.  The eigenvalue classification and the divisibility checks
 read these values off the tree, one node per class, instead of
@@ -72,8 +73,8 @@ def decompose(g: FiniteGroup) -> DecompTree:
         raise ValueError(f"{g.label} is not a p-group")
     members, below = g.cyclic_subgroups()
     # the subgroups of <x> form a chain, so the largest proper one is the
-    # one holding all the others: its lattice bits are x's without x's own
-    by_below = {mask: a for a, mask in enumerate(below)}
+    # one holding all the others: it contains what x's does, less x's own
+    by_below = {key: a for a, key in enumerate(below)}
     children: list[list[DecompTree]] = [[] for _ in members]
     # a subgroup's index exceeds those of the subgroups it holds: from the
     # top down each node follows its children, and the root, the trivial
@@ -81,10 +82,10 @@ def decompose(g: FiniteGroup) -> DecompTree:
     for a in reversed(range(len(members))):
         kids = sorted(children[a], key=lambda t: (-t.upset_size, t.element))
         apex = len(members[a])
-        node = DecompTree(apex, members[a][0], p ** (below[a].bit_count() - 1),
+        node = DecompTree(apex, members[a][0], p ** (len(below[a]) - 1),
                           apex + sum(t.upset_size for t in kids), tuple(kids))
         if a:
-            children[by_below[below[a] ^ (1 << a)]].append(node)
+            children[by_below[below[a][:-1]]].append(node)
     return node
 
 

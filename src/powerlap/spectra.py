@@ -45,8 +45,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .graphs import Graph, TwinPartition, _reach, twin_partition
-from .groups import _bits
+from .graphs import Graph, TwinPartition, _bits, _reach, twin_partition
 from .linalg import (
     charpoly_exact,
     eval_poly_at_int,

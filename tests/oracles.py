@@ -45,11 +45,12 @@ from powerlap.graphs import (
     Graph,
     TwinPartition,
     _SplitNetwork,
+    _bits,
     components,
     induced_subgraph,
     twin_partition,
 )
-from powerlap.groups import FiniteGroup, _bits, factorize
+from powerlap.groups import FiniteGroup, factorize
 from powerlap.pgroup import DecompTree
 from powerlap.spectra import FactoredCharPoly, Spectrum
 
@@ -759,14 +760,14 @@ def decompose_by_recursion(g: FiniteGroup) -> DecompTree:
     each node is built by recursion from the root, its order read from
     `order_of`."""
     members, below = g.cyclic_subgroups()
-    by_below = {mask: a for a, mask in enumerate(below)}
+    by_below = {key: a for a, key in enumerate(below)}
     children: list[list[int]] = [[] for _ in members]
     root = 0
-    for a, mask in enumerate(below):
-        if mask == 1 << a:
+    for a, key in enumerate(below):
+        if key == (a,):
             root = a
         else:
-            children[by_below[mask ^ (1 << a)]].append(a)
+            children[by_below[key[:-1]]].append(a)
 
     def build(a: int) -> DecompTree:
         x = members[a][0]

@@ -19,6 +19,8 @@ from powerlap.cli import main
 GOLDEN = Path(__file__).parent / "golden"
 # Q_3 as a table file (identity 0): the non-abelian `table:` path
 Q3_TABLE = f"table:{Path(__file__).parent / 'data' / 'q3.txt'}"
+# Z_2^13: a walked group at MAX_ORDER, with 8,192 cyclic subgroups
+Z2_13 = "prod:" + "x".join(["zn:2"] * 13)
 
 TEXT_CASES = [
     (("verify",), "verify.txt"),
@@ -37,6 +39,8 @@ TEXT_CASES = [
     (("spectrum", "prod:zn:4xzn:2xzn:2"), "spectrum_prod_zn4xzn2xzn2.txt"),
     (("info", Q3_TABLE), "info_table_q3.txt"),
     (("spectrum", Q3_TABLE), "spectrum_table_q3.txt"),
+    (("info", Z2_13), "info_prod_zn2x13.txt"),
+    (("spectrum", Z2_13), "spectrum_prod_zn2x13.txt"),
 ]
 
 JSON_CASES = [

@@ -24,7 +24,6 @@ from oracles import (
 from powerlap.groups import (
     FiniteGroup,
     GroupValidationError,
-    _bits,
     cyclic_group,
     dicyclic_group,
     direct_product,
@@ -39,7 +38,7 @@ from powerlap.groups import (
     primitive_classes,
     up_set,
 )
-from powerlap.graphs import power_graph, twin_partition
+from powerlap.graphs import _closed_keys, power_graph, twin_partition
 from powerlap.spectra import spectrum
 
 
@@ -130,8 +129,8 @@ def subgroup_masks(g):
     every cyclic subgroup below x's."""
     members, below = g.cyclic_subgroups()
     masks = [0] * g.order
-    for atom, mask in zip(members, below):
-        inside = sum(1 << h for b in _bits(mask) for h in members[b])
+    for atom, key in zip(members, below):
+        inside = sum(1 << h for b in key for h in members[b])
         for x in atom:
             masks[x] = inside
     return masks
@@ -175,10 +174,14 @@ def assert_lattice_matches_the_masks(g):
     for atom in members:
         # the ~-class of its first generator, ascending
         assert list(atom) == [h for h in range(g.order) if masks[h] == masks[atom[0]]]
+    closed = _closed_keys(below)
     for a, atom in enumerate(members):
-        contained = [b for b, other in enumerate(members) if masks[other[0]] & ~masks[atom[0]] == 0]
-        assert below[a] == sum(1 << b for b in contained), (g.label, a)
-        assert below[a] < 1 << (a + 1), (g.label, a)
+        x = masks[atom[0]]
+        contained = tuple(b for b, other in enumerate(members) if masks[other[0]] & ~x == 0)
+        assert below[a] == contained and contained[-1] == a, (g.label, a)
+        comparable = tuple(b for b, other in enumerate(members)
+                           if masks[other[0]] & ~x == 0 or x & ~masks[other[0]] == 0)
+        assert closed[a] == comparable, (g.label, a)
     assert g.orders() == [mask.bit_count() for mask in masks]
 
 

@@ -248,7 +248,7 @@ def test_cyclic_graph_cache_holds_one_graph():
 def test_cyclic_claims_go_past_max_order():
     # Z_n's twin partition reads only its divisor lattice, so the cyclic
     # claims (and `scan --max`, `verify --cyclic-max`) are not held to the
-    # MAX_ORDER that guards a walked group's twin quotient
+    # MAX_ORDER that guards a walked group's power walk
     n = MAX_ORDER + 1  # 3 * 2731
     with pytest.raises(ValueError, match="MAX_ORDER"):
         cyclic_group(n)
