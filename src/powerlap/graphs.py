@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import compress, filterfalse
+from itertools import compress
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -236,7 +236,10 @@ class TwinPartition:
     is joined to class i.  A vertex of class i thus has
     ``class_size(j)`` neighbors in each such class j and none in any
     other, and a class of two or more vertices is a clique iff its
-    within count is nonzero.
+    within count is nonzero.  Every partition the package returns comes
+    from `_twin_quotient` and is the coarsest partition of its graph; a
+    subgraph that keeps whole classes is read as a piece, the bitmask
+    of its classes, with no partition rebuilt.
     """
 
     classes: tuple[tuple[int, ...], ...]
@@ -260,32 +263,6 @@ class TwinPartition:
         sizes of the classes joined to its own."""
         sizes = [len(c) for c in self.classes]
         return [w + sum(sizes[j] for j in _bits(a)) for w, a in zip(self.within, self.adj)]
-
-    def without(self, vertices: Iterable[int]) -> "TwinPartition":
-        """Twin partition of the graph with ``vertices`` removed.
-
-        Every class keeps its other vertices, their numbers and its place
-        in the order; a class left empty is dropped, and its bit with it.
-        A class that loses vertices is still a clique or an independent
-        set, joined to the same classes as before, so a clique's within
-        count becomes its new size less one.  Two classes can become
-        twins of each other, so the result need not be the coarsest
-        partition; it is when only universal vertices are removed,
-        because every vertex left was joined to all of them.
-        """
-        gone = set(vertices)
-        kept = [tuple(filterfalse(gone.__contains__, c)) for c in self.classes]
-        live = [i for i, c in enumerate(kept) if c]
-        adj = [self.adj[i] for i in live]
-        for d in reversed(range(self.size)):
-            if not kept[d]:
-                # bit d goes, and the bits above it move down one
-                adj = [(a >> (d + 1) << d) | (a & ((1 << d) - 1)) for a in adj]
-        return TwinPartition(
-            classes=tuple(kept[i] for i in live),
-            within=tuple(len(kept[i]) - 1 if self.within[i] else 0 for i in live),
-            adj=tuple(adj),
-        )
 
 
 def _twin_quotient(members: Sequence[Sequence[int]],
@@ -367,10 +344,10 @@ def vertex_connectivity(g: Graph | TwinPartition) -> CutCertificate:
     kappa(G - U) and the witness is U plus one of G - U, and when G - U
     is disconnected U itself is the minimum cut and no flow runs.  That
     is every non-cyclic p-group, where U is the identity, or the
-    identity and the involution in a generalized quaternion group.  The
-    rest is `_separate` on the twin quotient of G - U, which
-    `TwinPartition.without` gives with no vertex renumbered, with each
-    degree summed here less |U|: every vertex left was joined to all of U.
+    identity and the involution in a generalized quaternion group.  U is
+    a union of whole classes, so G - U is the piece of the other
+    classes, and the rest is `_separate` on that piece, with each degree
+    less |U|: every vertex left was joined to all of U.
     """
     tp = g if isinstance(g, TwinPartition) else twin_partition(g)
     n = tp.n
@@ -380,29 +357,30 @@ def vertex_connectivity(g: Graph | TwinPartition) -> CutCertificate:
     peeled = tuple(sorted(v for c, d in zip(tp.classes, degrees) if d == n - 1 for v in c))
     if len(peeled) == n:
         return CutCertificate(n - 1, peeled[:-1])
-    rest = [i for i, d in enumerate(degrees) if d < n - 1]
+    rest = sum(1 << i for i, d in enumerate(degrees) if d < n - 1)
     if not _classes_connected(tp, rest):
         return CutCertificate(len(peeled), peeled)
-    if peeled:
-        tp = tp.without(peeled)
-    cut = _separate(tp, [degrees[i] - len(peeled) for i in rest])
+    cut = _separate(tp, rest, [d - len(peeled) for d in degrees])
     return CutCertificate(len(peeled) + cut.size, tuple(sorted(peeled + cut.separating_set)))
 
 
-def _classes_connected(tp: TwinPartition, keep: Sequence[int]) -> bool:
-    """Whether the classes ``keep``, one or more, induce a connected graph.
-    One class does iff it is a clique or a single vertex; with more, every
-    vertex is joined to all of each class adjacent to its own, so the
-    induced graph is connected iff its quotient is."""
-    if len(keep) == 1:
-        return tp.class_size(keep[0]) == 1 or tp.within[keep[0]] > 0
-    inside = sum(1 << i for i in keep)
-    return _reach(tp.adj, keep[0], inside) == inside
+def _classes_connected(tp: TwinPartition, piece: int) -> bool:
+    """Whether the classes in the bitmask ``piece``, one or more, induce a
+    connected graph.  One class does iff it is a clique or a single
+    vertex; with more, every vertex is joined to all of each class
+    adjacent to its own, so the induced graph is connected iff its
+    quotient is."""
+    first = (piece & -piece).bit_length() - 1
+    if piece == 1 << first:
+        return tp.class_size(first) == 1 or tp.within[first] > 0
+    return _reach(tp.adj, first, piece) == piece
 
 
-def _separate(tp: TwinPartition, degrees: Sequence[int]) -> CutCertificate:
-    """Minimum separating set of a connected graph with two or more twin
-    classes and no universal vertex, from its twin partition and degrees.
+def _separate(tp: TwinPartition, piece: int, degrees: Sequence[int]) -> CutCertificate:
+    """Minimum separating set of the piece of ``tp``, the subgraph induced
+    by the classes in the bitmask ``piece``: connected, with two or more
+    classes and no universal vertex.  ``degrees[i]`` is the degree inside
+    the piece of a vertex of class i, for each class i in it.
 
     The value is the Menger minimum over non-adjacent vertex pairs,
     computed as a vertex-capacitated max-flow on the twin quotient; the
@@ -418,27 +396,27 @@ def _separate(tp: TwinPartition, degrees: Sequence[int]) -> CutCertificate:
     already found kappa, and the scan stops.  A minimum cut between two
     classes is symmetric, so each unordered pair is flowed once.
     """
-    m = tp.size
+    inside = _bits(piece)
     best: Optional[int] = None
     best_witness: tuple[int, ...] = ()
 
     # non-adjacent pair inside one independent-set class: the shared
     # open neighborhood is the unique minimum cut for that pair
-    for i in range(m):
+    for i in inside:
         if tp.class_size(i) >= 2 and not tp.within[i]:
             if best is None or degrees[i] < best:
                 best = degrees[i]
-                best_witness = tuple(sorted(v for j in _bits(tp.adj[i]) for v in tp.classes[j]))
+                best_witness = tuple(sorted(v for j in _bits(tp.adj[i] & piece) for v in tp.classes[j]))
 
-    network = _SplitNetwork(tp)
-    order = sorted(range(m), key=lambda i: degrees[i])
-    done = [False] * m
+    network = _SplitNetwork(tp, piece)
+    order = sorted(inside, key=lambda i: degrees[i])
+    done = [False] * tp.size
     scanned = 0
     for src in order:
         if best is not None and scanned > best:
             break
         joined = tp.adj[src]
-        for dst in range(m):
+        for dst in inside:
             if dst == src or done[dst] or joined >> dst & 1:
                 continue
             value, cut_classes = network.min_cut(src, dst, best)
@@ -458,15 +436,17 @@ _INF = 1 << 40
 
 
 class _SplitNetwork:
-    """Vertex-split flow network of a twin quotient, built once.
+    """Vertex-split flow network of the piece of a twin quotient, built once.
 
-    Class i becomes the in-node 2i and the out-node 2i+1, joined by arc
-    2i of capacity |class i|; each adjacent class pair (i, j) gives an
-    uncapacitated arc from out(i) to in(j).  Arcs are stored flat, and
-    arc a ^ 1 is the reverse of arc a, with zero capacity.
+    Every class i of ``tp`` becomes the in-node 2i and the out-node 2i+1,
+    joined by arc 2i of capacity |class i|, so that arc 2i stays class
+    i's; each adjacent class pair (i, j) inside the bitmask ``piece``
+    gives an uncapacitated arc from out(i) to in(j), and a class outside
+    it is joined to nothing.  Arcs are stored flat, and arc a ^ 1 is the
+    reverse of arc a, with zero capacity.
     """
 
-    def __init__(self, tp: TwinPartition):
+    def __init__(self, tp: TwinPartition, piece: int):
         m = tp.size
         self.m = m
         self.head: list[int] = []
@@ -474,8 +454,8 @@ class _SplitNetwork:
         self.arcs: list[list[int]] = [[] for _ in range(2 * m)]
         for i in range(m):
             self._add(2 * i, 2 * i + 1, tp.class_size(i))
-        for i, joined in enumerate(tp.adj):
-            for j in _bits(joined):
+        for i in _bits(piece):
+            for j in _bits(tp.adj[i] & piece):
                 self._add(2 * i + 1, 2 * j, _INF)
 
     def _add(self, x: int, y: int, cap: int) -> None:

@@ -297,17 +297,6 @@ def _cyclic_lattice(n: int) -> CyclicSubgroups:
     return CyclicSubgroups(tuple(tuple(by_order[d]) for d in orders), below)
 
 
-def _unchecked_cyclic_group(n: int) -> FiniteGroup:
-    """Z_n for any n >= 1, its lattice seeded from the divisors of n.
-
-    No MAX_ORDER check: the lattice needs no walk and has one subgroup
-    per divisor of n, so a caller that reads only the lattice (the twin
-    partition) may go past the limit.
-    """
-    return FiniteGroup(n, 0, f"Z{n}", lambda x, y: (x + y) % n,
-                       _cache={"lattice": _cyclic_lattice(n)})
-
-
 def cyclic_group(n: int) -> FiniteGroup:
     """Additive group of integers modulo n; identity 0.
 
@@ -317,7 +306,8 @@ def cyclic_group(n: int) -> FiniteGroup:
     if n < 1:
         raise ValueError(f"cyclic_group requires n >= 1, got {n}")
     _check_order("cyclic_group", n)
-    return _unchecked_cyclic_group(n)
+    return FiniteGroup(n, 0, f"Z{n}", lambda x, y: (x + y) % n,
+                       _cache={"lattice": _cyclic_lattice(n)})
 
 
 def dicyclic_group(n: int) -> FiniteGroup:

@@ -72,20 +72,18 @@ def decompose(g: FiniteGroup) -> DecompTree:
     if p is None:
         raise ValueError(f"{g.label} is not a p-group")
     members, below = g.cyclic_subgroups()
-    # the subgroups of <x> form a chain, so the largest proper one is the
-    # one holding all the others: it contains what x's does, less x's own
-    by_below = {key: a for a, key in enumerate(below)}
     children: list[list[DecompTree]] = [[] for _ in members]
     # a subgroup's index exceeds those of the subgroups it holds: from the
     # top down each node follows its children, and the root, the trivial
-    # subgroup 0, comes last; <x>'s chain of k + 1 subgroups gives o(x) = p^k
+    # subgroup 0, comes last; <x>'s chain of k + 1 subgroups gives o(x) = p^k,
+    # and its parent, the largest proper one, holds the rest: below[a][-2]
     for a in reversed(range(len(members))):
         kids = sorted(children[a], key=lambda t: (-t.upset_size, t.element))
         apex = len(members[a])
         node = DecompTree(apex, members[a][0], p ** (len(below[a]) - 1),
                           apex + sum(t.upset_size for t in kids), tuple(kids))
         if a:
-            children[by_below[below[a][:-1]]].append(node)
+            children[below[a][-2]].append(node)
     return node
 
 

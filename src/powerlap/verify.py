@@ -12,7 +12,6 @@ appear only as reported evidence.
 from __future__ import annotations
 
 import json
-import math
 import time
 from collections import Counter
 from dataclasses import asdict, astuple, dataclass, field, fields
@@ -22,12 +21,14 @@ from typing import Iterable, Optional
 from .graphs import (
     TwinPartition,
     _classes_connected,
+    _closed_keys,
+    _twin_quotient,
     twin_partition,
     vertex_connectivity,
 )
 from .groups import (
     FiniteGroup,
-    _unchecked_cyclic_group,
+    _cyclic_lattice,
     cyclic_group,
     dicyclic_group,
     direct_product,
@@ -123,12 +124,26 @@ def _report(claim_id, params, ok, witness, evidence, started) -> ClaimReport:
 
 
 # One entry each: the suites and the scan visit n in order, so every
-# claim about n finds its twin partition and spectrum in these caches.
-# Z_n's partition reads only its divisor lattice, with no walk and at most
-# one class per divisor, so the suites and the scan take n past MAX_ORDER.
+# claim about n finds its lattice, partitions and spectrum here.  Z_n's
+# partitions read only its divisor lattice, with no group built and at
+# most one class per divisor, so the suites and the scan pass MAX_ORDER.
+_cyclic_lattice = lru_cache(maxsize=1)(_cyclic_lattice)
+
+
 @lru_cache(maxsize=1)
 def _cyclic_partition(n: int) -> TwinPartition:
-    return twin_partition(_unchecked_cyclic_group(n))
+    members, below = _cyclic_lattice(n)
+    return _twin_quotient(members, _closed_keys(below))
+
+
+def _reduced_cyclic_partition(n: int) -> TwinPartition:
+    """Twin partition of Z_n's reduced graph, its power graph without the
+    identity and the generators: the lattice without its first subgroup,
+    {0}, which every subgroup holds, and its last, Z_n, which only Z_n
+    holds, so each other subgroup's containments move down one index."""
+    members, below = _cyclic_lattice(n)
+    inner = [tuple(b - 1 for b in key[1:]) for key in below[1:-1]]
+    return _twin_quotient(members[1:-1], _closed_keys(inner))
 
 
 @lru_cache(maxsize=1)
@@ -206,10 +221,8 @@ def check_cyclic_radius_mult(n: int) -> ClaimReport:
         # the spectrum is 0, n with multiplicity phi(n)+1, and the reduced
         # graph's spectrum without one 0 shifted up by phi(n)+1: the
         # certified parts agree as factored polynomials, the non-integer
-        # parts as residual polynomials.  The reduced graph drops the
-        # elements of orders 1 and n, the residues x with gcd(x, n) = n or 1
-        ends = (x for x in range(n) if math.gcd(x, n) in (1, n))
-        reduced = spectrum(_cyclic_partition(n).without(ends))
+        # parts as residual polynomials
+        reduced = spectrum(_reduced_cyclic_partition(n))
         top = FactoredCharPoly.from_counts({0: 1, n: target})
         block_ok = (
             s.exact == top * reduced.exact.remove_root(0).shifted(target)
@@ -284,7 +297,7 @@ def _involution_facts(tp: TwinPartition, n: int) -> tuple[bool, bool, bool, tupl
     sep = [i for i, c in enumerate(tp.classes) if 0 in c or n in c]
     degrees = tp.degrees()
     universal = [degrees[i] == 4 * n - 1 for i in sep]
-    separated = not _classes_connected(tp, [i for i in range(tp.size) if i not in sep])
+    separated = not _classes_connected(tp, sum(1 << i for i in range(tp.size) if i not in sep))
     others = tuple(v for i in sep for v in tp.classes[i] if v not in (0, n))
     return universal[-1], all(universal), separated, others
 

@@ -1,10 +1,9 @@
-import math
 import random
 from pathlib import Path
 
 import pytest
 
-from powerlap.graphs import Graph, TwinPartition, twin_partition
+from powerlap.graphs import Graph, TwinPartition
 from powerlap.groups import (
     cyclic_group,
     dicyclic_group,
@@ -13,7 +12,7 @@ from powerlap.groups import (
     load_table_file,
 )
 from powerlap.spectra import _leaf_spectrum
-from powerlap.verify import pgroup_catalog
+from powerlap.verify import _reduced_cyclic_partition, pgroup_catalog
 
 Q3_TABLE = Path(__file__).parent / "data" / "q3.txt"
 
@@ -90,6 +89,6 @@ def random_graph(rng: random.Random, n: int, p: float) -> Graph:
 
 
 def reduced_cyclic_partition(n: int) -> TwinPartition:
-    """Twin partition of the reduced graph of Z_n: the power graph's without
-    the elements of orders 1 and n, the residues x with gcd(x, n) = n or 1."""
-    return twin_partition(cyclic_group(n)).without(x for x in range(n) if math.gcd(x, n) in (1, n))
+    """Twin partition of the reduced graph of Z_n, the power graph's without
+    the elements of orders 1 and n, as the verify suite builds it."""
+    return _reduced_cyclic_partition(n)

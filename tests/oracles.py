@@ -239,7 +239,7 @@ def vertex_connectivity_every_class_pair(tp: TwinPartition) -> CutCertificate:
             witness = tuple(sorted(
                 v for j in range(m) if tp.adj[i] >> j & 1 for v in tp.classes[j]
             ))
-    network = _SplitNetwork(tp)
+    network = _SplitNetwork(tp, (1 << m) - 1)
     for si, src in enumerate(sorted(range(m), key=lambda i: degrees[i])):
         if best is not None and si > best:
             break

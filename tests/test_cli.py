@@ -229,7 +229,7 @@ def test_cyclic_commands_tabulate_no_group(capsys, monkeypatch):
     # Z_n (or of Q_n, for the live check) is multiplied and no graph is built
     message = "a cyclic path multiplied group elements or built a graph"
     refuse_everywhere(monkeypatch, [powerlap.graphs.power_graph], message)
-    for build in (powerlap.groups._unchecked_cyclic_group, powerlap.groups.dicyclic_group):
+    for build in (powerlap.groups.cyclic_group, powerlap.groups.dicyclic_group):
         def unmultiplied(n, _build=build):
             return dataclasses.replace(_build(n), mul=refusal(message))
 

@@ -399,24 +399,6 @@ def test_twin_partition_matches_the_row_hash(g):
 
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(small_graphs(), twin_rich_graphs()), st.data())
-def test_partition_without_vertices_matches_the_induced_subgraph(g, data):
-    gone = data.draw(st.sets(st.integers(0, g.n - 1)) if g.n else st.just(set()))
-    rest = [v for v in range(g.n) if v not in gone]
-    tp = twin_partition(g).without(gone)
-    want = twin_partition(induced_subgraph(g, rest))
-    assert sorted(v for c in tp.classes for v in c) == rest
-    s, t = spectrum(tp), spectrum(want)
-    assert (s.exact, s.residual) == (t.exact, t.residual)
-    cut = vertex_connectivity(tp)
-    assert cut.size == vertex_connectivity(want).size
-    # the witness is named in the vertex numbers of g, and separates g - gone
-    left = induced_subgraph(g, [v for v in rest if v not in cut.separating_set])
-    assert set(cut.separating_set) <= set(rest)
-    assert left.n <= 1 or len(components(left)) > 1
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.one_of(small_graphs(), twin_rich_graphs()), st.data())
 def test_classes_connected_matches_the_component_count(g, data):
     tp = twin_partition(g)
     if tp.size < 2:
@@ -428,7 +410,7 @@ def test_classes_connected_matches_the_component_count(g, data):
     quotient = nx.Graph()
     quotient.add_nodes_from(keep)
     quotient.add_edges_from((i, j) for i in keep for j in keep if i != j and counts[i][j])
-    assert _classes_connected(tp, keep) == nx.is_connected(quotient)
+    assert _classes_connected(tp, sum(1 << i for i in keep)) == nx.is_connected(quotient)
 
 
 def test_twin_partition_of_a_group_matches_its_power_graph(lattice_groups):
@@ -456,6 +438,30 @@ def test_twin_partition_of_a_group_stays_small():
             tracemalloc.stop()
         assert tp.n == 8192
         assert peak < bound_mb * 2**20, g.label
+
+
+def test_vertex_connectivity_builds_no_second_partition(monkeypatch):
+    # each graph has universal vertices and stays connected without them,
+    # so the scan runs on the piece of the other classes of the partition
+    # it was given
+    groups = [cyclic_group(12), cyclic_group(360), dicyclic_group(5)]
+    for g in groups:
+        pg = power_graph(g)
+        rest = [v for v in range(g.order) if pg.degree(v) < g.order - 1]
+        assert len(rest) < g.order and len(components(induced_subgraph(pg, rest))) == 1
+    partitions = [twin_partition(g) for g in groups]
+    expected = [vertex_connectivity_every_class_pair(tp) for tp in partitions]
+    built = 0
+    init = TwinPartition.__init__
+
+    def counted(self, *args, **kwargs):
+        nonlocal built
+        built += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(TwinPartition, "__init__", counted)
+    assert [vertex_connectivity(tp) for tp in partitions] == expected
+    assert built == 0
 
 
 def test_vertex_connectivity_matches_the_unpruned_scan_on_the_claim_suites():
