@@ -47,10 +47,11 @@ class GroupValidationError(ValueError):
 
 
 # Largest group order the constructors accept.  It bounds a walked
-# group's lattice (every group but Z_n, whose lattice comes from the
-# divisors of n): the power walk multiplies through the cyclic subgroups
+# group's lattice: the power walk multiplies through the cyclic subgroups
 # of each element not yet placed, and the lattice and the twin partition
-# built from it keep lists per element and per containment.  Larger
+# built from it keep lists per element and per containment.
+# `cyclic_group` applies the same limit to Z_n, whose lattice comes from
+# the divisors of n with no walk but still lists every element.  Larger
 # orders fail fast instead of running long.
 MAX_ORDER = 8192
 
@@ -58,7 +59,7 @@ MAX_ORDER = 8192
 def _order_error(name: str, order: str) -> ValueError:
     return ValueError(
         f"{name} would build a group of order {order}, above the limit "
-        f"MAX_ORDER = {MAX_ORDER} on a walked group's power walk"
+        f"MAX_ORDER = {MAX_ORDER}"
     )
 
 
@@ -433,12 +434,14 @@ def load_table_file(path: str | Path, label: Optional[str] = None) -> FiniteGrou
     tokens = path.read_text().split()
     if not tokens:
         raise GroupValidationError(f"{path}: empty table file")
-    n = int(tokens[0])
-    if len(tokens) != 1 + n * n:
+    try:
+        n, *entries = [int(t) for t in tokens]
+    except ValueError as exc:
+        raise GroupValidationError(f"{path}: {exc}") from None
+    if len(entries) != n * n:
         raise GroupValidationError(
-            f"{path}: expected {n * n} entries after the order line, got {len(tokens) - 1}"
+            f"{path}: expected {n * n} entries after the order line, got {len(entries)}"
         )
-    entries = [int(t) for t in tokens[1:]]
     table = [entries[i * n : (i + 1) * n] for i in range(n)]
     group = from_table(n, table, label=label or path.stem)
     if group.identity != 0:

@@ -301,50 +301,9 @@ def roots_above(coeffs: Sequence[int], k: int) -> int:
 
 
 # No caller in this package: benchmark/spans.py looks it up by name to trace it.
-def jacobi_eigenvalues(matrix: np.ndarray, off_norm_scale: float = 1e-12,
-                       max_sweeps: int = 60) -> np.ndarray:
-    """Eigenvalues of a dense symmetric matrix by cyclic Jacobi rotations.
-
-    Sweeps stop when the off-diagonal Frobenius norm drops below
-    ``off_norm_scale * n``.  Returns the eigenvalues sorted ascending.
-    """
-    a = np.array(matrix, dtype=float)
-    n = a.shape[0]
-    if a.shape != (n, n):
-        raise ValueError("matrix must be square")
-    if n < 2:
-        return np.diagonal(a).copy()
-    if not np.allclose(a, a.T, atol=1e-9 * (1.0 + np.abs(a).max())):
-        raise ValueError("matrix must be symmetric")
-    a = (a + a.T) / 2.0
-    threshold = off_norm_scale * n
-    sweeps = 0
-    while True:
-        strict = a - np.diag(np.diagonal(a))
-        off = np.sqrt(np.sum(np.square(strict)))
-        if off <= threshold:
-            break
-        sweeps += 1
-        if sweeps > max_sweeps:
-            raise RuntimeError("Jacobi iteration failed to converge")
-        tiny = off / (n * n)
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= tiny * 1e-4:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = np.sign(theta) / (abs(theta) + np.sqrt(1.0 + theta * theta))
-                if theta == 0.0:
-                    t = 1.0
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p - s * row_q
-                a[q, :] = s * row_p + c * row_q
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-    return np.sort(np.diagonal(a))
+def jacobi_eigenvalues(matrix: np.ndarray) -> np.ndarray:
+    """Eigenvalues, ascending, of an exactly symmetric matrix (LAPACK ``eigvalsh``)."""
+    a = np.asarray(matrix, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or not np.array_equal(a, a.T):
+        raise ValueError("matrix must be square and exactly symmetric")
+    return np.linalg.eigvalsh(a)

@@ -1,19 +1,22 @@
 import dataclasses
 import json
+import runpy
 import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import powerlap.graphs
 import powerlap.groups
 import powerlap.verify
-from oracles import is_complete
+from oracles import dense_numeric_eigenvalues, is_complete
 from powerlap.cli import _build_parser, main
 from powerlap.graphs import components, power_graph, vertex_connectivity
 from powerlap.groups import parse_group_spec
+from powerlap.spectra import FactoredCharPoly
 
 Q3_TABLE = Path(__file__).parent / "data" / "q3.txt"
 
@@ -45,6 +48,22 @@ def test_spectrum_tsv(capsys):
     lines = out.splitlines()
     assert lines[0] == "eigenvalue\tmultiplicity"
     assert "0\t1" in lines and "4\t3" in lines
+
+
+def test_spectrum_tsv_lists_the_non_integer_eigenvalues(capsys):
+    # Z_12's spectrum is mixed: its integer rows come first, then one row
+    # of multiplicity 1 per non-integer eigenvalue, ascending
+    code, out, _ = run(capsys, "spectrum", "zn:12", "--format", "tsv")
+    assert code == 0
+    rows = [line.split("\t") for line in out.splitlines()[1:]]
+    integers = [(int(v), int(m)) for v, m in rows if "." not in v]
+    floats = [float(v) for v, m in rows if "." in v and m == "1"]
+    assert len(integers) + len(floats) == len(rows)
+    assert floats and floats == sorted(floats)
+    assert sum(m for _, m in integers) + len(floats) == 12
+    dense = dense_numeric_eigenvalues(power_graph(parse_group_spec("zn:12")))
+    listed = sorted([float(v) for v, m in integers for _ in range(m)] + floats)
+    assert np.allclose(listed, dense, rtol=0, atol=1e-9)
 
 
 def test_decompose(capsys):
@@ -173,7 +192,7 @@ def test_verify_single_cyclic_claim_runs_only_that_claim(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "spec", ["zn:100000", "qn:100000", "prod:zn:1000xzn:1000", "gq:100000000"]
+    "spec", ["zn:100000", "qn:100000", "prod:zn:1000xzn:1000", "gq:100000000", "zn:8193"]
 )
 def test_groups_too_large_to_tabulate_fail_fast(capsys, spec):
     tracemalloc.start()
@@ -184,6 +203,8 @@ def test_groups_too_large_to_tabulate_fail_fast(capsys, spec):
         tracemalloc.stop()
     assert code == 1 and out == ""
     assert "MAX_ORDER = 8192" in err
+    # the message names the limit only: Z_n's lattice needs no power walk
+    assert "walk" not in err
     # the two Z_1000 factors are built; the million-element product is not
     assert peak < 64 * 2**20
 
@@ -287,6 +308,33 @@ def test_verify_ranges_above_max_order_fail_before_any_claim(capsys, monkeypatch
     assert reason in err and "Traceback" not in err
 
 
+def test_verify_text_reports_inapplicable_and_failing_claims(capsys, monkeypatch):
+    # Z6 is not a p-group, and a wrong recursive charpoly fails Z4's bundle
+    monkeypatch.setattr(powerlap.verify, "pgroup_catalog",
+                        lambda max_order: [powerlap.groups.cyclic_group(n) for n in (6, 4)])
+    monkeypatch.setattr(powerlap.verify, "tree_charpoly",
+                        lambda tree: FactoredCharPoly.from_counts({0: 4}))
+    code, out, err = run(capsys, "verify", "--theorem", "pgroup-bundle")
+    assert code == 2
+    assert out == "pgroup-bundle: 0/2 pass (1 inapplicable)\n"
+    assert err == ("FAIL pgroup-bundle {'group': 'Z4', 'order': 4, 'prime': 2}: "
+                   "Z4: recursion gives x^4, direct gives x^1 (x-4)^3\n")
+
+
+def test_scan_reports_an_equivalence_failure(capsys, monkeypatch):
+    # Z_6 given Z_12's mixed spectrum: 6 = 2 * 3 meets the predicate, yet
+    # neither its connectivity nor its spectrum is integral
+    cyclic_spectrum = powerlap.verify._cyclic_spectrum
+    monkeypatch.setattr(powerlap.verify, "_cyclic_spectrum",
+                        lambda n: cyclic_spectrum(12 if n == 6 else n))
+    code, out, err = run(capsys, "scan", "--max", "7")
+    assert code == 2
+    assert out.splitlines()[5] == "6\tfalse\tfalse\ttrue\ttrue"
+    assert err == ("EQUIVALENCE FAILURE at n=6: {'n': 6, 'algcon_integer': False, "
+                   "'laplacian_integral': False, 'predicate_strict': True, "
+                   "'predicate_loose': True}\n")
+
+
 def test_verify_json_stable(capsys):
     args = ("verify", "--theorem", "dicyclic-bundle", "--dicyclic-max", "3", "--format", "json")
     code1, out1, _ = run(capsys, *args)
@@ -321,6 +369,18 @@ def test_table_input(capsys, tmp_path):
     assert out.splitlines()[0] == "x^1 (x-3)^2"
 
 
+@pytest.mark.parametrize("text", ["3\n0 1 2\n1 2 0\n2 0 x\n", "", "0\n"],
+                         ids=["non-integer", "empty", "order-0"])
+def test_table_defects_are_usage_errors(capsys, tmp_path, text):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    code, out, err = run(capsys, "spectrum", "--table", str(path))
+    assert code == 1 and out == ""
+    assert "error:" in err and "Traceback" not in err
+    if "x" in text:
+        assert f"error: {path}: " in err and "'x'" in err
+
+
 def test_usage_errors(capsys):
     code, _, err = run(capsys, "spectrum", "zn:zzz")
     assert code == 1 and "error" in err
@@ -341,12 +401,22 @@ def test_parser_is_built_once_and_reused(capsys):
     assert (args.cyclic_max, args.all, args.theorem) == (300, False, None)
 
 
-def test_python_dash_m_runs_the_cli():
+def test_python_dash_m_runs_the_cli(capsys):
+    argv = ["verify", "--theorem", "cyclic-algcon", "--cyclic-max", "30"]
     src = Path(__file__).resolve().parent.parent / "src"
     proc = subprocess.run(
-        [sys.executable, "-m", "powerlap", "verify", "--theorem", "cyclic-algcon",
-         "--cyclic-max", "30"],
+        [sys.executable, "-m", "powerlap", *argv],
         cwd=src, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip().splitlines()[-1] == "cyclic-algcon: 29/29 pass"
+    assert run(capsys, *argv)[:2] == (proc.returncode, proc.stdout)
+
+
+def test_python_dash_m_exits_with_mains_code(capsys, monkeypatch):
+    # the module run in this process: `sys.exit` carries main's exit code
+    monkeypatch.setattr(sys, "argv", ["powerlap", "spectrum", "qn:3", "--format", "json"])
+    with pytest.raises(SystemExit) as exit_info:
+        runpy.run_module("powerlap", run_name="__main__")
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out == run(capsys, *sys.argv[1:])[1]

@@ -1,5 +1,6 @@
 import functools
 import math
+import re
 import tracemalloc
 
 import pytest
@@ -419,6 +420,29 @@ def test_table_file_roundtrip(tmp_path):
     shifted.write_text("2\n1 0\n0 1\n")
     with pytest.raises(GroupValidationError):
         load_table_file(shifted)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("2\n0 1\n1 x\n", "'x'"),
+    ("two\n0 1\n1 0\n", "'two'"),
+    ("", "empty table file"),
+    ("0\n", "order must be positive, got 0"),
+    ("2\n0 1\n1 2\n", "table entries must be indices in 0..order-1"),
+], ids=["non-integer-entry", "non-integer-order", "empty", "order-0", "entry-out-of-range"])
+def test_table_file_defects_raise_validation_errors(tmp_path, text, message):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    with pytest.raises(GroupValidationError, match=re.escape(message)) as info:
+        load_table_file(path)
+    if "'" in message:
+        # a token that is not an integer is reported with the file it is in
+        assert str(info.value).startswith(f"{path}: ")
+
+
+def test_from_table_rejects_a_table_of_the_wrong_shape():
+    for table in ([[0, 1]], [[0, 1], [1]], [[0, 1, 0], [1, 0, 1]]):
+        with pytest.raises(GroupValidationError, match="table must be 2x2"):
+            from_table(2, table)
 
 
 def test_parse_group_spec(tmp_path):

@@ -224,6 +224,30 @@ def test_multiple_property_reports_a_doctored_eigenvalue():
     assert report.violations == ("eigenvalue 5 is neither 1 nor a multiple of 2",)
 
 
+def test_classify_eigenvalues_rejects_an_eigenvalue_of_no_form():
+    # Z3xZ3's forms give 0, 1, 3 and 9 only: 1 and 3 are element orders,
+    # 9 = |U-hat(e)| + o(e) and 3 = |U-hat(x)| + o(x) for o(x) = 3
+    g = direct_product(cyclic_group(3), cyclic_group(3))
+    doctored = Spectrum(n=9, exact=poly({0: 1, 1: 3, 3: 3, 5: 1, 9: 1}))
+    with pytest.raises(AssertionError, match=f"eigenvalue 5 of {g.label} fits no structural form"):
+        classify_eigenvalues(g, doctored, decompose(g))
+
+
+def test_multiple_property_reports_a_doctored_tree():
+    # a class of order 3 with two primitive classes above it, each of
+    # order 9: |U-hat| + o = 4 + 3 = 7, a prime not divisible by 3, and
+    # 2 primitive classes, not 1 mod 3; the leaves give 0 + 9 = 9
+    g = direct_product(cyclic_group(3), cyclic_group(3))
+    leaves = (DecompTree(2, 3, 9, 2), DecompTree(2, 5, 9, 2))
+    doctored = DecompTree(2, 1, 3, 6, leaves)
+    report = check_multiple_property(g, spectrum(power_graph(g)), doctored)
+    assert not report.ok and report.prime == 3
+    assert report.violations == (
+        "element 1: |U-hat|+order = 7 not a multiple of 3",
+        "element 1: prime-power value 7 but 2 primitive classes",
+    )
+
+
 def test_pgroup_bundle_on_a_large_prime_order():
     report = check_pgroup_bundle(cyclic_group(509))
     assert report.verdict == "pass", report.witness

@@ -32,7 +32,6 @@ from powerlap.linalg import (
     charpoly_exact,
     eval_poly_at_int,
     integer_root_multiplicities,
-    jacobi_eigenvalues,
 )
 from powerlap.pgroup import decompose
 from powerlap.spectra import (
@@ -101,16 +100,6 @@ def test_charpoly_exact_matches_determinant_oracle():
                 for i in range(n)
             ]
             assert eval_poly_at_int(coeffs, x) == exact_det(shifted)
-
-
-def test_jacobi_matches_numpy():
-    rng = np.random.default_rng(5)
-    for n in (1, 2, 3, 8, 20):
-        a = rng.integers(-5, 6, size=(n, n)).astype(float)
-        a = (a + a.T) / 2
-        ours = jacobi_eigenvalues(a)
-        ref = np.linalg.eigvalsh(a)
-        assert np.allclose(ours, ref, atol=1e-9)
 
 
 # ---------------------------------------------------------------------------

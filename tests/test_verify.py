@@ -16,7 +16,7 @@ from powerlap.groups import (
     direct_product,
     generalized_quaternion,
 )
-from powerlap.spectra import FactoredCharPoly
+from powerlap.spectra import FactoredCharPoly, Spectrum
 from powerlap.verify import (
     _involution_facts,
     check_cyclic_algcon,
@@ -188,6 +188,90 @@ def test_dicyclic_bundle_names_a_failed_separation_once(monkeypatch):
     assert r.verdict == "fail"
     assert r.evidence["statements"]["kappa_eq_algcon"]
     assert r.witness == "n=4: {e, a^n} does not separate the graph"
+
+
+def test_dicyclic_bundle_reports_a_wrong_radius(monkeypatch):
+    import powerlap.verify
+
+    monkeypatch.setattr(powerlap.verify, "spectral_radius", lambda s: 0)
+    r = check_dicyclic_bundle(3)
+    assert r.verdict == "fail"
+    assert r.witness == "n=3: radius 0 != 12"
+
+
+@pytest.mark.parametrize("n, facts, witness", [
+    # (d): a^n universal although n = 3 is not a power of two
+    (3, (True, False, True, ()), "n=3: a^n universal=True, power-of-two=False"),
+    # (f): kappa equals algcon for n = 4, yet some vertex misses {e, a^n}
+    (4, (True, False, True, ()), "n=4: some vertex misses the {e, a^n} join"),
+], ids=["d-universal", "f-join"])
+def test_dicyclic_bundle_reports_doctored_involution_facts(monkeypatch, n, facts, witness):
+    import powerlap.verify
+
+    monkeypatch.setattr(powerlap.verify, "_involution_facts", lambda tp, n: facts)
+    r = check_dicyclic_bundle(n)
+    assert r.verdict == "fail"
+    assert r.witness == witness
+
+
+def z3z3():
+    return direct_product(cyclic_group(3), cyclic_group(3))
+
+
+def test_pgroup_bundle_reports_a_broken_three_way_equivalence(monkeypatch):
+    # (a): Z3xZ3 has algcon 1 and is neither cyclic nor generalized
+    # quaternion, so a radius multiplicity of 2 breaks the equivalence
+    import powerlap.verify
+
+    monkeypatch.setattr(powerlap.verify, "spectral_radius_multiplicity", lambda s: 2)
+    r = check_pgroup_bundle(z3z3())
+    assert r.verdict == "fail"
+    assert r.witness == ("Z3xZ3: algcon-1=True, radius-mult-1=False, "
+                         "neither-cyclic-nor-gq=True")
+
+
+def test_pgroup_bundle_reports_kappa_unequal_to_algcon(monkeypatch):
+    # (b): kappa must equal algcon for a non-cyclic p-group
+    import powerlap.verify
+    from powerlap.graphs import CutCertificate
+
+    monkeypatch.setattr(powerlap.verify, "vertex_connectivity",
+                        lambda tp: CutCertificate(5, ()))
+    r = check_pgroup_bundle(z3z3())
+    assert r.verdict == "fail"
+    assert r.witness == "Z3xZ3: kappa=5, algcon=1, cyclic=False"
+
+
+def test_pgroup_bundle_reports_a_mixed_spectrum(monkeypatch):
+    # (c): two copies of 3 replaced by the roots 3 +- sqrt(2) of x^2 - 6x + 7
+    import powerlap.verify
+
+    mixed = Spectrum(n=9, exact=FactoredCharPoly.from_counts({0: 1, 1: 3, 3: 2, 9: 1}),
+                     numeric=(3 + 2 ** 0.5, 3 - 2 ** 0.5), residual=(7, -6, 1))
+    monkeypatch.setattr(powerlap.verify, "spectrum", lambda tp: mixed)
+    r = check_pgroup_bundle(z3z3())
+    assert r.verdict == "fail"
+    assert r.witness.startswith("Z3xZ3: spectrum is not certified integral; ")
+
+
+def test_pgroup_bundle_reports_a_doctored_exact_spectrum(monkeypatch):
+    # one eigenvalue 3 of Z3xZ3 moved to 5: (c) classifies it and checks
+    # its divisibility, (d) compares the order-p^2 closed form and (e) the
+    # recursive charpoly
+    import powerlap.verify
+
+    doctored = Spectrum(n=9, exact=FactoredCharPoly.from_counts({0: 1, 1: 3, 3: 3, 5: 1, 9: 1}))
+    monkeypatch.setattr(powerlap.verify, "spectrum", lambda tp: doctored)
+    r = check_pgroup_bundle(z3z3())
+    wrong = "x^1 (x-9)^1 (x-5)^1 (x-3)^3 (x-1)^3"
+    right = "x^1 (x-9)^1 (x-3)^4 (x-1)^3"
+    assert r.verdict == "fail"
+    assert r.witness.split("; ") == [
+        "Z3xZ3: eigenvalue 5 of Z3xZ3 fits no structural form",
+        "eigenvalue 5 is neither 1 nor a multiple of 3",
+        f"order p^2 spectrum {wrong} != {right}",
+        f"recursion gives {right}, direct gives {wrong}",
+    ]
 
 
 def test_quaternion_closed_form_merges_alpha_two():
