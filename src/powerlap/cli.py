@@ -1,7 +1,8 @@
 """Command-line interface: spectra, decompositions, claim suites, the scanner.
 
-Exit codes: 0 on success (all claims pass), 1 on usage errors, 2 when any
-claim check fails, so the suites can gate CI directly.
+Exit codes: 0 on success (all claims pass), 1 on usage errors and on inputs
+that cannot be read or computed, 2 when any claim check fails, so the suites
+can gate CI directly.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ import argparse
 import functools
 import json
 import sys
+from collections import Counter
 from typing import Optional, Sequence
 
 from .graphs import twin_partition, vertex_connectivity
@@ -37,9 +39,13 @@ class _Parser(argparse.ArgumentParser):
     """argparse with usage errors mapped to exit code 1."""
 
     def error(self, message):
+        raise SystemExit(self.fail(message))
+
+    def fail(self, message) -> int:
+        """Print the usage and one error line; return the exit code 1."""
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(1)
+        return 1
 
 
 # Built once per process: parse_args leaves the parser unchanged, and
@@ -94,13 +100,9 @@ def _group_source(args, parser: _Parser) -> str:
 
 def _resolve_group(args, parser: _Parser) -> FiniteGroup:
     source = _group_source(args, parser)
-    try:
-        if args.table_opt:
-            return load_table_file(source)
-        return parse_group_spec(source)
-    except (ValueError, OSError) as exc:
-        parser.error(str(exc))
-    raise AssertionError("unreachable")
+    if args.table_opt:
+        return load_table_file(source)
+    return parse_group_spec(source)
 
 
 def _cmd_spectrum(args, parser) -> int:
@@ -146,10 +148,7 @@ def _cmd_info(args, parser) -> int:
     tp = twin_partition(g)
     n = tp.n
     degrees = tp.degrees()
-    orders = g.orders()
-    histogram: dict[int, int] = {}
-    for o in orders:
-        histogram[o] = histogram.get(o, 0) + 1
+    histogram = Counter(g.orders())
     doc = {
         "group": g.label,
         "order": g.order,
@@ -158,7 +157,7 @@ def _cmd_info(args, parser) -> int:
         "element_order_histogram": {str(k): v for k, v in sorted(histogram.items())},
         "power_graph": {
             "vertices": n,
-            "edges": sum(tp.class_size(i) * d for i, d in enumerate(degrees)) // 2,
+            "edges": sum(len(c) * d for c, d in zip(tp.classes, degrees)) // 2,
             "complete": all(d == n - 1 for d in degrees),
             # the identity is a power of every element, so it is joined
             # to every other vertex and the graph has one component
@@ -243,10 +242,6 @@ def _cmd_scan(args, parser) -> int:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
     handlers = {
         "spectrum": _cmd_spectrum,
         "decompose": _cmd_decompose,
@@ -255,9 +250,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "scan": _cmd_scan,
     }
     try:
+        args = parser.parse_args(argv)
         return handlers[args.command](args, parser)
     except SystemExit as exc:
         return int(exc.code or 0)
+    except (ValueError, OSError) as exc:
+        # bad specs, unreadable or invalid tables, inputs too large to compute
+        return parser.fail(str(exc))
 
 
 if __name__ == "__main__":

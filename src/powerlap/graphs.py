@@ -180,12 +180,17 @@ def reduced_cyclic_graph(n: int) -> Graph:
 
 def components(g: Graph) -> list[list[int]]:
     """Connected components as sorted vertex lists, ordered by smallest vertex."""
-    rest = (1 << g.n) - 1
+    return [_bits(comp) for comp in _components(g.rows, (1 << g.n) - 1)]
+
+
+def _components(rows: Sequence[int], piece: int) -> list[int]:
+    """Bitmasks of the components of the subgraph that the bitmask
+    ``piece`` induces through ``rows``, ordered by lowest member."""
     out = []
-    while rest:
-        comp = _reach(g.rows, (rest & -rest).bit_length() - 1, rest)
-        rest ^= comp
-        out.append(_bits(comp))
+    while piece:
+        comp = _reach(rows, (piece & -piece).bit_length() - 1, piece)
+        piece ^= comp
+        out.append(comp)
     return out
 
 
@@ -234,7 +239,7 @@ class TwinPartition:
     has inside its own class (its size less one for a clique of two or
     more, else 0), and ``adj[i]`` has bit j set exactly when class j != i
     is joined to class i.  A vertex of class i thus has
-    ``class_size(j)`` neighbors in each such class j and none in any
+    ``len(classes[j])`` neighbors in each such class j and none in any
     other, and a class of two or more vertices is a clique iff its
     within count is nonzero.  Every partition the package returns comes
     from `_twin_quotient` and is the coarsest partition of its graph; a
@@ -254,9 +259,6 @@ class TwinPartition:
     def n(self) -> int:
         """Vertex count of the partitioned graph."""
         return sum(len(c) for c in self.classes)
-
-    def class_size(self, i: int) -> int:
-        return len(self.classes[i])
 
     def degrees(self) -> list[int]:
         """The degree of a vertex of each class: its within count plus the
@@ -372,7 +374,7 @@ def _classes_connected(tp: TwinPartition, piece: int) -> bool:
     quotient is."""
     first = (piece & -piece).bit_length() - 1
     if piece == 1 << first:
-        return tp.class_size(first) == 1 or tp.within[first] > 0
+        return len(tp.classes[first]) == 1 or tp.within[first] > 0
     return _reach(tp.adj, first, piece) == piece
 
 
@@ -403,7 +405,7 @@ def _separate(tp: TwinPartition, piece: int, degrees: Sequence[int]) -> CutCerti
     # non-adjacent pair inside one independent-set class: the shared
     # open neighborhood is the unique minimum cut for that pair
     for i in inside:
-        if tp.class_size(i) >= 2 and not tp.within[i]:
+        if len(tp.classes[i]) >= 2 and not tp.within[i]:
             if best is None or degrees[i] < best:
                 best = degrees[i]
                 best_witness = tuple(sorted(v for j in _bits(tp.adj[i] & piece) for v in tp.classes[j]))
@@ -427,7 +429,7 @@ def _separate(tp: TwinPartition, piece: int, degrees: Sequence[int]) -> CutCerti
                     witness.extend(tp.classes[c])
                 best_witness = tuple(sorted(witness))
         done[src] = True
-        scanned += tp.class_size(src)
+        scanned += len(tp.classes[src])
     assert best is not None  # non-complete connected graph has a cut
     return CutCertificate(best, best_witness)
 
@@ -453,7 +455,7 @@ class _SplitNetwork:
         self.cap: list[int] = []
         self.arcs: list[list[int]] = [[] for _ in range(2 * m)]
         for i in range(m):
-            self._add(2 * i, 2 * i + 1, tp.class_size(i))
+            self._add(2 * i, 2 * i + 1, len(tp.classes[i]))
         for i in _bits(piece):
             for j in _bits(tp.adj[i] & piece):
                 self._add(2 * i + 1, 2 * j, _INF)

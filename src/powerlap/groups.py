@@ -223,9 +223,6 @@ class FiniteGroup:
             self._cache["orders"] = orders
         return orders
 
-    def order_of(self, g: int) -> int:
-        return self.orders()[g]
-
     def __repr__(self) -> str:
         return f"FiniteGroup({self.label!r}, order={self.order})"
 
@@ -443,7 +440,10 @@ def load_table_file(path: str | Path, label: Optional[str] = None) -> FiniteGrou
             f"{path}: expected {n * n} entries after the order line, got {len(entries)}"
         )
     table = [entries[i * n : (i + 1) * n] for i in range(n)]
-    group = from_table(n, table, label=label or path.stem)
+    try:
+        group = from_table(n, table, label=label or path.stem)
+    except GroupValidationError as exc:
+        raise GroupValidationError(f"{path}: {exc}") from None
     if group.identity != 0:
         raise GroupValidationError(f"{path}: identity must be index 0, found {group.identity}")
     return group

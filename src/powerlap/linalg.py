@@ -36,6 +36,9 @@ __all__ = [
 # of 8192 products below 2**63.  Every sum the charpoly forms has at most
 # one term per row, so this bounds the rows.
 _MAX_ROWS = 8192
+# Bytes one charpoly's (primes, m, m) int64 residue stack may take: Z_720720's
+# leaf needs 77 MB; Z2^8 x Z15's, 1022 rows on 186 primes, 1.45 GiB, refused.
+_MAX_STACK_BYTES = 2**30
 # The descending primes below 2**25, extended on demand by `_prime`.
 # Every modular charpoly walks a prefix of the same sequence, so each
 # window is sieved once per process.
@@ -79,8 +82,9 @@ def charpoly_exact(matrix: Sequence[Sequence[int]], *,
     eigenvalues are all real and nonnegative, such as one similar to a
     positive semidefinite matrix: it selects the tighter bound.
 
-    A matrix of more than `_MAX_ROWS` rows raises ValueError before any
-    array is built.
+    A matrix of more than `_MAX_ROWS` rows, or one whose residue stack
+    would exceed `_MAX_STACK_BYTES`, raises ValueError before any array
+    is built.
     """
     m = len(matrix)
     if m > _MAX_ROWS:
@@ -96,6 +100,10 @@ def charpoly_exact(matrix: Sequence[Sequence[int]], *,
     while modulus <= bound:
         primes.append(_prime(len(primes)))
         modulus *= primes[-1]
+    stack = 8 * len(primes) * m * m
+    if stack > _MAX_STACK_BYTES:
+        raise ValueError(f"{m} rows on {len(primes)} primes: the int64 residue stack needs "
+                         f"{stack} bytes, over the {_MAX_STACK_BYTES}-byte budget")
     try:
         entries = np.array(matrix, dtype=np.int64)
     except OverflowError:

@@ -37,7 +37,6 @@ each leaf serve only for display.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -45,7 +44,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .graphs import Graph, TwinPartition, _bits, _reach, twin_partition
+from .graphs import Graph, TwinPartition, _bits, _components, twin_partition
 from .linalg import (
     charpoly_exact,
     eval_poly_at_int,
@@ -114,14 +113,8 @@ class FactoredCharPoly:
     def as_counter(self) -> Counter:
         return Counter({r: m for r, m in self.factors})
 
-    def roots_descending(self) -> list[tuple[int, int]]:
-        return sorted(self.factors, reverse=True)
-
     def shifted(self, delta: int) -> "FactoredCharPoly":
         return FactoredCharPoly(tuple((r + delta, m) for r, m in self.factors))
-
-    def __mul__(self, other: "FactoredCharPoly") -> "FactoredCharPoly":
-        return FactoredCharPoly.from_counts(self.as_counter() + other.as_counter())
 
     def remove_root(self, root: int) -> "FactoredCharPoly":
         counts = self.as_counter()
@@ -140,13 +133,13 @@ class FactoredCharPoly:
         zero = self.multiplicity(0)
         if zero:
             parts.append(f"x^{zero}")
-        for r, m in self.roots_descending():
+        for r, m in reversed(self.factors):
             if r != 0:
                 parts.append(f"(x-{r})^{m}")
         return " ".join(parts)
 
     def to_json_list(self) -> list[list[int]]:
-        return [[r, m] for r, m in self.roots_descending()]
+        return [[r, m] for r, m in reversed(self.factors)]
 
 
 def clique_charpoly(k: int) -> FactoredCharPoly:
@@ -155,9 +148,7 @@ def clique_charpoly(k: int) -> FactoredCharPoly:
         raise ValueError("clique size must be non-negative")
     if k == 0:
         return FactoredCharPoly(())
-    if k == 1:
-        return FactoredCharPoly(((0, 1),))
-    return FactoredCharPoly(((0, 1), (k, k - 1)))
+    return FactoredCharPoly.from_counts({0: 1, k: k - 1})
 
 
 def union_charpoly(parts: Iterable[FactoredCharPoly]) -> FactoredCharPoly:
@@ -235,10 +226,6 @@ class Spectrum:
     def is_exact(self) -> bool:
         return not self.numeric
 
-    @property
-    def kind(self) -> str:
-        return "exact" if self.is_exact else "mixed"
-
     def count_at_most(self, k: int) -> int:
         """Number of eigenvalues <= the integer k, with multiplicity, exactly."""
         certified = sum(m for r, m in self.exact.factors if r <= k)
@@ -271,9 +258,6 @@ class Spectrum:
         """
         return list(self._ascending)
 
-    def eigenvalues_descending(self) -> list[int | float]:
-        return list(reversed(self._ascending))
-
     def to_json_dict(self) -> dict:
         return {
             "n": self.n,
@@ -281,9 +265,6 @@ class Spectrum:
             "numeric": [round(v, 10) for v in self.numeric],
             "is_laplacian_integral": self.is_exact,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
 
     def table_text(self) -> str:
         """Value/multiplicity rows: certified integers ascending, then non-integers ascending."""
@@ -335,7 +316,7 @@ def _quotient_spectrum(sizes: Sequence[int], within: Sequence[int], adj: Sequenc
       These |S| independent eigenvectors give all of chi_S, and each
       degree in R drops by n_U.
     - Union.  A disconnected S gives a block-diagonal Q_S: chi_S is the
-      product over its components, found by a bitmask search.
+      product over its components (`_components`).
     - Merge.  Weighted twins in Q_S (`_weighted_twins`) carry integer
       eigenvalues of difference vectors, which are split off.  The
       lowest class of each bucket takes the merged size and within
@@ -378,12 +359,7 @@ def _quotient_spectrum(sizes: Sequence[int], within: Sequence[int], adj: Sequenc
                 degrees[i] -= joined
             work.append((rest, shift + joined))
             continue
-        pieces = []
-        rest = piece
-        while rest:
-            component = _reach(adj, (rest & -rest).bit_length() - 1, rest)
-            pieces.append(component)
-            rest ^= component
+        pieces = _components(adj, piece)
         if len(pieces) > 1:
             work.extend((component, shift) for component in pieces)
             continue

@@ -11,7 +11,6 @@ appear only as reported evidence.
 
 from __future__ import annotations
 
-import json
 import time
 from collections import Counter
 from dataclasses import asdict, astuple, dataclass, field, fields
@@ -51,6 +50,7 @@ from .spectra import (
     spectral_radius,
     spectral_radius_multiplicity,
     spectrum,
+    union_charpoly,
 )
 
 __all__ = [
@@ -91,10 +91,6 @@ class ClaimReport:
     evidence: dict = field(default_factory=dict)
     elapsed: float = 0.0
 
-    @property
-    def passed(self) -> bool:
-        return self.verdict == "pass"
-
     def to_json_dict(self) -> dict:
         return {
             "claim": self.claim_id,
@@ -103,9 +99,6 @@ class ClaimReport:
             "witness": self.witness,
             "evidence": self.evidence,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
 
 
 def _report(claim_id, params, ok, witness, evidence, started) -> ClaimReport:
@@ -225,7 +218,7 @@ def check_cyclic_radius_mult(n: int) -> ClaimReport:
         reduced = spectrum(_reduced_cyclic_partition(n))
         top = FactoredCharPoly.from_counts({0: 1, n: target})
         block_ok = (
-            s.exact == top * reduced.exact.remove_root(0).shifted(target)
+            s.exact == union_charpoly([top, reduced.exact.remove_root(0).shifted(target)])
             and s.residual == tuple(taylor_shift(reduced.residual, -target))
         )
         evidence["block_structure"] = block_ok

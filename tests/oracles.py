@@ -234,7 +234,7 @@ def vertex_connectivity_every_class_pair(tp: TwinPartition) -> CutCertificate:
     witness: tuple[int, ...] = ()
     degrees = [sum(row) for row in counts_of(tp)]
     for i in range(m):
-        if tp.class_size(i) >= 2 and not tp.within[i] and (best is None or degrees[i] < best):
+        if len(tp.classes[i]) >= 2 and not tp.within[i] and (best is None or degrees[i] < best):
             best = degrees[i]
             witness = tuple(sorted(
                 v for j in range(m) if tp.adj[i] >> j & 1 for v in tp.classes[j]
@@ -262,7 +262,7 @@ def is_p_group_by_elements(g: FiniteGroup) -> Optional[int]:
     for x in range(g.order):
         if x == g.identity:
             continue
-        f = factorize(g.order_of(x))
+        f = factorize(g.orders()[x])
         if not f.is_prime_power:
             return None
         q = f.prime_powers[0][0]
@@ -758,7 +758,7 @@ def complement_spectrum(s: Spectrum) -> Spectrum:
 def decompose_by_recursion(g: FiniteGroup) -> DecompTree:
     """`decompose` top-down: each class's children are found first, then
     each node is built by recursion from the root, its order read from
-    `order_of`."""
+    `orders`."""
     members, below = g.cyclic_subgroups()
     by_below = {key: a for a, key in enumerate(below)}
     children: list[list[int]] = [[] for _ in members]
@@ -775,7 +775,7 @@ def decompose_by_recursion(g: FiniteGroup) -> DecompTree:
         subtrees = sorted((build(b) for b in children[a]),
                           key=lambda t: (-t.upset_size, t.element))
         upset = apex + sum(t.upset_size for t in subtrees)
-        return DecompTree(apex, x, g.order_of(x), upset, tuple(subtrees))
+        return DecompTree(apex, x, g.orders()[x], upset, tuple(subtrees))
 
     return build(root)
 

@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import os
+import resource
 import runpy
 import subprocess
 import sys
@@ -16,6 +18,7 @@ from oracles import dense_numeric_eigenvalues, is_complete
 from powerlap.cli import _build_parser, main
 from powerlap.graphs import components, power_graph, vertex_connectivity
 from powerlap.groups import parse_group_spec
+from powerlap.linalg import _MAX_STACK_BYTES
 from powerlap.spectra import FactoredCharPoly
 
 Q3_TABLE = Path(__file__).parent / "data" / "q3.txt"
@@ -369,16 +372,41 @@ def test_table_input(capsys, tmp_path):
     assert out.splitlines()[0] == "x^1 (x-3)^2"
 
 
-@pytest.mark.parametrize("text", ["3\n0 1 2\n1 2 0\n2 0 x\n", "", "0\n"],
-                         ids=["non-integer", "empty", "order-0"])
-def test_table_defects_are_usage_errors(capsys, tmp_path, text):
+@pytest.mark.parametrize("text, message", [
+    ("3\n0 1 2\n1 2 0\n2 0 x\n", "'x'"),
+    ("", "empty table file"),
+    ("0\n", "order must be positive, got 0"),
+    ("2\n0 1\n1 2\n", "table entries must be indices in 0..order-1"),
+    ("2\n0 1\n1 1\n", "element 1 has no inverse"),
+], ids=["non-integer", "empty", "order-0", "entry-out-of-range", "no-inverse"])
+def test_table_defects_are_usage_errors(capsys, tmp_path, text, message):
     path = tmp_path / "bad.txt"
     path.write_text(text)
     code, out, err = run(capsys, "spectrum", "--table", str(path))
     assert code == 1 and out == ""
-    assert "error:" in err and "Traceback" not in err
-    if "x" in text:
-        assert f"error: {path}: " in err and "'x'" in err
+    assert "Traceback" not in err
+    # every defect, in the tokens or in the table they spell, names the file
+    line = err.splitlines()[-1]
+    assert line.startswith(f"powerlap: error: {path}: ") and line.endswith(message)
+
+
+def test_a_leaf_over_the_stack_budget_is_one_error_line():
+    # Z2^9 x Z15 (order 7680) reaches a 2046-row leaf on 372 primes, an
+    # 11.6 GiB residue stack; the child is capped at 2 GiB of address space,
+    # with one BLAS thread so that its buffers stay within the cap too
+    spec = "prod:" + "x".join(["zn:2"] * 9 + ["zn:15"])
+    cap = 2 * 2**30
+    proc = subprocess.run(
+        [sys.executable, "-m", "powerlap", "spectrum", spec],
+        cwd=Path(__file__).resolve().parent.parent / "src", capture_output=True, text=True,
+        env=dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1"), timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+    )
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    errors = [line for line in proc.stderr.splitlines() if line.startswith("powerlap: error:")]
+    assert errors == [f"powerlap: error: 2046 rows on 372 primes: the int64 residue stack needs "
+                      f"{8 * 372 * 2046**2} bytes, over the {_MAX_STACK_BYTES}-byte budget"]
 
 
 def test_usage_errors(capsys):

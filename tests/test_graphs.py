@@ -62,6 +62,16 @@ def test_graph_validation():
     assert g.degree(2) == 0
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: Graph(2, (0,)), "row count must equal vertex count"),
+    (lambda: Graph(-1, ()), "row count must equal vertex count"),
+    (lambda: Graph.from_edges(3, [(0, 1), (2, 2)]), "self-loop at vertex 2"),
+], ids=["rows-short", "negative-n", "edge-loop"])
+def test_graph_guards(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 def test_power_graph_examples():
     assert is_complete(power_graph(cyclic_group(4)))
     z6 = power_graph(cyclic_group(6))

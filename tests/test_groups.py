@@ -81,9 +81,9 @@ def test_cyclic_group():
     g1 = cyclic_group(1)
     assert g1.order == 1 and g1.identity == 0
     z4 = cyclic_group(4)
-    assert z4.order_of(2) == 2
+    assert z4.orders()[2] == 2
     z6 = cyclic_group(6)
-    generators = {h for h in range(6) if z6.order_of(h) == 6}
+    generators = {h for h in range(6) if z6.orders()[h] == 6}
     info = element_info(z6, 1)
     assert info.eq_class == frozenset(generators) == frozenset({1, 5})
     assert len(info.eq_class) == euler_phi(6)
@@ -96,15 +96,15 @@ def test_dicyclic_group_presentation():
         q = dicyclic_group(n)
         assert q.order == 4 * n
         # a = index 1 generates a cyclic subgroup of order 2n
-        assert q.order_of(1) == 2 * n
+        assert q.orders()[1] == 2 * n
         outside = list(range(2 * n, 4 * n))
         assert len(outside) == 2 * n
         for x in outside:
-            assert q.order_of(x) == 4
+            assert q.orders()[x] == 4
             assert q.mul(x, x) == n  # (a^i b)^2 = a^n
     q2 = dicyclic_group(2)
     assert element_info(q2, 4).cyclic_subgroup == frozenset({0, 4, 2, 6})
-    assert q2.order_of(4) == 4
+    assert q2.orders()[4] == 4
     with pytest.raises(ValueError):
         dicyclic_group(1)
 
@@ -261,7 +261,7 @@ def test_direct_product():
     g = direct_product(cyclic_group(9), cyclic_group(3))
     assert g.order == 27
     # (3, 0) has index 9 under lexicographic indexing
-    assert g.order_of(9) == 3
+    assert g.orders()[9] == 3
     klein = direct_product(cyclic_group(2), cyclic_group(2))
     assert sorted(klein.orders()) == [1, 2, 2, 2]
     z3z3 = direct_product(cyclic_group(3), cyclic_group(3))
@@ -286,8 +286,8 @@ def test_direct_product_order_is_lcm(small_groups):
     for x in range(6):
         for y in range(4):
             idx = x * 4 + y
-            expected = math.lcm(cyclic_group(6).order_of(x), cyclic_group(4).order_of(y))
-            assert g.order_of(idx) == expected
+            expected = math.lcm(cyclic_group(6).orders()[x], cyclic_group(4).orders()[y])
+            assert g.orders()[idx] == expected
 
 
 def test_from_table():
@@ -384,9 +384,9 @@ def test_primitive_class_count_at_identity(small_pgroups):
         p = is_p_group(g)
         reps = primitive_classes(g, g.identity)
         classes = {frozenset(element_info(g, x).eq_class)
-                   for x in range(g.order) if g.order_of(x) == p}
+                   for x in range(g.order) if g.orders()[x] == p}
         assert len(reps) == len(classes)
-        assert all(g.order_of(r) == p for r in reps)
+        assert all(g.orders()[r] == p for r in reps)
 
 
 def test_up_set_partition_for_pgroups(small_pgroups):
@@ -428,15 +428,23 @@ def test_table_file_roundtrip(tmp_path):
     ("", "empty table file"),
     ("0\n", "order must be positive, got 0"),
     ("2\n0 1\n1 2\n", "table entries must be indices in 0..order-1"),
-], ids=["non-integer-entry", "non-integer-order", "empty", "order-0", "entry-out-of-range"])
+    ("2\n0 1\n1 1\n", "element 1 has no inverse"),
+], ids=["non-integer-entry", "non-integer-order", "empty", "order-0", "entry-out-of-range",
+        "no-inverse"])
 def test_table_file_defects_raise_validation_errors(tmp_path, text, message):
     path = tmp_path / "bad.txt"
     path.write_text(text)
     with pytest.raises(GroupValidationError, match=re.escape(message)) as info:
         load_table_file(path)
-    if "'" in message:
-        # a token that is not an integer is reported with the file it is in
-        assert str(info.value).startswith(f"{path}: ")
+    # every defect, in the tokens or in the table they spell, names the file
+    assert str(info.value).startswith(f"{path}: ")
+
+
+@pytest.mark.parametrize("x", [6, -1])
+def test_element_index_out_of_range(x):
+    for upward in (up_set, hat_up_set):
+        with pytest.raises(ValueError, match=f"element index {x} out of range for order 6"):
+            upward(cyclic_group(6), x)
 
 
 def test_from_table_rejects_a_table_of_the_wrong_shape():

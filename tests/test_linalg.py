@@ -183,6 +183,26 @@ def test_charpoly_refuses_more_rows_than_its_sums_allow():
         charpoly_exact([row] * 8193)
 
 
+def test_charpoly_refuses_a_residue_stack_over_its_byte_budget(monkeypatch):
+    # det(xI - 3I) = (x - 3)^3 takes one prime: a stack of 8 * 1 * 3 * 3 bytes
+    matrix = [[3 if i == j else 0 for j in range(3)] for i in range(3)]
+    built = []
+    mod_primes = linalg._charpoly_mod_primes
+
+    def spy(h, primes):
+        built.append(h.nbytes)
+        return mod_primes(h, primes)
+
+    monkeypatch.setattr(linalg, "_charpoly_mod_primes", spy)
+    monkeypatch.setattr(linalg, "_MAX_STACK_BYTES", 72)
+    assert charpoly_exact(matrix) == [-27, 27, -9, 1] and built == [72]
+    monkeypatch.setattr(linalg, "_MAX_STACK_BYTES", 71)
+    with pytest.raises(ValueError, match="3 rows on 1 primes: the int64 residue stack needs "
+                                         "72 bytes, over the 71-byte budget"):
+        charpoly_exact(matrix)
+    assert built == [72]
+
+
 def test_charpoly_at_the_coefficient_bound():
     # det(xI + B*I) = (x + B)^m: the constant B^m sits just under half the
     # modulus the row-sum bound 2 * (B + 1)^m asks for

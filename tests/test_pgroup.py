@@ -55,6 +55,17 @@ def test_decompose_rejects_non_pgroups():
         decompose(cyclic_group(6))
 
 
+@pytest.mark.parametrize("group, spectrum_of, message", [
+    (6, 6, "Z6 is not a p-group"),
+    (9, 12, "the property check requires an exact spectrum"),
+], ids=["not-a-p-group", "mixed-spectrum"])
+def test_multiple_property_guards(group, spectrum_of, message):
+    # each guard raises before the tree is read; Z12's spectrum is mixed
+    s = spectrum(power_graph(cyclic_group(spectrum_of)))
+    with pytest.raises(ValueError, match=message):
+        check_multiple_property(cyclic_group(group), s, None)
+
+
 def test_decompose_matches_the_recursive_build():
     # generalized_quaternion(alpha) has order 2^(alpha + 1)
     groups = pgroup_catalog(512) + [generalized_quaternion(a) for a in range(2, 11)]
@@ -164,13 +175,13 @@ def test_classify_eigenvalues():
     forms = {f.value: f for f in classify_eigenvalues(g, s, decompose(g))}
     assert forms[0].form == "zero"
     assert forms[9].form == "order_of"
-    assert g.order_of(forms[9].witness) == 9
+    assert g.orders()[forms[9].witness] == 9
     f21 = forms[21]
     assert f21.form == "uhat_plus_order"
     w = f21.witness
     from powerlap.groups import hat_up_set
 
-    assert len(hat_up_set(g, w)) + g.order_of(w) == 21
+    assert len(hat_up_set(g, w)) + g.orders()[w] == 21
     mixed = spectrum(power_graph(cyclic_group(12)))
     assert not mixed.is_exact
     with pytest.raises(ValueError, match="exact spectrum"):
@@ -200,7 +211,7 @@ def test_classification_covers_catalog(small_pgroups):
             if f.form == "zero":
                 assert f.value == 0
             elif f.form == "order_of":
-                assert g.order_of(f.witness) == f.value
+                assert g.orders()[f.witness] == f.value
             assert (f.form, f.witness) == brute_force(g, f.value), (g.label, f)
 
 
@@ -257,7 +268,7 @@ def test_multiple_property_hand_example():
     g = z9z3()
     from powerlap.groups import hat_up_set
 
-    combined = len(hat_up_set(g, 9)) + g.order_of(9)
+    combined = len(hat_up_set(g, 9)) + g.orders()[9]
     assert combined == 21 and combined % 3 == 0
 
 
@@ -277,7 +288,7 @@ def test_component_of_prime_order_element_is_upset(small_pgroups):
             for v in comp:
                 by_vertex[v] = comp
         for x in range(g.order):
-            if g.order_of(x) != p:
+            if g.orders()[x] != p:
                 continue
             comp_elements = {v + 1 for v in by_vertex[x - 1]}
             assert comp_elements == up_set_by_masks(masks_of(g), x), (g.label, x)

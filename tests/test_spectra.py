@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -504,7 +505,7 @@ def test_spectrum_quaternion():
 def test_spectrum_q3_mixed():
     # non-integer part frozen from the dense elimination + Jacobi oracles
     s = spectrum(power_graph(dicyclic_group(3)))
-    assert s.kind == "mixed"
+    assert not s.is_exact
     assert s.exact == poly({0: 1, 2: 2, 4: 3, 5: 1, 6: 1, 12: 1})
     assert np.allclose(sorted(s.numeric), [1.556743, 5.341560, 10.101697], atol=1e-5)
 
@@ -577,6 +578,30 @@ def test_join_charpoly_errors():
         join_charpoly(bad, 2, clique_charpoly(1), 1)
 
 
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: poly({0: 1}).remove_root(2), CharPolyContradiction,
+     "required root 2 is absent from x^1"),
+    (lambda: clique_charpoly(-1), ValueError, "clique size must be non-negative"),
+    (lambda: join_charpoly(poly({}), -1, clique_charpoly(1), 1), ValueError,
+     "vertex counts must be non-negative"),
+    (lambda: join_charpoly(clique_charpoly(1), 1, poly({0: 1, 3: 1}), 2), ValueError,
+     "second polynomial has a root above its vertex count 2"),
+    (lambda: spectral_radius(Spectrum(n=0, exact=poly({}))), ValueError,
+     "spectral radius requires a nonempty graph"),
+    (lambda: spectral_radius_multiplicity(Spectrum(n=0, exact=poly({}))), ValueError,
+     "spectral radius requires a nonempty graph"),
+], ids=["absent-root", "negative-clique", "negative-join-count", "root-above-count",
+        "empty-radius", "empty-radius-multiplicity"])
+def test_charpoly_and_spectrum_guards(call, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        call()
+
+
+def test_empty_clique_and_spectrum():
+    assert clique_charpoly(0) == poly({}) and clique_charpoly(0).text() == "1"
+    assert Spectrum(n=0, exact=poly({})).table_text() == "eigenvalue   (none)\nmultiplicity (none)"
+
+
 def test_complement_spectrum():
     kn = spectrum(Graph.complete(5))
     edgeless = complement_spectrum(kn)
@@ -647,7 +672,7 @@ def test_radius_bound_and_equality(small_groups):
     graphs += [power_graph(g) for g in small_groups if g.order <= 40]
     for g in graphs:
         s = spectrum(g)
-        top = s.eigenvalues_descending()[0]
+        top = s.eigenvalues_ascending()[::-1][0]
         assert float(top) <= g.n + 1e-9
         hits_n = s.exact.multiplicity(g.n) >= 1
         complement_disconnected = len(components(complement(g))) > 1
@@ -666,8 +691,8 @@ def test_identity_deletion_shift(small_groups):
         rest = spectrum(proper_power_graph(g))
         if not (full.is_exact and rest.is_exact):
             continue
-        window = full.eigenvalues_descending()[1 : g.order - 1]
-        shifted = [v + 1 for v in rest.eigenvalues_descending()[: g.order - 2]]
+        window = full.eigenvalues_ascending()[::-1][1 : g.order - 1]
+        shifted = [v + 1 for v in rest.eigenvalues_ascending()[::-1][: g.order - 2]]
         assert window == shifted, g.label
 
 
@@ -742,8 +767,8 @@ def test_eigenvalue_ordering_is_kept_but_never_shared():
     first[0] = 99
     again = s.eigenvalues_ascending()
     assert len(again) == s.n and again[0] == 0
-    assert s.eigenvalues_descending() == again[::-1]
-    s.eigenvalues_descending().clear()
+    assert s.eigenvalues_ascending()[::-1] == again[::-1]
+    s.eigenvalues_ascending()[::-1].clear()
     assert s.eigenvalues_ascending() == again
 
 
@@ -788,7 +813,7 @@ def test_spectrum_never_calls_jacobi(monkeypatch):
     for g in graphs:
         s = spectrum(g)
         mixed += not s.is_exact
-        s.eigenvalues_descending()
+        s.eigenvalues_ascending()[::-1]
         if g.n >= 2:
             algebraic_connectivity(s)
     assert mixed >= 20

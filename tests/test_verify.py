@@ -34,20 +34,20 @@ from powerlap.verify import (
 
 def test_cyclic_algcon_examples():
     r = check_cyclic_algcon(15)
-    assert r.passed and r.evidence["algebraic_connectivity"] == 9
+    assert r.verdict == "pass" and r.evidence["algebraic_connectivity"] == 9
     r = check_cyclic_algcon(12)
-    assert r.passed and r.evidence["attains_bound"] is False
+    assert r.verdict == "pass" and r.evidence["attains_bound"] is False
     r = check_cyclic_algcon(7)
-    assert r.passed and r.evidence["algebraic_connectivity"] == 7
+    assert r.verdict == "pass" and r.evidence["algebraic_connectivity"] == 7
 
 
 def test_cyclic_radius_examples():
     r = check_cyclic_radius_mult(4)
-    assert r.passed and r.evidence["radius_multiplicity"] == 3
+    assert r.verdict == "pass" and r.evidence["radius_multiplicity"] == 3
     r = check_cyclic_radius_mult(8)
-    assert r.passed and r.evidence["radius_multiplicity"] == 7
+    assert r.verdict == "pass" and r.evidence["radius_multiplicity"] == 7
     r = check_cyclic_radius_mult(12)
-    assert r.passed and r.evidence["radius_multiplicity"] == 5
+    assert r.verdict == "pass" and r.evidence["radius_multiplicity"] == 5
     assert r.evidence["block_structure"] is True
 
 
@@ -124,24 +124,24 @@ def test_dicyclic_window_reads_the_residual(monkeypatch):
 
 def test_cyclic_kappa_examples():
     r = check_cyclic_kappa_eq_mu(6)
-    assert r.passed and r.evidence["kappa"] == 3 and r.evidence["equal"]
+    assert r.verdict == "pass" and r.evidence["kappa"] == 3 and r.evidence["equal"]
     r = check_cyclic_kappa_eq_mu(9)
-    assert r.passed and r.evidence["kappa"] == 8
+    assert r.verdict == "pass" and r.evidence["kappa"] == 8
     assert r.evidence["algebraic_connectivity"] == 9
     r = check_cyclic_kappa_eq_mu(12)
-    assert r.passed and not r.evidence["equal"]
+    assert r.verdict == "pass" and not r.evidence["equal"]
 
 
 def test_cyclic_suite_small_range():
     reports = run_cyclic_suite(40)
-    assert all(r.passed for r in reports)
+    assert all(r.verdict == "pass" for r in reports)
     assert len(reports) == 3 * 39
 
 
 def test_dicyclic_bundle():
     for n, expect_true in ((2, True), (3, False), (4, True), (6, False)):
         r = check_dicyclic_bundle(n)
-        assert r.passed, r.witness
+        assert r.verdict == "pass", r.witness
         statements = r.evidence["statements"]
         assert all(v == expect_true for v in statements.values())
         assert r.evidence["kappa"] == 2
@@ -291,7 +291,7 @@ def test_pgroup_bundle():
         direct_product(cyclic_group(4), cyclic_group(2)),
     ):
         r = check_pgroup_bundle(g)
-        assert r.passed, r.witness
+        assert r.verdict == "pass", r.witness
     r = check_pgroup_bundle(cyclic_group(8))
     assert r.evidence["kappa"] == 7 and r.evidence["algebraic_connectivity"] == 8
     r = check_pgroup_bundle(generalized_quaternion(2))
@@ -315,7 +315,7 @@ def test_pgroup_bundle_builds_one_decomposition_tree(monkeypatch):
     monkeypatch.setattr(powerlap.pgroup, "decompose", counting)
     monkeypatch.setattr(powerlap.verify, "decompose", counting)
     g = direct_product(cyclic_group(9), cyclic_group(3))
-    assert check_pgroup_bundle(g).passed
+    assert check_pgroup_bundle(g).verdict == "pass"
     assert built == [g.label]
 
 
@@ -338,7 +338,7 @@ def test_cyclic_claims_go_past_max_order():
         cyclic_group(n)
     for check in (check_cyclic_algcon, check_cyclic_radius_mult, check_cyclic_kappa_eq_mu):
         report = check(n)
-        assert report.passed, report.to_json()
+        assert report.verdict == "pass", json.dumps(report.to_json_dict(), sort_keys=True)
 
 
 def test_is_generalized_quaternion():
@@ -397,9 +397,21 @@ def test_pgroup_catalog():
     assert [g.label for g in again] == [g.label for g in cat]
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: check_cyclic_algcon(1), "requires n >= 2"),
+    (lambda: check_cyclic_radius_mult(1), "requires n >= 2"),
+    (lambda: check_cyclic_kappa_eq_mu(1), "requires n >= 2"),
+    (lambda: check_dicyclic_bundle(1), "requires n >= 2"),
+    (lambda: quaternion_closed_form(1), "alpha must be >= 2"),
+], ids=["algcon", "radius-mult", "kappa", "dicyclic", "quaternion-closed-form"])
+def test_claim_guards(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_report_json_deterministic():
-    a = check_cyclic_algcon(10).to_json()
-    b = check_cyclic_algcon(10).to_json()
+    a = json.dumps(check_cyclic_algcon(10).to_json_dict(), sort_keys=True)
+    b = json.dumps(check_cyclic_algcon(10).to_json_dict(), sort_keys=True)
     assert a == b
     doc = json.loads(a)
     assert set(doc) == {"claim", "params", "verdict", "witness", "evidence"}
