@@ -232,23 +232,20 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
 class TwinPartition:
     """Partition of the vertices into twin classes.
 
-    Each class is either a clique of vertices sharing a closed
-    neighborhood or an independent set sharing an open neighborhood.
-    Cross-class adjacency is all-or-nothing, so three fields carry the
-    whole graph: ``within[i]`` is how many neighbors a vertex of class i
-    has inside its own class (its size less one for a clique of two or
-    more, else 0), and ``adj[i]`` has bit j set exactly when class j != i
-    is joined to class i.  A vertex of class i thus has
-    ``len(classes[j])`` neighbors in each such class j and none in any
-    other, and a class of two or more vertices is a clique iff its
-    within count is nonzero.  Every partition the package returns comes
-    from `_twin_quotient` and is the coarsest partition of its graph; a
-    subgraph that keeps whole classes is read as a piece, the bitmask
-    of its classes, with no partition rebuilt.
+    Each class is a clique of vertices sharing a closed neighborhood,
+    and cross-class adjacency is all-or-nothing, so two fields carry the
+    whole graph: ``adj[i]`` has bit j set exactly when class j != i is
+    joined to class i.  A vertex of class i thus has ``len(classes[i]) -
+    1`` neighbors in its own class, ``len(classes[j])`` in each class j
+    joined to it and none in any other.  Open twins, vertices sharing an
+    open neighborhood, stay apart here; the spectrum merges them as
+    weighted twins of the quotient.  Every partition the package returns
+    comes from `_twin_quotient`; a subgraph that keeps whole classes is
+    read as a piece, the bitmask of its classes, with no partition
+    rebuilt.
     """
 
     classes: tuple[tuple[int, ...], ...]
-    within: tuple[int, ...]
     adj: tuple[int, ...]
 
     @property
@@ -261,49 +258,43 @@ class TwinPartition:
         return sum(len(c) for c in self.classes)
 
     def degrees(self) -> list[int]:
-        """The degree of a vertex of each class: its within count plus the
-        sizes of the classes joined to its own."""
+        """The degree of a vertex of each class: its class size less one
+        plus the sizes of the classes joined to its own."""
         sizes = [len(c) for c in self.classes]
-        return [w + sum(sizes[j] for j in _bits(a)) for w, a in zip(self.within, self.adj)]
+        return [s - 1 + sum(sizes[j] for j in _bits(a)) for s, a in zip(sizes, self.adj)]
 
 
 def _twin_quotient(members: Sequence[Sequence[int]],
                    closed: Sequence[tuple[int, ...]]) -> TwinPartition:
     """Twin partition from atoms: ``members[a]``, ascending, are closed twins,
     and ``closed[a]`` is the ascending tuple of the atoms joined to a, a
-    included.  Atoms sharing a closed key form a class, a clique; a lone
-    one-vertex atom is grouped by open key, its closed key without a,
-    into an independent set instead.  Classes are ordered by smallest
-    member.  A class j != i is joined to all of class i or to none of it,
-    so class i's adjacency is the classes that one atom's closed key names."""
+    included.  Atoms sharing a closed key form a class, ordered by
+    smallest member.  A class j != i is joined to all of class i or to
+    none of it, so class i's adjacency is the classes that one atom's
+    closed key names."""
     by_closed: dict[tuple[int, ...], list[int]] = {}
     for a, key in enumerate(closed):
         by_closed.setdefault(key, []).append(a)
-    groups: list[tuple[list[int], bool]] = []
-    by_open: dict[tuple[int, ...], list[int]] = {}
-    for a, *more in by_closed.values():
-        if more or len(members[a]) > 1:
-            groups.append(([a, *more], True))
-        else:
-            by_open.setdefault(tuple(b for b in closed[a] if b != a), []).append(a)
-    groups.extend((atoms, False) for atoms in by_open.values())
-    groups.sort(key=lambda group: min(members[a][0] for a in group[0]))
+    groups = sorted(by_closed.values(), key=lambda atoms: min(members[a][0] for a in atoms))
     class_of = [0] * len(closed)
-    for i, (atoms, _) in enumerate(groups):
+    for i, atoms in enumerate(groups):
         for a in atoms:
             class_of[a] = i
-    classes = tuple(tuple(sorted(v for a in atoms for v in members[a])) for atoms, _ in groups)
-    joined = [{class_of[b] for b in closed[atoms[0]]} - {i} for i, (atoms, _) in enumerate(groups)]
+    adj = []
+    for i, atoms in enumerate(groups):
+        mask = 0
+        for b in closed[atoms[0]]:
+            mask |= 1 << class_of[b]
+        adj.append(mask ^ 1 << i)
     return TwinPartition(
-        classes=classes,
-        within=tuple(len(c) - 1 if clique else 0 for c, (_, clique) in zip(classes, groups)),
-        adj=tuple(sum(1 << j for j in js) for js in joined),
+        classes=tuple(tuple(sorted(v for a in atoms for v in members[a])) for atoms in groups),
+        adj=tuple(adj),
     )
 
 
 def twin_partition(g: Graph | FiniteGroup) -> TwinPartition:
-    """Group vertices with identical closed or open neighborhoods.  A group
-    gives its power graph's partition without the graph: the generators of
+    """Group vertices with identical closed neighborhoods.  A group gives
+    its power graph's partition without the graph: the generators of
     each cyclic subgroup are a clique of closed twins, joined to another
     subgroup's when either subgroup contains the other.  A graph's atoms
     are its vertices grouped by closed row, and a row holds each atom it
@@ -368,14 +359,10 @@ def vertex_connectivity(g: Graph | TwinPartition) -> CutCertificate:
 
 def _classes_connected(tp: TwinPartition, piece: int) -> bool:
     """Whether the classes in the bitmask ``piece``, one or more, induce a
-    connected graph.  One class does iff it is a clique or a single
-    vertex; with more, every vertex is joined to all of each class
-    adjacent to its own, so the induced graph is connected iff its
-    quotient is."""
-    first = (piece & -piece).bit_length() - 1
-    if piece == 1 << first:
-        return len(tp.classes[first]) == 1 or tp.within[first] > 0
-    return _reach(tp.adj, first, piece) == piece
+    connected graph.  Each class is a clique and every vertex is joined
+    to all of each class adjacent to its own, so the induced graph is
+    connected iff its quotient is."""
+    return _reach(tp.adj, (piece & -piece).bit_length() - 1, piece) == piece
 
 
 def _separate(tp: TwinPartition, piece: int, degrees: Sequence[int]) -> CutCertificate:
@@ -393,23 +380,13 @@ def _separate(tp: TwinPartition, piece: int, degrees: Sequence[int]) -> CutCerti
     join only y's component of G - S (x and y share their neighbours
     outside S), so S - x would separate too.  Hence once the source
     classes scanned so far hold more than `best` >= kappa vertices, one
-    of them avoids some minimum cut S; its flow to a class beyond S, or
-    the independent-set step when S holds its whole neighbourhood, has
+    of them avoids some minimum cut S; its flow to a class beyond S has
     already found kappa, and the scan stops.  A minimum cut between two
     classes is symmetric, so each unordered pair is flowed once.
     """
     inside = _bits(piece)
     best: Optional[int] = None
     best_witness: tuple[int, ...] = ()
-
-    # non-adjacent pair inside one independent-set class: the shared
-    # open neighborhood is the unique minimum cut for that pair
-    for i in inside:
-        if len(tp.classes[i]) >= 2 and not tp.within[i]:
-            if best is None or degrees[i] < best:
-                best = degrees[i]
-                best_witness = tuple(sorted(v for j in _bits(tp.adj[i] & piece) for v in tp.classes[j]))
-
     network = _SplitNetwork(tp, piece)
     order = sorted(inside, key=lambda i: degrees[i])
     done = [False] * tp.size

@@ -73,14 +73,18 @@ def charpoly_exact(matrix: Sequence[Sequence[int]], *,
     """Coefficients of det(xI - M) for an integer matrix, ascending by power.
 
     The coefficients are determined once the modulus exceeds twice a
-    bound on their absolute values (`_coefficient_bound`).  Enough
-    primes for that are taken up front from a fixed descending sequence
-    below 2**25, the polynomial is computed modulo all of them at once
-    (`_charpoly_mod_primes`), and the residues are recombined by the
-    Chinese remainder theorem into the symmetric range, so the result
-    is exact.  Pass ``nonnegative_eigenvalues`` only for a matrix whose
-    eigenvalues are all real and nonnegative, such as one similar to a
-    positive semidefinite matrix: it selects the tighter bound.
+    bound on their absolute values.  The coefficient of x^(m-k) is
+    (-1)^k e_k, the k-th elementary symmetric function of the
+    eigenvalues; each has |lambda| <= B, the largest absolute row sum,
+    so |e_k| <= C(m, k) B^k <= (B + 1)^m.  Enough primes for that are
+    taken up front from a fixed descending sequence below 2**25
+    (`_residue_primes`), the polynomial is computed modulo all of them
+    at once (`_charpoly_mod_primes`), and the residues are recombined by
+    the Chinese remainder theorem into the symmetric range, so the
+    result is exact.  Pass ``nonnegative_eigenvalues`` only for a matrix
+    whose eigenvalues are all real and nonnegative, such as one similar
+    to a positive semidefinite matrix: it selects the tighter
+    `_maclaurin_bound`.
 
     A matrix of more than `_MAX_ROWS` rows, or one whose residue stack
     would exceed `_MAX_STACK_BYTES`, raises ValueError before any array
@@ -94,16 +98,12 @@ def charpoly_exact(matrix: Sequence[Sequence[int]], *,
         raise ValueError("matrix must be square")
     if m == 0:
         return [1]
-    bound = 2 * _coefficient_bound(matrix, nonnegative_eigenvalues)
-    primes: list[int] = []
-    modulus = 1
-    while modulus <= bound:
-        primes.append(_prime(len(primes)))
-        modulus *= primes[-1]
-    stack = 8 * len(primes) * m * m
-    if stack > _MAX_STACK_BYTES:
-        raise ValueError(f"{m} rows on {len(primes)} primes: the int64 residue stack needs "
-                         f"{stack} bytes, over the {_MAX_STACK_BYTES}-byte budget")
+    if nonnegative_eigenvalues:
+        bound = _maclaurin_bound(m, sum(matrix[i][i] for i in range(m)))
+    else:
+        bound = (max(sum(abs(x) for x in row) for row in matrix) + 1) ** m
+    primes = _residue_primes(m, bound)
+    modulus = math.prod(primes)
     try:
         entries = np.array(matrix, dtype=np.int64)
     except OverflowError:
@@ -124,27 +124,36 @@ def charpoly_exact(matrix: Sequence[Sequence[int]], *,
     return coeffs
 
 
-def _coefficient_bound(matrix: Sequence[Sequence[int]], nonnegative_eigenvalues: bool) -> int:
-    """A bound on the absolute value of every coefficient of det(xI - M).
-
-    The coefficient of x^(m-k) is (-1)^k e_k, the k-th elementary
-    symmetric function of the eigenvalues.  In general every eigenvalue
-    satisfies |lambda| <= B, the largest absolute row sum, so
-    |e_k| <= C(m, k) * B^k, and all of these are at most (B + 1)^m.
-    When every eigenvalue is real and nonnegative, Maclaurin's
-    inequality (Hardy, Littlewood & Polya, Inequalities, 1934)
-    gives (e_k / C(m, k))^(1/k) <= e_1 / m, where e_1 is the trace t,
-    so e_k <= C(m, k) * t^k / m^k; the bound is the largest ceiling of
-    these, computed in integers.  A negative trace contradicts the
-    premise and raises ValueError.
+def _maclaurin_bound(m: int, trace: int) -> int:
+    """A bound on every |e_k|, the k-th elementary symmetric function of m
+    real nonnegative eigenvalues summing to ``trace``.  Maclaurin's
+    inequality (Hardy, Littlewood & Polya, Inequalities, 1934) gives
+    (e_k / C(m, k))^(1/k) <= trace / m.  The term C(m, k) trace^k / m^k
+    over the one before it is (m - k + 1) trace / (k m), so the largest
+    sits at k = ceil(m (trace - 1) / (trace + m)), clipped to 0..m, and
+    its ceiling is the bound.  A negative trace contradicts the premise
+    and raises ValueError.
     """
-    m = len(matrix)
-    if not nonnegative_eigenvalues:
-        return (max(sum(abs(x) for x in row) for row in matrix) + 1) ** m
-    trace = sum(matrix[i][i] for i in range(m))
     if trace < 0:
         raise ValueError(f"trace {trace} is negative, so some eigenvalue is not nonnegative real")
-    return max(-(-math.comb(m, k) * trace ** k // m ** k) for k in range(m + 1))
+    k = min(m, max(0, -(-m * (trace - 1) // (trace + m))))
+    return -(-math.comb(m, k) * trace ** k // m ** k)
+
+
+def _residue_primes(m: int, bound: int) -> list[int]:
+    """The first primes of `_prime`'s sequence whose product exceeds twice
+    ``bound``; ValueError when their (primes, m, m) int64 residue stack
+    would pass `_MAX_STACK_BYTES`."""
+    primes: list[int] = []
+    modulus = 1
+    while modulus <= 2 * bound:
+        primes.append(_prime(len(primes)))
+        modulus *= primes[-1]
+    stack = 8 * len(primes) * m * m
+    if stack > _MAX_STACK_BYTES:
+        raise ValueError(f"{m} rows on {len(primes)} primes: the int64 residue stack needs "
+                         f"{stack} bytes, over the {_MAX_STACK_BYTES}-byte budget")
+    return primes
 
 
 def _charpoly_mod_primes(h: np.ndarray, primes: list[int]) -> np.ndarray:

@@ -1,9 +1,9 @@
 """Laplacian spectra: exact integer certification and exact ordering.
 
-The exact engine never rounds.  A graph's twin classes (vertices with
-equal open or closed neighborhoods) split off their integer eigenvalues,
-read off class sizes and degrees, and leave the twin quotient: each
-class's size, within count and bitmask of the classes joined to it.
+The exact engine never rounds.  A graph's twin classes (cliques of
+vertices with equal closed neighborhoods) split off their integer
+eigenvalues, read off class sizes and degrees, and leave the twin
+quotient: each class's size and bitmask of the classes joined to it.
 One routine then takes the quotient apart piece by piece, each piece a
 bitmask of classes: a piece with universal classes is their join with
 the rest, a disconnected piece is the union of its components (the
@@ -46,6 +46,8 @@ import numpy as np
 
 from .graphs import Graph, TwinPartition, _bits, _components, twin_partition
 from .linalg import (
+    _maclaurin_bound,
+    _residue_primes,
     charpoly_exact,
     eval_poly_at_int,
     integer_root_multiplicities,
@@ -374,6 +376,9 @@ def _quotient_spectrum(sizes: Sequence[int], within: Sequence[int], adj: Sequenc
                     piece ^= 1 << j
             work.append((piece, shift))
             continue
+        # refused before its counts are built: the deflation keeps Q's trace
+        rows = len(part) - 1
+        _residue_primes(rows, _maclaurin_bound(rows, sum(degrees[i] - within[i] for i in part)))
         found, poly, values = _leaf_spectrum(
             tuple(sizes[i] for i in part),
             tuple(tuple(within[i] if j == i else sizes[j] if adj[i] >> j & 1 else 0 for j in part)
@@ -473,22 +478,20 @@ def spectrum(g: Graph | TwinPartition) -> Spectrum:
 
     Takes a graph or its twin partition; `twin_partition(group)` gives a
     power graph's from the group's cyclic subgroups without building it.
-    A twin class of k vertices splits off its degree (plus one for a
-    clique class) k - 1 times; the rest of the spectrum is the twin
-    quotient's, which `_quotient_spectrum` certifies: every integer
-    eigenvalue with its exact multiplicity, and the residual polynomial
-    of the others with their display floats.  When the certified
-    multiplicities sum to n the spectrum is Exact, otherwise Mixed.
+    A twin class of k vertices, a clique, splits off its degree plus one
+    k - 1 times; the rest of the spectrum is the twin quotient's, which
+    `_quotient_spectrum` certifies: every integer eigenvalue with its
+    exact multiplicity, and the residual polynomial of the others with
+    their display floats.  When the certified multiplicities sum to n
+    the spectrum is Exact, otherwise Mixed.
     """
     tp = g if isinstance(g, TwinPartition) else twin_partition(g)
     sizes = [len(c) for c in tp.classes]
     degrees = tp.degrees()
     exact: Counter = Counter()
-    for size, within, degree in zip(sizes, tp.within, degrees):
-        if size >= 2:
-            # a clique class (nonzero within count) gives degree + 1
-            exact[degree + (1 if within else 0)] += size - 1
-    roots, residual, numeric = _quotient_spectrum(sizes, tp.within, tp.adj, degrees)
+    for size, degree in zip(sizes, degrees):
+        exact[degree + 1] += size - 1
+    roots, residual, numeric = _quotient_spectrum(sizes, [s - 1 for s in sizes], tp.adj, degrees)
     return Spectrum(
         n=tp.n,
         exact=FactoredCharPoly.from_counts(exact + roots),

@@ -2,6 +2,7 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 from powerlap.graphs import Graph, TwinPartition
 from powerlap.groups import (
@@ -92,3 +93,34 @@ def reduced_cyclic_partition(n: int) -> TwinPartition:
     """Twin partition of the reduced graph of Z_n, the power graph's without
     the elements of orders 1 and n, as the verify suite builds it."""
     return _reduced_cyclic_partition(n)
+
+
+@st.composite
+def small_graphs(draw):
+    """Any graph on at most 14 vertices, one coin per vertex pair."""
+    n = draw(st.integers(0, 14))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    joined = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Graph.from_edges(n, [e for e, j in zip(pairs, joined) if j])
+
+
+@st.composite
+def twin_rich_graphs(draw):
+    """Blow-ups of a small random graph: each vertex becomes a clique or an
+    independent set of up to four twins, each edge joins two such classes
+    completely, and up to two universal vertices are added."""
+    k = draw(st.integers(1, 6))
+    joined = {(i, j) for i in range(k) for j in range(i + 1, k) if draw(st.booleans())}
+    sizes = draw(st.lists(st.integers(1, 4), min_size=k, max_size=k))
+    clique = draw(st.lists(st.booleans(), min_size=k, max_size=k))
+    owner = [i for i in range(k) for _ in range(sizes[i])] + [None] * draw(st.integers(0, 2))
+    owner = draw(st.permutations(owner))
+
+    def adjacent(a, b):
+        if a is None or b is None:
+            return True
+        return clique[a] if a == b else (min(a, b), max(a, b)) in joined
+
+    n = len(owner)
+    return Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                                if adjacent(owner[u], owner[v])])

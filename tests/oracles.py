@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import gcd
+from math import comb, gcd
 from operator import mul
 from typing import Optional, Sequence
 
@@ -225,20 +225,12 @@ def vertex_connectivity_every_class_pair(tp: TwinPartition) -> CutCertificate:
         return CutCertificate(0, ())
     m = tp.size
     if m == 1:
-        if tp.within[0]:
-            return CutCertificate(n - 1, tuple(range(n - 1)))
-        return CutCertificate(0, ())
+        return CutCertificate(n - 1, tuple(range(n - 1)))
     if len(components(Graph(m, tp.adj))) > 1:
         return CutCertificate(0, ())
     best: Optional[int] = None
     witness: tuple[int, ...] = ()
     degrees = [sum(row) for row in counts_of(tp)]
-    for i in range(m):
-        if len(tp.classes[i]) >= 2 and not tp.within[i] and (best is None or degrees[i] < best):
-            best = degrees[i]
-            witness = tuple(sorted(
-                v for j in range(m) if tp.adj[i] >> j & 1 for v in tp.classes[j]
-            ))
     network = _SplitNetwork(tp, (1 << m) - 1)
     for si, src in enumerate(sorted(range(m), key=lambda i: degrees[i])):
         if best is not None and si > best:
@@ -278,31 +270,20 @@ def is_p_group_by_elements(g: FiniteGroup) -> Optional[int]:
 
 
 def twin_partition_by_rows(g: Graph) -> TwinPartition:
-    """Twin classes by hashing every vertex's closed, then open, row.
+    """Twin classes by hashing every vertex's closed row.
 
-    Vertices sharing a closed neighbourhood form a class; the vertices
-    left alone are grouped by their open neighbourhood.  Classes are
-    ordered by smallest member.  One vertex of each class gives its
-    within count, the popcount of its row inside the class, and its
-    adjacency, the other classes its row meets.
+    Vertices sharing a closed neighbourhood form a class, ordered by
+    smallest member.  One vertex of each class gives its adjacency, the
+    other classes its row meets.
     """
     by_closed: dict[int, list[int]] = {}
     for v in range(g.n):
         by_closed.setdefault(g.rows[v] | (1 << v), []).append(v)
-    classes: list[list[int]] = []
-    by_open: dict[int, list[int]] = {}
-    for members in by_closed.values():
-        if len(members) > 1:
-            classes.append(members)
-        else:
-            by_open.setdefault(g.rows[members[0]], []).append(members[0])
-    classes.extend(by_open.values())
-    classes.sort(key=lambda c: c[0])
+    classes = sorted(by_closed.values(), key=lambda c: c[0])
     masks = [sum(1 << v for v in members) for members in classes]
     rows = [g.rows[c[0]] for c in classes]
     return TwinPartition(
         classes=tuple(tuple(sorted(m)) for m in classes),
-        within=tuple((row & mask).bit_count() for row, mask in zip(rows, masks)),
         adj=tuple(sum(1 << j for j, mask in enumerate(masks) if j != i and row & mask)
                   for i, row in enumerate(rows)),
     )
@@ -310,11 +291,11 @@ def twin_partition_by_rows(g: Graph) -> TwinPartition:
 
 def counts_of(tp: TwinPartition) -> tuple[tuple[int, ...], ...]:
     """The dense count table of a twin partition: entry (i, j) is how many
-    neighbours a vertex of class i has inside class j, the within count
-    on the diagonal."""
+    neighbours a vertex of class i has inside class j, its class size
+    less one on the diagonal."""
     return tuple(
-        tuple(w if j == i else len(c) if a >> j & 1 else 0 for j, c in enumerate(tp.classes))
-        for i, (w, a) in enumerate(zip(tp.within, tp.adj))
+        tuple(len(c) - 1 if j == i else len(c) if a >> j & 1 else 0 for j, c in enumerate(tp.classes))
+        for i, a in enumerate(tp.adj)
     )
 
 
@@ -448,7 +429,14 @@ def involution_facts_by_graph(g: Graph, n: int) -> tuple[bool, bool, bool, tuple
 
 
 # ---------------------------------------------------------------------------
-# scalar modular characteristic polynomial
+# coefficient bounds and the scalar modular characteristic polynomial
+
+
+def maclaurin_bound_every_term(m: int, trace: int) -> int:
+    """Maclaurin's coefficient bound for m nonnegative eigenvalues summing
+    to ``trace``: the largest ceiling of C(m, k) trace^k / m^k, with every
+    k in 0..m evaluated."""
+    return max(-(-comb(m, k) * trace ** k // m ** k) for k in range(m + 1))
 
 
 def charpoly_mod(matrix: Sequence[Sequence[int]], p: int) -> list[int]:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_graph, reduced_cyclic_partition
+from conftest import random_graph, reduced_cyclic_partition, small_graphs, twin_rich_graphs
 from oracles import (
     counts_of,
     is_complete,
@@ -189,8 +189,8 @@ def test_twin_partition_equitable():
         counts = counts_of(tp)
         assert sorted(v for cls in tp.classes for v in cls) == list(range(g.n))
         for i, cls in enumerate(tp.classes):
-            # the partition stores no flags: a class of two or more is a
-            # clique iff its within count is nonzero, a degree is a row sum
+            # the partition stores no flags: every class is a clique, so
+            # its diagonal count is its size less one, a degree is a row sum
             if len(cls) >= 2:
                 assert counts[i][i] in (0, len(cls) - 1)
             for u in cls:
@@ -224,7 +224,7 @@ def test_reduced_cyclic_twin_partition_matches_the_graph():
         # numbers the kept residues 0..k-1 in sorted order
         rank = {v: i for i, v in enumerate(sorted(v for c in tp.classes for v in c))}
         renumbered = TwinPartition(tuple(tuple(rank[v] for v in c) for c in tp.classes),
-                                   tp.within, tp.adj)
+                                   tp.adj)
         assert renumbered == twin_partition(g), n
         assert spectrum(tp) == spectrum(g), n
         assert vertex_connectivity(renumbered) == vertex_connectivity(g), n
@@ -237,7 +237,7 @@ def test_vertex_connectivity_reads_only_the_twin_partition():
     cases = [
         Graph(0, ()),
         Graph(1, (0,)),
-        Graph(4, (0, 0, 0, 0)),  # one independent class, no edges
+        Graph(4, (0, 0, 0, 0)),  # four one-vertex classes, no edges
         Graph.complete(5),  # one clique class
         Graph.from_edges(5, [(0, 1), (2, 3), (3, 4)]),  # disconnected
         Graph.from_edges(5, [(u, v) for u in (0, 1) for v in (2, 3, 4)]),  # K_{2,3}
@@ -357,28 +357,6 @@ def test_vertex_connectivity_on_large_quotients(spec, kappa):
     assert_certifies(g, cut)
 
 
-@st.composite
-def twin_rich_graphs(draw):
-    """Blow-ups of a small random graph: each vertex becomes a clique or an
-    independent set of up to four twins, each edge joins two such classes
-    completely, and up to two universal vertices are added."""
-    k = draw(st.integers(1, 6))
-    joined = {(i, j) for i in range(k) for j in range(i + 1, k) if draw(st.booleans())}
-    sizes = draw(st.lists(st.integers(1, 4), min_size=k, max_size=k))
-    clique = draw(st.lists(st.booleans(), min_size=k, max_size=k))
-    owner = [i for i in range(k) for _ in range(sizes[i])] + [None] * draw(st.integers(0, 2))
-    owner = draw(st.permutations(owner))
-
-    def adjacent(a, b):
-        if a is None or b is None:
-            return True
-        return clique[a] if a == b else (min(a, b), max(a, b)) in joined
-
-    n = len(owner)
-    return Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)
-                                if adjacent(owner[u], owner[v])])
-
-
 @settings(max_examples=200, deadline=None)
 @given(twin_rich_graphs())
 def test_vertex_connectivity_on_twin_rich_graphs(g):
@@ -389,15 +367,6 @@ def test_vertex_connectivity_on_twin_rich_graphs(g):
     assert cut == vertex_connectivity_every_class_pair(twin_partition(g))
 
 
-@st.composite
-def small_graphs(draw):
-    """Any graph on at most 14 vertices, one coin per vertex pair."""
-    n = draw(st.integers(0, 14))
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    joined = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
-    return Graph.from_edges(n, [e for e, j in zip(pairs, joined) if j])
-
-
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(small_graphs(), twin_rich_graphs()))
 @example(Graph(0, ()))
@@ -405,6 +374,32 @@ def small_graphs(draw):
 @example(Graph.complete(7))
 def test_twin_partition_matches_the_row_hash(g):
     assert twin_partition(g) == twin_partition_by_rows(g)
+
+
+def assert_classes_are_closed_twins(rows, tp):
+    """Every class holds vertices of one closed row, and no two classes
+    share a closed row, read from the rows themselves."""
+    assert sorted(v for c in tp.classes for v in c) == list(range(len(rows)))
+    closed = []
+    for c in tp.classes:
+        keys = {rows[v] | 1 << v for v in c}
+        assert len(keys) == 1, c
+        closed += keys
+    assert len(set(closed)) == len(closed)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(small_graphs(), twin_rich_graphs()))
+@example(Graph(6, (0,) * 6))
+def test_twin_classes_are_closed_twins(g):
+    assert_classes_are_closed_twins(g.rows, twin_partition(g))
+
+
+def test_twin_classes_of_a_group_are_closed_twins(lattice_groups):
+    for g in lattice_groups:
+        assert_classes_are_closed_twins(power_graph_by_masks(masks_of(g)).rows, twin_partition(g))
+    # Z2^4's fifteen involutions are open twins, each a class of its own
+    assert twin_partition(parse_group_spec("prod:zn:2xzn:2xzn:2xzn:2")).size == 16
 
 
 @settings(max_examples=300, deadline=None)
@@ -435,8 +430,9 @@ def test_twin_partition_of_a_group_matches_its_power_graph(lattice_groups):
 
 def test_twin_partition_of_a_group_stays_small():
     # the graph route peaks at about 268 MB on Q_2048: n^2-byte matrices at
-    # n = 8192; Z_2^13's two classes peaked at 6.2 MB while each of its
-    # 8,192 cyclic subgroups kept its containments as an n-bit mask
+    # n = 8192; Z_2^13 peaked at 6.2 MB while each of its 8,192 cyclic
+    # subgroups kept its containments as an n-bit mask, and its 8,192
+    # one-vertex classes now peak at 2.9 MB
     z2_13 = parse_group_spec("prod:" + "x".join(["zn:2"] * 13))
     for g, bound_mb in ((dicyclic_group(2048), 64), (z2_13, 4)):
         g.cyclic_subgroups()

@@ -18,15 +18,21 @@ from pathlib import Path
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import reduced_cyclic_partition
-from oracles import charpoly_scalar_crt, collapse_to_fixpoint, fraction_charpoly
+from oracles import (
+    charpoly_scalar_crt,
+    collapse_to_fixpoint,
+    fraction_charpoly,
+    maclaurin_bound_every_term,
+)
 from powerlap import linalg, spectra
 from powerlap.graphs import power_graph, twin_partition
 from powerlap.groups import cyclic_group, dicyclic_group, parse_group_spec
 from powerlap.linalg import (
+    _maclaurin_bound,
     _prime,
     _synthetic_divide,
     charpoly_exact,
@@ -223,6 +229,15 @@ def test_maclaurin_bound_is_sharp_on_a_scalar_matrix():
     assert charpoly_exact(matrix, nonnegative_eigenvalues=True) == expected
     assert charpoly_exact([[0]], nonnegative_eigenvalues=True) == [0, 1]
     assert charpoly_exact([], nonnegative_eigenvalues=True) == [1]
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(1, 400), st.integers(0, 10**5))
+@example(2046, 45501)  # the leaf of Z2^9 x Z15
+@example(1, 0)
+@example(7, 1)
+def test_maclaurin_bound_is_its_peak_term(m, trace):
+    assert _maclaurin_bound(m, trace) == maclaurin_bound_every_term(m, trace)
 
 
 def test_maclaurin_bound_refuses_a_negative_trace():

@@ -50,3 +50,37 @@ def test_tracer_installs_and_counts_every_layer():
     assert metrics["graphs.vertex_connectivity_calls"] == 2
     assert metrics["verify.claims"] == 2
     assert metrics["groups.is_p_group_calls"] >= 1
+
+
+TRACED_VERIFY = """
+import contextlib, io, json, sys
+sys.path[:0] = sys.argv[1:3]
+import spans
+from powerlap import cli
+
+tracer = spans.Tracer()
+tracer.install()
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = cli.main(["verify"])
+print(json.dumps([code, tracer.metrics(len(out.getvalue().encode()))]))
+"""
+
+
+def test_traced_default_verify_keeps_its_counts():
+    proc = subprocess.run(
+        [sys.executable, "-c", TRACED_VERIFY, str(ROOT / "benchmark"), str(ROOT / "src")],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, metrics = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert code == 0
+    assert metrics["spectra.spectrum_calls"] == 720
+    assert metrics["spectra.mixed_results"] == 292
+    # no leaf of the default suite passes 17 rows
+    assert metrics["linalg.charpoly_calls"] == 159
+    assert metrics["linalg.charpoly_dim_max"] == 17
+    assert metrics["graphs.vertex_connectivity_calls"] == 483
+    assert metrics["verify.claims"] == 1081
+    # Z2^8's 256 classes: the identity and 255 involutions, each its own class
+    assert metrics["graphs.twin_classes_max"] == 256
