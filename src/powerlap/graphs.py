@@ -259,9 +259,17 @@ class TwinPartition:
 
     def degrees(self) -> list[int]:
         """The degree of a vertex of each class: its class size less one
-        plus the sizes of the classes joined to its own."""
+        plus the sizes of the classes joined to its own, counted by one
+        mask of the classes of each size."""
         sizes = [len(c) for c in self.classes]
-        return [s - 1 + sum(sizes[j] for j in _bits(a)) for s, a in zip(sizes, self.adj)]
+        by_size: dict[int, int] = {}
+        for i, s in enumerate(sizes):
+            by_size[s] = by_size.get(s, 0) | 1 << i
+        degrees = [s - 1 for s in sizes]
+        for t, mask in by_size.items():
+            for i, a in enumerate(self.adj):
+                degrees[i] += t * (a & mask).bit_count()
+        return degrees
 
 
 def _twin_quotient(members: Sequence[Sequence[int]],

@@ -178,6 +178,9 @@ class FiniteGroup:
         gcd(j, o/d) = 1 generate <g^d>, which contains <g^f> exactly when
         d divides f.  So the walk places every cyclic subgroup of <g> not
         met before, and one met before already holds its own subgroups.
+        These exponents depend on o alone, so each order's plan is made
+        once: per divisor d, the exponents of g^d, of the generators of
+        <g^d> and of the generators of the subgroups it contains.
         """
         lattice = self._cache.get("lattice")
         if lattice is None:
@@ -185,6 +188,7 @@ class FiniteGroup:
             atom_of = [-1] * self.order
             members: list[tuple[int, ...]] = []
             below: list[tuple[int, ...]] = []
+            plans: dict[int, list[tuple[int, list[int], list[int]]]] = {}
             for g in range(self.order):
                 if atom_of[g] >= 0:
                     continue
@@ -194,17 +198,23 @@ class FiniteGroup:
                     powers.append(cur)
                     cur = mul(cur, g)
                 o = len(powers)
-                divisors = [d for d in range(1, o + 1) if o % d == 0]
-                # largest d first: the subgroups inside <g^d> are placed before it
-                for d in reversed(divisors):
-                    if atom_of[powers[d % o]] < 0:
-                        k = o // d
-                        atom = sorted(powers[d * j % o] for j in range(1, k + 1) if math.gcd(j, k) == 1)
+                plan = plans.get(o)
+                if plan is None:
+                    divisors = [d for d in range(1, o + 1) if o % d == 0]
+                    # largest d first: the subgroups inside <g^d> are placed before it
+                    plan = plans[o] = [
+                        (d % o, [d * j % o for j in range(1, o // d + 1) if math.gcd(j, o // d) == 1],
+                         [f % o for f in divisors if f % d == 0])
+                        for d in reversed(divisors)
+                    ]
+                for head, generators, inside in plan:
+                    if atom_of[powers[head]] < 0:
+                        atom = sorted(powers[x] for x in generators)
                         for x in atom:
                             atom_of[x] = len(members)
                         members.append(tuple(atom))
                         # subgroups met in earlier walks interleave with new ones
-                        below.append(tuple(sorted(atom_of[powers[f % o]] for f in divisors if f % d == 0)))
+                        below.append(tuple(sorted(atom_of[powers[f]] for f in inside)))
             lattice = CyclicSubgroups(tuple(members), tuple(below))
             self._cache["lattice"] = lattice
         return lattice

@@ -4,8 +4,8 @@ For a p-group, the power graph decomposes recursively: the subgraph
 induced by U(g) is a clique on the ~-class of g joined to the disjoint
 union of the subgraphs for the primitive classes above g.  This module
 builds that decomposition tree, evaluates its factored characteristic
-polynomial through the join/union calculus, and classifies every
-Laplacian eigenvalue into its structural form.
+polynomial by the join/union calculus unrolled over the tree, and
+classifies every Laplacian eigenvalue into its structural form.
 
 The cyclic subgroups of a cyclic p-group form a chain, so every
 non-identity class [h] has exactly one parent class, [h^p], the
@@ -27,13 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .groups import FiniteGroup, factorize, is_p_group
-from .spectra import (
-    FactoredCharPoly,
-    Spectrum,
-    clique_charpoly,
-    join_charpoly,
-    union_charpoly,
-)
+from .spectra import CharPolyContradiction, FactoredCharPoly, Spectrum
 
 __all__ = [
     "DecompTree",
@@ -98,15 +92,31 @@ def _classes(t: DecompTree) -> list[DecompTree]:
 
 
 def tree_charpoly(t: DecompTree) -> FactoredCharPoly:
-    """Factored characteristic polynomial, bottom-up through the calculus."""
-    if not t.children:
-        return clique_charpoly(t.apex_size)
-    child_polys = [tree_charpoly(c) for c in t.children]
-    union_poly = union_charpoly(child_polys)
-    return join_charpoly(
-        clique_charpoly(t.apex_size), t.apex_size,
-        union_poly, t.upset_size - t.apex_size,
-    )
+    """Factored characteristic polynomial of the tree's graph in one pass.
+
+    The join/union calculus, unrolled.  A node with apex a and upset u
+    is K_a joined to the union of its children's graphs, on u - a
+    vertices, so its roots are 0 once, u a times, and the union's roots
+    shifted by a, less one a; a leaf, u = a, is the clique.  Every
+    ancestor's apex shifts a node's roots once more, so a node whose
+    strict ancestors' apexes sum to S adds root S once and S + u a
+    times, and removes one S + a.
+    """
+    counts: dict[int, int] = {}
+    stack = [(t, 0)]
+    while stack:
+        node, shift = stack.pop()
+        apex, upset = node.apex_size, node.upset_size
+        if upset != apex + sum(c.upset_size for c in node.children):
+            raise ValueError(f"node {node.element}: upset {upset} is not its apex plus its children's")
+        counts[shift] = counts.get(shift, 0) + 1
+        counts[shift + upset] = counts.get(shift + upset, 0) + apex
+        counts[shift + apex] = counts.get(shift + apex, 0) - 1
+        stack.extend((c, shift + apex) for c in node.children)
+    short = [root for root, mult in counts.items() if mult < 0]
+    if short:
+        raise CharPolyContradiction(f"the tree removes root {short[0]} more often than it adds it")
+    return FactoredCharPoly.from_counts(counts)
 
 
 def tree_string(t: DecompTree) -> str:
@@ -233,6 +243,7 @@ def check_multiple_property(g: FiniteGroup, s: Spectrum,
     for value, _ in s.exact.factors:
         if value not in (0, 1) and value % p != 0:
             violations.append(f"eigenvalue {value} is neither 1 nor a multiple of {p}")
+    prime_power: dict[int, bool] = {}  # each distinct value factorized once
     for t in _classes(tree):
         x, order = t.element, t.element_order
         combined = t.upset_size - t.apex_size + order
@@ -240,7 +251,9 @@ def check_multiple_property(g: FiniteGroup, s: Spectrum,
             violations.append(
                 f"element {x}: |U-hat|+order = {combined} not a multiple of {order}"
             )
-        if combined >= 2 and factorize(combined).is_prime_power:
+        if combined not in prime_power:
+            prime_power[combined] = combined >= 2 and factorize(combined).is_prime_power
+        if prime_power[combined]:
             pi = len(t.children)
             if pi != 0 and pi % p != 1:
                 violations.append(

@@ -318,7 +318,9 @@ def _quotient_spectrum(sizes: Sequence[int], within: Sequence[int], adj: Sequenc
       These |S| independent eigenvectors give all of chi_S, and each
       degree in R drops by n_U.
     - Union.  A disconnected S gives a block-diagonal Q_S: chi_S is the
-      product over its components (`_components`).
+      product over its components.  Each class joined to no other class
+      of S is a component with the root 0, counted at once; the rest is
+      queued, and only a piece with no such class goes to `_components`.
     - Merge.  Weighted twins in Q_S (`_weighted_twins`) carry integer
       eigenvalues of difference vectors, which are split off.  The
       lowest class of each bucket takes the merged size and within
@@ -360,6 +362,11 @@ def _quotient_spectrum(sizes: Sequence[int], within: Sequence[int], adj: Sequenc
             for i in _bits(rest):
                 degrees[i] -= joined
             work.append((rest, shift + joined))
+            continue
+        lone = sum(1 << i for i in part if not adj[i] & piece)
+        if lone:
+            roots[shift] += lone.bit_count()
+            work.append((piece ^ lone, shift))
             continue
         pieces = _components(adj, piece)
         if len(pieces) > 1:

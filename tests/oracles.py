@@ -12,7 +12,7 @@ and from those the power graph, up-sets and primitive classes.  Twin
 partitions are hashed from the neighbourhood rows of every vertex, and
 the dicyclic facts about e and a^n are read off the power graph itself.
 The twin quotient's dense count table, which `src/` never builds, is
-derived here from a partition's three fields.  Two oracles are there
+derived here from a partition's two fields.  Two oracles are there
 for parity instead: the unpruned class-pair scan, which shares the flow
 network of `vertex_connectivity` but none of its pruning, and the
 collapse of a whole twin quotient, which merges weighted twins found by
@@ -20,9 +20,10 @@ hashing dense count rows over every class at once, where `spectrum`
 hashes adjacency bitmasks only on the pieces joins and unions leave.
 The last section holds references the package no longer needs itself:
 completeness by edge count, the complement spectrum, a p-group
-decomposition tree built by recursion from its root and one
-materialized as a graph, and one element's order, cyclic subgroup and
-~-class.
+decomposition tree built by recursion from its root, its
+characteristic polynomial by the join/union calculus node by node, and
+the tree materialized as a graph, and one element's order, cyclic
+subgroup and ~-class.
 """
 
 from __future__ import annotations
@@ -52,7 +53,13 @@ from powerlap.graphs import (
 )
 from powerlap.groups import FiniteGroup, factorize
 from powerlap.pgroup import DecompTree
-from powerlap.spectra import FactoredCharPoly, Spectrum
+from powerlap.spectra import (
+    FactoredCharPoly,
+    Spectrum,
+    clique_charpoly,
+    join_charpoly,
+    union_charpoly,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -766,6 +773,18 @@ def decompose_by_recursion(g: FiniteGroup) -> DecompTree:
         return DecompTree(apex, x, g.orders()[x], upset, tuple(subtrees))
 
     return build(root)
+
+
+def tree_charpoly_by_calculus(t: DecompTree) -> FactoredCharPoly:
+    """`tree_charpoly` bottom-up through the calculus: a leaf is its
+    clique, a node its apex clique joined to the union of its children."""
+    if not t.children:
+        return clique_charpoly(t.apex_size)
+    union_poly = union_charpoly(tree_charpoly_by_calculus(c) for c in t.children)
+    return join_charpoly(
+        clique_charpoly(t.apex_size), t.apex_size,
+        union_poly, t.upset_size - t.apex_size,
+    )
 
 
 def tree_graph(t: DecompTree) -> Graph:

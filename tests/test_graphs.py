@@ -202,6 +202,29 @@ def test_twin_partition_equitable():
                     assert actual == expected
 
 
+def assert_degrees_are_row_sums(tp):
+    assert tp.degrees() == [sum(row) for row in counts_of(tp)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_graphs())
+def test_degrees_are_row_sums_on_small_graphs(g):
+    assert_degrees_are_row_sums(twin_partition(g))
+
+
+@settings(max_examples=100, deadline=None)
+@given(twin_rich_graphs())
+def test_degrees_are_row_sums_on_twin_rich_graphs(g):
+    assert_degrees_are_row_sums(twin_partition(g))
+
+
+def test_degrees_are_row_sums_on_groups(lattice_groups):
+    # Z_n's classes have one size per distinct phi(d), many masks at once
+    groups = lattice_groups + [cyclic_group(n) for n in range(1, 301)]
+    for g in groups + [parse_group_spec("prod:" + "x".join(["zn:2"] * 8))]:
+        assert_degrees_are_row_sums(twin_partition(g))
+
+
 # every order to 300, and two divisor-rich ones with 30 and 36 divisors
 CYCLIC_ORACLE_ORDERS = list(range(1, 301)) + [720, 1260]
 

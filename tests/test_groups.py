@@ -191,6 +191,25 @@ def test_cyclic_subgroups_are_the_mask_classes_ordered_by_containment(lattice_gr
         assert_lattice_matches_the_masks(g)
 
 
+def test_walk_plans_over_many_element_orders():
+    # the walk makes one plan per element order it meets and reuses it for
+    # every later element of that order; from_table forces the walk of
+    # Z_12 and Z_30, whose lattices cyclic_group reads from divisors
+    groups = [
+        functools.reduce(direct_product, [cyclic_group(8), cyclic_group(4), cyclic_group(2)]),
+        direct_product(cyclic_group(9), cyclic_group(3)),
+        dicyclic_group(15),
+        generalized_quaternion(4),
+    ]
+    for n in (12, 30):
+        walked = from_table(n, cyclic_table(n))
+        assert walked.cyclic_subgroups() == cyclic_group(n).cyclic_subgroups(), n
+        groups.append(walked)
+    for g in groups:
+        assert len(set(g.orders())) >= 3, g.label
+        assert_lattice_matches_the_masks(g)
+
+
 def test_up_sets_and_primitive_classes_match_the_table_walk(lattice_groups):
     for g in lattice_groups:
         masks = masks_of(g)

@@ -7,6 +7,7 @@ from oracles import (
     masks_of,
     power_graph_by_masks,
     primitive_classes_by_table,
+    tree_charpoly_by_calculus,
     tree_graph,
     up_set_by_masks,
 )
@@ -152,6 +153,51 @@ def test_tree_charpoly_examples():
     assert tree_charpoly(big) == poly({0: 1, 2: 2, 8: 15, 20: 2})
     z33 = direct_product(cyclic_group(3), cyclic_group(3))
     assert tree_charpoly(decompose(z33)) == poly({0: 1, 1: 3, 3: 4, 9: 1})
+
+
+HAND_BUILT_TREES = [
+    DecompTree(4, 0, 1, 4),
+    DecompTree(1, 0, 1, 5, (DecompTree(2, 0, 1, 2), DecompTree(2, 0, 1, 2))),
+    DecompTree(2, 1, 3, 6, (DecompTree(2, 3, 9, 2), DecompTree(2, 5, 9, 2))),
+]
+
+
+def test_tree_charpoly_matches_the_calculus():
+    def subtrees(t):
+        yield t
+        for c in t.children:
+            yield from subtrees(c)
+
+    trees = [decompose(g) for g in pgroup_catalog(256)] + HAND_BUILT_TREES
+    for t in trees:
+        for sub in subtrees(t):
+            assert tree_charpoly(sub) == tree_charpoly_by_calculus(sub), tree_string(sub)
+
+
+@pytest.mark.parametrize("tree", [
+    # the root's upset should be 1 + 2 + 2
+    DecompTree(1, 0, 1, 6, (DecompTree(2, 1, 2, 2), DecompTree(2, 3, 2, 2))),
+    # a child's upset should be 2 + 2, and the root's is 1 plus the wrong 5
+    DecompTree(1, 0, 1, 6, (DecompTree(2, 1, 2, 5, (DecompTree(2, 3, 4, 2),)),)),
+], ids=["root", "inner"])
+def test_tree_charpoly_rejects_an_upset_that_does_not_add_up(tree):
+    for evaluate in (tree_charpoly, tree_charpoly_by_calculus):
+        with pytest.raises(ValueError):
+            evaluate(tree)
+
+
+def test_tree_charpoly_builds_one_polynomial(monkeypatch):
+    tree = decompose(parse_group_spec("prod:" + "x".join(["zn:2"] * 8)))
+    built = []
+    check = FactoredCharPoly.__post_init__
+
+    def counting(self):
+        built.append(self)
+        check(self)
+
+    monkeypatch.setattr(FactoredCharPoly, "__post_init__", counting)
+    result = tree_charpoly(tree)
+    assert len(built) == 1 and result == poly({0: 1, 1: 254, 256: 1})
 
 
 def test_tree_charpoly_matches_direct_spectrum(small_pgroups):

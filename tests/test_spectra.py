@@ -1,3 +1,4 @@
+import functools
 import random
 import re
 import time
@@ -394,6 +395,43 @@ def test_an_over_budget_leaf_is_refused_before_it_is_built():
     finally:
         tracemalloc.stop()
     assert elapsed < 1.0 and peak < 64 * 2**20
+
+
+def _star(k):
+    return Graph.from_edges(k + 1, [(0, v) for v in range(1, k + 1)])
+
+
+@pytest.mark.parametrize("g", [
+    *(Graph(n, (0,) * n) for n in range(1, 7)),
+    *(_star(k) for k in range(1, 7)),
+    _union(_P4, Graph(3, (0, 0, 0))),
+    _union(Graph(2, (0, 0)), _union(_complete_bipartite(2, 3), Graph(1, (0,)))),
+    _join(Graph.complete(2), _union(_P4, Graph(2, (0, 0)))),
+], ids=[f"edgeless-{n}" for n in range(1, 7)] + [f"star-{k}" for k in range(1, 7)]
+    + ["P4+3K1", "2K1+K23+K1", "K2vP4+2K1"])
+def test_lone_classes_match_the_dense_charpoly(g):
+    # each class joined to nothing else in its piece leaves it with root 0
+    assert spectrum_charpoly(spectrum(g)) == dense_charpoly(g)
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_lone_involutions_match_the_dense_charpoly(k):
+    g = functools.reduce(direct_product, [cyclic_group(2)] * k)
+    want = dense_charpoly(power_graph(g))
+    assert spectrum_charpoly(spectrum(twin_partition(g))) == want
+
+
+def test_lone_involutions_need_no_component_search(monkeypatch):
+    searches = []
+    search = powerlap.spectra._components
+
+    def counting(rows, piece):
+        searches.append(piece)
+        return search(rows, piece)
+
+    monkeypatch.setattr(powerlap.spectra, "_components", counting)
+    s = spectrum(twin_partition(parse_group_spec("prod:" + "x".join(["zn:2"] * 8))))
+    assert s.exact == poly({0: 1, 1: 254, 256: 1}) and searches == []
 
 
 def test_split_charpoly_by_hand():
