@@ -41,12 +41,9 @@ from .spectra import (
     FactoredCharPoly,
     Spectrum,
     algebraic_connectivity,
-    clique_charpoly,
-    join_charpoly,
     spectral_radius,
     spectral_radius_multiplicity,
     spectrum,
-    union_charpoly,
 )
 from .pgroup import (
     DecompTree,

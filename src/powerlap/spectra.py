@@ -40,7 +40,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -63,13 +63,10 @@ __all__ = [
     "algebraic_connectivity",
     "spectral_radius",
     "spectral_radius_multiplicity",
-    "clique_charpoly",
-    "union_charpoly",
-    "join_charpoly",
 ]
 
 class CharPolyContradiction(ValueError):
-    """A factored-polynomial identity required a root that is absent."""
+    """A decomposition tree's charpoly removes a root more often than it adds it."""
 
 
 # ---------------------------------------------------------------------------
@@ -112,21 +109,6 @@ class FactoredCharPoly:
                 return m
         return 0
 
-    def as_counter(self) -> Counter:
-        return Counter({r: m for r, m in self.factors})
-
-    def shifted(self, delta: int) -> "FactoredCharPoly":
-        return FactoredCharPoly(tuple((r + delta, m) for r, m in self.factors))
-
-    def remove_root(self, root: int) -> "FactoredCharPoly":
-        counts = self.as_counter()
-        if counts[root] < 1:
-            raise CharPolyContradiction(
-                f"required root {root} is absent from {self.text()}"
-            )
-        counts[root] -= 1
-        return FactoredCharPoly.from_counts(counts)
-
     def text(self) -> str:
         """Factored form like ``x^1 (x-8)^7``, nonzero roots descending."""
         if not self.factors:
@@ -142,54 +124,6 @@ class FactoredCharPoly:
 
     def to_json_list(self) -> list[list[int]]:
         return [[r, m] for r, m in reversed(self.factors)]
-
-
-def clique_charpoly(k: int) -> FactoredCharPoly:
-    """Laplacian characteristic polynomial of the complete graph on k vertices."""
-    if k < 0:
-        raise ValueError("clique size must be non-negative")
-    if k == 0:
-        return FactoredCharPoly(())
-    return FactoredCharPoly.from_counts({0: 1, k: k - 1})
-
-
-def union_charpoly(parts: Iterable[FactoredCharPoly]) -> FactoredCharPoly:
-    """Characteristic polynomial of a disjoint union: multiplicities add."""
-    counts: Counter = Counter()
-    for p in parts:
-        counts += p.as_counter()
-    return FactoredCharPoly.from_counts(counts)
-
-
-def join_charpoly(p1: FactoredCharPoly, n1: int, p2: FactoredCharPoly, n2: int) -> FactoredCharPoly:
-    """Characteristic polynomial of a join of disjoint graphs.
-
-    Shift the first polynomial's roots by n2 and the second's by n1,
-    merge, add roots 0 and n1+n2, then cancel one occurrence each of n1
-    and n2.  A missing cancellation root means the inputs were not
-    Laplacian characteristic polynomials of graphs of the stated sizes.
-    """
-    for p, n, name in ((p1, n1, "first"), (p2, n2, "second")):
-        if n < 0:
-            raise ValueError("vertex counts must be non-negative")
-        if p.degree != n:
-            raise ValueError(
-                f"{name} polynomial has degree {p.degree}, expected {n}"
-            )
-        if p.factors and p.factors[-1][0] > n:
-            raise ValueError(
-                f"{name} polynomial has a root above its vertex count {n}"
-            )
-    counts = p1.shifted(n2).as_counter() + p2.shifted(n1).as_counter()
-    counts[0] += 1
-    counts[n1 + n2] += 1
-    for r in (n1, n2):
-        if counts[r] < 1:
-            raise CharPolyContradiction(
-                f"join formula needs root {r} but it is absent"
-            )
-        counts[r] -= 1
-    return FactoredCharPoly.from_counts(counts)
 
 
 # ---------------------------------------------------------------------------

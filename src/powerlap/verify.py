@@ -50,7 +50,6 @@ from .spectra import (
     spectral_radius,
     spectral_radius_multiplicity,
     spectrum,
-    union_charpoly,
 )
 
 __all__ = [
@@ -213,12 +212,14 @@ def check_cyclic_radius_mult(n: int) -> ClaimReport:
     if not f.is_prime:
         # the spectrum is 0, n with multiplicity phi(n)+1, and the reduced
         # graph's spectrum without one 0 shifted up by phi(n)+1: the
-        # certified parts agree as factored polynomials, the non-integer
-        # parts as residual polynomials
+        # certified parts agree as root counts, the non-integer parts as
+        # residual polynomials
         reduced = spectrum(_reduced_cyclic_partition(n))
-        top = FactoredCharPoly.from_counts({0: 1, n: target})
+        counts = Counter({0: 1, n: target, target: -1})
+        for r, m in reduced.exact.factors:
+            counts[r + target] += m
         block_ok = (
-            s.exact == union_charpoly([top, reduced.exact.remove_root(0).shifted(target)])
+            s.exact == FactoredCharPoly.from_counts(counts)
             and s.residual == tuple(taylor_shift(reduced.residual, -target))
         )
         evidence["block_structure"] = block_ok

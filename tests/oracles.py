@@ -20,10 +20,11 @@ hashing dense count rows over every class at once, where `spectrum`
 hashes adjacency bitmasks only on the pieces joins and unions leave.
 The last section holds references the package no longer needs itself:
 completeness by edge count, the complement spectrum, a p-group
-decomposition tree built by recursion from its root, its
-characteristic polynomial by the join/union calculus node by node, and
-the tree materialized as a graph, and one element's order, cyclic
-subgroup and ~-class.
+decomposition tree built by recursion from its root, the join/union
+calculus of factored characteristic polynomials (clique, union, join
+and the removal of one root) and the tree's polynomial by it node by
+node, the tree materialized as a graph, and one element's order,
+cyclic subgroup and ~-class.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from functools import lru_cache
 from itertools import combinations
 from math import comb, gcd
 from operator import mul
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 import sympy
@@ -53,13 +54,7 @@ from powerlap.graphs import (
 )
 from powerlap.groups import FiniteGroup, factorize
 from powerlap.pgroup import DecompTree
-from powerlap.spectra import (
-    FactoredCharPoly,
-    Spectrum,
-    clique_charpoly,
-    join_charpoly,
-    union_charpoly,
-)
+from powerlap.spectra import CharPolyContradiction, FactoredCharPoly, Spectrum
 
 
 # ---------------------------------------------------------------------------
@@ -736,7 +731,7 @@ def complement_spectrum(s: Spectrum) -> Spectrum:
         raise ValueError("complement mapping requires an exact spectrum")
     if s.n == 0:
         return s
-    counts = s.exact.as_counter()
+    counts = Counter(dict(s.exact.factors))
     if counts[0] < 1:
         raise ValueError("an exact Laplacian spectrum must contain 0")
     counts[0] -= 1
@@ -773,6 +768,67 @@ def decompose_by_recursion(g: FiniteGroup) -> DecompTree:
         return DecompTree(apex, x, g.orders()[x], upset, tuple(subtrees))
 
     return build(root)
+
+
+def remove_root(p: FactoredCharPoly, root: int) -> FactoredCharPoly:
+    counts = Counter(dict(p.factors))
+    if counts[root] < 1:
+        raise CharPolyContradiction(
+            f"required root {root} is absent from {p.text()}"
+        )
+    counts[root] -= 1
+    return FactoredCharPoly.from_counts(counts)
+
+
+def clique_charpoly(k: int) -> FactoredCharPoly:
+    """Laplacian characteristic polynomial of the complete graph on k vertices."""
+    if k < 0:
+        raise ValueError("clique size must be non-negative")
+    if k == 0:
+        return FactoredCharPoly(())
+    return FactoredCharPoly.from_counts({0: 1, k: k - 1})
+
+
+def union_charpoly(parts: Iterable[FactoredCharPoly]) -> FactoredCharPoly:
+    """Characteristic polynomial of a disjoint union: multiplicities add."""
+    counts: Counter = Counter()
+    for p in parts:
+        counts += Counter(dict(p.factors))
+    return FactoredCharPoly.from_counts(counts)
+
+
+def join_charpoly(p1: FactoredCharPoly, n1: int, p2: FactoredCharPoly, n2: int) -> FactoredCharPoly:
+    """Characteristic polynomial of a join of disjoint graphs.
+
+    Shift the first polynomial's roots by n2 and the second's by n1,
+    merge, add roots 0 and n1+n2, then cancel one occurrence each of n1
+    and n2.  A missing cancellation root means the inputs were not
+    Laplacian characteristic polynomials of graphs of the stated sizes.
+    """
+    for p, n, name in ((p1, n1, "first"), (p2, n2, "second")):
+        if n < 0:
+            raise ValueError("vertex counts must be non-negative")
+        if p.degree != n:
+            raise ValueError(
+                f"{name} polynomial has degree {p.degree}, expected {n}"
+            )
+        if p.factors and p.factors[-1][0] > n:
+            raise ValueError(
+                f"{name} polynomial has a root above its vertex count {n}"
+            )
+    counts: Counter = Counter()
+    for p, delta in ((p1, n2), (p2, n1)):
+        for r, m in p.factors:
+            counts[r + delta] += m
+    counts[0] += 1
+    counts[n1 + n2] += 1
+    for r in (n1, n2):
+        if counts[r] < 1:
+            raise CharPolyContradiction(
+                f"join formula needs root {r} but it is absent"
+            )
+        counts[r] -= 1
+    return FactoredCharPoly.from_counts(counts)
 
 
 def tree_charpoly_by_calculus(t: DecompTree) -> FactoredCharPoly:

@@ -7,7 +7,7 @@ lines and timings.  Every tolerance is pinned here; exact means exact.
 import random
 import time
 
-from oracles import complement_spectrum, tree_graph
+from oracles import complement_spectrum, join_charpoly, tree_graph, union_charpoly
 from powerlap.graphs import (
     Graph,
     complement,
@@ -16,12 +16,7 @@ from powerlap.graphs import (
 )
 from powerlap.groups import cyclic_group, dicyclic_group, direct_product, factorize
 from powerlap.pgroup import classify_eigenvalues, decompose, tree_charpoly
-from powerlap.spectra import (
-    FactoredCharPoly,
-    join_charpoly,
-    spectrum,
-    union_charpoly,
-)
+from powerlap.spectra import FactoredCharPoly, spectrum
 from powerlap.verify import (
     pgroup_catalog,
     quaternion_closed_form,

@@ -14,15 +14,19 @@ import powerlap.spectra
 import powerlap.verify
 from conftest import random_graph, reduced_cyclic_partition, twin_rich_graphs
 from oracles import (
+    clique_charpoly,
     collapse_to_fixpoint,
     complement_spectrum,
     counts_of,
     dense_nullity,
     dense_numeric_eigenvalues,
     fraction_charpoly,
+    join_charpoly,
     laplacian,
     quotient_fields,
+    remove_root,
     tree_graph,
+    union_charpoly,
 )
 from powerlap.graphs import (
     Graph,
@@ -43,12 +47,9 @@ from powerlap.spectra import (
     FactoredCharPoly,
     Spectrum,
     algebraic_connectivity,
-    clique_charpoly,
-    join_charpoly,
     spectral_radius,
     spectral_radius_multiplicity,
     spectrum,
-    union_charpoly,
 )
 from powerlap.verify import is_cyclic, pgroup_catalog, run_cyclic_suite, scan_conjecture
 
@@ -643,7 +644,7 @@ def test_join_charpoly_errors():
 
 
 @pytest.mark.parametrize("call, error, message", [
-    (lambda: poly({0: 1}).remove_root(2), CharPolyContradiction,
+    (lambda: remove_root(poly({0: 1}), 2), CharPolyContradiction,
      "required root 2 is absent from x^1"),
     (lambda: clique_charpoly(-1), ValueError, "clique size must be non-negative"),
     (lambda: join_charpoly(poly({}), -1, clique_charpoly(1), 1), ValueError,
@@ -800,6 +801,10 @@ def test_factored_charpoly_validation():
         FactoredCharPoly(((-1, 2),))
     with pytest.raises(ValueError, match="multiplicity"):
         FactoredCharPoly(((2, 0),))
+    # a negative count, as the radius-block identity meets on a spectrum
+    # with no root 0, is refused the same way
+    with pytest.raises(ValueError, match="non-positive multiplicity"):
+        poly({2: -1})
     with pytest.raises(ValueError, match="ascending"):
         FactoredCharPoly(((2, 1), (1, 1)))
     assert poly({3: 0, 1: 2}) == FactoredCharPoly(((1, 2),))

@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 
 import pytest
 
@@ -89,7 +90,7 @@ def test_radius_block_rejects_a_doctored_exact_part(monkeypatch):
         s = true_spectrum(g)
         if g.n == 12:
             return s
-        counts = s.exact.as_counter()
+        counts = Counter(dict(s.exact.factors))
         top = max(counts)
         counts[top] -= 1
         counts[top - 1] += 1
