@@ -148,7 +148,11 @@ def _cmd_info(args, parser) -> int:
     tp = twin_partition(g)
     n = tp.n
     degrees = tp.degrees()
-    histogram = Counter(g.orders())
+    # elements per order, from each cyclic subgroup's order and generator count
+    lattice = g.cyclic_subgroups()
+    histogram: Counter = Counter()
+    for atom, order in zip(lattice.members, lattice.subgroup_orders()):
+        histogram[order] += len(atom)
     doc = {
         "group": g.label,
         "order": g.order,

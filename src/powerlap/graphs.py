@@ -15,12 +15,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import compress
+from itertools import chain, compress
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .groups import FiniteGroup, cyclic_group
+from .groups import FiniteGroup, OrderClass, cyclic_group
 
 __all__ = [
     "Graph",
@@ -38,7 +38,12 @@ __all__ = [
 
 
 def _bits(mask: int) -> list[int]:
-    """Indices of the set bits of mask, ascending."""
+    """Indices of the set bits of mask, ascending.  A mask below 2**64 is
+    walked by clearing its lowest bit; a wider one is unpacked by numpy in
+    one pass, since each step of that walk copies the whole int."""
+    if mask >> 64:
+        data = np.frombuffer(mask.to_bytes((mask.bit_length() + 7) // 8, "little"), dtype=np.uint8)
+        return np.flatnonzero(np.unpackbits(data, bitorder="little")).tolist()
     out = []
     while mask:
         low = mask & -mask
@@ -242,10 +247,13 @@ class TwinPartition:
     weighted twins of the quotient.  Every partition the package returns
     comes from `_twin_quotient`; a subgraph that keeps whole classes is
     read as a piece, the bitmask of its classes, with no partition
-    rebuilt.
+    rebuilt.  Each class is an ascending sequence: an explicit tuple, or
+    for Z_n an `OrderClass` whose length and smallest member need no
+    listing, so that the spectrum, the degrees and the flow capacities
+    read sizes alone and only κ's peel and witness list members.
     """
 
-    classes: tuple[tuple[int, ...], ...]
+    classes: tuple[Sequence[int], ...]
     adj: tuple[int, ...]
 
     @property
@@ -277,9 +285,12 @@ def _twin_quotient(members: Sequence[Sequence[int]],
     """Twin partition from atoms: ``members[a]``, ascending, are closed twins,
     and ``closed[a]`` is the ascending tuple of the atoms joined to a, a
     included.  Atoms sharing a closed key form a class, ordered by
-    smallest member.  A class j != i is joined to all of class i or to
-    none of it, so class i's adjacency is the classes that one atom's
-    closed key names."""
+    smallest member, read as ``members[a][0]``.  A class of one atom is
+    that atom's sequence itself, and a class of several is their sorted
+    union, or for `OrderClass` atoms the class of all their orders, so
+    Z_n's residues are never listed here.  A class j != i is joined to
+    all of class i or to none of it, so class i's adjacency is the
+    classes that one atom's closed key names."""
     by_closed: dict[tuple[int, ...], list[int]] = {}
     for a, key in enumerate(closed):
         by_closed.setdefault(key, []).append(a)
@@ -295,9 +306,18 @@ def _twin_quotient(members: Sequence[Sequence[int]],
             mask |= 1 << class_of[b]
         adj.append(mask ^ 1 << i)
     return TwinPartition(
-        classes=tuple(tuple(sorted(v for a in atoms for v in members[a])) for atoms in groups),
+        classes=tuple(_union([members[a] for a in atoms]) for atoms in groups),
         adj=tuple(adj),
     )
+
+
+def _union(parts: Sequence[Sequence[int]]) -> Sequence[int]:
+    """One twin class from the ascending member sequences of its atoms."""
+    if len(parts) == 1:
+        return parts[0]
+    if isinstance(parts[0], OrderClass):
+        return OrderClass.union(parts)
+    return tuple(sorted(chain.from_iterable(parts)))
 
 
 def twin_partition(g: Graph | FiniteGroup) -> TwinPartition:
@@ -311,7 +331,7 @@ def twin_partition(g: Graph | FiniteGroup) -> TwinPartition:
         by_row: dict[int, list[int]] = {}
         for v, row in enumerate(g.rows):
             by_row.setdefault(row | (1 << v), []).append(v)
-        atoms = list(by_row.values())
+        atoms = [tuple(atom) for atom in by_row.values()]
         met = _rows_to_bitmatrix(list(by_row), g.n)[:, [atom[0] for atom in atoms]].tolist()
         return _twin_quotient(atoms, [tuple(compress(range(len(atoms)), r)) for r in met])
     members, below = g.cyclic_subgroups()
@@ -394,7 +414,7 @@ def _separate(tp: TwinPartition, piece: int, degrees: Sequence[int]) -> CutCerti
     """
     inside = _bits(piece)
     best: Optional[int] = None
-    best_witness: tuple[int, ...] = ()
+    best_classes: tuple[int, ...] = ()
     network = _SplitNetwork(tp, piece)
     order = sorted(inside, key=lambda i: degrees[i])
     done = [False] * tp.size
@@ -408,15 +428,12 @@ def _separate(tp: TwinPartition, piece: int, degrees: Sequence[int]) -> CutCerti
                 continue
             value, cut_classes = network.min_cut(src, dst, best)
             if value is not None and (best is None or value < best):
-                best = value
-                witness: list[int] = []
-                for c in cut_classes:
-                    witness.extend(tp.classes[c])
-                best_witness = tuple(sorted(witness))
+                best, best_classes = value, cut_classes
         done[src] = True
         scanned += len(tp.classes[src])
     assert best is not None  # non-complete connected graph has a cut
-    return CutCertificate(best, best_witness)
+    # the witness lists the members of the final cut's classes only
+    return CutCertificate(best, tuple(sorted(chain.from_iterable(tp.classes[c] for c in best_classes))))
 
 
 _INF = 1 << 40

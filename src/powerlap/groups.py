@@ -7,15 +7,17 @@ built-in groups multiply by their presentations (addition mod n, the
 dicyclic relations, products componentwise) and a `from_table` group
 looks its products up in the validated rows.  Per-element data is read
 from the group's cyclic-subgroup lattice, cached lazily on the group
-object: Z_n's comes from the divisors of n, any other group's from one
-power walk per element not yet placed, with its rule; no per-element
-subgroup mask is kept.
+object: Z_n's comes from the divisors of n, with each subgroup's
+generators held as an `OrderClass` that lists them only when iterated,
+and any other group's from one power walk per element not yet placed,
+with its rule, as explicit tuples; no per-element subgroup mask is kept.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain, compress
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -26,6 +28,7 @@ __all__ = [
     "FiniteGroup",
     "GroupValidationError",
     "MAX_ORDER",
+    "OrderClass",
     "euler_phi",
     "factorize",
     "cyclic_group",
@@ -50,8 +53,9 @@ class GroupValidationError(ValueError):
 # group's lattice: the power walk multiplies through the cyclic subgroups
 # of each element not yet placed, and the lattice and the twin partition
 # built from it keep lists per element and per containment.
-# `cyclic_group` applies the same limit to Z_n, whose lattice comes from
-# the divisors of n with no walk but still lists every element.  Larger
+# `cyclic_group` applies the same limit to Z_n: its lattice comes from
+# the divisors of n with no walk and lists no element, but
+# `FiniteGroup.orders` and `power_graph` still list every one.  Larger
 # orders fail fast instead of running long.
 MAX_ORDER = 8192
 
@@ -138,17 +142,85 @@ def euler_phi(n: int) -> int:
 # the group type
 
 
+class OrderClass:
+    """The residues of Z_n whose orders lie in ``orders``, divisors of n
+    ascending, as an ascending sequence of ints held by those divisors.
+
+    The residues of order d are the phi(d) generators k*(n/d) of Z_n's
+    subgroup of order d, with 0 <= k < d and gcd(k, d) = 1.  So the
+    length and the smallest member come from n and the divisors, and
+    the members are listed only when iterated: one sieve of the k by
+    the primes of d per divisor, and one sorted pass when there are
+    several.  A class equals the tuple of its members.
+    """
+
+    __slots__ = ("n", "orders", "_size", "_primes")
+
+    def __init__(self, n: int, orders: tuple[int, ...], size: int, primes: tuple[int, ...]):
+        # size is the sum of phi(d) over orders; primes are n's
+        self.n, self.orders, self._size, self._primes = n, orders, size, primes
+
+    @staticmethod
+    def union(parts: Sequence["OrderClass"]) -> "OrderClass":
+        """One class of the residues of several classes of one Z_n."""
+        first = parts[0]
+        orders = tuple(sorted(d for c in parts for d in c.orders))
+        return OrderClass(first.n, orders, sum(c._size for c in parts), first._primes)
+
+    def __len__(self) -> int:
+        return self._size
+
+    def __getitem__(self, i):
+        if type(i) is int and i == 0:
+            return 0 if self.orders[0] == 1 else self.n // self.orders[-1]
+        return tuple(self)[i]
+
+    def __iter__(self):
+        n = self.n
+        runs = []
+        for d in self.orders:
+            coprime = bytearray(b"\1") * d
+            for p in self._primes:
+                if d % p == 0:
+                    coprime[::p] = bytes(-(-d // p))
+            runs.append(compress(range(0, n, n // d), coprime))
+        return runs[0] if len(runs) == 1 else iter(sorted(chain.from_iterable(runs)))
+
+    def __contains__(self, x) -> bool:
+        return isinstance(x, int) and 0 <= x < self.n and self.n // math.gcd(x, self.n) in self.orders
+
+    def __eq__(self, other):
+        if isinstance(other, OrderClass):
+            return (self.n, self.orders) == (other.n, other.orders)
+        if isinstance(other, tuple):
+            return tuple(self) == other
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return f"OrderClass(n={self.n}, orders={self.orders})"
+
+
 class CyclicSubgroups(NamedTuple):
     """Every cyclic subgroup of a group once.
 
     ``members[a]`` lists the generators of subgroup a ascending: the
-    ~-class of elements that generate it.  ``below[a]`` lists the
-    subgroups that a contains, ascending; each is placed before a, so a
-    itself comes last.
+    ~-class of elements that generate it, an explicit tuple for a walked
+    group and an `OrderClass` for Z_n.  ``below[a]`` lists the subgroups
+    that a contains, ascending; each is placed before a, so a itself
+    comes last.
     """
 
-    members: tuple[tuple[int, ...], ...]
+    members: tuple[Sequence[int], ...]
     below: tuple[tuple[int, ...], ...]
+
+    def subgroup_orders(self) -> list[int]:
+        """The order of each subgroup: the generators of all the cyclic
+        subgroups it contains, read from their sizes alone."""
+        members = self.members
+        return [sum(len(members[b]) for b in key) for key in self.below]
 
 
 @dataclass(frozen=True, eq=False)
@@ -221,13 +293,14 @@ class FiniteGroup:
 
     def orders(self) -> list[int]:
         """o(g) for every element g: |<g>| is the number of generators of
-        all the cyclic subgroups inside <g>."""
+        all the cyclic subgroups inside <g>.  It lists every subgroup's
+        generators, Z_n's included; a reader of counts per order takes
+        `CyclicSubgroups.subgroup_orders` and the class sizes instead."""
         orders = self._cache.get("orders")
         if orders is None:
-            members, below = self.cyclic_subgroups()
+            lattice = self.cyclic_subgroups()
             orders = [0] * self.order
-            for atom, key in zip(members, below):
-                o = sum(len(members[b]) for b in key)
+            for atom, o in zip(lattice.members, lattice.subgroup_orders()):
                 for x in atom:
                     orders[x] = o
             self._cache["orders"] = orders
@@ -292,24 +365,33 @@ def from_table(
 
 
 def _cyclic_lattice(n: int) -> CyclicSubgroups:
-    """Z_n's cyclic subgroups from the divisors of n, with no power walk:
-    the residues of order d, the k*(n/d) with gcd(k, d) = 1, generate the
-    one subgroup of order d, which contains the one of order e exactly
-    when e divides d.  Subgroups come by ascending order, as a walk of
-    Z_n's powers of 1 places them."""
-    by_order: dict[int, list[int]] = {}
-    for x in range(n):
-        by_order.setdefault(n // math.gcd(x, n), []).append(x)
-    orders = sorted(by_order)
-    below = tuple(tuple(b for b, e in enumerate(orders) if d % e == 0) for d in orders)
-    return CyclicSubgroups(tuple(tuple(by_order[d]) for d in orders), below)
+    """Z_n's cyclic subgroups from the divisors of n, with no power walk
+    and no residue listed: the one subgroup of order d is generated by
+    the residues of order d, an `OrderClass` of phi(d) members, and it
+    contains the one of order e exactly when e divides d.  Divisors and
+    their phi come from n's factorization; subgroups come by ascending
+    order, as a walk of Z_n's powers of 1 places them."""
+    prime_powers = factorize(n).prime_powers if n > 1 else ()
+    phi = {1: 1}
+    for p, a in prime_powers:
+        step = dict(phi)
+        for k in range(1, a + 1):
+            q = p**k
+            step.update((d * q, f * (q - q // p)) for d, f in phi.items())
+        phi = step
+    orders = sorted(phi)
+    primes = tuple(p for p, _ in prime_powers)
+    below = tuple(tuple(b for b, e in enumerate(orders[: i + 1]) if d % e == 0)
+                  for i, d in enumerate(orders))
+    return CyclicSubgroups(tuple(OrderClass(n, (d,), phi[d], primes) for d in orders), below)
 
 
 def cyclic_group(n: int) -> FiniteGroup:
     """Additive group of integers modulo n; identity 0.
 
     Its cyclic-subgroup lattice comes from the divisors of n
-    (`_cyclic_lattice`), with no power walk.
+    (`_cyclic_lattice`), with no power walk; each subgroup's generators
+    are an `OrderClass`, listed only when a reader iterates them.
     """
     if n < 1:
         raise ValueError(f"cyclic_group requires n >= 1, got {n}")
@@ -417,7 +499,8 @@ def primitive_classes(g: FiniteGroup, x: int) -> list[int]:
     members = g.cyclic_subgroups().members
     target = members[_atom_of(g, x)]
     reps = []
-    for h, *_ in members:
+    for atom in members:
+        h = atom[0]
         if h == g.identity:
             continue
         hp = h

@@ -49,21 +49,33 @@ def _prime(i: int) -> int:
     """The i-th prime, counting from 0, of the descending primes below 2**25.
 
     A segmented sieve of Eratosthenes (Crandall & Pomerance, Prime
-    Numbers, 2005, section 3.2): the next window of 2**16 integers below
-    the smallest prime held loses the multiples of every prime d up to
+    Numbers, 2005, section 3.2): the next window below the smallest prime
+    held, 2**12 integers for the first, which holds 240 primes, and 2**16
+    for each after it, loses the multiples of every prime d up to
     sqrt(2**25), from d * d on, and its survivors are appended in
-    descending order.  Past the last prime, 2, it raises IndexError.
+    descending order.  A prime below 64 strikes its many multiples by
+    one slice; the others strike few each, all of them at once through
+    one index array.  Past the last prime, 2, it raises IndexError.
     """
     while len(_PRIMES) <= i and _PRIMES[-1:] != [2]:
         hi = _PRIMES[-1] if _PRIMES else 2**25
-        lo = max(hi - 2**16, 2)
+        lo = max(hi - (2**16 if _PRIMES else 2**12), 2)
         root = math.isqrt(2**25)
         small = np.ones(root + 1, dtype=bool)
+        small[:2] = False
         for d in range(2, math.isqrt(root) + 1):
-            small[d * d::d] = False
+            if small[d]:
+                small[d * d::d] = False
+        d = np.flatnonzero(small)
+        first = np.maximum(d * d, -(-lo // d) * d) - lo
         alive = np.ones(hi - lo, dtype=bool)
-        for d in np.flatnonzero(small)[2:].tolist():
-            alive[max(d * d, -(-lo // d) * d) - lo::d] = False
+        dense = int(np.searchsorted(d, 64))
+        for p, f in zip(d[:dense].tolist(), first[:dense].tolist()):
+            alive[f::p] = False
+        d, first = d[dense:], first[dense:]
+        counts = np.maximum(-(-(hi - lo - first) // d), 0)
+        steps = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+        alive[np.repeat(first, counts) + steps * np.repeat(d, counts)] = False
         _PRIMES.extend((np.flatnonzero(alive)[::-1] + lo).tolist())
     return _PRIMES[i]
 

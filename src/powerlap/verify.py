@@ -117,8 +117,9 @@ def _report(claim_id, params, ok, witness, evidence, started) -> ClaimReport:
 
 # One entry each: the suites and the scan visit n in order, so every
 # claim about n finds its lattice, partitions and spectrum here.  Z_n's
-# partitions read only its divisor lattice, with no group built and at
-# most one class per divisor, so the suites and the scan pass MAX_ORDER.
+# partitions read only its divisor lattice, with no group built, at most
+# one class per divisor and no residue listed until kappa names a class,
+# so the suites and the scan pass MAX_ORDER.
 _cyclic_lattice = lru_cache(maxsize=1)(_cyclic_lattice)
 
 
@@ -132,7 +133,8 @@ def _reduced_cyclic_partition(n: int) -> TwinPartition:
     """Twin partition of Z_n's reduced graph, its power graph without the
     identity and the generators: the lattice without its first subgroup,
     {0}, which every subgroup holds, and its last, Z_n, which only Z_n
-    holds, so each other subgroup's containments move down one index."""
+    holds, so each other subgroup's containments move down one index.
+    Its classes keep the residues as vertex numbers, held by divisors."""
     members, below = _cyclic_lattice(n)
     inner = [tuple(b - 1 for b in key[1:]) for key in below[1:-1]]
     return _twin_quotient(members[1:-1], _closed_keys(inner))

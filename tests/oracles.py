@@ -11,6 +11,9 @@ walk over them, which gives each element's cyclic subgroup as a bitmask
 and from those the power graph, up-sets and primitive classes.  Twin
 partitions are hashed from the neighbourhood rows of every vertex, and
 the dicyclic facts about e and a^n are read off the power graph itself.
+Z_n's lattice is also built by running gcd over every residue, and its
+twin partition by sorting every residue into its class, with explicit
+member tuples where the package holds classes listed on demand.
 The twin quotient's dense count table, which `src/` never builds, is
 derived here from a partition's two fields.  Two oracles are there
 for parity instead: the unpruned class-pair scan, which shares the flow
@@ -48,11 +51,12 @@ from powerlap.graphs import (
     TwinPartition,
     _SplitNetwork,
     _bits,
+    _closed_keys,
     components,
     induced_subgraph,
     twin_partition,
 )
-from powerlap.groups import FiniteGroup, factorize
+from powerlap.groups import CyclicSubgroups, FiniteGroup, factorize
 from powerlap.pgroup import DecompTree
 from powerlap.spectra import CharPolyContradiction, FactoredCharPoly, Spectrum
 
@@ -289,6 +293,58 @@ def twin_partition_by_rows(g: Graph) -> TwinPartition:
         adj=tuple(sum(1 << j for j, mask in enumerate(masks) if j != i and row & mask)
                   for i, row in enumerate(rows)),
     )
+
+
+def cyclic_lattice_by_residues(n: int) -> CyclicSubgroups:
+    """Z_n's lattice by one gcd per residue: the residues of order d,
+    listed ascending, generate the subgroup of order d, which contains
+    the one of order e exactly when e divides d."""
+    by_order: dict[int, list[int]] = {}
+    for x in range(n):
+        by_order.setdefault(n // gcd(x, n), []).append(x)
+    orders = sorted(by_order)
+    below = tuple(tuple(b for b, e in enumerate(orders) if d % e == 0) for d in orders)
+    return CyclicSubgroups(tuple(tuple(by_order[d]) for d in orders), below)
+
+
+def twin_quotient_by_sorting(members: Sequence[Sequence[int]],
+                             closed: Sequence[tuple[int, ...]]) -> TwinPartition:
+    """Twin partition from atoms with every class's members sorted into an
+    explicit tuple: atoms sharing a closed key form a class, ordered by
+    smallest member, and one atom's closed key gives the class's
+    adjacency."""
+    by_closed: dict[tuple[int, ...], list[int]] = {}
+    for a, key in enumerate(closed):
+        by_closed.setdefault(key, []).append(a)
+    groups = sorted(by_closed.values(), key=lambda atoms: min(members[a][0] for a in atoms))
+    class_of = [0] * len(closed)
+    for i, atoms in enumerate(groups):
+        for a in atoms:
+            class_of[a] = i
+    adj = []
+    for i, atoms in enumerate(groups):
+        mask = 0
+        for b in closed[atoms[0]]:
+            mask |= 1 << class_of[b]
+        adj.append(mask ^ 1 << i)
+    return TwinPartition(
+        classes=tuple(tuple(sorted(v for a in atoms for v in members[a])) for atoms in groups),
+        adj=tuple(adj),
+    )
+
+
+def cyclic_partition_by_residues(n: int) -> TwinPartition:
+    """Z_n's twin partition from its lattice by residues."""
+    members, below = cyclic_lattice_by_residues(n)
+    return twin_quotient_by_sorting(members, _closed_keys(below))
+
+
+def reduced_cyclic_partition_by_residues(n: int) -> TwinPartition:
+    """Twin partition of Z_n's reduced graph from its lattice by residues:
+    without the subgroups {0} and Z_n, each containment one index lower."""
+    members, below = cyclic_lattice_by_residues(n)
+    inner = [tuple(b - 1 for b in key[1:]) for key in below[1:-1]]
+    return twin_quotient_by_sorting(members[1:-1], _closed_keys(inner))
 
 
 def counts_of(tp: TwinPartition) -> tuple[tuple[int, ...], ...]:

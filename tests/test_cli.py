@@ -273,6 +273,27 @@ def test_cyclic_commands_tabulate_no_group(capsys, monkeypatch):
         assert run(capsys, *argv)[0] == 0, argv
 
 
+def test_cyclic_spectra_list_no_residue(capsys, monkeypatch):
+    # the spectrum reads each class's size alone, so Z_n's classes, held
+    # by their divisors, are never listed; `info` lists only the classes
+    # of kappa's certificate, each once: Z_2310's universal class, which
+    # the peel lists, and the eight classes of its final cut
+    listed = 0
+    iterate = powerlap.groups.OrderClass.__iter__
+
+    def counted(self):
+        nonlocal listed
+        listed += 1
+        return iterate(self)
+
+    monkeypatch.setattr(powerlap.groups.OrderClass, "__iter__", counted)
+    for n in (720, 840, 1260, 1680, 2310):
+        assert run(capsys, "spectrum", f"zn:{n}", "--format", "json")[0] == 0, n
+    assert listed == 0
+    assert run(capsys, "info", "zn:2310")[0] == 0
+    assert listed == 9
+
+
 def test_claims_and_group_spectra_build_no_power_graph(capsys, monkeypatch):
     refuse_everywhere(monkeypatch, [powerlap.graphs.power_graph], "a power graph was built")
     with pytest.raises(AssertionError):

@@ -35,6 +35,7 @@ TEXT_CASES = [
     (("decompose", "gq:3"), "decompose_gq_3.txt"),
     (("info", "qn:8"), "info_qn_8.txt"),
     (("info", "zn:360"), "info_zn_360.txt"),
+    (("info", "zn:5040"), "info_zn_5040.txt"),
     (("spectrum", "gq:4"), "spectrum_gq_4.txt"),
     (("spectrum", "prod:zn:4xzn:2xzn:2"), "spectrum_prod_zn4xzn2xzn2.txt"),
     (("info", Q3_TABLE), "info_table_q3.txt"),
@@ -46,6 +47,10 @@ TEXT_CASES = [
 JSON_CASES = [
     (("verify", "--format", "json"), "verify.json"),
     (("spectrum", "zn:720", "--format", "json"), "spectrum_zn_720.json"),
+    (("spectrum", "zn:840", "--format", "json"), "spectrum_zn_840.json"),
+    (("spectrum", "zn:1260", "--format", "json"), "spectrum_zn_1260.json"),
+    (("spectrum", "zn:1680", "--format", "json"), "spectrum_zn_1680.json"),
+    (("spectrum", "zn:2310", "--format", "json"), "spectrum_zn_2310.json"),
     (("decompose", "prod:zn:9xzn:3", "--format", "json"), "decompose_prod_zn9xzn3.json"),
     (("decompose", "gq:3", "--format", "json"), "decompose_gq_3.json"),
     (("info", "prod:zn:4xzn:4xzn:4xzn:4xzn:2", "--format", "json"),

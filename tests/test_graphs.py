@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 from conftest import random_graph, reduced_cyclic_partition, small_graphs, twin_rich_graphs
 from oracles import (
     counts_of,
+    cyclic_partition_by_residues,
     is_complete,
     masks_of,
     power_graph_by_masks,
+    reduced_cyclic_partition_by_residues,
     twin_partition_by_rows,
     vertex_connectivity_every_class_pair,
     vertex_connectivity_exhaustive,
@@ -20,6 +22,7 @@ from powerlap.graphs import (
     Graph,
     TwinPartition,
     _SplitNetwork,
+    _bits,
     _classes_connected,
     complement,
     components,
@@ -31,6 +34,7 @@ from powerlap.graphs import (
     vertex_connectivity,
 )
 from powerlap.groups import (
+    OrderClass,
     cyclic_group,
     dicyclic_group,
     direct_product,
@@ -38,7 +42,13 @@ from powerlap.groups import (
     parse_group_spec,
 )
 from powerlap.spectra import spectrum
-from powerlap.verify import is_cyclic, is_generalized_quaternion, pgroup_catalog
+from powerlap.verify import (
+    _cyclic_partition,
+    _reduced_cyclic_partition,
+    is_cyclic,
+    is_generalized_quaternion,
+    pgroup_catalog,
+)
 
 
 def assert_certifies(g, cut):
@@ -237,6 +247,60 @@ def test_cyclic_twin_partition_matches_the_power_graph():
         assert tp.n == n
         assert spectrum(tp) == spectrum(g), n
         assert vertex_connectivity(tp) == vertex_connectivity(g), n
+
+
+def assert_same_partition_as_the_residue_oracle(tp, want):
+    """Same sizes and adjacency, and each class, listed, is the oracle's
+    tuple; the smallest member needs no listing."""
+    assert [len(c) for c in tp.classes] == [len(c) for c in want.classes]
+    assert tp.adj == want.adj
+    for got, members in zip(tp.classes, want.classes):
+        assert got[0] == members[0]
+        assert tuple(got) == members
+
+
+# every order to 2000, and two with 32 and 60 divisors
+DIVISOR_ORACLE_ORDERS = list(range(1, 2001)) + [2310, 5040]
+
+
+def test_divisor_partition_matches_the_residue_oracle():
+    for n in DIVISOR_ORACLE_ORDERS:
+        assert_same_partition_as_the_residue_oracle(_cyclic_partition(n),
+                                                    cyclic_partition_by_residues(n))
+        if n >= 2:
+            assert_same_partition_as_the_residue_oracle(_reduced_cyclic_partition(n),
+                                                        reduced_cyclic_partition_by_residues(n))
+
+
+def test_divisor_classes_answer_membership_without_listing(monkeypatch):
+    def refuse(self):
+        raise AssertionError("listed")
+
+    partitions = [(n, cyclic_partition_by_residues(n), twin_partition(cyclic_group(n)))
+                  for n in (1, 12, 97, 360, 1024)]
+    monkeypatch.setattr(OrderClass, "__iter__", refuse)
+    for n, want, tp in partitions:
+        for got, members in zip(tp.classes, want.classes):
+            assert isinstance(got, OrderClass)
+            inside = set(members)
+            assert [x in got for x in range(-1, n + 1)] == [x in inside for x in range(-1, n + 1)]
+            assert got[0] == members[0] and len(got) == len(members)
+
+
+def test_kappa_on_divisor_classes_matches_the_residue_oracle():
+    for n in range(1, 401):
+        cut = vertex_connectivity(twin_partition(cyclic_group(n)))
+        assert repr(cut) == repr(vertex_connectivity(cyclic_partition_by_residues(n))), n
+        assert_certifies(power_graph(cyclic_group(n)), cut)
+
+
+def test_bits_matches_the_binary_digits_on_narrow_and_wide_masks():
+    rng = random.Random(35)
+    masks = [0, (1 << 8192) - 1] + [1 << i for i in range(0, 8192, 5)]
+    masks += [rng.getrandbits(k) | 1 << (k - 1) for k in (1, 2, 63, 64, 65, 128, 8192)]
+    masks += [rng.getrandbits(rng.randint(1, 8192)) for _ in range(300)]
+    for mask in masks:
+        assert _bits(mask) == [i for i, c in enumerate(reversed(bin(mask)[2:])) if c == "1"]
 
 
 def test_reduced_cyclic_twin_partition_matches_the_graph():

@@ -295,7 +295,7 @@ def test_maclaurin_bound_takes_fewer_primes_on_the_z4_4_core(monkeypatch):
 
 
 def test_primes_descend_from_the_largest_below_2_to_25():
-    # 4,000 primes cross the first sieve window of 2**16 integers
+    # 4,000 primes cross the first two sieve windows, of 2**12 and 2**16 integers
     primes = [_prime(i) for i in range(4000)]
     assert primes[0] == sympy.prevprime(2**25) == P0 and primes[1] == P1
     assert primes[-1] < 2**25 - 2**16 < primes[0]

@@ -1,6 +1,7 @@
 import pytest
 
 from oracles import (
+    cyclic_lattice_by_residues,
     decompose_by_recursion,
     element_info,
     hat_up_set_by_masks,
@@ -75,6 +76,17 @@ def test_decompose_matches_the_recursive_build():
         got = decompose(g)
         assert tree_json_dict(got) == tree_json_dict(want), g.label
         assert tree_string(got) == tree_string(want), g.label
+
+
+def test_decompose_of_a_cyclic_group_matches_its_residue_lattice():
+    # a divisor lattice's classes give decompose their sizes and smallest
+    # members with no residue listed
+    cyclic = [g for g in pgroup_catalog(256) if g.label.startswith("Z") and "x" not in g.label]
+    assert len(cyclic) == 70
+    for g in cyclic:
+        listed = FiniteGroup(g.order, 0, g.label, g.mul,
+                             _cache={"lattice": cyclic_lattice_by_residues(g.order)})
+        assert decompose(g) == decompose(listed), g.label
 
 
 def test_decompose_reads_no_element_orders(monkeypatch):

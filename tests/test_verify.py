@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -340,6 +341,23 @@ def test_cyclic_claims_go_past_max_order():
     for check in (check_cyclic_algcon, check_cyclic_radius_mult, check_cyclic_kappa_eq_mu):
         report = check(n)
         assert report.verdict == "pass", json.dumps(report.to_json_dict(), sort_keys=True)
+
+
+def test_cyclic_partition_past_max_order_stays_small():
+    # Z_720720's 240 divisors give its partition; listing its residues by
+    # one gcd each peaked at 33.3 MB
+    import powerlap.verify
+
+    powerlap.verify._cyclic_lattice.cache_clear()
+    powerlap.verify._cyclic_partition.cache_clear()
+    tracemalloc.start()
+    try:
+        tp = powerlap.verify._cyclic_partition(720720)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert tp.n == 720720 and tp.size == 239
+    assert peak < 2**20
 
 
 def test_is_generalized_quaternion():
