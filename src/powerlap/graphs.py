@@ -38,12 +38,7 @@ __all__ = [
 
 
 def _bits(mask: int) -> list[int]:
-    """Indices of the set bits of mask, ascending.  A mask below 2**64 is
-    walked by clearing its lowest bit; a wider one is unpacked by numpy in
-    one pass, since each step of that walk copies the whole int."""
-    if mask >> 64:
-        data = np.frombuffer(mask.to_bytes((mask.bit_length() + 7) // 8, "little"), dtype=np.uint8)
-        return np.flatnonzero(np.unpackbits(data, bitorder="little")).tolist()
+    """Indices of the set bits of mask, ascending."""
     out = []
     while mask:
         low = mask & -mask

@@ -28,7 +28,6 @@ __all__ = [
     "FiniteGroup",
     "GroupValidationError",
     "MAX_ORDER",
-    "OrderClass",
     "euler_phi",
     "factorize",
     "cyclic_group",
@@ -54,9 +53,9 @@ class GroupValidationError(ValueError):
 # of each element not yet placed, and the lattice and the twin partition
 # built from it keep lists per element and per containment.
 # `cyclic_group` applies the same limit to Z_n: its lattice comes from
-# the divisors of n with no walk and lists no element, but
-# `FiniteGroup.orders` and `power_graph` still list every one.  Larger
-# orders fail fast instead of running long.
+# the divisors of n with no walk and lists no element, but `power_graph`
+# still lists every one.  Larger orders fail fast instead of running
+# long.
 MAX_ORDER = 8192
 
 
@@ -144,14 +143,16 @@ def euler_phi(n: int) -> int:
 
 class OrderClass:
     """The residues of Z_n whose orders lie in ``orders``, divisors of n
-    ascending, as an ascending sequence of ints held by those divisors.
+    ascending, held by those divisors: ``len``, ``[0]`` (the smallest
+    member), ``x in c`` and ascending iteration, which is all that a
+    class of generators is read by.
 
     The residues of order d are the phi(d) generators k*(n/d) of Z_n's
     subgroup of order d, with 0 <= k < d and gcd(k, d) = 1.  So the
     length and the smallest member come from n and the divisors, and
     the members are listed only when iterated: one sieve of the k by
     the primes of d per divisor, and one sorted pass when there are
-    several.  A class equals the tuple of its members.
+    several.
     """
 
     __slots__ = ("n", "orders", "_size", "_primes")
@@ -170,10 +171,10 @@ class OrderClass:
     def __len__(self) -> int:
         return self._size
 
-    def __getitem__(self, i):
-        if type(i) is int and i == 0:
-            return 0 if self.orders[0] == 1 else self.n // self.orders[-1]
-        return tuple(self)[i]
+    def __getitem__(self, i: int) -> int:
+        if i != 0:
+            raise IndexError("an OrderClass is read by index only at 0, its smallest member")
+        return 0 if self.orders[0] == 1 else self.n // self.orders[-1]
 
     def __iter__(self):
         n = self.n
@@ -188,16 +189,6 @@ class OrderClass:
 
     def __contains__(self, x) -> bool:
         return isinstance(x, int) and 0 <= x < self.n and self.n // math.gcd(x, self.n) in self.orders
-
-    def __eq__(self, other):
-        if isinstance(other, OrderClass):
-            return (self.n, self.orders) == (other.n, other.orders)
-        if isinstance(other, tuple):
-            return tuple(self) == other
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(tuple(self))
 
     def __repr__(self) -> str:
         return f"OrderClass(n={self.n}, orders={self.orders})"
@@ -228,10 +219,10 @@ class FiniteGroup:
     """A finite group of order n on the index set 0..n-1.
 
     ``mul(i, j)`` is the product of elements i and j, computed by the
-    group's rule on demand.  Instances are immutable; derived data
-    (the cyclic-subgroup lattice and element orders) is computed on
-    first use and cached; `cyclic_group` seeds the lattice from the
-    divisors of n instead.
+    group's rule on demand.  Instances are immutable; the cyclic-subgroup
+    lattice, from which every per-element fact is read, is computed on
+    first use and cached; `cyclic_group` seeds it from the divisors of n
+    instead.
     """
 
     order: int
@@ -290,21 +281,6 @@ class FiniteGroup:
             lattice = CyclicSubgroups(tuple(members), tuple(below))
             self._cache["lattice"] = lattice
         return lattice
-
-    def orders(self) -> list[int]:
-        """o(g) for every element g: |<g>| is the number of generators of
-        all the cyclic subgroups inside <g>.  It lists every subgroup's
-        generators, Z_n's included; a reader of counts per order takes
-        `CyclicSubgroups.subgroup_orders` and the class sizes instead."""
-        orders = self._cache.get("orders")
-        if orders is None:
-            lattice = self.cyclic_subgroups()
-            orders = [0] * self.order
-            for atom, o in zip(lattice.members, lattice.subgroup_orders()):
-                for x in atom:
-                    orders[x] = o
-            self._cache["orders"] = orders
-        return orders
 
     def __repr__(self) -> str:
         return f"FiniteGroup({self.label!r}, order={self.order})"

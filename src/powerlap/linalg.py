@@ -55,7 +55,10 @@ def _prime(i: int) -> int:
     sqrt(2**25), from d * d on, and its survivors are appended in
     descending order.  A prime below 64 strikes its many multiples by
     one slice; the others strike few each, all of them at once through
-    one index array.  Past the last prime, 2, it raises IndexError.
+    one index array; striking the small primes that way too makes the
+    array of a 2**16 window about 160,000 indices long, and the full
+    sieve slower than with one slice per prime.  Past the last prime, 2,
+    it raises IndexError.
     """
     while len(_PRIMES) <= i and _PRIMES[-1:] != [2]:
         hi = _PRIMES[-1] if _PRIMES else 2**25

@@ -399,7 +399,8 @@ def check_dicyclic_bundle(n: int) -> ClaimReport:
 
 
 def is_cyclic(g: FiniteGroup) -> bool:
-    return max(g.orders()) == g.order
+    """Whether some cyclic subgroup is the whole group."""
+    return max(g.cyclic_subgroups().subgroup_orders()) == g.order
 
 
 def is_generalized_quaternion(g: FiniteGroup) -> bool:
@@ -414,8 +415,14 @@ def is_generalized_quaternion(g: FiniteGroup) -> bool:
         order >= 8
         and _is_power_of_two(order)
         and not is_cyclic(g)
-        and g.orders().count(2) == 1
+        and _involutions(g) == 1
     )
+
+
+def _involutions(g: FiniteGroup) -> int:
+    """The elements of order 2: the generators of the subgroups of order 2."""
+    lattice = g.cyclic_subgroups()
+    return sum(len(atom) for atom, o in zip(lattice.members, lattice.subgroup_orders()) if o == 2)
 
 
 def check_pgroup_bundle(g: FiniteGroup) -> ClaimReport:

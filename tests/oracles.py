@@ -260,7 +260,7 @@ def is_p_group_by_elements(g: FiniteGroup) -> Optional[int]:
     for x in range(g.order):
         if x == g.identity:
             continue
-        f = factorize(g.orders()[x])
+        f = factorize(element_orders(g)[x])
         if not f.is_prime_power:
             return None
         q = f.prime_powers[0][0]
@@ -589,7 +589,7 @@ def is_generalized_quaternion_by_presentation(g: FiniteGroup) -> bool:
     if order < 8 or order & (order - 1):
         return False
     m = order // 4  # presentation parameter: a has order 2m, b*b = a^m
-    orders = g.orders()
+    orders = element_orders(g)
     for a in range(order):
         if orders[a] != 2 * m:
             continue
@@ -713,6 +713,31 @@ def tabulated(g: FiniteGroup) -> Table:
 
 
 @lru_cache(maxsize=16)
+def element_orders(g: FiniteGroup) -> list[int]:
+    """o(x) for every element x of g: |<x>| is the number of generators of
+    all the cyclic subgroups inside <x>, each subgroup's order read from
+    the lattice and given to each of its generators."""
+    lattice = g.cyclic_subgroups()
+    orders = [0] * g.order
+    for atom, o in zip(lattice.members, lattice.subgroup_orders()):
+        for x in atom:
+            orders[x] = o
+    return orders
+
+
+def listed_lattice(lattice: CyclicSubgroups) -> CyclicSubgroups:
+    """The lattice with each subgroup's generators listed as a tuple, so
+    Z_n's divisor lattice compares with a walked one."""
+    return CyclicSubgroups(tuple(tuple(atom) for atom in lattice.members), lattice.below)
+
+
+def listed_partition(tp: TwinPartition) -> TwinPartition:
+    """The partition with each class listed as a tuple, so Z_n's divisor
+    classes compare with a graph's."""
+    return TwinPartition(tuple(tuple(c) for c in tp.classes), tp.adj)
+
+
+@lru_cache(maxsize=16)
 def masks_of(g: FiniteGroup) -> tuple[int, ...]:
     """Bitmask of <x> for every element x of g, walked over its table."""
     return tuple(table_masks(tabulated(g), g.identity))
@@ -821,7 +846,7 @@ def decompose_by_recursion(g: FiniteGroup) -> DecompTree:
         subtrees = sorted((build(b) for b in children[a]),
                           key=lambda t: (-t.upset_size, t.element))
         upset = apex + sum(t.upset_size for t in subtrees)
-        return DecompTree(apex, x, g.orders()[x], upset, tuple(subtrees))
+        return DecompTree(apex, x, element_orders(g)[x], upset, tuple(subtrees))
 
     return build(root)
 
