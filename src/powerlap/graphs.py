@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, compress
 from typing import Iterable, Optional, Sequence
 
@@ -123,12 +124,29 @@ class Graph:
         return out
 
 
-@dataclass(frozen=True)
 class CutCertificate:
-    """A minimum separating set: its size and one witnessing vertex set."""
+    """A minimum separating set: its size and one witnessing vertex set,
+    ascending.  Given as twin ``classes``, the set is listed on first
+    read as the ``size`` smallest members of their union, so a caller
+    that reads the size alone lists no class."""
 
-    size: int
-    separating_set: tuple[int, ...]
+    def __init__(self, size: int, separating_set: Sequence[int] = (),
+                 classes: Sequence[Sequence[int]] = ()):
+        self.size, self._set, self._classes = size, tuple(separating_set), classes
+
+    @property
+    def separating_set(self) -> tuple[int, ...]:
+        if self._classes:
+            self._set = tuple(sorted(chain.from_iterable(self._classes)))[:self.size]
+            self._classes = ()
+        return self._set
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, CutCertificate)
+                and (self.size, self.separating_set) == (other.size, other.separating_set))
+
+    def __repr__(self) -> str:
+        return f"CutCertificate(size={self.size!r}, separating_set={self.separating_set!r})"
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +263,7 @@ class TwinPartition:
     rebuilt.  Each class is an ascending sequence: an explicit tuple, or
     for Z_n an `OrderClass` whose length and smallest member need no
     listing, so that the spectrum, the degrees and the flow capacities
-    read sizes alone and only κ's peel and witness list members.
+    read sizes alone and only a κ witness, when read, lists members.
     """
 
     classes: tuple[Sequence[int], ...]
@@ -262,8 +280,13 @@ class TwinPartition:
 
     def degrees(self) -> list[int]:
         """The degree of a vertex of each class: its class size less one
-        plus the sizes of the classes joined to its own, counted by one
-        mask of the classes of each size."""
+        plus the sizes of the classes joined to its own.  Computed once
+        per partition; each call returns a fresh list."""
+        return list(self._degrees)
+
+    @cached_property
+    def _degrees(self) -> tuple[int, ...]:
+        # one mask of the classes of each size counts them all
         sizes = [len(c) for c in self.classes]
         by_size: dict[int, int] = {}
         for i, s in enumerate(sizes):
@@ -272,7 +295,7 @@ class TwinPartition:
         for t, mask in by_size.items():
             for i, a in enumerate(self.adj):
                 degrees[i] += t * (a & mask).bit_count()
-        return degrees
+        return tuple(degrees)
 
 
 def _twin_quotient(members: Sequence[Sequence[int]],
@@ -349,7 +372,7 @@ def _closed_keys(below: Sequence[tuple[int, ...]]) -> list[tuple[int, ...]]:
 # vertex connectivity
 
 
-def vertex_connectivity(g: Graph | TwinPartition) -> CutCertificate:
+def vertex_connectivity(g: Graph | TwinPartition, floor: int = 0) -> CutCertificate:
     """Exact vertex connectivity with a witnessing minimum separating set.
 
     Takes a graph or its twin partition; only the partition is read.
@@ -363,21 +386,25 @@ def vertex_connectivity(g: Graph | TwinPartition) -> CutCertificate:
     identity and the involution in a generalized quaternion group.  U is
     a union of whole classes, so G - U is the piece of the other
     classes, and the rest is `_separate` on that piece, with each degree
-    less |U|: every vertex left was joined to all of U.
+    less |U|: every vertex left was joined to all of U.  ``floor`` is a
+    proven lower bound on kappa(G) for a non-complete G, such as the
+    ceiling of the algebraic connectivity a(G) <= kappa(G) (Fiedler,
+    1973); joining U adds |U| to both, so floor - |U| bounds `_separate`.
+    The witness is kept as twin classes, listed only when read.
     """
     tp = g if isinstance(g, TwinPartition) else twin_partition(g)
     n = tp.n
     if n <= 1:
         return CutCertificate(0, ())
     degrees = tp.degrees()
-    peeled = tuple(sorted(v for c, d in zip(tp.classes, degrees) if d == n - 1 for v in c))
-    if len(peeled) == n:
-        return CutCertificate(n - 1, peeled[:-1])
+    peeled = [c for c, d in zip(tp.classes, degrees) if d == n - 1]
+    universal = sum(len(c) for c in peeled)
     rest = sum(1 << i for i, d in enumerate(degrees) if d < n - 1)
-    if not _classes_connected(tp, rest):
-        return CutCertificate(len(peeled), peeled)
-    cut = _separate(tp, rest, [d - len(peeled) for d in degrees])
-    return CutCertificate(len(peeled) + cut.size, tuple(sorted(peeled + cut.separating_set)))
+    if universal == n or not _classes_connected(tp, rest):
+        # complete: every vertex but the largest; else U is the cut
+        return CutCertificate(min(universal, n - 1), classes=peeled)
+    size, cut = _separate(tp, rest, [d - universal for d in degrees], floor - universal)
+    return CutCertificate(universal + size, classes=peeled + [tp.classes[c] for c in cut])
 
 
 def _classes_connected(tp: TwinPartition, piece: int) -> bool:
@@ -388,11 +415,13 @@ def _classes_connected(tp: TwinPartition, piece: int) -> bool:
     return _reach(tp.adj, (piece & -piece).bit_length() - 1, piece) == piece
 
 
-def _separate(tp: TwinPartition, piece: int, degrees: Sequence[int]) -> CutCertificate:
+def _separate(tp: TwinPartition, piece: int, degrees: Sequence[int],
+              floor: int) -> tuple[int, tuple[int, ...]]:
     """Minimum separating set of the piece of ``tp``, the subgraph induced
     by the classes in the bitmask ``piece``: connected, with two or more
     classes and no universal vertex.  ``degrees[i]`` is the degree inside
-    the piece of a vertex of class i, for each class i in it.
+    the piece of a vertex of class i, for each class i in it.  Returns
+    the cut's size and its classes.
 
     The value is the Menger minimum over non-adjacent vertex pairs,
     computed as a vertex-capacitated max-flow on the twin quotient; the
@@ -405,7 +434,9 @@ def _separate(tp: TwinPartition, piece: int, degrees: Sequence[int]) -> CutCerti
     classes scanned so far hold more than `best` >= kappa vertices, one
     of them avoids some minimum cut S; its flow to a class beyond S has
     already found kappa, and the scan stops.  A minimum cut between two
-    classes is symmetric, so each unordered pair is flowed once.
+    classes is symmetric, so each unordered pair is flowed once.  It also
+    stops once `best` meets ``floor``, a proven lower bound: `best` is
+    replaced only by a strictly smaller cut, so the full scan agrees.
     """
     inside = _bits(piece)
     best: Optional[int] = None
@@ -415,7 +446,7 @@ def _separate(tp: TwinPartition, piece: int, degrees: Sequence[int]) -> CutCerti
     done = [False] * tp.size
     scanned = 0
     for src in order:
-        if best is not None and scanned > best:
+        if best is not None and (scanned > best or best <= floor):
             break
         joined = tp.adj[src]
         for dst in inside:
@@ -424,11 +455,12 @@ def _separate(tp: TwinPartition, piece: int, degrees: Sequence[int]) -> CutCerti
             value, cut_classes = network.min_cut(src, dst, best)
             if value is not None and (best is None or value < best):
                 best, best_classes = value, cut_classes
+                if best <= floor:
+                    break
         done[src] = True
         scanned += len(tp.classes[src])
     assert best is not None  # non-complete connected graph has a cut
-    # the witness lists the members of the final cut's classes only
-    return CutCertificate(best, tuple(sorted(chain.from_iterable(tp.classes[c] for c in best_classes))))
+    return best, best_classes
 
 
 _INF = 1 << 40

@@ -139,7 +139,8 @@ class Spectrum:
     whose roots are the remaining eigenvalues, all real and non-integer;
     ``numeric`` lists those roots as display floats, sorted descending.
     For an exact spectrum the multiplicities sum to n, the residual is 1
-    and ``numeric`` is empty.
+    and ``numeric`` is empty.  The second-smallest and the largest
+    eigenvalue are placed by exact counts on first read and kept.
     """
 
     n: int
@@ -168,31 +169,31 @@ class Spectrum:
         return certified + len(self.numeric) - roots_above(self.residual, k)
 
     @cached_property
-    def _ascending(self) -> tuple[int | float, ...]:
+    def _second(self) -> int | float:
+        # the certified roots ascending, each placed after the residual
+        # roots below it by one count, until two values are placed
         floats = sorted(self.numeric)
         vals: list[int | float] = []
         placed = 0  # floats already in vals
         for r, m in self.exact.factors:
+            if len(vals) >= 2:
+                break
             # the residual has no root at r, so those not above it lie below
             below = len(floats) - roots_above(self.residual, r)
-            vals.extend(floats[placed:below])
-            vals.extend([r] * m)
+            vals += floats[placed:below] + [r] * m
             placed = below
-        vals.extend(floats[placed:])
-        return tuple(vals)
+        return (vals + floats[placed:])[1]
 
-    def eigenvalues_ascending(self) -> list[int | float]:
-        """Every eigenvalue ascending; certified integers placed by exact counts.
-
-        The order (one Descartes count per distinct certified eigenvalue)
-        is computed on the first call and kept, so algebraic
-        connectivity, the spectral radius and its multiplicity share
-        it; each call returns a fresh list.  The integer eigenvalues it
-        places come from leaf charpolys run with each leaf's zero
-        eigenvalue deflated.  A leaf met again among the last 64 reuses
-        its memoized roots, so the order equals a fresh computation's.
-        """
-        return list(self._ascending)
+    @cached_property
+    def _top(self) -> int | float:
+        # the top certified root, unless a residual root lies above it: one
+        # count decides, and none is needed at n, as L(G) + L(G') = nI - J
+        # for the complement G' bounds a Laplacian spectrum by n
+        if self.exact.factors:
+            top = self.exact.factors[-1][0]
+            if top == self.n or not roots_above(self.residual, top):
+                return top
+        return max(self.numeric)
 
     def to_json_dict(self) -> dict:
         return {
@@ -446,16 +447,18 @@ def spectrum(g: Graph | TwinPartition) -> Spectrum:
 
 
 def algebraic_connectivity(s: Spectrum) -> int | float:
-    """Second-smallest Laplacian eigenvalue; an int when certified exactly."""
+    """Second-smallest Laplacian eigenvalue; an int when certified exactly.
+    Only the bottom of the spectrum is ordered, one count per root."""
     if s.n < 2:
         raise ValueError("algebraic connectivity requires at least 2 vertices")
-    return s.eigenvalues_ascending()[1]
+    return s._second
 
 
 def spectral_radius(s: Spectrum) -> int | float:
+    """Largest Laplacian eigenvalue, from the top of the spectrum alone."""
     if s.n < 1:
         raise ValueError("spectral radius requires a nonempty graph")
-    return s.eigenvalues_ascending()[-1]
+    return s._top
 
 
 def spectral_radius_multiplicity(s: Spectrum) -> int:
@@ -466,7 +469,7 @@ def spectral_radius_multiplicity(s: Spectrum) -> int:
     """
     if s.n < 1:
         raise ValueError("spectral radius requires a nonempty graph")
-    top = s.eigenvalues_ascending()[-1]
+    top = s._top
     if not isinstance(top, int):
         raise ValueError(
             "the largest eigenvalue is not a certified integer; its multiplicity is not certified"

@@ -11,6 +11,7 @@ appear only as reported evidence.
 
 from __future__ import annotations
 
+import math
 import time
 from collections import Counter
 from dataclasses import asdict, astuple, dataclass, field, fields
@@ -118,8 +119,8 @@ def _report(claim_id, params, ok, witness, evidence, started) -> ClaimReport:
 # One entry each: the suites and the scan visit n in order, so every
 # claim about n finds its lattice, partitions and spectrum here.  Z_n's
 # partitions read only its divisor lattice, with no group built, at most
-# one class per divisor and no residue listed until kappa names a class,
-# so the suites and the scan pass MAX_ORDER.
+# one class per divisor and no residue listed, as the claims read kappa's
+# size alone, so the suites and the scan pass MAX_ORDER.
 _cyclic_lattice = lru_cache(maxsize=1)(_cyclic_lattice)
 
 
@@ -154,6 +155,20 @@ def _algcon_equals(s: Spectrum, target: int) -> bool:
     """
     at_most = s.count_at_most(target)
     return at_most >= 2 > at_most - s.exact.multiplicity(target)
+
+
+def _kappa_floor(s: Spectrum, mu: int | float) -> int:
+    """The ceiling of mu, a floor on kappa (Fiedler, 1973: a(G) <= kappa(G)
+    off the complete graphs).  A display float only starts the search:
+    exact counts settle the k with two eigenvalues <= k, fewer <= k - 1."""
+    if isinstance(mu, int):
+        return mu
+    k = math.ceil(mu)
+    while s.count_at_most(k) < 2:
+        k += 1
+    while s.count_at_most(k - 1) >= 2:
+        k -= 1
+    return k
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +260,7 @@ def check_cyclic_kappa_eq_mu(n: int) -> ClaimReport:
         raise ValueError("requires n >= 2")
     s = _cyclic_spectrum(n)
     mu = algebraic_connectivity(s)
-    kappa = vertex_connectivity(_cyclic_partition(n)).size
+    kappa = vertex_connectivity(_cyclic_partition(n), _kappa_floor(s, mu)).size
     predicate = factorize(n).is_product_of_two_distinct_primes
     equal = _algcon_equals(s, kappa)
     ok = equal == predicate
@@ -316,7 +331,7 @@ def check_dicyclic_bundle(n: int) -> ClaimReport:
     order = 4 * n
     s = spectrum(tp)
     mu = algebraic_connectivity(s)
-    cut = vertex_connectivity(tp)
+    cut = vertex_connectivity(tp, _kappa_floor(s, mu))
     kappa = cut.size
     pow2 = _is_power_of_two(n)
     failures: list[str] = []
@@ -449,13 +464,13 @@ def check_pgroup_bundle(g: FiniteGroup) -> ClaimReport:
     tree = decompose(g)
     tp = twin_partition(g)
     s = spectrum(tp)
-    cut = vertex_connectivity(tp)
+    mu = algebraic_connectivity(s)
+    cut = vertex_connectivity(tp, _kappa_floor(s, mu))
     kappa = cut.size
     cyclic = is_cyclic(g)
     genq = is_generalized_quaternion(g)
     failures: list[str] = []
 
-    mu = algebraic_connectivity(s)
     mult = spectral_radius_multiplicity(s)
 
     # (a) three-way equivalence, stated for order >= 3

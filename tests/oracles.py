@@ -26,8 +26,9 @@ completeness by edge count, the complement spectrum, a p-group
 decomposition tree built by recursion from its root, the join/union
 calculus of factored characteristic polynomials (clique, union, join
 and the removal of one root) and the tree's polynomial by it node by
-node, the tree materialized as a graph, and one element's order,
-cyclic subgroup and ~-class.
+node, the tree materialized as a graph, one element's order, cyclic
+subgroup and ~-class, and a spectrum's whole eigenvalue order, of
+which the package reads only the ends.
 """
 
 from __future__ import annotations
@@ -57,6 +58,7 @@ from powerlap.graphs import (
     twin_partition,
 )
 from powerlap.groups import CyclicSubgroups, FiniteGroup, factorize
+from powerlap.linalg import roots_above
 from powerlap.pgroup import DecompTree
 from powerlap.spectra import CharPolyContradiction, FactoredCharPoly, Spectrum
 
@@ -824,6 +826,23 @@ def complement_spectrum(s: Spectrum) -> Spectrum:
             mapped[s.n - r] += m
     mapped[0] += 1
     return Spectrum(n=s.n, exact=FactoredCharPoly.from_counts(mapped))
+
+
+def eigenvalues_ascending(s: Spectrum) -> list[int | float]:
+    """Every eigenvalue ascending, certified integers placed by exact
+    counts: one Descartes count per distinct certified eigenvalue, where
+    `algebraic_connectivity` and `spectral_radius` read only the ends."""
+    floats = sorted(s.numeric)
+    vals: list[int | float] = []
+    placed = 0  # floats already in vals
+    for r, m in s.exact.factors:
+        # the residual has no root at r, so those not above it lie below
+        below = len(floats) - roots_above(s.residual, r)
+        vals.extend(floats[placed:below])
+        vals.extend([r] * m)
+        placed = below
+    vals.extend(floats[placed:])
+    return vals
 
 
 def decompose_by_recursion(g: FiniteGroup) -> DecompTree:

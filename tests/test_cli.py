@@ -275,9 +275,9 @@ def test_cyclic_commands_tabulate_no_group(capsys, monkeypatch):
 
 def test_cyclic_spectra_list_no_residue(capsys, monkeypatch):
     # the spectrum reads each class's size alone, so Z_n's classes, held
-    # by their divisors, are never listed; `info` lists only the classes
-    # of kappa's certificate, each once: Z_2310's universal class, which
-    # the peel lists, and the eight classes of its final cut
+    # by their divisors, are never listed; `info` reads only the size of
+    # kappa's certificate, whose classes are listed only when its
+    # separating set is read, so it lists none either
     listed = 0
     iterate = powerlap.groups.OrderClass.__iter__
 
@@ -291,6 +291,12 @@ def test_cyclic_spectra_list_no_residue(capsys, monkeypatch):
         assert run(capsys, "spectrum", f"zn:{n}", "--format", "json")[0] == 0, n
     assert listed == 0
     assert run(capsys, "info", "zn:2310")[0] == 0
+    assert listed == 0
+    # a read witness lists its classes once: Z_2310's universal class and
+    # the eight classes of its final cut
+    cut = vertex_connectivity(powerlap.graphs.twin_partition(powerlap.groups.cyclic_group(2310)))
+    assert listed == 0
+    assert cut.separating_set == cut.separating_set and len(cut.separating_set) == cut.size
     assert listed == 9
 
 

@@ -10,6 +10,7 @@ from conftest import random_graph, reduced_cyclic_partition, small_graphs, twin_
 from oracles import (
     counts_of,
     cyclic_partition_by_residues,
+    dense_numeric_eigenvalues,
     is_complete,
     listed_partition,
     masks_of,
@@ -41,9 +42,10 @@ from powerlap.groups import (
     generalized_quaternion,
     parse_group_spec,
 )
-from powerlap.spectra import spectrum
+from powerlap.spectra import algebraic_connectivity, spectrum
 from powerlap.verify import (
     _cyclic_partition,
+    _kappa_floor,
     _reduced_cyclic_partition,
     is_cyclic,
     is_generalized_quaternion,
@@ -226,6 +228,18 @@ def test_degrees_are_row_sums_on_small_graphs(g):
 @given(twin_rich_graphs())
 def test_degrees_are_row_sums_on_twin_rich_graphs(g):
     assert_degrees_are_row_sums(twin_partition(g))
+
+
+def test_degrees_are_kept_but_never_shared():
+    tp = twin_partition(cyclic_group(12))
+    first = tp.degrees()
+    kept = list(first)
+    first[0] = -1
+    first.append(7)
+    assert tp.degrees() == kept
+    again = tp.degrees()
+    again.clear()
+    assert tp.degrees() == kept
 
 
 def test_degrees_are_row_sums_on_groups(lattice_groups):
@@ -587,6 +601,62 @@ def test_vertex_connectivity_runs_few_flows(monkeypatch):
     assert flows == 0
     vertex_connectivity(twin_partition(cyclic_group(5040)))
     assert 0 < flows <= UNPRUNED_Z5040_FLOWS // 2
+
+
+def fiedler_floor(tp_or_graph) -> int:
+    """The floor each claim gives kappa: the ceiling of mu, by exact counts."""
+    s = spectrum(tp_or_graph)
+    return _kappa_floor(s, algebraic_connectivity(s))
+
+
+def test_the_fiedler_floor_keeps_every_certificate():
+    # each claim family's partitions, past the default suite sizes: kappa
+    # stopped at ceil(mu) finds the full search's value and witness
+    partitions = [twin_partition(dicyclic_group(n)) for n in range(2, 301)]
+    partitions += [twin_partition(g) for g in pgroup_catalog(256)]
+    partitions += [_cyclic_partition(n) for n in range(2, 601)]
+    for tp in partitions:
+        floor = fiedler_floor(tp)
+        cut = vertex_connectivity(tp, floor)
+        assert cut == vertex_connectivity(tp)
+        # a complete graph, one class, has mu = n > kappa = n - 1
+        assert floor <= cut.size or tp.size == 1
+
+
+def test_the_fiedler_floor_stops_the_dicyclic_search(monkeypatch):
+    # mu of Q_n lies in (1, 2] and kappa is 2; past the identity the
+    # first cut of one vertex meets the floor
+    flows = 0
+    min_cut = _SplitNetwork.min_cut
+
+    def counted(self, *args):
+        nonlocal flows
+        flows += 1
+        return min_cut(self, *args)
+
+    monkeypatch.setattr(_SplitNetwork, "min_cut", counted)
+    tp = twin_partition(dicyclic_group(250))
+    assert vertex_connectivity(tp, fiedler_floor(tp)).size == 2
+    assert flows == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_graphs())
+# the cut vertex 4 joins a square to a triangle; the scan's first flow
+# finds a cut of two, which the floor 1 must not accept
+@example(Graph.from_edges(6, [(0, 1), (0, 4), (1, 2), (2, 4), (3, 4), (3, 5), (4, 5)]))
+def test_the_fiedler_floor_never_exceeds_kappa(g):
+    if g.n < 2 or is_complete(g):
+        return
+    floor = fiedler_floor(g)
+    # the dense spectrum's second eigenvalue has the same ceiling; no
+    # eigenvalue lies within 1e-6 of an integer it is not equal to
+    dense = dense_numeric_eigenvalues(g)
+    assert floor == min(k for k in range(g.n + 1) if dense[1] < k + 1e-6)
+    assert floor <= nx_connectivity(g)
+    if g.n <= 10:
+        assert floor <= vertex_connectivity_exhaustive(g).size
+    assert vertex_connectivity(g, floor) == vertex_connectivity(g)
 
 
 def test_proper_connected_iff_cyclic_or_quaternion(small_pgroups):

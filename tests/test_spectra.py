@@ -1,8 +1,10 @@
 import functools
+import math
 import random
 import re
 import time
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -20,6 +22,7 @@ from oracles import (
     counts_of,
     dense_nullity,
     dense_numeric_eigenvalues,
+    eigenvalues_ascending,
     fraction_charpoly,
     join_charpoly,
     laplacian,
@@ -717,7 +720,7 @@ def test_spectrum_json():
 
 
 def _eigen_multiset(s):
-    return s.eigenvalues_ascending()
+    return eigenvalues_ascending(s)
 
 
 def test_trace_identity(small_groups):
@@ -737,7 +740,7 @@ def test_radius_bound_and_equality(small_groups):
     graphs += [power_graph(g) for g in small_groups if g.order <= 40]
     for g in graphs:
         s = spectrum(g)
-        top = s.eigenvalues_ascending()[::-1][0]
+        top = eigenvalues_ascending(s)[::-1][0]
         assert float(top) <= g.n + 1e-9
         hits_n = s.exact.multiplicity(g.n) >= 1
         complement_disconnected = len(components(complement(g))) > 1
@@ -756,8 +759,8 @@ def test_identity_deletion_shift(small_groups):
         rest = spectrum(proper_power_graph(g))
         if not (full.is_exact and rest.is_exact):
             continue
-        window = full.eigenvalues_ascending()[::-1][1 : g.order - 1]
-        shifted = [v + 1 for v in rest.eigenvalues_ascending()[::-1][: g.order - 2]]
+        window = eigenvalues_ascending(full)[::-1][1 : g.order - 1]
+        shifted = [v + 1 for v in eigenvalues_ascending(rest)[::-1][: g.order - 2]]
         assert window == shifted, g.label
 
 
@@ -778,7 +781,7 @@ def test_full_spectrum_matches_dense_eigvalsh():
         n = rng.randint(1, 14)
         g = random_graph(rng, n, rng.choice([0.1, 0.3, 0.5, 0.8, 0.95]))
         s = spectrum(g)
-        merged = sorted(float(v) for v in s.eigenvalues_ascending())
+        merged = sorted(float(v) for v in eigenvalues_ascending(s))
         dense = dense_numeric_eigenvalues(g)
         assert len(merged) == g.n
         assert all(abs(x - y) < 1e-7 for x, y in zip(merged, dense)), trial
@@ -830,15 +833,17 @@ def test_spectrum_invariant_enforcement():
 
 def test_eigenvalue_ordering_is_kept_but_never_shared():
     s = spectrum(twin_partition(cyclic_group(12)))
-    first = s.eigenvalues_ascending()
-    assert s.eigenvalues_ascending() == first
+    first = eigenvalues_ascending(s)
+    assert eigenvalues_ascending(s) == first
     first.append(-1.0)
     first[0] = 99
-    again = s.eigenvalues_ascending()
+    again = eigenvalues_ascending(s)
     assert len(again) == s.n and again[0] == 0
     kept = list(again)
     again.clear()
-    assert s.eigenvalues_ascending() == kept
+    assert eigenvalues_ascending(s) == kept
+    # the ends kept on the spectrum share nothing with the lists either
+    assert (algebraic_connectivity(s), spectral_radius(s)) == (kept[1], kept[-1])
 
 
 def test_exact_ordering_ignores_display_floats():
@@ -848,8 +853,8 @@ def test_exact_ordering_ignores_display_floats():
     skewed = Spectrum(n=4, exact=poly({0: 1, 2: 1}), numeric=(2.001, 1.999), residual=(5, -5, 1))
     assert [honest.count_at_most(k) for k in range(-1, 5)] == [0, 1, 1, 3, 3, 4]
     assert [skewed.count_at_most(k) for k in range(-1, 5)] == [0, 1, 1, 3, 3, 4]
-    assert honest.eigenvalues_ascending() == [0, 1.382, 2, 3.618]
-    assert skewed.eigenvalues_ascending() == [0, 1.999, 2, 2.001]
+    assert eigenvalues_ascending(honest) == [0, 1.382, 2, 3.618]
+    assert eigenvalues_ascending(skewed) == [0, 1.999, 2, 2.001]
     assert algebraic_connectivity(skewed) == 1.999
 
 
@@ -882,7 +887,7 @@ def test_spectrum_never_calls_jacobi(monkeypatch):
     for g in graphs:
         s = spectrum(g)
         mixed += not s.is_exact
-        values = s.eigenvalues_ascending()
+        values = eigenvalues_ascending(s)
         assert values == sorted(values)
         if g.n >= 2:
             algebraic_connectivity(s)
@@ -896,3 +901,76 @@ def test_radius_multiplicity_needs_a_certified_top():
     assert s.exact == poly({0: 1, 2: 1}) and s.residual == (2, -4, 1)
     with pytest.raises(ValueError, match="not a certified integer"):
         spectral_radius_multiplicity(s)
+
+
+# ---------------------------------------------------------------------------
+# the ends of the spectrum against the whole order
+
+
+def assert_ends_match_the_order(s):
+    """mu, the radius and its multiplicity, read from the ends alone,
+    equal the full order's values, ints exactly where the order has ints."""
+    values = eigenvalues_ascending(s)
+    assert len(values) == s.n and values[-1] <= s.n
+    if s.n >= 2:
+        mu = algebraic_connectivity(s)
+        assert (mu, type(mu)) == (values[1], type(values[1]))
+    top = spectral_radius(s)
+    assert (top, type(top)) == (values[-1], type(values[-1]))
+    if isinstance(top, int):
+        assert spectral_radius_multiplicity(s) == values.count(top)
+    else:
+        with pytest.raises(ValueError, match="not a certified integer"):
+            spectral_radius_multiplicity(s)
+
+
+def test_ends_match_the_order_on_cyclic_groups():
+    for n in range(2, 1501):
+        assert_ends_match_the_order(powerlap.verify._cyclic_spectrum(n))
+
+
+def test_ends_match_the_order_on_the_lattice_groups(lattice_groups):
+    for g in lattice_groups:
+        assert_ends_match_the_order(spectrum(twin_partition(g)))
+
+
+@st.composite
+def clustered_spectra(draw):
+    """Mixed spectra whose residual roots sit within 1/d of integers k and
+    k + d, beside certified eigenvalues at and around those integers:
+    x^2 - (2k + d)x + k(k + d) + 1 has the roots k + e and k + d - e,
+    with e = (d - sqrt(d^2 - 4))/2 < 1/(d - 1), never integers for d >= 3.
+    As in a Laplacian spectrum, no value exceeds n: zeros pad the count,
+    and n itself is certified when drawn, as a power graph's is."""
+    residual, numeric = [1], []
+    for _ in range(draw(st.integers(0, 4))):
+        k, d = draw(st.integers(0, 8)), draw(st.integers(3, 40))
+        e = (d - (d * d - 4) ** 0.5) / 2
+        residual = powerlap.spectra._poly_mul(residual, [k * (k + d) + 1, -(2 * k + d), 1])
+        numeric += [k + e, k + d - e]
+    certified = Counter(draw(st.dictionaries(st.integers(0, 50), st.integers(1, 3), max_size=6)))
+    certified[0] += 1
+    top_is_n = draw(st.booleans())
+    count = sum(certified.values()) + len(numeric) + top_is_n
+    n = max(count, math.ceil(max(numeric + list(certified))) + top_is_n)
+    certified[0] += n - count
+    certified[n] += top_is_n
+    return Spectrum(n=n, exact=poly(certified),
+                    numeric=tuple(sorted(numeric, reverse=True)), residual=tuple(residual))
+
+
+@settings(max_examples=300, deadline=None)
+@given(clustered_spectra())
+def test_ends_match_the_order_on_clustered_spectra(s):
+    assert_ends_match_the_order(s)
+
+
+def test_ends_are_kept_on_the_spectrum(monkeypatch):
+    s = spectrum(twin_partition(cyclic_group(30)))
+    ends = algebraic_connectivity(s), spectral_radius(s), spectral_radius_multiplicity(s)
+
+    def forbidden(*args):
+        raise AssertionError("a kept end was counted again")
+
+    monkeypatch.setattr(powerlap.spectra, "roots_above", forbidden)
+    assert (algebraic_connectivity(s), spectral_radius(s), spectral_radius_multiplicity(s)) == ends

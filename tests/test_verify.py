@@ -238,7 +238,7 @@ def test_pgroup_bundle_reports_kappa_unequal_to_algcon(monkeypatch):
     from powerlap.graphs import CutCertificate
 
     monkeypatch.setattr(powerlap.verify, "vertex_connectivity",
-                        lambda tp: CutCertificate(5, ()))
+                        lambda tp, floor=0: CutCertificate(5, ()))
     r = check_pgroup_bundle(z3z3())
     assert r.verdict == "fail"
     assert r.witness == "Z3xZ3: kappa=5, algcon=1, cyclic=False"
