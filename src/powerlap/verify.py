@@ -3,10 +3,11 @@
 Every checker returns a ClaimReport with a pass/fail verdict, a concrete
 witness on failure, and the computed evidence backing the verdict.  All
 integrality decisions are taken from the exact certification engine,
-never from floating-point rounding, and every comparison of a
-non-integer eigenvalue with an integer is an exact count of residual
-roots (Descartes' rule on a real-rooted integer polynomial).  Floats
-appear only as reported evidence.
+never from floating-point rounding.  The algebraic connectivity equals
+an integer exactly when it is returned as that int, as no residual root
+is an integer; its ceiling, and the dicyclic (1, 2] window with it, is
+an exact count of residual roots (Descartes' rule on a real-rooted
+integer polynomial).  Floats appear only as reported evidence.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .graphs import (
     vertex_connectivity,
 )
 from .groups import (
+    CyclicSubgroups,
     FiniteGroup,
     _cyclic_lattice,
     cyclic_group,
@@ -117,44 +119,31 @@ def _report(claim_id, params, ok, witness, evidence, started) -> ClaimReport:
 
 
 # One entry each: the suites and the scan visit n in order, so every
-# claim about n finds its lattice, partitions and spectrum here.  Z_n's
+# claim about n finds its lattice, partition and spectrum here.  Z_n's
 # partitions read only its divisor lattice, with no group built, at most
 # one class per divisor and no residue listed, as the claims read kappa's
-# size alone, so the suites and the scan pass MAX_ORDER.
-_cyclic_lattice = lru_cache(maxsize=1)(_cyclic_lattice)
-
-
+# size alone, so the suites and the scan pass MAX_ORDER.  The spectrum
+# has its own entry, so the partition is built without it.
 @lru_cache(maxsize=1)
-def _cyclic_partition(n: int) -> TwinPartition:
-    members, below = _cyclic_lattice(n)
-    return _twin_quotient(members, _closed_keys(below))
+def _cyclic(n: int) -> tuple[CyclicSubgroups, TwinPartition]:
+    lattice = _cyclic_lattice(n)
+    return lattice, _twin_quotient(lattice.members, _closed_keys(lattice.below))
 
 
-def _reduced_cyclic_partition(n: int) -> TwinPartition:
+def _reduced_partition(lattice: CyclicSubgroups) -> TwinPartition:
     """Twin partition of Z_n's reduced graph, its power graph without the
     identity and the generators: the lattice without its first subgroup,
     {0}, which every subgroup holds, and its last, Z_n, which only Z_n
     holds, so each other subgroup's containments move down one index.
     Its classes keep the residues as vertex numbers, held by divisors."""
-    members, below = _cyclic_lattice(n)
+    members, below = lattice
     inner = [tuple(b - 1 for b in key[1:]) for key in below[1:-1]]
     return _twin_quotient(members[1:-1], _closed_keys(inner))
 
 
 @lru_cache(maxsize=1)
 def _cyclic_spectrum(n: int) -> Spectrum:
-    return spectrum(_cyclic_partition(n))
-
-
-def _algcon_equals(s: Spectrum, target: int) -> bool:
-    """Whether the algebraic connectivity equals the integer target, exactly.
-
-    It does iff at least two eigenvalues are <= target and fewer than two
-    lie below it; both are exact counts, and no residual root is an
-    integer, so the eigenvalues equal to target are the certified ones.
-    """
-    at_most = s.count_at_most(target)
-    return at_most >= 2 > at_most - s.exact.multiplicity(target)
+    return spectrum(_cyclic(n)[1])
 
 
 def _kappa_floor(s: Spectrum, mu: int | float) -> int:
@@ -186,7 +175,7 @@ def check_cyclic_algcon(n: int) -> ClaimReport:
     target = euler_phi(n) + 1
     f = factorize(n)
     predicate = f.is_prime or f.is_product_of_two_distinct_primes
-    attains = _algcon_equals(s, target)
+    attains = isinstance(mu, int) and mu == target
     ok = attains == predicate
     return _report(
         "cyclic-algcon",
@@ -231,7 +220,7 @@ def check_cyclic_radius_mult(n: int) -> ClaimReport:
         # graph's spectrum without one 0 shifted up by phi(n)+1: the
         # certified parts agree as root counts, the non-integer parts as
         # residual polynomials
-        reduced = spectrum(_reduced_cyclic_partition(n))
+        reduced = spectrum(_reduced_partition(_cyclic(n)[0]))
         counts = Counter({0: 1, n: target, target: -1})
         for r, m in reduced.exact.factors:
             counts[r + target] += m
@@ -260,9 +249,9 @@ def check_cyclic_kappa_eq_mu(n: int) -> ClaimReport:
         raise ValueError("requires n >= 2")
     s = _cyclic_spectrum(n)
     mu = algebraic_connectivity(s)
-    kappa = vertex_connectivity(_cyclic_partition(n), _kappa_floor(s, mu)).size
+    kappa = vertex_connectivity(_cyclic(n)[1], _kappa_floor(s, mu)).size
     predicate = factorize(n).is_product_of_two_distinct_primes
-    equal = _algcon_equals(s, kappa)
+    equal = isinstance(mu, int) and mu == kappa
     ok = equal == predicate
     return _report(
         "cyclic-kappa-vs-algcon",
@@ -331,18 +320,19 @@ def check_dicyclic_bundle(n: int) -> ClaimReport:
     order = 4 * n
     s = spectrum(tp)
     mu = algebraic_connectivity(s)
-    cut = vertex_connectivity(tp, _kappa_floor(s, mu))
+    floor = _kappa_floor(s, mu)
+    cut = vertex_connectivity(tp, floor)
     kappa = cut.size
     pow2 = _is_power_of_two(n)
     failures: list[str] = []
 
-    # (a) 1 < algcon <= 2, by exact counts, with the eigenvalue 2 certified
-    two_present = s.exact.multiplicity(2) >= 1
-    if s.count_at_most(1) >= 2:
+    # (a) 1 < algcon <= 2, read off its exact ceiling, with the eigenvalue
+    # 2 certified
+    if floor <= 1:
         failures.append(f"algcon {mu} not above 1")
-    if s.count_at_most(2) < 2:
+    if floor > 2:
         failures.append(f"algcon {mu} above 2")
-    if not two_present:
+    if s.exact.multiplicity(2) < 1:
         failures.append("2 is not a certified eigenvalue")
 
     # (b) multiplicity of the radius 4n
@@ -354,9 +344,9 @@ def check_dicyclic_bundle(n: int) -> ClaimReport:
         failures.append(f"radius multiplicity {mult}, expected {2 if pow2 else 1}")
 
     # (c) five-way equivalence
-    s1 = _algcon_equals(s, kappa)
-    s2 = _algcon_equals(s, 2)
     s3 = isinstance(mu, int)
+    s1 = s3 and mu == kappa
+    s2 = s3 and mu == 2
     s4 = s.is_exact
     s5 = pow2
     statements = {"kappa_eq_algcon": s1, "algcon_is_2": s2,
@@ -475,7 +465,7 @@ def check_pgroup_bundle(g: FiniteGroup) -> ClaimReport:
 
     # (a) three-way equivalence, stated for order >= 3
     if g.order >= 3:
-        a1 = _algcon_equals(s, 1)
+        a1 = isinstance(mu, int) and mu == 1
         a2 = mult == 1
         a3 = not cyclic and not genq
         if len({a1, a2, a3}) != 1:
@@ -484,7 +474,7 @@ def check_pgroup_bundle(g: FiniteGroup) -> ClaimReport:
             )
 
     # (b) kappa equals algcon exactly when not cyclic
-    b1 = _algcon_equals(s, kappa)
+    b1 = isinstance(mu, int) and mu == kappa
     if b1 == cyclic:
         failures.append(f"kappa={kappa}, algcon={mu}, cyclic={cyclic}")
 

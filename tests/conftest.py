@@ -13,7 +13,7 @@ from powerlap.groups import (
     load_table_file,
 )
 from powerlap.spectra import _leaf_spectrum
-from powerlap.verify import _reduced_cyclic_partition, pgroup_catalog
+from powerlap.verify import _cyclic, _reduced_partition, pgroup_catalog
 
 Q3_TABLE = Path(__file__).parent / "data" / "q3.txt"
 
@@ -92,7 +92,7 @@ def random_graph(rng: random.Random, n: int, p: float) -> Graph:
 def reduced_cyclic_partition(n: int) -> TwinPartition:
     """Twin partition of the reduced graph of Z_n, the power graph's without
     the elements of orders 1 and n, as the verify suite builds it."""
-    return _reduced_cyclic_partition(n)
+    return _reduced_partition(_cyclic(n)[0])
 
 
 @st.composite

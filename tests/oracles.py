@@ -27,8 +27,10 @@ decomposition tree built by recursion from its root, the join/union
 calculus of factored characteristic polynomials (clique, union, join
 and the removal of one root) and the tree's polynomial by it node by
 node, the tree materialized as a graph, one element's order, cyclic
-subgroup and ~-class, and a spectrum's whole eigenvalue order, of
-which the package reads only the ends.
+subgroup and ~-class, a spectrum's whole eigenvalue order, of which
+the package reads only the ends, and the algebraic connectivity's
+equality with an integer by root counts, which the package reads off
+its certified type.
 """
 
 from __future__ import annotations
@@ -843,6 +845,15 @@ def eigenvalues_ascending(s: Spectrum) -> list[int | float]:
         placed = below
     vals.extend(floats[placed:])
     return vals
+
+
+def algcon_equals_by_counts(s: Spectrum, target: int) -> bool:
+    """Whether the algebraic connectivity equals the integer target, by
+    exact counts: at least two eigenvalues are <= target and fewer than
+    two lie below it, the eigenvalues equal to target being the certified
+    ones, as no residual root is an integer."""
+    at_most = s.count_at_most(target)
+    return at_most >= 2 > at_most - s.exact.multiplicity(target)
 
 
 def decompose_by_recursion(g: FiniteGroup) -> DecompTree:

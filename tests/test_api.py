@@ -1,6 +1,8 @@
-"""The package imports, and every module's export list names something that exists."""
+"""The package imports, every module's export list names something that
+exists, and every cache it keeps has a bound."""
 
 import importlib
+import inspect
 import pkgutil
 import subprocess
 import sys
@@ -35,3 +37,18 @@ def test_every_name_in_all_resolves(name):
     assert len(set(exported)) == len(exported), f"powerlap.{name}.__all__ repeats a name"
     missing = [n for n in exported if not hasattr(module, n)]
     assert not missing, f"powerlap.{name}.__all__ names missing attributes: {missing}"
+
+
+def test_every_cache_has_a_bound():
+    # an unbounded cache keyed by its arguments grows with every distinct
+    # call; one that takes no arguments holds a single entry
+    caches = {}
+    for name in MODULES:
+        for value in vars(importlib.import_module(f"powerlap.{name}")).values():
+            if hasattr(value, "cache_parameters"):
+                caches[f"{value.__module__}.{value.__qualname__}"] = value
+    assert "powerlap.spectra._leaf_spectrum" in caches
+    unbounded = [key for key, cache in caches.items()
+                 if cache.cache_parameters()["maxsize"] is None
+                 and inspect.signature(cache.__wrapped__).parameters]
+    assert not unbounded, f"caches with no maxsize: {unbounded}"

@@ -258,7 +258,7 @@ def test_cyclic_commands_tabulate_no_group(capsys, monkeypatch):
             return dataclasses.replace(_build(n), mul=refusal(message))
 
         rebind_everywhere(monkeypatch, build, unmultiplied)
-    for cache in (powerlap.verify._cyclic_partition, powerlap.verify._cyclic_spectrum):
+    for cache in (powerlap.verify._cyclic, powerlap.verify._cyclic_spectrum):
         cache.cache_clear()
     with pytest.raises(AssertionError):
         main(["spectrum", "qn:3"])  # the guard is live: Q_3's lattice is walked

@@ -44,9 +44,9 @@ from powerlap.groups import (
 )
 from powerlap.spectra import algebraic_connectivity, spectrum
 from powerlap.verify import (
-    _cyclic_partition,
+    _cyclic,
     _kappa_floor,
-    _reduced_cyclic_partition,
+    _reduced_partition,
     is_cyclic,
     is_generalized_quaternion,
     pgroup_catalog,
@@ -279,10 +279,10 @@ DIVISOR_ORACLE_ORDERS = list(range(1, 2001)) + [2310, 5040]
 
 def test_divisor_partition_matches_the_residue_oracle():
     for n in DIVISOR_ORACLE_ORDERS:
-        assert_same_partition_as_the_residue_oracle(_cyclic_partition(n),
-                                                    cyclic_partition_by_residues(n))
+        lattice, tp = _cyclic(n)
+        assert_same_partition_as_the_residue_oracle(tp, cyclic_partition_by_residues(n))
         if n >= 2:
-            assert_same_partition_as_the_residue_oracle(_reduced_cyclic_partition(n),
+            assert_same_partition_as_the_residue_oracle(_reduced_partition(lattice),
                                                         reduced_cyclic_partition_by_residues(n))
 
 
@@ -614,7 +614,7 @@ def test_the_fiedler_floor_keeps_every_certificate():
     # stopped at ceil(mu) finds the full search's value and witness
     partitions = [twin_partition(dicyclic_group(n)) for n in range(2, 301)]
     partitions += [twin_partition(g) for g in pgroup_catalog(256)]
-    partitions += [_cyclic_partition(n) for n in range(2, 601)]
+    partitions += [_cyclic(n)[1] for n in range(2, 601)]
     for tp in partitions:
         floor = fiedler_floor(tp)
         cut = vertex_connectivity(tp, floor)

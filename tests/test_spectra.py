@@ -9,13 +9,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import powerlap.spectra
 import powerlap.verify
 from conftest import random_graph, reduced_cyclic_partition, twin_rich_graphs
 from oracles import (
+    algcon_equals_by_counts,
     clique_charpoly,
     collapse_to_fixpoint,
     complement_spectrum,
@@ -526,7 +527,7 @@ def test_cyclic_suite_takes_one_charpoly_per_distinct_leaf(monkeypatch):
         return charpoly_exact(matrix, **kwargs)
 
     def run():
-        powerlap.verify._cyclic_partition.cache_clear()
+        powerlap.verify._cyclic.cache_clear()
         powerlap.verify._cyclic_spectrum.cache_clear()
         calls.clear()
         reports = [r.to_json_dict() for r in run_cyclic_suite(60)]
@@ -974,3 +975,32 @@ def test_ends_are_kept_on_the_spectrum(monkeypatch):
 
     monkeypatch.setattr(powerlap.spectra, "roots_above", forbidden)
     assert (algebraic_connectivity(s), spectral_radius(s), spectral_radius_multiplicity(s)) == ends
+
+
+# ---------------------------------------------------------------------------
+# mu against an integer: its certified type against the counts
+
+
+def assert_typed_equality_matches_the_counts(s):
+    """mu equals the integer t exactly when it is returned as the int t,
+    as the counts find, for t in 0..5 and around mu's ceiling."""
+    mu = algebraic_connectivity(s)
+    ceiling = mu if isinstance(mu, int) else math.ceil(mu)
+    for t in set(range(6)) | {ceiling - 1, ceiling, ceiling + 1}:
+        assert (isinstance(mu, int) and mu == t) == algcon_equals_by_counts(s, t), (mu, t)
+
+
+def test_typed_equality_matches_the_counts_on_the_claim_families():
+    for n in range(2, 1501):
+        assert_typed_equality_matches_the_counts(powerlap.verify._cyclic_spectrum(n))
+    for n in range(2, 301):
+        assert_typed_equality_matches_the_counts(spectrum(twin_partition(dicyclic_group(n))))
+    for g in pgroup_catalog(256):
+        assert_typed_equality_matches_the_counts(spectrum(twin_partition(g)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(clustered_spectra())
+def test_typed_equality_matches_the_counts_on_clustered_spectra(s):
+    assume(s.n >= 2)
+    assert_typed_equality_matches_the_counts(s)

@@ -5,6 +5,7 @@ from collections import Counter
 import pytest
 
 from oracles import (
+    algcon_equals_by_counts,
     involution_facts_by_graph,
     is_generalized_quaternion_by_presentation,
     masks_of,
@@ -18,9 +19,11 @@ from powerlap.groups import (
     direct_product,
     generalized_quaternion,
 )
-from powerlap.spectra import FactoredCharPoly, Spectrum
+from powerlap.spectra import FactoredCharPoly, Spectrum, algebraic_connectivity, spectrum
 from powerlap.verify import (
+    _cyclic_spectrum,
     _involution_facts,
+    _kappa_floor,
     check_cyclic_algcon,
     check_cyclic_kappa_eq_mu,
     check_cyclic_radius_mult,
@@ -122,6 +125,33 @@ def test_dicyclic_window_reads_the_residual(monkeypatch):
     monkeypatch.setattr(powerlap.verify, "spectrum", doctored)
     r = check_dicyclic_bundle(3)
     assert r.verdict == "fail" and "not above 1" in r.witness
+
+
+def test_claims_compare_mu_with_integers_as_the_counts_do():
+    # each claim reads mu = t off mu's certified type; the count oracle
+    # agrees on every comparison the claims report
+    for n in range(2, 601):
+        algcon = check_cyclic_algcon(n).evidence
+        kappa = check_cyclic_kappa_eq_mu(n).evidence
+        s = _cyclic_spectrum(n)
+        assert algcon["attains_bound"] == algcon_equals_by_counts(s, algcon["phi_plus_one"]), n
+        assert kappa["equal"] == algcon_equals_by_counts(s, kappa["kappa"]), n
+    for n in range(2, 301):
+        r = check_dicyclic_bundle(n)
+        s = spectrum(twin_partition(dicyclic_group(n)))
+        statements = r.evidence["statements"]
+        assert statements["kappa_eq_algcon"] == algcon_equals_by_counts(s, r.evidence["kappa"]), n
+        assert statements["algcon_is_2"] == algcon_equals_by_counts(s, 2), n
+
+
+def test_the_fiedler_floor_is_2_exactly_in_the_dicyclic_window():
+    # the window (1, 2] read off mu's exact ceiling, against the two counts
+    # it replaces; Z_n's mu ranges widely, Q_n's lies in the window
+    spectra = [_cyclic_spectrum(n) for n in range(2, 301)]
+    spectra += [spectrum(twin_partition(dicyclic_group(n))) for n in range(2, 301)]
+    for s in spectra:
+        in_window = s.count_at_most(1) < 2 <= s.count_at_most(2)
+        assert (_kappa_floor(s, algebraic_connectivity(s)) == 2) == in_window
 
 
 def test_cyclic_kappa_examples():
@@ -326,7 +356,7 @@ def test_cyclic_graph_cache_holds_one_graph():
 
     scan_conjecture(30)
     run_cyclic_suite(20)
-    for cache in (powerlap.verify._cyclic_partition, powerlap.verify._cyclic_spectrum):
+    for cache in (powerlap.verify._cyclic, powerlap.verify._cyclic_spectrum):
         info = cache.cache_info()
         assert info.maxsize == 1 and info.currsize == 1
 
@@ -348,11 +378,10 @@ def test_cyclic_partition_past_max_order_stays_small():
     # one gcd each peaked at 33.3 MB
     import powerlap.verify
 
-    powerlap.verify._cyclic_lattice.cache_clear()
-    powerlap.verify._cyclic_partition.cache_clear()
+    powerlap.verify._cyclic.cache_clear()
     tracemalloc.start()
     try:
-        tp = powerlap.verify._cyclic_partition(720720)
+        _, tp = powerlap.verify._cyclic(720720)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
