@@ -3,20 +3,23 @@
 Exact routines never round, so every integrality decision downstream is
 a genuine certification.  The characteristic polynomial of an integer
 matrix is computed modulo enough descending primes below 2**25, sieved
-a window at a time, to pass a proven bound on its coefficients, all of
-them at once: the residues sit in one (primes, m, m) int64 array, each
-sum of products is one batched matmul reduced once (`_MAX_ROWS` bounds
-it), and each prime takes its own Hessenberg pivots.  The Chinese
-remainder theorem recombines the results.  Integer roots and their
-multiplicities are read off that polynomial and divided out by
-synthetic division, and the roots of a real-rooted integer polynomial
-above an integer are counted exactly by Descartes' rule of signs after
-one integer Taylor shift.
+a window at a time, to pass a proven bound on its coefficients, and the
+Chinese remainder theorem recombines the results.  Elimination finds the
+residues of all primes at once in one (primes, m, m) int64 array, each
+sum of products one batched matmul reduced once (`_MAX_ROWS` bounds it),
+with each prime's own Hessenberg pivots; a deflated Laplacian quotient
+of 18 or more rows, given its class sizes, takes Lanczos in their inner
+product instead: one float64 matmul per step for every prime, and no
+stack.  Integer roots and their multiplicities are read off that
+polynomial and divided out by synthetic division, and the roots of a
+real-rooted integer polynomial above an integer are counted exactly by
+Descartes' rule of signs after one integer Taylor shift.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from operator import mul
 from typing import Sequence
 
@@ -39,6 +42,10 @@ _MAX_ROWS = 8192
 # Bytes one charpoly's (primes, m, m) int64 residue stack may take: Z_720720's
 # leaf needs 77 MB; Z2^8 x Z15's, 1022 rows on 186 primes, 1.45 GiB, refused.
 _MAX_STACK_BYTES = 2**30
+# Rows from which a deflated quotient takes Lanczos.  Per leaf the kernels
+# cross near 15 rows (519 against 517 us; 17 rows: 687 against 610); 18
+# keeps the default verify suite, whose leaves stop at 17, on elimination.
+_LANCZOS_ROWS = 18
 # The descending primes below 2**25, extended on demand by `_prime`.
 # Every modular charpoly walks a prefix of the same sequence, so each
 # window is sieved once per process.
@@ -83,8 +90,8 @@ def _prime(i: int) -> int:
     return _PRIMES[i]
 
 
-def charpoly_exact(matrix: Sequence[Sequence[int]], *,
-                   nonnegative_eigenvalues: bool = False) -> list[int]:
+def charpoly_exact(matrix: Sequence[Sequence[int]], *, nonnegative_eigenvalues: bool = False,
+                   weights: Sequence[int] | None = None) -> list[int]:
     """Coefficients of det(xI - M) for an integer matrix, ascending by power.
 
     The coefficients are determined once the modulus exceeds twice a
@@ -101,9 +108,15 @@ def charpoly_exact(matrix: Sequence[Sequence[int]], *,
     to a positive semidefinite matrix: it selects the tighter
     `_maclaurin_bound`.
 
+    ``weights`` are the class sizes s_0..s_m of a Laplacian quotient Q
+    whose deflation M_ij = Q_{i+1,j+1} - Q_{0,j+1} is the matrix.  From
+    `_LANCZOS_ROWS` rows on, `_charpoly_lanczos` then gives the residues
+    in the inner product the sizes define, checked exactly (ValueError if
+    M is not self-adjoint in it); elimination serves the rest.
+
     A matrix of more than `_MAX_ROWS` rows, or one whose residue stack
     would exceed `_MAX_STACK_BYTES`, raises ValueError before any array
-    is built.
+    is built, whichever kernel would run.
     """
     m = len(matrix)
     if m > _MAX_ROWS:
@@ -124,8 +137,12 @@ def charpoly_exact(matrix: Sequence[Sequence[int]], *,
     except OverflowError:
         # entries beyond int64 are reduced as Python ints before numpy sees them
         entries = np.array(matrix, dtype=object)
-    reduced = entries % np.array(primes, dtype=entries.dtype)[:, None, None]
-    residues = _charpoly_mod_primes(reduced.astype(np.int64), primes)
+    residues = None
+    if weights is not None and m >= _LANCZOS_ROWS:
+        residues = _charpoly_lanczos(entries, weights, primes)
+    if residues is None:
+        reduced = entries % np.array(primes, dtype=entries.dtype)[:, None, None]
+        residues = _charpoly_mod_primes(reduced.astype(np.int64), primes)
     # CRT: c = sum of r_i * (M/p_i) * ((M/p_i)^-1 mod p_i), reduced mod M
     basis = []
     for p in primes:
@@ -155,15 +172,22 @@ def _maclaurin_bound(m: int, trace: int) -> int:
     return -(-math.comb(m, k) * trace ** k // m ** k)
 
 
-def _residue_primes(m: int, bound: int) -> list[int]:
+@lru_cache(maxsize=64)
+def _primes_past(bound: int) -> tuple[int, ...]:
     """The first primes of `_prime`'s sequence whose product exceeds twice
-    ``bound``; ValueError when their (primes, m, m) int64 residue stack
-    would pass `_MAX_STACK_BYTES`."""
+    ``bound``, memoized: a leaf's budget check and charpoly share them."""
     primes: list[int] = []
     modulus = 1
     while modulus <= 2 * bound:
         primes.append(_prime(len(primes)))
         modulus *= primes[-1]
+    return tuple(primes)
+
+
+def _residue_primes(m: int, bound: int) -> tuple[int, ...]:
+    """`_primes_past(bound)`; ValueError when their (primes, m, m) int64
+    residue stack would pass `_MAX_STACK_BYTES`."""
+    primes = _primes_past(bound)
     stack = 8 * len(primes) * m * m
     if stack > _MAX_STACK_BYTES:
         raise ValueError(f"{m} rows on {len(primes)} primes: the int64 residue stack needs "
@@ -171,7 +195,61 @@ def _residue_primes(m: int, bound: int) -> list[int]:
     return primes
 
 
-def _charpoly_mod_primes(h: np.ndarray, primes: list[int]) -> np.ndarray:
+def _charpoly_lanczos(a: np.ndarray, weights: Sequence[int], primes: Sequence[int]
+                      ) -> np.ndarray | None:
+    """det(xI - A) mod each prime, ascending, as a (P, d + 1) array, by
+    Lanczos (J. Res. Nat. Bur. Standards 45, 1950); None hands A back.
+
+    A, deflated from a quotient with class sizes s_0..s_d summing to N,
+    is self-adjoint in <x, y> = N sum s_i x_i y_i - (sum s_i x_i)
+    (sum s_i y_i), i >= 1 (N times Q's form modulo the constant vector),
+    as is checked exactly.  From q_1 = (1, ..., d), q_{k+1} = A q_k -
+    alpha_k q_k - gamma_k q_{k-1}, alpha_k = <A q_k, q_k> / n_k, gamma_k =
+    n_k / n_{k-1}, n_k = <q_k, q_k>.  If no n_k vanishes mod p, the q_k
+    are orthogonal, so a basis, and A K = K T for a tridiagonal T:
+    chi_A = chi_T mod p.  A zero n_k (a repeated eigenvalue, or bad luck
+    mod p) hands A back, as do the guards: N below every prime, the
+    check in int64, and A q_k, one float64 matmul for all primes, exact
+    (row sums of |A| times p below 2**53).
+    """
+    d = len(a)
+    if len(weights) != d + 1:
+        raise ValueError(f"{len(weights)} weights for the deflation of a {d + 1}-row quotient")
+    total = sum(weights)
+    if (a.dtype == object or total >= min(primes) or not -2**28 < a.min() <= a.max() < 2**28
+            or total * total * int(np.abs(a).max()) >= 2**62
+            or int(np.abs(a).sum(axis=1).max()) * max(primes) >= 2**53):
+        return None
+    s = np.array(weights[1:], dtype=np.int64)
+    gram = total * s[:, None] * a - np.outer(s, s @ a)
+    if not np.array_equal(gram, gram.T):
+        raise ValueError("the matrix is not self-adjoint in the form of its weights")
+    p = np.array(primes, dtype=np.int64)
+    floats = a.astype(np.float64)
+    q = np.outer(np.arange(1, d + 1), np.ones_like(p))
+    back = np.zeros_like(q)
+    inv = np.zeros_like(p)  # gamma_1 multiplies zeros only
+    # the rolling rows chi_{k-2}, chi_{k-1} of T's leading blocks, ascending
+    before, poly = np.zeros((2, d + 1, len(primes)), dtype=np.int64)
+    poly[0] = 1
+    for _ in range(d):
+        z = np.matmul(floats, q).astype(np.int64) % p
+        # <x, y> = N (s @ (x * y)) - (s @ x)(s @ y), every sum in int64
+        sq, sz = s @ q % p, s @ z % p
+        norm = (s @ (q * q % p) % p * total - sq * sq) % p
+        if not norm.all():
+            return None
+        gamma = norm * inv % p
+        inv = np.array([pow(v, -1, r) for v, r in zip(norm.tolist(), primes)], dtype=np.int64)
+        alpha = (s @ (q * z % p) % p * total - sq * sz) % p * inv % p
+        q, back = (z - alpha * q - gamma * back) % p, q
+        nxt = (p - alpha) * poly + (p - gamma) * before
+        nxt[1:] += poly[:-1]
+        before, poly = poly, nxt % p
+    return poly.T
+
+
+def _charpoly_mod_primes(h: np.ndarray, primes: Sequence[int]) -> np.ndarray:
     """Coefficients of det(xI - H_i) mod p_i for a (P, m, m) stack, ascending.
 
     `h[i]` holds the matrix reduced into [0, p_i); it is overwritten.

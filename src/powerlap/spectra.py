@@ -12,17 +12,17 @@ include weighted twins, found by hashing their adjacency bitmasks,
 splits off the integer eigenvalues of their difference vectors and is
 merged.
 Each rule's polynomial follows from its parts', so only the pieces no
-rule fits, connected with two or more classes, no universal class and
-no weighted twins, reach the exact charpoly (modular images recombined
-past a proven coefficient bound), with the zero eigenvalue every
-Laplacian quotient has deflated first.  A leaf's result depends only
-on its sizes and counts and is memoized for the last 64 leaves, so a
-leaf met again, such as the one a Z_n quotient shares with its reduced
-graph's, costs no second charpoly.  Every integer eigenvalue multiplicity
-comes from these rules and polynomials, so an "Exact" spectrum is a
-proof, not an approximation.  A power graph's identity is universal, so
-a non-cyclic p-group's quotient splits all the way down and needs no
-charpoly.
+rule fits, connected with two or more classes, no universal class and no
+weighted twins, reach the exact charpoly (modular images, from 18 rows
+by Lanczos, recombined past a proven coefficient bound), with the zero
+eigenvalue every Laplacian quotient has deflated first.  A leaf's result
+depends only on its sizes and counts and is memoized for the last 64
+leaves, so a leaf met again, such as the one a Z_n quotient shares with
+its reduced graph's, costs no second charpoly.  Every integer eigenvalue
+multiplicity comes from these rules and polynomials, so an "Exact"
+spectrum is a proof, not an approximation.  A power graph's identity is
+universal, so a non-cyclic p-group's quotient splits all the way down
+and needs no charpoly.
 
 When the certified multiplicities do not exhaust the vertex count, the
 spectrum is "Mixed": dividing each leaf's integer roots out of its
@@ -372,9 +372,11 @@ def _leaf_spectrum(sizes: tuple[int, ...], counts: tuple[tuple[int, ...], ...]
     its first column vanishes and chi_Q(x) = x chi_Q'(x), where
     Q'_ij = Q_ij - Q_1j for i, j >= 2: the charpoly runs on one row
     fewer.  Q' keeps Q's other eigenvalues, real and nonnegative, so the
-    Maclaurin bound still holds.  The result depends only on the
-    arguments, so the last 64 leaves are memoized: a Z_n quotient and
-    its reduced graph's, for one, end in the same leaf.
+    Maclaurin bound still holds, and it is self-adjoint in a form the
+    class sizes give: passed as ``weights``, they let a leaf of 18 or
+    more rows take Lanczos, not elimination.  The result depends only
+    on the arguments, so the last 64 leaves are memoized: a Z_n quotient
+    and its reduced graph's, for one, end in the same leaf.
     """
     rows = [[-c for c in row] for row in counts]
     for a, row in enumerate(counts):
@@ -382,7 +384,7 @@ def _leaf_spectrum(sizes: tuple[int, ...], counts: tuple[tuple[int, ...], ...]
     first = rows[0][1:]
     deflated = [[x - y for x, y in zip(row[1:], first)] for row in rows[1:]]
     # an equitable quotient of a Laplacian is similar to a symmetric PSD matrix
-    poly = [0] + charpoly_exact(deflated, nonnegative_eigenvalues=True)
+    poly = [0] + charpoly_exact(deflated, nonnegative_eigenvalues=True, weights=sizes)
     roots, poly = integer_root_multiplicities(poly, 0, sum(sizes))
     found = tuple(roots.items())
     degree = len(poly) - 1

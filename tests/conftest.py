@@ -1,9 +1,13 @@
+import contextlib
+import io
 import random
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import strategies as st
 
+from powerlap import cli, linalg, spectra
 from powerlap.graphs import Graph, TwinPartition
 from powerlap.groups import (
     cyclic_group,
@@ -93,6 +97,55 @@ def reduced_cyclic_partition(n: int) -> TwinPartition:
     """Twin partition of the reduced graph of Z_n, the power graph's without
     the elements of orders 1 and n, as the verify suite builds it."""
     return _reduced_partition(_cyclic(n)[0])
+
+
+def charpoly_leaves(run) -> list:
+    """(matrix, class sizes) of every leaf charpoly `run()` takes, from a
+    cold leaf memo, in call order."""
+    leaves = []
+    charpoly = spectra.charpoly_exact
+
+    def kept(matrix, **kwargs):
+        leaves.append((matrix, kwargs["weights"]))
+        return charpoly(matrix, **kwargs)
+
+    _leaf_spectrum.cache_clear()
+    with mock.patch.object(spectra, "charpoly_exact", kept):
+        run()
+    return leaves
+
+
+def log_kernels(monkeypatch) -> list:
+    """Patch both charpoly kernels to log each call in order:
+    ("lanczos", rows, whether it handed the matrix back) and
+    ("elimination", rows)."""
+    calls = []
+    lanczos, elimination = linalg._charpoly_lanczos, linalg._charpoly_mod_primes
+
+    def logged_lanczos(a, weights, primes):
+        result = lanczos(a, weights, primes)
+        calls.append(("lanczos", len(a), result is None))
+        return result
+
+    def logged_elimination(h, primes):
+        calls.append(("elimination", h.shape[1]))
+        return elimination(h, primes)
+
+    monkeypatch.setattr(linalg, "_charpoly_lanczos", logged_lanczos)
+    monkeypatch.setattr(linalg, "_charpoly_mod_primes", logged_elimination)
+    return calls
+
+
+def default_verify() -> None:
+    """`powerlap verify` with its default suites, output dropped."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["verify"]) == 0
+
+
+def divisor_rich_spectra(orders=(720, 840, 1260, 1680, 2310)) -> None:
+    """The spectra of Z_n that the spectrum-divisor-rich workload takes."""
+    for n in orders:
+        spectra.spectrum(_cyclic(n)[1])
 
 
 @st.composite

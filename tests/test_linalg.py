@@ -15,20 +15,27 @@ import random
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import reduced_cyclic_partition
+from conftest import (
+    charpoly_leaves,
+    default_verify,
+    divisor_rich_spectra,
+    log_kernels,
+    reduced_cyclic_partition,
+)
 from oracles import (
     charpoly_scalar_crt,
     collapse_to_fixpoint,
     fraction_charpoly,
     maclaurin_bound_every_term,
 )
-from powerlap import linalg, spectra
+from powerlap import linalg
 from powerlap.graphs import power_graph, twin_partition
 from powerlap.groups import cyclic_group, dicyclic_group, parse_group_spec
 from powerlap.linalg import (
@@ -146,22 +153,15 @@ def test_charpoly_matches_scalar_oracle_on_the_z5040_core():
     assert charpoly_exact(core) == charpoly_scalar_crt(core)
 
 
-def test_charpoly_matches_scalar_oracle_on_the_divisor_rich_leaves(monkeypatch):
-    # the leaves that `spectrum` of Z_n takes the charpoly of, n = 720..2310
-    leaves = []
-    charpoly = spectra.charpoly_exact
-
-    def spy(matrix, **kwargs):
-        leaves.append(matrix)
-        return charpoly(matrix, **kwargs)
-
-    monkeypatch.setattr(spectra, "charpoly_exact", spy)
-    spectra._leaf_spectrum.cache_clear()
-    for n in (720, 840, 1260, 1680, 2310):
-        spectra.spectrum(twin_partition(cyclic_group(n)))
-    assert [len(leaf) for leaf in leaves] == [27, 29, 33, 37, 29]
-    for leaf in leaves:
-        assert charpoly(leaf, nonnegative_eigenvalues=True) == charpoly_scalar_crt(leaf)
+def test_charpoly_matches_scalar_oracle_on_the_divisor_rich_leaves():
+    # the leaves that `spectrum` of Z_n takes the charpoly of, n = 720..2310,
+    # by elimination and, given their class sizes, by Lanczos
+    leaves = charpoly_leaves(divisor_rich_spectra)
+    assert [len(leaf) for leaf, _ in leaves] == [27, 29, 33, 37, 29]
+    for leaf, sizes in leaves:
+        expected = charpoly_scalar_crt(leaf)
+        assert charpoly_exact(leaf, nonnegative_eigenvalues=True) == expected
+        assert charpoly_exact(leaf, nonnegative_eigenvalues=True, weights=sizes) == expected
 
 
 def test_charpoly_where_every_residue_is_p_minus_one():
@@ -324,6 +324,118 @@ except IndexError:
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["0", "2", "IndexError"]
+
+
+# ---------------------------------------------------------------------------
+# Lanczos on the deflation of a weighted quotient
+
+
+def deflation(sizes, within, joined):
+    """Q'_ij = Q_{i+1,j+1} - Q_{0,j+1} for the Laplacian quotient Q whose
+    class i has sizes[i] vertices, within[i] neighbors in its own class
+    and sizes[j] in each class j with (i, j) in joined, i < j."""
+    m = len(sizes)
+    counts = [[within[i] if i == j else sizes[j] if (min(i, j), max(i, j)) in joined else 0
+               for j in range(m)] for i in range(m)]
+    rows = [[-c for c in row] for row in counts]
+    for i, row in enumerate(counts):
+        rows[i][i] += sum(row)
+    return [[x - y for x, y in zip(row[1:], rows[0][1:])] for row in rows[1:]]
+
+
+def test_lanczos_agrees_with_elimination_on_the_gated_and_large_leaves(monkeypatch):
+    # every leaf of the default verify suite and of spectrum-divisor-rich,
+    # then Z_5040's and Z_55440's, each through both kernels
+    leaves = charpoly_leaves(default_verify) + charpoly_leaves(divisor_rich_spectra)
+    leaves += charpoly_leaves(lambda: divisor_rich_spectra((5040, 55440)))
+    assert len(leaves) == 159 + 7
+    assert [len(matrix) for matrix, _ in leaves[-7:]] == [27, 29, 33, 37, 29, 57, 117]
+    monkeypatch.setattr(linalg, "_LANCZOS_ROWS", 2)
+    calls = log_kernels(monkeypatch)
+    for matrix, sizes in leaves:
+        assert (charpoly_exact(matrix, nonnegative_eigenvalues=True, weights=sizes)
+                == charpoly_exact(matrix, nonnegative_eigenvalues=True))
+    taken = [call[2] for call in calls if call[0] == "lanczos"]
+    assert len(taken) == sum(len(matrix) >= 2 for matrix, _ in leaves)
+    # the large leaves, and most of the small, go through without a fallback
+    assert taken[-7:] == [False] * 7 and taken.count(False) > len(taken) // 2
+
+
+@st.composite
+def weighted_quotients(draw, max_classes=24):
+    """Class sizes 1..20, within counts below them, and a symmetric
+    adjacency holding the path 0, 1, ..., m - 1, so Q is connected."""
+    m = draw(st.integers(2, max_classes))
+    sizes = draw(st.lists(st.integers(1, 20), min_size=m, max_size=m))
+    within = [draw(st.integers(0, s - 1)) for s in sizes]
+    pairs = [(i, j) for i in range(m) for j in range(i + 2, m)]
+    coins = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    joined = {(i, i + 1) for i in range(m - 1)} | {e for e, c in zip(pairs, coins) if c}
+    return sizes, within, joined
+
+
+@settings(max_examples=60, deadline=None)
+@given(weighted_quotients())
+def test_lanczos_matches_the_scalar_oracle_on_weighted_quotients(quotient):
+    sizes, within, joined = quotient
+    matrix = deflation(sizes, within, joined)
+    with mock.patch.object(linalg, "_LANCZOS_ROWS", 2):
+        assert (charpoly_exact(matrix, nonnegative_eigenvalues=True, weights=sizes)
+                == charpoly_scalar_crt(matrix))
+
+
+def test_lanczos_hands_a_repeated_eigenvalue_back_to_elimination(monkeypatch):
+    # a hub class with three isomorphic arms, each a path of six classes:
+    # the arms' antisymmetric eigenvectors make every such eigenvalue
+    # double, so the Krylov space of (1, ..., d) is short and a norm
+    # vanishes modulo every prime (two arms give no repeated eigenvalue)
+    sizes = [2] + [1, 2, 3, 1, 2, 3] * 3
+    joined = set()
+    for first in (1, 7, 13):
+        joined |= {(0, first)} | {(i, i + 1) for i in range(first, first + 5)}
+    matrix = deflation(sizes, [s - 1 for s in sizes], joined)
+    assert len(matrix) == linalg._LANCZOS_ROWS
+    calls = log_kernels(monkeypatch)
+    assert (charpoly_exact(matrix, nonnegative_eigenvalues=True, weights=sizes)
+            == charpoly_scalar_crt(matrix))
+    assert calls == [("lanczos", 18, True), ("elimination", 18)]
+
+
+def test_lanczos_hands_back_a_leaf_whose_norm_vanishes_modulo_one_prime(monkeypatch):
+    # draw connected 19-class quotients until the first norm
+    # <q_1, q_1> = N sum s_i i^2 - (sum s_i i)^2 has a prime factor p with
+    # N < p < 2**25, then put p first in the leaf's prime list
+    rng = random.Random(40)
+    factors = []
+    while not factors:
+        sizes = [rng.randint(1, 20) for _ in range(19)]
+        within = [rng.randrange(s) for s in sizes]
+        joined = {(i, i + 1) for i in range(18)}
+        joined |= {(i, j) for i in range(19) for j in range(i + 2, 19) if rng.random() < 0.5}
+        total = sum(sizes)
+        norm = (total * sum(s * i * i for i, s in enumerate(sizes[1:], 1))
+                - sum(s * i for i, s in enumerate(sizes[1:], 1)) ** 2)
+        factors = [p for p in sympy.primefactors(norm) if total < p < 2**25]
+    matrix = deflation(sizes, within, joined)
+    expected = charpoly_scalar_crt(matrix)
+    calls = log_kernels(monkeypatch)
+    assert charpoly_exact(matrix, nonnegative_eigenvalues=True, weights=sizes) == expected
+    assert calls == [("lanczos", 18, False)]
+    primes = linalg._residue_primes
+    monkeypatch.setattr(linalg, "_residue_primes",
+                        lambda m, bound: (factors[0],) + primes(m, bound))
+    assert charpoly_exact(matrix, nonnegative_eigenvalues=True, weights=sizes) == expected
+    assert calls[1:] == [("lanczos", 18, True), ("elimination", 18)]
+
+
+def test_lanczos_refuses_weights_that_do_not_fit_the_matrix():
+    [(matrix, sizes)] = charpoly_leaves(lambda: divisor_rich_spectra((720,)))
+    assert len(matrix) == 27
+    bumped = sizes[:1] + (sizes[1] + 1,) + sizes[2:]
+    with pytest.raises(ValueError, match="not self-adjoint in the form of its weights"):
+        charpoly_exact(matrix, nonnegative_eigenvalues=True, weights=bumped)
+    with pytest.raises(ValueError, match="27 weights for the deflation of a 28-row quotient"):
+        charpoly_exact(matrix, nonnegative_eigenvalues=True, weights=sizes[1:])
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,15 @@ from hypothesis import strategies as st
 
 import powerlap.spectra
 import powerlap.verify
-from conftest import random_graph, reduced_cyclic_partition, twin_rich_graphs
+from conftest import (
+    charpoly_leaves,
+    default_verify,
+    divisor_rich_spectra,
+    log_kernels,
+    random_graph,
+    reduced_cyclic_partition,
+    twin_rich_graphs,
+)
 from oracles import (
     algcon_equals_by_counts,
     clique_charpoly,
@@ -32,6 +40,7 @@ from oracles import (
     tree_graph,
     union_charpoly,
 )
+from powerlap import linalg
 from powerlap.graphs import (
     Graph,
     complement,
@@ -383,6 +392,39 @@ def test_split_charpoly_matches_full_core_on_random_graphs(g):
 def test_spectrum_of_twin_rich_graphs_matches_the_dense_charpoly(g):
     # open twins are separate classes, which only the merge rule joins
     assert spectrum_charpoly(spectrum(g)) == dense_charpoly(g)
+
+
+def test_lanczos_takes_the_divisor_rich_leaves_and_no_default_verify_leaf(monkeypatch):
+    # pins the 18-row threshold on real traffic: moving it past 27 rows or
+    # below 18 fails one of the two halves
+    calls = log_kernels(monkeypatch)
+    divisor_rich_spectra((720, 840, 1260, 1680, 2310, 55440))
+    assert calls == [("lanczos", rows, False) for rows in (27, 29, 33, 37, 29, 117)]
+    calls.clear()
+    powerlap.spectra._leaf_spectrum.cache_clear()
+    default_verify()
+    assert len(calls) == 159 and all(call[0] == "elimination" for call in calls)
+
+
+def test_the_z55440_leaf_never_builds_a_residue_stack():
+    # elimination would hold a (primes, 117, 117) int64 stack of several MB
+    [(matrix, sizes)] = charpoly_leaves(lambda: divisor_rich_spectra((55440,)))
+    expected = charpoly_exact(matrix, nonnegative_eigenvalues=True, weights=sizes)
+    tracemalloc.start()
+    try:
+        assert charpoly_exact(matrix, nonnegative_eigenvalues=True, weights=sizes) == expected
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+
+
+def test_a_leaf_sieves_its_prime_list_once():
+    # the budget check and the charpoly share one list
+    linalg._primes_past.cache_clear()
+    spectrum(twin_partition(cyclic_group(720)))
+    info = linalg._primes_past.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
 
 
 def test_an_over_budget_leaf_is_refused_before_it_is_built():
