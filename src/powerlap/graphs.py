@@ -430,10 +430,10 @@ def _separate(tp: TwinPartition, piece: int, degrees: Sequence[int],
     because every minimum separating set S is a union of whole twin
     classes: if S held x but not its twin y, then x, put back, would
     join only y's component of G - S (x and y share their neighbours
-    outside S), so S - x would separate too.  Hence once the source
-    classes scanned so far hold more than `best` >= kappa vertices, one
-    of them avoids some minimum cut S; its flow to a class beyond S has
-    already found kappa, and the scan stops.  A minimum cut between two
+    outside S), so S - x would separate too.  So the scan stops once its
+    source classes hold `best` vertices: were `best` > kappa = |S| for a
+    minimum cut S, one of them would lie outside S, and its flow to a
+    class across S would have found kappa.  A minimum cut between two
     classes is symmetric, so each unordered pair is flowed once.  It also
     stops once `best` meets ``floor``, a proven lower bound: `best` is
     replaced only by a strictly smaller cut, so the full scan agrees.
@@ -446,7 +446,7 @@ def _separate(tp: TwinPartition, piece: int, degrees: Sequence[int],
     done = [False] * tp.size
     scanned = 0
     for src in order:
-        if best is not None and (scanned > best or best <= floor):
+        if best is not None and (scanned >= best or best <= floor):
             break
         joined = tp.adj[src]
         for dst in inside:

@@ -1,16 +1,15 @@
 """Exact matrix and polynomial engines behind the spectral code.
 
 Exact routines never round, so every integrality decision downstream is
-a genuine certification.  The characteristic polynomial of an integer
-matrix is computed modulo enough descending primes below 2**25, sieved
-a window at a time, to pass a proven bound on its coefficients, and the
-Chinese remainder theorem recombines the results.  Elimination finds the
-residues of all primes at once in one (primes, m, m) int64 array, each
-sum of products one batched matmul reduced once (`_MAX_ROWS` bounds it),
-with each prime's own Hessenberg pivots; a deflated Laplacian quotient
-of 18 or more rows, given its class sizes, takes Lanczos in their inner
-product instead: one float64 matmul per step for every prime, and no
-stack.  Integer roots and their multiplicities are read off that
+a genuine certification.  The characteristic polynomial of a deflated
+Laplacian quotient is computed modulo enough descending primes below
+2**25, sieved a window at a time, to pass a proven bound on its
+coefficients, and the Chinese remainder theorem recombines the results.
+One kernel finds the residues of all primes at once: Lanczos in the
+inner product the class sizes give, one float64 matmul per step for
+every prime, restarted in the complement of each Krylov block that
+closes, with a prime where a norm vanishes replaced by the next ones.
+Integer roots and their multiplicities are read off that
 polynomial and divided out by synthetic division, and the roots of a
 real-rooted integer polynomial above an integer are counted exactly by
 Descartes' rule of signs after one integer Taylor shift.
@@ -36,16 +35,13 @@ __all__ = [
 
 
 # A residue is below 2**25, so a product of two is below 2**50 and a sum
-# of 8192 products below 2**63.  Every sum the charpoly forms has at most
-# one term per row, so this bounds the rows.
+# of 8192 products below 2**63.  A restart's projection sums one product
+# per stored vector, at most one per row, so this bounds the rows.
 _MAX_ROWS = 8192
-# Bytes one charpoly's (primes, m, m) int64 residue stack may take: Z_720720's
-# leaf needs 77 MB; Z2^8 x Z15's, 1022 rows on 186 primes, 1.45 GiB, refused.
+# Bytes one charpoly's (rows, rows, primes) int64 restart basis may take:
+# Z2^7 x Z15's leaf needs 193 MB; Z2^8 x Z15's, 1022 rows on 186 primes,
+# 1.45 GiB, refused.
 _MAX_STACK_BYTES = 2**30
-# Rows from which a deflated quotient takes Lanczos.  Per leaf the kernels
-# cross near 15 rows (519 against 517 us; 17 rows: 687 against 610); 18
-# keeps the default verify suite, whose leaves stop at 17, on elimination.
-_LANCZOS_ROWS = 18
 # The descending primes below 2**25, extended on demand by `_prime`.
 # Every modular charpoly walks a prefix of the same sequence, so each
 # window is sieved once per process.
@@ -90,33 +86,24 @@ def _prime(i: int) -> int:
     return _PRIMES[i]
 
 
-def charpoly_exact(matrix: Sequence[Sequence[int]], *, nonnegative_eigenvalues: bool = False,
-                   weights: Sequence[int] | None = None) -> list[int]:
-    """Coefficients of det(xI - M) for an integer matrix, ascending by power.
+def charpoly_exact(matrix: Sequence[Sequence[int]], *, weights: Sequence[int]) -> list[int]:
+    """Coefficients of det(xI - M), ascending by power, for the deflation
+    M_ij = Q_{i+1,j+1} - Q_{0,j+1} of a Laplacian quotient Q with class
+    sizes ``weights``, s_0..s_m summing to N: Q's eigenvalues but one 0.
 
-    The coefficients are determined once the modulus exceeds twice a
-    bound on their absolute values.  The coefficient of x^(m-k) is
-    (-1)^k e_k, the k-th elementary symmetric function of the
-    eigenvalues; each has |lambda| <= B, the largest absolute row sum,
-    so |e_k| <= C(m, k) B^k <= (B + 1)^m.  Enough primes for that are
-    taken up front from a fixed descending sequence below 2**25
-    (`_residue_primes`), the polynomial is computed modulo all of them
-    at once (`_charpoly_mod_primes`), and the residues are recombined by
-    the Chinese remainder theorem into the symmetric range, so the
-    result is exact.  Pass ``nonnegative_eigenvalues`` only for a matrix
-    whose eigenvalues are all real and nonnegative, such as one similar
-    to a positive semidefinite matrix: it selects the tighter
-    `_maclaurin_bound`.
-
-    ``weights`` are the class sizes s_0..s_m of a Laplacian quotient Q
-    whose deflation M_ij = Q_{i+1,j+1} - Q_{0,j+1} is the matrix.  From
-    `_LANCZOS_ROWS` rows on, `_charpoly_lanczos` then gives the residues
-    in the inner product the sizes define, checked exactly (ValueError if
-    M is not self-adjoint in it); elimination serves the rest.
-
-    A matrix of more than `_MAX_ROWS` rows, or one whose residue stack
-    would exceed `_MAX_STACK_BYTES`, raises ValueError before any array
-    is built, whichever kernel would run.
+    M is self-adjoint in the positive definite form <x, y> = N sum s_i
+    x_i y_i - (sum s_i x_i)(sum s_i y_i), i >= 1, and its Gram matrix
+    (N diag(s) - s s^T) M is N times the weighted Laplacian diag(s) Q
+    less its first row and column: symmetric, no positive entry off the
+    diagonal, no negative row sum, so positive semidefinite.  Both are
+    checked exactly: the eigenvalues are real and nonnegative, and
+    `_maclaurin_bound` holds.  `_charpoly_lanczos` gives the residues
+    modulo primes past twice it (`_residue_primes`), each dropped prime
+    is replaced by the next ones until the modulus passes twice the
+    bound again, and the CRT recombines them in the symmetric range.
+    ValueError, before any array is built, past `_MAX_ROWS` rows or
+    `_MAX_STACK_BYTES`; then for weights that do not fit, N of 2**25 or
+    more, a row sum of |M| of 2**28 or more, and a failed check.
     """
     m = len(matrix)
     if m > _MAX_ROWS:
@@ -126,32 +113,46 @@ def charpoly_exact(matrix: Sequence[Sequence[int]], *, nonnegative_eigenvalues: 
         raise ValueError("matrix must be square")
     if m == 0:
         return [1]
-    if nonnegative_eigenvalues:
-        bound = _maclaurin_bound(m, sum(matrix[i][i] for i in range(m)))
-    else:
-        bound = (max(sum(abs(x) for x in row) for row in matrix) + 1) ** m
+    bound = _maclaurin_bound(m, sum(matrix[i][i] for i in range(m)))
     primes = _residue_primes(m, bound)
-    modulus = math.prod(primes)
-    try:
-        entries = np.array(matrix, dtype=np.int64)
-    except OverflowError:
-        # entries beyond int64 are reduced as Python ints before numpy sees them
-        entries = np.array(matrix, dtype=object)
-    residues = None
-    if weights is not None and m >= _LANCZOS_ROWS:
-        residues = _charpoly_lanczos(entries, weights, primes)
-    if residues is None:
-        reduced = entries % np.array(primes, dtype=entries.dtype)[:, None, None]
-        residues = _charpoly_mod_primes(reduced.astype(np.int64), primes)
-    # CRT: c = sum of r_i * (M/p_i) * ((M/p_i)^-1 mod p_i), reduced mod M
-    basis = []
-    for p in primes:
-        cofactor = modulus // p
-        basis.append(cofactor * pow(cofactor % p, -1, p))
+    if len(weights) != m + 1:
+        raise ValueError(f"{len(weights)} weights for the deflation of a {m + 1}-row quotient")
+    total = sum(weights)
+    if min(weights) < 1 or total >= 2**25:
+        raise ValueError(f"class sizes {min(weights)}..{max(weights)} summing to {total}: "
+                         f"each must be positive and the sum below 2**25")
+    floats = np.array(matrix, dtype=np.float64)
+    widest = int(np.abs(floats).sum(axis=1).max())
+    if widest >= 2**28:
+        raise ValueError("a row sum of |matrix| reaches 2**28: its float64 product with "
+                         "residues below 2**25 could round")
+    # each Gram term is below N^2 times the widest row sum: int64 if twice that fits
+    exact = np.int64 if total * total * widest < 2**62 else object
+    a = floats.astype(np.int64).astype(exact, copy=False)
+    s = np.array(weights[1:], dtype=exact)
+    gram = total * s[:, None] * a - s[:, None] * (s @ a)
+    if (gram != gram.T).any():
+        raise ValueError("the matrix is not self-adjoint in the form of its weights")
+    negative = (gram.sum(axis=1) < 0).any()
+    gram.flat[::m + 1] = 0  # off the diagonal
+    if negative or (gram > 0).any():
+        raise ValueError("the matrix is not the deflation of a Laplacian quotient of its weights")
+    kept, found, batch, taken = [], [], primes, len(primes)
+    while batch:
+        good, residues = _charpoly_lanczos(floats, s.astype(np.int64), total, batch)
+        kept += good
+        found.append(residues)
+        batch = []
+        while math.prod(kept + batch) <= 2 * bound:
+            batch.append(_prime(taken))
+            taken += 1
+    modulus = math.prod(kept)
     half = modulus // 2
+    # CRT: c = sum of r_i * (M/p_i) * ((M/p_i)^-1 mod p_i), reduced mod M
+    units = [modulus // p * pow(modulus // p % p, -1, p) for p in kept]
     coeffs = []
-    for column in residues.T.tolist():
-        c = sum(map(mul, column, basis)) % modulus
+    for column in np.concatenate(found).T.tolist():
+        c = sum(map(mul, column, units)) % modulus
         coeffs.append(c - modulus if c > half else c)
     return coeffs
 
@@ -185,134 +186,104 @@ def _primes_past(bound: int) -> tuple[int, ...]:
 
 
 def _residue_primes(m: int, bound: int) -> tuple[int, ...]:
-    """`_primes_past(bound)`; ValueError when their (primes, m, m) int64
-    residue stack would pass `_MAX_STACK_BYTES`."""
+    """`_primes_past(bound)`; ValueError when the (m, m, primes) int64
+    basis that a restart stores would pass `_MAX_STACK_BYTES`."""
     primes = _primes_past(bound)
     stack = 8 * len(primes) * m * m
     if stack > _MAX_STACK_BYTES:
-        raise ValueError(f"{m} rows on {len(primes)} primes: the int64 residue stack needs "
+        raise ValueError(f"{m} rows on {len(primes)} primes: the int64 restart basis needs "
                          f"{stack} bytes, over the {_MAX_STACK_BYTES}-byte budget")
     return primes
 
 
-def _charpoly_lanczos(a: np.ndarray, weights: Sequence[int], primes: Sequence[int]
-                      ) -> np.ndarray | None:
-    """det(xI - A) mod each prime, ascending, as a (P, d + 1) array, by
-    Lanczos (J. Res. Nat. Bur. Standards 45, 1950); None hands A back.
+def _charpoly_lanczos(a: np.ndarray, s: np.ndarray, total: int, primes: Sequence[int]
+                      ) -> tuple[list[int], np.ndarray]:
+    """The primes kept and det(xI - A) modulo each, ascending, as a
+    (P, d + 1) array, by Lanczos (J. Res. Nat. Bur. Standards 45, 1950)
+    in <x, y> = N sum s_i x_i y_i - (sum s_i x_i)(sum s_i y_i), N =
+    ``total``, in which A is self-adjoint.
 
-    A, deflated from a quotient with class sizes s_0..s_d summing to N,
-    is self-adjoint in <x, y> = N sum s_i x_i y_i - (sum s_i x_i)
-    (sum s_i y_i), i >= 1 (N times Q's form modulo the constant vector),
-    as is checked exactly.  From q_1 = (1, ..., d), q_{k+1} = A q_k -
-    alpha_k q_k - gamma_k q_{k-1}, alpha_k = <A q_k, q_k> / n_k, gamma_k =
-    n_k / n_{k-1}, n_k = <q_k, q_k>.  If no n_k vanishes mod p, the q_k
-    are orthogonal, so a basis, and A K = K T for a tridiagonal T:
-    chi_A = chi_T mod p.  A zero n_k (a repeated eigenvalue, or bad luck
-    mod p) hands A back, as do the guards: N below every prime, the
-    check in int64, and A q_k, one float64 matmul for all primes, exact
-    (row sums of |A| times p below 2**53).
+    From q_1 = (1, ..., d), q_{k+1} = A q_k - alpha_k q_k - gamma_k
+    q_{k-1}, alpha_k = <A q_k, q_k> / n_k, gamma_k = n_k / n_{k-1}, n_k =
+    <q_k, q_k>.  If no n_k vanishes mod p, the q_k are orthogonal, so a
+    basis, and A K = K T for a tridiagonal T: chi_A = chi_T mod p.
+    - Restart.  If q_{k+1} = 0 modulo every prime, K = span(q_1..q_k) is
+      A-invariant and, its basis orthogonal with nonzero norms,
+      nondegenerate: F_p^d = K + K^perp, K^perp A-invariant as A is
+      self-adjoint.  The next block starts in K^perp (`_restart`) with
+      gamma = 0, as at q_1, so the recurrence multiplies the blocks'
+      polynomials.  A first pass stores nothing; a block closed early
+      runs the primes again, keeping each q_k.
+    - Drop.  A prime where a norm vanishes while q is nonzero modulo
+      some prime (an isotropic q, a q zero modulo that prime only, a
+      prime dividing N s_0 ... s_d) is dropped for the caller to replace;
+      the form is definite over Q, so only the finitely many primes
+      dividing a numerator or denominator of the rational run can be.
+    Every int64 product is of a residue and a residue or N, below 2**50;
+    A q_k, one float64 matmul for all primes, is exact as the caller
+    keeps A's row sums below 2**28.
     """
     d = len(a)
-    if len(weights) != d + 1:
-        raise ValueError(f"{len(weights)} weights for the deflation of a {d + 1}-row quotient")
-    total = sum(weights)
-    if (a.dtype == object or total >= min(primes) or not -2**28 < a.min() <= a.max() < 2**28
-            or total * total * int(np.abs(a).max()) >= 2**62
-            or int(np.abs(a).sum(axis=1).max()) * max(primes) >= 2**53):
-        return None
-    s = np.array(weights[1:], dtype=np.int64)
-    gram = total * s[:, None] * a - np.outer(s, s @ a)
-    if not np.array_equal(gram, gram.T):
-        raise ValueError("the matrix is not self-adjoint in the form of its weights")
-    p = np.array(primes, dtype=np.int64)
-    floats = a.astype(np.float64)
-    q = np.outer(np.arange(1, d + 1), np.ones_like(p))
-    back = np.zeros_like(q)
-    inv = np.zeros_like(p)  # gamma_1 multiplies zeros only
-    # the rolling rows chi_{k-2}, chi_{k-1} of T's leading blocks, ascending
-    before, poly = np.zeros((2, d + 1, len(primes)), dtype=np.int64)
-    poly[0] = 1
-    for _ in range(d):
-        z = np.matmul(floats, q).astype(np.int64) % p
-        # <x, y> = N (s @ (x * y)) - (s @ x)(s @ y), every sum in int64
-        sq, sz = s @ q % p, s @ z % p
-        norm = (s @ (q * q % p) % p * total - sq * sq) % p
-        if not norm.all():
-            return None
-        gamma = norm * inv % p
-        inv = np.array([pow(v, -1, r) for v, r in zip(norm.tolist(), primes)], dtype=np.int64)
-        alpha = (s @ (q * z % p) % p * total - sq * sz) % p * inv % p
-        q, back = (z - alpha * q - gamma * back) % p, q
-        nxt = (p - alpha) * poly + (p - gamma) * before
-        nxt[1:] += poly[:-1]
-        before, poly = poly, nxt % p
-    return poly.T
+    for store in (False, True):
+        p = np.array(primes, dtype=np.int64)
+        # q_k over chi_{k-1}, the charpoly of T's leading k - 1 rows, ascending:
+        # both obey v_{k+1} = X v_k - alpha_k v_k - gamma_k v_{k-1}, where X
+        # is A on the vector and multiplication by x on the polynomial
+        v = np.zeros((2 * d + 1, len(p)), dtype=np.int64)
+        v[:d] = np.arange(1, d + 1)[:, None]
+        v[d] = 1
+        back = np.zeros_like(v)
+        inv = np.zeros_like(p)  # 1 / n_{k-1}, zero at a block's first step: gamma = 0
+        # each stored q_j, with sum s q_j and 1 / n_j, for `_restart`
+        basis = np.empty((d if store else 0, d, len(p)), dtype=np.int64)
+        sums, inverses = np.empty((2, len(basis), len(p)), dtype=np.int64)
+        for k in range(d):
+            q = v[:d]
+            if not q.any():
+                if not store:
+                    break
+                q[:], inv = _restart(basis[:k], sums[:k], inverses[:k], s, total, p), 0 * inv
+            qz = np.array((q, np.matmul(a, q) % p), dtype=np.int64)
+            sq = s @ qz % p
+            # <q, q> and <A q, q>
+            norm, cross = (s @ (qz * q % p) % p * total - sq[0] * sq) % p
+            if not norm.all():
+                keep = norm != 0
+                p, v, back, inv, sq, qz, norm, cross, basis, sums, inverses = (
+                    x[..., keep] for x in (p, v, back, inv, sq, qz, norm, cross,
+                                           basis, sums, inverses))
+                q = v[:d]
+            gamma = norm * inv % p
+            inv = np.array([pow(n, -1, r) for n, r in zip(norm.tolist(), p.tolist())],
+                           dtype=np.int64)
+            if store:
+                basis[k], sums[k], inverses[k] = q, sq[0], inv
+            alpha = cross * inv % p
+            shifted = np.concatenate((qz[1], 0 * v[d:d + 1], v[d:-1]))
+            v, back = (shifted - alpha * v - gamma * back) % p, v
+        else:
+            return p.tolist(), v[d:].T
+    raise AssertionError("a pass that stores its basis never breaks")
 
 
-def _charpoly_mod_primes(h: np.ndarray, primes: Sequence[int]) -> np.ndarray:
-    """Coefficients of det(xI - H_i) mod p_i for a (P, m, m) stack, ascending.
-
-    `h[i]` holds the matrix reduced into [0, p_i); it is overwritten.
-    Each sum of products (the Hessenberg column op, the recurrence's sum
-    over j) is one batched matmul reduced once, which stays in int64 for
-    m <= `_MAX_ROWS`.  Each slice is brought to upper Hessenberg form by
-    similarity transforms over its own field, with its own pivots, and
-    the characteristic polynomial is expanded by the Hessenberg
-    recurrence (Cohen, A Course in Computational Algebraic Number
-    Theory, 1993, section 2.2).  Returns a (P, m + 1) array in [0, p_i).
-    """
-    count, n, _ = h.shape
-    p1 = np.array(primes, dtype=np.int64)[:, None]
-    p2 = p1[:, :, None]
-    for col in range(n - 2):
-        nxt = col + 1
-        below = h[:, nxt:, col].tolist()
-        if not any(any(r[1:]) for r in below):
-            continue  # already Hessenberg in this column modulo every prime
-        # each prime pivots on its first nonzero entry at or below the
-        # subdiagonal; a prime whose column is zero keeps offset 0
-        offsets = [next((i for i, v in enumerate(r) if v), 0) for r in below]
-        if any(offsets):
-            every = np.arange(count)
-            pivot = np.array(offsets) + nxt
-            rows = h[every, pivot]
-            h[every, pivot] = h[every, nxt]
-            h[every, nxt] = rows
-            cols = h[every, :, pivot]
-            h[every, :, pivot] = h[every, :, nxt]
-            h[every, :, nxt] = cols
-        inv = [pow(r[i] or 1, -1, p) for r, i, p in zip(below, offsets, primes)]
-        # eliminate below the subdiagonal with row ops, then apply their
-        # inverse as one column op: the row ops commute with each other
-        factors = h[:, nxt + 1:, col] * np.array(inv, dtype=np.int64)[:, None]
-        factors %= p1
-        block = h[:, nxt + 1:, col:]
-        block -= factors[:, :, None] * h[:, None, nxt, col:]
-        block %= p2
-        target = h[:, :, nxt]
-        target += np.matmul(h[:, :, nxt + 1:], factors[:, :, None])[:, :, 0]
-        target %= p1
-
-    # d[:, :, k] = charpoly of the leading k x k block, coefficients ascending
-    # down the column: d_k = x d_{k-1} - sum_{j=1..k} beta_j h[j-1][k-1] d_{j-1},
-    # where beta_j is the product of the subdiagonal entries h[j][j-1] ..
-    # h[k-1][k-2]; with each polynomial a column, the sum over j is a matmul
-    # that reads d along its rows
-    d = np.zeros((count, n + 1, n + 1), dtype=np.int64)
-    d[:, 0, 0] = d[:, 1, 1] = 1
-    d[:, 0, 1] = -h[:, 0, 0] % p1[:, 0]
-    beta = np.ones((count, n), dtype=np.int64)
-    for k in range(2, n + 1):
-        running = beta[:, :k - 1]
-        running *= h[:, k - 1, k - 2, None]
-        running %= p1
-        coeff = beta[:, :k] * h[:, :k, k - 1]
-        coeff %= p1
-        poly = d[:, :k + 1, k]
-        poly[:, 1:] = d[:, :k, k - 1]
-        poly[:, :k] -= np.matmul(d[:, :k, :k], coeff[:, :, None])[:, :, 0]
-        poly %= p1
-    return d[:, :, n]
+def _restart(basis: np.ndarray, sums: np.ndarray, inverses: np.ndarray, s: np.ndarray,
+             total: int, p: np.ndarray) -> np.ndarray:
+    """A start vector in K^perp, K spanned by the k stored q_j: for each
+    prime, the projection e_i - sum_j <e_i, q_j> / n_j q_j of the first
+    unit vector it leaves nonzero (K is proper), from e_k on, cyclically,
+    counting from 0: from e_0, Z2^6 x Z15's leaf took up to d a restart."""
+    k, d = len(basis), basis.shape[1]
+    q = np.zeros((d, len(p)), dtype=np.int64)
+    for i in [(k + j) % d for j in range(d)]:
+        missing = ~q.any(axis=0)
+        if not missing.any():
+            break
+        # <e_i, q_j> = s_i (N q_j[i] - sum s q_j)
+        c = (total * basis[:, i] - sums) % p * inverses % p * s[i] % p
+        v = -np.einsum("jp,jdp->dp", c, basis) % p
+        v[i] = (v[i] + 1) % p
+        q[:, missing] = v[:, missing]
+    return q
 
 
 def eval_poly_at_int(coeffs: Sequence[int], x: int) -> int:

@@ -13,8 +13,8 @@ splits off the integer eigenvalues of their difference vectors and is
 merged.
 Each rule's polynomial follows from its parts', so only the pieces no
 rule fits, connected with two or more classes, no universal class and no
-weighted twins, reach the exact charpoly (modular images, from 18 rows
-by Lanczos, recombined past a proven coefficient bound), with the zero
+weighted twins, reach the exact charpoly (Lanczos modulo primes past a
+proven bound, restarted through repeated eigenvalues), with the zero
 eigenvalue every Laplacian quotient has deflated first.  A leaf's result
 depends only on its sizes and counts and is memoized for the last 64
 leaves, so a leaf met again, such as the one a Z_n quotient shares with
@@ -373,18 +373,17 @@ def _leaf_spectrum(sizes: tuple[int, ...], counts: tuple[tuple[int, ...], ...]
     Q'_ij = Q_ij - Q_1j for i, j >= 2: the charpoly runs on one row
     fewer.  Q' keeps Q's other eigenvalues, real and nonnegative, so the
     Maclaurin bound still holds, and it is self-adjoint in a form the
-    class sizes give: passed as ``weights``, they let a leaf of 18 or
-    more rows take Lanczos, not elimination.  The result depends only
-    on the arguments, so the last 64 leaves are memoized: a Z_n quotient
-    and its reduced graph's, for one, end in the same leaf.
+    class sizes give, passed as ``weights``: `charpoly_exact` checks
+    both and runs Lanczos in that form.  The result depends only on the
+    arguments, so the last 64 leaves are memoized: a Z_n quotient and
+    its reduced graph's, for one, end in the same leaf.
     """
     rows = [[-c for c in row] for row in counts]
     for a, row in enumerate(counts):
         rows[a][a] += sum(row)
     first = rows[0][1:]
     deflated = [[x - y for x, y in zip(row[1:], first)] for row in rows[1:]]
-    # an equitable quotient of a Laplacian is similar to a symmetric PSD matrix
-    poly = [0] + charpoly_exact(deflated, nonnegative_eigenvalues=True, weights=sizes)
+    poly = [0] + charpoly_exact(deflated, weights=sizes)
     roots, poly = integer_root_multiplicities(poly, 0, sum(sizes))
     found = tuple(roots.items())
     degree = len(poly) - 1

@@ -116,24 +116,51 @@ def charpoly_leaves(run) -> list:
 
 
 def log_kernels(monkeypatch) -> list:
-    """Patch both charpoly kernels to log each call in order:
-    ("lanczos", rows, whether it handed the matrix back) and
-    ("elimination", rows)."""
+    """Patch the charpoly kernel to log each run on a batch of primes, in
+    order: (rows, restarts, primes dropped for the caller to replace)."""
     calls = []
-    lanczos, elimination = linalg._charpoly_lanczos, linalg._charpoly_mod_primes
+    kernel, restart = linalg._charpoly_lanczos, linalg._restart
 
-    def logged_lanczos(a, weights, primes):
-        result = lanczos(a, weights, primes)
-        calls.append(("lanczos", len(a), result is None))
-        return result
+    def logged_kernel(a, s, total, primes):
+        calls.append([len(a), 0, 0])
+        kept, residues = kernel(a, s, total, primes)
+        calls[-1][2] = len(primes) - len(kept)
+        calls[-1] = tuple(calls[-1])
+        return kept, residues
 
-    def logged_elimination(h, primes):
-        calls.append(("elimination", h.shape[1]))
-        return elimination(h, primes)
+    def logged_restart(*args):
+        calls[-1][1] += 1
+        return restart(*args)
 
-    monkeypatch.setattr(linalg, "_charpoly_lanczos", logged_lanczos)
-    monkeypatch.setattr(linalg, "_charpoly_mod_primes", logged_elimination)
+    monkeypatch.setattr(linalg, "_charpoly_lanczos", logged_kernel)
+    monkeypatch.setattr(linalg, "_restart", logged_restart)
     return calls
+
+
+def deflation(sizes, within, joined):
+    """Q'_ij = Q_{i+1,j+1} - Q_{0,j+1} for the Laplacian quotient Q whose
+    class i has sizes[i] vertices, within[i] neighbors in its own class
+    and sizes[j] in each class j with (i, j) in joined, i < j."""
+    m = len(sizes)
+    counts = [[within[i] if i == j else sizes[j] if (min(i, j), max(i, j)) in joined else 0
+               for j in range(m)] for i in range(m)]
+    rows = [[-c for c in row] for row in counts]
+    for i, row in enumerate(counts):
+        rows[i][i] += sum(row)
+    return deflated(rows)
+
+
+def deflated(rows):
+    """Q'_ij = Q_{i+1,j+1} - Q_{0,j+1} of a quotient's rows Q."""
+    return [[x - y for x, y in zip(row[1:], rows[0][1:])] for row in rows[1:]]
+
+
+def quotient_charpoly(sizes, rows) -> list:
+    """det(xI - Q), ascending, for a Laplacian quotient's rows Q with
+    class sizes ``sizes``: x times `charpoly_exact` of its deflation."""
+    if not rows:
+        return [1]
+    return [0] + linalg.charpoly_exact(deflated(rows), weights=sizes)
 
 
 def default_verify() -> None:

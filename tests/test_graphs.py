@@ -640,6 +640,25 @@ def test_the_fiedler_floor_stops_the_dicyclic_search(monkeypatch):
     assert flows == 1
 
 
+def test_the_scan_stops_once_its_sources_hold_best_vertices(monkeypatch):
+    # Z_30's reduced graph: once the sources scanned hold best = 3
+    # vertices, one lies outside any smaller cut, so the scan stops; with
+    # `scanned > best` it ran 8 flows, with the same certificate
+    flows = 0
+    min_cut = _SplitNetwork.min_cut
+
+    def counted(self, *args):
+        nonlocal flows
+        flows += 1
+        return min_cut(self, *args)
+
+    monkeypatch.setattr(_SplitNetwork, "min_cut", counted)
+    tp = reduced_cyclic_partition(30)
+    cut = vertex_connectivity(tp)
+    assert cut.size == 3 and flows == 6
+    assert cut == vertex_connectivity_every_class_pair(tp)
+
+
 @settings(max_examples=200, deadline=None)
 @given(small_graphs())
 # the cut vertex 4 joins a square to a triangle; the scan's first flow

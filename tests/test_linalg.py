@@ -1,10 +1,11 @@
 """Exact linear algebra against oracles that share none of its arithmetic.
 
 `fraction_charpoly` is Hessenberg reduction over the rationals, so it
-checks the modular characteristic polynomial and its prime bound without
-any modular arithmetic; sympy's `Matrix.charpoly` is a second oracle,
-and `oracles.charpoly_scalar_crt`, a scalar modular Hessenberg over
-other primes, checks cores too large for the first two.
+checks the Lanczos charpoly and its prime bound without any modular
+arithmetic; sympy's `Matrix.charpoly` is a second oracle, and
+`oracles.charpoly_scalar_crt`, a scalar modular Hessenberg elimination
+over other primes past the row-sum bound, checks cores too large for
+the first two.
 `scan_integer_roots` evaluates every candidate.  Root counts by
 Descartes' rule are checked against sympy's Sturm-sequence
 `Poly.count_roots`.
@@ -15,7 +16,6 @@ import random
 import subprocess
 import sys
 from pathlib import Path
-from unittest import mock
 
 import pytest
 import sympy
@@ -25,11 +25,15 @@ from hypothesis import strategies as st
 from conftest import (
     charpoly_leaves,
     default_verify,
+    deflated,
+    deflation,
     divisor_rich_spectra,
     log_kernels,
+    quotient_charpoly,
     reduced_cyclic_partition,
 )
 from oracles import (
+    charpoly_mod,
     charpoly_scalar_crt,
     collapse_to_fixpoint,
     fraction_charpoly,
@@ -38,6 +42,7 @@ from oracles import (
 from powerlap import linalg
 from powerlap.graphs import power_graph, twin_partition
 from powerlap.groups import cyclic_group, dicyclic_group, parse_group_spec
+from powerlap.spectra import spectrum
 from powerlap.linalg import (
     _maclaurin_bound,
     _prime,
@@ -79,156 +84,154 @@ def scan_integer_roots(coeffs, lo, hi):
 
 
 def quotient_cores(groups):
-    cores = (collapse_to_fixpoint(power_graph(g)).quotient_rows() for g in groups)
-    return [q for q in cores if len(q) <= ORACLE_MAX_DIM]
+    cores = (collapse_to_fixpoint(power_graph(g)) for g in groups)
+    return [c for c in cores if len(c.sizes) <= ORACLE_MAX_DIM]
 
 
 def test_charpoly_matches_fraction_oracle_on_quotient_cores(small_groups, small_pgroups):
     groups = small_groups + small_pgroups + pgroup_catalog(256)
     groups += [dicyclic_group(n) for n in (6, 15, 21)]
     cores = quotient_cores(groups)
-    assert max(len(q) for q in cores) >= 30
-    for q in cores:
-        assert charpoly_exact(q) == fraction_charpoly(q)
-
-
-int_entries = st.one_of(st.integers(-3, 3), st.integers(-10**6, 10**6))
+    assert max(len(c.sizes) for c in cores) >= 30
+    for core in cores:
+        rows = core.quotient_rows()
+        assert quotient_charpoly(core.sizes, rows) == fraction_charpoly(rows)
 
 
 @st.composite
-def int_matrices(draw, max_dim=7, entries=int_entries):
-    """Signed, generally non-symmetric integer matrices, some rows zero."""
-    m = draw(st.integers(1, max_dim))
-    row = st.lists(entries, min_size=m, max_size=m)
-    rows = draw(st.lists(row, min_size=m, max_size=m))
-    zero = draw(st.sets(st.integers(0, m - 1), max_size=m))
-    return [[0] * m if i in zero else r for i, r in enumerate(rows)]
+def weighted_quotients(draw, max_classes=24, max_size=20):
+    """Class sizes 1..max_size, within counts below them, and a symmetric
+    adjacency holding the path 0, 1, ..., m - 1, so Q is connected."""
+    m = draw(st.integers(2, max_classes))
+    sizes = draw(st.lists(st.integers(1, max_size), min_size=m, max_size=m))
+    within = [draw(st.integers(0, s - 1)) for s in sizes]
+    pairs = [(i, j) for i in range(m) for j in range(i + 2, m)]
+    coins = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    joined = {(i, i + 1) for i in range(m - 1)} | {e for e, c in zip(pairs, coins) if c}
+    return sizes, within, joined
 
 
 @settings(max_examples=150, deadline=None)
-@given(int_matrices())
-def test_charpoly_matches_oracles_on_integer_matrices(matrix):
-    coeffs = charpoly_exact(matrix)
+@given(weighted_quotients(max_classes=8))
+def test_charpoly_matches_oracles_on_integer_matrices(quotient):
+    # the deflations of weighted quotients, the matrices the charpoly takes
+    sizes, within, joined = quotient
+    matrix = deflation(sizes, within, joined)
+    coeffs = charpoly_exact(matrix, weights=sizes)
     assert coeffs == fraction_charpoly(matrix)
     assert coeffs == sympy_charpoly(matrix)
 
 
-def test_charpoly_with_pivots_that_differ_across_primes():
-    # column 0 below the diagonal: modulo P0 the subdiagonal entry vanishes,
-    # so P0 pivots on row 2 and every other prime on row 1
-    swap = [[1, 2, 3], [P0, 0, 1], [5, 1, 0]]
-    # modulo P0 the whole column vanishes and P0 skips it; modulo P1 only
-    # the subdiagonal entry does
-    skip = [[1, 2, 3, 4], [P0 * P1, 0, 1, 2], [2 * P0, 1, 0, 7], [3 * P0, 5, 1, 1]]
-    for matrix in (swap, skip):
-        assert charpoly_exact(matrix) == fraction_charpoly(matrix) == sympy_charpoly(matrix)
-
-
 @st.composite
-def matrices_divisible_by_the_first_primes(draw, max_dim=6):
-    """Matrices whose entries vanish modulo P0, P1 or both, and not others."""
-    m = draw(st.integers(2, max_dim))
-    entry = st.sampled_from([0, 1, -1, 3, P0, -P0, 2 * P1, P0 * P1])
-    return draw(st.lists(st.lists(entry, min_size=m, max_size=m), min_size=m, max_size=m))
+def quotients_with_a_class_of_a_first_prime(draw):
+    """A weighted quotient with one class of P0 or P1 vertices, the
+    others small: its deflation has entries divisible by that prime, and
+    modulo it the form degenerates, so the kernel drops it."""
+    sizes, within, joined = draw(weighted_quotients(max_classes=6, max_size=4))
+    big = draw(st.sampled_from([P0, P1]))
+    at = draw(st.integers(0, len(sizes) - 1))
+    sizes[at], within[at] = big, draw(st.sampled_from([0, big - 1]))
+    return sizes, within, joined
 
 
 @settings(max_examples=60, deadline=None)
-@given(matrices_divisible_by_the_first_primes())
-def test_charpoly_on_entries_divisible_by_the_first_primes(matrix):
-    # zero pivots and zero columns modulo some primes and not others
-    assert charpoly_exact(matrix) == fraction_charpoly(matrix)
+@given(quotients_with_a_class_of_a_first_prime())
+def test_charpoly_on_entries_divisible_by_the_first_primes(quotient):
+    sizes, within, joined = quotient
+    assert sum(sizes) < 2**25
+    matrix = deflation(sizes, within, joined)
+    assert charpoly_exact(matrix, weights=sizes) == fraction_charpoly(matrix)
 
 
 def test_charpoly_with_entries_beyond_int64():
-    rng = random.Random(7)
+    # refused: a row sum of |M| from 2**28 on would round in the float64
+    # product with residues; a count c_01 = 2**27 is no graph's, as it
+    # exceeds its class's size, but its form checks out
+    with pytest.raises(ValueError, match="reaches 2\\*\\*28"):
+        charpoly_exact([[2**28]], weights=(1, 1))
+    assert charpoly_exact([[2**28 - 1]], weights=(1, 1)) == [1 - 2**28, 1]
     for m in (1, 2, 5, 8):
-        matrix = [[rng.choice([-1, 1]) * rng.randrange(10**29, 10**30) if rng.random() < 0.7 else 0
-                   for _ in range(m)] for _ in range(m)]
-        assert charpoly_exact(matrix) == fraction_charpoly(matrix)
+        matrix = [[10**30 if i == j else 0 for j in range(m)] for i in range(m)]
+        with pytest.raises(ValueError, match="reaches 2\\*\\*28"):
+            charpoly_exact(matrix, weights=(1,) * (m + 1))
 
 
 def test_charpoly_matches_scalar_oracle_on_the_z5040_core():
-    core = collapse_to_fixpoint(twin_partition(cyclic_group(5040))).quotient_rows()
-    assert len(core) == 59
-    assert charpoly_exact(core) == charpoly_scalar_crt(core)
+    core = collapse_to_fixpoint(twin_partition(cyclic_group(5040)))
+    rows = core.quotient_rows()
+    assert len(rows) == 59
+    assert quotient_charpoly(core.sizes, rows) == charpoly_scalar_crt(rows)
 
 
 def test_charpoly_matches_scalar_oracle_on_the_divisor_rich_leaves():
-    # the leaves that `spectrum` of Z_n takes the charpoly of, n = 720..2310,
-    # by elimination and, given their class sizes, by Lanczos
+    # the leaves that `spectrum` of Z_n takes the charpoly of, n = 720..2310
     leaves = charpoly_leaves(divisor_rich_spectra)
     assert [len(leaf) for leaf, _ in leaves] == [27, 29, 33, 37, 29]
     for leaf, sizes in leaves:
-        expected = charpoly_scalar_crt(leaf)
-        assert charpoly_exact(leaf, nonnegative_eigenvalues=True) == expected
-        assert charpoly_exact(leaf, nonnegative_eigenvalues=True, weights=sizes) == expected
+        assert charpoly_exact(leaf, weights=sizes) == charpoly_scalar_crt(leaf)
 
 
 def test_charpoly_where_every_residue_is_p_minus_one():
-    # -1 reduces to p - 1, the largest residue, modulo every prime;
-    # det(xI + J) = x^63 (x + 64)
-    matrix = [[-1] * 64 for _ in range(64)]
-    expected = [0] * 63 + [64, 1]
-    assert charpoly_exact(matrix) == charpoly_scalar_crt(matrix) == expected
-
-
-near_2_to_40 = st.integers(2**40 - 2**20, 2**40 + 2**20)
-wide_entries = st.one_of(near_2_to_40, near_2_to_40.map(lambda x: -x), st.integers(-3, 3))
-
-
-@settings(max_examples=40, deadline=None)
-@given(int_matrices(max_dim=12, entries=wide_entries))
-def test_charpoly_matches_scalar_oracle_on_entries_near_2_to_40(matrix):
-    assert charpoly_exact(matrix) == charpoly_scalar_crt(matrix)
+    # K_64 with a pendant class 0 joined to class 1: every entry of the
+    # deflation off the diagonal and outside class 1's column is -1, so
+    # A q reduces near p - 1
+    matrix = deflation([1] * 65, [0] * 65, {(0, 1)} | {(i, j) for i in range(1, 65)
+                                                      for j in range(i + 1, 65)})
+    assert sum(x == -1 for row in matrix for x in row) == 63 * 63
+    assert charpoly_exact(matrix, weights=[1] * 65) == charpoly_scalar_crt(matrix)
 
 
 def test_charpoly_refuses_more_rows_than_its_sums_allow():
     # one shared row: nothing of size 8193^2 is built before the check
     row = [0] * 8193
     with pytest.raises(ValueError, match="8193 rows"):
-        charpoly_exact([row] * 8193)
+        charpoly_exact([row] * 8193, weights=[1] * 8194)
 
 
 def test_charpoly_refuses_a_residue_stack_over_its_byte_budget(monkeypatch):
-    # det(xI - 3I) = (x - 3)^3 takes one prime: a stack of 8 * 1 * 3 * 3 bytes
-    matrix = [[3 if i == j else 0 for j in range(3)] for i in range(3)]
-    built = []
-    mod_primes = linalg._charpoly_mod_primes
-
-    def spy(h, primes):
-        built.append(h.nbytes)
-        return mod_primes(h, primes)
-
-    monkeypatch.setattr(linalg, "_charpoly_mod_primes", spy)
+    # K_4's deflation 4 I has det(xI - 4I) = (x - 4)^3 on one prime: a
+    # restart basis of 8 * 1 * 3 * 3 bytes
+    matrix = [[4 if i == j else 0 for j in range(3)] for i in range(3)]
     monkeypatch.setattr(linalg, "_MAX_STACK_BYTES", 72)
-    assert charpoly_exact(matrix) == [-27, 27, -9, 1] and built == [72]
+    assert charpoly_exact(matrix, weights=[1] * 4) == [-64, 48, -12, 1]
     monkeypatch.setattr(linalg, "_MAX_STACK_BYTES", 71)
-    with pytest.raises(ValueError, match="3 rows on 1 primes: the int64 residue stack needs "
+    with pytest.raises(ValueError, match="3 rows on 1 primes: the int64 restart basis needs "
                                          "72 bytes, over the 71-byte budget"):
-        charpoly_exact(matrix)
-    assert built == [72]
+        charpoly_exact(matrix, weights=[1] * 4)
+
+
+def complete_deflation(sizes):
+    """K_N's quotient on classes of ``sizes``, all joined, deflates to N I."""
+    matrix = deflation(sizes, [s - 1 for s in sizes], {(i, j) for i in range(len(sizes))
+                                                         for j in range(i + 1, len(sizes))})
+    assert matrix == [[sum(sizes) if i == j else 0 for j in range(len(sizes) - 1)]
+                      for i in range(len(sizes) - 1)]
+    return matrix
 
 
 def test_charpoly_at_the_coefficient_bound():
-    # det(xI + B*I) = (x + B)^m: the constant B^m sits just under half the
-    # modulus the row-sum bound 2 * (B + 1)^m asks for
-    m, b = 40, 10**6
-    matrix = [[-b if i == j else 0 for j in range(m)] for i in range(m)]
-    assert charpoly_exact(matrix) == [math.comb(m, k) * b ** (m - k) for k in range(m + 1)]
-    assert charpoly_exact([]) == [1]
+    # det(xI - N I) = (x - N)^m: every eigenvalue is the mean, so the
+    # largest |coefficient| is the Maclaurin bound itself, and the modulus
+    # must pass twice it
+    m, n = 40, 10**6
+    sizes = [n - m] + [1] * m
+    expected = [math.comb(m, k) * (-n) ** (m - k) for k in range(m + 1)]
+    assert max(map(abs, expected)) == _maclaurin_bound(m, m * n)
+    assert charpoly_exact(complete_deflation(sizes), weights=sizes) == expected
+    assert charpoly_exact([], weights=(1,)) == [1]
     with pytest.raises(ValueError):
-        charpoly_exact([[1, 2]])
+        charpoly_exact([[1, 2]], weights=(1, 1))
 
 
 def test_maclaurin_bound_is_sharp_on_a_scalar_matrix():
-    # det(xI - b*I) = (x - b)^m: every eigenvalue equals the mean, where
-    # Maclaurin's inequality is an equality, so the bound is attained
-    m, b = 40, 10**6
-    matrix = [[b if i == j else 0 for j in range(m)] for i in range(m)]
-    expected = [math.comb(m, k) * (-b) ** (m - k) for k in range(m + 1)]
-    assert charpoly_exact(matrix, nonnegative_eigenvalues=True) == expected
-    assert charpoly_exact([[0]], nonnegative_eigenvalues=True) == [0, 1]
-    assert charpoly_exact([], nonnegative_eigenvalues=True) == [1]
+    # K_41 on unit classes: det(xI - 41 I) = (x - 41)^40, every eigenvalue
+    # the mean, where Maclaurin's inequality is an equality
+    m = 40
+    expected = [math.comb(m, k) * (-41) ** (m - k) for k in range(m + 1)]
+    assert charpoly_exact(complete_deflation([1] * 41), weights=[1] * 41) == expected
+    assert max(map(abs, expected)) == _maclaurin_bound(m, 41 * m)
+    # two classes joined to nothing: Q = 0 deflates to [[0]]
+    assert charpoly_exact([[0]], weights=(3, 2)) == [0, 1]
 
 
 @settings(max_examples=500, deadline=None)
@@ -242,56 +245,55 @@ def test_maclaurin_bound_is_its_peak_term(m, trace):
 
 def test_maclaurin_bound_refuses_a_negative_trace():
     with pytest.raises(ValueError, match="negative"):
-        charpoly_exact([[1, 0], [0, -2]], nonnegative_eigenvalues=True)
-
-
-@st.composite
-def positive_semidefinite_matrices(draw, max_dim=7):
-    """B^T B for a signed integer B, and a similar non-symmetric D B^T B D^-1
-    scaled by the product of D's entries to keep it integral."""
-    m = draw(st.integers(1, max_dim))
-    entry = st.integers(-20, 20)
-    b = draw(st.lists(st.lists(entry, min_size=m, max_size=m), min_size=m, max_size=m))
-    gram = [[sum(b[k][i] * b[k][j] for k in range(m)) for j in range(m)] for i in range(m)]
-    if draw(st.booleans()):
-        return gram
-    d = draw(st.lists(st.integers(1, 3), min_size=m, max_size=m))
-    scale = math.prod(d)
-    return [[gram[i][j] * d[i] * scale // d[j] for j in range(m)] for i in range(m)]
+        _maclaurin_bound(2, -1)
+    with pytest.raises(ValueError, match="negative"):
+        charpoly_exact([[1, 0], [0, -2]], weights=(1, 1, 1))
 
 
 @settings(max_examples=100, deadline=None)
-@given(positive_semidefinite_matrices())
-def test_maclaurin_bound_on_positive_semidefinite_matrices(matrix):
-    assert charpoly_exact(matrix, nonnegative_eigenvalues=True) == fraction_charpoly(matrix)
+@given(weighted_quotients(max_classes=8))
+def test_maclaurin_bound_on_positive_semidefinite_matrices(quotient):
+    # a deflated quotient is positive semidefinite in its form: the bound
+    # from its trace covers every coefficient
+    sizes, within, joined = quotient
+    matrix = deflation(sizes, within, joined)
+    coeffs = charpoly_exact(matrix, weights=sizes)
+    assert coeffs == fraction_charpoly(matrix)
+    assert max(map(abs, coeffs)) <= _maclaurin_bound(len(matrix), sum(
+        matrix[i][i] for i in range(len(matrix))))
 
 
 def test_maclaurin_and_row_sum_bounds_agree_on_every_claim_core():
     # the quotient cores the default verify run and the divisor-rich
-    # spectrum queries take the charpoly of, and three larger ones
+    # spectrum queries take the charpoly of, and three larger ones, against
+    # the scalar oracle, which stops past the row-sum bound 2 (B + 1)^m
     partitions = [p for n in range(2, 301)
                   for p in (twin_partition(cyclic_group(n)), reduced_cyclic_partition(n))]
     partitions += [twin_partition(cyclic_group(n)) for n in (720, 840, 1260, 1680, 2310, 5040)]
     groups = [dicyclic_group(n) for n in (*range(2, 33), 105, 250)] + pgroup_catalog(256)
     partitions += [twin_partition(power_graph(g)) for g in groups]
     for tp in partitions:
-        core = collapse_to_fixpoint(tp).quotient_rows()
-        assert charpoly_exact(core, nonnegative_eigenvalues=True) == charpoly_exact(core)
+        core = collapse_to_fixpoint(tp)
+        rows = core.quotient_rows()
+        assert quotient_charpoly(core.sizes, rows) == charpoly_scalar_crt(rows)
 
 
 def test_maclaurin_bound_takes_fewer_primes_on_the_z4_4_core(monkeypatch):
-    core = collapse_to_fixpoint(power_graph(parse_group_spec("prod:zn:4xzn:4xzn:4xzn:4"))).quotient_rows()
+    core = collapse_to_fixpoint(power_graph(parse_group_spec("prod:zn:4xzn:4xzn:4xzn:4")))
+    matrix = deflated(core.quotient_rows())
     used = []
-    mod_primes = linalg._charpoly_mod_primes
+    kernel = linalg._charpoly_lanczos
 
-    def counted(h, primes):
+    def counted(a, s, total, primes):
         used.append(len(primes))
-        return mod_primes(h, primes)
+        return kernel(a, s, total, primes)
 
-    monkeypatch.setattr(linalg, "_charpoly_mod_primes", counted)
-    assert charpoly_exact(core, nonnegative_eigenvalues=True) == charpoly_exact(core)
-    # 31 rows with trace 540: a 130-bit modulus against a 280-bit one
-    assert len(core) == 31 and used == [6, 12]
+    monkeypatch.setattr(linalg, "_charpoly_lanczos", counted)
+    assert charpoly_exact(matrix, weights=core.sizes) == charpoly_scalar_crt(matrix)
+    # 30 rows with trace 540: a 130-bit modulus; the row-sum bound needs 10 primes
+    widest = max(sum(map(abs, row)) for row in matrix)
+    assert len(matrix) == 30 and used == [6]
+    assert len(linalg._primes_past((widest + 1) ** 30)) == 10
 
 
 def test_primes_descend_from_the_largest_below_2_to_25():
@@ -330,48 +332,23 @@ except IndexError:
 # Lanczos on the deflation of a weighted quotient
 
 
-def deflation(sizes, within, joined):
-    """Q'_ij = Q_{i+1,j+1} - Q_{0,j+1} for the Laplacian quotient Q whose
-    class i has sizes[i] vertices, within[i] neighbors in its own class
-    and sizes[j] in each class j with (i, j) in joined, i < j."""
-    m = len(sizes)
-    counts = [[within[i] if i == j else sizes[j] if (min(i, j), max(i, j)) in joined else 0
-               for j in range(m)] for i in range(m)]
-    rows = [[-c for c in row] for row in counts]
-    for i, row in enumerate(counts):
-        rows[i][i] += sum(row)
-    return [[x - y for x, y in zip(row[1:], rows[0][1:])] for row in rows[1:]]
-
-
-def test_lanczos_agrees_with_elimination_on_the_gated_and_large_leaves(monkeypatch):
+def test_lanczos_agrees_with_elimination_on_the_gated_and_large_leaves():
     # every leaf of the default verify suite and of spectrum-divisor-rich,
-    # then Z_5040's and Z_55440's, each through both kernels
+    # then Z_5040's and Z_55440's, against the scalar Hessenberg
+    # elimination of the oracle: by CRT up to 60 rows, past that modulo
+    # two of its primes
     leaves = charpoly_leaves(default_verify) + charpoly_leaves(divisor_rich_spectra)
     leaves += charpoly_leaves(lambda: divisor_rich_spectra((5040, 55440)))
     assert len(leaves) == 159 + 7
     assert [len(matrix) for matrix, _ in leaves[-7:]] == [27, 29, 33, 37, 29, 57, 117]
-    monkeypatch.setattr(linalg, "_LANCZOS_ROWS", 2)
-    calls = log_kernels(monkeypatch)
+    primes = [sympy.prevprime(2**61), sympy.prevprime(2**60)]
     for matrix, sizes in leaves:
-        assert (charpoly_exact(matrix, nonnegative_eigenvalues=True, weights=sizes)
-                == charpoly_exact(matrix, nonnegative_eigenvalues=True))
-    taken = [call[2] for call in calls if call[0] == "lanczos"]
-    assert len(taken) == sum(len(matrix) >= 2 for matrix, _ in leaves)
-    # the large leaves, and most of the small, go through without a fallback
-    assert taken[-7:] == [False] * 7 and taken.count(False) > len(taken) // 2
-
-
-@st.composite
-def weighted_quotients(draw, max_classes=24):
-    """Class sizes 1..20, within counts below them, and a symmetric
-    adjacency holding the path 0, 1, ..., m - 1, so Q is connected."""
-    m = draw(st.integers(2, max_classes))
-    sizes = draw(st.lists(st.integers(1, 20), min_size=m, max_size=m))
-    within = [draw(st.integers(0, s - 1)) for s in sizes]
-    pairs = [(i, j) for i in range(m) for j in range(i + 2, m)]
-    coins = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
-    joined = {(i, i + 1) for i in range(m - 1)} | {e for e, c in zip(pairs, coins) if c}
-    return sizes, within, joined
+        coeffs = charpoly_exact(matrix, weights=sizes)
+        if len(matrix) <= 60:
+            assert coeffs == charpoly_scalar_crt(matrix)
+        else:
+            assert [[c % p for c in coeffs] for p in primes] == [charpoly_mod(matrix, p)
+                                                                 for p in primes]
 
 
 @settings(max_examples=60, deadline=None)
@@ -379,35 +356,41 @@ def weighted_quotients(draw, max_classes=24):
 def test_lanczos_matches_the_scalar_oracle_on_weighted_quotients(quotient):
     sizes, within, joined = quotient
     matrix = deflation(sizes, within, joined)
-    with mock.patch.object(linalg, "_LANCZOS_ROWS", 2):
-        assert (charpoly_exact(matrix, nonnegative_eigenvalues=True, weights=sizes)
-                == charpoly_scalar_crt(matrix))
+    assert charpoly_exact(matrix, weights=sizes) == charpoly_scalar_crt(matrix)
 
 
-def test_lanczos_hands_a_repeated_eigenvalue_back_to_elimination(monkeypatch):
-    # a hub class with three isomorphic arms, each a path of six classes:
-    # the arms' antisymmetric eigenvectors make every such eigenvalue
-    # double, so the Krylov space of (1, ..., d) is short and a norm
-    # vanishes modulo every prime (two arms give no repeated eigenvalue)
+def hub_with_three_arms():
+    """A hub class with three isomorphic arms, each a path of six classes:
+    the arms' antisymmetric eigenvectors make every such eigenvalue
+    double, so the Krylov space of (1, ..., d) is short (two arms give no
+    repeated eigenvalue)."""
     sizes = [2] + [1, 2, 3, 1, 2, 3] * 3
     joined = set()
     for first in (1, 7, 13):
         joined |= {(0, first)} | {(i, i + 1) for i in range(first, first + 5)}
-    matrix = deflation(sizes, [s - 1 for s in sizes], joined)
-    assert len(matrix) == linalg._LANCZOS_ROWS
+    return deflation(sizes, [s - 1 for s in sizes], joined), sizes
+
+
+def test_lanczos_restarts_through_repeated_eigenvalues(monkeypatch):
+    # the hub, the two default verify leaves whose first block closes one
+    # step short, and Z2^4 x Z15's leaf, 62 rows in 14 blocks
     calls = log_kernels(monkeypatch)
-    assert (charpoly_exact(matrix, nonnegative_eigenvalues=True, weights=sizes)
-            == charpoly_scalar_crt(matrix))
-    assert calls == [("lanczos", 18, True), ("elimination", 18)]
+    verify = charpoly_leaves(default_verify)
+    leaves = [hub_with_three_arms()] + [leaf for leaf, call in zip(verify, calls) if call[1]]
+    leaves += charpoly_leaves(lambda: spectrum(twin_partition(
+        parse_group_spec("prod:zn:2xzn:2xzn:2xzn:2xzn:15"))))
+    calls.clear()
+    for matrix, sizes in leaves:
+        assert charpoly_exact(matrix, weights=sizes) == charpoly_scalar_crt(matrix)
+    assert calls == [(18, 1, 0), (7, 1, 0), (9, 1, 0), (62, 13, 0)]
 
 
-def test_lanczos_hands_back_a_leaf_whose_norm_vanishes_modulo_one_prime(monkeypatch):
-    # draw connected 19-class quotients until the first norm
-    # <q_1, q_1> = N sum s_i i^2 - (sum s_i i)^2 has a prime factor p with
-    # N < p < 2**25, then put p first in the leaf's prime list
+def bad_prime_leaf():
+    """A connected 19-class quotient, drawn until the first norm
+    <q_1, q_1> = N sum s_i i^2 - (sum s_i i)^2 has a prime factor p with
+    N < p < 2**25, with that p."""
     rng = random.Random(40)
-    factors = []
-    while not factors:
+    while True:
         sizes = [rng.randint(1, 20) for _ in range(19)]
         within = [rng.randrange(s) for s in sizes]
         joined = {(i, i + 1) for i in range(18)}
@@ -416,16 +399,57 @@ def test_lanczos_hands_back_a_leaf_whose_norm_vanishes_modulo_one_prime(monkeypa
         norm = (total * sum(s * i * i for i, s in enumerate(sizes[1:], 1))
                 - sum(s * i for i, s in enumerate(sizes[1:], 1)) ** 2)
         factors = [p for p in sympy.primefactors(norm) if total < p < 2**25]
-    matrix = deflation(sizes, within, joined)
+        if factors:
+            return deflation(sizes, within, joined), sizes, factors[0]
+
+
+def test_lanczos_replaces_a_prime_where_a_norm_vanishes(monkeypatch):
+    matrix, sizes, bad = bad_prime_leaf()
     expected = charpoly_scalar_crt(matrix)
     calls = log_kernels(monkeypatch)
-    assert charpoly_exact(matrix, nonnegative_eigenvalues=True, weights=sizes) == expected
-    assert calls == [("lanczos", 18, False)]
+    assert charpoly_exact(matrix, weights=sizes) == expected
+    assert calls == [(18, 0, 0)]
     primes = linalg._residue_primes
-    monkeypatch.setattr(linalg, "_residue_primes",
-                        lambda m, bound: (factors[0],) + primes(m, bound))
-    assert charpoly_exact(matrix, nonnegative_eigenvalues=True, weights=sizes) == expected
-    assert calls[1:] == [("lanczos", 18, True), ("elimination", 18)]
+    # planted ahead of the leaf's primes, the bad one leaves enough behind
+    monkeypatch.setattr(linalg, "_residue_primes", lambda m, bound: (bad,) + primes(m, bound))
+    assert charpoly_exact(matrix, weights=sizes) == expected
+    # planted in place of the first, it leaves too few: the next prime of
+    # the sequence runs in a batch of its own
+    monkeypatch.setattr(linalg, "_residue_primes", lambda m, bound: (bad,) + primes(m, bound)[1:])
+    assert charpoly_exact(matrix, weights=sizes) == expected
+    assert calls[1:] == [(18, 0, 1), (18, 0, 1), (18, 0, 0)]
+
+
+def test_lanczos_replaces_a_prime_dividing_n(monkeypatch):
+    # N = P0, the first prime: modulo it the form degenerates, as
+    # N diag(s) - s s^T kills the constant vector, and a norm vanishes
+    sizes = [P0 - 15, 2, 3, 4, 6]
+    matrix = deflation(sizes, [s - 1 for s in sizes], {(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)})
+    calls = log_kernels(monkeypatch)
+    assert charpoly_exact(matrix, weights=sizes) == charpoly_scalar_crt(matrix)
+    assert [call[2] for call in calls] == [1, 0]
+
+
+def test_lanczos_checks_a_wide_form_in_python_ints():
+    # N^2 max|Q'| past 2**62 would overflow an int64 Gram matrix
+    sizes = [2**23, 3, 2**22, 5, 7, 2**21]
+    matrix = deflation(sizes, [s - 1 for s in sizes], {(0, 1), (1, 2), (2, 3), (3, 4), (4, 5),
+                                                       (0, 3), (2, 5)})
+    assert sum(sizes) ** 2 * max(abs(x) for row in matrix for x in row) >= 2**62
+    assert charpoly_exact(matrix, weights=sizes) == charpoly_scalar_crt(matrix)
+    bumped = sizes[:1] + [sizes[1] + 1] + sizes[2:]
+    with pytest.raises(ValueError, match="not self-adjoint in the form of its weights"):
+        charpoly_exact(matrix, weights=bumped)
+
+
+def test_lanczos_refuses_n_from_2_to_25():
+    sizes = [2**25 - 3, 1, 2]
+    matrix = deflation(sizes, [0, 0, 1], {(0, 1), (1, 2)})
+    with pytest.raises(ValueError, match="summing to 33554432: .* the sum below 2\\*\\*25"):
+        charpoly_exact(matrix, weights=sizes)
+    sizes[0] -= 1
+    assert charpoly_exact(deflation(sizes, [0, 0, 1], {(0, 1), (1, 2)}), weights=sizes) \
+        == charpoly_scalar_crt(deflation(sizes, [0, 0, 1], {(0, 1), (1, 2)}))
 
 
 def test_lanczos_refuses_weights_that_do_not_fit_the_matrix():
@@ -433,9 +457,12 @@ def test_lanczos_refuses_weights_that_do_not_fit_the_matrix():
     assert len(matrix) == 27
     bumped = sizes[:1] + (sizes[1] + 1,) + sizes[2:]
     with pytest.raises(ValueError, match="not self-adjoint in the form of its weights"):
-        charpoly_exact(matrix, nonnegative_eigenvalues=True, weights=bumped)
+        charpoly_exact(matrix, weights=bumped)
     with pytest.raises(ValueError, match="27 weights for the deflation of a 28-row quotient"):
-        charpoly_exact(matrix, nonnegative_eigenvalues=True, weights=sizes[1:])
+        charpoly_exact(matrix, weights=sizes[1:])
+    # self-adjoint in the form of unit weights, with eigenvalues -1 and 1
+    with pytest.raises(ValueError, match="not the deflation of a Laplacian quotient"):
+        charpoly_exact([[0, 1], [1, 0]], weights=(1, 1, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -521,7 +548,7 @@ def sympy_roots_above(coeffs, k):
 @settings(max_examples=120, deadline=None)
 @given(symmetric_int_matrices())
 def test_descartes_count_matches_sturm_on_symmetric_matrices(matrix):
-    coeffs = charpoly_exact(matrix)
+    coeffs = charpoly_scalar_crt(matrix)
     bound = max(sum(abs(v) for v in row) for row in matrix)
     _, residual = integer_root_multiplicities(coeffs, -bound, bound)
     for k in range(-1, bound + 2):

@@ -17,14 +17,17 @@ import powerlap.verify
 from conftest import (
     charpoly_leaves,
     default_verify,
+    deflation,
     divisor_rich_spectra,
     log_kernels,
+    quotient_charpoly,
     random_graph,
     reduced_cyclic_partition,
     twin_rich_graphs,
 )
 from oracles import (
     algcon_equals_by_counts,
+    charpoly_scalar_crt,
     clique_charpoly,
     collapse_to_fixpoint,
     complement_spectrum,
@@ -106,11 +109,16 @@ def exact_det(rows):
 
 
 def test_charpoly_exact_matches_determinant_oracle():
+    # deflations of random connected weighted quotients of 2 to 7 classes
     rng = random.Random(99)
     for _ in range(25):
-        n = rng.randint(1, 6)
-        mat = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
-        coeffs = charpoly_exact(mat)
+        sizes = [rng.randint(1, 4) for _ in range(rng.randint(2, 7))]
+        joined = {(i, i + 1) for i in range(len(sizes) - 1)}
+        joined |= {(i, j) for i in range(len(sizes)) for j in range(i + 2, len(sizes))
+                   if rng.random() < 0.5}
+        mat = deflation(sizes, [rng.randrange(s) for s in sizes], joined)
+        n = len(mat)
+        coeffs = charpoly_exact(mat, weights=sizes)
         assert len(coeffs) == n + 1 and coeffs[-1] == 1
         for x in (-2, 0, 1, 3, 7):
             shifted = [
@@ -182,7 +190,7 @@ def times_factors(coeffs, factors):
 
 def collapsed_charpoly(core):
     """Extracted factors times the quotient's charpoly, coefficients ascending."""
-    return times_factors(charpoly_exact(core.quotient_rows()), core.extracted)
+    return times_factors(quotient_charpoly(core.sizes, core.quotient_rows()), core.extracted)
 
 
 def spectrum_charpoly(s):
@@ -280,7 +288,7 @@ def assert_split_matches_full(sizes, counts):
     floats are the quotient's dense eigenvalues less those roots."""
     n = sum(sizes)
     rows = quotient_matrix(counts)
-    full = charpoly_exact(rows, nonnegative_eigenvalues=True)
+    full = quotient_charpoly(sizes, rows)
     roots, residual, numeric = quotient_spectrum(sizes, counts)
     assert roots == integer_root_multiplicities(full, 0, n)[0]
     assert integer_root_multiplicities(residual, 0, n)[0] == {}
@@ -394,25 +402,28 @@ def test_spectrum_of_twin_rich_graphs_matches_the_dense_charpoly(g):
     assert spectrum_charpoly(spectrum(g)) == dense_charpoly(g)
 
 
-def test_lanczos_takes_the_divisor_rich_leaves_and_no_default_verify_leaf(monkeypatch):
-    # pins the 18-row threshold on real traffic: moving it past 27 rows or
-    # below 18 fails one of the two halves
+def test_the_kernel_restarts_two_default_verify_leaves_and_replaces_no_prime(monkeypatch):
+    # pins the kernel's traffic: the divisor-rich leaves and Z_55440's run
+    # in one block on their first primes, and of the 159 default verify
+    # leaves only a 7-row and a 9-row one restart, each for its last step
     calls = log_kernels(monkeypatch)
     divisor_rich_spectra((720, 840, 1260, 1680, 2310, 55440))
-    assert calls == [("lanczos", rows, False) for rows in (27, 29, 33, 37, 29, 117)]
+    assert calls == [(rows, 0, 0) for rows in (27, 29, 33, 37, 29, 117)]
     calls.clear()
     powerlap.spectra._leaf_spectrum.cache_clear()
     default_verify()
-    assert len(calls) == 159 and all(call[0] == "elimination" for call in calls)
+    assert len(calls) == 159 and not any(dropped for _, _, dropped in calls)
+    assert sorted(call for call in calls if call[1]) == [(7, 1, 0), (9, 1, 0)]
 
 
 def test_the_z55440_leaf_never_builds_a_residue_stack():
-    # elimination would hold a (primes, 117, 117) int64 stack of several MB
+    # its one Krylov block never closes, so no (117, 117, primes) restart
+    # basis of several MB is built
     [(matrix, sizes)] = charpoly_leaves(lambda: divisor_rich_spectra((55440,)))
-    expected = charpoly_exact(matrix, nonnegative_eigenvalues=True, weights=sizes)
+    expected = charpoly_exact(matrix, weights=sizes)
     tracemalloc.start()
     try:
-        assert charpoly_exact(matrix, nonnegative_eigenvalues=True, weights=sizes) == expected
+        assert charpoly_exact(matrix, weights=sizes) == expected
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -428,7 +439,7 @@ def test_a_leaf_sieves_its_prime_list_once():
 
 
 def test_an_over_budget_leaf_is_refused_before_it_is_built():
-    # Z2^9 x Z15 reaches a 2046-row leaf on 372 primes, an 11.6 GiB stack:
+    # Z2^9 x Z15 reaches a 2046-row leaf on 372 primes, an 11.6 GiB basis:
     # the refusal neither builds the leaf's count table nor sums every
     # Maclaurin term
     tp = twin_partition(parse_group_spec("prod:" + "x".join(["zn:2"] * 9 + ["zn:15"])))
@@ -557,7 +568,7 @@ def test_leaf_charpoly_deflates_the_zero_eigenvalue(monkeypatch):
         checked.add((sizes, counts))
         full = quotient_matrix(counts)
         assert len(deflated) == len(full) - 1
-        assert [0] + charpoly_exact(deflated) == charpoly_exact(full)
+        assert [0] + charpoly_exact(deflated, weights=sizes) == charpoly_scalar_crt(full)
     assert max(map(len, passed)) == 57  # Z_5040 ends in a leaf of 58 classes
 
 
