@@ -437,6 +437,13 @@ def test_lanczos_checks_a_wide_form_in_python_ints():
                                                        (0, 3), (2, 5)})
     assert sum(sizes) ** 2 * max(abs(x) for row in matrix for x in row) >= 2**62
     assert charpoly_exact(matrix, weights=sizes) == charpoly_scalar_crt(matrix)
+    # here the Gram entry -N s_2 s_4 lies in (-2**64, -2**63): wrapped in
+    # int64 it would turn positive, and the leaf would be refused
+    n = 2**24 + 12345
+    wide = [n - 2**20 - 2**19 - 8, 3, 2**20, 5, 2**19]
+    assert 2**63 < n * wide[2] * wide[4] < 2**64
+    wrapped = deflation(wide, [s - 1 for s in wide], {(0, 1), (1, 2), (2, 3), (3, 4), (2, 4)})
+    assert charpoly_exact(wrapped, weights=wide) == charpoly_scalar_crt(wrapped)
     bumped = sizes[:1] + [sizes[1] + 1] + sizes[2:]
     with pytest.raises(ValueError, match="not self-adjoint in the form of its weights"):
         charpoly_exact(matrix, weights=bumped)
