@@ -2,9 +2,10 @@
 
 Exact routines never round, so every integrality decision downstream is
 a genuine certification.  The characteristic polynomial of a deflated
-Laplacian quotient is computed modulo enough descending primes below
-2**25, sieved a window at a time, to pass a proven bound on its
-coefficients, and the Chinese remainder theorem recombines the results.
+Laplacian quotient is computed modulo the first primes of one fixed
+table, the 968 in [2**25 - 2**14, 2**25) descending, whose product
+passes twice a proven bound on its coefficients, and the Chinese
+remainder theorem recombines the results.
 One kernel finds the residues of all primes at once: Lanczos in the
 inner product the class sizes give, one float64 matmul per step for
 every prime, restarted in the complement of each Krylov block that
@@ -42,48 +43,23 @@ _MAX_ROWS = 8192
 # Z2^7 x Z15's leaf needs 193 MB; Z2^8 x Z15's, 1022 rows on 186 primes,
 # 1.45 GiB, refused.
 _MAX_STACK_BYTES = 2**30
-# The descending primes below 2**25, extended on demand by `_prime`.
-# Every modular charpoly walks a prefix of the same sequence, so each
-# window is sieved once per process.
-_PRIMES: list[int] = []
 
 
-def _prime(i: int) -> int:
-    """The i-th prime, counting from 0, of the descending primes below 2**25.
-
-    A segmented sieve of Eratosthenes (Crandall & Pomerance, Prime
-    Numbers, 2005, section 3.2): the next window below the smallest prime
-    held, 2**12 integers for the first, which holds 240 primes, and 2**16
-    for each after it, loses the multiples of every prime d up to
-    sqrt(2**25), from d * d on, and its survivors are appended in
-    descending order.  A prime below 64 strikes its many multiples by
-    one slice; the others strike few each, all of them at once through
-    one index array; striking the small primes that way too makes the
-    array of a 2**16 window about 160,000 indices long, and the full
-    sieve slower than with one slice per prime.  Past the last prime, 2,
-    it raises IndexError.
-    """
-    while len(_PRIMES) <= i and _PRIMES[-1:] != [2]:
-        hi = _PRIMES[-1] if _PRIMES else 2**25
-        lo = max(hi - (2**16 if _PRIMES else 2**12), 2)
-        root = math.isqrt(2**25)
-        small = np.ones(root + 1, dtype=bool)
-        small[:2] = False
-        for d in range(2, math.isqrt(root) + 1):
-            if small[d]:
-                small[d * d::d] = False
-        d = np.flatnonzero(small)
-        first = np.maximum(d * d, -(-lo // d) * d) - lo
-        alive = np.ones(hi - lo, dtype=bool)
-        dense = int(np.searchsorted(d, 64))
-        for p, f in zip(d[:dense].tolist(), first[:dense].tolist()):
-            alive[f::p] = False
-        d, first = d[dense:], first[dense:]
-        counts = np.maximum(-(-(hi - lo - first) // d), 0)
-        steps = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
-        alive[np.repeat(first, counts) + steps * np.repeat(d, counts)] = False
-        _PRIMES.extend((np.flatnonzero(alive)[::-1] + lo).tolist())
-    return _PRIMES[i]
+@lru_cache(maxsize=1)
+def _primes() -> tuple[int, ...]:
+    """The 968 primes in [2**25 - 2**14, 2**25), descending: every modular
+    charpoly walks a prefix of this table (`_residue_primes`), so it is
+    sieved once per process, on first use, by one slice per prime up to
+    sqrt(2**25) (Crandall & Pomerance, Prime Numbers, 2005, section 3.2)."""
+    lo, hi = 2**25 - 2**14, 2**25
+    small = np.ones(math.isqrt(hi) + 1, dtype=bool)
+    for d in range(2, math.isqrt(len(small)) + 1):
+        if small[d]:
+            small[d * d::d] = False
+    alive = np.ones(hi - lo, dtype=bool)
+    for d in np.flatnonzero(small)[2:].tolist():  # past 0 and 1
+        alive[-lo % d::d] = False
+    return tuple((np.flatnonzero(alive)[::-1] + lo).tolist())
 
 
 def charpoly_exact(matrix: Sequence[Sequence[int]], *, weights: Sequence[int]) -> list[int]:
@@ -98,10 +74,11 @@ def charpoly_exact(matrix: Sequence[Sequence[int]], *, weights: Sequence[int]) -
     diagonal, no negative row sum, so positive semidefinite.  Both are
     checked exactly: the eigenvalues are real and nonnegative, and
     `_maclaurin_bound` holds.  `_charpoly_lanczos` gives the residues
-    modulo primes past twice it (`_residue_primes`), each dropped prime
-    is replaced by the next ones until the modulus passes twice the
-    bound again, and the CRT recombines them in the symmetric range.
-    ValueError, before any array is built, past `_MAX_ROWS` rows or
+    modulo the table's first primes past twice it (`_residue_primes`),
+    each dropped prime is replaced by the table's next ones until the
+    modulus passes twice the bound again, and the CRT recombines them in
+    the symmetric range.  ValueError, before any array is built, for a
+    weight count other than m + 1, past `_MAX_ROWS` rows or
     `_MAX_STACK_BYTES`; then for weights that do not fit, N of 2**25 or
     more, a row sum of |M| of 2**28 or more, and a failed check.
     """
@@ -111,12 +88,12 @@ def charpoly_exact(matrix: Sequence[Sequence[int]], *, weights: Sequence[int]) -
                          f"holds at most {_MAX_ROWS} terms")
     if any(len(row) != m for row in matrix):
         raise ValueError("matrix must be square")
+    if len(weights) != m + 1:
+        raise ValueError(f"{len(weights)} weights for the deflation of a {m + 1}-row quotient")
     if m == 0:
         return [1]
     bound = _maclaurin_bound(m, sum(matrix[i][i] for i in range(m)))
     primes = _residue_primes(m, bound)
-    if len(weights) != m + 1:
-        raise ValueError(f"{len(weights)} weights for the deflation of a {m + 1}-row quotient")
     total = sum(weights)
     if min(weights) < 1 or total >= 2**25:
         raise ValueError(f"class sizes {min(weights)}..{max(weights)} summing to {total}: "
@@ -137,14 +114,14 @@ def charpoly_exact(matrix: Sequence[Sequence[int]], *, weights: Sequence[int]) -
     gram.flat[::m + 1] = 0  # off the diagonal
     if negative or (gram > 0).any():
         raise ValueError("the matrix is not the deflation of a Laplacian quotient of its weights")
-    kept, found, batch, taken = [], [], primes, len(primes)
+    table, kept, found, batch, taken = _primes(), [], [], primes, len(primes)
     while batch:
         good, residues = _charpoly_lanczos(floats, s.astype(np.int64), total, batch)
         kept += good
         found.append(residues)
         batch = []
         while math.prod(kept + batch) <= 2 * bound:
-            batch.append(_prime(taken))
+            batch.append(table[taken])
             taken += 1
     modulus = math.prod(kept)
     half = modulus // 2
@@ -173,22 +150,24 @@ def _maclaurin_bound(m: int, trace: int) -> int:
     return -(-math.comb(m, k) * trace ** k // m ** k)
 
 
-@lru_cache(maxsize=64)
-def _primes_past(bound: int) -> tuple[int, ...]:
-    """The first primes of `_prime`'s sequence whose product exceeds twice
-    ``bound``, memoized: a leaf's budget check and charpoly share them."""
-    primes: list[int] = []
-    modulus = 1
-    while modulus <= 2 * bound:
-        primes.append(_prime(len(primes)))
-        modulus *= primes[-1]
-    return tuple(primes)
-
-
 def _residue_primes(m: int, bound: int) -> tuple[int, ...]:
-    """`_primes_past(bound)`; ValueError when the (m, m, primes) int64
-    basis that a restart stores would pass `_MAX_STACK_BYTES`."""
-    primes = _primes_past(bound)
+    """The shortest prefix of `_primes()` whose product exceeds twice
+    ``bound``; ValueError when the (m, m, primes) int64 basis that a
+    restart stores would pass `_MAX_STACK_BYTES`, or when the table runs
+    out.  Only a refused leaf runs out: `charpoly_exact` refuses row sums
+    of |M| from 2**28 on; below that the trace is below m 2**28, so the
+    Maclaurin bound is at most C(m, k) 2**(28 k) < 2**(29 m), and as the
+    table's product has 24,200 bits, running out needs 29 m + 1 >= 24,200,
+    m >= 835, where 968 primes need 5.4 GB, past the 1 GiB budget.
+    """
+    table, modulus, taken = _primes(), 1, 0
+    while modulus <= 2 * bound:
+        if taken == len(table):
+            raise ValueError(f"{m} rows with a {bound.bit_length()}-bit coefficient bound: "
+                             f"past the product of all {len(table)} primes")
+        modulus *= table[taken]
+        taken += 1
+    primes = table[:taken]
     stack = 8 * len(primes) * m * m
     if stack > _MAX_STACK_BYTES:
         raise ValueError(f"{m} rows on {len(primes)} primes: the int64 restart basis needs "
@@ -302,7 +281,7 @@ def integer_root_multiplicities(coeffs: Sequence[int], lo: int, hi: int
     Write the polynomial as x^t * q with q(0) != 0.  The root 0 has
     multiplicity t, and every other integer root of q divides q(0), so
     only those candidates are tried.  A root r has q(r) = 0, hence
-    q(r) = 0 modulo the first prime of the charpoly sequence: all the
+    q(r) = 0 modulo the charpoly table's first prime, 2**25 - 39: all the
     candidates are evaluated modulo that prime at once, and only those
     that pass are evaluated and divided out exactly, of one running
     quotient, which decides.  The zero polynomial is its own residual.
@@ -313,7 +292,7 @@ def integer_root_multiplicities(coeffs: Sequence[int], lo: int, hi: int
         return {r: len(coeffs) - 1 for r in range(lo, hi + 1) if len(coeffs) > 1}, list(coeffs)
     q = list(coeffs[t:])
     candidates = [r for r in range(lo, hi + 1) if not r or not q[0] % r]
-    p = _prime(0)
+    p = _primes()[0]
     at = np.array([r % p for r in candidates], dtype=np.int64)
     residues = np.zeros(len(candidates), dtype=np.int64)
     for c in reversed(q):

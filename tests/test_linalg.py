@@ -44,8 +44,10 @@ from powerlap.graphs import power_graph, twin_partition
 from powerlap.groups import cyclic_group, dicyclic_group, parse_group_spec
 from powerlap.spectra import spectrum
 from powerlap.linalg import (
+    _MAX_STACK_BYTES,
     _maclaurin_bound,
-    _prime,
+    _primes,
+    _residue_primes,
     _synthetic_divide,
     charpoly_exact,
     eval_poly_at_int,
@@ -181,6 +183,12 @@ def test_charpoly_where_every_residue_is_p_minus_one():
     assert charpoly_exact(matrix, weights=[1] * 65) == charpoly_scalar_crt(matrix)
 
 
+def test_charpoly_checks_its_weights_before_an_empty_matrix_returns():
+    assert charpoly_exact([], weights=(1,)) == [1]
+    with pytest.raises(ValueError, match="3 weights for the deflation of a 1-row quotient"):
+        charpoly_exact([], weights=(1, 2, 3))
+
+
 def test_charpoly_refuses_more_rows_than_its_sums_allow():
     # one shared row: nothing of size 8193^2 is built before the check
     row = [0] * 8193
@@ -293,39 +301,45 @@ def test_maclaurin_bound_takes_fewer_primes_on_the_z4_4_core(monkeypatch):
     # 30 rows with trace 540: a 130-bit modulus; the row-sum bound needs 10 primes
     widest = max(sum(map(abs, row)) for row in matrix)
     assert len(matrix) == 30 and used == [6]
-    assert len(linalg._primes_past((widest + 1) ** 30)) == 10
+    assert len(_residue_primes(30, (widest + 1) ** 30)) == 10
 
 
 def test_primes_descend_from_the_largest_below_2_to_25():
-    # 4,000 primes cross the first two sieve windows, of 2**12 and 2**16 integers
-    primes = [_prime(i) for i in range(4000)]
-    assert primes[0] == sympy.prevprime(2**25) == P0 and primes[1] == P1
-    assert primes[-1] < 2**25 - 2**16 < primes[0]
-    for p, q in zip(primes, primes[1:]):
-        assert sympy.prevprime(p) == q
+    # the table is every prime in [2**25 - 2**14, 2**25), descending
+    assert list(_primes()) == list(reversed(list(sympy.primerange(2**25 - 2**14, 2**25))))
+    assert len(_primes()) == 968 and _primes()[:2] == (P0, P1) == (sympy.prevprime(2**25),
+                                                                    sympy.prevprime(P0))
 
 
-def test_primes_are_sieved_on_demand_down_to_2():
-    # in a fresh interpreter: import sieves nothing, the last of the n primes
-    # below 2**25 is 2, and past it _prime raises
-    code = """
-import sys
-import powerlap
-from powerlap.linalg import _PRIMES, _prime
-n = int(sys.argv[1])
-print(len(_PRIMES), _prime(n - 1))
-try:
-    _prime(n)
-except IndexError:
-    print("IndexError")
-"""
+def test_importing_powerlap_sieves_no_prime():
+    code = ("import powerlap; from powerlap.linalg import _primes; "
+            "print(_primes.cache_info().currsize)")
     src = Path(__file__).resolve().parent.parent / "src"
-    proc = subprocess.run(
-        [sys.executable, "-c", code, str(sympy.primepi(2**25))],
-        cwd=src, capture_output=True, text=True, timeout=120,
-    )
+    proc = subprocess.run([sys.executable, "-c", code], cwd=src, capture_output=True,
+                          text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["0", "2", "IndexError"]
+    assert proc.stdout.split() == ["0"]
+
+
+def test_residue_primes_are_the_shortest_prefix_past_twice_the_bound():
+    # P0 // 2 and P0 // 2 + 1 sit on either side of one prime's modulus
+    for bound in (1, P0 // 2, P0 // 2 + 1, P0 * P1, 2**1000, 3**5000):
+        primes = _residue_primes(1, bound)
+        assert primes == _primes()[:len(primes)]
+        assert math.prod(primes[:-1]) <= 2 * bound < math.prod(primes)
+
+
+def test_only_an_over_budget_leaf_runs_out_of_primes():
+    # a Maclaurin bound is below 2**(29 m) for row sums of |M| below 2**28,
+    # and the table runs out only when twice it reaches the table's product:
+    # the fewest rows that can need that are already over the byte budget
+    product = math.prod(_primes())
+    m_min = -(-(product.bit_length() - 1) // 29)
+    assert 2 ** (29 * m_min + 1) > product >= 2 ** (29 * (m_min - 1) + 1)
+    assert 8 * len(_primes()) * m_min**2 > _MAX_STACK_BYTES
+    with pytest.raises(ValueError, match=f"past the product of all {len(_primes())} primes"):
+        _residue_primes(1, product // 2 + 1)
+    assert _residue_primes(1, product // 2) == _primes()
 
 
 # ---------------------------------------------------------------------------
@@ -504,13 +518,18 @@ def test_integer_roots_match_scan(coeffs, lo, hi):
     assert scan_integer_roots(residual, lo, hi) == {}
 
 
-def test_integer_roots_refuse_a_root_modulo_the_prime_only():
-    # q = x^2 + 3p - 9: 3 divides q(0) and q(3) = 3p vanishes modulo p, but
-    # not over the integers, so the exact evaluation must refuse it
-    p = _prime(0)
+def test_integer_roots_refuse_a_root_modulo_the_prime_only(monkeypatch):
+    # q = x^2 + 3p - 9: 3 divides q(0) and q(+-3) = 3p vanishes modulo p, but
+    # not over the integers, so the exact evaluation must refuse both; the
+    # filter's prime is the table's first, so only they reach it
+    p = _primes()[0]
     q = [3 * p - 9, 0, 1]
     assert eval_poly_at_int(q, 3) % p == 0
+    evaluated = []
+    monkeypatch.setattr(linalg, "eval_poly_at_int",
+                        lambda c, x: evaluated.append(x) or eval_poly_at_int(c, x))
     assert integer_root_multiplicities(q, -5, 5)[0] == scan_integer_roots(q, -5, 5) == {}
+    assert evaluated == [-3, 3]
     assert integer_root_multiplicities([0, 0] + q, -5, 5)[0] == {0: 2}
 
 

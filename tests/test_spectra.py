@@ -43,7 +43,6 @@ from oracles import (
     tree_graph,
     union_charpoly,
 )
-from powerlap import linalg
 from powerlap.graphs import (
     Graph,
     complement,
@@ -428,14 +427,6 @@ def test_the_z55440_leaf_never_builds_a_residue_stack():
     finally:
         tracemalloc.stop()
     assert peak < 2 * 2**20
-
-
-def test_a_leaf_sieves_its_prime_list_once():
-    # the budget check and the charpoly share one list
-    linalg._primes_past.cache_clear()
-    spectrum(twin_partition(cyclic_group(720)))
-    info = linalg._primes_past.cache_info()
-    assert (info.misses, info.hits) == (1, 1)
 
 
 def test_an_over_budget_leaf_is_refused_before_it_is_built():
