@@ -10,10 +10,10 @@ One kernel finds the residues of all primes at once: Lanczos in the
 inner product the class sizes give, one float64 matmul per step for
 every prime, restarted in the complement of each Krylov block that
 closes, with a prime where a norm vanishes replaced by the next ones.
-Integer roots and their multiplicities are read off that
-polynomial and divided out by synthetic division, and the roots of a
-real-rooted integer polynomial above an integer are counted exactly by
-Descartes' rule of signs after one integer Taylor shift.
+Its positive integer roots are divided out by synthetic division, whose
+remainder decides each, and the roots of a real-rooted integer
+polynomial above an integer are counted exactly by Descartes' rule of
+signs after one integer Taylor shift.
 """
 
 from __future__ import annotations
@@ -194,8 +194,9 @@ def _charpoly_lanczos(a: np.ndarray, s: np.ndarray, total: int, primes: Sequence
       polynomials.  A first pass stores nothing; a block closed early
       runs the primes again, keeping each q_k.
     - Drop.  A prime where a norm vanishes while q is nonzero modulo
-      some prime (an isotropic q, a q zero modulo that prime only, a
-      prime dividing N s_0 ... s_d) is dropped for the caller to replace;
+      some prime (an isotropic q; a q zero modulo that prime only, as a
+      restart vector may be; a prime dividing N s_0 ... s_d) is dropped
+      for the caller to replace;
       the form is definite over Q, so only the finitely many primes
       dividing a numerator or denominator of the rational run can be.
     Every int64 product is of a residue and a residue or N, below 2**50;
@@ -247,21 +248,19 @@ def _charpoly_lanczos(a: np.ndarray, s: np.ndarray, total: int, primes: Sequence
 
 def _restart(basis: np.ndarray, sums: np.ndarray, inverses: np.ndarray, s: np.ndarray,
              total: int, p: np.ndarray) -> np.ndarray:
-    """A start vector in K^perp, K spanned by the k stored q_j: for each
-    prime, the projection e_i - sum_j <e_i, q_j> / n_j q_j of the first
-    unit vector it leaves nonzero (K is proper), from e_k on, cyclically,
-    counting from 0: from e_0, Z2^6 x Z15's leaf took up to d a restart."""
+    """One start vector in K^perp for every prime, K spanned by the k
+    stored q_j: the projection e_i - sum_j <e_i, q_j> / n_j q_j of the
+    first e_i from e_k on, cyclically, whose projection is nonzero modulo
+    some prime (K is proper); from e_0, Z2^6 x Z15's leaf took up to d a
+    restart.  A prime where it is zero is dropped at its norm and replaced."""
     k, d = len(basis), basis.shape[1]
-    q = np.zeros((d, len(p)), dtype=np.int64)
     for i in [(k + j) % d for j in range(d)]:
-        missing = ~q.any(axis=0)
-        if not missing.any():
-            break
         # <e_i, q_j> = s_i (N q_j[i] - sum s q_j)
         c = (total * basis[:, i] - sums) % p * inverses % p * s[i] % p
-        v = -np.einsum("jp,jdp->dp", c, basis) % p
-        v[i] = (v[i] + 1) % p
-        q[:, missing] = v[:, missing]
+        q = -np.einsum("jp,jdp->dp", c, basis) % p
+        q[i] = (q[i] + 1) % p
+        if q.any():
+            break
     return q
 
 
@@ -273,25 +272,21 @@ def eval_poly_at_int(coeffs: Sequence[int], x: int) -> int:
     return acc
 
 
-def integer_root_multiplicities(coeffs: Sequence[int], lo: int, hi: int
-                                ) -> tuple[dict[int, int], list[int]]:
-    """Multiplicity of every integer root in [lo, hi] of an integer
-    polynomial, ascending, and the residual left when they are divided out.
+def integer_root_multiplicities(coeffs: Sequence[int], hi: int) -> tuple[dict[int, int], list[int]]:
+    """Multiplicity of every integer root in 1..hi of an integer
+    polynomial q, ascending, with q(0) != 0, and the residual left when
+    they are divided out; ValueError when q(0) = 0.
 
-    Write the polynomial as x^t * q with q(0) != 0.  The root 0 has
-    multiplicity t, and every other integer root of q divides q(0), so
-    only those candidates are tried.  A root r has q(r) = 0, hence
-    q(r) = 0 modulo the charpoly table's first prime, 2**25 - 39: all the
-    candidates are evaluated modulo that prime at once, and only those
-    that pass are evaluated and divided out exactly, of one running
-    quotient, which decides.  The zero polynomial is its own residual.
+    Every integer root divides q(0), so only those candidates are tried.
+    A root r has q(r) = 0, hence q(r) = 0 modulo the charpoly table's
+    first prime, 2**25 - 39: all the candidates are evaluated modulo that
+    prime at once, and only those that pass are divided out exactly, of
+    one running quotient, while the remainder, q(r), is zero.
     """
-    t = next((i for i, c in enumerate(coeffs) if c), None)
-    if t is None:
-        # the zero polynomial: every candidate divides it to the constant 0
-        return {r: len(coeffs) - 1 for r in range(lo, hi + 1) if len(coeffs) > 1}, list(coeffs)
-    q = list(coeffs[t:])
-    candidates = [r for r in range(lo, hi + 1) if not r or not q[0] % r]
+    if not coeffs[0]:
+        raise ValueError("the constant term is zero: divide out the root 0 first")
+    q = list(coeffs)
+    candidates = [r for r in range(1, hi + 1) if not q[0] % r]
     p = _primes()[0]
     at = np.array([r % p for r in candidates], dtype=np.int64)
     residues = np.zeros(len(candidates), dtype=np.int64)
@@ -301,30 +296,25 @@ def integer_root_multiplicities(coeffs: Sequence[int], lo: int, hi: int
         residues %= p
     result: dict[int, int] = {}
     for r, residue in zip(candidates, residues.tolist()):
-        if r == 0:
-            if t:
-                result[0] = t
-            continue
         if residue:
             continue
-        mult = 0
-        while len(q) > 1 and eval_poly_at_int(q, r) == 0:
-            q = _synthetic_divide(q, r)
-            mult += 1
-        if mult:
-            result[r] = mult
-    return result, [0] * (t - result.get(0, 0)) + q
+        quotient, remainder = _synthetic_divide(q, r)
+        while not remainder:
+            q = quotient
+            result[r] = result.get(r, 0) + 1
+            quotient, remainder = _synthetic_divide(q, r)
+    return result, q
 
 
-def _synthetic_divide(coeffs: Sequence[int], r: int) -> list[int]:
-    """Divide by (x - r); assumes r is a root (remainder zero)."""
+def _synthetic_divide(coeffs: Sequence[int], r: int) -> tuple[list[int], int]:
+    """Quotient and remainder of the division by (x - r): one Horner pass,
+    whose remainder is the value at r."""
     out = [0] * (len(coeffs) - 1)
     carry = 0
     for i in range(len(coeffs) - 1, 0, -1):
         carry = coeffs[i] + carry * r
         out[i - 1] = carry
-    assert coeffs[0] + carry * r == 0, "synthetic division with nonzero remainder"
-    return out
+    return out, coeffs[0] + carry * r
 
 
 def taylor_shift(coeffs: Sequence[int], k: int) -> list[int]:

@@ -374,7 +374,8 @@ def _leaf_spectrum(sizes: tuple[int, ...], counts: tuple[tuple[int, ...], ...]
     fewer.  Q' keeps Q's other eigenvalues, real and nonnegative, so the
     Maclaurin bound still holds, and it is self-adjoint in a form the
     class sizes give, passed as ``weights``: `charpoly_exact` checks
-    both and runs Lanczos in that form.  The result depends only on the
+    both and runs Lanczos in that form.  A leaf is connected, so Q's 0 is
+    simple and chi_Q'(0) = +-det Q' != 0.  The result depends only on the
     arguments, so the last 64 leaves are memoized: a Z_n quotient and
     its reduced graph's, for one, end in the same leaf.
     """
@@ -383,9 +384,8 @@ def _leaf_spectrum(sizes: tuple[int, ...], counts: tuple[tuple[int, ...], ...]
         rows[a][a] += sum(row)
     first = rows[0][1:]
     deflated = [[x - y for x, y in zip(row[1:], first)] for row in rows[1:]]
-    poly = [0] + charpoly_exact(deflated, weights=sizes)
-    roots, poly = integer_root_multiplicities(poly, 0, sum(sizes))
-    found = tuple(roots.items())
+    roots, poly = integer_root_multiplicities(charpoly_exact(deflated, weights=sizes), sum(sizes))
+    found = ((0, 1), *roots.items())
     degree = len(poly) - 1
     if not degree:
         return found, (1,), ()

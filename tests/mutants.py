@@ -121,6 +121,62 @@ CATALOG = (
         ("test_linalg.py",),
     ),
     Mutant(
+        "restart-takes-its-first-vector-unchecked",
+        "linalg.py",
+        "        if q.any():\n            break",
+        "        if True:\n            break",
+        ("test_linalg.py",),
+    ),
+    Mutant(
+        "restart-nonzero-modulo-every-prime",
+        "linalg.py",
+        "        if q.any():\n            break",
+        "        if q.any(axis=0).all():\n            break",
+        ("test_linalg.py",),
+    ),
+    Mutant(
+        "root-decided-modulo-the-filter-prime",
+        "linalg.py",
+        "while not remainder:",
+        "while not remainder % p:",
+        ("test_linalg.py",),
+    ),
+    Mutant(
+        "candidates-from-2",
+        "linalg.py",
+        "range(1, hi + 1)",
+        "range(2, hi + 1)",
+        ("test_linalg.py",),
+    ),
+    Mutant(
+        "zero-constant-term-unchecked",
+        "linalg.py",
+        "if not coeffs[0]:",
+        "if False:",
+        ("test_linalg.py",),
+    ),
+    Mutant(
+        "leaf-zero-not-recorded",
+        "spectra.py",
+        "found = ((0, 1), *roots.items())",
+        "found = tuple(roots.items())",
+        ("test_spectra.py",),
+    ),
+    Mutant(
+        "kappa-floor-never-raised",
+        "verify.py",
+        "while s.count_at_most(k) < 2:",
+        "while False:",
+        ("test_verify.py",),
+    ),
+    Mutant(
+        "kappa-floor-never-lowered",
+        "verify.py",
+        "while s.count_at_most(k - 1) >= 2:",
+        "while False:",
+        ("test_verify.py",),
+    ),
+    Mutant(
         "kappa-stop-strict",
         "graphs.py",
         "scanned >= best or best <= floor",

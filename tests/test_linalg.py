@@ -17,6 +17,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 import sympy
 from hypothesis import example, given, settings
@@ -68,17 +69,14 @@ def sympy_charpoly(matrix):
 
 
 def scan_integer_roots(coeffs, lo, hi):
-    """Evaluate and divide out every candidate in [lo, hi]."""
-    result = {}
+    """Evaluate and divide out every candidate in [lo, hi]: the roots with
+    their multiplicities, and the residual left."""
+    result, work = {}, list(coeffs)
     for r in range(lo, hi + 1):
-        work = list(coeffs)
-        mult = 0
         while len(work) > 1 and eval_poly_at_int(work, r) == 0:
-            work = _synthetic_divide(work, r)
-            mult += 1
-        if mult:
-            result[r] = mult
-    return result
+            work = _synthetic_divide(work, r)[0]
+            result[r] = result.get(r, 0) + 1
+    return result, work
 
 
 # ---------------------------------------------------------------------------
@@ -399,6 +397,66 @@ def test_lanczos_restarts_through_repeated_eigenvalues(monkeypatch):
     assert calls == [(18, 1, 0), (7, 1, 0), (9, 1, 0), (62, 13, 0)]
 
 
+def test_lanczos_drops_a_prime_that_a_restart_vector_leaves_at_zero(monkeypatch):
+    # one start vector serves every prime: zeroed modulo the first prime at
+    # the first restart of Z2^4 x Z15's leaf, it has that prime dropped at
+    # its norm, and one run on a replacement makes up the modulus
+    [(matrix, sizes)] = charpoly_leaves(lambda: spectrum(twin_partition(
+        parse_group_spec("prod:zn:2xzn:2xzn:2xzn:2xzn:15"))))
+    restart, zeroed = linalg._restart, []
+
+    def zero_at_the_first_prime_once(*args):
+        q = restart(*args)
+        if not zeroed:
+            zeroed.append(args[-1][0])
+            q[:, 0] = 0
+        return q
+
+    monkeypatch.setattr(linalg, "_restart", zero_at_the_first_prime_once)
+    calls = log_kernels(monkeypatch)
+    assert charpoly_exact(matrix, weights=sizes) == charpoly_scalar_crt(matrix)
+    assert zeroed == [P0]
+    assert calls == [(62, 13, 1), (62, 13, 0)]
+
+
+def class_form(sizes, x, y):
+    """<x, y> = N sum s_i x_i y_i - (sum s_i x_i)(sum s_i y_i) over the
+    class sizes s_0..s_d, summing to N, with i from 1."""
+    s = sizes[1:]
+    return (sum(sizes) * sum(w * a * b for w, a, b in zip(s, x, y))
+            - sum(w * a for w, a in zip(s, x)) * sum(w * b for w, b in zip(s, y)))
+
+
+def restart_from(q0, primes, sizes):
+    """`_restart` after one stored vector q_0, the residues of the integer
+    vector ``q0`` modulo each prime, with its sum and inverse norm."""
+    s, norm = sizes[1:], class_form(sizes, q0, q0)
+    basis = [[[x % r for r in primes] for x in q0]]
+    sums = [[sum(w * x for w, x in zip(s, q0)) % r for r in primes]]
+    inverses = [[pow(norm, -1, r) for r in primes]]
+    return linalg._restart(*(np.array(x, dtype=np.int64) for x in (basis, sums, inverses, s)),
+                           sum(sizes), np.array(primes, dtype=np.int64))
+
+
+def projection_mod(i, q0, sizes, r):
+    """e_i - <e_i, q_0> / <q_0, q_0> q_0 over Q, reduced modulo r."""
+    e = [int(j == i) for j in range(len(q0))]
+    c = class_form(sizes, e, q0) * pow(class_form(sizes, q0, q0), -1, r)
+    return [(a - c * b) % r for a, b in zip(e, q0)]
+
+
+def test_restart_takes_the_first_unit_vector_it_leaves_nonzero_modulo_some_prime():
+    sizes = [1, 2, 3, 5]
+    # e_1 spans K: its projection vanishes modulo every prime, so e_2's is taken
+    q = restart_from([0, 1, 0], (P0, P1), sizes)
+    assert q.T.tolist() == [projection_mod(2, [0, 1, 0], sizes, r) for r in (P0, P1)]
+    # q_0 = e_1 + P0 e_2 is e_1 modulo P0 only: e_1's projection vanishes
+    # there, is nonzero modulo P1, and serves both primes
+    q = restart_from([0, 1, P0], (P0, P1), sizes)
+    assert q.T.tolist() == [[0, 0, 0], projection_mod(1, [0, 1, P0], sizes, P1)]
+    assert any(q[:, 1])
+
+
 def bad_prime_leaf():
     """A connected 19-class quotient, drawn until the first norm
     <q_1, q_1> = N sum s_i i^2 - (sum s_i i)^2 has a prime factor p with
@@ -492,45 +550,58 @@ def test_lanczos_refuses_weights_that_do_not_fit_the_matrix():
 
 @st.composite
 def polys_with_integer_roots(draw):
-    roots = draw(st.lists(st.integers(-6, 12), max_size=8))
-    rest = draw(st.lists(st.integers(-20, 20), max_size=4))
-    coeffs = rest or [0]
+    """q(0) != 0: a factor with a nonzero constant term times x - r for
+    roots r in [-6, 12] other than 0."""
+    roots = draw(st.lists(st.integers(-6, 12).filter(bool), max_size=8))
+    coeffs = [draw(st.integers(-20, 20).filter(bool))] + draw(
+        st.lists(st.integers(-20, 20), max_size=3))
     for r in roots:
         coeffs = [a - r * b for a, b in zip([0] + coeffs, coeffs + [0])]
-    return coeffs + [0] * draw(st.integers(0, 2))
+    return coeffs
 
 
 @settings(max_examples=300, deadline=None)
-@given(polys_with_integer_roots(), st.integers(-8, 0), st.integers(0, 14))
-def test_integer_roots_match_scan(coeffs, lo, hi):
-    got, residual = integer_root_multiplicities(coeffs, lo, hi)
-    want = scan_integer_roots(coeffs, lo, hi)
-    assert list(got.items()) == list(want.items())
-    if not any(coeffs):
-        assert residual == coeffs
-        return
-    # the residual times prod (x - r)^m is the input, with no root left
+@given(polys_with_integer_roots(), st.integers(0, 14))
+def test_integer_roots_match_scan(coeffs, hi):
+    got, residual = integer_root_multiplicities(coeffs, hi)
+    assert list(got.items()) == list(scan_integer_roots(coeffs, 1, hi)[0].items())
+    # the residual times prod (x - r)^m is the input
     rebuilt = residual
     for r, m in got.items():
         for _ in range(m):
             rebuilt = [a - r * b for a, b in zip([0] + rebuilt, rebuilt + [0])]
     assert rebuilt == coeffs
-    assert scan_integer_roots(residual, lo, hi) == {}
+    # it keeps every root outside 1..hi, negative or above hi, and no other;
+    # integer roots of a factor of degree 3 or less with coefficients in
+    # [-20, 20] lie in [-21, 21], by Cauchy's bound
+    outside = {r: m for r, m in scan_integer_roots(coeffs, -21, 21)[0].items()
+               if not 1 <= r <= hi}
+    assert scan_integer_roots(residual, -21, 21)[0] == outside
 
 
 def test_integer_roots_refuse_a_root_modulo_the_prime_only(monkeypatch):
-    # q = x^2 + 3p - 9: 3 divides q(0) and q(+-3) = 3p vanishes modulo p, but
-    # not over the integers, so the exact evaluation must refuse both; the
-    # filter's prime is the table's first, so only they reach it
+    # q = x^2 + 3p - 9: 3 divides q(0) and q(3) = 3p vanishes modulo p, but
+    # not over the integers, so the exact division's remainder must refuse
+    # it; the filter's prime is the table's first, so only 3 reaches it
+    # (-3 lies outside 1..hi)
     p = _primes()[0]
     q = [3 * p - 9, 0, 1]
     assert eval_poly_at_int(q, 3) % p == 0
-    evaluated = []
-    monkeypatch.setattr(linalg, "eval_poly_at_int",
-                        lambda c, x: evaluated.append(x) or eval_poly_at_int(c, x))
-    assert integer_root_multiplicities(q, -5, 5)[0] == scan_integer_roots(q, -5, 5) == {}
-    assert evaluated == [-3, 3]
-    assert integer_root_multiplicities([0, 0] + q, -5, 5)[0] == {0: 2}
+    divided = []
+    divide = linalg._synthetic_divide
+    monkeypatch.setattr(linalg, "_synthetic_divide",
+                        lambda c, r: divided.append(r) or divide(c, r))
+    assert integer_root_multiplicities(q, 5) == ({}, q)
+    assert scan_integer_roots(q, 1, 5)[0] == {}
+    assert divided == [3]
+
+
+def test_integer_roots_refuse_a_zero_constant_term():
+    # the caller divides out the root 0; a q with q(0) = 0 is refused
+    with pytest.raises(ValueError, match="constant term is zero"):
+        integer_root_multiplicities([0, 0, 3, 1], 5)
+    with pytest.raises(ValueError, match="constant term is zero"):
+        integer_root_multiplicities([0], 5)
 
 
 # ---------------------------------------------------------------------------
@@ -576,7 +647,7 @@ def sympy_roots_above(coeffs, k):
 def test_descartes_count_matches_sturm_on_symmetric_matrices(matrix):
     coeffs = charpoly_scalar_crt(matrix)
     bound = max(sum(abs(v) for v in row) for row in matrix)
-    _, residual = integer_root_multiplicities(coeffs, -bound, bound)
+    _, residual = scan_integer_roots(coeffs, -bound, bound)
     for k in range(-1, bound + 2):
         assert roots_above(residual, k) == sympy_roots_above(residual, k), k
         # with the integer roots left in, a root at k itself is not counted

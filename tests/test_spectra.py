@@ -282,15 +282,17 @@ def quotient_spectrum(sizes, counts):
 
 def assert_split_matches_full(sizes, counts):
     """`_quotient_spectrum` gives the integer roots of the whole quotient's
-    charpoly, in 0..n as `spectrum` certified them from it, and a
-    residual with no integer root; together they are that charpoly.  Its
-    floats are the quotient's dense eigenvalues less those roots."""
+    charpoly, in 0..n as `spectrum` certified them from it: x^t, then the
+    roots in 1..n of what is left; and a residual with no integer root;
+    together they are that charpoly.  Its floats are the quotient's dense
+    eigenvalues less those roots."""
     n = sum(sizes)
     rows = quotient_matrix(counts)
     full = quotient_charpoly(sizes, rows)
     roots, residual, numeric = quotient_spectrum(sizes, counts)
-    assert roots == integer_root_multiplicities(full, 0, n)[0]
-    assert integer_root_multiplicities(residual, 0, n)[0] == {}
+    t = next(i for i, c in enumerate(full) if c)
+    assert roots == Counter({0: t}) + Counter(integer_root_multiplicities(full[t:], n)[0])
+    assert integer_root_multiplicities(residual, n)[0] == {}
     assert times_factors(residual, roots.items()) == full
     scale = np.sqrt(np.array(sizes, dtype=float))
     m = len(sizes)

@@ -1,4 +1,5 @@
 import json
+import math
 import tracemalloc
 from collections import Counter
 
@@ -152,6 +153,18 @@ def test_the_fiedler_floor_is_2_exactly_in_the_dicyclic_window():
     for s in spectra:
         in_window = s.count_at_most(1) < 2 <= s.count_at_most(2)
         assert (_kappa_floor(s, algebraic_connectivity(s)) == 2) == in_window
+
+
+def test_kappa_floor_corrects_a_display_float_on_either_side():
+    # x^2 - 5x + 5 has the roots 1.38... and 3.61...; with the certified 0
+    # and 2 the Fiedler floor is 2, reached from a mu displayed too low,
+    # whose ceiling 1 the first loop raises, and from one displayed too
+    # high, whose ceiling 3 the second loop lowers
+    for mu, ceiling in ((0.9, 1), (2.3, 3)):
+        s = Spectrum(n=4, exact=FactoredCharPoly(((0, 1), (2, 1))), numeric=(3.618, mu),
+                     residual=(5, -5, 1))
+        assert algebraic_connectivity(s) == mu and math.ceil(mu) == ceiling
+        assert _kappa_floor(s, mu) == 2
 
 
 def test_cyclic_kappa_examples():
