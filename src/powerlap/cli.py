@@ -15,19 +15,14 @@ from collections import Counter
 from typing import Optional, Sequence
 
 from .graphs import twin_partition, vertex_connectivity
-from .groups import (
-    MAX_ORDER,
-    FiniteGroup,
-    is_p_group,
-    load_table_file,
-    parse_group_spec,
-)
+from .groups import MAX_ORDER, is_p_group, parse_group_spec
 from .pgroup import decompose, tree_json_dict, tree_string
-from .spectra import spectrum
+from .spectra import algebraic_connectivity, spectrum
 from .verify import (
     CLAIM_IDS,
     CYCLIC_CHECKS,
     TSV_HEADER,
+    _kappa_floor,
     run_cyclic_suite,
     run_dicyclic_suite,
     run_pgroup_suite,
@@ -61,9 +56,8 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_group_args(p):
-        p.add_argument("group_spec", nargs="?", help="zn:<n> | qn:<n> | gq:<alpha> | prod:zn:<a>xzn:<b> | table:<path>")
-        p.add_argument("--group", dest="group_opt", help="group spec (alternative to the positional)")
-        p.add_argument("--table", dest="table_opt", help="path to a multiplication table file")
+        p.add_argument("group_spec", help="zn:<n> | qn:<n> | gq:<alpha> | prod:zn:<a>xzn:<b>[x...] "
+                                          "| table:<path> (a multiplication table file)")
 
     p_spec = sub.add_parser("spectrum", help="Laplacian spectrum of a power graph")
     add_group_args(p_spec)
@@ -91,23 +85,9 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _group_source(args, parser: _Parser) -> str:
-    sources = [s for s in (args.group_spec, args.group_opt, args.table_opt) if s]
-    if len(sources) != 1:
-        parser.error("provide exactly one of: positional spec, --group, --table")
-    return sources[0]
-
-
-def _resolve_group(args, parser: _Parser) -> FiniteGroup:
-    source = _group_source(args, parser)
-    if args.table_opt:
-        return load_table_file(source)
-    return parse_group_spec(source)
-
-
 def _cmd_spectrum(args, parser) -> int:
     # the twin partition builds no graph; Z_n's comes from the divisors of n
-    g = _resolve_group(args, parser)
+    g = parse_group_spec(args.group_spec)
     s = spectrum(twin_partition(g))
     if args.format == "json":
         doc = s.to_json_dict()
@@ -116,10 +96,8 @@ def _cmd_spectrum(args, parser) -> int:
         print(json.dumps(doc, sort_keys=True))
     elif args.format == "tsv":
         print("eigenvalue\tmultiplicity")
-        for r, m in s.exact.factors:
-            print(f"{r}\t{m}")
-        for v in sorted(s.numeric):
-            print(f"{v:.10f}\t1")
+        for value, mult in s.rows(10):
+            print(f"{value}\t{mult}")
     else:
         if s.is_exact:
             print(s.exact.text())
@@ -130,7 +108,7 @@ def _cmd_spectrum(args, parser) -> int:
 
 
 def _cmd_decompose(args, parser) -> int:
-    g = _resolve_group(args, parser)
+    g = parse_group_spec(args.group_spec)
     if is_p_group(g) is None:
         parser.error(f"{g.label} is not a p-group; decompose requires one")
     tree = decompose(g)
@@ -143,11 +121,19 @@ def _cmd_decompose(args, parser) -> int:
 
 
 def _cmd_info(args, parser) -> int:
-    g = _resolve_group(args, parser)
+    g = parse_group_spec(args.group_spec)
     # the power graph's figures are read from its twin partition
     tp = twin_partition(g)
     n = tp.n
     degrees = tp.degrees()
+    # kappa stops at Fiedler's floor, the ceiling of the algebraic
+    # connectivity; one vertex has none, nor has a spectrum refused as over
+    # the charpoly's budget, and kappa then searches from 0
+    try:
+        s = spectrum(tp)
+        floor = _kappa_floor(s, algebraic_connectivity(s))
+    except ValueError:
+        floor = 0
     # elements per order, from each cyclic subgroup's order and generator count
     lattice = g.cyclic_subgroups()
     histogram: Counter = Counter()
@@ -166,7 +152,7 @@ def _cmd_info(args, parser) -> int:
             # the identity is a power of every element, so it is joined
             # to every other vertex and the graph has one component
             "components": 1,
-            "vertex_connectivity": vertex_connectivity(tp).size,
+            "vertex_connectivity": vertex_connectivity(tp, floor).size,
         },
     }
     if args.format == "json":

@@ -491,10 +491,10 @@ def primitive_classes(g: FiniteGroup, x: int) -> list[int]:
 # external interfaces: table files and CLI group specs
 
 
-def load_table_file(path: str | Path, label: Optional[str] = None) -> FiniteGroup:
+def load_table_file(path: str | Path) -> FiniteGroup:
     """Read a multiplication table file: first line n, then n rows of n indices.
 
-    The identity element must be index 0.
+    The identity element must be index 0; the file's stem is the label.
     """
     path = Path(path)
     tokens = path.read_text().split()
@@ -510,7 +510,7 @@ def load_table_file(path: str | Path, label: Optional[str] = None) -> FiniteGrou
         )
     table = [entries[i * n : (i + 1) * n] for i in range(n)]
     try:
-        group = from_table(n, table, label=label or path.stem)
+        group = from_table(n, table, label=path.stem)
     except GroupValidationError as exc:
         raise GroupValidationError(f"{path}: {exc}") from None
     if group.identity != 0:

@@ -203,12 +203,15 @@ class Spectrum:
             "is_laplacian_integral": self.is_exact,
         }
 
+    def rows(self, decimals: int) -> list[tuple[str, str]]:
+        """Value/multiplicity rows as printed: certified integers ascending,
+        then non-integers ascending to ``decimals`` digits, multiplicity 1."""
+        return [(str(r), str(m)) for r, m in self.exact.factors] + [
+            (f"{v:.{decimals}f}", "1") for v in sorted(self.numeric)]
+
     def table_text(self) -> str:
-        """Value/multiplicity rows: certified integers ascending, then non-integers ascending."""
-        cols: list[tuple[str, str]] = [
-            (str(r), str(m)) for r, m in self.exact.factors
-        ]
-        cols.extend((f"{v:.8f}", "1") for v in sorted(self.numeric))
+        """The rows to 8 decimals as two right-aligned lines."""
+        cols = self.rows(8)
         if not cols:
             return "eigenvalue   (none)\nmultiplicity (none)"
         widths = [max(len(a), len(b)) for a, b in cols]

@@ -156,11 +156,48 @@ CATALOG = (
         ("test_linalg.py",),
     ),
     Mutant(
+        "crt-half-read-negative",
+        "linalg.py",
+        "coeffs.append(c - modulus if c > half else c)",
+        "coeffs.append(c - modulus if c >= half else c)",
+        ("test_linalg.py",),
+    ),
+    Mutant(
+        "roots-above-counts-the-first-sign",
+        "linalg.py",
+        "if last and (c < 0) != (last < 0):",
+        "if (c < 0) != (last < 0):",
+        ("test_linalg.py",),
+    ),
+    Mutant(
         "leaf-zero-not-recorded",
         "spectra.py",
         "found = ((0, 1), *roots.items())",
         "found = tuple(roots.items())",
         ("test_spectra.py",),
+    ),
+    Mutant(
+        "join-keeps-the-rest-zero",
+        "spectra.py",
+        "            roots[shift + joined] -= 1\n",
+        "",
+        ("test_spectra.py",),
+    ),
+    Mutant(
+        "weighted-twins-all-open",
+        "spectra.py",
+        "cross = sizes[i] if adj[i] >> twins[0] & 1 else 0",
+        "cross = 0",
+        ("test_spectra.py",),
+    ),
+    Mutant(
+        "top-counted-at-n",
+        "spectra.py",
+        "if top == self.n or not roots_above(self.residual, top):",
+        "if not roots_above(self.residual, top):",
+        equivalent="L(G) + L(G') = nI - J for the complement G' puts every Laplacian "
+                   "eigenvalue at or below n, so at top = n the residual has no root above "
+                   "top, the count is 0 and top is returned either way",
     ),
     Mutant(
         "kappa-floor-never-raised",
@@ -175,6 +212,34 @@ CATALOG = (
         "while s.count_at_most(k - 1) >= 2:",
         "while False:",
         ("test_verify.py",),
+    ),
+    Mutant(
+        "kappa-flows-past-the-floor",
+        "graphs.py",
+        "                if best <= floor:",
+        "                if best < floor:",
+        ("test_graphs.py",),
+    ),
+    Mutant(
+        "kappa-sources-past-the-floor",
+        "graphs.py",
+        "scanned >= best or best <= floor",
+        "scanned >= best or best < floor",
+        ("test_graphs.py",),
+    ),
+    Mutant(
+        "min-cut-returns-the-limit",
+        "graphs.py",
+        "if cap_limit is not None and total >= cap_limit:",
+        "if cap_limit is not None and total > cap_limit:",
+        ("test_graphs.py",),
+    ),
+    Mutant(
+        "cut-keeps-reached-out-nodes",
+        "graphs.py",
+        "if via[2 * i] != -1 and via[2 * i + 1] == -1",
+        "if via[2 * i] != -1",
+        ("test_graphs.py",),
     ),
     Mutant(
         "kappa-stop-strict",

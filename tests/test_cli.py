@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import powerlap.cli
 import powerlap.graphs
 import powerlap.groups
 import powerlap.verify
@@ -95,6 +96,33 @@ def test_info(capsys):
     doc = json.loads(out)
     assert doc["order"] == 8 and doc["p_group_prime"] == 2
     assert doc["power_graph"]["vertex_connectivity"] == 2
+
+
+def test_info_stops_kappa_at_the_fiedler_floor(capsys, monkeypatch):
+    # Q_15's algebraic connectivity lies in (1, 2], so kappa's floor is 2;
+    # one vertex has no algebraic connectivity and keeps the floor 0, and
+    # Z_12's, about 5.68, gives 6
+    floors = []
+
+    def recorded(tp, floor=0):
+        floors.append(floor)
+        return vertex_connectivity(tp, floor)
+
+    monkeypatch.setattr(powerlap.cli, "vertex_connectivity", recorded)
+    for spec in ("qn:15", "zn:1", "zn:12"):
+        assert run(capsys, "info", spec)[0] == 0, spec
+    assert floors == [2, 0, 6]
+
+
+def test_info_without_a_spectrum_runs_kappa_from_no_floor(capsys, monkeypatch):
+    # a spectrum over the charpoly's budget leaves kappa to search unaided
+    _, want, _ = run(capsys, "info", "qn:15")
+
+    def refused(tp):
+        raise ValueError("over the budget")
+
+    monkeypatch.setattr(powerlap.cli, "spectrum", refused)
+    assert run(capsys, "info", "qn:15") == (0, want, "")
 
 
 def spec_of(label):
@@ -214,17 +242,11 @@ def test_groups_too_large_to_tabulate_fail_fast(capsys, spec):
 
 @pytest.mark.parametrize("spec", ["zn:0", "zn:-4", "zn:abc", "zn:", "zn:100000"])
 def test_cyclic_spec_errors_match_the_table_path(capsys, spec):
-    # `spectrum` and `info` both parse zn:<n> through parse_group_spec
+    # `spectrum`, `info` and `decompose` all parse zn:<n> through parse_group_spec
     expected = run(capsys, "info", spec)
     assert expected[0] == 1 and expected[1] == ""
     assert run(capsys, "spectrum", spec) == expected
-    assert run(capsys, "spectrum", "--group", spec) == expected
-
-
-def test_cyclic_spec_with_two_sources_is_a_usage_error(capsys):
-    code, out, err = run(capsys, "spectrum", "zn:12", "--group", "zn:12")
-    assert code == 1 and out == ""
-    assert "provide exactly one of" in err
+    assert run(capsys, "decompose", spec) == expected
 
 
 def refusal(message):
@@ -264,7 +286,7 @@ def test_cyclic_commands_tabulate_no_group(capsys, monkeypatch):
         main(["spectrum", "qn:3"])  # the guard is live: Q_3's lattice is walked
     for argv in (
         ["spectrum", "zn:2310"],
-        ["spectrum", "--group", "zn:12", "--format", "json"],
+        ["spectrum", "zn:12", "--format", "json"],
         ["info", "zn:2310"],
         ["decompose", "zn:81"],
         ["verify", "--theorem", "cyclic-kappa-vs-algcon", "--cyclic-max", "30"],
@@ -394,7 +416,7 @@ def test_scan_json(capsys):
 def test_table_input(capsys, tmp_path):
     path = tmp_path / "z3.txt"
     path.write_text("3\n0 1 2\n1 2 0\n2 0 1\n")
-    code, out, _ = run(capsys, "spectrum", "--table", str(path), "--format", "text")
+    code, out, _ = run(capsys, "spectrum", f"table:{path}", "--format", "text")
     assert code == 0
     assert out.splitlines()[0] == "x^1 (x-3)^2"
 
@@ -409,7 +431,7 @@ def test_table_input(capsys, tmp_path):
 def test_table_defects_are_usage_errors(capsys, tmp_path, text, message):
     path = tmp_path / "bad.txt"
     path.write_text(text)
-    code, out, err = run(capsys, "spectrum", "--table", str(path))
+    code, out, err = run(capsys, "spectrum", f"table:{path}")
     assert code == 1 and out == ""
     assert "Traceback" not in err
     # every defect, in the tokens or in the table they spell, names the file
@@ -443,6 +465,11 @@ def test_usage_errors(capsys):
     assert code == 1
     code, _, err = run(capsys, "scan", "--max", "1")
     assert code == 1
+    # a group is named by its positional spec alone
+    code, out, _ = run(capsys, "spectrum", "--group", "zn:12")
+    assert code == 1 and out == ""
+    code, out, _ = run(capsys, "spectrum", "zn:12", "--table", str(Q3_TABLE))
+    assert code == 1 and out == ""
 
 
 def test_parser_is_built_once_and_reused(capsys):

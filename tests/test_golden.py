@@ -40,6 +40,8 @@ TEXT_CASES = [
     (("spectrum", "prod:zn:4xzn:2xzn:2"), "spectrum_prod_zn4xzn2xzn2.txt"),
     (("info", Q3_TABLE), "info_table_q3.txt"),
     (("spectrum", Q3_TABLE), "spectrum_table_q3.txt"),
+    (("spectrum", "zn:2310", "--format", "tsv"), "spectrum_zn_2310.tsv"),
+    (("spectrum", Q3_TABLE, "--format", "tsv"), "spectrum_table_q3.tsv"),
     (("info", Z2_13), "info_prod_zn2x13.txt"),
     (("spectrum", Z2_13), "spectrum_prod_zn2x13.txt"),
 ]

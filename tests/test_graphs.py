@@ -2,6 +2,7 @@ import random
 import tracemalloc
 
 import networkx as nx
+from networkx.algorithms.flow import edmonds_karp
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -638,6 +639,87 @@ def test_the_fiedler_floor_stops_the_dicyclic_search(monkeypatch):
     tp = twin_partition(dicyclic_group(250))
     assert vertex_connectivity(tp, fiedler_floor(tp)).size == 2
     assert flows == 1
+
+
+def test_the_fiedler_floor_stops_the_source_scan(monkeypatch):
+    # kappa(Z_30) is its floor 12: past the 9 universal vertices, the first
+    # flow, from a class of one vertex, finds the cut of 3 that meets the
+    # floor, so the scan ends although its sources hold fewer than 3
+    # vertices (scanning on ran 4 flows to the same certificate)
+    flows = 0
+    min_cut = _SplitNetwork.min_cut
+
+    def counted(self, *args):
+        nonlocal flows
+        flows += 1
+        return min_cut(self, *args)
+
+    tp = _cyclic(30)[1]
+    assert fiedler_floor(tp) == 12
+    expected = vertex_connectivity_every_class_pair(tp)
+    monkeypatch.setattr(_SplitNetwork, "min_cut", counted)
+    assert vertex_connectivity(tp, 12) == expected
+    assert flows == 1
+
+
+def split_digraph(tp, piece) -> nx.DiGraph:
+    """The split network of a piece in networkx: in(i) -> out(i) with
+    capacity |class i|, and an uncapacitated out(i) -> in(j) for each
+    adjacent class pair inside the piece."""
+    net = nx.DiGraph()
+    inside = [i for i in range(tp.size) if piece >> i & 1]
+    for i in inside:
+        net.add_edge(("in", i), ("out", i), capacity=len(tp.classes[i]))
+        for j in inside:
+            if tp.adj[i] >> j & 1:
+                net.add_edge(("out", i), ("in", j))
+    return net
+
+
+def test_every_recorded_flow_replays_under_networkx(monkeypatch):
+    # each min_cut call kappa makes, re-checked against networkx's maximum
+    # flow on the partition and piece its network was built from: a value
+    # is the flow and below the limit, and its cut classes hold that many
+    # vertices and separate the pair; None means the flow reaches the
+    # limit.  This guards the stop rules where the exhaustive cut cannot
+    calls = []
+    init, min_cut = _SplitNetwork.__init__, _SplitNetwork.min_cut
+
+    def built(self, tp, piece):
+        init(self, tp, piece)
+        self.replay = tp, piece, split_digraph(tp, piece)
+
+    def recorded(self, src, dst, cap_limit):
+        result = min_cut(self, src, dst, cap_limit)
+        calls.append((*self.replay, src, dst, cap_limit, result))
+        return result
+
+    monkeypatch.setattr(_SplitNetwork, "__init__", built)
+    monkeypatch.setattr(_SplitNetwork, "min_cut", recorded)
+    vertex_connectivity(_cyclic(5040)[1])
+    for n in (105, 250):
+        tp = twin_partition(dicyclic_group(n))
+        vertex_connectivity(tp)
+        vertex_connectivity(tp, fiedler_floor(tp))
+    for n in range(2, 201):
+        tp = _cyclic(n)[1]
+        vertex_connectivity(tp, fiedler_floor(tp))
+    assert len(calls) > 700
+    for tp, piece, net, src, dst, cap_limit, (value, cut) in calls:
+        # src and dst lose their capacities; the flow stops at the limit
+        for i in (src, dst):
+            del net[("in", i)][("out", i)]["capacity"]
+        flow = nx.maximum_flow_value(net, ("out", src), ("in", dst),
+                                     flow_func=edmonds_karp, cutoff=cap_limit)
+        for i in (src, dst):
+            net[("in", i)][("out", i)]["capacity"] = len(tp.classes[i])
+        if value is None:
+            assert cap_limit is not None and flow >= cap_limit and cut == ()
+            continue
+        assert value == flow and (cap_limit is None or value < cap_limit)
+        assert sum(len(tp.classes[c]) for c in cut) == value
+        uncut = nx.restricted_view(net, [], [(("in", c), ("out", c)) for c in cut])
+        assert not nx.has_path(uncut, ("out", src), ("in", dst))
 
 
 def test_the_scan_stops_once_its_sources_hold_best_vertices(monkeypatch):

@@ -249,6 +249,16 @@ def test_maclaurin_bound_is_its_peak_term(m, trace):
     assert _maclaurin_bound(m, trace) == maclaurin_bound_every_term(m, trace)
 
 
+def test_crt_reads_half_the_modulus_as_positive(monkeypatch):
+    # K_3's deflation is 3I, det(xI - 3I) = x^2 - 6x + 9, with Maclaurin
+    # bound 9: on a table starting at 19 = 2 * 9 + 1 the constant term's
+    # residue is the modulus's half, rounded down, the largest residue
+    # that the symmetric range reads as positive
+    monkeypatch.setattr(linalg, "_primes", lambda: (19, 17, 13, 11))
+    assert _maclaurin_bound(2, 6) == 9 and _residue_primes(2, 9) == (19,)
+    assert charpoly_exact([[3, 0], [0, 3]], weights=(1, 1, 1)) == [9, -6, 1]
+
+
 def test_maclaurin_bound_refuses_a_negative_trace():
     with pytest.raises(ValueError, match="negative"):
         _maclaurin_bound(2, -1)

@@ -717,6 +717,20 @@ def test_empty_clique_and_spectrum():
     assert Spectrum(n=0, exact=poly({})).table_text() == "eigenvalue   (none)\nmultiplicity (none)"
 
 
+def test_rows_list_certified_roots_then_floats_ascending():
+    # Z_12's spectrum is mixed: the integer rows carry their multiplicities,
+    # then each non-integer eigenvalue has a row of its own at the digits asked
+    s = spectrum(twin_partition(cyclic_group(12)))
+    floats = sorted(s.numeric)
+    assert floats
+    for decimals in (8, 10):
+        assert s.rows(decimals) == [(str(r), str(m)) for r, m in s.exact.factors] + [
+            (f"{v:.{decimals}f}", "1") for v in floats]
+    # the text table prints rows(8), one column per row
+    top, bottom = s.table_text().split("\n")
+    assert list(zip(top.split()[1:], bottom.split()[1:])) == s.rows(8)
+
+
 def test_complement_spectrum():
     kn = spectrum(Graph.complete(5))
     edgeless = complement_spectrum(kn)
