@@ -1,14 +1,14 @@
 """Exact matrix and polynomial engines behind the spectral code.
 
 Exact routines never round, so every integrality decision downstream is
-a genuine certification.  The characteristic polynomial of a deflated
-Laplacian quotient is computed modulo the first primes of one fixed
-table, the 968 in [2**25 - 2**14, 2**25) descending, whose product
-passes twice a proven bound on its coefficients, and the Chinese
-remainder theorem recombines the results.
+a genuine certification.  The characteristic polynomial of a Laplacian
+quotient is computed modulo the first primes of one fixed table, the
+968 in [2**25 - 2**14, 2**25) descending, whose product passes twice a
+proven bound on its coefficients, and the Chinese remainder theorem
+recombines the results.
 One kernel finds the residues of all primes at once: Lanczos in the
-inner product the class sizes give, one float64 matmul per step for
-every prime, restarted in the complement of each Krylov block that
+form sum s_i x_i y_i of the class sizes, one float64 matmul per step
+for every prime, restarted in the complement of each Krylov block that
 closes, with a prime where a norm vanishes replaced by the next ones.
 Its positive integer roots are divided out by synthetic division, whose
 remainder decides each, and the roots of a real-rooted integer
@@ -40,8 +40,8 @@ __all__ = [
 # per stored vector, at most one per row, so this bounds the rows.
 _MAX_ROWS = 8192
 # Bytes one charpoly's (rows, rows, primes) int64 restart basis may take:
-# Z2^7 x Z15's leaf needs 193 MB; Z2^8 x Z15's, 1022 rows on 186 primes,
-# 1.45 GiB, refused.
+# Z2^7 x Z15's leaf, 511 rows on 93 primes, needs 194 MB; Z2^8 x Z15's,
+# 1023 rows on 186 primes, 1.45 GiB, refused.
 _MAX_STACK_BYTES = 2**30
 
 
@@ -63,24 +63,23 @@ def _primes() -> tuple[int, ...]:
 
 
 def charpoly_exact(matrix: Sequence[Sequence[int]], *, weights: Sequence[int]) -> list[int]:
-    """Coefficients of det(xI - M), ascending by power, for the deflation
-    M_ij = Q_{i+1,j+1} - Q_{0,j+1} of a Laplacian quotient Q with class
-    sizes ``weights``, s_0..s_m summing to N: Q's eigenvalues but one 0.
+    """Coefficients of det(xI - Q), ascending by power, for a Laplacian
+    quotient Q with class sizes ``weights``, one per row.
 
-    M is self-adjoint in the positive definite form <x, y> = N sum s_i
-    x_i y_i - (sum s_i x_i)(sum s_i y_i), i >= 1, and its Gram matrix
-    (N diag(s) - s s^T) M is N times the weighted Laplacian diag(s) Q
-    less its first row and column: symmetric, no positive entry off the
-    diagonal, no negative row sum, so positive semidefinite.  Both are
-    checked exactly: the eigenvalues are real and nonnegative, and
-    `_maclaurin_bound` holds.  `_charpoly_lanczos` gives the residues
-    modulo the table's first primes past twice it (`_residue_primes`),
-    each dropped prime is replaced by the table's next ones until the
-    modulus passes twice the bound again, and the CRT recombines them in
-    the symmetric range.  ValueError, before any array is built, for a
-    weight count other than m + 1, past `_MAX_ROWS` rows or
-    `_MAX_STACK_BYTES`; then for weights that do not fit, N of 2**25 or
-    more, a row sum of |M| of 2**28 or more, and a failed check.
+    Q is self-adjoint in the positive definite form <x, y> = sum s_i x_i
+    y_i, and its Gram matrix diag(s) Q is a weighted Laplacian: symmetric,
+    no positive entry off the diagonal, no negative row sum, so positive
+    semidefinite.  Both are checked exactly, in int64, as each s_i is
+    below 2**25 and each row sum of |Q| below 2**28: the eigenvalues are
+    real and nonnegative, and `_maclaurin_bound` holds.
+    `_charpoly_lanczos` gives the residues modulo the table's first
+    primes past twice it (`_residue_primes`), each dropped prime is
+    replaced by the table's next ones until the modulus passes twice the
+    bound again, and the CRT recombines them in the symmetric range.
+    ValueError, before any array is built, for a weight count other than
+    m, past `_MAX_ROWS` rows or `_MAX_STACK_BYTES`; then for weights that
+    do not fit, summing to 2**25 or more, a row sum of |Q| of 2**28 or
+    more, and a failed check.
     """
     m = len(matrix)
     if m > _MAX_ROWS:
@@ -88,35 +87,29 @@ def charpoly_exact(matrix: Sequence[Sequence[int]], *, weights: Sequence[int]) -
                          f"holds at most {_MAX_ROWS} terms")
     if any(len(row) != m for row in matrix):
         raise ValueError("matrix must be square")
-    if len(weights) != m + 1:
-        raise ValueError(f"{len(weights)} weights for the deflation of a {m + 1}-row quotient")
+    if len(weights) != m:
+        raise ValueError(f"{len(weights)} weights for a {m}-row quotient")
     if m == 0:
         return [1]
     bound = _maclaurin_bound(m, sum(matrix[i][i] for i in range(m)))
     primes = _residue_primes(m, bound)
-    total = sum(weights)
-    if min(weights) < 1 or total >= 2**25:
-        raise ValueError(f"class sizes {min(weights)}..{max(weights)} summing to {total}: "
+    if min(weights) < 1 or sum(weights) >= 2**25:
+        raise ValueError(f"class sizes {min(weights)}..{max(weights)} summing to {sum(weights)}: "
                          f"each must be positive and the sum below 2**25")
     floats = np.array(matrix, dtype=np.float64)
-    widest = int(np.abs(floats).sum(axis=1).max())
-    if widest >= 2**28:
+    if np.abs(floats).sum(axis=1).max() >= 2**28:
         raise ValueError("a row sum of |matrix| reaches 2**28: its float64 product with "
                          "residues below 2**25 could round")
-    # each Gram term is below N^2 times the widest row sum: int64 if twice that fits
-    exact = np.int64 if total * total * widest < 2**62 else object
-    a = floats.astype(np.int64).astype(exact, copy=False)
-    s = np.array(weights[1:], dtype=exact)
-    gram = total * s[:, None] * a - s[:, None] * (s @ a)
+    s = np.array(weights, dtype=np.int64)
+    gram = s[:, None] * floats.astype(np.int64)
     if (gram != gram.T).any():
         raise ValueError("the matrix is not self-adjoint in the form of its weights")
-    negative = (gram.sum(axis=1) < 0).any()
-    gram.flat[::m + 1] = 0  # off the diagonal
-    if negative or (gram > 0).any():
-        raise ValueError("the matrix is not the deflation of a Laplacian quotient of its weights")
+    # symmetric, so its upper triangle holds every entry off the diagonal
+    if (gram.sum(axis=1) < 0).any() or (np.triu(gram, 1) > 0).any():
+        raise ValueError("the matrix is not a Laplacian quotient of its weights")
     table, kept, found, batch, taken = _primes(), [], [], primes, len(primes)
     while batch:
-        good, residues = _charpoly_lanczos(floats, s.astype(np.int64), total, batch)
+        good, residues = _charpoly_lanczos(floats, s, batch)
         kept += good
         found.append(residues)
         batch = []
@@ -155,7 +148,7 @@ def _residue_primes(m: int, bound: int) -> tuple[int, ...]:
     ``bound``; ValueError when the (m, m, primes) int64 basis that a
     restart stores would pass `_MAX_STACK_BYTES`, or when the table runs
     out.  Only a refused leaf runs out: `charpoly_exact` refuses row sums
-    of |M| from 2**28 on; below that the trace is below m 2**28, so the
+    of |Q| from 2**28 on; below that the trace is below m 2**28, so the
     Maclaurin bound is at most C(m, k) 2**(28 k) < 2**(29 m), and as the
     table's product has 24,200 bits, running out needs 29 m + 1 >= 24,200,
     m >= 835, where 968 primes need 5.4 GB, past the 1 GiB budget.
@@ -175,88 +168,86 @@ def _residue_primes(m: int, bound: int) -> tuple[int, ...]:
     return primes
 
 
-def _charpoly_lanczos(a: np.ndarray, s: np.ndarray, total: int, primes: Sequence[int]
+def _charpoly_lanczos(a: np.ndarray, s: np.ndarray, primes: Sequence[int]
                       ) -> tuple[list[int], np.ndarray]:
     """The primes kept and det(xI - A) modulo each, ascending, as a
     (P, d + 1) array, by Lanczos (J. Res. Nat. Bur. Standards 45, 1950)
-    in <x, y> = N sum s_i x_i y_i - (sum s_i x_i)(sum s_i y_i), N =
-    ``total``, in which A is self-adjoint.
+    in <x, y> = sum s_i x_i y_i, in which A is self-adjoint.
 
-    From q_1 = (1, ..., d), q_{k+1} = A q_k - alpha_k q_k - gamma_k
-    q_{k-1}, alpha_k = <A q_k, q_k> / n_k, gamma_k = n_k / n_{k-1}, n_k =
-    <q_k, q_k>.  If no n_k vanishes mod p, the q_k are orthogonal, so a
-    basis, and A K = K T for a tridiagonal T: chi_A = chi_T mod p.
-    - Restart.  If q_{k+1} = 0 modulo every prime, K = span(q_1..q_k) is
-      A-invariant and, its basis orthogonal with nonzero norms,
-      nondegenerate: F_p^d = K + K^perp, K^perp A-invariant as A is
-      self-adjoint.  The next block starts in K^perp (`_restart`) with
-      gamma = 0, as at q_1, so the recurrence multiplies the blocks'
-      polynomials.  A first pass stores nothing; a block closed early
-      runs the primes again, keeping each q_k.
-    - Drop.  A prime where a norm vanishes while q is nonzero modulo
-      some prime (an isotropic q; a q zero modulo that prime only, as a
-      restart vector may be; a prime dividing N s_0 ... s_d) is dropped
-      for the caller to replace;
-      the form is definite over Q, so only the finitely many primes
-      dividing a numerator or denominator of the rational run can be.
-    Every int64 product is of a residue and a residue or N, below 2**50;
-    A q_k, one float64 matmul for all primes, is exact as the caller
-    keeps A's row sums below 2**28.
+    From u_0 = 0 and u_1 = (1, ..., d), u_{k+1} = lambda_k (n_k A - c_k)
+    u_k - n_k^2 u_{k-1}, n_k = <u_k, u_k>, c_k = <A u_k, u_k>, lambda_1 =
+    1 and lambda_{k+1} = lambda_k n_k^2: with no division, u_{k+1} is
+    lambda_k n_k times u_k's multiple of the Lanczos vector q_{k+1} = A
+    q_k - (c_k / n_k) q_k - (|q_k|^2 / |q_{k-1}|^2) q_{k-1}.  If no n_k
+    vanishes mod p, the u_k are orthogonal, so a basis, and A K = K T for
+    a tridiagonal T: chi_A = chi_T mod p, the polynomial row over its
+    leading coefficient, one inverse per prime at the end.
+    - Restart.  If u_{k+1} = 0 modulo every prime, K = span(u_1..u_k) is
+      A-invariant and nondegenerate, its basis orthogonal with nonzero
+      norms: F_p^d = K + K^perp, K^perp A-invariant as A is self-adjoint.
+      The next block starts in K^perp (`_restart`) with u_{k-1} = 0, as
+      at u_1 (any lambda_k serves there), so the blocks' polynomials
+      multiply.  A first pass stores nothing; a block closed early runs
+      again, keeping each u_k with 1 / n_k.
+    - Drop.  A prime where a norm vanishes while u is nonzero modulo
+      some prime (an isotropic u; a u zero modulo that prime only, as a
+      restart vector may be; a prime dividing some s_i) is dropped for
+      the caller to replace; the form is definite over Q, so only
+      finitely many primes can be.
+    Every int64 product, of a residue and a residue or an s_i, is below
+    2**50; A u_k, one float64 matmul for all primes, is exact as the
+    caller keeps A's row sums below 2**28.
     """
     d = len(a)
     for store in (False, True):
         p = np.array(primes, dtype=np.int64)
-        # q_k over chi_{k-1}, the charpoly of T's leading k - 1 rows, ascending:
-        # both obey v_{k+1} = X v_k - alpha_k v_k - gamma_k v_{k-1}, where X
-        # is A on the vector and multiplication by x on the polynomial
+        # u_k over its polynomial, ascending: both obey v_{k+1} = lambda_k
+        # (n_k X - c_k) v_k - n_k^2 v_{k-1}, where X is A on the vector and
+        # multiplication by x on the polynomial
         v = np.zeros((2 * d + 1, len(p)), dtype=np.int64)
         v[:d] = np.arange(1, d + 1)[:, None]
         v[d] = 1
         back = np.zeros_like(v)
-        inv = np.zeros_like(p)  # 1 / n_{k-1}, zero at a block's first step: gamma = 0
-        # each stored q_j, with sum s q_j and 1 / n_j, for `_restart`
+        lam = np.ones_like(p)
+        # each stored u_j with 1 / n_j, for `_restart`
         basis = np.empty((d if store else 0, d, len(p)), dtype=np.int64)
-        sums, inverses = np.empty((2, len(basis), len(p)), dtype=np.int64)
+        inverses = np.empty((len(basis), len(p)), dtype=np.int64)
         for k in range(d):
             q = v[:d]
             if not q.any():
                 if not store:
                     break
-                q[:], inv = _restart(basis[:k], sums[:k], inverses[:k], s, total, p), 0 * inv
+                q[:], back = _restart(basis[:k], inverses[:k], s, p), 0 * back
             qz = np.array((q, np.matmul(a, q) % p), dtype=np.int64)
-            sq = s @ qz % p
-            # <q, q> and <A q, q>
-            norm, cross = (s @ (qz * q % p) % p * total - sq[0] * sq) % p
+            # <u, u> and <A u, u>
+            norm, cross = s @ (qz * q % p) % p
             if not norm.all():
                 keep = norm != 0
-                p, v, back, inv, sq, qz, norm, cross, basis, sums, inverses = (
-                    x[..., keep] for x in (p, v, back, inv, sq, qz, norm, cross,
-                                           basis, sums, inverses))
-                q = v[:d]
-            gamma = norm * inv % p
-            inv = np.array([pow(n, -1, r) for n, r in zip(norm.tolist(), p.tolist())],
-                           dtype=np.int64)
+                p, v, back, lam, qz, norm, cross, basis, inverses = (
+                    x[..., keep] for x in (p, v, back, lam, qz, norm, cross, basis, inverses))
             if store:
-                basis[k], sums[k], inverses[k] = q, sq[0], inv
-            alpha = cross * inv % p
-            shifted = np.concatenate((qz[1], 0 * v[d:d + 1], v[d:-1]))
-            v, back = (shifted - alpha * v - gamma * back) % p, v
+                basis[k] = qz[0]
+                inverses[k] = [pow(n, -1, r) for n, r in zip(norm.tolist(), p.tolist())]
+            shifted = np.concatenate((qz[1], 0 * v[d:d + 1], v[d:-1])) * (lam * norm % p)
+            # -lambda c and -n^2 as residues: a sum of one sign, which % reduces faster
+            v, back = (shifted + -lam * cross % p * v + -norm * norm % p * back) % p, v
+            lam = lam * norm % p * norm % p
         else:
-            return p.tolist(), v[d:].T
+            lead = [pow(c, -1, r) for c, r in zip(v[-1].tolist(), p.tolist())]
+            return p.tolist(), (v[d:] * lead % p).T
     raise AssertionError("a pass that stores its basis never breaks")
 
 
-def _restart(basis: np.ndarray, sums: np.ndarray, inverses: np.ndarray, s: np.ndarray,
-             total: int, p: np.ndarray) -> np.ndarray:
+def _restart(basis: np.ndarray, inverses: np.ndarray, s: np.ndarray, p: np.ndarray) -> np.ndarray:
     """One start vector in K^perp for every prime, K spanned by the k
-    stored q_j: the projection e_i - sum_j <e_i, q_j> / n_j q_j of the
+    stored u_j: the projection e_i - sum_j <e_i, u_j> / n_j u_j of the
     first e_i from e_k on, cyclically, whose projection is nonzero modulo
     some prime (K is proper); from e_0, Z2^6 x Z15's leaf took up to d a
     restart.  A prime where it is zero is dropped at its norm and replaced."""
     k, d = len(basis), basis.shape[1]
     for i in [(k + j) % d for j in range(d)]:
-        # <e_i, q_j> = s_i (N q_j[i] - sum s q_j)
-        c = (total * basis[:, i] - sums) % p * inverses % p * s[i] % p
+        # <e_i, u_j> = s_i u_j[i]
+        c = basis[:, i] * inverses % p * s[i] % p
         q = -np.einsum("jp,jdp->dp", c, basis) % p
         q[i] = (q[i] + 1) % p
         if q.any():

@@ -14,8 +14,8 @@ merged.
 Each rule's polynomial follows from its parts', so only the pieces no
 rule fits, connected with two or more classes, no universal class and no
 weighted twins, reach the exact charpoly (Lanczos modulo primes past a
-proven bound, restarted through repeated eigenvalues), with the zero
-eigenvalue every Laplacian quotient has deflated first.  A leaf's result
+proven bound, restarted through repeated eigenvalues) of the quotient
+itself, whose simple 0 is checked and divided out.  A leaf's result
 depends only on its sizes and counts and is memoized for the last 64
 leaves, so a leaf met again, such as the one a Z_n quotient shares with
 its reduced graph's, costs no second charpoly.  Every integer eigenvalue
@@ -321,9 +321,9 @@ def _quotient_spectrum(sizes: Sequence[int], within: Sequence[int], adj: Sequenc
                     piece ^= 1 << j
             work.append((piece, shift))
             continue
-        # refused before its counts are built: the deflation keeps Q's trace
-        rows = len(part) - 1
-        _residue_primes(rows, _maclaurin_bound(rows, sum(degrees[i] - within[i] for i in part)))
+        # refused before its counts are built
+        m = len(part)
+        _residue_primes(m, _maclaurin_bound(m, sum(degrees[i] - within[i] for i in part)))
         found, poly, values = _leaf_spectrum(
             tuple(sizes[i] for i in part),
             tuple(tuple(within[i] if j == i else sizes[j] if adj[i] >> j & 1 else 0 for j in part)
@@ -371,23 +371,21 @@ def _leaf_spectrum(sizes: tuple[int, ...], counts: tuple[tuple[int, ...], ...]
     left when they are divided out of chi_Q, and the residual's roots as
     display floats (ascending).
 
-    Q has zero row sums, so in the unimodular basis (1, e_2, ..., e_m)
-    its first column vanishes and chi_Q(x) = x chi_Q'(x), where
-    Q'_ij = Q_ij - Q_1j for i, j >= 2: the charpoly runs on one row
-    fewer.  Q' keeps Q's other eigenvalues, real and nonnegative, so the
-    Maclaurin bound still holds, and it is self-adjoint in a form the
-    class sizes give, passed as ``weights``: `charpoly_exact` checks
-    both and runs Lanczos in that form.  A leaf is connected, so Q's 0 is
-    simple and chi_Q'(0) = +-det Q' != 0.  The result depends only on the
-    arguments, so the last 64 leaves are memoized: a Z_n quotient and
-    its reduced graph's, for one, end in the same leaf.
+    Q is self-adjoint in a form the class sizes give, passed as
+    ``weights``, and `charpoly_exact` checks that its eigenvalues are
+    real and nonnegative.  Q has zero row sums, so chi_Q(0) = 0, which is
+    checked; a leaf is connected, so Q's 0 is simple, and chi_Q / x has a
+    nonzero constant term for the integer roots.  The result depends
+    only on the arguments, so the last 64 leaves are memoized: a Z_n
+    quotient and its reduced graph's, for one, end in the same leaf.
     """
     rows = [[-c for c in row] for row in counts]
     for a, row in enumerate(counts):
         rows[a][a] += sum(row)
-    first = rows[0][1:]
-    deflated = [[x - y for x, y in zip(row[1:], first)] for row in rows[1:]]
-    roots, poly = integer_root_multiplicities(charpoly_exact(deflated, weights=sizes), sum(sizes))
+    zero, *rest = charpoly_exact(rows, weights=sizes)
+    if zero:
+        raise ValueError(f"chi_Q(0) = {zero} for a quotient with zero row sums")
+    roots, poly = integer_root_multiplicities(rest, sum(sizes))
     found = ((0, 1), *roots.items())
     degree = len(poly) - 1
     if not degree:

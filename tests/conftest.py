@@ -121,9 +121,9 @@ def log_kernels(monkeypatch) -> list:
     calls = []
     kernel, restart = linalg._charpoly_lanczos, linalg._restart
 
-    def logged_kernel(a, s, total, primes):
+    def logged_kernel(a, s, primes):
         calls.append([len(a), 0, 0])
-        kept, residues = kernel(a, s, total, primes)
+        kept, residues = kernel(a, s, primes)
         calls[-1][2] = len(primes) - len(kept)
         calls[-1] = tuple(calls[-1])
         return kept, residues
@@ -137,30 +137,17 @@ def log_kernels(monkeypatch) -> list:
     return calls
 
 
-def deflation(sizes, within, joined):
-    """Q'_ij = Q_{i+1,j+1} - Q_{0,j+1} for the Laplacian quotient Q whose
-    class i has sizes[i] vertices, within[i] neighbors in its own class
-    and sizes[j] in each class j with (i, j) in joined, i < j."""
+def weighted_quotient(sizes, within, joined):
+    """The Laplacian quotient Q = diag(row sums) - counts whose class i
+    has sizes[i] vertices, within[i] neighbors in its own class and
+    sizes[j] in each class j with (i, j) in joined, i < j."""
     m = len(sizes)
     counts = [[within[i] if i == j else sizes[j] if (min(i, j), max(i, j)) in joined else 0
                for j in range(m)] for i in range(m)]
     rows = [[-c for c in row] for row in counts]
     for i, row in enumerate(counts):
         rows[i][i] += sum(row)
-    return deflated(rows)
-
-
-def deflated(rows):
-    """Q'_ij = Q_{i+1,j+1} - Q_{0,j+1} of a quotient's rows Q."""
-    return [[x - y for x, y in zip(row[1:], rows[0][1:])] for row in rows[1:]]
-
-
-def quotient_charpoly(sizes, rows) -> list:
-    """det(xI - Q), ascending, for a Laplacian quotient's rows Q with
-    class sizes ``sizes``: x times `charpoly_exact` of its deflation."""
-    if not rows:
-        return [1]
-    return [0] + linalg.charpoly_exact(deflated(rows), weights=sizes)
+    return rows
 
 
 def default_verify() -> None:

@@ -87,15 +87,15 @@ CATALOG = (
     Mutant(
         "weights-checked-after-the-empty-return",
         "linalg.py",
-        """    if len(weights) != m + 1:
-        raise ValueError(f"{len(weights)} weights for the deflation of a {m + 1}-row quotient")
+        """    if len(weights) != m:
+        raise ValueError(f"{len(weights)} weights for a {m}-row quotient")
     if m == 0:
         return [1]
 """,
         """    if m == 0:
         return [1]
-    if len(weights) != m + 1:
-        raise ValueError(f"{len(weights)} weights for the deflation of a {m + 1}-row quotient")
+    if len(weights) != m:
+        raise ValueError(f"{len(weights)} weights for a {m}-row quotient")
 """,
         ("test_linalg.py",),
     ),
@@ -132,6 +132,34 @@ CATALOG = (
         "linalg.py",
         "        if q.any():\n            break",
         "        if q.any(axis=0).all():\n            break",
+        ("test_linalg.py",),
+    ),
+    Mutant(
+        "zero-norm-drop-never-taken",
+        "linalg.py",
+        "            if not norm.all():",
+        "            if False:",
+        ("test_linalg.py",),
+    ),
+    Mutant(
+        "mu-kept-at-a-block-start",
+        "linalg.py",
+        "q[:], back = _restart(basis[:k], inverses[:k], s, p), 0 * back",
+        "q[:] = _restart(basis[:k], inverses[:k], s, p)",
+        ("test_linalg.py",),
+    ),
+    Mutant(
+        "lambda-never-updated",
+        "linalg.py",
+        "            lam = lam * norm % p * norm % p\n",
+        "",
+        ("test_linalg.py",),
+    ),
+    Mutant(
+        "polynomial-left-unnormalized",
+        "linalg.py",
+        "(v[d:] * lead % p).T",
+        "v[d:].T",
         ("test_linalg.py",),
     ),
     Mutant(
@@ -175,6 +203,34 @@ CATALOG = (
         "found = ((0, 1), *roots.items())",
         "found = tuple(roots.items())",
         ("test_spectra.py",),
+    ),
+    Mutant(
+        "leaf-zero-unchecked",
+        "spectra.py",
+        "    if zero:\n        raise ValueError(f\"chi_Q(0)",
+        "    if False:\n        raise ValueError(f\"chi_Q(0)",
+        ("test_spectra.py",),
+    ),
+    Mutant(
+        "second-places-no-float-below-a-root",
+        "spectra.py",
+        "below = len(floats) - roots_above(self.residual, r)",
+        "below = placed",
+        ("test_spectra.py",),
+    ),
+    Mutant(
+        "closed-key-without-itself",
+        "graphs.py",
+        "return [key[:-1] + tuple(up) for key, up in zip(below, above)]",
+        "return [key[:-1] + tuple(up[1:]) for key, up in zip(below, above)]",
+        ("test_graphs.py",),
+    ),
+    Mutant(
+        "order-class-sieved-by-one-prime",
+        "groups.py",
+        "for p in self._primes:",
+        "for p in self._primes[:1]:",
+        ("test_groups.py",),
     ),
     Mutant(
         "join-keeps-the-rest-zero",

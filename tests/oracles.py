@@ -552,8 +552,10 @@ def charpoly_scalar_crt(matrix: Sequence[Sequence[int]]) -> list[int]:
     """det(xI - M), ascending: `charpoly_mod` one prime at a time, by CRT.
 
     Takes the descending primes below 2**62 from sympy, so it shares
-    neither the primes nor the batched arithmetic of `charpoly_exact`,
-    and stops past the same coefficient bound 2 * (B + 1)^m.
+    neither the primes, the batched arithmetic nor the class-size form of
+    `charpoly_exact`, and stops past the row-sum bound 2 * (B + 1)^m, B
+    the largest row sum of |M|, not the kernel's Maclaurin bound.  Any
+    square integer matrix serves, such as a leaf's quotient Q.
     """
     m = len(matrix)
     if m == 0:

@@ -440,7 +440,7 @@ def test_table_defects_are_usage_errors(capsys, tmp_path, text, message):
 
 
 def test_a_leaf_over_the_stack_budget_is_one_error_line():
-    # Z2^9 x Z15 (order 7680) reaches a 2046-row leaf on 372 primes, an
+    # Z2^9 x Z15 (order 7680) reaches a 2047-row leaf on 372 primes, an
     # 11.6 GiB restart basis; the child is capped at 2 GiB of address space,
     # with one BLAS thread so that its buffers stay within the cap too
     spec = "prod:" + "x".join(["zn:2"] * 9 + ["zn:15"])
@@ -454,8 +454,8 @@ def test_a_leaf_over_the_stack_budget_is_one_error_line():
     assert proc.returncode == 1 and proc.stdout == ""
     assert "Traceback" not in proc.stderr
     errors = [line for line in proc.stderr.splitlines() if line.startswith("powerlap: error:")]
-    assert errors == [f"powerlap: error: 2046 rows on 372 primes: the int64 restart basis needs "
-                      f"{8 * 372 * 2046**2} bytes, over the {_MAX_STACK_BYTES}-byte budget"]
+    assert errors == [f"powerlap: error: 2047 rows on 372 primes: the int64 restart basis needs "
+                      f"{8 * 372 * 2047**2} bytes, over the {_MAX_STACK_BYTES}-byte budget"]
 
 
 def test_usage_errors(capsys):

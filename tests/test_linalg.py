@@ -26,12 +26,10 @@ from hypothesis import strategies as st
 from conftest import (
     charpoly_leaves,
     default_verify,
-    deflated,
-    deflation,
     divisor_rich_spectra,
     log_kernels,
-    quotient_charpoly,
     reduced_cyclic_partition,
+    weighted_quotient,
 )
 from oracles import (
     charpoly_mod,
@@ -95,7 +93,7 @@ def test_charpoly_matches_fraction_oracle_on_quotient_cores(small_groups, small_
     assert max(len(c.sizes) for c in cores) >= 30
     for core in cores:
         rows = core.quotient_rows()
-        assert quotient_charpoly(core.sizes, rows) == fraction_charpoly(rows)
+        assert charpoly_exact(rows, weights=core.sizes) == fraction_charpoly(rows)
 
 
 @st.composite
@@ -114,9 +112,9 @@ def weighted_quotients(draw, max_classes=24, max_size=20):
 @settings(max_examples=150, deadline=None)
 @given(weighted_quotients(max_classes=8))
 def test_charpoly_matches_oracles_on_integer_matrices(quotient):
-    # the deflations of weighted quotients, the matrices the charpoly takes
+    # weighted quotients, the matrices the charpoly takes
     sizes, within, joined = quotient
-    matrix = deflation(sizes, within, joined)
+    matrix = weighted_quotient(sizes, within, joined)
     coeffs = charpoly_exact(matrix, weights=sizes)
     assert coeffs == fraction_charpoly(matrix)
     assert coeffs == sympy_charpoly(matrix)
@@ -125,7 +123,7 @@ def test_charpoly_matches_oracles_on_integer_matrices(quotient):
 @st.composite
 def quotients_with_a_class_of_a_first_prime(draw):
     """A weighted quotient with one class of P0 or P1 vertices, the
-    others small: its deflation has entries divisible by that prime, and
+    others small: its quotient has entries divisible by that prime, and
     modulo it the form degenerates, so the kernel drops it."""
     sizes, within, joined = draw(weighted_quotients(max_classes=6, max_size=4))
     big = draw(st.sampled_from([P0, P1]))
@@ -139,51 +137,51 @@ def quotients_with_a_class_of_a_first_prime(draw):
 def test_charpoly_on_entries_divisible_by_the_first_primes(quotient):
     sizes, within, joined = quotient
     assert sum(sizes) < 2**25
-    matrix = deflation(sizes, within, joined)
+    matrix = weighted_quotient(sizes, within, joined)
     assert charpoly_exact(matrix, weights=sizes) == fraction_charpoly(matrix)
 
 
 def test_charpoly_with_entries_beyond_int64():
-    # refused: a row sum of |M| from 2**28 on would round in the float64
-    # product with residues; a count c_01 = 2**27 is no graph's, as it
-    # exceeds its class's size, but its form checks out
+    # refused: a row sum of |Q| from 2**28 on would round in the float64
+    # product with residues; a one-class block with that many neighbors
+    # outside it is no leaf's, but its form checks out
     with pytest.raises(ValueError, match="reaches 2\\*\\*28"):
-        charpoly_exact([[2**28]], weights=(1, 1))
-    assert charpoly_exact([[2**28 - 1]], weights=(1, 1)) == [1 - 2**28, 1]
+        charpoly_exact([[2**28]], weights=(1,))
+    assert charpoly_exact([[2**28 - 1]], weights=(1,)) == [1 - 2**28, 1]
     for m in (1, 2, 5, 8):
         matrix = [[10**30 if i == j else 0 for j in range(m)] for i in range(m)]
         with pytest.raises(ValueError, match="reaches 2\\*\\*28"):
-            charpoly_exact(matrix, weights=(1,) * (m + 1))
+            charpoly_exact(matrix, weights=(1,) * m)
 
 
 def test_charpoly_matches_scalar_oracle_on_the_z5040_core():
     core = collapse_to_fixpoint(twin_partition(cyclic_group(5040)))
     rows = core.quotient_rows()
     assert len(rows) == 59
-    assert quotient_charpoly(core.sizes, rows) == charpoly_scalar_crt(rows)
+    assert charpoly_exact(rows, weights=core.sizes) == charpoly_scalar_crt(rows)
 
 
 def test_charpoly_matches_scalar_oracle_on_the_divisor_rich_leaves():
     # the leaves that `spectrum` of Z_n takes the charpoly of, n = 720..2310
     leaves = charpoly_leaves(divisor_rich_spectra)
-    assert [len(leaf) for leaf, _ in leaves] == [27, 29, 33, 37, 29]
+    assert [len(leaf) for leaf, _ in leaves] == [28, 30, 34, 38, 30]
     for leaf, sizes in leaves:
         assert charpoly_exact(leaf, weights=sizes) == charpoly_scalar_crt(leaf)
 
 
 def test_charpoly_where_every_residue_is_p_minus_one():
     # K_64 with a pendant class 0 joined to class 1: every entry of the
-    # deflation off the diagonal and outside class 1's column is -1, so
-    # A q reduces near p - 1
-    matrix = deflation([1] * 65, [0] * 65, {(0, 1)} | {(i, j) for i in range(1, 65)
-                                                      for j in range(i + 1, 65)})
-    assert sum(x == -1 for row in matrix for x in row) == 63 * 63
+    # quotient off the diagonal and outside the pendant's row and column
+    # is -1, so A q reduces near p - 1
+    matrix = weighted_quotient([1] * 65, [0] * 65, {(0, 1)} | {(i, j) for i in range(1, 65)
+                                                              for j in range(i + 1, 65)})
+    assert sum(x == -1 for row in matrix for x in row) == 64 * 63 + 2
     assert charpoly_exact(matrix, weights=[1] * 65) == charpoly_scalar_crt(matrix)
 
 
 def test_charpoly_checks_its_weights_before_an_empty_matrix_returns():
-    assert charpoly_exact([], weights=(1,)) == [1]
-    with pytest.raises(ValueError, match="3 weights for the deflation of a 1-row quotient"):
+    assert charpoly_exact([], weights=()) == [1]
+    with pytest.raises(ValueError, match="3 weights for a 0-row quotient"):
         charpoly_exact([], weights=(1, 2, 3))
 
 
@@ -191,28 +189,26 @@ def test_charpoly_refuses_more_rows_than_its_sums_allow():
     # one shared row: nothing of size 8193^2 is built before the check
     row = [0] * 8193
     with pytest.raises(ValueError, match="8193 rows"):
-        charpoly_exact([row] * 8193, weights=[1] * 8194)
+        charpoly_exact([row] * 8193, weights=[1] * 8193)
 
 
 def test_charpoly_refuses_a_residue_stack_over_its_byte_budget(monkeypatch):
-    # K_4's deflation 4 I has det(xI - 4I) = (x - 4)^3 on one prime: a
-    # restart basis of 8 * 1 * 3 * 3 bytes
-    matrix = [[4 if i == j else 0 for j in range(3)] for i in range(3)]
-    monkeypatch.setattr(linalg, "_MAX_STACK_BYTES", 72)
-    assert charpoly_exact(matrix, weights=[1] * 4) == [-64, 48, -12, 1]
-    monkeypatch.setattr(linalg, "_MAX_STACK_BYTES", 71)
-    with pytest.raises(ValueError, match="3 rows on 1 primes: the int64 restart basis needs "
-                                         "72 bytes, over the 71-byte budget"):
+    # K_4's quotient 4 I - J has det(xI - Q) = x (x - 4)^3 on one prime:
+    # a restart basis of 8 * 1 * 4 * 4 bytes
+    matrix = weighted_quotient([1] * 4, [0] * 4, {(i, j) for i in range(4)
+                                                  for j in range(i + 1, 4)})
+    monkeypatch.setattr(linalg, "_MAX_STACK_BYTES", 128)
+    assert charpoly_exact(matrix, weights=[1] * 4) == [0, -64, 48, -12, 1]
+    monkeypatch.setattr(linalg, "_MAX_STACK_BYTES", 127)
+    with pytest.raises(ValueError, match="4 rows on 1 primes: the int64 restart basis needs "
+                                         "128 bytes, over the 127-byte budget"):
         charpoly_exact(matrix, weights=[1] * 4)
 
 
-def complete_deflation(sizes):
-    """K_N's quotient on classes of ``sizes``, all joined, deflates to N I."""
-    matrix = deflation(sizes, [s - 1 for s in sizes], {(i, j) for i in range(len(sizes))
-                                                         for j in range(i + 1, len(sizes))})
-    assert matrix == [[sum(sizes) if i == j else 0 for j in range(len(sizes) - 1)]
-                      for i in range(len(sizes) - 1)]
-    return matrix
+def scalar(n, m):
+    """n I on m rows: a block with full degrees on its diagonal, which
+    the form of any weights takes."""
+    return [[n if i == j else 0 for j in range(m)] for i in range(m)]
 
 
 def test_charpoly_at_the_coefficient_bound():
@@ -220,24 +216,24 @@ def test_charpoly_at_the_coefficient_bound():
     # largest |coefficient| is the Maclaurin bound itself, and the modulus
     # must pass twice it
     m, n = 40, 10**6
-    sizes = [n - m] + [1] * m
+    sizes = [n - m] + [1] * (m - 1)
     expected = [math.comb(m, k) * (-n) ** (m - k) for k in range(m + 1)]
     assert max(map(abs, expected)) == _maclaurin_bound(m, m * n)
-    assert charpoly_exact(complete_deflation(sizes), weights=sizes) == expected
-    assert charpoly_exact([], weights=(1,)) == [1]
+    assert charpoly_exact(scalar(n, m), weights=sizes) == expected
+    assert charpoly_exact([], weights=()) == [1]
     with pytest.raises(ValueError):
-        charpoly_exact([[1, 2]], weights=(1, 1))
+        charpoly_exact([[1, 2]], weights=(1,))
 
 
 def test_maclaurin_bound_is_sharp_on_a_scalar_matrix():
-    # K_41 on unit classes: det(xI - 41 I) = (x - 41)^40, every eigenvalue
-    # the mean, where Maclaurin's inequality is an equality
+    # det(xI - 41 I) = (x - 41)^40, every eigenvalue the mean, where
+    # Maclaurin's inequality is an equality
     m = 40
     expected = [math.comb(m, k) * (-41) ** (m - k) for k in range(m + 1)]
-    assert charpoly_exact(complete_deflation([1] * 41), weights=[1] * 41) == expected
+    assert charpoly_exact(scalar(41, m), weights=[1] * m) == expected
     assert max(map(abs, expected)) == _maclaurin_bound(m, 41 * m)
-    # two classes joined to nothing: Q = 0 deflates to [[0]]
-    assert charpoly_exact([[0]], weights=(3, 2)) == [0, 1]
+    # two classes joined to nothing: Q = 0
+    assert charpoly_exact([[0, 0], [0, 0]], weights=(3, 2)) == [0, 0, 1]
 
 
 @settings(max_examples=500, deadline=None)
@@ -250,29 +246,29 @@ def test_maclaurin_bound_is_its_peak_term(m, trace):
 
 
 def test_crt_reads_half_the_modulus_as_positive(monkeypatch):
-    # K_3's deflation is 3I, det(xI - 3I) = x^2 - 6x + 9, with Maclaurin
+    # 3I, a block with full degrees: det(xI - 3I) = x^2 - 6x + 9, Maclaurin
     # bound 9: on a table starting at 19 = 2 * 9 + 1 the constant term's
     # residue is the modulus's half, rounded down, the largest residue
     # that the symmetric range reads as positive
     monkeypatch.setattr(linalg, "_primes", lambda: (19, 17, 13, 11))
     assert _maclaurin_bound(2, 6) == 9 and _residue_primes(2, 9) == (19,)
-    assert charpoly_exact([[3, 0], [0, 3]], weights=(1, 1, 1)) == [9, -6, 1]
+    assert charpoly_exact(scalar(3, 2), weights=(1, 1)) == [9, -6, 1]
 
 
 def test_maclaurin_bound_refuses_a_negative_trace():
     with pytest.raises(ValueError, match="negative"):
         _maclaurin_bound(2, -1)
     with pytest.raises(ValueError, match="negative"):
-        charpoly_exact([[1, 0], [0, -2]], weights=(1, 1, 1))
+        charpoly_exact([[1, 0], [0, -2]], weights=(1, 1))
 
 
 @settings(max_examples=100, deadline=None)
 @given(weighted_quotients(max_classes=8))
 def test_maclaurin_bound_on_positive_semidefinite_matrices(quotient):
-    # a deflated quotient is positive semidefinite in its form: the bound
-    # from its trace covers every coefficient
+    # a quotient is positive semidefinite in its form: the bound from its
+    # trace covers every coefficient
     sizes, within, joined = quotient
-    matrix = deflation(sizes, within, joined)
+    matrix = weighted_quotient(sizes, within, joined)
     coeffs = charpoly_exact(matrix, weights=sizes)
     assert coeffs == fraction_charpoly(matrix)
     assert max(map(abs, coeffs)) <= _maclaurin_bound(len(matrix), sum(
@@ -291,25 +287,25 @@ def test_maclaurin_and_row_sum_bounds_agree_on_every_claim_core():
     for tp in partitions:
         core = collapse_to_fixpoint(tp)
         rows = core.quotient_rows()
-        assert quotient_charpoly(core.sizes, rows) == charpoly_scalar_crt(rows)
+        assert charpoly_exact(rows, weights=core.sizes) == charpoly_scalar_crt(rows)
 
 
 def test_maclaurin_bound_takes_fewer_primes_on_the_z4_4_core(monkeypatch):
     core = collapse_to_fixpoint(power_graph(parse_group_spec("prod:zn:4xzn:4xzn:4xzn:4")))
-    matrix = deflated(core.quotient_rows())
+    matrix = core.quotient_rows()
     used = []
     kernel = linalg._charpoly_lanczos
 
-    def counted(a, s, total, primes):
+    def counted(a, s, primes):
         used.append(len(primes))
-        return kernel(a, s, total, primes)
+        return kernel(a, s, primes)
 
     monkeypatch.setattr(linalg, "_charpoly_lanczos", counted)
     assert charpoly_exact(matrix, weights=core.sizes) == charpoly_scalar_crt(matrix)
-    # 30 rows with trace 540: a 130-bit modulus; the row-sum bound needs 10 primes
+    # 31 rows with trace 540: a 129-bit bound; the row-sum bound needs 12 primes
     widest = max(sum(map(abs, row)) for row in matrix)
-    assert len(matrix) == 30 and used == [6]
-    assert len(_residue_primes(30, (widest + 1) ** 30)) == 10
+    assert len(matrix) == 31 and used == [6]
+    assert len(_residue_primes(31, (widest + 1) ** 31)) == 12
 
 
 def test_primes_descend_from_the_largest_below_2_to_25():
@@ -351,7 +347,7 @@ def test_only_an_over_budget_leaf_runs_out_of_primes():
 
 
 # ---------------------------------------------------------------------------
-# Lanczos on the deflation of a weighted quotient
+# Lanczos on a weighted quotient
 
 
 def test_lanczos_agrees_with_elimination_on_the_gated_and_large_leaves():
@@ -362,7 +358,7 @@ def test_lanczos_agrees_with_elimination_on_the_gated_and_large_leaves():
     leaves = charpoly_leaves(default_verify) + charpoly_leaves(divisor_rich_spectra)
     leaves += charpoly_leaves(lambda: divisor_rich_spectra((5040, 55440)))
     assert len(leaves) == 159 + 7
-    assert [len(matrix) for matrix, _ in leaves[-7:]] == [27, 29, 33, 37, 29, 57, 117]
+    assert [len(matrix) for matrix, _ in leaves[-7:]] == [28, 30, 34, 38, 30, 58, 118]
     primes = [sympy.prevprime(2**61), sympy.prevprime(2**60)]
     for matrix, sizes in leaves:
         coeffs = charpoly_exact(matrix, weights=sizes)
@@ -377,8 +373,60 @@ def test_lanczos_agrees_with_elimination_on_the_gated_and_large_leaves():
 @given(weighted_quotients())
 def test_lanczos_matches_the_scalar_oracle_on_weighted_quotients(quotient):
     sizes, within, joined = quotient
-    matrix = deflation(sizes, within, joined)
+    matrix = weighted_quotient(sizes, within, joined)
     assert charpoly_exact(matrix, weights=sizes) == charpoly_scalar_crt(matrix)
+
+
+def block_quotient(sizes, weights, surplus):
+    """(sizes, Q) with Q_ij = -c_ij s_j off the diagonal, c_ij = c_ji
+    from ``weights`` keyed by (i, j), i < j, and each row summing to its
+    ``surplus``: diag(s) Q is symmetric with no positive entry off the
+    diagonal and no negative row sum, as for a block of a quotient with
+    full degrees on its diagonal."""
+    m = len(sizes)
+    rows = [[-weights.get((min(i, j), max(i, j)), 0) * sizes[j] if i != j else 0
+             for j in range(m)] for i in range(m)]
+    for i, row in enumerate(rows):
+        row[i] = surplus[i] - sum(row)
+    return sizes, rows
+
+
+@st.composite
+def block_quotients(draw, max_rows=12, max_size=50):
+    """`block_quotient` with up to 12 rows, sizes up to 50, c_ij in 0..2
+    and surpluses in 0..60, some of them positive."""
+    m = draw(st.integers(1, max_rows))
+    sizes = draw(st.lists(st.integers(1, max_size), min_size=m, max_size=m))
+    pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
+    weights = dict(zip(pairs, draw(st.lists(st.integers(0, 2), min_size=len(pairs),
+                                            max_size=len(pairs)))))
+    surplus = draw(st.lists(st.integers(0, 60), min_size=m, max_size=m).filter(any))
+    return block_quotient(sizes, weights, surplus)
+
+
+# a hub with three equal arms, and two equal blocks joined to nothing:
+# repeated eigenvalues that close a Krylov block early and restart it
+HUB_OF_BLOCKS = block_quotient([2] + [1, 2, 3] * 3,
+                               {(0, 1): 1, (0, 4): 1, (0, 7): 1, (1, 2): 1, (2, 3): 2,
+                                (4, 5): 1, (5, 6): 2, (7, 8): 1, (8, 9): 2},
+                               [5] + [1, 0, 7] * 3)
+TWO_BLOCKS = block_quotient([3, 4, 3, 4], {(0, 1): 1, (2, 3): 1}, [2, 0, 2, 0])
+
+
+@settings(max_examples=150, deadline=None)
+@given(block_quotients())
+@example(HUB_OF_BLOCKS)
+@example(TWO_BLOCKS)
+def test_charpoly_of_blocks_with_full_degrees_matches_the_fraction_oracle(block):
+    sizes, matrix = block
+    assert charpoly_exact(matrix, weights=sizes) == fraction_charpoly(matrix)
+
+
+def test_blocks_with_repeated_eigenvalues_restart(monkeypatch):
+    calls = log_kernels(monkeypatch)
+    for sizes, matrix in (HUB_OF_BLOCKS, TWO_BLOCKS):
+        charpoly_exact(matrix, weights=sizes)
+    assert calls == [(10, 1, 0), (4, 1, 0)]
 
 
 def hub_with_three_arms():
@@ -390,12 +438,12 @@ def hub_with_three_arms():
     joined = set()
     for first in (1, 7, 13):
         joined |= {(0, first)} | {(i, i + 1) for i in range(first, first + 5)}
-    return deflation(sizes, [s - 1 for s in sizes], joined), sizes
+    return weighted_quotient(sizes, [s - 1 for s in sizes], joined), sizes
 
 
 def test_lanczos_restarts_through_repeated_eigenvalues(monkeypatch):
     # the hub, the two default verify leaves whose first block closes one
-    # step short, and Z2^4 x Z15's leaf, 62 rows in 14 blocks
+    # step short, and Z2^4 x Z15's leaf, 63 rows in 14 blocks
     calls = log_kernels(monkeypatch)
     verify = charpoly_leaves(default_verify)
     leaves = [hub_with_three_arms()] + [leaf for leaf, call in zip(verify, calls) if call[1]]
@@ -404,7 +452,7 @@ def test_lanczos_restarts_through_repeated_eigenvalues(monkeypatch):
     calls.clear()
     for matrix, sizes in leaves:
         assert charpoly_exact(matrix, weights=sizes) == charpoly_scalar_crt(matrix)
-    assert calls == [(18, 1, 0), (7, 1, 0), (9, 1, 0), (62, 13, 0)]
+    assert calls == [(19, 1, 0), (8, 1, 0), (10, 1, 0), (63, 13, 0)]
 
 
 def test_lanczos_drops_a_prime_that_a_restart_vector_leaves_at_zero(monkeypatch):
@@ -426,41 +474,37 @@ def test_lanczos_drops_a_prime_that_a_restart_vector_leaves_at_zero(monkeypatch)
     calls = log_kernels(monkeypatch)
     assert charpoly_exact(matrix, weights=sizes) == charpoly_scalar_crt(matrix)
     assert zeroed == [P0]
-    assert calls == [(62, 13, 1), (62, 13, 0)]
+    assert calls == [(63, 13, 1), (63, 13, 0)]
 
 
 def class_form(sizes, x, y):
-    """<x, y> = N sum s_i x_i y_i - (sum s_i x_i)(sum s_i y_i) over the
-    class sizes s_0..s_d, summing to N, with i from 1."""
-    s = sizes[1:]
-    return (sum(sizes) * sum(w * a * b for w, a, b in zip(s, x, y))
-            - sum(w * a for w, a in zip(s, x)) * sum(w * b for w, b in zip(s, y)))
+    """<x, y> = sum s_i x_i y_i over the class sizes."""
+    return sum(w * a * b for w, a, b in zip(sizes, x, y))
 
 
 def restart_from(q0, primes, sizes):
-    """`_restart` after one stored vector q_0, the residues of the integer
-    vector ``q0`` modulo each prime, with its sum and inverse norm."""
-    s, norm = sizes[1:], class_form(sizes, q0, q0)
+    """`_restart` after one stored vector u_0, the residues of the integer
+    vector ``q0`` modulo each prime, with its inverse norm."""
+    norm = class_form(sizes, q0, q0)
     basis = [[[x % r for r in primes] for x in q0]]
-    sums = [[sum(w * x for w, x in zip(s, q0)) % r for r in primes]]
     inverses = [[pow(norm, -1, r) for r in primes]]
-    return linalg._restart(*(np.array(x, dtype=np.int64) for x in (basis, sums, inverses, s)),
-                           sum(sizes), np.array(primes, dtype=np.int64))
+    return linalg._restart(*(np.array(x, dtype=np.int64) for x in (basis, inverses, sizes)),
+                           np.array(primes, dtype=np.int64))
 
 
 def projection_mod(i, q0, sizes, r):
-    """e_i - <e_i, q_0> / <q_0, q_0> q_0 over Q, reduced modulo r."""
+    """e_i - <e_i, u_0> / <u_0, u_0> u_0 over Q, reduced modulo r."""
     e = [int(j == i) for j in range(len(q0))]
     c = class_form(sizes, e, q0) * pow(class_form(sizes, q0, q0), -1, r)
     return [(a - c * b) % r for a, b in zip(e, q0)]
 
 
 def test_restart_takes_the_first_unit_vector_it_leaves_nonzero_modulo_some_prime():
-    sizes = [1, 2, 3, 5]
+    sizes = [2, 3, 5]
     # e_1 spans K: its projection vanishes modulo every prime, so e_2's is taken
     q = restart_from([0, 1, 0], (P0, P1), sizes)
     assert q.T.tolist() == [projection_mod(2, [0, 1, 0], sizes, r) for r in (P0, P1)]
-    # q_0 = e_1 + P0 e_2 is e_1 modulo P0 only: e_1's projection vanishes
+    # u_0 = e_1 + P0 e_2 is e_1 modulo P0 only: e_1's projection vanishes
     # there, is nonzero modulo P1, and serves both primes
     q = restart_from([0, 1, P0], (P0, P1), sizes)
     assert q.T.tolist() == [[0, 0, 0], projection_mod(1, [0, 1, P0], sizes, P1)]
@@ -469,20 +513,18 @@ def test_restart_takes_the_first_unit_vector_it_leaves_nonzero_modulo_some_prime
 
 def bad_prime_leaf():
     """A connected 19-class quotient, drawn until the first norm
-    <q_1, q_1> = N sum s_i i^2 - (sum s_i i)^2 has a prime factor p with
-    N < p < 2**25, with that p."""
+    <u_1, u_1> = sum s_i i^2, i = 1..19, has a prime factor p with N < p
+    < 2**25, with that p."""
     rng = random.Random(40)
     while True:
         sizes = [rng.randint(1, 20) for _ in range(19)]
         within = [rng.randrange(s) for s in sizes]
         joined = {(i, i + 1) for i in range(18)}
         joined |= {(i, j) for i in range(19) for j in range(i + 2, 19) if rng.random() < 0.5}
-        total = sum(sizes)
-        norm = (total * sum(s * i * i for i, s in enumerate(sizes[1:], 1))
-                - sum(s * i for i, s in enumerate(sizes[1:], 1)) ** 2)
-        factors = [p for p in sympy.primefactors(norm) if total < p < 2**25]
+        norm = sum(s * i * i for i, s in enumerate(sizes, 1))
+        factors = [p for p in sympy.primefactors(norm) if sum(sizes) < p < 2**25]
         if factors:
-            return deflation(sizes, within, joined), sizes, factors[0]
+            return weighted_quotient(sizes, within, joined), sizes, factors[0]
 
 
 def test_lanczos_replaces_a_prime_where_a_norm_vanishes(monkeypatch):
@@ -490,7 +532,7 @@ def test_lanczos_replaces_a_prime_where_a_norm_vanishes(monkeypatch):
     expected = charpoly_scalar_crt(matrix)
     calls = log_kernels(monkeypatch)
     assert charpoly_exact(matrix, weights=sizes) == expected
-    assert calls == [(18, 0, 0)]
+    assert calls == [(19, 0, 0)]
     primes = linalg._residue_primes
     # planted ahead of the leaf's primes, the bad one leaves enough behind
     monkeypatch.setattr(linalg, "_residue_primes", lambda m, bound: (bad,) + primes(m, bound))
@@ -499,59 +541,69 @@ def test_lanczos_replaces_a_prime_where_a_norm_vanishes(monkeypatch):
     # the sequence runs in a batch of its own
     monkeypatch.setattr(linalg, "_residue_primes", lambda m, bound: (bad,) + primes(m, bound)[1:])
     assert charpoly_exact(matrix, weights=sizes) == expected
-    assert calls[1:] == [(18, 0, 1), (18, 0, 1), (18, 0, 0)]
+    assert calls[1:] == [(19, 0, 1), (19, 0, 1), (19, 0, 0)]
 
 
-def test_lanczos_replaces_a_prime_dividing_n(monkeypatch):
-    # N = P0, the first prime: modulo it the form degenerates, as
-    # N diag(s) - s s^T kills the constant vector, and a norm vanishes
-    sizes = [P0 - 15, 2, 3, 4, 6]
-    matrix = deflation(sizes, [s - 1 for s in sizes], {(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)})
+def test_lanczos_replaces_a_prime_dividing_a_class_size(monkeypatch):
+    # a class of P0 vertices, the first prime: modulo it the form
+    # degenerates, as it kills that class's unit vector, and a norm vanishes
+    sizes = [P0, 2, 3, 4, 6]
+    matrix = weighted_quotient(sizes, [s - 1 for s in sizes],
+                               {(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)})
     calls = log_kernels(monkeypatch)
     assert charpoly_exact(matrix, weights=sizes) == charpoly_scalar_crt(matrix)
     assert [call[2] for call in calls] == [1, 0]
 
 
-def test_lanczos_checks_a_wide_form_in_python_ints():
-    # N^2 max|Q'| past 2**62 would overflow an int64 Gram matrix
+def test_lanczos_checks_a_wide_form_in_int64():
+    # two leaves with classes of millions of vertices, whose Gram entries
+    # s_i Q_ij = -s_i s_j reach 2**45
     sizes = [2**23, 3, 2**22, 5, 7, 2**21]
-    matrix = deflation(sizes, [s - 1 for s in sizes], {(0, 1), (1, 2), (2, 3), (3, 4), (4, 5),
-                                                       (0, 3), (2, 5)})
-    assert sum(sizes) ** 2 * max(abs(x) for row in matrix for x in row) >= 2**62
+    matrix = weighted_quotient(sizes, [s - 1 for s in sizes],
+                               {(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 3), (2, 5)})
     assert charpoly_exact(matrix, weights=sizes) == charpoly_scalar_crt(matrix)
-    # here the Gram entry -N s_2 s_4 lies in (-2**64, -2**63): wrapped in
-    # int64 it would turn positive, and the leaf would be refused
     n = 2**24 + 12345
     wide = [n - 2**20 - 2**19 - 8, 3, 2**20, 5, 2**19]
-    assert 2**63 < n * wide[2] * wide[4] < 2**64
-    wrapped = deflation(wide, [s - 1 for s in wide], {(0, 1), (1, 2), (2, 3), (3, 4), (2, 4)})
-    assert charpoly_exact(wrapped, weights=wide) == charpoly_scalar_crt(wrapped)
-    bumped = sizes[:1] + [sizes[1] + 1] + sizes[2:]
+    matrix = weighted_quotient(wide, [s - 1 for s in wide],
+                               {(0, 1), (1, 2), (2, 3), (3, 4), (2, 4)})
+    assert charpoly_exact(matrix, weights=wide) == charpoly_scalar_crt(matrix)
+    bumped = wide[:1] + [wide[1] + 1] + wide[2:]
     with pytest.raises(ValueError, match="not self-adjoint in the form of its weights"):
         charpoly_exact(matrix, weights=bumped)
+    # at both limits at once, a two-class block with full degrees: weights
+    # summing to 2**25 - 1 and a row sum of |Q| of 2**28 - 1 put
+    # s_0 Q_00 near 2**52, still exact in int64
+    s0, s1 = 2**24, 2**24 - 1
+    block = [[2**28 - 1 - s1, -s1], [-s0, s0]]
+    assert charpoly_exact(block, weights=(s0, s1)) == fraction_charpoly(block)
+    with pytest.raises(ValueError, match="summing to 33554432"):
+        charpoly_exact(block, weights=(s0, s1 + 1))
+    block[0][0] += 1
+    with pytest.raises(ValueError, match="reaches 2\\*\\*28"):
+        charpoly_exact(block, weights=(s0, s1))
 
 
 def test_lanczos_refuses_n_from_2_to_25():
     sizes = [2**25 - 3, 1, 2]
-    matrix = deflation(sizes, [0, 0, 1], {(0, 1), (1, 2)})
+    matrix = weighted_quotient(sizes, [0, 0, 1], {(0, 1), (1, 2)})
     with pytest.raises(ValueError, match="summing to 33554432: .* the sum below 2\\*\\*25"):
         charpoly_exact(matrix, weights=sizes)
     sizes[0] -= 1
-    assert charpoly_exact(deflation(sizes, [0, 0, 1], {(0, 1), (1, 2)}), weights=sizes) \
-        == charpoly_scalar_crt(deflation(sizes, [0, 0, 1], {(0, 1), (1, 2)}))
+    matrix = weighted_quotient(sizes, [0, 0, 1], {(0, 1), (1, 2)})
+    assert charpoly_exact(matrix, weights=sizes) == charpoly_scalar_crt(matrix)
 
 
 def test_lanczos_refuses_weights_that_do_not_fit_the_matrix():
     [(matrix, sizes)] = charpoly_leaves(lambda: divisor_rich_spectra((720,)))
-    assert len(matrix) == 27
+    assert len(matrix) == 28
     bumped = sizes[:1] + (sizes[1] + 1,) + sizes[2:]
     with pytest.raises(ValueError, match="not self-adjoint in the form of its weights"):
         charpoly_exact(matrix, weights=bumped)
-    with pytest.raises(ValueError, match="27 weights for the deflation of a 28-row quotient"):
+    with pytest.raises(ValueError, match="27 weights for a 28-row quotient"):
         charpoly_exact(matrix, weights=sizes[1:])
     # self-adjoint in the form of unit weights, with eigenvalues -1 and 1
-    with pytest.raises(ValueError, match="not the deflation of a Laplacian quotient"):
-        charpoly_exact([[0, 1], [1, 0]], weights=(1, 1, 1))
+    with pytest.raises(ValueError, match="not a Laplacian quotient of its weights"):
+        charpoly_exact([[0, 1], [1, 0]], weights=(1, 1))
 
 
 # ---------------------------------------------------------------------------

@@ -17,13 +17,12 @@ import powerlap.verify
 from conftest import (
     charpoly_leaves,
     default_verify,
-    deflation,
     divisor_rich_spectra,
     log_kernels,
-    quotient_charpoly,
     random_graph,
     reduced_cyclic_partition,
     twin_rich_graphs,
+    weighted_quotient,
 )
 from oracles import (
     algcon_equals_by_counts,
@@ -108,14 +107,14 @@ def exact_det(rows):
 
 
 def test_charpoly_exact_matches_determinant_oracle():
-    # deflations of random connected weighted quotients of 2 to 7 classes
+    # random connected weighted quotients of 2 to 7 classes
     rng = random.Random(99)
     for _ in range(25):
         sizes = [rng.randint(1, 4) for _ in range(rng.randint(2, 7))]
         joined = {(i, i + 1) for i in range(len(sizes) - 1)}
         joined |= {(i, j) for i in range(len(sizes)) for j in range(i + 2, len(sizes))
                    if rng.random() < 0.5}
-        mat = deflation(sizes, [rng.randrange(s) for s in sizes], joined)
+        mat = weighted_quotient(sizes, [rng.randrange(s) for s in sizes], joined)
         n = len(mat)
         coeffs = charpoly_exact(mat, weights=sizes)
         assert len(coeffs) == n + 1 and coeffs[-1] == 1
@@ -189,7 +188,8 @@ def times_factors(coeffs, factors):
 
 def collapsed_charpoly(core):
     """Extracted factors times the quotient's charpoly, coefficients ascending."""
-    return times_factors(quotient_charpoly(core.sizes, core.quotient_rows()), core.extracted)
+    return times_factors(charpoly_exact(core.quotient_rows(), weights=core.sizes),
+                         core.extracted)
 
 
 def spectrum_charpoly(s):
@@ -288,7 +288,7 @@ def assert_split_matches_full(sizes, counts):
     eigenvalues less those roots."""
     n = sum(sizes)
     rows = quotient_matrix(counts)
-    full = quotient_charpoly(sizes, rows)
+    full = charpoly_exact(rows, weights=sizes)
     roots, residual, numeric = quotient_spectrum(sizes, counts)
     t = next(i for i, c in enumerate(full) if c)
     assert roots == Counter({0: t}) + Counter(integer_root_multiplicities(full[t:], n)[0])
@@ -406,19 +406,19 @@ def test_spectrum_of_twin_rich_graphs_matches_the_dense_charpoly(g):
 def test_the_kernel_restarts_two_default_verify_leaves_and_replaces_no_prime(monkeypatch):
     # pins the kernel's traffic: the divisor-rich leaves and Z_55440's run
     # in one block on their first primes, and of the 159 default verify
-    # leaves only a 7-row and a 9-row one restart, each for its last step
+    # leaves only an 8-row and a 10-row one restart, each for its last step
     calls = log_kernels(monkeypatch)
     divisor_rich_spectra((720, 840, 1260, 1680, 2310, 55440))
-    assert calls == [(rows, 0, 0) for rows in (27, 29, 33, 37, 29, 117)]
+    assert calls == [(rows, 0, 0) for rows in (28, 30, 34, 38, 30, 118)]
     calls.clear()
     powerlap.spectra._leaf_spectrum.cache_clear()
     default_verify()
     assert len(calls) == 159 and not any(dropped for _, _, dropped in calls)
-    assert sorted(call for call in calls if call[1]) == [(7, 1, 0), (9, 1, 0)]
+    assert sorted(call for call in calls if call[1]) == [(8, 1, 0), (10, 1, 0)]
 
 
 def test_the_z55440_leaf_never_builds_a_residue_stack():
-    # its one Krylov block never closes, so no (117, 117, primes) restart
+    # its one Krylov block never closes, so no (118, 118, primes) restart
     # basis of several MB is built
     [(matrix, sizes)] = charpoly_leaves(lambda: divisor_rich_spectra((55440,)))
     expected = charpoly_exact(matrix, weights=sizes)
@@ -432,14 +432,14 @@ def test_the_z55440_leaf_never_builds_a_residue_stack():
 
 
 def test_an_over_budget_leaf_is_refused_before_it_is_built():
-    # Z2^9 x Z15 reaches a 2046-row leaf on 372 primes, an 11.6 GiB basis:
+    # Z2^9 x Z15 reaches a 2047-row leaf on 372 primes, an 11.6 GiB basis:
     # the refusal neither builds the leaf's count table nor sums every
     # Maclaurin term
     tp = twin_partition(parse_group_spec("prod:" + "x".join(["zn:2"] * 9 + ["zn:15"])))
     tracemalloc.start()
     start = time.perf_counter()
     try:
-        with pytest.raises(ValueError, match="^2046 rows on 372 primes: .* over the 1073741824-byte budget$"):
+        with pytest.raises(ValueError, match="^2047 rows on 372 primes: .* over the 1073741824-byte budget$"):
             spectrum(tp)
         elapsed = time.perf_counter() - start
         peak = tracemalloc.get_traced_memory()[1]
@@ -531,13 +531,15 @@ def test_non_cyclic_p_groups_need_no_charpoly(monkeypatch):
     assert merges
 
 
-def test_leaf_charpoly_deflates_the_zero_eigenvalue(monkeypatch):
-    """Each leaf's charpoly runs on Q' with one row fewer, and x chi_Q'(x)
-    is chi_Q(x), on every leaf of the default suites and of the
-    divisor-rich Z_n."""
+def test_leaf_charpoly_takes_the_quotient_and_divides_out_its_zero(monkeypatch):
+    """Each leaf's charpoly runs on Q itself, whose rows sum to zero, so
+    chi_Q(0) = 0, and the integer-root step gets chi_Q / x, on every leaf
+    of the default suites and of the divisor-rich Z_n."""
     leaves = []
     passed = []
+    divided = []
     leaf = powerlap.spectra._leaf_spectrum
+    roots = powerlap.spectra.integer_root_multiplicities
 
     def recording(sizes, counts):
         leaves.append((sizes, counts))
@@ -547,22 +549,37 @@ def test_leaf_charpoly_deflates_the_zero_eigenvalue(monkeypatch):
         passed.append(matrix)
         return charpoly_exact(matrix, **kwargs)
 
+    def dividing(coeffs, hi):
+        divided.append(list(coeffs))
+        return roots(coeffs, hi)
+
     monkeypatch.setattr(powerlap.spectra, "_leaf_spectrum", recording)
     monkeypatch.setattr(powerlap.spectra, "charpoly_exact", spying)
+    monkeypatch.setattr(powerlap.spectra, "integer_root_multiplicities", dividing)
     partitions = list(claim_suite_partitions())
     partitions += [twin_partition(cyclic_group(n)) for n in (720, 840, 1260, 1680, 2310, 5040)]
     for tp in partitions:
         quotient_spectrum(*quotient_of(tp))
-    assert len(passed) == len(leaves) > 0
+    assert len(passed) == len(divided) == len(leaves) > 0
     checked = set()
-    for (sizes, counts), deflated in zip(leaves, passed):
+    for (sizes, counts), matrix, poly in zip(leaves, passed, divided):
         if (sizes, counts) in checked:
             continue
         checked.add((sizes, counts))
-        full = quotient_matrix(counts)
-        assert len(deflated) == len(full) - 1
-        assert [0] + charpoly_exact(deflated, weights=sizes) == charpoly_scalar_crt(full)
-    assert max(map(len, passed)) == 57  # Z_5040 ends in a leaf of 58 classes
+        assert matrix == quotient_matrix(counts)
+        assert not any(map(sum, matrix))
+        full = charpoly_scalar_crt(matrix)
+        assert full[0] == 0 and poly == full[1:]
+    assert max(map(len, passed)) == 58  # Z_5040 ends in a leaf of 58 classes
+
+
+def test_a_leaf_charpoly_with_a_nonzero_constant_term_is_refused(monkeypatch):
+    # a kernel that lost the zero of a quotient's zero row sums is caught
+    # at the leaf, before its roots are read
+    monkeypatch.setattr(powerlap.spectra, "charpoly_exact",
+                        lambda matrix, **kwargs: [1] + charpoly_exact(matrix, **kwargs)[1:])
+    with pytest.raises(ValueError, match="chi_Q\\(0\\) = 1"):
+        spectrum(twin_partition(cyclic_group(12)))
 
 
 def test_cyclic_suite_takes_one_charpoly_per_distinct_leaf(monkeypatch):

@@ -77,9 +77,9 @@ def test_traced_default_verify_keeps_its_counts():
     assert code == 0
     assert metrics["spectra.spectrum_calls"] == 720
     assert metrics["spectra.mixed_results"] == 292
-    # no leaf of the default suite passes 17 rows
+    # no leaf of the default suite passes 18 rows
     assert metrics["linalg.charpoly_calls"] == 159
-    assert metrics["linalg.charpoly_dim_max"] == 17
+    assert metrics["linalg.charpoly_dim_max"] == 18
     assert metrics["graphs.vertex_connectivity_calls"] == 483
     assert metrics["verify.claims"] == 1081
     # Z2^8's 256 classes: the identity and 255 involutions, each its own class
