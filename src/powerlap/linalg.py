@@ -195,8 +195,9 @@ def _charpoly_lanczos(a: np.ndarray, s: np.ndarray, primes: Sequence[int]
       the caller to replace; the form is definite over Q, so only
       finitely many primes can be.
     Every int64 product, of a residue and a residue or an s_i, is below
-    2**50; A u_k, one float64 matmul for all primes, is exact as the
-    caller keeps A's row sums below 2**28.
+    2**50; A u_k, one float64 matmul for all primes, is an exact integer
+    below 2**53 as the caller keeps A's row sums below 2**28, so it is
+    reduced in int64, not by float64's slower % on values of both signs.
     """
     d = len(a)
     for store in (False, True):
@@ -218,7 +219,7 @@ def _charpoly_lanczos(a: np.ndarray, s: np.ndarray, primes: Sequence[int]
                 if not store:
                     break
                 q[:], back = _restart(basis[:k], inverses[:k], s, p), 0 * back
-            qz = np.array((q, np.matmul(a, q) % p), dtype=np.int64)
+            qz = np.array((q, np.matmul(a, q).astype(np.int64) % p))
             # <u, u> and <A u, u>
             norm, cross = s @ (qz * q % p) % p
             if not norm.all():

@@ -60,7 +60,9 @@ def decompose(g: FiniteGroup) -> DecompTree:
     """Decomposition tree of the power graph of a p-group.
 
     Children are sorted by descending vertex count, then by
-    representative element index, so trees render canonically.
+    representative element index, so trees render canonically.  A group
+    that is not a p-group is refused with ValueError; the root's
+    children are the subgroups of order p.
     """
     p = is_p_group(g)
     if p is None:
@@ -175,13 +177,13 @@ class EigenvalueForm:
     witness: int | None
 
 
-def classify_eigenvalues(g: FiniteGroup, s: Spectrum,
-                         tree: DecompTree) -> list[EigenvalueForm]:
+def classify_eigenvalues(s: Spectrum, tree: DecompTree) -> list[EigenvalueForm]:
     """Assign every distinct eigenvalue its structural form with a witness.
 
     The witness is the smallest element of that form.  An unclassifiable
     eigenvalue would falsify the structural theory and raises immediately.
-    ``tree`` is ``decompose(g)``.
+    ``s`` and ``tree`` are the spectrum and the `decompose` tree of one
+    p-group.
     """
     classes = _classes(tree)
     if not s.is_exact:
@@ -208,9 +210,7 @@ def classify_eigenvalues(g: FiniteGroup, s: Spectrum,
         if witness is not None:
             forms.append(EigenvalueForm(value, "uhat_plus_order", witness))
             continue
-        raise AssertionError(
-            f"eigenvalue {value} of {g.label} fits no structural form"
-        )
+        raise AssertionError(f"eigenvalue {value} fits no structural form")
     return forms
 
 
@@ -223,7 +223,7 @@ class MultiplePropertyReport:
     violations: tuple[str, ...]
 
 
-def check_multiple_property(g: FiniteGroup, s: Spectrum,
+def check_multiple_property(p: int, s: Spectrum,
                             tree: DecompTree) -> MultiplePropertyReport:
     """Verify the divisibility properties of an exact p-group spectrum.
 
@@ -232,11 +232,9 @@ def check_multiple_property(g: FiniteGroup, s: Spectrum,
     that quantity is a prime power, the primitive-class count of x must
     be 0 or congruent to 1 mod p.  Both element facts depend only on the
     ~-class of x, so a violation is reported once per class, naming its
-    smallest element.  ``tree`` is ``decompose(g)``.
+    smallest element.  ``s`` and ``tree`` are the spectrum and the
+    `decompose` tree of one p-group, and ``p`` is its prime.
     """
-    p = is_p_group(g)
-    if p is None:
-        raise ValueError(f"{g.label} is not a p-group")
     if not s.is_exact:
         raise ValueError("the property check requires an exact spectrum")
     violations: list[str] = []

@@ -37,7 +37,6 @@ from .groups import (
     euler_phi,
     factorize,
     generalized_quaternion,
-    is_p_group,
 )
 from .linalg import taylor_shift
 from .pgroup import (
@@ -73,14 +72,6 @@ __all__ = [
     "CYCLIC_CHECKS",
 ]
 
-CLAIM_IDS = (
-    "cyclic-algcon",
-    "cyclic-radius-mult",
-    "cyclic-kappa-vs-algcon",
-    "dicyclic-bundle",
-    "pgroup-bundle",
-)
-
 
 @dataclass(frozen=True)
 class ClaimReport:
@@ -88,7 +79,7 @@ class ClaimReport:
 
     claim_id: str
     parameters: dict
-    verdict: str  # "pass" | "fail" | "inapplicable"
+    verdict: str  # "pass" | "fail"
     witness: Optional[str] = None
     evidence: dict = field(default_factory=dict)
     elapsed: float = 0.0
@@ -413,21 +404,16 @@ def is_generalized_quaternion(g: FiniteGroup) -> bool:
 
     A group of order 2^k >= 8 is generalized quaternion iff it is not
     cyclic and has exactly one involution (Burnside; Gorenstein, *Finite
-    Groups*, Thm 5.4.10).
+    Groups*, Thm 5.4.10).  Both are read from one list of subgroup
+    orders: the involutions generate the subgroups of order 2.
     """
     order = g.order
-    return (
-        order >= 8
-        and _is_power_of_two(order)
-        and not is_cyclic(g)
-        and _involutions(g) == 1
-    )
-
-
-def _involutions(g: FiniteGroup) -> int:
-    """The elements of order 2: the generators of the subgroups of order 2."""
+    if order < 8 or not _is_power_of_two(order):
+        return False
     lattice = g.cyclic_subgroups()
-    return sum(len(atom) for atom, o in zip(lattice.members, lattice.subgroup_orders()) if o == 2)
+    orders = lattice.subgroup_orders()
+    involutions = sum(len(atom) for atom, o in zip(lattice.members, orders) if o == 2)
+    return max(orders) < order and involutions == 1
 
 
 def check_pgroup_bundle(g: FiniteGroup) -> ClaimReport:
@@ -439,19 +425,13 @@ def check_pgroup_bundle(g: FiniteGroup) -> ClaimReport:
     not cyclic; that the spectrum is certified integral and every
     eigenvalue classifies structurally; the order-p^2 closed forms; and
     that the recursive characteristic polynomial matches the direct one.
+    A group that is not a p-group is refused with ValueError.
     """
     started = time.perf_counter()
-    p = is_p_group(g)
-    if p is None:
-        return ClaimReport(
-            claim_id="pgroup-bundle",
-            parameters={"group": g.label, "order": g.order},
-            verdict="inapplicable",
-            witness=None,
-            evidence={"reason": "not a p-group"},
-            elapsed=time.perf_counter() - started,
-        )
+    # decompose refuses a group that is not a p-group; the identity's
+    # children are the subgroups of order p
     tree = decompose(g)
+    p = tree.children[0].element_order
     tp = twin_partition(g)
     s = spectrum(tp)
     mu = algebraic_connectivity(s)
@@ -483,10 +463,10 @@ def check_pgroup_bundle(g: FiniteGroup) -> ClaimReport:
         failures.append("spectrum is not certified integral")
     else:
         try:
-            classify_eigenvalues(g, s, tree)
+            classify_eigenvalues(s, tree)
         except AssertionError as exc:
             failures.append(str(exc))
-        prop = check_multiple_property(g, s, tree)
+        prop = check_multiple_property(p, s, tree)
         if not prop.ok:
             failures.extend(prop.violations)
 
@@ -646,6 +626,8 @@ CYCLIC_CHECKS = {
     "cyclic-radius-mult": lambda n: check_cyclic_radius_mult(n),
     "cyclic-kappa-vs-algcon": lambda n: check_cyclic_kappa_eq_mu(n),
 }
+# every claim id, in the order `verify --theorem` offers them
+CLAIM_IDS = (*CYCLIC_CHECKS, "dicyclic-bundle", "pgroup-bundle")
 
 
 def run_cyclic_suite(max_n: int,

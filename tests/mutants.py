@@ -270,6 +270,27 @@ CATALOG = (
         ("test_verify.py",),
     ),
     Mutant(
+        "prime-read-off-the-root",
+        "verify.py",
+        "p = tree.children[0].element_order",
+        "p = tree.element_order",
+        ("test_zoo.py",),
+    ),
+    Mutant(
+        "quaternion-counts-order-four",
+        "verify.py",
+        "if o == 2)",
+        "if o == 4)",
+        ("test_verify.py",),
+    ),
+    Mutant(
+        "multiple-property-ignores-its-prime",
+        "pgroup.py",
+        "value % p != 0",
+        "value % 2 != 0",
+        ("test_pgroup.py",),
+    ),
+    Mutant(
         "kappa-flows-past-the-floor",
         "graphs.py",
         "                if best <= floor:",

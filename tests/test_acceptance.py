@@ -98,7 +98,7 @@ def test_criterion_6_pgroup_integrality_to_256():
     for g in catalog:
         s = spectrum(power_graph(g))
         assert s.is_exact, g.label
-        forms = classify_eigenvalues(g, s, decompose(g))
+        forms = classify_eigenvalues(s, decompose(g))
         assert len(forms) == len(s.exact.factors), g.label
         assert all(f.form == "zero" or f.witness is not None for f in forms)
     elapsed = time.monotonic() - started

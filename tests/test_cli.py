@@ -85,9 +85,10 @@ def test_decompose_json(capsys):
 
 
 def test_decompose_requires_pgroup(capsys):
-    code, _, err = run(capsys, "decompose", "zn:6")
-    assert code == 1
-    assert "not a p-group" in err
+    # decompose's own refusal, with no check of the group before it
+    code, out, err = run(capsys, "decompose", "zn:6")
+    assert code == 1 and out == ""
+    assert err.splitlines()[-1] == "powerlap: error: Z6 is not a p-group"
 
 
 def test_info(capsys):
@@ -360,17 +361,17 @@ def test_verify_ranges_above_max_order_fail_before_any_claim(capsys, monkeypatch
     assert reason in err and "Traceback" not in err
 
 
-def test_verify_text_reports_inapplicable_and_failing_claims(capsys, monkeypatch):
-    # Z6 is not a p-group, and a wrong recursive charpoly fails Z4's bundle
+def test_verify_text_reports_failing_claims(capsys, monkeypatch):
+    # a wrong recursive charpoly fails Z4's bundle; Z2's recursion is x^1 (x-2)^1
     monkeypatch.setattr(powerlap.verify, "pgroup_catalog",
-                        lambda max_order: [powerlap.groups.cyclic_group(n) for n in (6, 4)])
+                        lambda max_order: [powerlap.groups.cyclic_group(n) for n in (2, 4)])
     monkeypatch.setattr(powerlap.verify, "tree_charpoly",
-                        lambda tree: FactoredCharPoly.from_counts({0: 4}))
+                        lambda tree: FactoredCharPoly.from_counts({0: 1, 2: 1}))
     code, out, err = run(capsys, "verify", "--theorem", "pgroup-bundle")
     assert code == 2
-    assert out == "pgroup-bundle: 0/2 pass (1 inapplicable)\n"
+    assert out == "pgroup-bundle: 1/2 pass\n"
     assert err == ("FAIL pgroup-bundle {'group': 'Z4', 'order': 4, 'prime': 2}: "
-                   "Z4: recursion gives x^4, direct gives x^1 (x-4)^3\n")
+                   "Z4: recursion gives x^1 (x-2)^1, direct gives x^1 (x-4)^3\n")
 
 
 def test_scan_reports_an_equivalence_failure(capsys, monkeypatch):

@@ -6,6 +6,7 @@ from oracles import (
     element_info,
     element_orders,
     hat_up_set_by_masks,
+    is_p_group_by_elements,
     masks_of,
     power_graph_by_masks,
     primitive_classes_by_table,
@@ -58,15 +59,15 @@ def test_decompose_rejects_non_pgroups():
         decompose(cyclic_group(6))
 
 
-@pytest.mark.parametrize("group, spectrum_of, message", [
-    (6, 6, "Z6 is not a p-group"),
-    (9, 12, "the property check requires an exact spectrum"),
-], ids=["not-a-p-group", "mixed-spectrum"])
-def test_multiple_property_guards(group, spectrum_of, message):
-    # each guard raises before the tree is read; Z12's spectrum is mixed
+@pytest.mark.parametrize("spectrum_of, message", [
+    (12, "the property check requires an exact spectrum"),
+], ids=["mixed-spectrum"])
+def test_multiple_property_guards(spectrum_of, message):
+    # each guard raises before the tree is read; Z12's spectrum is mixed.
+    # A group that is not a p-group never gets here: decompose refuses it
     s = spectrum(power_graph(cyclic_group(spectrum_of)))
     with pytest.raises(ValueError, match=message):
-        check_multiple_property(cyclic_group(group), s, None)
+        check_multiple_property(3, s, None)
 
 
 def test_decompose_matches_the_recursive_build():
@@ -232,7 +233,7 @@ def test_tree_json_shape():
 def test_classify_eigenvalues():
     g = z9z3()
     s = spectrum(power_graph(g))
-    forms = {f.value: f for f in classify_eigenvalues(g, s, decompose(g))}
+    forms = {f.value: f for f in classify_eigenvalues(s, decompose(g))}
     assert forms[0].form == "zero"
     assert forms[9].form == "order_of"
     assert element_orders(g)[forms[9].witness] == 9
@@ -245,7 +246,7 @@ def test_classify_eigenvalues():
     mixed = spectrum(power_graph(cyclic_group(12)))
     assert not mixed.is_exact
     with pytest.raises(ValueError, match="exact spectrum"):
-        classify_eigenvalues(g, mixed, decompose(g))
+        classify_eigenvalues(mixed, decompose(g))
 
 
 def test_classification_covers_catalog(small_pgroups):
@@ -265,7 +266,7 @@ def test_classification_covers_catalog(small_pgroups):
 
     for g in small_pgroups:
         s = spectrum(power_graph(g))
-        forms = classify_eigenvalues(g, s, decompose(g))
+        forms = classify_eigenvalues(s, decompose(g))
         assert len(forms) == len(s.exact.factors)
         for f in forms:
             if f.form == "zero":
@@ -278,9 +279,9 @@ def test_classification_covers_catalog(small_pgroups):
 def test_multiple_property(small_pgroups):
     for g in small_pgroups:
         s = spectrum(power_graph(g))
-        report = check_multiple_property(g, s, decompose(g))
-        assert report.ok, (g.label, report.violations)
-        p = report.prime
+        p = is_p_group_by_elements(g)
+        report = check_multiple_property(p, s, decompose(g))
+        assert report.ok and report.prime == p, (g.label, report.violations)
         for value, _ in s.exact.factors:
             assert value in (0, 1) or value % p == 0
 
@@ -290,7 +291,7 @@ def test_multiple_property_reports_a_doctored_eigenvalue():
     s = spectrum(power_graph(g))
     assert s.exact == poly({0: 1, 4: 3})
     doctored = Spectrum(n=4, exact=poly({0: 1, 4: 2, 5: 1}))
-    report = check_multiple_property(g, doctored, decompose(g))
+    report = check_multiple_property(2, doctored, decompose(g))
     assert not report.ok and report.prime == 2
     assert report.violations == ("eigenvalue 5 is neither 1 nor a multiple of 2",)
 
@@ -300,8 +301,8 @@ def test_classify_eigenvalues_rejects_an_eigenvalue_of_no_form():
     # 9 = |U-hat(e)| + o(e) and 3 = |U-hat(x)| + o(x) for o(x) = 3
     g = direct_product(cyclic_group(3), cyclic_group(3))
     doctored = Spectrum(n=9, exact=poly({0: 1, 1: 3, 3: 3, 5: 1, 9: 1}))
-    with pytest.raises(AssertionError, match=f"eigenvalue 5 of {g.label} fits no structural form"):
-        classify_eigenvalues(g, doctored, decompose(g))
+    with pytest.raises(AssertionError, match="^eigenvalue 5 fits no structural form$"):
+        classify_eigenvalues(doctored, decompose(g))
 
 
 def test_multiple_property_reports_a_doctored_tree():
@@ -311,7 +312,7 @@ def test_multiple_property_reports_a_doctored_tree():
     g = direct_product(cyclic_group(3), cyclic_group(3))
     leaves = (DecompTree(2, 3, 9, 2), DecompTree(2, 5, 9, 2))
     doctored = DecompTree(2, 1, 3, 6, leaves)
-    report = check_multiple_property(g, spectrum(power_graph(g)), doctored)
+    report = check_multiple_property(3, spectrum(power_graph(g)), doctored)
     assert not report.ok and report.prime == 3
     assert report.violations == (
         "element 1: |U-hat|+order = 7 not a multiple of 3",

@@ -312,7 +312,7 @@ def test_pgroup_bundle_reports_a_doctored_exact_spectrum(monkeypatch):
     right = "x^1 (x-9)^1 (x-3)^4 (x-1)^3"
     assert r.verdict == "fail"
     assert r.witness.split("; ") == [
-        "Z3xZ3: eigenvalue 5 of Z3xZ3 fits no structural form",
+        "Z3xZ3: eigenvalue 5 fits no structural form",
         "eigenvalue 5 is neither 1 nor a multiple of 3",
         f"order p^2 spectrum {wrong} != {right}",
         f"recursion gives {right}, direct gives {wrong}",
@@ -342,8 +342,8 @@ def test_pgroup_bundle():
     r = check_pgroup_bundle(generalized_quaternion(2))
     assert r.evidence["kappa"] == 2 == r.evidence["algebraic_connectivity"]
     assert r.evidence["laplacian_integral"]
-    r = check_pgroup_bundle(cyclic_group(6))
-    assert r.verdict == "inapplicable"
+    with pytest.raises(ValueError, match="^Z6 is not a p-group$"):
+        check_pgroup_bundle(cyclic_group(6))
 
 
 def test_pgroup_bundle_builds_one_decomposition_tree(monkeypatch):
@@ -362,6 +362,35 @@ def test_pgroup_bundle_builds_one_decomposition_tree(monkeypatch):
     g = direct_product(cyclic_group(9), cyclic_group(3))
     assert check_pgroup_bundle(g).verdict == "pass"
     assert built == [g.label]
+
+
+def test_pgroup_bundle_finds_its_prime_once(monkeypatch):
+    # decompose alone finds p; is_cyclic and is_generalized_quaternion
+    # read the subgroup orders once each
+    import powerlap.groups
+    import powerlap.pgroup
+    import powerlap.verify
+
+    calls = Counter()
+
+    def counting(name, original):
+        def counted(*args):
+            calls[name] += 1
+            return original(*args)
+
+        return counted
+
+    is_p_group = counting("is_p_group", powerlap.groups.is_p_group)
+    for module in (powerlap.groups, powerlap.pgroup, powerlap.verify):
+        monkeypatch.setattr(module, "is_p_group", is_p_group, raising=False)
+    lattice = powerlap.groups.CyclicSubgroups
+    monkeypatch.setattr(lattice, "subgroup_orders",
+                        counting("subgroup_orders", lattice.subgroup_orders))
+    g = generalized_quaternion(3)
+    report = check_pgroup_bundle(g)
+    assert report.verdict == "pass" and report.parameters["prime"] == 2
+    assert report.evidence["generalized_quaternion"]
+    assert calls["is_p_group"] == 1 and calls["subgroup_orders"] <= 2
 
 
 def test_cyclic_graph_cache_holds_one_graph():

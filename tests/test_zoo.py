@@ -3,12 +3,16 @@ permutation generators by `sympy.combinatorics`.
 
 Every other test module builds cyclic, dicyclic and generalized
 quaternion groups and their direct products.  Here non-nilpotent groups
-(S_n, A_n, dihedral, SL(2,3), GL(2,3), PSL(2,7)) and non-abelian
-p-groups other than GQ go through `from_table`, each checked first to
-be the group it is named for by its order and its counts of elements
-of each order.  Their spectra are compared with the dense symmetric
-eigenvalues, kappa with networkx, and the p-groups run the p-group
-claim bundle.
+(S_n, A_n, dihedral, SL(2,3), GL(2,3), PSL(2,7)) and p-groups, among
+them every group of order 8, 16 and 27 (Hall & Senior, 1964), go
+through `from_table`, each checked first to be the group it is named
+for by its order and its counts of elements of each order; the groups
+of order 8, 16 and 27 also by their centre's order and their number of
+distinct squares, which tell each apart from the others of its order.
+Their spectra are compared with the dense symmetric eigenvalues, kappa
+with networkx, and the p-groups run the p-group claim bundle and are
+checked against the decomposition, twin-partition and quaternion
+oracles.
 """
 
 from collections import Counter
@@ -21,17 +25,27 @@ import pytest
 from sympy.combinatorics import Permutation, PermutationGroup
 from sympy.combinatorics.group_constructs import DirectProduct
 from sympy.combinatorics.named_groups import (
+    AbelianGroup,
     AlternatingGroup,
     CyclicGroup,
     DihedralGroup,
     SymmetricGroup,
 )
 
-from oracles import dense_numeric_eigenvalues, eigenvalues_ascending, element_orders
+from oracles import (
+    decompose_by_recursion,
+    dense_numeric_eigenvalues,
+    eigenvalues_ascending,
+    element_orders,
+    is_generalized_quaternion_by_presentation,
+    is_p_group_by_elements,
+    twin_partition_by_rows,
+)
 from powerlap.graphs import power_graph, twin_partition, vertex_connectivity
 from powerlap.groups import from_table
+from powerlap.pgroup import decompose
 from powerlap.spectra import spectrum
-from powerlap.verify import check_pgroup_bundle
+from powerlap.verify import check_pgroup_bundle, is_generalized_quaternion
 
 
 def acting(points, *maps):
@@ -70,6 +84,41 @@ def semidihedral(k):
     return acting(list(range(n)), lambda i: (i + 1) % n, lambda i: (2 ** (k - 2) - 1) * i % n)
 
 
+def regular(elements, mul, *generators):
+    """The group on ``elements`` with product ``mul``, acting on itself
+    by left multiplication by the ``generators``."""
+    return acting(elements, *(lambda h, g=g: mul(g, h) for g in generators))
+
+
+def metacyclic(m, k, r):
+    """Z_m x| Z_k, b a b^-1 = a^r, on the normal forms a^x b^y as (x, y)."""
+    return regular(list(product(range(m), range(k))),
+                   lambda g, h: ((g[0] + r ** g[1] * h[0]) % m, (g[1] + h[1]) % k),
+                   (1, 0), (0, 1))
+
+
+def quaternion(n):
+    """<a, b | a^(2n), b^2 = a^n, b a b^-1 = a^-1> on the normal forms a^x b^y."""
+    return regular(list(product(range(2 * n), range(2))),
+                   lambda g, h: ((g[0] + (-1) ** g[1] * h[0] + n * g[1] * h[1]) % (2 * n),
+                                 (g[1] + h[1]) % 2),
+                   (1, 0), (0, 1))
+
+
+def z4z2_by_z2():
+    """(Z4 x Z2) x| Z2 = <a, b, c | a^4, b^2, c^2, b central, c a c^-1 = a b>
+    on the normal forms a^x b^y c^z."""
+    return regular(list(product(range(4), range(2), range(2))),
+                   lambda g, h: ((g[0] + h[0]) % 4, (g[1] + h[1] + g[2] * h[0]) % 2,
+                                 (g[2] + h[2]) % 2),
+                   (1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+
+def pauli():
+    """The Pauli group <X, Z, iI> over F_5, where 2 is a square root of -1."""
+    return matrix_action(5, 2, ((0, 1), (1, 0)), ((1, 0), (0, 4)), ((2, 0), (0, 2)))
+
+
 # name: (a function making the sympy group, {element order: count})
 ZOO = {
     "S3": (lambda: SymmetricGroup(3), {1: 1, 2: 3, 3: 2}),
@@ -96,10 +145,38 @@ ZOO = {
                               lambda v: (v[0], (v[1] + v[2]) % 3, v[2])),
                {1: 1, 3: 26}),
     "D8xZ2": (lambda: DirectProduct(DihedralGroup(4), CyclicGroup(2)), {1: 1, 2: 11, 4: 4}),
+    "Z8": (lambda: CyclicGroup(8), {1: 1, 2: 1, 4: 2, 8: 4}),
+    "Z4xZ2": (lambda: AbelianGroup(4, 2), {1: 1, 2: 3, 4: 4}),
+    "Z2^3": (lambda: AbelianGroup(2, 2, 2), {1: 1, 2: 7}),
+    "D8": (lambda: DihedralGroup(4), {1: 1, 2: 5, 4: 2}),
+    "Q8": (lambda: quaternion(2), {1: 1, 2: 1, 4: 6}),
+    "Z16": (lambda: CyclicGroup(16), {1: 1, 2: 1, 4: 2, 8: 4, 16: 8}),
+    "Z4xZ4": (lambda: AbelianGroup(4, 4), {1: 1, 2: 3, 4: 12}),
+    "Z8xZ2": (lambda: AbelianGroup(8, 2), {1: 1, 2: 3, 4: 4, 8: 8}),
+    "Z4xZ2^2": (lambda: AbelianGroup(4, 2, 2), {1: 1, 2: 7, 4: 8}),
+    "Z2^4": (lambda: AbelianGroup(2, 2, 2, 2), {1: 1, 2: 15}),
+    "Q16": (lambda: quaternion(4), {1: 1, 2: 1, 4: 10, 8: 4}),
+    "M16": (lambda: metacyclic(8, 2, 5), {1: 1, 2: 3, 4: 4, 8: 8}),
+    "Z4:Z4": (lambda: metacyclic(4, 4, 3), {1: 1, 2: 3, 4: 12}),
+    "Q8xZ2": (lambda: DirectProduct(quaternion(2), CyclicGroup(2)), {1: 1, 2: 3, 4: 12}),
+    "(Z4xZ2):Z2": (z4z2_by_z2, {1: 1, 2: 7, 4: 8}),
+    "Pauli": (pauli, {1: 1, 2: 7, 4: 8}),
+    "Z27": (lambda: CyclicGroup(27), {1: 1, 3: 2, 9: 6, 27: 18}),
+    "Z9xZ3": (lambda: AbelianGroup(9, 3), {1: 1, 3: 8, 9: 18}),
+    "Z3^3": (lambda: AbelianGroup(3, 3, 3), {1: 1, 3: 26}),
+    "Z9:Z3": (lambda: metacyclic(9, 3, 4), {1: 1, 3: 8, 9: 18}),
+}
+# every group of order 8, 16 and 27: (centre order, distinct squares)
+SMALL_P_GROUPS = {
+    "Z8": (8, 4), "Z4xZ2": (8, 2), "Z2^3": (8, 1), "D8": (2, 2), "Q8": (2, 2),
+    "Z16": (16, 8), "Z4xZ4": (16, 4), "Z8xZ2": (16, 4), "Z4xZ2^2": (16, 2), "Z2^4": (16, 1),
+    "D16": (2, 4), "SD16": (2, 4), "Q16": (2, 4), "M16": (4, 4), "D8xZ2": (4, 2),
+    "Q8xZ2": (4, 2), "Z4:Z4": (4, 3), "(Z4xZ2):Z2": (4, 3), "Pauli": (4, 2),
+    "Z27": (27, 27), "Z9xZ3": (27, 27), "Z3^3": (27, 27), "Heis27": (3, 27), "Z9:Z3": (3, 27),
 }
 SPECTRAL = ["S3", "S4", "A4", "A5", "S5", "D10", "D12", "D16", "D30", "S3xS3", "SL(2,3)",
             "GL(2,3)", "PSL(2,7)"]
-P_GROUPS = ["D16", "D32", "SD16", "SD32", "Heis27", "D8xZ2"]
+P_GROUPS = sorted({"D32", "SD32", *SMALL_P_GROUPS})
 # their spectra are mixed, so a leaf reaches the exact charpoly
 MIXED = {"S3xS3", "SL(2,3)", "GL(2,3)"}
 
@@ -147,7 +224,38 @@ def test_zoo_kappa_matches_networkx(name):
     assert vertex_connectivity(twin_partition(g)).size == nx.node_connectivity(h)
 
 
+def test_small_p_groups_are_told_apart():
+    # counts and centre alone tie Z4:Z4 with Q8xZ2 and (Z4xZ2):Z2 with
+    # Pauli; their squares differ
+    for order, count in ((8, 5), (16, 14), (27, 5)):
+        names = [name for name in SMALL_P_GROUPS if sum(ZOO[name][1].values()) == order]
+        told = {(frozenset(ZOO[name][1].items()), SMALL_P_GROUPS[name]) for name in names}
+        assert len(names) == len(told) == count, order
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_P_GROUPS))
+def test_small_p_groups_keep_their_centre_and_squares(name):
+    group = ZOO[name][0]()
+    squares = {e ** 2 for e in group.generate()}
+    assert (group.center().order(), len(squares)) == SMALL_P_GROUPS[name]
+
+
+@pytest.mark.parametrize("name", sorted(ZOO))
+def test_zoo_twin_partitions_match_the_rows(name):
+    g = zoo_group(name)
+    assert twin_partition(g) == twin_partition_by_rows(power_graph(g))
+
+
 @pytest.mark.parametrize("name", P_GROUPS)
 def test_zoo_p_groups_pass_the_bundle(name):
-    report = check_pgroup_bundle(zoo_group(name))
+    g = zoo_group(name)
+    report = check_pgroup_bundle(g)
     assert report.verdict == "pass", report.witness
+    assert report.parameters["prime"] == is_p_group_by_elements(g)
+
+
+@pytest.mark.parametrize("name", P_GROUPS)
+def test_zoo_p_groups_match_the_oracles(name):
+    g = zoo_group(name)
+    assert is_generalized_quaternion(g) == is_generalized_quaternion_by_presentation(g)
+    assert decompose(g) == decompose_by_recursion(g)
